@@ -32,13 +32,18 @@ from .errors import (
     ResourceLimitError,
 )
 from .forms import DiffForm, EulerField, contract_euler, d_of_poly, exterior_d, wedge, wedge_all
-from .groebner import GREVLEX, groebner, standard_monomials
 from .linalg import ColumnSolver
-from .phase import IcisMap, critical_ideal_gens
+from .phase import IcisMap, critical_staircase
+# unused here, but perfbench's tracer test looks the name up on this module
+from .phase import critical_ideal_gens  # noqa: F401
 from .poly import Monomial, MultiPoly, monomials_of_weight
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Maps with more variables than this reduce on the coordinate-collapsed map
+# (module docstring); smaller ones solve on the full ring directly.
+COLLAPSE_ABOVE_NVARS = 6
 
 
 @dataclass
@@ -75,8 +80,7 @@ class LatticeCertificate:
 
 
 def phi_basis(icis: IcisMap) -> PhiBasis:
-    gb = groebner(critical_ideal_gens(icis), GREVLEX)
-    sc = standard_monomials(gb)
+    sc = critical_staircase(icis)
     if not sc.finite:
         raise NotIsolatedError(
             f"staircase unbounded along {sc.witness_variable}",
@@ -172,7 +176,7 @@ class LatticeContext:
         self._w_cache: dict[tuple[int, tuple[int, ...]], MultiPoly] = {}
         rest = _restricted_map(icis)
         self.collapse: "_Collapse | None" = None
-        if rest is not None and self.nvars > 6:
+        if rest is not None and self.nvars > COLLAPSE_ABOVE_NVARS:
             self.collapse = _Collapse(self, *rest)
 
     # -- helpers -------------------------------------------------------
@@ -586,7 +590,7 @@ def f_basis(icis: IcisMap, weight_cap: int | None = None) -> FBasis:
     if weight_cap is None:
         weight_cap = 4 * sum(icis.comp_weights)
     rest = _restricted_map(icis)
-    if rest is not None and len(icis.ring) > 6:
+    if rest is not None and len(icis.ring) > COLLAPSE_ABOVE_NVARS:
         rest_idx, coords, restricted = rest
         rest_names = tuple(icis.ring[i] for i in rest_idx)
         rest_v = tuple(icis.var_weights[i] for i in rest_idx)

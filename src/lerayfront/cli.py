@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .brieskorn import f_basis, gm_matrices, phi_basis
-from .errors import LerayfrontError
+from .errors import LerayfrontError, ProblemFileError, UnknownVariableError, UsageError
 from .gaussmanin import (
     assemble_system,
     discriminant,
@@ -27,6 +27,7 @@ from .jsonio import (
     dump_json,
     form_to_json,
     fraction_to_json,
+    load_json,
     matrix_to_json,
     poly_to_json,
 )
@@ -48,7 +49,7 @@ from .phase import (
     discover_weights,
     expand_phase,
 )
-from .wavefront import front_polynomial, t_zero_check
+from .wavefront import DET_FIRST_MAX_MU, front_polynomial, t_zero_check
 
 COMMANDS = (
     "check",
@@ -68,11 +69,12 @@ class Problem:
     """Parsed problem file plus effective options."""
 
     def __init__(self, spec: dict, overrides: dict):
-        options = dict(spec.get("options", {}))
-        options.update({k: v for k, v in overrides.items() if v is not None})
-        front_text = spec["front"]
-        operator_text = spec["operator"]
-        self.front = parse_poly(front_text)
+        if not isinstance(spec, dict):
+            raise UsageError("problem file must hold a JSON object")
+        missing = [key for key in ("operator", "front") if not isinstance(spec.get(key), str)]
+        if missing:
+            raise UsageError(f"problem file lacks a text {' and '.join(missing)}")
+        self.front = parse_poly(spec["front"])
         n = len(self.front.ring)
         expected = tuple(f"x{i + 1}" for i in range(n))
         if self.front.ring != expected:
@@ -80,28 +82,33 @@ class Problem:
                 self.front.ring
             ) <= set(expected) else self.front
         if self.front.ring != expected:
-            raise LerayfrontError(
+            raise UnknownVariableError(
                 f"front must use variables x1..x{n}, got {self.front.ring}"
             )
         op_ring = ("tau",) + tuple(f"xi{i + 1}" for i in range(n))
-        self.operator = parse_poly(operator_text, ring=op_ring)
-        self.symbol = HyperbolicSymbol.from_poly(
-            self.operator,
-            irreducible_attested=bool(options.get("irreducible", False)),
-        )
+        self.operator = parse_poly(spec["operator"], ring=op_ring)
         self.n = n
-        self.power = int(options.get("powerP", 2))
-        self.seed = int(options.get("seed", 1))
-        self.tol = float(options.get("tol", 1e-6))
-        self.det = str(options.get("det", "bareiss"))
-        self.weight_cap = options.get("weight_cap")
-        self.max_pairs = int(options.get("max_pairs", 100_000))
-        self.s_value = options.get("s")
-        if self.s_value is not None:
-            self.s_value = Fraction(str(self.s_value))
-        w = options.get("weights")
-        self.explicit_weights = tuple(int(x) for x in w) if w else None
-        self.hyp_samples = int(options.get("hyperbolicity_samples", 25))
+        try:
+            options = dict(spec.get("options", {}))
+            options.update({k: v for k, v in overrides.items() if v is not None})
+            self.symbol = HyperbolicSymbol.from_poly(
+                self.operator,
+                irreducible_attested=bool(options.get("irreducible", False)),
+            )
+            self.power = int(options.get("powerP", 2))
+            self.seed = int(options.get("seed", 1))
+            self.tol = float(options.get("tol", 1e-6))
+            self.det = str(options.get("det", "bareiss"))
+            self.weight_cap = options.get("weight_cap")
+            self.max_pairs = int(options.get("max_pairs", 100_000))
+            self.s_value = options.get("s")
+            if self.s_value is not None:
+                self.s_value = Fraction(str(self.s_value))
+            w = options.get("weights")
+            self.explicit_weights = tuple(int(x) for x in w) if w else None
+            self.hyp_samples = int(options.get("hyperbolicity_samples", 25))
+        except (TypeError, ValueError, ZeroDivisionError) as err:
+            raise UsageError(f"bad operator or option value: {err}") from None
         self.raw_options = options
 
     def weight_system(self) -> WeightSystem:
@@ -421,7 +428,7 @@ class Pipeline:
         summary["milnor"] = self.cmd_milnor()["mu"]
         self.cmd_gm()
         mu = self.system().mu
-        if mu <= 6:
+        if mu <= DET_FIRST_MAX_MU:
             summary["discriminant"] = "computed"
             self.cmd_discriminant()
             summary["verify_discriminant"] = self.cmd_verify_discriminant()["verdict"]
@@ -472,13 +479,13 @@ def main(argv=None) -> int:
         "det": args.det,
         "weight_cap": args.weight_cap,
         "max_pairs": args.max_pairs,
+        "weights": args.weights.split(",") if args.weights else None,
     }
-    if args.weights:
-        overrides["weights"] = [int(x) for x in args.weights.split(",")]
     try:
-        from .jsonio import load_json
-
-        spec = load_json(args.spec)
+        try:
+            spec = load_json(args.spec)
+        except ValueError as err:
+            raise ProblemFileError(f"{args.spec} is not JSON: {err}") from None
         problem = Problem(spec, overrides)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -498,7 +505,8 @@ def main(argv=None) -> int:
         method()
         print(f"{args.command}: ok (artifacts in {out})")
         return 0
-    except LerayfrontError as err:
+    except (LerayfrontError, OSError) as exc:
+        err = exc if isinstance(exc, LerayfrontError) else ProblemFileError(str(exc))
         record = {
             "error": type(err).__name__,
             "message": str(err),
@@ -512,9 +520,6 @@ def main(argv=None) -> int:
             pass
         print(f"error[{err.exit_code}] {type(err).__name__}: {err}", file=sys.stderr)
         return err.exit_code
-    except FileNotFoundError as err:
-        print(f"error[17] {err}", file=sys.stderr)
-        return 17
 
 
 if __name__ == "__main__":

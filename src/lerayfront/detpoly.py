@@ -4,15 +4,18 @@ Two independent strategies are provided and cross-checked in the tests:
 
 * ``bareiss``: fraction-free elimination in the polynomial ring, with exact
   divisions guaranteed by the Sylvester identity.
-* ``interpolate``: evaluation at integer grid points with per-variable degree
-  bounds read off the entries, followed by multivariate Newton interpolation.
+* ``interpolate``: integer determinants on the grid 0..bounds[i] of each
+  variable, with the bounds read off the entries, followed by tensor-grid
+  Newton interpolation one axis at a time.
 
-The interpolation evaluator doubles as the workhorse for pulled-back
-discriminants, where the caller supplies (probed) degree bounds.
+The grid engine also computes pulled-back discriminants in ``wavefront``,
+where the caller supplies probed degree bounds; ``_interp_1d`` serves the
+probes along lines.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -86,11 +89,10 @@ def det_interpolate(
     bounds: Sequence[int] | None = None,
     max_points: int = 2_000_000,
 ) -> MultiPoly:
-    """Determinant by grid evaluation and Newton interpolation.
+    """Determinant by grid evaluation and tensor Newton interpolation.
 
     ``bounds`` overrides the safe per-variable degree bounds; the grid has
-    prod(bounds[i]+1) points, evaluated by partial substitution so shared
-    prefixes are not recomputed.
+    prod(bounds[i]+1) points and must stay within ``max_points``.
     """
     ring = M[0][0].ring
     if bounds is None:
@@ -104,141 +106,120 @@ def det_interpolate(
             kind="interpolation-grid",
             limit=max_points,
         )
-    values = _det_on_grid(M, ring, bounds)
-    poly = _newton_interpolate(ring, bounds, values)
-    return poly
+    return _tensor_interpolate(_grid_values(M, ring, bounds), bounds, ring)
 
 
-def _det_on_grid(M, ring, bounds) -> dict[tuple[int, ...], Fraction]:
-    """Evaluate det(M) at every integer grid point 0..bounds[i]."""
-    values: dict[tuple[int, ...], Fraction] = {}
+def thread_budget() -> int:
+    """Parallelism budget from LERAYFRONT_THREADS (default 1)."""
+    try:
+        return max(1, int(os.environ.get("LERAYFRONT_THREADS", "1")))
+    except ValueError:
+        return 1
+
+
+def _int_subst(entry: dict, var_index: int, a: int) -> dict:
+    out: dict = {}
+    for e, c in entry.items():
+        val = c * a ** e[var_index] if e[var_index] else c
+        e2 = e[:var_index] + (0,) + e[var_index + 1 :]
+        out[e2] = out.get(e2, 0) + val
+    return out
+
+
+def _grid_chunk(args) -> list[tuple[tuple[int, ...], int]]:
+    """Evaluate integer determinants for a slice of outermost grid values."""
+    int_rows, nvars, bounds, outer_values = args
+    out: list[tuple[tuple[int, ...], int]] = []
 
     def rec(mat, var_index, prefix):
-        if var_index == len(ring):
-            values[prefix] = _det_rational([[p.constant_value() for p in row] for row in mat])
+        if var_index == nvars:
+            ints = [[next(iter(p.values())) if p else 0 for p in row] for row in mat]
+            out.append((prefix, det_int(ints)))
             return
-        v = ring[var_index]
-        for a in range(bounds[var_index] + 1):
-            sub = [[p.substitute_partial({v: Fraction(a)}) for p in row] for row in mat]
+        values = outer_values if var_index == 0 else range(bounds[var_index] + 1)
+        for a in values:
+            sub = [[_int_subst(p, var_index, a) for p in row] for row in mat]
             rec(sub, var_index + 1, prefix + (a,))
 
-    rec(M, 0, ())
-    return values
+    rec(int_rows, 0, ())
+    return out
 
 
-def _det_rational(entries: list[list[Fraction]]) -> Fraction:
-    scale = ONE
-    m: list[list[int]] = []
-    for row in entries:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        scale /= den
-        m.append([int(x * den) for x in row])
-    return scale * det_int(m)
+def _grid_values(M, ring, bounds) -> dict[tuple[int, ...], Fraction]:
+    """det values on the integer grid, via integer-scaled rows and nested
+    partial evaluation (shared variable prefixes are evaluated once).
 
-
-def _newton_interpolate(ring, bounds, values) -> MultiPoly:
-    """Recursive multivariate Newton interpolation on the 0..b integer grid."""
-
-    def interp(prefix, var_index) -> MultiPoly:
-        if var_index == len(ring):
-            return MultiPoly.constant(ring, values[prefix])
-        b = bounds[var_index]
-        polys = [interp(prefix + (a,), var_index + 1) for a in range(b + 1)]
-        # divided differences in the variable ring[var_index], nodes 0..b
-        dd = list(polys)
-        for level in range(1, b + 1):
-            for i in range(b, level - 1, -1):
-                dd[i] = (dd[i] - dd[i - 1]).scale(Fraction(1, level))
-        x = MultiPoly.variable(ring, ring[var_index])
-        acc = dd[b]
-        for i in range(b - 1, -1, -1):
-            node = MultiPoly.constant(ring, i)
-            acc = acc * (x - node) + dd[i]
-        return acc
-
-    return interp((), 0)
-
-
-def det_univariate(M: Sequence[Sequence[list[int]]]) -> list[int]:
-    """Bareiss determinant for matrices of dense integer univariate polys.
-
-    Entries are coefficient lists (ascending).  Used for degree probing.
+    Honors the LERAYFRONT_THREADS budget by splitting the outermost axis
+    across processes; results are merged by grid index, so the output is
+    identical for any budget.
     """
-    n = len(M)
-    m = [[list(p) for p in row] for row in M]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if _uz(m[k][k]):
-            piv = next((i for i in range(k + 1, n) if not _uz(m[i][k])), None)
-            if piv is None:
-                return [0]
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                num = _usub(_umul(pkk, m[i][j]), _umul(mik, m[k][j]))
-                m[i][j] = _udiv(num, prev)
-            m[i][k] = [0]
-        prev = pkk
-    d = m[n - 1][n - 1]
-    return d if sign == 1 else [-c for c in d]
+    nvars = len(ring)
+    scale = ONE
+    int_rows: list[list[dict[tuple[int, ...], int]]] = []
+    for row in M:
+        den = 1
+        for p in row:
+            for c in p.terms.values():
+                den = den * c.denominator // gcd(den, c.denominator)
+        scale *= den
+        int_rows.append(
+            [{e: int(c * den) for e, c in p.terms.items()} for p in row]
+        )
+    outer = list(range(bounds[0] + 1)) if nvars else []
+    budget = thread_budget()
+    results: list[tuple[tuple[int, ...], int]] = []
+    if budget > 1 and len(outer) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunks = [outer[i::budget] for i in range(min(budget, len(outer)))]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
+            for part in ex.map(
+                _grid_chunk,
+                [(int_rows, nvars, bounds, ch) for ch in chunks],
+            ):
+                results.extend(part)
+    else:
+        results = _grid_chunk((int_rows, nvars, bounds, outer))
+    return {prefix: Fraction(d, 1) / scale for prefix, d in results}
 
 
-def _uz(p: list[int]) -> bool:
-    return all(c == 0 for c in p)
+def _tensor_interpolate(
+    values: dict[tuple[int, ...], Fraction], bounds: Sequence[int], ring
+) -> MultiPoly:
+    """Tensor-grid interpolation by 1-D Newton transforms along each axis."""
+    nvars = len(bounds)
+    data = dict(values)
+    # transform axis by axis, innermost last index first
+    for axis in range(nvars - 1, -1, -1):
+        out: dict[tuple[int, ...], Fraction] = {}
+        prefix_groups: dict[tuple, list] = {}
+        b = bounds[axis]
+        for key, val in data.items():
+            rest = key[:axis] + key[axis + 1 :]
+            prefix_groups.setdefault(rest, [ZERO] * (b + 1))[key[axis]] = val
+        for rest, vals in prefix_groups.items():
+            coeffs = _interp_1d(vals)
+            for k, c in enumerate(coeffs):
+                if c != 0:
+                    out[rest[:axis] + (k,) + rest[axis:]] = c
+        data = out
+    terms = {e: c for e, c in data.items() if c != 0}
+    return MultiPoly(ring, terms)
 
 
-def _utrim(p: list[int]) -> list[int]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _umul(a: list[int], b: list[int]) -> list[int]:
-    if _uz(a) or _uz(b):
-        return [0]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _utrim(out)
-
-
-def _usub(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _utrim(out)
-
-
-def _udiv(a: list[int], b: list[int]) -> list[int]:
-    """Exact division of integer univariate polys."""
-    a = _utrim(list(a))
-    b = _utrim(list(b))
-    if _uz(a):
-        return [0]
-    if b == [1]:
-        return a
-    out = [0] * (len(a) - len(b) + 1)
-    r = list(a)
-    while not _uz(r) and len(r) >= len(b):
-        q, rem = divmod(r[-1], b[-1])
-        if rem != 0:
-            raise ValueError("inexact division in univariate Bareiss")
-        k = len(r) - len(b)
-        out[k] = q
-        for i, y in enumerate(b):
-            r[k + i] -= q * y
-        _utrim(r)
-    if not _uz(r):
-        raise ValueError("inexact division in univariate Bareiss")
-    return _utrim(out)
+def _interp_1d(vals: list[Fraction]) -> list[Fraction]:
+    """Monomial coefficients of the polynomial through (i, vals[i]), i = 0..n-1."""
+    n = len(vals)
+    dd = [Fraction(x) for x in vals]
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / level
+    coeffs = [dd[n - 1]]
+    for i in range(n - 2, -1, -1):
+        nxt = [ZERO] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            nxt[k + 1] += c
+            nxt[k] += c * (-i)
+        nxt[0] += dd[i]
+        coeffs = nxt
+    return coeffs

@@ -13,6 +13,12 @@ class RingMismatchError(LerayfrontError):
     exit_code = 18
 
 
+class UsageError(LerayfrontError):
+    """A problem file lacks an entry, or an option or flag value does not parse."""
+
+    exit_code = 2
+
+
 class ExpressionSyntaxError(LerayfrontError):
     exit_code = 3
 
@@ -116,6 +122,12 @@ class MismatchError(LerayfrontError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class ProblemFileError(LerayfrontError):
+    """A file cannot be read or written, or the problem file is not JSON."""
+
+    exit_code = 17
 
 
 class NoSolutionError(LerayfrontError):

@@ -18,6 +18,7 @@ from .detpoly import det_poly_matrix
 from .errors import (
     CurvatureNonzeroError,
     DegenerateSystemError,
+    NoSolutionError,
     NotApplicableError,
 )
 from .gcdtools import squarefree_part
@@ -205,7 +206,7 @@ def flatness_check(
         Mv = _eval_matrix(data.M, pt)
         try:
             Minv = Mv.inverse()
-        except Exception:
+        except NoSolutionError:
             continue
         Pv = [_eval_matrix(data.matrices[l], pt) for l in range(K)]
         dPv = {

@@ -285,10 +285,6 @@ def standard_monomials(gb: GroebnerBasis) -> Staircase:
     return Staircase(finite=True, monomials=[Monomial(x) for x in out])
 
 
-def quotient_dimension(gens: Sequence[MultiPoly], order: MonomialOrder = GREVLEX) -> Staircase:
-    return standard_monomials(groebner(gens, order))
-
-
 def eliminate(
     gens: Sequence[MultiPoly],
     drop: Sequence[str],

@@ -117,20 +117,13 @@ class RationalMatrix:
         return det_fraction(self.entries)
 
     def inverse(self) -> "RationalMatrix":
+        """Gauss-Jordan on [A | I]; singular exactly when a pivot leaves 0..n-1."""
         assert self.rows == self.cols
         n = self.rows
-        aug = [row[:] + RationalMatrix.identity(n).entries[i] for i, row in enumerate(self.entries)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise NoSolutionError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+        ident = RationalMatrix.identity(n).entries
+        aug, pivots = _echelonize([row + ident[i] for i, row in enumerate(self.entries)])
+        if pivots[:n] != list(range(n)):
+            raise NoSolutionError("matrix is singular")
         return RationalMatrix(n, n, [row[n:] for row in aug])
 
 

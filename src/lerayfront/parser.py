@@ -184,27 +184,4 @@ def parse_poly(text: str, ring: tuple[str, ...] | None = None) -> MultiPoly:
 
 def poly_to_text(p: MultiPoly) -> str:
     """Canonical printable form; parse(poly_to_text(p)) == p."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for e, c in p.sorted_terms():
-        factors = []
-        for v, k in zip(p.ring, e):
-            if k == 1:
-                factors.append(v)
-            elif k > 1:
-                factors.append(f"{v}^{k}")
-        body = "*".join(factors)
-        coeff = str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        if body:
-            frag = body if c == 1 else (f"-{body}" if c == -1 else f"{coeff}*{body}")
-        else:
-            frag = coeff
-        parts.append(frag)
-    out = parts[0]
-    for frag in parts[1:]:
-        if frag.startswith("-"):
-            out += " - " + frag[1:]
-        else:
-            out += " + " + frag
-    return out
+    return p.pretty()

@@ -28,7 +28,7 @@ from .errors import (
     NotIsolatedError,
     RingMismatchError,
 )
-from .groebner import GREVLEX, groebner, standard_monomials
+from .groebner import GREVLEX, Staircase, groebner, standard_monomials
 from .linalg import RationalMatrix, solve_linear_exact
 from .poly import Monomial, MultiPoly, poly_substitute, weighted_graded_parts
 from .univariate import count_real_roots, is_squarefree
@@ -377,6 +377,7 @@ class IcisMap:
     couplings: list[Coupling] = field(default_factory=list)
     y1_value: MultiPoly | None = None  # Case 1: -W_1 (normalized); Case 2: None (zero)
     metadata: dict = field(default_factory=dict)
+    _staircase: Staircase | None = field(default=None, init=False, repr=False, compare=False)
 
     def y_names(self) -> tuple[str, ...]:
         return tuple(f"y{i}" for i in range(self.K))
@@ -557,10 +558,16 @@ def critical_ideal_gens(icis: IcisMap) -> list[MultiPoly]:
     return minors + list(icis.components)
 
 
+def critical_staircase(icis: IcisMap) -> Staircase:
+    """Staircase of the critical ideal, computed once per map and kept on it."""
+    if icis._staircase is None:
+        icis._staircase = standard_monomials(groebner(critical_ideal_gens(icis), GREVLEX))
+    return icis._staircase
+
+
 def validate_isolated(icis: IcisMap) -> int:
     """Finite-dimensionality of the singularity quotient; returns its dimension."""
-    gb = groebner(critical_ideal_gens(icis), GREVLEX)
-    sc = standard_monomials(gb)
+    sc = critical_staircase(icis)
     if not sc.finite:
         raise NotIsolatedError(
             f"singularity is not isolated: staircase unbounded along {sc.witness_variable}",

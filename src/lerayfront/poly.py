@@ -48,9 +48,6 @@ class Monomial:
     def weight(self, weights: Sequence[int]) -> int:
         return sum(w * e for w, e in zip(weights, self.exps))
 
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
 
@@ -411,6 +408,7 @@ class MultiPoly:
         return f"MultiPoly({self.pretty()})"
 
     def pretty(self) -> str:
+        """Canonical printable form; the parser reads it back to this polynomial."""
         if not self.terms:
             return "0"
         parts = []

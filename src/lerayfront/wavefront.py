@@ -14,15 +14,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .detpoly import degree_bounds, det_bareiss, _det_rational
+from .detpoly import _interp_1d, degree_bounds, det_bareiss, det_interpolate
 from .errors import MismatchError, ResourceLimitError, ZeroAfterSubstitutionError
 from .gcdtools import squarefree_part
 from .gaussmanin import GaussManinData, discriminant
+from .linalg import det_fraction
 from .phase import IcisMap
 from .poly import MultiPoly, poly_substitute
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+# Size switches on the Milnor number mu = dim M(y).  Up to DET_FIRST_MAX_MU
+# det M(y) is taken symbolically before the substitution; above it the
+# entries are substituted first, and the determinant of the substituted
+# matrix is taken by Bareiss up to BAREISS_MAX_MU, by the probed grid above.
+DET_FIRST_MAX_MU = 6
+BAREISS_MAX_MU = 8
 
 
 @dataclass
@@ -86,7 +91,7 @@ def front_polynomial(
     """
     ring, bindings = front_substitution(icis, s_value)
     if strategy == "auto":
-        strategy = "det-first" if data.mu <= 6 else "substitute-first"
+        strategy = "det-first" if data.mu <= DET_FIRST_MAX_MU else "substitute-first"
     if strategy == "det-first":
         if data.delta is None:
             discriminant(data, strategy=det_strategy)
@@ -95,7 +100,7 @@ def front_polynomial(
         M_sub = [
             [poly_substitute(e, bindings) for e in row] for row in data.M
         ]
-        if data.mu <= 8:
+        if data.mu <= BAREISS_MAX_MU:
             raw = det_bareiss(M_sub)
         else:
             raw = _det_probed_interpolation(M_sub, ring, seed=seed, max_grid=max_grid)
@@ -217,35 +222,18 @@ def _det_probed_interpolation(
     safe = degree_bounds(compressed)
     bounds = _probe_degrees(compressed, cring, rng, safe)
     bounds = [min(b, s) for b, s in zip(bounds, safe)]
-
-    def run(bnds) -> MultiPoly | None:
-        npts = 1
-        for b in bnds:
-            npts *= b + 1
-        if npts > max_grid:
-            return None
-        values = _grid_values(compressed, cring, bnds)
-        return _tensor_interpolate(values, bnds, cring)
-
-    det = run(bounds)
-    if det is None:
-        raise ResourceLimitError(
-            "interpolation grid exceeds cap even at probed degrees",
-            kind="front-grid",
-            limit=max_grid,
-        )
+    det = det_interpolate(compressed, bounds, max_points=max_grid)
     for _ in range(verify_points):
         pt = {v: Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for v in cring}
-        direct = _det_rational(
-            [[p.eval_exact(pt) for p in row] for row in compressed]
-        )
+        direct = det_fraction([[p.eval_exact(pt) for p in row] for row in compressed])
         if det.eval_exact(pt) != direct:
-            det = run(safe)
-            if det is None:
+            try:
+                det = det_interpolate(compressed, safe, max_points=max_grid)
+            except ResourceLimitError:
                 raise MismatchError(
                     "probed interpolation failed verification and safe bounds "
                     f"exceed the grid cap {max_grid}"
-                )
+                ) from None
             break
     det = _decompress_exponents(det, ring, parity)
     return (factor * det).scale(sign)
@@ -294,7 +282,7 @@ def _probe_degrees(M_sub, ring, rng, safe: list[int]) -> list[int]:
                     [p.substitute_partial({v: Fraction(a)}).constant_value() for p in row]
                     for row in spec
                 ]
-                vals.append(_det_rational(m))
+                vals.append(det_fraction(m))
             coeffs = _interp_1d(vals)
             deg = len(coeffs) - 1
             while deg > 0 and coeffs[deg] == 0:
@@ -304,127 +292,6 @@ def _probe_degrees(M_sub, ring, rng, safe: list[int]) -> list[int]:
             best = max(best, deg)
         bounds.append(best)
     return bounds
-
-
-def _interp_1d(vals: list[Fraction]) -> list[Fraction]:
-    """Monomial coefficients of the polynomial through (i, vals[i]), i = 0..n-1."""
-    n = len(vals)
-    dd = [Fraction(x) for x in vals]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / level
-    coeffs = [dd[n - 1]]
-    for i in range(n - 2, -1, -1):
-        nxt = [ZERO] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] += c
-            nxt[k] += c * (-i)
-        nxt[0] += dd[i]
-        coeffs = nxt
-    return coeffs
-
-
-def thread_budget() -> int:
-    """Parallelism budget from LERAYFRONT_THREADS (default 1)."""
-    import os
-
-    try:
-        return max(1, int(os.environ.get("LERAYFRONT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _int_subst(entry: dict, var_index: int, a: int) -> dict:
-    out: dict = {}
-    for e, c in entry.items():
-        val = c * a ** e[var_index] if e[var_index] else c
-        e2 = e[:var_index] + (0,) + e[var_index + 1 :]
-        out[e2] = out.get(e2, 0) + val
-    return out
-
-
-def _grid_chunk(args) -> list[tuple[tuple[int, ...], int]]:
-    """Evaluate integer determinants for a slice of outermost grid values."""
-    from .linalg import det_int
-
-    int_rows, nvars, bounds, outer_values = args
-    out: list[tuple[tuple[int, ...], int]] = []
-
-    def rec(mat, var_index, prefix):
-        if var_index == nvars:
-            ints = [[next(iter(p.values())) if p else 0 for p in row] for row in mat]
-            out.append((prefix, det_int(ints)))
-            return
-        for a in range(bounds[var_index] + 1):
-            sub = [[_int_subst(p, var_index, a) for p in row] for row in mat]
-            rec(sub, var_index + 1, prefix + (a,))
-
-    for a0 in outer_values:
-        top = [[_int_subst(p, 0, a0) for p in row] for row in int_rows]
-        rec(top, 1, (a0,))
-    return out
-
-
-def _grid_values(M_sub, ring, bounds) -> dict[tuple[int, ...], Fraction]:
-    """det values on the integer grid, via integer-scaled rows and nested
-    partial evaluation (shared variable prefixes are evaluated once).
-
-    Honors the LERAYFRONT_THREADS budget by splitting the outermost axis
-    across processes; results are merged by grid index, so the output is
-    identical for any budget.
-    """
-    nvars = len(ring)
-    scale = ONE
-    int_rows: list[list[dict[tuple[int, ...], int]]] = []
-    for row in M_sub:
-        den = 1
-        for p in row:
-            for c in p.terms.values():
-                den = den * c.denominator // gcd(den, c.denominator)
-        scale *= den
-        int_rows.append(
-            [{e: int(c * den) for e, c in p.terms.items()} for p in row]
-        )
-    outer = list(range(bounds[0] + 1))
-    budget = thread_budget()
-    results: list[tuple[tuple[int, ...], int]] = []
-    if budget > 1 and len(outer) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [outer[i::budget] for i in range(min(budget, len(outer)))]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
-            for part in ex.map(
-                _grid_chunk,
-                [(int_rows, nvars, bounds, ch) for ch in chunks],
-            ):
-                results.extend(part)
-    else:
-        results = _grid_chunk((int_rows, nvars, bounds, outer))
-    return {prefix: Fraction(d, 1) / scale for prefix, d in results}
-
-
-def _tensor_interpolate(
-    values: dict[tuple[int, ...], Fraction], bounds: list[int], ring
-) -> MultiPoly:
-    """Tensor-grid interpolation by 1-D Newton transforms along each axis."""
-    nvars = len(bounds)
-    data = dict(values)
-    # transform axis by axis, innermost last index first
-    for axis in range(nvars - 1, -1, -1):
-        out: dict[tuple[int, ...], Fraction] = {}
-        prefix_groups: dict[tuple, list] = {}
-        b = bounds[axis]
-        for key, val in data.items():
-            rest = key[:axis] + key[axis + 1 :]
-            prefix_groups.setdefault(rest, [ZERO] * (b + 1))[key[axis]] = val
-        for rest, vals in prefix_groups.items():
-            coeffs = _interp_1d(vals)
-            for k, c in enumerate(coeffs):
-                if c != 0:
-                    out[rest[:axis] + (k,) + rest[axis:]] = c
-        data = out
-    terms = {e: c for e, c in data.items() if c != 0}
-    return MultiPoly(ring, terms)
 
 
 @dataclass

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from lerayfront.cli import main
 
 SPEC = {
@@ -108,6 +110,38 @@ class TestCommands:
     def test_missing_spec_file(self, tmp_path):
         code = main(["check", "--spec", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
         assert code == 17
+
+
+def _text_file(tmp_path, text):
+    p = tmp_path / "prob.json"
+    p.write_text(text)
+    return p
+
+
+def _directory(tmp_path, _):
+    return tmp_path
+
+
+BAD_INPUTS = [
+    ("no front", write_spec, {"operator": "tau", "options": {}}, [], 2),
+    ("malformed JSON", _text_file, '{"operator": "tau",', [], 17),
+    ("spec is a directory", _directory, None, [], 17),
+    ("options.s not rational", write_spec, dict(M1_SPEC, options={"s": "abc"}), [], 2),
+    ("--s divides by zero", write_spec, M1_SPEC, ["--s", "1/0"], 2),
+    ("front in y1, y2", write_spec, dict(M1_SPEC, front="y1^2 + y2^3"), [], 4),
+    ("operator not monic", write_spec, dict(M1_SPEC, operator="2*tau"), [], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "make, content, flags, code", [case[1:] for case in BAD_INPUTS], ids=[c[0] for c in BAD_INPUTS]
+)
+def test_bad_input_exit_codes(tmp_path, make, content, flags, code):
+    spec = make(tmp_path, content)
+    out = tmp_path / "out"
+    assert main(["check", "--spec", str(spec), "--out", str(out)] + flags) == code
+    err = json.loads((out / "error.json").read_text())
+    assert err["exit_code"] == code
 
 
 def test_console_entrypoint_runs():

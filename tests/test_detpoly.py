@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from lerayfront.detpoly import det_poly_matrix
+from lerayfront.detpoly import det_interpolate, det_poly_matrix
+from lerayfront.errors import ResourceLimitError
 from lerayfront.poly import MultiPoly
 
 RING = ("y1", "y2")
@@ -27,12 +28,13 @@ def test_symbolic_2x2():
     assert det_poly_matrix(M, "interpolate") == a * d - b * c
 
 
-def _random_poly(rng, max_deg=2):
+def _random_poly(rng, max_deg=2, ring=RING, max_den=1):
     terms = {}
     for _ in range(rng.randint(1, 4)):
-        e = (rng.randint(0, max_deg), rng.randint(0, max_deg))
-        terms[e] = Fraction(rng.randint(-5, 5))
-    return MultiPoly(RING, terms)
+        e = tuple(rng.randint(0, max_deg) for _ in ring)
+        num = rng.randint(-5, 5)
+        terms[e] = Fraction(num, rng.randint(1, max_den) if max_den > 1 else 1)
+    return MultiPoly(ring, terms)
 
 
 def test_strategies_agree_random_4x4():
@@ -41,6 +43,35 @@ def test_strategies_agree_random_4x4():
     d1 = det_poly_matrix(M, "bareiss")
     d2 = det_poly_matrix(M, "interpolate")
     assert d1 == d2
+
+
+def test_strategies_agree_on_rational_entries():
+    # denominators up to 6 exercise the integer row scaling of the grid
+    rng = random.Random(5)
+    for _ in range(3):
+        M = [[_random_poly(rng, max_den=6) for _ in range(3)] for _ in range(3)]
+        assert det_poly_matrix(M, "interpolate") == det_poly_matrix(M, "bareiss")
+
+
+def test_strategies_agree_in_one_variable():
+    rng = random.Random(9)
+    ring = ("y",)
+    M = [[_random_poly(rng, 3, ring, max_den=4) for _ in range(4)] for _ in range(4)]
+    d = det_poly_matrix(M, "bareiss")
+    assert det_poly_matrix(M, "interpolate") == d
+    assert d.ring == ring
+
+
+def test_interpolate_in_the_constant_ring():
+    three = MultiPoly.constant((), 3)
+    assert det_poly_matrix([[three]], "interpolate") == three
+
+
+def test_interpolation_grid_cap():
+    M = [[Y1 * Y2, ONE], [ONE, Y1 * Y2]]
+    assert det_interpolate(M, max_points=9) == Y1**2 * Y2**2 - ONE
+    with pytest.raises(ResourceLimitError):
+        det_interpolate(M, max_points=8)
 
 
 def test_multiplicativity():

@@ -62,6 +62,11 @@ def test_det_and_inverse():
     assert A * Ai == RationalMatrix.identity(2)
 
 
+def test_inverse_of_singular_matrix_raises():
+    with pytest.raises(NoSolutionError):
+        RationalMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+
+
 def test_det_fraction_matches_cofactor():
     rows = [
         [Fraction(1, 2), Fraction(2), Fraction(0)],

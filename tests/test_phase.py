@@ -225,3 +225,23 @@ class TestBuildMapping:
 
 def test_validate_isolated_dimension(cusp_icis):
     assert validate_isolated(cusp_icis) == 2
+
+
+def test_critical_ideal_built_once_per_map(monkeypatch):
+    from lerayfront import brieskorn, phase
+
+    calls = []
+    original = phase.critical_ideal_gens
+
+    def counted(icis):
+        calls.append(icis)
+        return original(icis)
+
+    monkeypatch.setattr(phase, "critical_ideal_gens", counted)
+    F = X1 + X2**2
+    P = HyperbolicSymbol.from_poly(MultiPoly.variable(SR, "tau"))
+    icis = build_mapping(expand_phase(build_phase(P, F), F, discover_weights(F)), 2)
+    phi = brieskorn.phi_basis(icis)
+    assert len(brieskorn.f_basis(icis).forms) == phi.mu
+    assert validate_isolated(icis) == phi.mu
+    assert calls == [icis]
