@@ -106,6 +106,8 @@ class Problem:
                 self.s_value = Fraction(str(self.s_value))
             w = options.get("weights")
             self.explicit_weights = tuple(int(x) for x in w) if w else None
+            if self.explicit_weights and min(self.explicit_weights) <= 0:
+                raise ValueError("weights must be positive")
             self.hyp_samples = int(options.get("hyperbolicity_samples", 25))
         except (TypeError, ValueError, ZeroDivisionError) as err:
             raise UsageError(f"bad operator or option value: {err}") from None

@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 
 from .brieskorn import FBasis, GMMatrices, PhiBasis
 from .detpoly import det_poly_matrix
@@ -151,14 +153,70 @@ def residue_exponents_K1(data: GaussManinData) -> list[Fraction]:
     return rational_eigenvalues(B, hints=hints)
 
 
-def _eval_matrix(mat: list[list[MultiPoly]], point: dict) -> RationalMatrix:
-    return RationalMatrix.from_rows(
-        [[e.eval_exact(point) for e in row] for row in mat]
+def _integer_entries(mats: list[list[list[MultiPoly]]]) -> list[list[list[dict]]]:
+    """The matrices' entries as {exponents: int}, all over one common denominator."""
+    den = lcm(
+        *(c.denominator for mat in mats for row in mat for p in row for c in p.terms.values())
     )
+    return [
+        [
+            [{e: c.numerator * (den // c.denominator) for e, c in p.terms.items()} for p in row]
+            for row in mat
+        ]
+        for mat in mats
+    ]
 
 
-def _partial_matrix(mat: list[list[MultiPoly]], var: str) -> list[list[MultiPoly]]:
-    return [[e.partial(var) for e in row] for row in mat]
+def _partial_entries(mat: list[list[dict]], i: int) -> list[list[dict]]:
+    """Derivative in variable number ``i`` of a matrix from ``_integer_entries``."""
+    return [
+        [{e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.items() if e[i]} for p in row]
+        for row in mat
+    ]
+
+
+class _IntegerEvaluator:
+    """Integer polynomial matrices in one ring, evaluated together at rational points.
+
+    The distinct monomials of all entries are collected once.  At a point
+    with y_v = a_v / b_v (b_v > 0) each monomial is scaled by
+    prod_v b_v^maxdeg_v, which makes it an integer, so every entry of every
+    matrix is an integer dot product: its value times that common scale.
+    """
+
+    def __init__(self, mats: list[list[list[dict]]], ring: tuple[str, ...]):
+        self.ring = ring
+        index: dict[tuple[int, ...], int] = {}
+        self.mats = [
+            [
+                [
+                    (tuple(index.setdefault(e, len(index)) for e in p), tuple(p.values()))
+                    for p in row
+                ]
+                for row in mat
+            ]
+            for mat in mats
+        ]
+        self.monomials = list(index)
+        self.maxdeg = [max((e[v] for e in index), default=0) for v in range(len(ring))]
+
+    def at(self, point: dict) -> list[list[list[int]]]:
+        """Every matrix at ``point``, each entry times the common scale."""
+        powers = []  # powers[v][k] = a_v^k * b_v^(maxdeg_v - k)
+        for v, top in zip(self.ring, self.maxdeg):
+            a, b = point[v].numerator, point[v].denominator
+            powers.append([a**k * b ** (top - k) for k in range(top + 1)])
+        table = [prod(powers[v][k] for v, k in enumerate(e)) for e in self.monomials]
+        get = table.__getitem__
+        return [
+            [[sum(map(mul, cs, map(get, idx))) for idx, cs in row] for row in mat]
+            for mat in self.mats
+        ]
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 @dataclass
@@ -173,27 +231,45 @@ def flatness_check(
 ) -> FlatnessReport:
     """Zero curvature of the connection at random rational points off det M = 0.
 
-    With A_l = (-1)^l L_V P^(l) M^{-1}, integrability of d(M I) requires
-    d_k A_l - d_l A_k + A_l A_k - A_k A_l = 0; any nonzero value is a hard
-    failure pointing at corrupted matrices.
+    With A_l = s_l L_V P^(l) M^{-1} and s_l = (-1)^l, integrability of
+    d(M I) requires the curvature
+
+        C_kl = d_k A_l - d_l A_k + A_l A_k - A_k A_l
+
+    to vanish for every pair k < l; any nonzero value is a hard failure
+    pointing at corrupted matrices.  The test is exact but never forms C_kl.
+    With X_l = P^(l) M^{-1} and d_k A_l = s_l L_V (d_k P^(l) - X_l d_k M) M^{-1},
+    multiplying on the right by M gives
+
+        C_kl M = L_V B_kl,
+        B_kl = s_l d_k P^(l) - s_k d_l P^(k) + s_l X_l R_k - s_k X_k R_l,
+        R_k = s_k L_V P^(k) - d_k M.
+
+    Every accepted point has M invertible, so C_kl = 0 exactly when L_V B_kl
+    = 0, that is when each row i of B_kl with l_i != 0 vanishes.  All
+    matrices are evaluated as integers over one common positive scale and
+    M^{-1} is written as N / d with N integer, so B_kl is checked as the
+    integer matrix d * scale * B_kl: one evaluation pass, K products for the
+    X_l and two products per pair.  Points are drawn, singular ones skipped
+    and failures reported as the direct formula would.
     """
+    if sample_points < 1:
+        raise ValueError(f"sample_points must be at least 1, got {sample_points}")
     if data.K == 1:
         return FlatnessReport(vacuous=True)
     rng = random.Random(seed)
     mu = data.mu
     K = data.K
-    L = RationalMatrix.from_rows(
-        [
-            [Fraction(data.l_weights[i]) if i == j else ZERO for j in range(mu)]
-            for i in range(mu)
-        ]
+    sign = [1 if l % 2 == 0 else -1 for l in range(K)]
+    weights = data.l_weights
+    rows = [i for i in range(mu) if weights[i] != 0]
+    # M, P^(0..K-1), then d_k of each of them in that order
+    base = _integer_entries([data.M, *data.matrices])
+    ys = [data.y_ring.index(f"y{k}") for k in range(K)]
+    evaluator = _IntegerEvaluator(
+        base + [_partial_entries(mat, i) for mat in base for i in ys], data.y_ring
     )
-    dM = {v: _partial_matrix(data.M, v) for v in data.y_ring}
-    dP = {
-        (l, v): _partial_matrix(data.matrices[l], v)
-        for l in range(K)
-        for v in data.y_ring
-    }
+    pairs = K * (K - 1) // 2
     points = []
     tried = 0
     while len(points) < sample_points:
@@ -203,37 +279,35 @@ def flatness_check(
                 "could not sample points off the discriminant"
             )
         pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in data.y_ring}
-        Mv = _eval_matrix(data.M, pt)
+        Mv, *vals = evaluator.at(pt)
         try:
-            Minv = Mv.inverse()
+            Minv = RationalMatrix.from_rows(Mv).inverse().entries
         except NoSolutionError:
             continue
-        Pv = [_eval_matrix(data.matrices[l], pt) for l in range(K)]
-        dPv = {
-            (l, v): _eval_matrix(dP[(l, v)], pt)
-            for l in range(K)
-            for v in data.y_ring
-        }
-        dMv = {v: _eval_matrix(dM[v], pt) for v in data.y_ring}
-        A = []
-        for l in range(K):
-            sign = 1 if l % 2 == 0 else -1
-            A.append((L * Pv[l] * Minv).scale(sign))
-
-        def dA(l: int, var: str) -> RationalMatrix:
-            sign = 1 if l % 2 == 0 else -1
-            out = L * dPv[(l, var)] * Minv - L * Pv[l] * Minv * dMv[var] * Minv
-            return out.scale(sign)
-
-        pairs = 0
+        d = lcm(*(x.denominator for row in Minv for x in row))
+        N = [[x.numerator * (d // x.denominator) for x in row] for row in Minv]
+        Pv, dMv, dPv = vals[:K], vals[K : 2 * K], vals[2 * K :]
+        # d * X_l restricted to the rows where L_V is nonzero
+        Y = [_int_matmul([Pv[l][i] for i in rows], N) for l in range(K)]
+        R = [
+            [
+                [sign[k] * weights[m] * p - q for p, q in zip(Pv[k][m], dMv[k][m])]
+                for m in range(mu)
+            ]
+            for k in range(K)
+        ]
         for k in range(K):
             for l in range(k + 1, K):
-                vk, vl = f"y{k}", f"y{l}"
-                C = dA(l, vk) - dA(k, vl) + A[l] * A[k] - A[k] * A[l]
-                pairs += 1
-                if not C.is_zero():
-                    raise CurvatureNonzeroError(
-                        f"curvature nonzero at {pt} for pair ({k},{l})", point=pt
-                    )
+                XR_lk = _int_matmul(Y[l], R[k])
+                XR_kl = _int_matmul(Y[k], R[l])
+                dP_lk, dP_kl = dPv[l * K + k], dPv[k * K + l]
+                for r, i in enumerate(rows):
+                    if any(
+                        d * (sign[l] * p - sign[k] * q) + sign[l] * x - sign[k] * y
+                        for p, q, x, y in zip(dP_lk[i], dP_kl[i], XR_lk[r], XR_kl[r])
+                    ):
+                        raise CurvatureNonzeroError(
+                            f"curvature nonzero at {pt} for pair ({k},{l})", point=pt
+                        )
         points.append(pt)
     return FlatnessReport(vacuous=False, points=points, checked_pairs=pairs)

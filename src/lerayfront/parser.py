@@ -149,6 +149,8 @@ class _Parser:
                     raise ExpressionSyntaxError(
                         "denominator must be an integer", d.line, d.col
                     )
+                if int(d.text) == 0:
+                    raise ExpressionSyntaxError("denominator is zero", d.line, d.col)
                 return MultiPoly.constant(self.ring, Fraction(num, int(d.text)))
             return MultiPoly.constant(self.ring, num)
         if t.kind == "name":

@@ -1,8 +1,12 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lerayfront.cli import main
 
@@ -130,6 +134,8 @@ BAD_INPUTS = [
     ("--s divides by zero", write_spec, M1_SPEC, ["--s", "1/0"], 2),
     ("front in y1, y2", write_spec, dict(M1_SPEC, front="y1^2 + y2^3"), [], 4),
     ("operator not monic", write_spec, dict(M1_SPEC, operator="2*tau"), [], 2),
+    ("zero denominator", write_spec, dict(M1_SPEC, front="x1^2 + x2^3 + 1/0"), [], 3),
+    ("weights not positive", write_spec, dict(M1_SPEC, options={"weights": [0, 2]}), [], 2),
 ]
 
 
@@ -152,3 +158,101 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "lerayfront" in proc.stdout
+
+
+# -- fuzzed problem files ------------------------------------------------------
+
+DOCUMENTED_CODES = {0, *range(2, 20)}
+OPTION_KEYS = (
+    "powerP",
+    "seed",
+    "tol",
+    "det",
+    "weight_cap",
+    "max_pairs",
+    "s",
+    "weights",
+    "hyperbolicity_samples",
+    "irreducible",
+    "front_strategy",
+)
+# Small integers keep the sampling options (hyperbolicity_samples, weights)
+# cheap; the fuzz is about exit codes, not about cost.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=5),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=5,
+)
+# Fronts and operators: valid ones, ones outside x1..xn or tau, xi1..xin,
+# syntax errors, and short random text (six characters cannot spell an
+# expensive expression).
+FRONTS = st.sampled_from(
+    [
+        "x1^2 + x2^3",
+        "x1 + x2^2",
+        "x1^2 + x2^2",
+        "y1^2 + y2^3",
+        "x2^2 + x3^3",
+        "x1^2 + x3",
+        "x1^2 + x2^3 + 1/0",
+        "x1^-2 + x2^3",
+        "x1^ + x2",
+        "(x1 + x2",
+        "x1 ** 2",
+        "",
+        "1",
+    ]
+) | st.text(alphabet="x1y23+-*^/() ", max_size=6)
+OPERATORS = st.sampled_from(
+    [
+        "tau^2 - xi1^2 - xi2^2",
+        "tau",
+        "2*tau",
+        "tau^2 + xi1^2",
+        "tau^2 - xi3^2",
+        "xi1",
+        "tau^2 - xi1^2/0",
+        "tau^",
+    ]
+) | st.text(alphabet="tauxi12+-*^/ ", max_size=6)
+
+
+@st.composite
+def problem_files(draw) -> str:
+    spec = {}
+    for key, texts in (("operator", OPERATORS), ("front", FRONTS)):
+        kind = draw(st.sampled_from(["text", "text", "missing", "not text"]))
+        if kind == "text":
+            spec[key] = draw(texts)
+        elif kind == "not text":
+            spec[key] = draw(JSON_VALUES)
+    if draw(st.booleans()):
+        spec["options"] = draw(
+            st.dictionaries(st.sampled_from(OPTION_KEYS), JSON_VALUES, max_size=4) | JSON_VALUES
+        )
+    text = json.dumps(spec)
+    damage = draw(st.sampled_from(["none", "none", "truncated", "not an object", "garbage"]))
+    if damage == "truncated":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif damage == "not an object":
+        text = json.dumps(draw(JSON_VALUES))
+    elif damage == "garbage":
+        text = draw(st.text(max_size=20))
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=problem_files())
+def test_fuzzed_problem_files_exit_with_documented_codes(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "prob.json"
+        spec.write_text(text)
+        out = Path(tmp) / "out"
+        code = main(["check", "--spec", str(spec), "--out", str(out)])
+        assert code in DOCUMENTED_CODES
+        if code:
+            assert json.loads((out / "error.json").read_text())["exit_code"] == code
+        else:
+            assert (out / "check.json").is_file()

@@ -161,3 +161,27 @@ class TestFlatness:
         )
         with pytest.raises(CurvatureNonzeroError):
             flatness_check(data_bad, sample_points=3, seed=11)
+
+    def test_sample_points_must_be_positive(self, quadric_system):
+        _, data = quadric_system
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                flatness_check(data, sample_points=bad)
+
+    def test_mutation_detected_on_flagship(self, wave_cusp_pipeline):
+        data = wave_cusp_pipeline["data"]
+        assert data.K == 9
+        # one changed entry of P^(3); M is assembled again from the matrices
+        bad = [[row[:] for row in mat] for mat in data.matrices]
+        bad[3][2][5] = bad[3][2][5] + MultiPoly.constant(data.y_ring, 1)
+        data_bad = assemble_system(
+            GMMatrices(
+                matrices=bad,
+                l_weights=data.l_weights,
+                phi=data.phi,
+                fbasis=data.fbasis,
+            ),
+            wave_cusp_pipeline["icis"],
+        )
+        with pytest.raises(CurvatureNonzeroError):
+            flatness_check(data_bad, sample_points=1, seed=11)
