@@ -91,27 +91,32 @@ class Problem:
         try:
             options = dict(spec.get("options", {}))
             options.update({k: v for k, v in overrides.items() if v is not None})
+            irreducible = options.get("irreducible", False)
+            if not isinstance(irreducible, bool):
+                raise ValueError(f"irreducible must be true or false, got {irreducible!r}")
             self.symbol = HyperbolicSymbol.from_poly(
-                self.operator,
-                irreducible_attested=bool(options.get("irreducible", False)),
+                self.operator, irreducible_attested=irreducible
             )
             self.power = int(options.get("powerP", 2))
             self.seed = int(options.get("seed", 1))
             self.tol = float(options.get("tol", 1e-6))
-            self.det = str(options.get("det", "bareiss"))
             self.weight_cap = options.get("weight_cap")
             self.max_pairs = int(options.get("max_pairs", 100_000))
             self.s_value = options.get("s")
             if self.s_value is not None:
                 self.s_value = Fraction(str(self.s_value))
             w = options.get("weights")
-            self.explicit_weights = tuple(int(x) for x in w) if w else None
-            if self.explicit_weights and min(self.explicit_weights) <= 0:
-                raise ValueError("weights must be positive")
+            self.explicit_weights = None if w is None else tuple(int(x) for x in w)
+            if self.explicit_weights is not None:
+                if len(self.explicit_weights) != n:
+                    raise ValueError(f"weights must have {n} entries, one per front variable")
+                if min(self.explicit_weights) <= 0:
+                    raise ValueError("weights must be positive")
             self.hyp_samples = int(options.get("hyperbolicity_samples", 25))
+            if self.hyp_samples < 1:
+                raise ValueError("hyperbolicity_samples must be at least 1")
         except (TypeError, ValueError, ZeroDivisionError) as err:
             raise UsageError(f"bad operator or option value: {err}") from None
-        self.raw_options = options
 
     def weight_system(self) -> WeightSystem:
         if self.explicit_weights is not None:
@@ -184,18 +189,12 @@ class Pipeline:
         return self._get("sys", lambda: assemble_system(self.gm(), self.icis()))
 
     def front_result(self):
-        def build():
-            strategy = self.pb.raw_options.get("front_strategy", "auto")
-            return front_polynomial(
-                self.system(),
-                self.icis(),
-                s_value=self.pb.s_value,
-                strategy=strategy,
-                det_strategy="interpolate" if self.pb.det == "interp" else self.pb.det,
-                seed=self.pb.seed,
-            )
-
-        return self._get("front", build)
+        return self._get(
+            "front",
+            lambda: front_polynomial(
+                self.system(), self.icis(), s_value=self.pb.s_value, seed=self.pb.seed
+            ),
+        )
 
     # -- command bodies --------------------------------------------------
 
@@ -302,8 +301,7 @@ class Pipeline:
 
     def cmd_discriminant(self):
         data = self.system()
-        strategy = "interpolate" if self.pb.det == "interp" else self.pb.det
-        delta = discriminant(data, strategy=strategy)
+        delta = discriminant(data)
         report = {}
         if data.K == 1:
             report["exponents"] = [
@@ -320,7 +318,7 @@ class Pipeline:
             "delta": poly_to_json(delta),
             "delta_raw": poly_to_json(data.delta_raw),
             "forced_weight": data.delta_forced_weight(),
-            "strategy": strategy,
+            "strategy": "bareiss",
             "diagnostics": report,
         }
         dump_json(rec, self.out / "discriminant.json")
@@ -360,8 +358,7 @@ class Pipeline:
         try:
             el = critical_locus_eliminant(icis, max_pairs=self.pb.max_pairs)
             if data.delta is None:
-                strategy = "interpolate" if self.pb.det == "interp" else self.pb.det
-                discriminant(data, strategy=strategy)
+                discriminant(data)
             cmp = compare_discriminants(data.delta, el, seed=self.pb.seed)
             rec = {
                 "eliminant": [poly_to_json(p) for p in el],
@@ -463,7 +460,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--s", default=None, help="rational level value, e.g. 1 or 3/2")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--tol", type=float, default=None)
-    ap.add_argument("--det", choices=["bareiss", "interp"], default=None)
     ap.add_argument("--weight-cap", type=int, dest="weight_cap", default=None)
     ap.add_argument("--max-pairs", type=int, dest="max_pairs", default=None)
     ap.add_argument("--version", action="version", version=__version__)
@@ -478,7 +474,6 @@ def main(argv=None) -> int:
         "s": args.s,
         "seed": args.seed,
         "tol": args.tol,
-        "det": args.det,
         "weight_cap": args.weight_cap,
         "max_pairs": args.max_pairs,
         "weights": args.weights.split(",") if args.weights else None,

@@ -1,23 +1,25 @@
 """Determinants of matrices with multivariate polynomial entries.
 
-Two independent strategies are provided and cross-checked in the tests:
+``det_poly_matrix`` (``det_bareiss``) is fraction-free elimination in the
+polynomial ring, with exact divisions guaranteed by the Sylvester identity;
+every symbolic determinant (the discriminant, small pullbacks) uses it.
 
-* ``bareiss``: fraction-free elimination in the polynomial ring, with exact
-  divisions guaranteed by the Sylvester identity.
-* ``interpolate``: integer determinants on the grid 0..bounds[i] of each
-  variable, with the bounds read off the entries, followed by tensor-grid
-  Newton interpolation one axis at a time.
+``det_interpolate`` takes integer determinants on the grid 0..bounds[i] of
+each variable and recovers det M by tensor-grid Newton interpolation one
+axis at a time.  ``wavefront`` runs it with probed degree bounds; the tests
+run it with the safe bounds of ``degree_bounds`` against Bareiss.
 
-The grid engine also computes pulled-back discriminants in ``wavefront``,
-where the caller supplies probed degree bounds; ``_interp_1d`` serves the
-probes along lines.
+``_IntegerEvaluator`` is the one evaluator of polynomial matrices at exact
+points: the grid, the degree probes along lines (``_det_values``) and the
+flatness oracle in ``gaussmanin`` all go through it.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .errors import ResourceLimitError
@@ -25,11 +27,10 @@ from .linalg import det_int
 from .poly import MultiPoly
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
-def det_poly_matrix(M: Sequence[Sequence[MultiPoly]], strategy: str = "bareiss") -> MultiPoly:
-    """Exact determinant of a square MultiPoly matrix."""
+def det_poly_matrix(M: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    """Exact determinant of a square MultiPoly matrix, by Bareiss."""
     n = len(M)
     if n == 0:
         raise ValueError("empty matrix")
@@ -40,11 +41,7 @@ def det_poly_matrix(M: Sequence[Sequence[MultiPoly]], strategy: str = "bareiss")
         for p in row:
             if p.ring != ring:
                 raise ValueError("mixed rings in matrix")
-    if strategy == "bareiss":
-        return det_bareiss(M)
-    if strategy == "interpolate":
-        return det_interpolate(M)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return det_bareiss(M)
 
 
 def det_bareiss(M: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -86,101 +83,107 @@ def degree_bounds(M: Sequence[Sequence[MultiPoly]]) -> list[int]:
 
 def det_interpolate(
     M: Sequence[Sequence[MultiPoly]],
-    bounds: Sequence[int] | None = None,
+    bounds: Sequence[int],
     max_points: int = 2_000_000,
 ) -> MultiPoly:
     """Determinant by grid evaluation and tensor Newton interpolation.
 
-    ``bounds`` overrides the safe per-variable degree bounds; the grid has
-    prod(bounds[i]+1) points and must stay within ``max_points``.
+    ``bounds`` are per-variable degree bounds of det(M) (``degree_bounds``
+    gives safe ones); the grid has prod(bounds[i]+1) points and must stay
+    within ``max_points``.
     """
-    ring = M[0][0].ring
-    if bounds is None:
-        bounds = degree_bounds(M)
-    npts = 1
-    for b in bounds:
-        npts *= b + 1
+    npts = prod(b + 1 for b in bounds)
     if npts > max_points:
         raise ResourceLimitError(
             f"interpolation grid of {npts} points exceeds cap {max_points}",
             kind="interpolation-grid",
             limit=max_points,
         )
+    ring = M[0][0].ring
     return _tensor_interpolate(_grid_values(M, ring, bounds), bounds, ring)
 
 
-def thread_budget() -> int:
-    """Parallelism budget from LERAYFRONT_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("LERAYFRONT_THREADS", "1")))
-    except ValueError:
-        return 1
+def _integer_entries(mats: list[list[list[MultiPoly]]]) -> list[list[list[dict]]]:
+    """The matrices' entries as {exponents: int}, all over one common denominator."""
+    den = lcm(
+        *(c.denominator for mat in mats for row in mat for p in row for c in p.terms.values())
+    )
+    return [
+        [
+            [{e: c.numerator * (den // c.denominator) for e, c in p.terms.items()} for p in row]
+            for row in mat
+        ]
+        for mat in mats
+    ]
 
 
-def _int_subst(entry: dict, var_index: int, a: int) -> dict:
-    out: dict = {}
-    for e, c in entry.items():
-        val = c * a ** e[var_index] if e[var_index] else c
-        e2 = e[:var_index] + (0,) + e[var_index + 1 :]
-        out[e2] = out.get(e2, 0) + val
-    return out
+def _partial_entries(mat: list[list[dict]], i: int) -> list[list[dict]]:
+    """Derivative in variable number ``i`` of a matrix from ``_integer_entries``."""
+    return [
+        [{e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.items() if e[i]} for p in row]
+        for row in mat
+    ]
 
 
-def _grid_chunk(args) -> list[tuple[tuple[int, ...], int]]:
-    """Evaluate integer determinants for a slice of outermost grid values."""
-    int_rows, nvars, bounds, outer_values = args
-    out: list[tuple[tuple[int, ...], int]] = []
+class _IntegerEvaluator:
+    """Integer polynomial matrices in one ring, evaluated together at rational points.
 
-    def rec(mat, var_index, prefix):
-        if var_index == nvars:
-            ints = [[next(iter(p.values())) if p else 0 for p in row] for row in mat]
-            out.append((prefix, det_int(ints)))
-            return
-        values = outer_values if var_index == 0 else range(bounds[var_index] + 1)
-        for a in values:
-            sub = [[_int_subst(p, var_index, a) for p in row] for row in mat]
-            rec(sub, var_index + 1, prefix + (a,))
+    The distinct monomials of all entries are collected once.  At a point
+    with y_v = a_v / b_v (b_v > 0) each monomial is scaled by
+    prod_v b_v^maxdeg_v, which makes it an integer, so every entry of every
+    matrix is an integer dot product: its value times that common scale.
+    At an integer point (plain ints work) the scale is 1.
+    """
 
-    rec(int_rows, 0, ())
-    return out
+    def __init__(self, mats: list[list[list[dict]]], ring: tuple[str, ...]):
+        self.ring = ring
+        index: dict[tuple[int, ...], int] = {}
+        self.mats = [
+            [
+                [
+                    (tuple(index.setdefault(e, len(index)) for e in p), tuple(p.values()))
+                    for p in row
+                ]
+                for row in mat
+            ]
+            for mat in mats
+        ]
+        self.monomials = list(index)
+        self.maxdeg = [max((e[v] for e in index), default=0) for v in range(len(ring))]
+
+    def at(self, point: dict) -> list[list[list[int]]]:
+        """Every matrix at ``point``, each entry times the common scale."""
+        powers = []  # powers[v][k] = a_v^k * b_v^(maxdeg_v - k)
+        for v, top in zip(self.ring, self.maxdeg):
+            a, b = point[v].numerator, point[v].denominator
+            powers.append([a**k * b ** (top - k) for k in range(top + 1)])
+        table = [prod(powers[v][k] for v, k in enumerate(e)) for e in self.monomials]
+        get = table.__getitem__
+        return [
+            [[sum(map(mul, cs, map(get, idx))) for idx, cs in row] for row in mat]
+            for mat in self.mats
+        ]
+
+
+def _det_values(M, ring, points) -> list[Fraction]:
+    """det M at each integer point, given as values in ring order.
+
+    Each row is scaled to integers by its own denominator, which keeps the
+    operands of det_int smaller than one common denominator would.
+    """
+    dens = [lcm(*(c.denominator for p in row for c in p.terms.values())) for row in M]
+    scaled = [[p.scale(d) for p in row] for row, d in zip(M, dens)]
+    evaluator = _IntegerEvaluator(_integer_entries([scaled]), ring)
+    scale = prod(dens)
+    return [
+        Fraction(det_int(evaluator.at(dict(zip(ring, pt)))[0]), scale) for pt in points
+    ]
 
 
 def _grid_values(M, ring, bounds) -> dict[tuple[int, ...], Fraction]:
-    """det values on the integer grid, via integer-scaled rows and nested
-    partial evaluation (shared variable prefixes are evaluated once).
-
-    Honors the LERAYFRONT_THREADS budget by splitting the outermost axis
-    across processes; results are merged by grid index, so the output is
-    identical for any budget.
-    """
-    nvars = len(ring)
-    scale = ONE
-    int_rows: list[list[dict[tuple[int, ...], int]]] = []
-    for row in M:
-        den = 1
-        for p in row:
-            for c in p.terms.values():
-                den = den * c.denominator // gcd(den, c.denominator)
-        scale *= den
-        int_rows.append(
-            [{e: int(c * den) for e, c in p.terms.items()} for p in row]
-        )
-    outer = list(range(bounds[0] + 1)) if nvars else []
-    budget = thread_budget()
-    results: list[tuple[tuple[int, ...], int]] = []
-    if budget > 1 and len(outer) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [outer[i::budget] for i in range(min(budget, len(outer)))]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
-            for part in ex.map(
-                _grid_chunk,
-                [(int_rows, nvars, bounds, ch) for ch in chunks],
-            ):
-                results.extend(part)
-    else:
-        results = _grid_chunk((int_rows, nvars, bounds, outer))
-    return {prefix: Fraction(d, 1) / scale for prefix, d in results}
+    """det M at every point of the integer grid 0..bounds[i] of each variable."""
+    points = list(product(*(range(b + 1) for b in bounds)))
+    return dict(zip(points, _det_values(M, ring, points)))
 
 
 def _tensor_interpolate(

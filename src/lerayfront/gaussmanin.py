@@ -1,10 +1,11 @@
 """Assembly of the Gauss-Manin system, its discriminant, and diagnostics.
 
 The system data is the matrix M(y) = sum_l (-1)^l p_l y_l P^(l)(y) together
-with L_V = diag(l_1..l_mu); the discriminant is det M.  Flatness of the
-induced connection is verified numerically-exactly at random rational
-points off the discriminant; K = 1 systems expose their classical local
-exponents as a bridge to known special cases.
+with L_V = diag(l_1..l_mu); the discriminant is det M, taken by Bareiss
+(``detpoly.det_poly_matrix``).  Flatness of the induced connection is
+verified exactly at random rational points off the discriminant, with the
+matrices evaluated by ``detpoly._IntegerEvaluator``; K = 1 systems expose
+their classical local exponents as a bridge to known special cases.
 """
 
 from __future__ import annotations
@@ -12,11 +13,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from operator import mul
 
 from .brieskorn import FBasis, GMMatrices, PhiBasis
-from .detpoly import det_poly_matrix
+from .detpoly import (
+    _IntegerEvaluator,
+    _integer_entries,
+    _partial_entries,
+    det_poly_matrix,
+)
 from .errors import (
     CurvatureNonzeroError,
     DegenerateSystemError,
@@ -96,14 +102,14 @@ def assemble_system(
     return data
 
 
-def discriminant(data: GaussManinData, strategy: str = "bareiss") -> MultiPoly:
-    """det M(y), normalized primitive with positive leading coefficient.
+def discriminant(data: GaussManinData) -> MultiPoly:
+    """det M(y) by Bareiss, normalized primitive with positive leading coefficient.
 
     The raw determinant is kept on the data object; weighted homogeneity of
     the forced weight is verified.  A vanishing determinant is an error
     (degenerate system), never returned silently.
     """
-    raw = det_poly_matrix(data.M, strategy=strategy)
+    raw = det_poly_matrix(data.M)
     if raw.is_zero():
         raise DegenerateSystemError("discriminant vanishes identically")
     delta = raw.primitive_part()
@@ -115,7 +121,6 @@ def discriminant(data: GaussManinData, strategy: str = "bareiss") -> MultiPoly:
         )
     data.delta_raw = raw
     data.delta = delta
-    data.metadata["delta_strategy"] = strategy
     return delta
 
 
@@ -151,67 +156,6 @@ def residue_exponents_K1(data: GaussManinData) -> list[Fraction]:
     B = (L * P0 - I.scale(p0)) * (P0.scale(p0)).inverse()
     hints = [Fraction(l - p0, p0) for l in data.l_weights]
     return rational_eigenvalues(B, hints=hints)
-
-
-def _integer_entries(mats: list[list[list[MultiPoly]]]) -> list[list[list[dict]]]:
-    """The matrices' entries as {exponents: int}, all over one common denominator."""
-    den = lcm(
-        *(c.denominator for mat in mats for row in mat for p in row for c in p.terms.values())
-    )
-    return [
-        [
-            [{e: c.numerator * (den // c.denominator) for e, c in p.terms.items()} for p in row]
-            for row in mat
-        ]
-        for mat in mats
-    ]
-
-
-def _partial_entries(mat: list[list[dict]], i: int) -> list[list[dict]]:
-    """Derivative in variable number ``i`` of a matrix from ``_integer_entries``."""
-    return [
-        [{e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.items() if e[i]} for p in row]
-        for row in mat
-    ]
-
-
-class _IntegerEvaluator:
-    """Integer polynomial matrices in one ring, evaluated together at rational points.
-
-    The distinct monomials of all entries are collected once.  At a point
-    with y_v = a_v / b_v (b_v > 0) each monomial is scaled by
-    prod_v b_v^maxdeg_v, which makes it an integer, so every entry of every
-    matrix is an integer dot product: its value times that common scale.
-    """
-
-    def __init__(self, mats: list[list[list[dict]]], ring: tuple[str, ...]):
-        self.ring = ring
-        index: dict[tuple[int, ...], int] = {}
-        self.mats = [
-            [
-                [
-                    (tuple(index.setdefault(e, len(index)) for e in p), tuple(p.values()))
-                    for p in row
-                ]
-                for row in mat
-            ]
-            for mat in mats
-        ]
-        self.monomials = list(index)
-        self.maxdeg = [max((e[v] for e in index), default=0) for v in range(len(ring))]
-
-    def at(self, point: dict) -> list[list[list[int]]]:
-        """Every matrix at ``point``, each entry times the common scale."""
-        powers = []  # powers[v][k] = a_v^k * b_v^(maxdeg_v - k)
-        for v, top in zip(self.ring, self.maxdeg):
-            a, b = point[v].numerator, point[v].denominator
-            powers.append([a**k * b ** (top - k) for k in range(top + 1)])
-        table = [prod(powers[v][k] for v, k in enumerate(e)) for e in self.monomials]
-        get = table.__getitem__
-        return [
-            [[sum(map(mul, cs, map(get, idx))) for idx, cs in row] for row in mat]
-            for mat in self.mats
-        ]
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

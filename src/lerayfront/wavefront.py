@@ -2,9 +2,13 @@
 
 The front polynomial phi(x, t, s) is det M(y) evaluated along
 y0 = s, y1 = (-W_1 | 0) depending on the case, and y_i = W_i(x, t) through
-the recorded couplings.  For small systems the determinant is taken first;
-for large ones the substitution happens entry-wise and the determinant is
-recovered by degree-probed grid interpolation with exact post-verification.
+the recorded couplings.  The path is chosen by the Milnor number mu alone:
+up to DET_FIRST_MAX_MU the determinant is taken first (Bareiss); above it
+the substitution happens entry-wise, and the determinant of the substituted
+matrix is taken by Bareiss up to BAREISS_MAX_MU and above that by
+degree-probed grid interpolation (``detpoly.det_interpolate``) with an
+exact check at random rational points.  The grid and the probes evaluate
+the matrix through ``detpoly``'s one integer evaluator.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .detpoly import _interp_1d, degree_bounds, det_bareiss, det_interpolate
+from .detpoly import _det_values, _interp_1d, degree_bounds, det_bareiss, det_interpolate
 from .errors import MismatchError, ResourceLimitError, ZeroAfterSubstitutionError
 from .gcdtools import squarefree_part
 from .gaussmanin import GaussManinData, discriminant
@@ -78,7 +82,6 @@ def front_polynomial(
     icis: IcisMap,
     s_value: Fraction | None = None,
     strategy: str = "auto",
-    det_strategy: str = "bareiss",
     seed: int = 0,
     max_grid: int = 400_000,
 ) -> FrontResult:
@@ -87,14 +90,15 @@ def front_polynomial(
     ``strategy``: ``det-first`` computes det M(y) symbolically then
     substitutes; ``substitute-first`` substitutes entry-wise and then takes
     the determinant (Bareiss below the size threshold, otherwise probed
-    interpolation); ``auto`` picks by system size.
+    interpolation); ``auto`` picks by system size.  The command line always
+    runs ``auto``; the tests use the other two as reference paths.
     """
     ring, bindings = front_substitution(icis, s_value)
     if strategy == "auto":
         strategy = "det-first" if data.mu <= DET_FIRST_MAX_MU else "substitute-first"
     if strategy == "det-first":
         if data.delta is None:
-            discriminant(data, strategy=det_strategy)
+            discriminant(data)
         raw = poly_substitute(data.delta_raw, bindings)
     elif strategy == "substitute-first":
         M_sub = [
@@ -209,9 +213,10 @@ def _det_probed_interpolation(
     Single-entry rows and columns are peeled off exactly first.  Then the
     per-variable degrees of the remaining determinant are discovered along
     random axis-parallel lines (twice, max taken), the grid is evaluated
-    exactly over integer-scaled rows, and the interpolant is verified
-    against direct determinant values at extra random points, falling back
-    to safe degree bounds on a verification failure.
+    exactly, and the interpolant is verified against determinants of the
+    entries evaluated directly (``eval_exact``, ``det_fraction``) at extra
+    random points, falling back to safe degree bounds on a verification
+    failure.
     """
     rng = random.Random(seed)
     factor, sign, core = _peel_single_entries(M_sub, ring)
@@ -271,25 +276,13 @@ def _probe_degrees(M_sub, ring, rng, safe: list[int]) -> list[int]:
     max taken.
     """
     bounds = []
-    for k, v in enumerate(ring):
+    for k in range(len(ring)):
         best = 0
         for _ in range(2):
-            point = {w: Fraction(rng.randint(2, 19)) for w in ring if w != v}
-            spec = [[p.substitute_partial(point) for p in row] for row in M_sub]
-            vals = []
-            for a in range(safe[k] + 1):
-                m = [
-                    [p.substitute_partial({v: Fraction(a)}).constant_value() for p in row]
-                    for row in spec
-                ]
-                vals.append(det_fraction(m))
-            coeffs = _interp_1d(vals)
-            deg = len(coeffs) - 1
-            while deg > 0 and coeffs[deg] == 0:
-                deg -= 1
-            if coeffs[deg] == 0:
-                deg = 0
-            best = max(best, deg)
+            point = [rng.randint(2, 19) for _ in range(len(ring) - 1)]
+            line = [point[:k] + [a] + point[k:] for a in range(safe[k] + 1)]
+            coeffs = _interp_1d(_det_values(M_sub, ring, line))
+            best = max(best, max((i for i, c in enumerate(coeffs) if c), default=0))
         bounds.append(best)
     return bounds
 

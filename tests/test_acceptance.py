@@ -5,6 +5,7 @@ criterion.  The heavyweight pipeline objects are session fixtures shared
 with the unit tests.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -32,6 +33,18 @@ from lerayfront.wavefront import t_zero_check
 
 def report(n, text):
     print(f"\n[PASS] criterion {n}: {text}")
+
+
+# The flagship phi at s = 1, as recorded in perfbench/expected.json ("wave_cusp").
+WAVE_CUSP_TERMS = 1481
+WAVE_CUSP_DIGEST = "2fbf252329926b9fbecb8d832edb9015991f2f158adc25e797a473ba717a7796"
+
+
+def digest(p) -> str:
+    """sha256 over the ring, the exponents and the exact coefficients (as perfbench)."""
+    terms = sorted((list(e), c.numerator, c.denominator) for e, c in p.terms.items())
+    blob = json.dumps([list(p.ring), terms], separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def test_criterion_1_weight_gate(cusp_front):
@@ -186,6 +199,9 @@ def quadric_icis_from(data):
 def test_criterion_8_end_to_end(wave_cusp_pipeline, wave_cusp_front, cusp_front, wave_symbol):
     t0 = time.time()
     fr = wave_cusp_front
+    # phi itself is pinned: a pullback change that moved any term fails here
+    assert len(fr.phi.terms) == WAVE_CUSP_TERMS
+    assert digest(fr.phi) == WAVE_CUSP_DIGEST
     # (a) phi(x, 0, s) vanishes on 50 sampled points of the level set
     rep_a = t_zero_check(fr, cusp_front, Fraction(1), samples=50, seed=3)
     assert rep_a.samples == 50
@@ -208,7 +224,8 @@ def test_criterion_8_end_to_end(wave_cusp_pipeline, wave_cusp_front, cusp_front,
     assert elapsed < 600.0
     report(
         8,
-        "end-to-end front: t=0 residual "
+        f"end-to-end front: phi has {WAVE_CUSP_TERMS} terms and the recorded digest; "
+        "t=0 residual "
         f"{rep_a.max_scaled_residual:.1e} < 1e-9 on 50 pts; ray residual "
         f"{rep_b.max_scaled_residual:.1e} < 1e-6 on {rep_b.count} samples; "
         f"x=(1+/-t,0) exact zeros ({elapsed:.1f}s; strategy {fr.strategy})",
@@ -217,11 +234,11 @@ def test_criterion_8_end_to_end(wave_cusp_pipeline, wave_cusp_front, cusp_front,
 
 def test_criterion_9_determinism(cusp_system, a1_system, a4_system, quadric_system, tmp_path):
     t0 = time.time()
-    from lerayfront.detpoly import det_poly_matrix
+    from lerayfront.detpoly import degree_bounds, det_interpolate, det_poly_matrix
 
     for _, data in (cusp_system, a1_system, a4_system, quadric_system):
-        d1 = det_poly_matrix(data.M, "bareiss")
-        d2 = det_poly_matrix(data.M, "interpolate")
+        d1 = det_poly_matrix(data.M)
+        d2 = det_interpolate(data.M, degree_bounds(data.M))
         assert d1 == d2
     # byte-identical artifacts for identical spec and seeds
     from lerayfront.cli import main

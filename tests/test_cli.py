@@ -136,6 +136,16 @@ BAD_INPUTS = [
     ("operator not monic", write_spec, dict(M1_SPEC, operator="2*tau"), [], 2),
     ("zero denominator", write_spec, dict(M1_SPEC, front="x1^2 + x2^3 + 1/0"), [], 3),
     ("weights not positive", write_spec, dict(M1_SPEC, options={"weights": [0, 2]}), [], 2),
+    ("weights too long", write_spec, dict(M1_SPEC, options={"weights": [3, 2, 1]}), [], 2),
+    ("--weights too short", write_spec, M1_SPEC, ["--weights", "3"], 2),
+    ("irreducible not boolean", write_spec, dict(M1_SPEC, options={"irreducible": "no"}), [], 2),
+    (
+        "no hyperbolicity samples",
+        write_spec,
+        dict(M1_SPEC, operator="tau^2 + xi1^2 + xi2^2", options={"hyperbolicity_samples": -3}),
+        [],
+        2,
+    ),
 ]
 
 
@@ -148,6 +158,13 @@ def test_bad_input_exit_codes(tmp_path, make, content, flags, code):
     assert main(["check", "--spec", str(spec), "--out", str(out)] + flags) == code
     err = json.loads((out / "error.json").read_text())
     assert err["exit_code"] == code
+
+
+def test_det_flag_is_gone(tmp_path):
+    spec = write_spec(tmp_path, M1_SPEC)
+    with pytest.raises(SystemExit) as exc:
+        main(["discriminant", "--spec", str(spec), "--out", str(tmp_path), "--det", "interp"])
+    assert exc.value.code == 2
 
 
 def test_console_entrypoint_runs():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lerayfront.brieskorn import GMMatrices, PhiBasis, FBasis
+from lerayfront.detpoly import degree_bounds, det_interpolate
 from lerayfront.errors import (
     CurvatureNonzeroError,
     DegenerateSystemError,
@@ -104,9 +105,10 @@ class TestDiscriminant:
 
     def test_strategies_agree(self, quadric_system):
         _, data = quadric_system
-        d1 = discriminant(data, strategy="bareiss")
-        d2 = discriminant(data, strategy="interpolate")
-        assert d1 == d2
+        d1 = discriminant(data)
+        raw = det_interpolate(data.M, degree_bounds(data.M))
+        assert data.delta_raw == raw
+        assert d1 == raw.primitive_part()
 
 
 class TestExponents:

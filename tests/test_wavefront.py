@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from lerayfront.detpoly import degree_bounds, det_bareiss
 from lerayfront.gaussmanin import discriminant
 from lerayfront.phase import (
     HyperbolicSymbol,
@@ -13,6 +15,10 @@ from lerayfront.phase import (
 from lerayfront.poly import MultiPoly, poly_substitute
 from lerayfront.wavefront import (
     FrontResult,
+    _det_probed_interpolation,
+    _peel_single_entries,
+    _probe_degrees,
+    _variable_parity,
     front_polynomial,
     front_substitution,
     t_zero_check,
@@ -134,6 +140,56 @@ class TestCase1EndToEnd:
         )
         assert fr.phi == level * level
         assert fr.squarefree == level
+
+
+def _random_matrix(rng, ring, n, step=1):
+    """n x n entries with up to 3 terms, exponents multiples of ``step``,
+    and coefficients with denominators up to 5."""
+    return [
+        [
+            MultiPoly(
+                ring,
+                {
+                    tuple(step * rng.randint(0, 2) for _ in ring): Fraction(
+                        rng.randint(-6, 6), rng.randint(1, 5)
+                    )
+                    for _ in range(rng.randint(1, 3))
+                },
+            )
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+
+
+class TestProbedInterpolation:
+    @pytest.mark.parametrize("ring", [(), ("y",), ("a", "b", "c")], ids=len)
+    def test_matches_bareiss(self, ring):
+        rng = random.Random(len(ring))
+        for seed in range(2):
+            M = _random_matrix(rng, ring, 4)
+            assert _det_probed_interpolation(M, ring, seed=seed) == det_bareiss(M)
+
+    def test_probes_find_the_degrees(self):
+        ring = ("a", "b", "c")
+        M = _random_matrix(random.Random(9), ring, 4)
+        det = det_bareiss(M)
+        probed = _probe_degrees(M, ring, random.Random(0), degree_bounds(M))
+        assert probed == [det.degree_in(v) for v in ring]
+
+    def test_single_entry_row_is_peeled(self):
+        ring = ("a", "b", "c")
+        M = _random_matrix(random.Random(7), ring, 4)
+        zero = MultiPoly.zero(ring)
+        M[1] = [zero, zero, MultiPoly.variable(ring, "b") + MultiPoly.constant(ring, 1), zero]
+        assert len(_peel_single_entries(M, ring)[2]) == 3
+        assert _det_probed_interpolation(M, ring, seed=3) == det_bareiss(M)
+
+    def test_even_exponents_are_compressed(self):
+        ring = ("a", "b", "c")
+        M = _random_matrix(random.Random(8), ring, 4, step=2)
+        assert _variable_parity(M, ring) == [2, 2, 2]
+        assert _det_probed_interpolation(M, ring, seed=4) == det_bareiss(M)
 
 
 class TestTZero:
