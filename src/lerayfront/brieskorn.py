@@ -12,10 +12,13 @@ Three computations live here, all exact:
   solving one graded piece at a time by exact linear algebra.  Every
   reduction returns a certificate that re-expands to the input identically.
 
-Mappings with coordinate components (f_l = u_c) get a collapse fast path:
+Every map with coordinate components (f_l = u_c) takes the collapse path:
 slices along the coordinate monomials are reduced against the restricted
-mapping on the remaining variables, and the slack is re-absorbed level by
-level.  This is what makes the full pipeline run at desk scale.
+mapping on the remaining variables, and what each level leaves over is
+re-expanded on the full ring and reduced at the next level.  Maps without
+coordinate components, and the restricted map itself, solve each piece
+directly.  There is no retry: the lattice is free, so a piece that has no
+solution fails with ReductionNoSolutionError.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ from .poly import Monomial, MultiPoly, monomials_of_weight
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Maps with more variables than this reduce on the coordinate-collapsed map
-# (module docstring); smaller ones solve on the full ring directly.
-COLLAPSE_ABOVE_NVARS = 6
-
 
 @dataclass
 class PhiBasis:
@@ -53,9 +52,6 @@ class PhiBasis:
     monomials: list[Monomial]
     mu: int
     weights: list[int]  # w(phi_j du) = w(phi_j) + sum(v)
-
-    def monomial_weight(self, j: int) -> int:
-        return self.weights[j]
 
 
 @dataclass
@@ -124,11 +120,12 @@ class _Echelon:
 
 
 def _restricted_map(icis: IcisMap):
-    """Restriction data for the coordinate-collapse fast path, or None.
+    """The coordinate-collapsed map and its index maps, or None.
 
-    Returns (rest positions, coordinate pairs, restricted components with
-    their original component indices) when the map has coordinate components
-    and every non-coordinate component survives restriction.
+    Returns (restricted IcisMap on the remaining variables, their indices in
+    the full ring, coordinate pairs (component, variable), original indices
+    of the restricted components) when the map has coordinate components and
+    every other component survives setting the coordinate variables to zero.
     """
     coords = icis.coordinate_components()
     if not coords:
@@ -138,15 +135,27 @@ def _restricted_map(icis: IcisMap):
     rest = [i for i in range(len(icis.ring)) if i not in coord_vars]
     rest_names = tuple(icis.ring[i] for i in rest)
     zero_assign = {icis.ring[c]: ZERO for c in coord_vars}
-    restricted = []
+    comp_indices = []
+    components = []
     for l, f in enumerate(icis.components):
         if l in coord_comps:
             continue
         fr = f.substitute_partial(zero_assign).rename_ring(rest_names)
         if fr.is_zero():
             return None
-        restricted.append((l, fr))
-    return rest, coords, restricted
+        comp_indices.append(l)
+        components.append(fr)
+    sub_icis = IcisMap(
+        K=len(components),
+        N=len(rest) - len(components),
+        ring=rest_names,
+        components=components,
+        var_weights=tuple(icis.var_weights[i] for i in rest),
+        comp_weights=tuple(icis.comp_weights[l] for l in comp_indices),
+        power=icis.power,
+    )
+    assert sub_icis.N == icis.N, "collapse must preserve the fiber dimension"
+    return sub_icis, rest, coords, comp_indices
 
 
 class LatticeContext:
@@ -175,9 +184,7 @@ class LatticeContext:
         # minors with signs: coefficient of D ^ du_r ^ du_J per (r, J)
         self._w_cache: dict[tuple[int, tuple[int, ...]], MultiPoly] = {}
         rest = _restricted_map(icis)
-        self.collapse: "_Collapse | None" = None
-        if rest is not None and self.nvars > COLLAPSE_ABOVE_NVARS:
-            self.collapse = _Collapse(self, *rest)
+        self.collapse = None if rest is None else _Collapse(self, *rest)
 
     # -- helpers -------------------------------------------------------
 
@@ -327,42 +334,26 @@ class _PieceSolver:
 class _Collapse:
     """Coordinate-collapse data: the restricted mapping and index embeddings."""
 
-    def __init__(self, ctx: LatticeContext, rest: list[int], coords, restricted):
+    def __init__(self, ctx: LatticeContext, sub_icis: IcisMap, rest, coords, comp_indices):
         self.ctx = ctx
         self.rest = rest
-        self.rest_names = tuple(ctx.ring[i] for i in rest)
         self.coord_pairs = coords  # (component index, variable index)
         self.coord_vars = [c for _, c in coords]
-        self.rest_pos = {g: i for i, g in enumerate(rest)}
-        self.comp_indices = [l for l, _ in restricted]
-        rest_v = tuple(ctx.v[i] for i in rest)
-        rest_p = tuple(ctx.p[l] for l in self.comp_indices)
-        from .phase import IcisMap as _IM
-
-        self.sub_icis = _IM(
-            K=len(restricted),
-            N=len(rest) - len(restricted),
-            ring=self.rest_names,
-            components=[f for _, f in restricted],
-            var_weights=rest_v,
-            comp_weights=rest_p,
-            power=ctx.icis.power,
-        )
-        assert self.sub_icis.N == ctx.N, "collapse must preserve the fiber dimension"
+        self.comp_indices = comp_indices
+        # staircase monomials never involve coordinate variables
+        for m in ctx.phi.monomials:
+            for c in self.coord_vars:
+                assert m.exps[c] == 0, "staircase touches a coordinate variable"
         sub_phi_monos = [
             Monomial(tuple(m.exps[i] for i in rest)) for m in ctx.phi.monomials
         ]
-        # staircase monomials never involve coordinate variables
-        for m, sub in zip(ctx.phi.monomials, sub_phi_monos):
-            for c in self.coord_vars:
-                assert m.exps[c] == 0, "staircase touches a coordinate variable"
-        sv = sum(rest_v)
+        sv = sum(sub_icis.var_weights)
         self.sub_phi = PhiBasis(
             monomials=sub_phi_monos,
             mu=len(sub_phi_monos),
-            weights=[m.weight(rest_v) + sv for m in sub_phi_monos],
+            weights=[m.weight(sub_icis.var_weights) + sv for m in sub_phi_monos],
         )
-        self.sub_ctx = LatticeContext(self.sub_icis, self.sub_phi, max_piece=ctx.max_piece)
+        self.sub_ctx = LatticeContext(sub_icis, self.sub_phi, max_piece=ctx.max_piece)
 
     def slice_by_coords(self, poly: MultiPoly) -> dict[tuple[int, ...], MultiPoly]:
         """Group terms by the exponent pattern on coordinate variables."""
@@ -371,9 +362,8 @@ class _Collapse:
             gamma = tuple(e[i] for i in self.coord_vars)
             rest_e = tuple(e[i] for i in self.rest)
             out.setdefault(gamma, {})[rest_e] = c
-        return {
-            g: MultiPoly(self.rest_names, terms) for g, terms in out.items()
-        }
+        ring = self.sub_ctx.ring
+        return {g: MultiPoly(ring, terms) for g, terms in out.items()}
 
     def lift_exponent(self, rest_e: tuple[int, ...], gamma: tuple[int, ...]) -> tuple[int, ...]:
         e = [0] * self.ctx.nvars
@@ -390,11 +380,6 @@ class _Collapse:
         for (l, _), gk in zip(self.coord_pairs, gamma):
             b[l] = gk
         return tuple(b)
-
-    def lift_eta_term(self, J_rest: tuple[int, ...], delta_rest: tuple[int, ...], gamma, c):
-        J = tuple(sorted(self.rest[j] for j in J_rest))
-        e = self.lift_exponent(delta_rest, gamma)
-        return J, e, c
 
 
 def reduce_in_lattice(
@@ -451,76 +436,19 @@ def _weight_of(ctx, poly: MultiPoly) -> int:
     return sum(a * b for a, b in zip(ctx.v, e))
 
 
-def _reduce_direct(coeff: MultiPoly, ctx: LatticeContext, depth: int = 0):
-    """Single-piece solve, with an f-multiple slack retry on failure."""
+def _reduce_direct(coeff: MultiPoly, ctx: LatticeContext):
+    """Solve the one graded piece of the lattice that holds ``coeff``.
+
+    The Brieskorn lattice of an ICIS is free (Greuel 1975), so a piece that
+    has no solution means the staircase basis does not generate it.
+    """
     w = _weight_of(ctx, coeff)
-    solver = ctx.solver(w)
-    res = solver.solve(coeff)
-    if res is not None:
-        return res
-    if depth > ctx.K + 2:
+    res = ctx.solver(w).solve(coeff)
+    if res is None:
         raise ReductionNoSolutionError(
             f"no decomposition at weight {w}; staircase basis may not generate this piece"
         )
-    # retry: allow f_l * r_l slack and recurse (f_l * modulus stays in the
-    # modulus because D ^ df_l = 0, with cofactor f_l * eta)
-    return _reduce_with_slack(coeff, ctx, depth)
-
-
-def _reduce_with_slack(coeff: MultiPoly, ctx: LatticeContext, depth: int):
-    w = _weight_of(ctx, coeff)
-    solver = ctx.solver(w)
-    rows = solver.row_index
-    columns = list(solver.columns)
-    meta = list(solver.meta)
-    for l, f in enumerate(ctx.icis.components):
-        shift = w - ctx.p[l]
-        if shift < 0:
-            continue
-        for delta in monomials_of_weight(ctx.v, shift):
-            poly = f.mul_term(delta, ONE)
-            vec = {rows[e]: c for e, c in poly.terms.items()}
-            columns.append(vec)
-            meta.append(("slack", l, delta))
-    sol = ColumnSolver(columns, len(rows)).solve(
-        {rows[e]: c for e, c in coeff.terms.items()}
-    )
-    if sol is None:
-        raise ReductionNoSolutionError(
-            f"no decomposition at weight {w} even with f-multiple slack"
-        )
-    phi_acc: dict = {}
-    eta_acc: dict = {}
-    slack: dict[int, MultiPoly] = {}
-    for c, m in zip(sol, meta):
-        if c == 0:
-            continue
-        if m[0] == "phi":
-            _, j, beta = m
-            phi_acc[(j, beta)] = phi_acc.get((j, beta), ZERO) + c
-        elif m[0] == "eta":
-            _, J, delta = m
-            eta_acc[(J, delta)] = eta_acc.get((J, delta), ZERO) + c
-        else:
-            _, l, delta = m
-            slack[l] = slack.get(l, MultiPoly.zero(ctx.ring)) + MultiPoly(
-                ctx.ring, {delta: c}
-            )
-    for l, r in slack.items():
-        sub_phi, sub_eta = _reduce_direct(r, ctx, depth + 1)
-        f_l = ctx.icis.components[l]
-        for (j, beta), c in sub_phi.items():
-            b2 = list(beta)
-            b2[l] += 1
-            key = (j, tuple(b2))
-            phi_acc[key] = phi_acc.get(key, ZERO) + c
-        # f_l * (D ^ d(u^delta du_J)) = D ^ d(f_l u^delta du_J)
-        for (J, delta), c in sub_eta.items():
-            shifted = f_l.mul_term(delta, c)
-            for e, cc in shifted.terms.items():
-                key = (J, e)
-                eta_acc[key] = eta_acc.get(key, ZERO) + cc
-    return phi_acc, eta_acc
+    return res
 
 
 def _reduce_collapsed(coeff: MultiPoly, ctx: LatticeContext):
@@ -551,9 +479,10 @@ def _reduce_collapsed(coeff: MultiPoly, ctx: LatticeContext):
                 key = (j, col.lift_y_exponent(beta_rest, gamma))
                 new_phi[key] = new_phi.get(key, ZERO) + c
             for (J_rest, delta_rest), c in res[1].items():
-                J, e, cc = col.lift_eta_term(J_rest, delta_rest, gamma, c)
-                key = (J, e)
-                new_eta[key] = new_eta.get(key, ZERO) + cc
+                # rest is increasing, so the lifted legs stay sorted
+                J = tuple(col.rest[j] for j in J_rest)
+                key = (J, col.lift_exponent(delta_rest, gamma))
+                new_eta[key] = new_eta.get(key, ZERO) + c
         # subtract the exact full-ring value of the new contributions
         delta_poly = MultiPoly.zero(ctx.ring)
         for (j, beta), c in new_phi.items():
@@ -581,47 +510,36 @@ def _reduce_collapsed(coeff: MultiPoly, ctx: LatticeContext):
 def f_basis(icis: IcisMap, weight_cap: int | None = None) -> FBasis:
     """Greedy weighted basis of the (N+1)-form quotient, closed representatives.
 
-    Works on the coordinate-collapsed mapping when one is available (the
-    quotient is isomorphic, component by component, and representatives
-    embed); stops with CapExceededError if the cap is hit first.
+    Works on the coordinate-collapsed mapping when the map has coordinate
+    components (the quotient is isomorphic, component by component, and
+    representatives embed); stops with CapExceededError if the cap is hit
+    first.
     """
-    phi = phi_basis(icis)
-    mu = phi.mu
+    mu = phi_basis(icis).mu
     if weight_cap is None:
         weight_cap = 4 * sum(icis.comp_weights)
     rest = _restricted_map(icis)
-    if rest is not None and len(icis.ring) > COLLAPSE_ABOVE_NVARS:
-        rest_idx, coords, restricted = rest
-        rest_names = tuple(icis.ring[i] for i in rest_idx)
-        rest_v = tuple(icis.var_weights[i] for i in rest_idx)
-        comps = [f for _, f in restricted]
-        forms, weights = _fbasis_graded(
-            comps, rest_names, rest_v, icis.N, mu, weight_cap
-        )
-        lifted = []
-        pos_map = {i: g for i, g in enumerate(rest_idx)}
-        for form in forms:
-            comps_l = {
-                tuple(sorted(pos_map[i] for i in J)): p.rename_ring(icis.ring)
-                for J, p in form.components.items()
-            }
-            lifted.append(DiffForm(icis.ring, form.degree, comps_l))
-        return FBasis(forms=lifted, weights=weights)
-    forms, weights = _fbasis_graded(
-        list(icis.components), icis.ring, icis.var_weights, icis.N, mu, weight_cap
-    )
-    return FBasis(forms=forms, weights=weights)
+    if rest is None:
+        return FBasis(*_fbasis_graded(icis, mu, weight_cap))
+    sub_icis, rest_idx = rest[:2]
+    forms, weights = _fbasis_graded(sub_icis, mu, weight_cap)
+    # rest_idx is increasing, so the lifted legs stay sorted
+    lifted = []
+    for form in forms:
+        comps = {
+            tuple(rest_idx[i] for i in J): p.rename_ring(icis.ring)
+            for J, p in form.components.items()
+        }
+        lifted.append(DiffForm(icis.ring, form.degree, comps))
+    return FBasis(forms=lifted, weights=weights)
 
 
-def _fbasis_graded(components, ring, vweights, N, mu, weight_cap):
+def _fbasis_graded(icis: IcisMap, mu: int, weight_cap: int):
+    ring, vweights, N, pweights = icis.ring, icis.var_weights, icis.N, icis.comp_weights
     nvars = len(ring)
     deg = N + 1
     euler = EulerField.unchecked(vweights)
-    dfs = [d_of_poly(f) for f in components]
-    pweights = []
-    for f in components:
-        e = next(iter(f.terms))
-        pweights.append(sum(a * b for a, b in zip(vweights, e)))
+    dfs = [d_of_poly(f) for f in icis.components]
     subsets = list(combinations(range(nvars), deg))
     n_subsets = list(combinations(range(nvars), N))
     t_subsets = list(combinations(range(nvars), deg + 1))
@@ -709,7 +627,6 @@ def gm_matrices(
     icis: IcisMap,
     phi: PhiBasis | None = None,
     fb: FBasis | None = None,
-    keep_certificates: bool = True,
 ) -> GMMatrices:
     """Rows of P^(l) from reducing each basis form wedged with the df's (l omitted)."""
     if phi is None:
@@ -738,7 +655,7 @@ def gm_matrices(
         l_weights=list(fb.weights),
         phi=phi,
         fbasis=fb,
-        certificates=certs_all if keep_certificates else [],
+        certificates=certs_all,
     )
     _validate_forced_weights(gm, icis)
     return gm

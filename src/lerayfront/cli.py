@@ -65,8 +65,19 @@ COMMANDS = (
 )
 
 
+def _json_int(name: str, value) -> int:
+    """An option value that must be a JSON integer (true/false and 2.0 are not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class Problem:
-    """Parsed problem file plus effective options."""
+    """Parsed problem file plus effective options.
+
+    ``overrides`` holds the command-line flags; ``weights`` there is the
+    ``--weights`` text split at commas, one base-10 integer per entry.
+    """
 
     def __init__(self, spec: dict, overrides: dict):
         if not isinstance(spec, dict):
@@ -90,6 +101,8 @@ class Problem:
         self.n = n
         try:
             options = dict(spec.get("options", {}))
+            if overrides.get("weights") is not None:
+                overrides = dict(overrides, weights=[int(x) for x in overrides["weights"]])
             options.update({k: v for k, v in overrides.items() if v is not None})
             irreducible = options.get("irreducible", False)
             if not isinstance(irreducible, bool):
@@ -97,22 +110,32 @@ class Problem:
             self.symbol = HyperbolicSymbol.from_poly(
                 self.operator, irreducible_attested=irreducible
             )
-            self.power = int(options.get("powerP", 2))
-            self.seed = int(options.get("seed", 1))
+            self.power = _json_int("powerP", options.get("powerP", 2))
+            if self.power < 2:
+                raise ValueError(f"powerP must be at least 2, got {self.power}")
+            self.seed = _json_int("seed", options.get("seed", 1))
             self.tol = float(options.get("tol", 1e-6))
             self.weight_cap = options.get("weight_cap")
-            self.max_pairs = int(options.get("max_pairs", 100_000))
+            if self.weight_cap is not None and _json_int("weight_cap", self.weight_cap) < 1:
+                raise ValueError(f"weight_cap must be positive, got {self.weight_cap}")
+            self.max_pairs = _json_int("max_pairs", options.get("max_pairs", 100_000))
             self.s_value = options.get("s")
             if self.s_value is not None:
                 self.s_value = Fraction(str(self.s_value))
             w = options.get("weights")
-            self.explicit_weights = None if w is None else tuple(int(x) for x in w)
+            if w is not None and not isinstance(w, list):
+                raise ValueError(f"weights must be a list of integers, got {w!r}")
+            self.explicit_weights = None if w is None else tuple(
+                _json_int("a weights entry", x) for x in w
+            )
             if self.explicit_weights is not None:
                 if len(self.explicit_weights) != n:
                     raise ValueError(f"weights must have {n} entries, one per front variable")
                 if min(self.explicit_weights) <= 0:
                     raise ValueError("weights must be positive")
-            self.hyp_samples = int(options.get("hyperbolicity_samples", 25))
+            self.hyp_samples = _json_int(
+                "hyperbolicity_samples", options.get("hyperbolicity_samples", 25)
+            )
             if self.hyp_samples < 1:
                 raise ValueError("hyperbolicity_samples must be at least 1")
         except (TypeError, ValueError, ZeroDivisionError) as err:
@@ -173,11 +196,7 @@ class Pipeline:
         return self._get("phi", lambda: phi_basis(self.icis()))
 
     def f_basis(self):
-        def build():
-            cap = self.pb.weight_cap
-            return f_basis(self.icis(), int(cap) if cap else None)
-
-        return self._get("fb", build)
+        return self._get("fb", lambda: f_basis(self.icis(), self.pb.weight_cap))
 
     def gm(self):
         return self._get(

@@ -29,7 +29,6 @@ from .errors import (
     NoSolutionError,
     NotApplicableError,
 )
-from .gcdtools import squarefree_part
 from .linalg import RationalMatrix, rational_eigenvalues
 from .phase import IcisMap
 from .poly import MultiPoly, weighted_graded_parts
@@ -122,12 +121,6 @@ def discriminant(data: GaussManinData) -> MultiPoly:
     data.delta_raw = raw
     data.delta = delta
     return delta
-
-
-def delta_squarefree(data: GaussManinData) -> MultiPoly:
-    if data.delta is None:
-        raise ValueError("compute the discriminant first")
-    return squarefree_part(data.delta)
 
 
 def residue_exponents_K1(data: GaussManinData) -> list[Fraction]:

@@ -102,13 +102,6 @@ class RationalMatrix:
         assert self.cols == len(v)
         return [sum((a * x for a, x in zip(row, v)), ZERO) for row in self.entries]
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols,
-            self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 

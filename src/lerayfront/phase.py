@@ -203,10 +203,6 @@ def check_strict_hyperbolicity(
     return {"verdict": "passed samples", "samples": checked, "seed": seed}
 
 
-def gradient(F: MultiPoly) -> list[MultiPoly]:
-    return [F.partial(v) for v in F.ring]
-
-
 def phase_ring(n: int) -> tuple[str, ...]:
     return tuple([f"x{i + 1}" for i in range(n)] + ["t"] + [f"z{i + 1}" for i in range(n)])
 

@@ -492,16 +492,6 @@ def weighted_graded_parts(p: MultiPoly, weights: Sequence[int]) -> list[tuple[in
     return [(w, MultiPoly(p.ring, buckets[w])) for w in sorted(buckets)]
 
 
-def weighted_degree(p: MultiPoly, weights: Sequence[int]) -> int | None:
-    """Weight of a weighted-homogeneous polynomial, or None if mixed/zero."""
-    parts = weighted_graded_parts(p, weights)
-    if not parts:
-        return None
-    if len(parts) > 1:
-        return None
-    return parts[0][0]
-
-
 def monomials_of_weight(weights: Sequence[int], target: int) -> list[Exponents]:
     """All exponent tuples with given positive weights summing to ``target``."""
     n = len(weights)

@@ -4,14 +4,34 @@ import pytest
 
 from lerayfront.brieskorn import (
     LatticeContext,
+    PhiBasis,
+    _fbasis_graded,
     f_basis,
     gm_matrices,
     phi_basis,
     reduce_in_lattice,
 )
-from lerayfront.forms import DiffForm, exterior_d
-from lerayfront.phase import make_icis
+from lerayfront.errors import ReductionNoSolutionError
+from lerayfront.forms import DiffForm, exterior_d, wedge
+from lerayfront.phase import (
+    HyperbolicSymbol,
+    build_mapping,
+    build_phase,
+    discover_weights,
+    expand_phase,
+    make_icis,
+)
 from lerayfront.poly import MultiPoly
+
+
+@pytest.fixture(scope="module")
+def m1_cusp_icis(cusp_front):
+    """The first-order operator over the cusp: 5 variables, 2 coordinate components."""
+    tau = MultiPoly.variable(("tau", "xi1", "xi2"), "tau")
+    psi = build_phase(HyperbolicSymbol.from_poly(tau), cusp_front)
+    icis = build_mapping(expand_phase(psi, cusp_front, discover_weights(cusp_front)), 2)
+    assert len(icis.ring) == 5 and len(icis.coordinate_components()) == 2
+    return icis
 
 
 class TestPhiBasis:
@@ -99,6 +119,46 @@ class TestReduction:
                 assert cert.verify(ctx)
                 count += 1
         assert count == quadric_icis.K * phi.mu
+
+    def test_missing_staircase_monomial_has_no_decomposition(self, cusp_icis):
+        # without the constant monomial, du itself lies in no graded piece's span
+        phi = phi_basis(cusp_icis)
+        short = PhiBasis(monomials=phi.monomials[1:], mu=phi.mu - 1, weights=phi.weights[1:])
+        with pytest.raises(ReductionNoSolutionError) as exc:
+            gm_matrices(cusp_icis, short, f_basis(cusp_icis))
+        assert exc.value.exit_code == 11
+
+
+class TestCollapse:
+    """The collapse path against solves on the full ring of the m1/cusp map."""
+
+    def test_reductions_match_direct_solve(self, m1_cusp_icis):
+        icis = m1_cusp_icis
+        phi = phi_basis(icis)
+        collapsed = LatticeContext(icis, phi)
+        direct = LatticeContext(icis, phi)
+        assert collapsed.collapse is not None
+        direct.collapse = None
+        count = 0
+        for l in range(icis.K):
+            others = [collapsed.dfs[k] for k in range(icis.K) if k != l]
+            for form in f_basis(icis).forms:
+                g = form
+                for df in others:
+                    g = wedge(g, df)
+                a = reduce_in_lattice(g, phi, icis, collapsed)
+                b = reduce_in_lattice(g, phi, icis, direct)
+                assert a.coefficients == b.coefficients
+                assert a.verify(collapsed) and b.verify(direct)
+                count += 1
+        assert count == icis.K * phi.mu
+
+    def test_f_basis_matches_full_ring(self, m1_cusp_icis):
+        icis = m1_cusp_icis
+        forms, weights = _fbasis_graded(icis, phi_basis(icis).mu, 4 * sum(icis.comp_weights))
+        fb = f_basis(icis)
+        assert fb.weights == weights
+        assert fb.forms == forms
 
 
 class TestGMMatrices:

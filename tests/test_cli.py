@@ -111,6 +111,12 @@ class TestCommands:
         rec = json.loads((out / "discriminant.json").read_text())
         assert rec["delta"]["terms"]
 
+    def test_weights_flag_parses_integers(self, tmp_path):
+        spec = write_spec(tmp_path, SPEC)
+        out = tmp_path / "out"
+        assert main(["check", "--spec", str(spec), "--out", str(out), "--weights", "3,2"]) == 0
+        assert json.loads((out / "check.json").read_text())["weights"] == [3, 2]
+
     def test_missing_spec_file(self, tmp_path):
         code = main(["check", "--spec", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
         assert code == 17
@@ -138,11 +144,30 @@ BAD_INPUTS = [
     ("weights not positive", write_spec, dict(M1_SPEC, options={"weights": [0, 2]}), [], 2),
     ("weights too long", write_spec, dict(M1_SPEC, options={"weights": [3, 2, 1]}), [], 2),
     ("--weights too short", write_spec, M1_SPEC, ["--weights", "3"], 2),
+    ("--weights not integers", write_spec, M1_SPEC, ["--weights", "3,2.5"], 2),
+    ("weights a string", write_spec, dict(M1_SPEC, options={"weights": "32"}), [], 2),
+    ("weights entry a float", write_spec, dict(M1_SPEC, options={"weights": [3, 2.9]}), [], 2),
+    ("weights a dict", write_spec, dict(M1_SPEC, options={"weights": {"3": 1, "2": 0}}), [], 2),
+    ("powerP a float", write_spec, dict(M1_SPEC, options={"powerP": 2.9}), [], 2),
+    ("powerP a boolean", write_spec, dict(M1_SPEC, options={"powerP": True}), [], 2),
+    ("powerP below 2", write_spec, dict(M1_SPEC, options={"powerP": 1}), [], 2),
+    ("seed a float", write_spec, dict(M1_SPEC, options={"seed": 1.5}), [], 2),
+    ("max_pairs a string", write_spec, dict(M1_SPEC, options={"max_pairs": "100"}), [], 2),
+    ("weight_cap not a number", write_spec, dict(M1_SPEC, options={"weight_cap": "abc"}), [], 2),
+    ("weight_cap zero", write_spec, dict(M1_SPEC, options={"weight_cap": 0}), [], 2),
+    ("--weight-cap zero", write_spec, M1_SPEC, ["--weight-cap", "0"], 2),
     ("irreducible not boolean", write_spec, dict(M1_SPEC, options={"irreducible": "no"}), [], 2),
     (
         "no hyperbolicity samples",
         write_spec,
         dict(M1_SPEC, operator="tau^2 + xi1^2 + xi2^2", options={"hyperbolicity_samples": -3}),
+        [],
+        2,
+    ),
+    (
+        "hyperbolicity samples a float",
+        write_spec,
+        dict(M1_SPEC, options={"hyperbolicity_samples": 2.5}),
         [],
         2,
     ),

@@ -146,7 +146,7 @@ class TestFlatness:
 
         from lerayfront.brieskorn import gm_matrices
 
-        gm = gm_matrices(quadric_icis, keep_certificates=False)
+        gm = gm_matrices(quadric_icis)
         data = assemble_system(gm, quadric_icis)
         # corrupt one entry of P^(1)
         bad = deepcopy(data.matrices)
