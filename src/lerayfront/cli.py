@@ -119,6 +119,8 @@ class Problem:
             if self.weight_cap is not None and _json_int("weight_cap", self.weight_cap) < 1:
                 raise ValueError(f"weight_cap must be positive, got {self.weight_cap}")
             self.max_pairs = _json_int("max_pairs", options.get("max_pairs", 100_000))
+            if self.max_pairs < 1:
+                raise ValueError(f"max_pairs must be at least 1, got {self.max_pairs}")
             self.s_value = options.get("s")
             if self.s_value is not None:
                 self.s_value = Fraction(str(self.s_value))

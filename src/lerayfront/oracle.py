@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MismatchError
+from .errors import MismatchError, ResourceLimitError
 from .groebner import eliminate
 from .phase import HyperbolicSymbol, IcisMap, maximal_minors
 from .poly import MultiPoly, poly_substitute
@@ -214,7 +214,7 @@ def compare_discriminants(
     def sf(p: MultiPoly) -> MultiPoly:
         try:
             return squarefree_part(p)
-        except Exception:
+        except ResourceLimitError:
             return p
 
     d_work = sf(delta)

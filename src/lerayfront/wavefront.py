@@ -20,7 +20,7 @@ from math import gcd
 
 from .detpoly import _det_values, _interp_1d, degree_bounds, det_bareiss, det_interpolate
 from .errors import MismatchError, ResourceLimitError, ZeroAfterSubstitutionError
-from .gcdtools import squarefree_part
+from .gcdtools import divide_monomial, monomial_content, squarefree_part
 from .gaussmanin import GaussManinData, discriminant
 from .linalg import det_fraction
 from .phase import IcisMap
@@ -131,6 +131,7 @@ def front_polynomial(
         strategy=strategy,
         metadata={
             "s": "symbolic" if s_value is None else str(Fraction(s_value)),
+            "monomial_content": {v: k for v, k in zip(ring, monomial_content(phi)) if k},
             "squarefree": sf_note,
             "sign_normalization": icis.sign,
             "case1_bookkeeping": "constant monomial mapped to the y1 direction",
@@ -302,17 +303,21 @@ def t_zero_check(
     seed: int = 3,
     box: float = 2.5,
 ) -> TZeroReport:
-    """Residual of phi(x, 0, s) on numerically sampled points of {F = s}.
+    """Residual at t = 0 on numerically sampled points of {F = s}.
 
-    Residuals are scaled by the coefficient norm and a point-magnitude
-    factor, so float evaluation error stays orders below the tolerances.
+    phi = t^k * rest vanishes identically at t = 0 when k > 0, so the check
+    evaluates phi divided by its t-power content.  Residuals are scaled by
+    the coefficient norm and a point-magnitude factor, so float evaluation
+    error stays orders below the tolerances.
     """
     from .oracle import sample_level_set, scaled_residual
 
     pts = sample_level_set(F, Fraction(s_value), samples, seed=seed, box=box)
     if not pts:
         return TZeroReport(max_scaled_residual=float("nan"), samples=0, no_real_points=True)
-    phi = fr.phi
+    ti = fr.phi.ring.index("t")
+    t_power = tuple(k if i == ti else 0 for i, k in enumerate(monomial_content(fr.phi)))
+    phi = divide_monomial(fr.phi, t_power)
     worst = 0.0
     for z in pts:
         values = {f"x{i + 1}": z[i] for i in range(len(z))}

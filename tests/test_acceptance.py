@@ -202,7 +202,11 @@ def test_criterion_8_end_to_end(wave_cusp_pipeline, wave_cusp_front, cusp_front,
     # phi itself is pinned: a pullback change that moved any term fails here
     assert len(fr.phi.terms) == WAVE_CUSP_TERMS
     assert digest(fr.phi) == WAVE_CUSP_DIGEST
-    # (a) phi(x, 0, s) vanishes on 50 sampled points of the level set
+    # phi = t^12 * rest with the rest squarefree, so its squarefree part is t * rest
+    t = MultiPoly.variable(fr.phi.ring, "t")
+    assert fr.metadata["monomial_content"] == {"t": 12}
+    assert fr.squarefree * t**11 == fr.phi
+    # (a) phi / t^12 vanishes at t = 0 on 50 sampled points of the level set
     rep_a = t_zero_check(fr, cusp_front, Fraction(1), samples=50, seed=3)
     assert rep_a.samples == 50
     assert rep_a.max_scaled_residual < 1e-9

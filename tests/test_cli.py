@@ -153,6 +153,8 @@ BAD_INPUTS = [
     ("powerP below 2", write_spec, dict(M1_SPEC, options={"powerP": 1}), [], 2),
     ("seed a float", write_spec, dict(M1_SPEC, options={"seed": 1.5}), [], 2),
     ("max_pairs a string", write_spec, dict(M1_SPEC, options={"max_pairs": "100"}), [], 2),
+    ("max_pairs zero", write_spec, dict(M1_SPEC, options={"max_pairs": 0}), [], 2),
+    ("--max-pairs negative", write_spec, M1_SPEC, ["--max-pairs", "-5"], 2),
     ("weight_cap not a number", write_spec, dict(M1_SPEC, options={"weight_cap": "abc"}), [], 2),
     ("weight_cap zero", write_spec, dict(M1_SPEC, options={"weight_cap": 0}), [], 2),
     ("--weight-cap zero", write_spec, M1_SPEC, ["--weight-cap", "0"], 2),

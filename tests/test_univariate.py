@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lerayfront.gcdtools import multivariate_gcd, probably_squarefree, squarefree_part
+from lerayfront.gcdtools import MODULUS, multivariate_gcd, probably_squarefree, squarefree_part
 from lerayfront.poly import MultiPoly
 from lerayfront.univariate import count_real_roots, is_squarefree, poly_gcd
 
@@ -69,3 +69,47 @@ def test_squarefree_of_square_drops_multiplicity(terms):
     sf = squarefree_part(p * p)
     # sf divides p*p and has no square factors: its square divides (p*p) too
     assert (p * p).exact_div(sf) is not None
+
+
+def _prs_squarefree(p: MultiPoly) -> MultiPoly:
+    """Reference route: p / gcd(p, all partials) by the PRS gcd alone."""
+    p = p.primitive_part()
+    g = p
+    for v in p.variables_used():
+        g = multivariate_gcd(g, p.partial(v))
+    return p.exact_div(g).primitive_part()
+
+
+SMALL_POLY = st.lists(
+    st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-4, 4)),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: MultiPoly(RING, {e: F(c) for e, c in terms}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(SMALL_POLY, SMALL_POLY, st.integers(0, 3), st.integers(0, 3))
+def test_squarefree_part_matches_prs_route(q, r, a, b):
+    p = A**a * B**b * q * q * r
+    if p.is_zero():
+        return
+    assert squarefree_part(p) == _prs_squarefree(p)
+
+
+def test_prime_dividing_leading_coefficient_is_no_proof():
+    # (MODULUS*a + 1)^2 reduces to the constant 1 modulo the prime, whose gcd
+    # with its derivative is constant; only the leading-coefficient test
+    # stops that from passing as a proof
+    f = A.scale(MODULUS) + MultiPoly.constant(RING, 1)
+    assert not probably_squarefree(f * f)
+    assert squarefree_part(f * f) == f
+    g = (A * B).scale(MODULUS) + MultiPoly.constant(RING, 1)
+    assert not probably_squarefree(g * g)
+    assert squarefree_part(g * g) == g.primitive_part()
+
+
+def test_monomial_content_is_split_off():
+    rest = (A + B) * (A - B + MultiPoly.constant(RING, 1))
+    p = A**3 * B**2 * rest
+    assert squarefree_part(p) == (A * B * rest).primitive_part()
+    assert squarefree_part(A**5 * B) == A * B

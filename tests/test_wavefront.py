@@ -1,9 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from lerayfront.detpoly import degree_bounds, det_bareiss
+from lerayfront.errors import ResourceLimitError
+from lerayfront.gcdtools import multivariate_gcd, squarefree_part
 from lerayfront.gaussmanin import discriminant
 from lerayfront.phase import (
     HyperbolicSymbol,
@@ -92,6 +95,11 @@ class TestFrontPolynomial:
             q = fr.phi.exact_div(fr.squarefree)
             assert q is not None
 
+    def test_monomial_content_in_metadata(self, m1_pipeline):
+        F, icis, data = m1_pipeline
+        fr = front_polynomial(data, icis, s_value=Fraction(1))
+        assert fr.metadata["monomial_content"] == {}
+
     def test_front_vanishes_on_level_set_all_t(self, m1_pipeline):
         # m = 1: rays do not move, the front is the level set for every t
         F, icis, data = m1_pipeline
@@ -110,6 +118,29 @@ class TestFrontPolynomial:
         out = poly_substitute(data.delta_raw, {"y0": s})
         assert out == (s * s).scale(36)
         assert out.primitive_part() == s * s
+
+
+class TestM1CuspDiscriminantSquarefree:
+    """det M on m1/cusp is y0^4 * rest; the PRS gcd on all of it never ended."""
+
+    def test_squarefree_part_is_y0_times_rest(self, m1_pipeline):
+        F, icis, data = m1_pipeline
+        delta = discriminant(data)
+        t0 = time.time()
+        sf = squarefree_part(delta)
+        assert time.time() - t0 < 5.0
+        y0 = MultiPoly.variable(delta.ring, "y0")
+        assert sf.degree_in("y0") == delta.degree_in("y0") - 3
+        assert (sf * y0**3).primitive_part() == delta
+
+    def test_prs_gcd_stops_at_its_step_budget(self, m1_pipeline):
+        F, icis, data = m1_pipeline
+        delta = discriminant(data)
+        t0 = time.time()
+        with pytest.raises(ResourceLimitError) as err:
+            multivariate_gcd(delta, delta.partial("y0"))
+        assert err.value.kind == "gcd-steps"
+        assert time.time() - t0 < 5.0
 
 
 class TestCase1EndToEnd:
@@ -213,3 +244,26 @@ class TestTZero:
         )
         rep = t_zero_check(bogus, F, Fraction(1), samples=10, seed=3)
         assert rep.max_scaled_residual > 0.5
+
+    def test_t_power_does_not_hide_a_wrong_front(self, m1_pipeline):
+        # t^4 * (phi + 1) vanishes identically at t = 0; the check must read
+        # the rest phi + 1, which is 1 on the level set
+        F, icis, data = m1_pipeline
+        fr = front_polynomial(data, icis, s_value=Fraction(1))
+        ring = fr.phi.ring
+        t = MultiPoly.variable(ring, "t")
+        bogus = FrontResult(
+            phi=t**4 * (fr.phi + MultiPoly.constant(ring, 1)),
+            raw=fr.raw,
+            squarefree=None,
+            case=fr.case,
+            substitution={},
+            power=2,
+            strategy="det-first",
+        )
+        rep = t_zero_check(bogus, F, Fraction(1), samples=25, seed=3)
+        assert rep.samples == 25
+        assert rep.max_scaled_residual > 1e-6
+        # the true front times t^4 still passes
+        fr.phi = t**4 * fr.phi
+        assert t_zero_check(fr, F, Fraction(1), samples=25, seed=3).max_scaled_residual < 1e-9
