@@ -27,11 +27,12 @@ ZERO = Fraction(0)
 MODULUS = (1 << 61) - 1
 
 # Pseudo-remainder steps (one leading coefficient cancelled each) that one
-# gcd may take over its whole recursion.  Measured: every input the tests,
-# the benchmark workloads and `verify-discriminant` on m1/cusp send to the
-# PRS route needs at most 31 steps.  On the m1/cusp discriminant against its
-# y0-partial, 575 steps take 0.6 s, the next 25 take 7 s as coefficients
-# grow to millions of bits, and the whole gcd runs past 90 s.
+# gcd may take over its whole recursion.  Measured: the one input the
+# benchmark workloads send to the PRS route (in small_corpus) needs 9 steps,
+# `verify-discriminant` on m1/cusp sends none, and the random inputs of the
+# tests need at most 76 (hypothesis seeds 0-2).  On the m1/cusp discriminant
+# against its y0-partial, 600 steps take 0.5 s, 2,000 take 12 s, and the gcd
+# is still running after 3,886 steps and 150 s.
 GCD_STEP_BUDGET = 200
 
 
@@ -106,6 +107,9 @@ def _gcd(a: MultiPoly, b: MultiPoly, budget: _Budget) -> MultiPoly:
         return b.primitive_part()
     if b.is_zero():
         return a.primitive_part()
+    if len(a.terms) == 1 and len(b.terms) == 1:  # two monomials: no PRS steps
+        m = tuple(map(min, next(iter(a.terms)), next(iter(b.terms))))
+        return MultiPoly(a.ring, {m: Fraction(1)})
     if a.is_constant() or b.is_constant():
         return MultiPoly.constant(a.ring, 1)
     used = sorted(set(a.variables_used()) | set(b.variables_used()))
@@ -137,8 +141,9 @@ def _gcd(a: MultiPoly, b: MultiPoly, budget: _Budget) -> MultiPoly:
         if r.is_zero():
             result = g
             break
+        # drop the content in var (a primitive polynomial) and the integer content
         cr = _poly_content_in(r, var, budget)
-        r = r.exact_div(cr) if not cr.is_constant() else r
+        r = (r.exact_div(cr) if not cr.is_constant() else r).primitive_part()
         f, g = g, r
     result = result.primitive_part()
     return (cont * result).primitive_part()

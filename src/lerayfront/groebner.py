@@ -3,18 +3,41 @@
 Desk-scale by design: ideals in at most a dozen variables.  Hard resource
 caps (pair count, lcm degree) turn runaway eliminations into structured
 errors instead of hangs.
+
+Every reduction (normal forms, S-polynomials, the input generators and the
+final inter-reduction) runs one kernel, ``_reduce``: heap-ordered reduction,
+heads cached per basis element.  The working terms sit in a heap under the
+order's descending key, computed once per exponent as it enters (Monagan
+and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", 2007).  Each basis element is held as the head of its
+primitive integer multiple (leading term, leading coefficient, tail),
+computed once, when it joins the basis; the working terms are integers over
+one running denominator, so a reduction step makes no Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, le, neg
 from typing import Callable, Iterable, Sequence
 
 from .errors import ResourceLimitError, RingMismatchError
 from .poly import Exponents, Monomial, MultiPoly, grevlex_key, lex_key
 
-ZERO = Fraction(0)
+# A cached head: leading exponent, leading coefficient and the remaining
+# terms of a primitive integer polynomial with positive leading coefficient.
+Head = tuple[Exponents, int, list[tuple[Exponents, int]]]
+
+
+def _grevlex_descending(e: Exponents):
+    return (-sum(e), e[::-1])
+
+
+def _lex_descending(e: Exponents):
+    return tuple(map(neg, e))
 
 
 @dataclass(frozen=True)
@@ -40,6 +63,21 @@ class MonomialOrder:
                 return (grevlex_key(e[:s]), grevlex_key(e[s:]))
 
             return block_key
+        raise ValueError(f"unknown order kind {self.kind}")
+
+    def descending_key(self) -> Callable[[Exponents], object]:
+        """Sort key under which the largest monomial comes first (a min-heap key)."""
+        if self.kind == "grevlex":
+            return _grevlex_descending
+        if self.kind == "lex":
+            return _lex_descending
+        if self.kind == "block":
+            s = self.split
+
+            def block_descending(e: Exponents):
+                return (_grevlex_descending(e[:s]), _grevlex_descending(e[s:]))
+
+            return block_descending
         raise ValueError(f"unknown order kind {self.kind}")
 
 
@@ -78,6 +116,84 @@ class GroebnerBasis:
         return [g.leading(key)[0] for g in self.generators]
 
 
+def _head(terms: dict[Exponents, int], key) -> Head:
+    """The head of the primitive integer multiple, positive leading coefficient, of terms."""
+    lt = max(terms, key=key)
+    g = gcd(*terms.values())
+    if terms[lt] < 0:
+        g = -g
+    return lt, terms[lt] // g, [(e, c // g) for e, c in terms.items() if e != lt]
+
+
+def _integer_terms(p: MultiPoly) -> tuple[dict[Exponents, int], int]:
+    """Integer terms and the denominator d with p = terms / d."""
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}, d
+
+
+def _reduce(
+    terms: dict[Exponents, int],
+    heads: Sequence[Head],
+    descending_key,
+    max_terms: int | None = None,
+) -> tuple[dict[Exponents, int], int]:
+    """Full remainder of the terms modulo the heads, the largest term first.
+
+    Returns ``(rem, m)``: ``rem / m`` is the remainder.  Each step pops the
+    largest working term ``c x^e`` and cancels it with the first head ``L x^lt
+    + tail`` whose leading exponent divides it: the working and remainder
+    terms are multiplied by ``L / gcd(c, L)``, so that coefficients stay
+    integers.  A term that no head divides moves to the remainder.  ``work``
+    holds the live terms; an exponent whose coefficient cancelled stays in
+    the heap and is skipped when popped.  ``max_terms`` caps the working plus
+    remainder term count.
+    """
+    work = dict(terms)
+    if not heads:
+        return work, 1
+    heap = [(descending_key(e), e) for e in work]
+    heapify(heap)
+    rem: dict[Exponents, int] = {}
+    scale = 1
+    while heap:
+        if max_terms is not None and len(work) + len(rem) > max_terms:
+            raise ResourceLimitError(
+                f"normal form exceeded {max_terms} working terms",
+                kind="terms",
+                limit=max_terms,
+            )
+        e = heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        for lt, lc, tail in heads:
+            if all(map(le, lt, e)):
+                break
+        else:
+            rem[e] = c
+            continue
+        g = gcd(c, lc)
+        m, q = lc // g, c // g
+        if m != 1:
+            scale *= m
+            work = {k: v * m for k, v in work.items()}
+            rem = {k: v * m for k, v in rem.items()}
+        shift = _sub(e, lt)
+        for ge, gc in tail:
+            te = tuple(map(add, ge, shift))
+            old = work.get(te)
+            if old is None:
+                work[te] = -q * gc
+                heappush(heap, (descending_key(te), te))
+            else:
+                s = old - q * gc
+                if s:
+                    work[te] = s
+                else:
+                    del work[te]
+    return rem, scale
+
+
 def normal_form(p: MultiPoly, gb: GroebnerBasis, max_terms: int | None = None) -> MultiPoly:
     """Full remainder of p modulo the basis: no term divisible by a leading term.
 
@@ -85,51 +201,10 @@ def normal_form(p: MultiPoly, gb: GroebnerBasis, max_terms: int | None = None) -
     explosive eliminations early).
     """
     key = gb.order.key()
-    gens = gb.generators
-    if not gens:
-        return p
-    lts = [(g.leading(key)[0], g.leading(key)[1], g) for g in gens]
-    rem: dict[Exponents, Fraction] = {}
-    work = dict(p.terms)
-    while work:
-        if max_terms is not None and len(work) + len(rem) > max_terms:
-            raise ResourceLimitError(
-                f"normal form exceeded {max_terms} working terms",
-                kind="terms",
-                limit=max_terms,
-            )
-        e = max(work, key=key)
-        c = work.pop(e)
-        if c == 0:
-            continue
-        hit = None
-        for lt, lc, g in lts:
-            if _divides(lt, e):
-                hit = (lt, lc, g)
-                break
-        if hit is None:
-            rem[e] = rem.get(e, ZERO) + c
-            continue
-        lt, lc, g = hit
-        shift = _sub(e, lt)
-        f = c / lc
-        for ge, gc in g.terms.items():
-            te = tuple(x + y for x, y in zip(ge, shift))
-            s = work.get(te, ZERO) - f * gc
-            if te == e:
-                continue
-            if s == 0:
-                work.pop(te, None)
-            else:
-                work[te] = s
-    return MultiPoly(p.ring, rem)
-
-
-def _spoly(f: MultiPoly, g: MultiPoly, key) -> MultiPoly:
-    ef, cf = f.leading(key)
-    eg, cg = g.leading(key)
-    l = _lcm(ef, eg)
-    return f.mul_term(_sub(l, ef), 1 / cf) - g.mul_term(_sub(l, eg), 1 / cg)
+    heads = [_head(_integer_terms(g)[0], key) for g in gb.generators]
+    terms, d = _integer_terms(p)
+    rem, m = _reduce(terms, heads, gb.order.descending_key(), max_terms)
+    return MultiPoly(p.ring, {e: Fraction(c, d * m) for e, c in rem.items()})
 
 
 def groebner(
@@ -142,9 +217,11 @@ def groebner(
     """Reduced Groebner basis by Buchberger's algorithm.
 
     Pair pruning follows Gebauer-Moeller (lcm criteria and the coprime
-    criterion).  Raises ResourceLimitError when caps are hit.
+    criterion).  Raises ResourceLimitError when caps are hit.  The basis is
+    held as integer heads; each element is made monic over Q on output.
     """
     key = order.key()
+    descending_key = order.descending_key()
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty generator list")
@@ -153,15 +230,15 @@ def groebner(
         if g.ring != ring:
             raise RingMismatchError("generators live in different rings")
 
-    basis: list[MultiPoly] = []
+    heads: list[Head] = []
     lts: list[Exponents] = []
     pairs: list[tuple[Exponents, int, int]] = []  # (lcm, i, j)
 
-    def add_poly(p: MultiPoly):
+    def add_poly(terms: dict[Exponents, int]):
         nonlocal pairs
-        p = p.scale(1 / p.leading(key)[1])
-        t = p.leading(key)[0]
-        k = len(basis)
+        head = _head(terms, key)
+        t = head[0]
+        k = len(heads)
         # Gebauer-Moeller update of the pair set
         new_pairs: list[tuple[Exponents, int, int]] = []
         for i in range(k):
@@ -184,13 +261,13 @@ def groebner(
                 continue
             pruned.append((l, i, j))
         pairs.extend(pruned)
-        basis.append(p)
+        heads.append(head)
         lts.append(t)
 
     for g in sorted(gens, key=lambda p: key(p.leading(key)[0])):
-        g = normal_form(g, GroebnerBasis(basis, order, ring)) if basis else g
-        if not g.is_zero():
-            add_poly(g)
+        r = _reduce(_integer_terms(g)[0], heads, descending_key)[0]
+        if r:
+            add_poly(r)
 
     processed = 0
     while pairs:
@@ -207,26 +284,45 @@ def groebner(
                 kind="degree",
                 limit=max_degree,
             )
-        s = _spoly(basis[i], basis[j], key)
-        s = normal_form(s, GroebnerBasis(basis, order, ring), max_terms=max_poly_terms)
-        if not s.is_zero():
+        s = _reduce(_spoly(heads[i], heads[j]), heads, descending_key, max_poly_terms)[0]
+        if s:
             add_poly(s)
 
     # reduce: drop redundant generators, then fully inter-reduce
-    minimal: list[MultiPoly] = []
-    for i, g in enumerate(basis):
-        t = lts[i]
-        if any(_divides(lts[j], t) for j in range(len(basis)) if j != i and (lts[j] != t or j < i)):
-            continue
-        minimal.append(g)
+    kept = [
+        i
+        for i, t in enumerate(lts)
+        if not any(_divides(lts[j], t) for j in range(len(lts)) if j != i and (lts[j] != t or j < i))
+    ]
     reduced: list[MultiPoly] = []
-    for i, g in enumerate(minimal):
-        others = GroebnerBasis(minimal[:i] + minimal[i + 1 :], order, ring)
-        r = normal_form(g, others)
-        if not r.is_zero():
-            reduced.append(r.scale(1 / r.leading(key)[1]))
+    for n, i in enumerate(kept):
+        lt, lc, tail = heads[i]
+        others = [heads[j] for j in kept[:n] + kept[n + 1 :]]
+        r = _reduce({lt: lc, **dict(tail)}, others, descending_key)[0]
+        if r:
+            top = r[max(r, key=key)]
+            reduced.append(MultiPoly(ring, {e: Fraction(c, top) for e, c in r.items()}))
     reduced.sort(key=lambda p: key(p.leading(key)[0]))
     return GroebnerBasis(reduced, order, ring)
+
+
+def _spoly(f: Head, g: Head) -> dict[Exponents, int]:
+    """An integer multiple of the S-polynomial of two heads."""
+    ef, cf, f_tail = f
+    eg, cg, g_tail = g
+    l = _lcm(ef, eg)
+    c = gcd(cf, cg)
+    mf, mg = cg // c, cf // c
+    a, b = _sub(l, ef), _sub(l, eg)
+    out = {tuple(map(add, e, a)): mf * v for e, v in f_tail}
+    for e, v in g_tail:
+        e = tuple(map(add, e, b))
+        s = out.get(e, 0) - mg * v
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Shared fixtures: small singularity maps and the full wave/cusp pipeline.
+"""Shared fixtures: small singularity maps, the full wave/cusp pipeline and
+the wave/parabola mapping.
 
 The end-to-end pipeline objects are session-scoped; they back both the unit
 tests that need real data and the acceptance suite.
@@ -112,6 +113,15 @@ def wave_cusp_pipeline(cusp_front, wave_symbol):
         "gm": gm,
         "data": data,
     }
+
+
+@pytest.fixture(scope="session")
+def wave_parabola_icis(wave_symbol):
+    """The wave-operator/parabola ICIS, built as the flagship's is."""
+    x1, x2 = mk_vars("x1", "x2")
+    front = x1 + x2**2
+    psi = build_phase(wave_symbol, front)
+    return build_mapping(expand_phase(psi, front, discover_weights(front)), 2)
 
 
 @pytest.fixture(scope="session")

@@ -40,6 +40,12 @@ WAVE_CUSP_TERMS = 1481
 WAVE_CUSP_DIGEST = "2fbf252329926b9fbecb8d832edb9015991f2f158adc25e797a473ba717a7796"
 
 
+# The critical-locus eliminant of wave/parabola: one generator in y0..y6.
+# verify_discriminant.json records it, so its bytes follow these terms.
+WAVE_PARABOLA_ELIMINANT_TERMS = 288
+WAVE_PARABOLA_ELIMINANT_DIGEST = "5784c4ab644db4cc7fb0a4b1c868c3d4e2605b6789596eb337915837ddeb104d"
+
+
 def digest(p) -> str:
     """sha256 over the ring, the exponents and the exact coefficients (as perfbench)."""
     terms = sorted((list(e), c.numerator, c.denominator) for e, c in p.terms.items())
@@ -151,6 +157,20 @@ def test_criterion_6_discriminant_oracle(
     elapsed = time.time() - t0
     assert elapsed < 120.0
     report(6, f"critical loci match: {verdicts} ({elapsed:.1f}s)")
+
+
+def test_criterion_6_wave_parabola_eliminant(wave_parabola_icis):
+    t0 = time.time()
+    el = critical_locus_eliminant(wave_parabola_icis)
+    assert len(el) == 1
+    assert len(el[0].terms) == WAVE_PARABOLA_ELIMINANT_TERMS
+    assert digest(el[0]) == WAVE_PARABOLA_ELIMINANT_DIGEST
+    elapsed = time.time() - t0
+    report(
+        6,
+        f"wave/parabola eliminant: {WAVE_PARABOLA_ELIMINANT_TERMS} terms and the recorded "
+        f"digest ({elapsed:.1f}s)",
+    )
 
 
 def test_criterion_7_flatness(quadric_system, wave_cusp_pipeline):

@@ -8,6 +8,7 @@ from lerayfront.errors import ResourceLimitError
 from lerayfront.groebner import (
     GREVLEX,
     LEX,
+    GroebnerBasis,
     MonomialOrder,
     eliminate,
     groebner,
@@ -17,6 +18,7 @@ from lerayfront.groebner import (
 from lerayfront.poly import MultiPoly
 
 R = ("x1", "x2")
+R3 = ("x1", "x2", "x3")
 X1 = MultiPoly.variable(R, "x1")
 X2 = MultiPoly.variable(R, "x2")
 
@@ -139,3 +141,107 @@ def test_block_order_key():
     key = MonomialOrder("block", split=1).key()
     # (1, 0) > (0, 5) in the elimination block order: first block dominates
     assert key((1, 0)) > key((0, 5))
+
+
+def reference_normal_form(p, gb, max_terms=None):
+    """The full-scan reduction the heap kernel replaced, as the test oracle.
+
+    Each step takes the largest working term by a ``max`` over all of them
+    and cancels it with the first generator whose leading term divides it.
+    """
+    key = gb.order.key()
+    heads = [g.leading(key) + (g,) for g in gb.generators]
+    rem, work = {}, dict(p.terms)
+    while work:
+        if max_terms is not None and len(work) + len(rem) > max_terms:
+            raise ResourceLimitError("too many terms", kind="terms", limit=max_terms)
+        e = max(work, key=key)
+        c = work.pop(e)
+        hit = next((h for h in heads if all(x <= y for x, y in zip(h[0], e))), None)
+        if hit is None:
+            rem[e] = c
+            continue
+        lt, lc, g = hit
+        f = c / lc
+        for ge, gc in g.terms.items():
+            te = tuple(x + y - z for x, y, z in zip(ge, e, lt))
+            if te == e:
+                continue
+            s = work.get(te, Fraction(0)) - f * gc
+            if s == 0:
+                work.pop(te, None)
+            else:
+                work[te] = s
+    return MultiPoly(p.ring, rem)
+
+
+def small_polys(max_size):
+    term = st.tuples(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    )
+    return st.lists(term, min_size=1, max_size=max_size).map(
+        lambda ts: MultiPoly(R3, {e: Fraction(c) for e, c in ts})
+    )
+
+
+ORDERS = [LEX, GREVLEX, MonomialOrder("block", split=1), MonomialOrder("block", split=2)]
+
+
+class TestReductionKernel:
+    """The heap-ordered kernel against the full-scan reference, term for term."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(small_polys(3), min_size=1, max_size=3),
+        st.lists(small_polys(6), min_size=1, max_size=3),
+        st.sampled_from(ORDERS),
+        st.integers(1, 12),
+    )
+    def test_matches_reference(self, gens, ps, order, cap):
+        try:
+            gb = groebner(gens, order, max_pairs=200, max_degree=12)
+        except (ValueError, ResourceLimitError):
+            return  # the zero ideal, or a basis past the small caps
+        for p in ps + gens:
+            assert normal_form(p, gb) == reference_normal_form(p, gb)
+            # the term cap fires exactly where the reference's does
+            try:
+                expected = reference_normal_form(p, gb, max_terms=cap)
+            except ResourceLimitError:
+                with pytest.raises(ResourceLimitError):
+                    normal_form(p, gb, max_terms=cap)
+            else:
+                assert normal_form(p, gb, max_terms=cap) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(small_polys(4), min_size=1, max_size=3), st.sampled_from(ORDERS))
+    def test_unreduced_generators(self, gens, order):
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            return
+        gb = GroebnerBasis(gens, order)
+        p = sum(gens[1:], gens[0]) ** 2
+        assert normal_form(p, gb) == reference_normal_form(p, gb)
+
+    def test_remainder_scales_with_the_working_terms(self):
+        # x1 moves to the remainder before x2 is cancelled by 2*x2 - x3
+        ring = ("x1", "x2", "x3")
+        x1, x2, x3 = (MultiPoly.variable(ring, v) for v in ring)
+        gb = groebner([2 * x2 - x3], LEX)
+        assert normal_form(x1 * x3 + x2, gb) == x1 * x3 + x3.scale(Fraction(1, 2))
+
+    def test_term_cap(self):
+        one = MultiPoly.constant(R, 1)
+        gb = groebner([X1 - X2 - one], LEX)
+        assert normal_form(X1**6, gb) == (X2 + one) ** 6
+        with pytest.raises(ResourceLimitError) as err:
+            normal_form(X1**6, gb, max_terms=3)
+        assert err.value.kind == "terms"
+        assert err.value.limit == 3
+        # the cap counts remainder terms too: x2^3 and x2^2 sit in the
+        # remainder when x1 becomes x2 + 1
+        gb = groebner([X1 - X2 - one], GREVLEX)
+        assert len(normal_form(X2**3 + X2**2 + X1, gb, max_terms=4).terms) == 4
+        with pytest.raises(ResourceLimitError):
+            normal_form(X2**3 + X2**2 + X1, gb, max_terms=3)

@@ -3,7 +3,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lerayfront.gcdtools import MODULUS, multivariate_gcd, probably_squarefree, squarefree_part
+from lerayfront.gcdtools import (
+    GCD_STEP_BUDGET,
+    MODULUS,
+    _Budget,
+    _gcd,
+    multivariate_gcd,
+    probably_squarefree,
+    squarefree_part,
+)
 from lerayfront.poly import MultiPoly
 from lerayfront.univariate import count_real_roots, is_squarefree, poly_gcd
 
@@ -39,6 +47,16 @@ def test_multivariate_gcd():
     q = (A + B) * (A * B + MultiPoly.constant(RING, 1))
     g = multivariate_gcd(p, q)
     assert g == (A + B) or g == -(A + B)
+
+
+def test_gcd_of_monomials_takes_no_steps():
+    ring = ("y0", "y3")
+    y0 = MultiPoly.variable(ring, "y0")
+    y3 = MultiPoly.variable(ring, "y3")
+    assert multivariate_gcd(y3**30, y3**27) == y3**27
+    budget = _Budget(max_terms=10)
+    assert _gcd((3 * y0**2 * y3**30), (-2 * y0 * y3**27), budget) == y0 * y3**27
+    assert budget.left == GCD_STEP_BUDGET
 
 
 def test_squarefree_part_multivariate():
