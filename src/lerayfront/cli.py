@@ -16,7 +16,13 @@ from pathlib import Path
 
 from . import __version__
 from .brieskorn import f_basis, gm_matrices, phi_basis
-from .errors import LerayfrontError, ProblemFileError, UnknownVariableError, UsageError
+from .errors import (
+    LerayfrontError,
+    ProblemFileError,
+    ResourceLimitError,
+    UnknownVariableError,
+    UsageError,
+)
 from .gaussmanin import (
     assemble_system,
     discriminant,
@@ -386,15 +392,16 @@ class Pipeline:
                 "verdict": cmp.verdict,
                 "detail": cmp.detail,
             }
-        except LerayfrontError as err:
-            if getattr(err, "exit_code", 18) != 14:
-                raise
+        except ResourceLimitError as err:
             rep = sampled_critical_containment(
                 icis, data.M, count=10, seed=self.pb.seed, tol=1e-8
             )
             rec = {
                 "eliminant": None,
-                "verdict": "elimination capped; sampled critical values lie on det M = 0",
+                "verdict": (
+                    f"capped: {err.kind}/{err.limit}; "
+                    "sampled critical values lie on det M = 0"
+                ),
                 "detail": (
                     f"{rep.points} projected critical points, max residual "
                     f"{rep.max_scaled_residual:.2e} ({err})"

@@ -1,10 +1,13 @@
 """Independent verification: elimination-ideal critical loci and ray sampling.
 
 Nothing here touches the lattice machinery.  The critical-value locus comes
-from Groebner elimination on the graph-plus-minors ideal; front points come
-from numerically integrated characteristic rays (straight lines, constant
-coefficients).  Agreement of the two sides with the discriminant pipeline
-is the package's end-to-end correctness evidence.
+from Groebner elimination on the graph-plus-minors ideal and is compared
+with det M exactly, by squarefree parts; front points come from numerically
+integrated characteristic rays (straight lines, constant coefficients).
+Float containment sampling of critical values on det M = 0 is only the
+fallback for when a resource cap stops the eliminant or the gcd.  Agreement
+of the two sides with the discriminant pipeline is the package's end-to-end
+correctness evidence.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MismatchError, ResourceLimitError
+from .errors import MismatchError
 from .groebner import eliminate
 from .phase import HyperbolicSymbol, IcisMap, maximal_minors
 from .poly import MultiPoly, poly_substitute
@@ -85,8 +88,11 @@ def sampled_critical_containment(
 
     Random starts are projected onto the critical set (all maximal Jacobian
     minors zero) by Gauss-Newton on the stacked system, pushed forward
-    through the mapping, and det M is evaluated there.  This is the fallback
-    oracle when the elimination ideal is out of reach.
+    through the mapping, and det M is evaluated there.  The stack also holds
+    |u|^2 = |u_start|^2: the minors of a quasihomogeneous map are weighted
+    homogeneous, so without it each Gauss-Newton step shrinks u toward the
+    origin and det M is tested only at y = 0.  This is the fallback oracle
+    when the elimination ideal or the gcd is out of reach.
     """
     rng = random.Random(seed)
     ring = icis.ring
@@ -98,19 +104,20 @@ def sampled_critical_containment(
     found = 0
     attempted = 0
     worst = 0.0
-    mu = len(M)
     while found < count and attempted < 60 * count:
         attempted += 1
         u = np.array([rng.uniform(-1.5, 1.5) for _ in range(n)])
+        radius2 = float(np.dot(u, u))
         ok = False
         for _ in range(60):
             vals = {v: u[i] for i, v in enumerate(ring)}
-            r = np.array([q.eval_float(vals) for q in minors])
+            r = np.array([q.eval_float(vals) for q in minors] + [float(np.dot(u, u)) - radius2])
             if float(np.max(np.abs(r))) < 1e-13:
                 ok = True
                 break
             J = np.array(
                 [[g.eval_float(vals) for g in grads[i]] for i in range(len(minors))]
+                + [list(2 * u)]
             )
             try:
                 step, *_ = np.linalg.lstsq(J, -r, rcond=None)
@@ -155,11 +162,6 @@ def _det_scale(M: list[list[MultiPoly]], yv: dict) -> float:
     return max(scale, 1e-300)
 
 
-def _is_univariate(p: MultiPoly) -> str | None:
-    used = p.variables_used()
-    return used[0] if len(used) == 1 else None
-
-
 def scaled_residual(p: MultiPoly, values: dict[str, float]) -> float:
     """|p(values)| / (L1 coefficient norm * max(1, |point|_inf)^deg)."""
     norm = float(sum(abs(c) for c in p.terms.values()))
@@ -174,124 +176,32 @@ def scaled_residual(p: MultiPoly, values: dict[str, float]) -> float:
 class DiscriminantComparison:
     verdict: str
     detail: str = ""
-    witness: tuple | None = None
 
 
 def compare_discriminants(
-    delta: MultiPoly,
-    eliminant: Sequence[MultiPoly],
-    seed: int = 17,
-    tol: float = 1e-8,
-    samples: int = 12,
+    delta: MultiPoly, eliminant: Sequence[MultiPoly], seed: int = 17
 ) -> DiscriminantComparison:
-    """Zero-set agreement of det M with the elimination-ideal critical locus.
+    """Exact zero-set agreement of det M with the critical-value eliminant.
 
-    Univariate inputs are compared exactly through squarefree parts; the
-    multivariate case checks mutual vanishing on numerically sampled points
-    of each hypersurface.
+    The elimination ideal of an ICIS discriminant is an unmixed height-one
+    ideal of a polynomial ring, hence principal: one generator g.  The two
+    hypersurfaces agree iff the squarefree parts of delta and g are equal
+    (``squarefree_part`` normalises both, ``seed`` drives its modular proof).
+    A gcd past its step or term budget raises ResourceLimitError.
     """
     eliminant = [p for p in eliminant if not p.is_zero()]
     if not eliminant:
         raise MismatchError("empty eliminant; nothing to compare")
-    uv = _is_univariate(delta)
-    if uv is not None and all(_is_univariate(p) in (uv, None) for p in eliminant):
-        d_sf = squarefree_part(delta)
-        e = eliminant[0]
-        for p in eliminant[1:]:
-            if p.total_degree() < e.total_degree():
-                e = p
-        e_sf = squarefree_part(e)
-        d_sf = d_sf.rename_ring(delta.ring)
-        e_sf = e_sf.rename_ring(delta.ring)
-        if d_sf == e_sf:
-            return DiscriminantComparison(verdict="equal radicals (exact)")
-        raise MismatchError(
-            f"radical mismatch: {d_sf.pretty()} vs {e_sf.pretty()}",
-            witness=(d_sf.pretty(), e_sf.pretty()),
-        )
-    rng = random.Random(seed)
-    # multiplicity-free representatives sample accurately (simple roots)
-    def sf(p: MultiPoly) -> MultiPoly:
-        try:
-            return squarefree_part(p)
-        except ResourceLimitError:
-            return p
-
-    d_work = sf(delta)
-    e_work = [sf(p) for p in eliminant]
-    # points on {delta = 0} must kill every eliminant generator, and points
-    # on the eliminant variety must kill delta
-    pts_d = _sample_hypersurface(d_work, rng, samples)
-    for pt in pts_d:
-        for p in e_work:
-            r = scaled_residual(p, pt)
-            if r > tol:
-                raise MismatchError(
-                    f"eliminant residual {r:.2e} at delta-zero point", witness=tuple(pt.items())
-                )
-    lead = min(e_work, key=lambda p: p.total_degree())
-    pts_e = []
-    for pt in _sample_hypersurface(lead, rng, samples * 3):
-        if all(scaled_residual(p, pt) < tol for p in e_work):
-            pts_e.append(pt)
-        if len(pts_e) >= samples:
-            break
-    for pt in pts_e:
-        r = scaled_residual(d_work, pt)
-        if r > tol:
-            raise MismatchError(
-                f"delta residual {r:.2e} at eliminant point", witness=tuple(pt.items())
-            )
-    return DiscriminantComparison(
-        verdict="mutual sampled containment",
-        detail=f"{len(pts_d)} + {len(pts_e)} points, residuals < {tol}",
+    if len(eliminant) > 1:
+        raise MismatchError(f"eliminant is not principal: {len(eliminant)} generators")
+    d_sf = squarefree_part(delta, seed=seed)
+    e_sf = squarefree_part(eliminant[0].rename_ring(delta.ring), seed=seed)
+    if d_sf == e_sf:
+        return DiscriminantComparison(verdict="equal radicals (exact)")
+    raise MismatchError(
+        f"radical mismatch: {d_sf.pretty()} vs {e_sf.pretty()}",
+        witness=(d_sf.pretty(), e_sf.pretty()),
     )
-
-
-def _sample_hypersurface(p: MultiPoly, rng: random.Random, count: int) -> list[dict]:
-    """Real points with p = 0 found on random rational lines, Newton-polished."""
-    ring = p.ring
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 60 * count:
-        attempts += 1
-        base = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in ring]
-        direction = [Fraction(rng.randint(-5, 5), 1) for _ in ring]
-        if all(d == 0 for d in direction):
-            continue
-        tau_ring = ("tau",)
-        tau = MultiPoly.variable(tau_ring, "tau")
-        bindings = {
-            v: MultiPoly.constant(tau_ring, b) + tau.scale(d)
-            for v, b, d in zip(ring, base, direction)
-        }
-        uni = poly_substitute(p, bindings)
-        coeffs = [0.0] * (uni.degree_in("tau") + 1)
-        for e, c in uni.terms.items():
-            coeffs[e[0]] = float(c)
-        if len(coeffs) < 2:
-            continue
-        roots = np.roots(list(reversed(coeffs)))
-        dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
-        for r in roots:
-            if abs(r.imag) > 1e-9 * max(1.0, abs(r.real)):
-                continue
-            tval = float(r.real)
-            for _ in range(8):
-                fv = sum(c * tval**k for k, c in enumerate(coeffs))
-                dv = sum(c * tval**k for k, c in enumerate(dcoeffs))
-                if abs(dv) < 1e-14:
-                    break
-                tval -= fv / dv
-            pt = {
-                v: float(b) + tval * float(d)
-                for v, b, d in zip(ring, base, direction)
-            }
-            if scaled_residual(p, pt) < 1e-12:
-                out.append(pt)
-            if len(out) >= count:
-                break
-    return out
 
 
 def sample_level_set(

@@ -125,6 +125,25 @@ def wave_parabola_icis(wave_symbol):
 
 
 @pytest.fixture(scope="session")
+def wave_parabola_system(wave_parabola_icis):
+    icis = wave_parabola_icis
+    return assemble_system(gm_matrices(icis, phi_basis(icis), f_basis(icis)), icis)
+
+
+@pytest.fixture(scope="session")
+def m1_cusp_icis(cusp_front):
+    """The first-order operator tau over the cusp, the CLI's m1/cusp problem."""
+    tau = mk_vars("tau", "xi1", "xi2")[0]
+    psi = build_phase(HyperbolicSymbol.from_poly(tau), cusp_front)
+    return build_mapping(expand_phase(psi, cusp_front, discover_weights(cusp_front)), 2)
+
+
+@pytest.fixture(scope="session")
+def m1_cusp_system(m1_cusp_icis):
+    return _system_for(m1_cusp_icis)
+
+
+@pytest.fixture(scope="session")
 def wave_cusp_front(wave_cusp_pipeline):
     from lerayfront.wavefront import front_polynomial
 

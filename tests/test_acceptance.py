@@ -151,25 +151,29 @@ def test_criterion_6_discriminant_oracle(
     gm, data = quadric_system
     if data.delta is None:
         discriminant(data)
-    cmp = compare_discriminants(data.delta, el_q, seed=17, tol=1e-8)
-    assert cmp.verdict == "mutual sampled containment"
-    verdicts["quadric-pair"] = "sampled < 1e-8"
+    cmp = compare_discriminants(data.delta, el_q, seed=17)
+    assert cmp.verdict == "equal radicals (exact)"
+    verdicts["quadric-pair"] = "exact"
     elapsed = time.time() - t0
     assert elapsed < 120.0
     report(6, f"critical loci match: {verdicts} ({elapsed:.1f}s)")
 
 
-def test_criterion_6_wave_parabola_eliminant(wave_parabola_icis):
+def test_criterion_6_wave_parabola_eliminant(wave_parabola_icis, wave_parabola_system):
     t0 = time.time()
     el = critical_locus_eliminant(wave_parabola_icis)
     assert len(el) == 1
     assert len(el[0].terms) == WAVE_PARABOLA_ELIMINANT_TERMS
     assert digest(el[0]) == WAVE_PARABOLA_ELIMINANT_DIGEST
+    data = wave_parabola_system
+    if data.delta is None:
+        discriminant(data)
+    assert compare_discriminants(data.delta, el).verdict == "equal radicals (exact)"
     elapsed = time.time() - t0
     report(
         6,
         f"wave/parabola eliminant: {WAVE_PARABOLA_ELIMINANT_TERMS} terms and the recorded "
-        f"digest ({elapsed:.1f}s)",
+        f"digest, equal radicals with det M (exact) ({elapsed:.1f}s)",
     )
 
 

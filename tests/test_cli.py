@@ -84,6 +84,23 @@ class TestCommands:
         rays = json.loads((out1 / "verify_rays.json").read_text())
         assert rays["pass"] is True
 
+    def test_verify_discriminant_capped_falls_back_to_sampling(self, tmp_path):
+        # three S-pairs stop the wave/parabola eliminant long before it ends
+        spec = write_spec(
+            tmp_path,
+            {
+                "operator": "tau^2 - xi1^2 - xi2^2",
+                "front": "x1 + x2^2",
+                "options": {"powerP": 2, "seed": 1, "irreducible": True, "max_pairs": 3},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["verify-discriminant", "--spec", str(spec), "--out", str(out)]) == 0
+        rec = json.loads((out / "verify_discriminant.json").read_text())
+        assert rec["eliminant"] is None
+        assert rec["verdict"].startswith("capped: pairs/3;")
+        assert rec["detail"].startswith("10 projected critical points")
+
     def test_wavefront_artifacts_parse_back(self, tmp_path):
         spec = write_spec(tmp_path, M1_SPEC)
         out = tmp_path / "out"

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from lerayfront.brieskorn import GMMatrices, f_basis, gm_matrices, phi_basis
+from lerayfront.brieskorn import GMMatrices
 from lerayfront.errors import (
     CurvatureNonzeroError,
     DegenerateSystemError,
@@ -24,7 +24,6 @@ from lerayfront.errors import (
 )
 from lerayfront.gaussmanin import assemble_system, flatness_check
 from lerayfront.linalg import RationalMatrix
-from lerayfront.phase import build_mapping, build_phase, discover_weights, expand_phase
 from lerayfront.poly import MultiPoly
 
 
@@ -128,17 +127,6 @@ def test_zero_entries_of_l_weights(quadric_icis, quadric_system):
 def test_quadric_points_match(quadric_system, seed):
     _, data = quadric_system
     assert _new_points(data, 5, seed) == reference_flatness_points(data, 5, seed)
-
-
-@pytest.fixture(scope="module")
-def wave_parabola_system(wave_symbol):
-    ring = ("x1", "x2")
-    x1, x2 = (MultiPoly.variable(ring, v) for v in ring)
-    front = x1 + x2**2
-    icis = build_mapping(
-        expand_phase(build_phase(wave_symbol, front), front, discover_weights(front)), 2
-    )
-    return assemble_system(gm_matrices(icis, phi_basis(icis), f_basis(icis)), icis)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

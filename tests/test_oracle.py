@@ -10,6 +10,7 @@ from lerayfront.oracle import (
     eval_front_on_samples,
     sample_front,
     sample_level_set,
+    sampled_critical_containment,
 )
 from lerayfront.phase import HyperbolicSymbol
 from lerayfront.poly import MultiPoly
@@ -63,14 +64,58 @@ class TestEliminant:
         if data.delta is None:
             discriminant(data)
         cmp = compare_discriminants(data.delta, el, seed=17)
-        assert cmp.verdict == "mutual sampled containment"
+        assert cmp.verdict == "equal radicals (exact)"
 
-    def test_mismatch_witness(self):
+    def test_mismatch_witness(
+        self, quadric_icis, quadric_system, m1_cusp_icis, m1_cusp_system
+    ):
         y = ("y0",)
         y0 = MultiPoly.variable(y, "y0")
         one = MultiPoly.constant(y, 1)
-        with pytest.raises(MismatchError):
-            compare_discriminants(y0, [y0 - one])
+        _, quadric = quadric_system
+        _, m1_cusp = m1_cusp_system
+        for data in (quadric, m1_cusp):
+            if data.delta is None:
+                discriminant(data)
+        delta = quadric.delta
+        (g,) = critical_locus_eliminant(quadric_icis)
+        y1 = MultiPoly.variable(delta.ring, "y1")
+        top = max(delta.terms)
+        flipped = MultiPoly(delta.ring, {**delta.terms, top: -delta.terms[top]})
+        exact = "equal radicals (exact)"
+        # (case, delta, eliminant, verdict or MismatchError message)
+        table = [
+            ("univariate shift", y0, [y0 - one], "radical mismatch"),
+            ("quadric, one coefficient flipped", flipped, [g], "radical mismatch"),
+            ("quadric times y1^2, eliminant times y1", delta * y1**2, [g * y1], exact),
+            ("two generators", delta, [g, g * y1], "eliminant is not principal: 2 generators"),
+            ("m1/cusp", m1_cusp.delta, critical_locus_eliminant(m1_cusp_icis), exact),
+        ]
+        for case, d, el, expected in table:
+            if expected == exact:
+                assert compare_discriminants(d, el).verdict == exact, case
+                continue
+            with pytest.raises(MismatchError, match=expected) as err:
+                compare_discriminants(d, el)
+            if expected == "radical mismatch":
+                d_sf, e_sf = err.value.witness
+                assert d_sf != e_sf, case
+
+
+class TestSampledContainment:
+    def test_quadric_passes_and_perturbed_system_fails(self, quadric_icis, quadric_system):
+        _, data = quadric_system
+        rep = sampled_critical_containment(quadric_icis, data.M, count=10, seed=1)
+        assert rep.points == 10
+        assert rep.max_scaled_residual < 1e-8
+        # M has corank 2 on each critical line y1 = c y0, so a change of one
+        # entry (rank one) keeps det M = 0 there; M + y0 I does not.  It is
+        # still singular at y = 0, so only critical values off the origin
+        # can see it.
+        y0 = MultiPoly.variable(data.y_ring, "y0")
+        M = [[e + y0 if i == j else e for j, e in enumerate(row)] for i, row in enumerate(data.M)]
+        with pytest.raises(MismatchError, match="det M residual"):
+            sampled_critical_containment(quadric_icis, M, count=10, seed=1)
 
 
 class TestLevelSet:
