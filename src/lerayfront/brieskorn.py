@@ -12,6 +12,10 @@ Three computations live here, all exact:
   solving one graded piece at a time by exact linear algebra.  Every
   reduction returns a certificate that re-expands to the input identically.
 
+Both the f-basis search and the piece solves run on ``linalg.SparseEchelon``;
+a piece tags each column with its own coordinate, so a solve reads the
+coefficients off the tags of the reduced right-hand side.
+
 Every map with coordinate components (f_l = u_c) takes the collapse path:
 slices along the coordinate monomials are reduced against the restricted
 mapping on the remaining variables, and what each level leaves over is
@@ -35,7 +39,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .forms import DiffForm, EulerField, contract_euler, d_of_poly, exterior_d, wedge, wedge_all
-from .linalg import ColumnSolver
+from .linalg import SparseEchelon
 from .phase import IcisMap, critical_staircase
 # unused here, but perfbench's tracer test looks the name up on this module
 from .phase import critical_ideal_gens  # noqa: F401
@@ -85,38 +89,6 @@ def phi_basis(icis: IcisMap) -> PhiBasis:
     sv = sum(icis.var_weights)
     weights = [m.weight(icis.var_weights) + sv for m in sc.monomials]
     return PhiBasis(monomials=sc.monomials, mu=len(sc.monomials), weights=weights)
-
-
-class _Echelon:
-    """Incremental row echelon over sparse Fraction vectors (dict index -> value)."""
-
-    def __init__(self):
-        self.rows: dict[int, dict[int, Fraction]] = {}
-
-    def residual(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        vec = dict(vec)
-        while vec:
-            p = min(vec)
-            if p not in self.rows:
-                return vec
-            f = vec[p]
-            for i, v in self.rows[p].items():
-                s = vec.get(i, ZERO) - f * v
-                if s == 0:
-                    vec.pop(i, None)
-                else:
-                    vec[i] = s
-        return vec
-
-    def insert(self, vec: dict[int, Fraction]) -> bool:
-        """Reduce and keep if independent; True when the vector was new."""
-        r = self.residual(vec)
-        if not r:
-            return False
-        p = min(r)
-        pv = r[p]
-        self.rows[p] = {i: v / pv for i, v in r.items()}
-        return True
 
 
 def _restricted_map(icis: IcisMap):
@@ -246,7 +218,7 @@ class LatticeContext:
 
     def solver(self, coeff_weight: int) -> "_PieceSolver":
         if coeff_weight not in self._solvers:
-            self._solvers[coeff_weight] = _PieceSolver(self, coeff_weight)
+            self._solvers[coeff_weight] = _piece_solver(self, coeff_weight)
         return self._solvers[coeff_weight]
 
 
@@ -259,75 +231,85 @@ def _sort_sign(legs: Sequence[int]) -> int:
     return (-1) ** inv
 
 
-class _PieceSolver:
-    """Linear solver for one graded piece of the lattice decomposition.
+def _piece_solver(ctx: LatticeContext, coeff_weight: int) -> "_PieceSolver":
+    """The solver for one graded piece of the lattice decomposition.
 
     Unknowns: coefficients of f^beta phi_j du (for all y-monomials beta of
     matching weight) and of the modulus generators D ^ d(u^delta du_J).
     """
+    rows = monomials_of_weight(ctx.v, coeff_weight)
+    if len(rows) > ctx.max_piece:
+        raise ResourceLimitError(
+            f"graded piece of {len(rows)} monomials exceeds cap {ctx.max_piece}",
+            kind="graded-piece",
+            limit=ctx.max_piece,
+        )
+    solver = _PieceSolver({e: i for i, e in enumerate(rows)})
+    form_weight = coeff_weight + ctx.sum_v
+    for j, mono in enumerate(ctx.phi.monomials):
+        shift = form_weight - ctx.phi.weights[j]
+        if shift < 0:
+            continue
+        for beta in monomials_of_weight(ctx.p, shift):
+            poly = ctx.f_power(beta).mul_term(mono.exps, ONE)
+            solver.add_column(poly, ("phi", j, beta))
+    # modulus generators
+    eta_weight = form_weight - ctx.sum_p
+    for J in combinations(range(ctx.nvars), ctx.N - 1) if ctx.N >= 1 else []:
+        legs_w = sum(ctx.v[i] for i in J)
+        dw = eta_weight - legs_w
+        if dw < 0:
+            continue
+        for delta in monomials_of_weight(ctx.v, dw):
+            poly = ctx.modulus_vector_poly(delta, J)
+            if poly.is_zero():
+                continue
+            solver.add_column(poly, ("eta", J, delta))
+    return solver
 
-    def __init__(self, ctx: LatticeContext, coeff_weight: int):
-        self.ctx = ctx
-        self.coeff_weight = coeff_weight
-        rows = monomials_of_weight(ctx.v, coeff_weight)
-        if len(rows) > ctx.max_piece:
-            raise ResourceLimitError(
-                f"graded piece of {len(rows)} monomials exceeds cap {ctx.max_piece}",
-                kind="graded-piece",
-                limit=ctx.max_piece,
-            )
-        self.row_index = {e: i for i, e in enumerate(rows)}
-        self.columns: list[dict[int, Fraction]] = []
+
+class _PieceSolver:
+    """Exact solves in the span of polynomial columns over fixed row monomials.
+
+    Column j enters the echelon with a tag coordinate nrows + j of value 1
+    and is kept only while its residual has a row index as pivot.  A
+    right-hand side that reduces to tags alone is the column combination
+    whose coefficients are minus those tags.
+    """
+
+    def __init__(self, row_index: dict[tuple[int, ...], int]):
+        self.row_index = row_index
+        self.echelon = SparseEchelon()
         self.meta: list[tuple] = []
-        form_weight = coeff_weight + ctx.sum_v
-        for j, mono in enumerate(ctx.phi.monomials):
-            shift = form_weight - ctx.phi.weights[j]
-            if shift < 0:
-                continue
-            for beta in monomials_of_weight(ctx.p, shift):
-                poly = ctx.f_power(beta).mul_term(mono.exps, ONE)
-                self._add_column(poly, ("phi", j, beta))
-        # modulus generators
-        eta_weight = form_weight - ctx.sum_p
-        for J in combinations(range(ctx.nvars), ctx.N - 1) if ctx.N >= 1 else []:
-            legs_w = sum(ctx.v[i] for i in J)
-            dw = eta_weight - legs_w
-            if dw < 0:
-                continue
-            for delta in monomials_of_weight(ctx.v, dw):
-                poly = ctx.modulus_vector_poly(delta, J)
-                if poly.is_zero():
-                    continue
-                self._add_column(poly, ("eta", J, delta))
-        self.solver = ColumnSolver(self.columns, len(rows))
 
-    def _add_column(self, poly: MultiPoly, meta: tuple):
-        vec = {}
-        for e, c in poly.terms.items():
-            vec[self.row_index[e]] = c
-        self.columns.append(vec)
+    def add_column(self, poly: MultiPoly, meta: tuple):
+        nrows = len(self.row_index)
+        vec = {self.row_index[e]: c for e, c in poly.terms.items()}
+        vec[nrows + len(self.meta)] = ONE
+        r = self.echelon.residual(vec)
+        # a residual of tags alone is a kernel vector: keeping it would only
+        # slow every later reduction
+        if min(r) < nrows:
+            self.echelon.insert(r)
         self.meta.append(meta)
 
     def solve(self, target: MultiPoly):
+        """(phi part, eta part) of the combination equal to ``target``, or None."""
         rhs = {}
         for e, c in target.terms.items():
             if e not in self.row_index:
                 return None
             rhs[self.row_index[e]] = c
-        sol = self.solver.solve(rhs)
-        if sol is None:
+        nrows = len(self.row_index)
+        r = self.echelon.residual(rhs)
+        if r and min(r) < nrows:
             return None
         phi_part: dict[tuple[int, tuple[int, ...]], Fraction] = {}
         eta_part: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-        for c, meta in zip(sol, self.meta):
-            if c == 0:
-                continue
-            if meta[0] == "phi":
-                _, j, beta = meta
-                phi_part[(j, beta)] = phi_part.get((j, beta), ZERO) + c
-            else:
-                _, J, delta = meta
-                eta_part[(J, delta)] = eta_part.get((J, delta), ZERO) + c
+        for tag in sorted(r):
+            meta = self.meta[tag - nrows]
+            part = phi_part if meta[0] == "phi" else eta_part
+            part[meta[1:]] = -r[tag]
         return phi_part, eta_part
 
 
@@ -556,7 +538,7 @@ def _fbasis_graded(icis: IcisMap, mu: int, weight_cap: int):
                 index[(J, e)] = len(index)
         if not index:
             continue
-        ech = _Echelon()
+        ech = SparseEchelon()
 
         def vec_of(form: DiffForm) -> dict[int, Fraction]:
             out = {}

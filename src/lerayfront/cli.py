@@ -55,7 +55,7 @@ from .phase import (
     discover_weights,
     expand_phase,
 )
-from .wavefront import DET_FIRST_MAX_MU, front_polynomial, t_zero_check
+from .wavefront import front_polynomial, t_zero_check
 
 COMMANDS = (
     "check",
@@ -69,6 +69,9 @@ COMMANDS = (
     "verify-rays",
     "all",
 )
+# ``all`` runs the discriminant and the eliminant comparison only up to this
+# Milnor number; above it the symbolic det M and the elimination cost too much.
+DISCRIMINANT_MAX_MU = 6
 
 
 def _json_int(name: str, value) -> int:
@@ -360,7 +363,7 @@ class Pipeline:
             "squarefree": poly_to_json(fr.squarefree) if fr.squarefree is not None else None,
             "case": fr.case,
             "power": fr.power,
-            "strategy": fr.strategy,
+            "strategy": "substitute-first",
             "substitution": {k: poly_to_json(v) for k, v in fr.substitution.items()},
             "metadata": fr.metadata,
         }
@@ -455,7 +458,7 @@ class Pipeline:
         summary["milnor"] = self.cmd_milnor()["mu"]
         self.cmd_gm()
         mu = self.system().mu
-        if mu <= DET_FIRST_MAX_MU:
+        if mu <= DISCRIMINANT_MAX_MU:
             summary["discriminant"] = "computed"
             self.cmd_discriminant()
             summary["verify_discriminant"] = self.cmd_verify_discriminant()["verdict"]

@@ -27,6 +27,9 @@ from .linalg import det_int
 from .poly import MultiPoly
 
 ZERO = Fraction(0)
+# Most integer determinants one interpolation grid may take; the flagship
+# front's grid has 17,226 points.
+GRID_MAX_POINTS = 400_000
 
 
 def det_poly_matrix(M: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -84,7 +87,7 @@ def degree_bounds(M: Sequence[Sequence[MultiPoly]]) -> list[int]:
 def det_interpolate(
     M: Sequence[Sequence[MultiPoly]],
     bounds: Sequence[int],
-    max_points: int = 2_000_000,
+    max_points: int = GRID_MAX_POINTS,
 ) -> MultiPoly:
     """Determinant by grid evaluation and tensor Newton interpolation.
 

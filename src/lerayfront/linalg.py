@@ -2,7 +2,9 @@
 
 Everything works over ``fractions.Fraction``.  Solvers return certificates
 (particular solution plus nullspace basis) so callers can verify results by
-substitution.
+substitution.  ``SparseEchelon`` is the one sparse echelon: the f-basis
+search keeps independent forms in it, and each graded lattice piece solves
+its tagged columns with it (``brieskorn._PieceSolver``).
 """
 
 from __future__ import annotations
@@ -12,10 +14,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .errors import NoSolutionError, NotApplicableError
+from .errors import NoSolutionError, NotApplicableError, ResourceLimitError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# The rational root search lists the divisors of numbers up to this size;
+# above it only 1 and the number itself are tried.
+DIVISOR_SEARCH_MAX = 10**12
 
 
 @dataclass
@@ -182,55 +187,40 @@ def solve_linear_exact(A: RationalMatrix, b: Sequence[Fraction]) -> LinearSoluti
     return LinearSolution(particular=x, nullspace=null)
 
 
-class ColumnSolver:
-    """Reusable solver for systems sharing one coefficient matrix.
+class SparseEchelon:
+    """Incremental row echelon over sparse Fraction vectors (dict index -> value).
 
-    Columns are sparse dicts row-index -> Fraction.  The elimination is done
-    once; ``solve`` then answers membership of right-hand sides in the column
-    span, returning the coefficient vector or None.
+    Each kept row is scaled to 1 at its pivot, its smallest index.
     """
 
-    def __init__(self, columns: list[dict[int, Fraction]], nrows: int):
-        self.ncols = len(columns)
-        self.nrows = nrows
-        # rows of the reduced system over the augmented identity: each record
-        # is (pivot_row_index, dense_row_over_rows, dense_coeffs_over_cols)
-        self.reduced: list[tuple[int, dict[int, Fraction], list[Fraction]]] = []
-        for j, col in enumerate(columns):
-            vec = dict(col)
-            coeffs = [ZERO] * self.ncols
-            coeffs[j] = ONE
-            vec, coeffs = self._reduce(vec, coeffs)
-            if vec:
-                piv = min(vec)
-                pv = vec[piv]
-                vec = {i: v / pv for i, v in vec.items()}
-                coeffs = [c / pv for c in coeffs]
-                self.reduced.append((piv, vec, coeffs))
-                self.reduced.sort(key=lambda t: t[0])
+    def __init__(self):
+        self.rows: dict[int, dict[int, Fraction]] = {}
 
-    def _reduce(self, vec: dict[int, Fraction], coeffs: list[Fraction]):
-        for piv, pvec, pcoef in self.reduced:
-            if piv in vec:
-                f = vec[piv]
-                for i, v in pvec.items():
-                    s = vec.get(i, ZERO) - f * v
-                    if s == 0:
-                        vec.pop(i, None)
-                    else:
-                        vec[i] = s
-                for k in range(self.ncols):
-                    if pcoef[k]:
-                        coeffs[k] -= f * pcoef[k]
-        return vec, coeffs
+    def residual(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        """``vec`` reduced until its smallest index is not a pivot (or it is 0)."""
+        vec = dict(vec)
+        while vec:
+            p = min(vec)
+            if p not in self.rows:
+                return vec
+            f = vec[p]
+            for i, v in self.rows[p].items():
+                s = vec.get(i, ZERO) - f * v
+                if s == 0:
+                    vec.pop(i, None)
+                else:
+                    vec[i] = s
+        return vec
 
-    def solve(self, rhs: dict[int, Fraction]) -> list[Fraction] | None:
-        vec = dict(rhs)
-        coeffs = [ZERO] * self.ncols
-        vec, coeffs = self._reduce(vec, coeffs)
-        if vec:
-            return None
-        return [-c for c in coeffs]
+    def insert(self, vec: dict[int, Fraction]) -> bool:
+        """Reduce and keep if independent; True when the vector was new."""
+        r = self.residual(vec)
+        if not r:
+            return False
+        p = min(r)
+        pv = r[p]
+        self.rows[p] = {i: v / pv for i, v in r.items()}
+        return True
 
 
 def det_fraction(entries: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -339,6 +329,13 @@ def rational_eigenvalues(A: RationalMatrix, hints: Sequence[Fraction] = ()) -> l
                 if found is not None:
                     break
         if found is None:
+            if max(num0, den0) > DIVISOR_SEARCH_MAX:
+                raise ResourceLimitError(
+                    "rational root search capped: the divisors of a number above "
+                    f"{DIVISOR_SEARCH_MAX} were not all tried",
+                    kind="rational-roots",
+                    limit=DIVISOR_SEARCH_MAX,
+                )
             raise NotApplicableError(
                 "characteristic polynomial has non-rational roots; "
                 "exponents are not rational for this input"
@@ -362,8 +359,7 @@ def _divisors(n: int) -> list[int]:
     n = abs(n)
     if n == 0:
         return [0]
-    if n > 10**12:
-        # cap the search; callers treat failure as non-rational
+    if n > DIVISOR_SEARCH_MAX:
         return [1, n]
     out = set()
     d = 1

@@ -175,7 +175,7 @@ def scaled_residual(p: MultiPoly, values: dict[str, float]) -> float:
 @dataclass
 class DiscriminantComparison:
     verdict: str
-    detail: str = ""
+    detail: str
 
 
 def compare_discriminants(
@@ -186,8 +186,9 @@ def compare_discriminants(
     The elimination ideal of an ICIS discriminant is an unmixed height-one
     ideal of a polynomial ring, hence principal: one generator g.  The two
     hypersurfaces agree iff the squarefree parts of delta and g are equal
-    (``squarefree_part`` normalises both, ``seed`` drives its modular proof).
-    A gcd past its step or term budget raises ResourceLimitError.
+    (``squarefree_part`` normalises both, ``seed`` drives its modular proof);
+    ``detail`` then gives the radical's term count and total degree.  A gcd
+    past its step or term budget raises ResourceLimitError.
     """
     eliminant = [p for p in eliminant if not p.is_zero()]
     if not eliminant:
@@ -197,7 +198,10 @@ def compare_discriminants(
     d_sf = squarefree_part(delta, seed=seed)
     e_sf = squarefree_part(eliminant[0].rename_ring(delta.ring), seed=seed)
     if d_sf == e_sf:
-        return DiscriminantComparison(verdict="equal radicals (exact)")
+        return DiscriminantComparison(
+            verdict="equal radicals (exact)",
+            detail=f"radical has {len(d_sf.terms)} terms, total degree {d_sf.total_degree()}",
+        )
     raise MismatchError(
         f"radical mismatch: {d_sf.pretty()} vs {e_sf.pretty()}",
         witness=(d_sf.pretty(), e_sf.pretty()),

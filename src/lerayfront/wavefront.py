@@ -1,14 +1,14 @@
-"""Wavefront defining polynomial via substitution into the system discriminant.
+"""Wavefront defining polynomial via substitution into the system matrix.
 
 The front polynomial phi(x, t, s) is det M(y) evaluated along
 y0 = s, y1 = (-W_1 | 0) depending on the case, and y_i = W_i(x, t) through
-the recorded couplings.  The path is chosen by the Milnor number mu alone:
-up to DET_FIRST_MAX_MU the determinant is taken first (Bareiss); above it
-the substitution happens entry-wise, and the determinant of the substituted
-matrix is taken by Bareiss up to BAREISS_MAX_MU and above that by
-degree-probed grid interpolation (``detpoly.det_interpolate``) with an
-exact check at random rational points.  The grid and the probes evaluate
-the matrix through ``detpoly``'s one integer evaluator.
+the recorded couplings.  Ring maps commute with determinants, so the
+entries of M are substituted first for every Milnor number mu, and the
+determinant of the substituted matrix is taken by Bareiss up to
+BAREISS_MAX_MU and above that by degree-probed grid interpolation
+(``detpoly.det_interpolate``) with an exact check at random rational
+points.  The grid and the probes evaluate the matrix through ``detpoly``'s
+one integer evaluator.
 """
 
 from __future__ import annotations
@@ -21,16 +21,14 @@ from math import gcd
 from .detpoly import _det_values, _interp_1d, degree_bounds, det_bareiss, det_interpolate
 from .errors import MismatchError, ResourceLimitError, ZeroAfterSubstitutionError
 from .gcdtools import divide_monomial, monomial_content, squarefree_part
-from .gaussmanin import GaussManinData, discriminant
+from .gaussmanin import GaussManinData
 from .linalg import det_fraction
 from .phase import IcisMap
 from .poly import MultiPoly, poly_substitute
 
-# Size switches on the Milnor number mu = dim M(y).  Up to DET_FIRST_MAX_MU
-# det M(y) is taken symbolically before the substitution; above it the
-# entries are substituted first, and the determinant of the substituted
-# matrix is taken by Bareiss up to BAREISS_MAX_MU, by the probed grid above.
-DET_FIRST_MAX_MU = 6
+# Size switch on the Milnor number mu = dim M(y): the determinant of the
+# substituted matrix is taken by Bareiss up to BAREISS_MAX_MU, by the probed
+# grid above.
 BAREISS_MAX_MU = 8
 
 
@@ -44,7 +42,6 @@ class FrontResult:
     case: str
     substitution: dict[str, MultiPoly]
     power: int
-    strategy: str
     metadata: dict = field(default_factory=dict)
 
 
@@ -81,35 +78,20 @@ def front_polynomial(
     data: GaussManinData,
     icis: IcisMap,
     s_value: Fraction | None = None,
-    strategy: str = "auto",
     seed: int = 0,
-    max_grid: int = 400_000,
 ) -> FrontResult:
     """Pull the discriminant back along the front substitution and normalize.
 
-    ``strategy``: ``det-first`` computes det M(y) symbolically then
-    substitutes; ``substitute-first`` substitutes entry-wise and then takes
-    the determinant (Bareiss below the size threshold, otherwise probed
-    interpolation); ``auto`` picks by system size.  The command line always
-    runs ``auto``; the tests use the other two as reference paths.
+    The entries of M(y) are substituted first; the determinant of the
+    substituted matrix is then taken by Bareiss up to BAREISS_MAX_MU and by
+    probed interpolation above it.  ``data.delta`` is left untouched.
     """
     ring, bindings = front_substitution(icis, s_value)
-    if strategy == "auto":
-        strategy = "det-first" if data.mu <= DET_FIRST_MAX_MU else "substitute-first"
-    if strategy == "det-first":
-        if data.delta is None:
-            discriminant(data)
-        raw = poly_substitute(data.delta_raw, bindings)
-    elif strategy == "substitute-first":
-        M_sub = [
-            [poly_substitute(e, bindings) for e in row] for row in data.M
-        ]
-        if data.mu <= BAREISS_MAX_MU:
-            raw = det_bareiss(M_sub)
-        else:
-            raw = _det_probed_interpolation(M_sub, ring, seed=seed, max_grid=max_grid)
+    M_sub = [[poly_substitute(e, bindings) for e in row] for row in data.M]
+    if data.mu <= BAREISS_MAX_MU:
+        raw = det_bareiss(M_sub)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raw = _det_probed_interpolation(M_sub, ring, seed=seed)
     if raw.is_zero():
         raise ZeroAfterSubstitutionError(
             "discriminant pullback vanishes identically; raw system kept for diagnosis"
@@ -128,7 +110,6 @@ def front_polynomial(
         case=icis.case,
         substitution=bindings,
         power=icis.power,
-        strategy=strategy,
         metadata={
             "s": "symbolic" if s_value is None else str(Fraction(s_value)),
             "monomial_content": {v: k for v, k in zip(ring, monomial_content(phi)) if k},
@@ -162,43 +143,20 @@ def _peel_single_entries(M: list[list[MultiPoly]], ring):
     factor = MultiPoly.constant(ring, 1)
     sign = 1
     m = [list(row) for row in M]
-    changed = True
-    while changed and m:
-        changed = False
+    while m:
         n = len(m)
-        for i in range(n):
-            nz = [j for j in range(n) if not m[i][j].is_zero()]
-            if len(nz) == 0:
-                return MultiPoly.zero(ring), 1, []
-            if len(nz) == 1:
-                j = nz[0]
-                factor = factor * m[i][j]
-                sign *= (-1) ** (i + j)
-                m = [
-                    [m[r][c] for c in range(n) if c != j]
-                    for r in range(n)
-                    if r != i
-                ]
-                changed = True
-                break
-        if changed or not m:
-            continue
-        n = len(m)
-        for j in range(n):
-            nz = [i for i in range(n) if not m[i][j].is_zero()]
-            if len(nz) == 0:
-                return MultiPoly.zero(ring), 1, []
-            if len(nz) == 1:
-                i = nz[0]
-                factor = factor * m[i][j]
-                sign *= (-1) ** (i + j)
-                m = [
-                    [m[r][c] for c in range(n) if c != j]
-                    for r in range(n)
-                    if r != i
-                ]
-                changed = True
-                break
+        rows = [[j for j in range(n) if not m[i][j].is_zero()] for i in range(n)]
+        cols = [[i for i in range(n) if not m[i][j].is_zero()] for j in range(n)]
+        if not all(rows) or not all(cols):
+            return MultiPoly.zero(ring), 1, []
+        single = [(i, nz[0]) for i, nz in enumerate(rows) if len(nz) == 1]
+        single += [(nz[0], j) for j, nz in enumerate(cols) if len(nz) == 1]
+        if not single:
+            break
+        i, j = single[0]
+        factor = factor * m[i][j]
+        sign *= (-1) ** (i + j)
+        m = [[m[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
     return factor, sign, m
 
 
@@ -206,8 +164,6 @@ def _det_probed_interpolation(
     M_sub: list[list[MultiPoly]],
     ring: tuple[str, ...],
     seed: int = 0,
-    max_grid: int = 400_000,
-    verify_points: int = 4,
 ) -> MultiPoly:
     """Determinant of a substituted matrix by probed-degree interpolation.
 
@@ -215,7 +171,7 @@ def _det_probed_interpolation(
     per-variable degrees of the remaining determinant are discovered along
     random axis-parallel lines (twice, max taken), the grid is evaluated
     exactly, and the interpolant is verified against determinants of the
-    entries evaluated directly (``eval_exact``, ``det_fraction``) at extra
+    entries evaluated directly (``eval_exact``, ``det_fraction``) at four
     random points, falling back to safe degree bounds on a verification
     failure.
     """
@@ -224,21 +180,21 @@ def _det_probed_interpolation(
     if not core:
         return factor.scale(sign)
     parity = _variable_parity(core, ring)
-    compressed, cring = _compress_exponents(core, ring, parity)
+    compressed = _compress_exponents(core, ring, parity)
     safe = degree_bounds(compressed)
-    bounds = _probe_degrees(compressed, cring, rng, safe)
+    bounds = _probe_degrees(compressed, ring, rng, safe)
     bounds = [min(b, s) for b, s in zip(bounds, safe)]
-    det = det_interpolate(compressed, bounds, max_points=max_grid)
-    for _ in range(verify_points):
-        pt = {v: Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for v in cring}
+    det = det_interpolate(compressed, bounds)
+    for _ in range(4):
+        pt = {v: Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for v in ring}
         direct = det_fraction([[p.eval_exact(pt) for p in row] for row in compressed])
         if det.eval_exact(pt) != direct:
             try:
-                det = det_interpolate(compressed, safe, max_points=max_grid)
-            except ResourceLimitError:
+                det = det_interpolate(compressed, safe)
+            except ResourceLimitError as err:
                 raise MismatchError(
                     "probed interpolation failed verification and safe bounds "
-                    f"exceed the grid cap {max_grid}"
+                    f"exceed the grid cap {err.limit}"
                 ) from None
             break
     det = _decompress_exponents(det, ring, parity)
@@ -247,7 +203,7 @@ def _det_probed_interpolation(
 
 def _compress_exponents(M_sub, ring, parity):
     if all(g == 1 for g in parity):
-        return M_sub, ring
+        return M_sub
     out = []
     for row in M_sub:
         new_row = []
@@ -257,7 +213,7 @@ def _compress_exponents(M_sub, ring, parity):
                 terms[tuple(x // g for x, g in zip(e, parity))] = c
             new_row.append(MultiPoly(ring, terms))
         out.append(new_row)
-    return out, ring
+    return out
 
 
 def _decompress_exponents(p: MultiPoly, ring, parity) -> MultiPoly:

@@ -151,6 +151,5 @@ def wave_cusp_front(wave_cusp_pipeline):
         wave_cusp_pipeline["data"],
         wave_cusp_pipeline["icis"],
         s_value=Fraction(1),
-        strategy="substitute-first",
         seed=0,
     )

@@ -1,17 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lerayfront.brieskorn import (
     LatticeContext,
     PhiBasis,
     _fbasis_graded,
+    _PieceSolver,
     f_basis,
     gm_matrices,
     phi_basis,
     reduce_in_lattice,
 )
-from lerayfront.errors import ReductionNoSolutionError
+from lerayfront.errors import NoSolutionError, ReductionNoSolutionError
 from lerayfront.forms import DiffForm, exterior_d, wedge
 from lerayfront.phase import (
     HyperbolicSymbol,
@@ -21,6 +24,7 @@ from lerayfront.phase import (
     expand_phase,
     make_icis,
 )
+from lerayfront.linalg import RationalMatrix, solve_linear_exact
 from lerayfront.poly import MultiPoly
 
 
@@ -210,3 +214,43 @@ class TestGMMatrices:
     def test_dim_phi_equals_dim_f(self, cusp_icis, a1_icis, a4_icis, quadric_icis):
         for icis in (cusp_icis, a1_icis, a4_icis, quadric_icis):
             assert phi_basis(icis).mu == len(f_basis(icis).forms)
+
+
+NROWS = 5
+sparse_vector = st.dictionaries(st.integers(0, NROWS - 1), st.integers(-3, 3), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(sparse_vector, max_size=6),
+    sparse_vector,
+    st.lists(st.integers(-2, 2), max_size=6),
+)
+def test_piece_solver_solves_exactly_in_the_column_span(columns, extra, weights):
+    # right-hand side: a combination of the columns plus a random sparse
+    # vector, so both members and non-members of the span come up
+    b = [Fraction(extra.get(i, 0)) for i in range(NROWS)]
+    for col, w in zip(columns, weights):
+        for i, c in col.items():
+            b[i] += w * c
+    ring = ("u",)
+    solver = _PieceSolver({(i,): i for i in range(NROWS)})
+    for j, col in enumerate(columns):
+        solver.add_column(
+            MultiPoly(ring, {(i,): Fraction(c) for i, c in col.items()}), ("phi", j, ())
+        )
+    res = solver.solve(MultiPoly(ring, {(i,): c for i, c in enumerate(b)}))
+    A = RationalMatrix.from_rows(
+        [[Fraction(col.get(i, 0)) for col in columns] for i in range(NROWS)]
+    )
+    try:
+        solve_linear_exact(A, b)
+        in_span = True
+    except NoSolutionError:
+        in_span = False
+    assert (res is not None) == in_span
+    if res is not None:
+        phi_part, eta_part = res
+        assert not eta_part
+        x = [phi_part.get((j, ()), Fraction(0)) for j in range(len(columns))]
+        assert A.matvec(x) == b

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lerayfront.errors import NoSolutionError
+from lerayfront.errors import NoSolutionError, ResourceLimitError
 from lerayfront.linalg import (
     RationalMatrix,
     char_poly,
@@ -91,3 +91,12 @@ def test_char_poly_and_eigenvalues():
 def test_eigenvalues_with_hints():
     A = RationalMatrix.from_rows([[5, 1], [0, 5]])
     assert rational_eigenvalues(A, hints=[Fraction(5)]) == [5, 5]
+
+
+def test_capped_root_search_is_a_resource_limit():
+    # det = 2 * (10^13 + 37) is past the divisor search, so neither integer
+    # eigenvalue is found; that must not read as "non-rational roots"
+    A = RationalMatrix.from_rows([[10**13 + 37, 0], [0, 2]])
+    with pytest.raises(ResourceLimitError) as err:
+        rational_eigenvalues(A)
+    assert err.value.kind == "rational-roots" and err.value.exit_code == 14

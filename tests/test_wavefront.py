@@ -68,19 +68,39 @@ class TestSubstitution:
 
     def test_round_trip_on_det_first(self, m1_pipeline):
         F, icis, data = m1_pipeline
-        fr = front_polynomial(data, icis, s_value=None, strategy="det-first")
+        discriminant(data)
+        fr = front_polynomial(data, icis, s_value=None)
         redo = poly_substitute(data.delta_raw, fr.substitution)
         assert redo == fr.raw
 
 
+def _m1_parabola_system():
+    """The first-order operator tau over x1 + x2^2, power 2 (a fresh system)."""
+    R = ("x1", "x2")
+    F = MultiPoly.variable(R, "x1") + MultiPoly.variable(R, "x2") ** 2
+    P = HyperbolicSymbol.from_poly(MultiPoly.variable(SR, "tau"))
+    icis = build_mapping(expand_phase(build_phase(P, F), F, discover_weights(F)), 2)
+    from lerayfront.brieskorn import gm_matrices
+    from lerayfront.gaussmanin import assemble_system
+
+    return icis, assemble_system(gm_matrices(icis), icis)
+
+
 class TestFrontPolynomial:
-    def test_strategies_agree(self, m1_pipeline):
-        F, icis, data = m1_pipeline
-        fr1 = front_polynomial(data, icis, s_value=Fraction(1), strategy="det-first")
-        fr2 = front_polynomial(
-            data, icis, s_value=Fraction(1), strategy="substitute-first"
-        )
-        assert fr1.phi == fr2.phi
+    def test_strategies_agree(self, wave_parabola_icis, wave_parabola_system):
+        # det M(y) pulled back must equal the determinant of the pulled-back M
+        for icis, data in (_m1_parabola_system(), (wave_parabola_icis, wave_parabola_system)):
+            discriminant(data)
+            for s_value in (Fraction(1), None):
+                fr = front_polynomial(data, icis, s_value=s_value)
+                _, bindings = front_substitution(icis, s_value)
+                assert fr.phi == poly_substitute(data.delta_raw, bindings).primitive_part()
+
+    def test_leaves_the_discriminant_alone(self):
+        icis, data = _m1_parabola_system()
+        assert data.mu <= 6
+        front_polynomial(data, icis, s_value=Fraction(1))
+        assert data.delta is None and data.delta_raw is None
 
     def test_normalization_idempotent(self, m1_pipeline):
         F, icis, data = m1_pipeline
@@ -162,7 +182,7 @@ class TestCase1EndToEnd:
         icis = build_mapping(exp, 3)
         gm = gm_matrices(icis)
         data = assemble_system(gm, icis)
-        fr = front_polynomial(data, icis, s_value=None, strategy="det-first")
+        fr = front_polynomial(data, icis, s_value=None)
         ring = fr.phi.ring
         level = (
             MultiPoly.variable(ring, "x2") ** 2
@@ -240,7 +260,6 @@ class TestTZero:
             case="case2",
             substitution={},
             power=2,
-            strategy="det-first",
         )
         rep = t_zero_check(bogus, F, Fraction(1), samples=10, seed=3)
         assert rep.max_scaled_residual > 0.5
@@ -259,7 +278,6 @@ class TestTZero:
             case=fr.case,
             substitution={},
             power=2,
-            strategy="det-first",
         )
         rep = t_zero_check(bogus, F, Fraction(1), samples=25, seed=3)
         assert rep.samples == 25
