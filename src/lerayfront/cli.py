@@ -4,6 +4,11 @@ A problem file is JSON with an ``operator`` expression in (tau, xi1..xin),
 a ``front`` expression in (x1..xn), and an ``options`` block.  Commands
 cover individual pipeline stages plus ``all`` for the end-to-end run; every
 structured error maps to a documented nonzero exit code.
+
+``verify-discriminant`` compares det M with the eliminant of the critical
+locus.  When a resource cap stops the eliminant or the gcd, it compares
+them on two seeded lines instead (``oracle.line_check``); both verdicts are
+exact, and a cap hit on the lines is exit 14.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,8 +47,8 @@ from .oracle import (
     compare_discriminants,
     critical_locus_eliminant,
     eval_front_on_samples,
+    line_check,
     sample_front,
-    sampled_critical_containment,
 )
 from .parser import parse_poly, poly_to_text
 from .phase import (
@@ -70,7 +76,8 @@ COMMANDS = (
     "all",
 )
 # ``all`` runs the discriminant and the eliminant comparison only up to this
-# Milnor number; above it the symbolic det M and the elimination cost too much.
+# Milnor number; above it the symbolic det M and the elimination cost too
+# much, and summary.json records both stages as skipped.
 DISCRIMINANT_MAX_MU = 6
 
 
@@ -311,7 +318,7 @@ class Pipeline:
         dump_json(rec, self.out / "milnor.json")
         return rec
 
-    def cmd_gm(self, with_delta: bool = False):
+    def cmd_gm(self):
         data = self.system()
         rec = {
             "mu": data.mu,
@@ -396,19 +403,12 @@ class Pipeline:
                 "detail": cmp.detail,
             }
         except ResourceLimitError as err:
-            rep = sampled_critical_containment(
-                icis, data.M, count=10, seed=self.pb.seed, tol=1e-8
-            )
+            rep = line_check(icis, data.M, self.pb.seed)
             rec = {
                 "eliminant": None,
-                "verdict": (
-                    f"capped: {err.kind}/{err.limit}; "
-                    "sampled critical values lie on det M = 0"
-                ),
-                "detail": (
-                    f"{rep.points} projected critical points, max residual "
-                    f"{rep.max_scaled_residual:.2e} ({err})"
-                ),
+                "verdict": f"capped: {err.kind}/{err.limit}; {rep.verdict}",
+                "detail": str(err),
+                "lines": [asdict(line) for line in rep.lines],
             }
         dump_json(rec, self.out / "verify_discriminant.json")
         return rec
@@ -462,6 +462,9 @@ class Pipeline:
             summary["discriminant"] = "computed"
             self.cmd_discriminant()
             summary["verify_discriminant"] = self.cmd_verify_discriminant()["verdict"]
+        else:
+            skipped = f"skipped: mu {mu} > {DISCRIMINANT_MAX_MU}"
+            summary["discriminant"] = summary["verify_discriminant"] = skipped
         front = self.cmd_wavefront()
         summary["front_terms"] = len(front["phi"]["terms"])
         if self.pb.s_value is not None:

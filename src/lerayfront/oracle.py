@@ -1,12 +1,14 @@
-"""Independent verification: elimination-ideal critical loci and ray sampling.
+"""Independent verification: the critical-value locus and ray sampling.
 
 Nothing here touches the lattice machinery.  The critical-value locus comes
 from Groebner elimination on the graph-plus-minors ideal and is compared
-with det M exactly, by squarefree parts; front points come from numerically
-integrated characteristic rays (straight lines, constant coefficients).
-Float containment sampling of critical values on det M = 0 is only the
-fallback for when a resource cap stops the eliminant or the gcd.  Agreement
-of the two sides with the discriminant pipeline is the package's end-to-end
+with det M exactly, by squarefree parts.  When a resource cap stops the
+eliminant or the gcd, both sides are restricted to seeded integer lines
+instead (``line_check``): det M on the line against the minimal polynomial
+of the line parameter on the zero-dimensional critical quotient, again
+compared exactly.  Front points come from numerically integrated
+characteristic rays (straight lines, constant coefficients).  Agreement of
+the two sides with the discriminant pipeline is the package's end-to-end
 correctness evidence.
 """
 
@@ -19,13 +21,59 @@ from typing import Sequence
 
 import numpy as np
 
+from .detpoly import det_bareiss
 from .errors import MismatchError
-from .groebner import eliminate
+from .gcdtools import squarefree_part
+from .groebner import (
+    GREVLEX,
+    GroebnerBasis,
+    eliminate,
+    groebner,
+    normal_form,
+    standard_monomials,
+)
+from .linalg import RationalMatrix, solve_linear_exact
 from .phase import HyperbolicSymbol, IcisMap, maximal_minors
 from .poly import MultiPoly, poly_substitute
-from .gcdtools import squarefree_part
 
 ZERO = Fraction(0)
+# line_check restricts to this many seeded lines y = a + b*tau, with the
+# integer entries of a and b drawn from [-LINE_RANGE, LINE_RANGE].
+LINE_COUNT = 2
+LINE_RANGE = 9
+
+
+def critical_ideal(
+    icis: IcisMap, images: Sequence[MultiPoly]
+) -> tuple[list[MultiPoly], list[str]]:
+    """<f_l - y_l> + <maximal Jacobian minors>, with y_l bound to images[l].
+
+    The images share one ring T; the generators live in the u variables
+    that are not coordinate components, followed by T.  A coordinate
+    component f_l = u_c binds u_c to images[l] exactly (its generator
+    vanishes), which shrinks the ideal to the essential variables.  Returns
+    the generators and the names of those u variables.
+    """
+    ring = icis.ring
+    coords = icis.coordinate_components()
+    coord_vars = {c: l for l, c in coords}
+    coord_comps = {l for l, _ in coords}
+    rest = [ring[i] for i in range(len(ring)) if i not in coord_vars]
+    target = tuple(rest) + images[0].ring
+    lifted = [y.rename_ring(target) for y in images]
+    bindings = {
+        v: lifted[coord_vars[i]] if i in coord_vars else MultiPoly.variable(target, v)
+        for i, v in enumerate(ring)
+    }
+    gens = [
+        poly_substitute(f, bindings) - lifted[l]
+        for l, f in enumerate(icis.components)
+        if l not in coord_comps
+    ]
+    for m in maximal_minors(icis.jacobian(), ring):
+        if not m.is_zero():
+            gens.append(poly_substitute(m, bindings))
+    return gens, rest
 
 
 def critical_locus_eliminant(
@@ -34,36 +82,9 @@ def critical_locus_eliminant(
     max_degree: int = 60,
     max_poly_terms: int = 30_000,
 ) -> list[MultiPoly]:
-    """Eliminate u from <f_l - y_l> + <maximal Jacobian minors>.
-
-    Coordinate components are substituted away first (u_c = y_l exactly),
-    which shrinks the elimination to the essential variables.
-    """
-    ring = icis.ring
+    """Eliminate u from the critical ideal with y_l left as variables."""
     y_names = icis.y_names()
-    coords = icis.coordinate_components()
-    coord_vars = {c: l for l, c in coords}
-    rest = [i for i in range(len(ring)) if i not in coord_vars]
-    mixed_ring = tuple(ring[i] for i in rest) + y_names
-    bindings = {}
-    for i in range(len(ring)):
-        if i in coord_vars:
-            bindings[ring[i]] = MultiPoly.variable(mixed_ring, f"y{coord_vars[i]}")
-        else:
-            bindings[ring[i]] = MultiPoly.variable(mixed_ring, ring[i])
-
-    gens: list[MultiPoly] = []
-    coord_comps = {l for l, _ in coords}
-    for l, f in enumerate(icis.components):
-        if l in coord_comps:
-            continue  # f_l - y_l became y_l - y_l = 0 after substitution
-        g = poly_substitute(f, bindings) - MultiPoly.variable(mixed_ring, f"y{l}")
-        gens.append(g)
-    for m in maximal_minors(icis.jacobian(), ring):
-        if m.is_zero():
-            continue
-        gens.append(poly_substitute(m, bindings))
-    drop = [ring[i] for i in rest]
+    gens, drop = critical_ideal(icis, [MultiPoly.variable(y_names, y) for y in y_names])
     out = eliminate(
         gens, drop, max_pairs=max_pairs, max_degree=max_degree, max_poly_terms=max_poly_terms
     )
@@ -71,95 +92,81 @@ def critical_locus_eliminant(
 
 
 @dataclass
-class SampledContainment:
-    points: int
-    max_scaled_residual: float
-    attempted: int
+class LineResult:
+    """One seeded line y = a + b*tau: quotient dimension and radical degree."""
+
+    a: list[int]
+    b: list[int]
+    quotient_dimension: int
+    radical_degree: int
 
 
-def sampled_critical_containment(
-    icis: IcisMap,
-    M: list[list[MultiPoly]],
-    count: int = 12,
-    seed: int = 23,
-    tol: float = 1e-8,
-) -> SampledContainment:
-    """Critical values of the mapping must lie on {det M(y) = 0}: sampled check.
+@dataclass
+class LineCheck:
+    verdict: str
+    lines: list[LineResult]
 
-    Random starts are projected onto the critical set (all maximal Jacobian
-    minors zero) by Gauss-Newton on the stacked system, pushed forward
-    through the mapping, and det M is evaluated there.  The stack also holds
-    |u|^2 = |u_start|^2: the minors of a quasihomogeneous map are weighted
-    homogeneous, so without it each Gauss-Newton step shrinks u toward the
-    origin and det M is tested only at y = 0.  This is the fallback oracle
-    when the elimination ideal or the gcd is out of reach.
+
+def line_check(icis: IcisMap, M: list[list[MultiPoly]], seed: int) -> LineCheck:
+    """det M against the critical values, both restricted to seeded lines.
+
+    On each line y = a + b*tau (integer a, b drawn from [-LINE_RANGE,
+    LINE_RANGE] by ``seed``) one side is det M(a + b*tau), a univariate
+    determinant by Bareiss.  The other is the minimal polynomial of tau on
+    the zero-dimensional quotient by the critical ideal with y = a + b*tau:
+    its roots are the critical values on the line, since f is finite on the
+    critical locus of an ICIS.  The two radicals must be equal
+    (``compare_discriminants``); a wrong det M agrees with the critical
+    values on a random line only on a proper subvariety of lines.  Caps
+    are groebner's defaults and raise ResourceLimitError.
     """
     rng = random.Random(seed)
-    ring = icis.ring
-    minors = [q for q in maximal_minors(icis.jacobian(), ring) if not q.is_zero()]
-    grads = {
-        i: [q.partial(v) for v in ring] for i, q in enumerate(minors)
-    }
-    n = len(ring)
-    found = 0
-    attempted = 0
-    worst = 0.0
-    while found < count and attempted < 60 * count:
-        attempted += 1
-        u = np.array([rng.uniform(-1.5, 1.5) for _ in range(n)])
-        radius2 = float(np.dot(u, u))
-        ok = False
-        for _ in range(60):
-            vals = {v: u[i] for i, v in enumerate(ring)}
-            r = np.array([q.eval_float(vals) for q in minors] + [float(np.dot(u, u)) - radius2])
-            if float(np.max(np.abs(r))) < 1e-13:
-                ok = True
-                break
-            J = np.array(
-                [[g.eval_float(vals) for g in grads[i]] for i in range(len(minors))]
-                + [list(2 * u)]
-            )
-            try:
-                step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
-                break
-            u = u + step
-            if float(np.max(np.abs(u))) > 1e3:
-                break
-        if not ok:
-            continue
-        vals = {v: u[i] for i, v in enumerate(ring)}
-        yv = {f"y{l}": f.eval_float(vals) for l, f in enumerate(icis.components)}
-        det = float(
-            np.linalg.det(
-                np.array([[e.eval_float(yv) for e in row] for row in M], dtype=float)
-            )
-        )
-        res = abs(det) / _det_scale(M, yv)
-        worst = max(worst, res)
-        found += 1
-        if res > tol:
-            raise MismatchError(
-                f"det M residual {res:.2e} at sampled critical value",
-                witness=tuple(sorted(yv.items())),
-            )
-    return SampledContainment(points=found, max_scaled_residual=worst, attempted=attempted)
+    K = icis.K
+    y_names = icis.y_names()
+    tau = MultiPoly.variable(("tau",), "tau")
+    lines = []
+    for _ in range(LINE_COUNT):
+        a = [rng.randint(-LINE_RANGE, LINE_RANGE) for _ in range(K)]
+        b = [0] * K
+        while not any(b):
+            b = [rng.randint(-LINE_RANGE, LINE_RANGE) for _ in range(K)]
+        images = [tau.scale(bl) + MultiPoly.constant(tau.ring, al) for al, bl in zip(a, b)]
+        on_line = dict(zip(y_names, images))
+        det = det_bareiss([[poly_substitute(e, on_line) for e in row] for row in M])
+        gb = groebner(critical_ideal(icis, images)[0], GREVLEX)
+        minpoly, dimension = _minimal_polynomial(gb, "tau")
+        try:
+            cmp = compare_discriminants(det, [minpoly], seed=seed)
+        except MismatchError as err:
+            raise MismatchError(f"on the line y = {a} + {b}*tau: {err}", witness=err.witness)
+        lines.append(LineResult(a, b, dimension, cmp.degree))
+    return LineCheck(f"equal radicals on {LINE_COUNT} seeded lines (exact)", lines)
 
 
-def _det_scale(M: list[list[MultiPoly]], yv: dict) -> float:
-    """Row-wise coefficient-norm and magnitude bound for |det M| at a point."""
-    mag = max([1.0] + [abs(float(v)) for v in yv.values()])
-    scale = 1.0
-    for row in M:
-        row_norm = max(
-            float(sum(abs(c) for c in p.terms.values())) if p.terms else 0.0
-            for p in row
+def _minimal_polynomial(gb: GroebnerBasis, var: str) -> tuple[MultiPoly, int]:
+    """Minimal polynomial of var on a zero-dimensional quotient, and its dimension D.
+
+    The normal forms of 1, var, ..., var^D are D + 1 vectors on the
+    staircase; the first dependency among them (the first nullspace vector
+    of the reduced echelon form) is the monic minimal polynomial.
+    """
+    staircase = standard_monomials(gb)
+    if not staircase.finite:
+        raise MismatchError(
+            f"line ideal is not zero-dimensional (unbounded in {staircase.witness_variable})"
         )
-        row_deg = max(p.total_degree() for p in row)
-        scale *= max(row_norm, 1e-30) * mag**row_deg
-    return max(scale, 1e-300)
+    rows = [m.exps for m in staircase.monomials]
+    x = MultiPoly.variable(gb.ring, var)
+    power = MultiPoly.constant(gb.ring, 1)
+    columns = []
+    for _ in range(len(rows) + 1):
+        power = normal_form(power, gb)
+        columns.append(power.terms)
+        power = power * x
+    entries = [[col.get(e, ZERO) for col in columns] for e in rows]
+    A = RationalMatrix(len(rows), len(columns), entries)
+    v = solve_linear_exact(A, [ZERO] * len(rows)).nullspace[0]
+    return MultiPoly((var,), {(k,): c for k, c in enumerate(v) if c}), len(rows)
 
 
 def scaled_residual(p: MultiPoly, values: dict[str, float]) -> float:
@@ -176,6 +183,7 @@ def scaled_residual(p: MultiPoly, values: dict[str, float]) -> float:
 class DiscriminantComparison:
     verdict: str
     detail: str
+    degree: int
 
 
 def compare_discriminants(
@@ -187,8 +195,9 @@ def compare_discriminants(
     ideal of a polynomial ring, hence principal: one generator g.  The two
     hypersurfaces agree iff the squarefree parts of delta and g are equal
     (``squarefree_part`` normalises both, ``seed`` drives its modular proof);
-    ``detail`` then gives the radical's term count and total degree.  A gcd
-    past its step or term budget raises ResourceLimitError.
+    ``detail`` then gives the radical's term count and total degree
+    (``degree``).  A gcd past its step or term budget raises
+    ResourceLimitError.
     """
     eliminant = [p for p in eliminant if not p.is_zero()]
     if not eliminant:
@@ -201,6 +210,7 @@ def compare_discriminants(
         return DiscriminantComparison(
             verdict="equal radicals (exact)",
             detail=f"radical has {len(d_sf.terms)} terms, total degree {d_sf.total_degree()}",
+            degree=d_sf.total_degree(),
         )
     raise MismatchError(
         f"radical mismatch: {d_sf.pretty()} vs {e_sf.pretty()}",

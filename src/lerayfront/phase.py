@@ -31,7 +31,7 @@ from .errors import (
 from .groebner import GREVLEX, Staircase, groebner, standard_monomials
 from .linalg import RationalMatrix, solve_linear_exact
 from .poly import Monomial, MultiPoly, poly_substitute, weighted_graded_parts
-from .univariate import count_real_roots, is_squarefree
+from .univariate import degree, real_roots_of_chain, sturm_chain
 
 ONE = Fraction(1)
 
@@ -177,8 +177,10 @@ def check_strict_hyperbolicity(
 ) -> dict:
     """Sample nonzero rational xi and verify m distinct real tau-roots exactly.
 
-    Sturm sequences decide the real-root count; a squarefree check rules out
-    collisions.  Passing is a necessary-condition verdict, not a proof.
+    One Sturm chain decides both: its last element is gcd(p, p') up to a
+    constant, so positive degree there means a repeated root, and the chain
+    counts the distinct real roots.  Passing is a necessary-condition
+    verdict, not a proof.
     """
     rng = random.Random(seed)
     checked = 0
@@ -191,11 +193,12 @@ def check_strict_hyperbolicity(
         coeffs = [Fraction(0)] * (P.m + 1)
         for e, c in spec.terms.items():
             coeffs[e[0]] += c
-        if not is_squarefree(coeffs):
+        chain = sturm_chain(coeffs)
+        if degree(chain[-1]) > 0:
             raise HyperbolicityError(
                 f"repeated characteristic roots at xi = {xi}", witness=xi
             )
-        if count_real_roots(coeffs) != P.m:
+        if real_roots_of_chain(chain) != P.m:
             raise HyperbolicityError(
                 f"complex characteristic roots at xi = {xi}", witness=xi
             )

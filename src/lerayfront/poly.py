@@ -235,9 +235,9 @@ class MultiPoly:
 
     # -- structure -----------------------------------------------------
 
-    def sorted_terms(self, key: Callable = grevlex_key, reverse: bool = True):
-        """Terms in a canonical order (grevlex descending by default)."""
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
+    def sorted_terms(self):
+        """Terms in the canonical order, grevlex descending."""
+        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
     def leading(self, key: Callable = grevlex_key) -> tuple[Exponents, Fraction]:
         e = max(self.terms, key=key)
@@ -291,14 +291,12 @@ class MultiPoly:
             den = den * c.denominator // gcd(den, c.denominator)
         return Fraction(num, den)
 
-    def primitive_part(self, positive_leading: bool = True, key: Callable = grevlex_key) -> "MultiPoly":
+    def primitive_part(self) -> "MultiPoly":
+        """Integer coprime coefficients, positive grevlex-leading coefficient."""
         if not self.terms:
             return self
-        c = self.content()
-        p = self.scale(1 / c)
-        if positive_leading and p.leading(key)[1] < 0:
-            p = -p
-        return p
+        p = self.scale(1 / self.content())
+        return -p if p.leading()[1] < 0 else p
 
     # -- evaluation and substitution ------------------------------------
 

@@ -51,20 +51,6 @@ def poly_rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return r
 
 
-def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a = trim([Fraction(x) for x in a])
-    b = trim([Fraction(x) for x in b])
-    while degree(b) >= 0:
-        a, b = b, poly_rem(a, b)
-    if degree(a) >= 0:
-        a = [c / a[degree(a)] for c in a]
-    return a
-
-
-def is_squarefree(p: Sequence[Fraction]) -> bool:
-    return degree(poly_gcd(p, derivative(p))) <= 0
-
-
 def sturm_chain(p: Sequence[Fraction]) -> list[list[Fraction]]:
     chain = [trim([Fraction(x) for x in p]), derivative(p)]
     while degree(chain[-1]) > 0:
@@ -91,11 +77,8 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def count_real_roots(p: Sequence[Fraction]) -> int:
-    """Number of distinct real roots, exactly, via Sturm's theorem."""
-    if degree(p) <= 0:
-        return 0
-    chain = sturm_chain(p)
+def real_roots_of_chain(chain: list[list[Fraction]]) -> int:
+    """Number of distinct real roots of chain[0], exactly, by Sturm's theorem."""
     at_neg = _variations([_sign_at_inf(c, positive=False) for c in chain])
     at_pos = _variations([_sign_at_inf(c, positive=True) for c in chain])
     return at_neg - at_pos

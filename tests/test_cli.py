@@ -83,9 +83,14 @@ class TestCommands:
             assert b1 == b2, f"{name} not byte-identical"
         rays = json.loads((out1 / "verify_rays.json").read_text())
         assert rays["pass"] is True
+        # Milnor number 9 is above DISCRIMINANT_MAX_MU = 6
+        summary = json.loads((out1 / "summary.json").read_text())
+        assert summary["discriminant"] == summary["verify_discriminant"] == "skipped: mu 9 > 6"
+        assert not (out1 / "verify_discriminant.json").exists()
 
-    def test_verify_discriminant_capped_falls_back_to_sampling(self, tmp_path):
-        # three S-pairs stop the wave/parabola eliminant long before it ends
+    def test_verify_discriminant_capped_falls_back_to_sampling(self, tmp_path, monkeypatch):
+        # three S-pairs stop the wave/parabola eliminant long before it ends;
+        # the exact check on two seeded lines takes over
         spec = write_spec(
             tmp_path,
             {
@@ -94,12 +99,32 @@ class TestCommands:
                 "options": {"powerP": 2, "seed": 1, "irreducible": True, "max_pairs": 3},
             },
         )
-        out = tmp_path / "out"
-        assert main(["verify-discriminant", "--spec", str(spec), "--out", str(out)]) == 0
-        rec = json.loads((out / "verify_discriminant.json").read_text())
+        runs = []
+        for name in ("out1", "out2"):
+            out = tmp_path / name
+            assert main(["verify-discriminant", "--spec", str(spec), "--out", str(out)]) == 0
+            runs.append((out / "verify_discriminant.json").read_bytes())
+        assert runs[0] == runs[1]
+        rec = json.loads(runs[0])
         assert rec["eliminant"] is None
-        assert rec["verdict"].startswith("capped: pairs/3;")
-        assert rec["detail"].startswith("10 projected critical points")
+        assert rec["verdict"] == "capped: pairs/3; equal radicals on 2 seeded lines (exact)"
+        assert len(rec["lines"]) == 2
+        for line in rec["lines"]:
+            assert sorted(line) == ["a", "b", "quotient_dimension", "radical_degree"]
+            assert len(line["a"]) == len(line["b"]) == 7
+            assert line["quotient_dimension"] == line["radical_degree"] == 9
+        # a cap hit on a line is a resource limit too, not a verdict
+        from lerayfront import oracle
+        from lerayfront.errors import ResourceLimitError
+
+        def capped_groebner(*args, **kwargs):
+            raise ResourceLimitError("Buchberger exceeded 1 S-pairs", kind="pairs", limit=1)
+
+        monkeypatch.setattr(oracle, "groebner", capped_groebner)
+        out = tmp_path / "out3"
+        assert main(["verify-discriminant", "--spec", str(spec), "--out", str(out)]) == 14
+        assert json.loads((out / "error.json").read_text())["error"] == "ResourceLimitError"
+        assert not (out / "verify_discriminant.json").exists()
 
     def test_wavefront_artifacts_parse_back(self, tmp_path):
         spec = write_spec(tmp_path, M1_SPEC)

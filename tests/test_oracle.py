@@ -1,18 +1,27 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from lerayfront.brieskorn import gm_matrices
+from lerayfront.detpoly import det_poly_matrix
 from lerayfront.errors import MismatchError
-from lerayfront.gaussmanin import discriminant
+from lerayfront.gaussmanin import assemble_system, discriminant
 from lerayfront.oracle import (
     compare_discriminants,
     critical_locus_eliminant,
     eval_front_on_samples,
+    line_check,
     sample_front,
     sample_level_set,
-    sampled_critical_containment,
 )
-from lerayfront.phase import HyperbolicSymbol
+from lerayfront.phase import (
+    HyperbolicSymbol,
+    build_mapping,
+    build_phase,
+    discover_weights,
+    expand_phase,
+)
 from lerayfront.poly import MultiPoly
 
 R = ("x1", "x2")
@@ -102,20 +111,65 @@ class TestEliminant:
                 assert d_sf != e_sf, case
 
 
-class TestSampledContainment:
-    def test_quadric_passes_and_perturbed_system_fails(self, quadric_icis, quadric_system):
+class TestLineCheck:
+    EXACT = "equal radicals on 2 seeded lines (exact)"
+
+    def test_quadric_passes_and_perturbed_systems_fail(self, quadric_icis, quadric_system):
         _, data = quadric_system
-        rep = sampled_critical_containment(quadric_icis, data.M, count=10, seed=1)
-        assert rep.points == 10
-        assert rep.max_scaled_residual < 1e-8
-        # M has corank 2 on each critical line y1 = c y0, so a change of one
-        # entry (rank one) keeps det M = 0 there; M + y0 I does not.  It is
-        # still singular at y = 0, so only critical values off the origin
-        # can see it.
-        y0 = MultiPoly.variable(data.y_ring, "y0")
-        M = [[e + y0 if i == j else e for j, e in enumerate(row)] for i, row in enumerate(data.M)]
-        with pytest.raises(MismatchError, match="det M residual"):
-            sampled_critical_containment(quadric_icis, M, count=10, seed=1)
+        rep = line_check(quadric_icis, data.M, seed=1)
+        assert rep.verdict == self.EXACT
+        assert [line.radical_degree for line in rep.lines] == [3, 3]
+        # M + y0 I, and each +1 change of one entry of M that changes det M;
+        # the other 19 of the 25 leave det M as it is, so no discriminant
+        # oracle can see them
+        y = data.y_ring
+        y0 = MultiPoly.variable(y, "y0")
+        delta = det_poly_matrix(data.M)
+        perturbed = [
+            [[e + y0 if i == j else e for j, e in enumerate(row)] for i, row in enumerate(data.M)]
+        ]
+        for i, j in product(range(data.mu), repeat=2):
+            M = [row[:] for row in data.M]
+            M[i][j] = M[i][j] + MultiPoly.constant(y, 1)
+            if det_poly_matrix(M) != delta:
+                perturbed.append(M)
+        assert len(perturbed) == 1 + 6
+        for M in perturbed:
+            with pytest.raises(MismatchError, match="radical mismatch"):
+                line_check(quadric_icis, M, seed=1)
+
+    def test_maps_pass(
+        self,
+        cusp_icis,
+        cusp_system,
+        a1_icis,
+        a1_system,
+        a4_icis,
+        a4_system,
+        wave_parabola_icis,
+        wave_parabola_system,
+        m1_cusp_icis,
+        m1_cusp_system,
+    ):
+        front = X1 + X2**2
+        psi = build_phase(HyperbolicSymbol.from_poly(TAU), front)
+        m1_parabola = build_mapping(expand_phase(psi, front, discover_weights(front)), 2)
+        cases = [
+            ("cusp", cusp_icis, cusp_system[1], [1, 1]),
+            ("A1", a1_icis, a1_system[1], [1, 1]),
+            ("A4", a4_icis, a4_system[1], [1, 1]),
+            ("wave/parabola", wave_parabola_icis, wave_parabola_system, [9, 9]),
+            ("m1/cusp", m1_cusp_icis, m1_cusp_system[1], [15, 15]),
+        ]
+        m1_parabola_system = assemble_system(gm_matrices(m1_parabola), m1_parabola)
+        cases.append(("m1/parabola", m1_parabola, m1_parabola_system, [2, 2]))
+        for case, icis, data, degrees in cases:
+            rep = line_check(icis, data.M, seed=1)
+            assert rep.verdict == self.EXACT, case
+            assert [line.radical_degree for line in rep.lines] == degrees, case
+            for line in rep.lines:
+                assert line.quotient_dimension >= line.radical_degree, case
+                assert any(line.b), case
 
 
 class TestLevelSet:

@@ -80,7 +80,14 @@ class TestHyperbolicity:
 
     def test_elliptic_fails(self):
         P = HyperbolicSymbol.from_poly(TAU**2 + XI1**2 + XI2**2)
-        with pytest.raises(HyperbolicityError) as ei:
+        with pytest.raises(HyperbolicityError, match="complex characteristic roots") as ei:
+            check_strict_hyperbolicity(P, 10, seed=1)
+        assert ei.value.witness is not None
+
+    def test_double_root_fails(self):
+        # (tau - xi1)^2: one real root of multiplicity two at every xi
+        P = HyperbolicSymbol.from_poly((TAU - XI1) ** 2)
+        with pytest.raises(HyperbolicityError, match="repeated characteristic roots") as ei:
             check_strict_hyperbolicity(P, 10, seed=1)
         assert ei.value.witness is not None
 

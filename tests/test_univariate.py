@@ -13,28 +13,21 @@ from lerayfront.gcdtools import (
     squarefree_part,
 )
 from lerayfront.poly import MultiPoly
-from lerayfront.univariate import count_real_roots, is_squarefree, poly_gcd
+from lerayfront.univariate import real_roots_of_chain, sturm_chain
 
 F = Fraction
 
 
 def test_real_root_counts():
-    # tau^2 - 1: two real roots; tau^2 + 1: none; tau^3 - tau: three
-    assert count_real_roots([F(-1), F(0), F(1)]) == 2
-    assert count_real_roots([F(1), F(0), F(1)]) == 0
-    assert count_real_roots([F(0), F(-1), F(0), F(1)]) == 3
-
-
-def test_squarefree_detection():
-    # (tau - 1)^2 = tau^2 - 2 tau + 1
-    assert not is_squarefree([F(1), F(-2), F(1)])
-    assert is_squarefree([F(-1), F(0), F(1)])
-
-
-def test_poly_gcd():
-    # gcd(x^2 - 1, x - 1) = x - 1 (monic)
-    g = poly_gcd([F(-1), F(0), F(1)], [F(-1), F(1)])
-    assert g == [F(-1), F(1)]
+    # tau^2 - 1: two real roots; tau^2 + 1: none; tau^3 - tau: three;
+    # (tau - 1)^2 (tau + 2): two distinct
+    for p, count in (
+        ([F(-1), F(0), F(1)], 2),
+        ([F(1), F(0), F(1)], 0),
+        ([F(0), F(-1), F(0), F(1)], 3),
+        ([F(2), F(-3), F(0), F(1)], 2),
+    ):
+        assert real_roots_of_chain(sturm_chain(p)) == count
 
 
 RING = ("a", "b")
