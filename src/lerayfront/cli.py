@@ -370,7 +370,7 @@ class Pipeline:
             "squarefree": poly_to_json(fr.squarefree) if fr.squarefree is not None else None,
             "case": fr.case,
             "power": fr.power,
-            "strategy": "substitute-first",
+            "strategy": fr.strategy,
             "substitution": {k: poly_to_json(v) for k, v in fr.substitution.items()},
             "metadata": fr.metadata,
         }

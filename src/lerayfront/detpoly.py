@@ -5,28 +5,35 @@ polynomial ring, with exact divisions guaranteed by the Sylvester identity;
 every symbolic determinant (the discriminant, small pullbacks) uses it.
 
 ``det_interpolate`` takes integer determinants on the grid 0..bounds[i] of
-each variable and recovers det M by tensor-grid Newton interpolation one
-axis at a time.  ``wavefront`` runs it with probed degree bounds; the tests
-run it with the safe bounds of ``degree_bounds`` against Bareiss.
+each variable and recovers det M by tensor-grid interpolation one axis at a
+time, all in Python ints: the grid's one denominator is cleared first, each
+axis runs forward differences and turns them into monomial coefficients by
+Stirling numbers of the first kind with weights b!/k!, and one division by
+the product of the b! and the denominator ends it.  ``wavefront`` runs it
+with probed degree bounds; the tests run it with the safe bounds of
+``degree_bounds`` against Bareiss.
 
 ``_IntegerEvaluator`` is the one evaluator of polynomial matrices at exact
-points: the grid, the degree probes along lines (``_det_values``) and the
-flatness oracle in ``gaussmanin`` all go through it.
+points.  ``at`` takes one rational point (the flatness oracle in
+``gaussmanin``, the seeded lines of ``oracle.line_check``); ``grid`` walks an
+integer grid axis by axis, so that neighbouring points share the work of
+their common prefix (the interpolation grid and the degree probes).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import lcm, prod
-from operator import mul
-from typing import Sequence
+from functools import cache
+from itertools import accumulate, islice, product
+from math import factorial, lcm, prod
+from operator import mul, sub
+from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .linalg import det_int
 from .poly import MultiPoly
 
-ZERO = Fraction(0)
 # Most integer determinants one interpolation grid may take; the flagship
 # front's grid has 17,226 points.
 GRID_MAX_POINTS = 400_000
@@ -74,14 +81,13 @@ def det_bareiss(M: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
 def degree_bounds(M: Sequence[Sequence[MultiPoly]]) -> list[int]:
     """Safe per-variable degree bounds for det(M): min of row and column sums."""
-    n = len(M)
-    ring = M[0][0].ring
-    bounds = []
-    for v in ring:
-        row_sum = sum(max(M[i][j].degree_in(v) for j in range(n)) for i in range(n))
-        col_sum = sum(max(M[i][j].degree_in(v) for i in range(n)) for j in range(n))
-        bounds.append(min(row_sum, col_sum))
-    return bounds
+    return [_row_col_bound(M, lambda p: p.degree_in(v)) for v in M[0][0].ring]
+
+
+def _row_col_bound(M: Sequence[Sequence[MultiPoly]], degree) -> int:
+    """min(sum of row maxima, sum of column maxima) of degree(entry): bounds deg det(M)."""
+    D = [[degree(p) for p in row] for row in M]
+    return min(sum(map(max, D)), sum(map(max, zip(*D))))
 
 
 def det_interpolate(
@@ -89,7 +95,7 @@ def det_interpolate(
     bounds: Sequence[int],
     max_points: int = GRID_MAX_POINTS,
 ) -> MultiPoly:
-    """Determinant by grid evaluation and tensor Newton interpolation.
+    """Determinant by grid evaluation and tensor interpolation.
 
     ``bounds`` are per-variable degree bounds of det(M) (``degree_bounds``
     gives safe ones); the grid has prod(bounds[i]+1) points and must stay
@@ -102,8 +108,8 @@ def det_interpolate(
             kind="interpolation-grid",
             limit=max_points,
         )
-    ring = M[0][0].ring
-    return _tensor_interpolate(_grid_values(M, ring, bounds), bounds, ring)
+    values, scale = _grid_values(M, M[0][0].ring, [range(b + 1) for b in bounds])
+    return _tensor_interpolate(values, bounds, M[0][0].ring, scale)
 
 
 def _integer_entries(mats: list[list[list[MultiPoly]]]) -> list[list[list[dict]]]:
@@ -129,30 +135,34 @@ def _partial_entries(mat: list[list[dict]], i: int) -> list[list[dict]]:
 
 
 class _IntegerEvaluator:
-    """Integer polynomial matrices in one ring, evaluated together at rational points.
+    """Integer polynomial matrices in one ring, evaluated together at exact points.
 
-    The distinct monomials of all entries are collected once.  At a point
-    with y_v = a_v / b_v (b_v > 0) each monomial is scaled by
-    prod_v b_v^maxdeg_v, which makes it an integer, so every entry of every
-    matrix is an integer dot product: its value times that common scale.
-    At an integer point (plain ints work) the scale is 1.
+    ``at`` takes one rational point.  The distinct monomials of all entries
+    are collected once.  At a point with y_v = a_v / b_v (b_v > 0) each
+    monomial is scaled by prod_v b_v^maxdeg_v, which makes it an integer, so
+    every entry of every matrix is an integer dot product: its value times
+    that common scale.  At an integer point (plain ints work) the scale is 1.
+
+    ``grid`` takes one list of integers per variable and walks the grid they
+    span.
     """
 
     def __init__(self, mats: list[list[list[dict]]], ring: tuple[str, ...]):
         self.ring = ring
+        self.shapes = [(len(mat), len(mat[0])) for mat in mats]
+        self.entries = [p for mat in mats for row in mat for p in row]
         index: dict[tuple[int, ...], int] = {}
-        self.mats = [
-            [
-                [
-                    (tuple(index.setdefault(e, len(index)) for e in p), tuple(p.values()))
-                    for p in row
-                ]
-                for row in mat
-            ]
-            for mat in mats
+        self.terms = [
+            (tuple(index.setdefault(e, len(index)) for e in p), tuple(p.values()))
+            for p in self.entries
         ]
         self.monomials = list(index)
         self.maxdeg = [max((e[v] for e in index), default=0) for v in range(len(ring))]
+
+    def _matrices(self, values) -> list[list[list[int]]]:
+        """The flat entry values, cut back into the matrices (fresh lists)."""
+        it = iter(values)
+        return [[list(islice(it, cols)) for _ in range(rows)] for rows, cols in self.shapes]
 
     def at(self, point: dict) -> list[list[list[int]]]:
         """Every matrix at ``point``, each entry times the common scale."""
@@ -162,70 +172,155 @@ class _IntegerEvaluator:
             powers.append([a**k * b ** (top - k) for k in range(top + 1)])
         table = [prod(powers[v][k] for v, k in enumerate(e)) for e in self.monomials]
         get = table.__getitem__
-        return [
-            [[sum(map(mul, cs, map(get, idx))) for idx, cs in row] for row in mat]
-            for mat in self.mats
-        ]
+        return self._matrices(sum(map(mul, cs, map(get, idx))) for idx, cs in self.terms)
+
+    def grid(self, axes: Sequence[Sequence[int]]) -> Iterator[list[list[list[int]]]]:
+        """Every matrix at every point of axes[0] x ... x axes[-1], last axis fastest.
+
+        Entries are evaluated one axis at a time, so all points under one
+        prefix of the grid share that prefix's work.  On the last axis each
+        entry is a short coefficient vector, dotted with the power rows of
+        the axis's values for the whole prefix at once; the prefix's points
+        are then handed out one by one, so the grid's matrices are never
+        held together.
+        """
+        if not axes:
+            yield self.at({})
+            return
+        coefficients, plan = self._walk_plan(len(axes))
+        *outer, last = axes
+        kexp, ends = plan[-1]
+        m, n = len(kexp), len(self.entries)
+        powers = [x**k for x in last for k in kexp]
+        his = [j * m + end for j in range(len(last)) for end in ends]
+        los = [j * m + end for j in range(len(last)) for end in [0, *ends[:-1]]]
+
+        def walk(values: list[int], axis: int):
+            if axis == len(outer):
+                cums = list(accumulate(map(mul, values * len(last), powers), initial=0))
+                flat = list(map(sub, map(cums.__getitem__, his), map(cums.__getitem__, los)))
+                for j in range(0, len(flat), n):
+                    yield self._matrices(flat[j : j + n])
+                return
+            kexp, ends = plan[axis]
+            starts = [0, *ends[:-1]]
+            for x in outer[axis]:
+                pw = [x**k for k in range(self.maxdeg[axis] + 1)]
+                cums = list(accumulate(map(mul, values, map(pw.__getitem__, kexp)), initial=0))
+                yield from walk(
+                    list(map(sub, map(cums.__getitem__, ends), map(cums.__getitem__, starts))),
+                    axis + 1,
+                )
+
+        yield from walk(coefficients, 0)
+
+    def _walk_plan(self, nvars: int) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
+        """The entries' coefficients in walk order, and one step per axis.
+
+        Before axis a is evaluated, each value belongs to one (entry,
+        exponents from a on) pair; the pairs are sorted by entry and then by
+        their exponents read from the last variable back, so the pairs that
+        differ only at axis a are adjacent and their groups come out in the
+        same order for the next axis.  A step holds each value's exponent at
+        its axis and the end of each group; the last axis groups by entry.
+        """
+        items = sorted(
+            ((i, e) for i, p in enumerate(self.entries) for e in p),
+            key=lambda item: (item[0], item[1][::-1]),
+        )
+        coefficients = [self.entries[i][e] for i, e in items]
+        plan = []
+        for axis in range(nvars):
+            groups = [(i, e[1:]) for i, e in items]
+            kexp = [e[0] for _, e in items]
+            if axis < nvars - 1:
+                items = list(dict.fromkeys(groups))
+            else:
+                items = [(i, ()) for i in range(len(self.entries))]
+            sizes = Counter(groups)
+            plan.append((kexp, list(accumulate(sizes[g] for g in items))))
+        return coefficients, plan
 
 
-def _det_values(M, ring, points) -> list[Fraction]:
-    """det M at each integer point, given as values in ring order.
+def _row_scaled(M, ring) -> tuple[_IntegerEvaluator, int]:
+    """An evaluator of M with each row scaled to integers, and the product of the scales.
 
-    Each row is scaled to integers by its own denominator, which keeps the
-    operands of det_int smaller than one common denominator would.
+    Each row gets its own denominator, which keeps the operands of det_int
+    smaller than one common denominator would; det M = det_int / scale.
     """
     dens = [lcm(*(c.denominator for p in row for c in p.terms.values())) for row in M]
     scaled = [[p.scale(d) for p in row] for row, d in zip(M, dens)]
-    evaluator = _IntegerEvaluator(_integer_entries([scaled]), ring)
-    scale = prod(dens)
-    return [
-        Fraction(det_int(evaluator.at(dict(zip(ring, pt)))[0]), scale) for pt in points
-    ]
+    return _IntegerEvaluator(_integer_entries([scaled]), ring), prod(dens)
 
 
-def _grid_values(M, ring, bounds) -> dict[tuple[int, ...], Fraction]:
-    """det M at every point of the integer grid 0..bounds[i] of each variable."""
-    points = list(product(*(range(b + 1) for b in bounds)))
-    return dict(zip(points, _det_values(M, ring, points)))
+def _det_values(M, ring, points) -> tuple[list[int], int]:
+    """det M times the scale at each integer point (coordinates in ring order), and the scale."""
+    evaluator, scale = _row_scaled(M, ring)
+    return [det_int(evaluator.at(dict(zip(ring, pt)))[0]) for pt in points], scale
+
+
+def _grid_values(M, ring, axes) -> tuple[list[int], int]:
+    """det M times the scale on the grid axes[0] x ... (last axis fastest), and the scale."""
+    evaluator, scale = _row_scaled(M, ring)
+    return [det_int(mats[0]) for mats in evaluator.grid(axes)], scale
 
 
 def _tensor_interpolate(
-    values: dict[tuple[int, ...], Fraction], bounds: Sequence[int], ring
+    values: list[int], bounds: Sequence[int], ring, den: int
 ) -> MultiPoly:
-    """Tensor-grid interpolation by 1-D Newton transforms along each axis."""
-    nvars = len(bounds)
-    data = dict(values)
-    # transform axis by axis, innermost last index first
-    for axis in range(nvars - 1, -1, -1):
-        out: dict[tuple[int, ...], Fraction] = {}
-        prefix_groups: dict[tuple, list] = {}
-        b = bounds[axis]
-        for key, val in data.items():
-            rest = key[:axis] + key[axis + 1 :]
-            prefix_groups.setdefault(rest, [ZERO] * (b + 1))[key[axis]] = val
-        for rest, vals in prefix_groups.items():
-            coeffs = _interp_1d(vals)
-            for k, c in enumerate(coeffs):
-                if c != 0:
-                    out[rest[:axis] + (k,) + rest[axis:]] = c
-        data = out
-    terms = {e: c for e, c in data.items() if c != 0}
-    return MultiPoly(ring, terms)
+    """The polynomial that is values / den on the grid 0..bounds[i], last axis fastest.
+
+    ``_interp_1d`` transforms each axis in place (in ints, times bounds[axis]!);
+    one division by den * prod(bounds[i]!) per coefficient ends it.  The
+    terms keep the order of the earlier axis-by-axis dict interpolation
+    (grouped by the other coordinates in order of appearance), so float
+    evaluations of the result sum in the same order as before.
+    """
+    data = list(values)
+    order: Sequence[int] = range(len(data))
+    stride = 1
+    for b in reversed(bounds):
+        span = stride * (b + 1)
+        for start in range(0, len(data), span):
+            for r in range(start, start + stride):
+                data[r : r + span : stride] = _interp_1d(data[r : r + span : stride])
+        rests = dict.fromkeys(i - i // stride % (b + 1) * stride for i in order)
+        order = [r + k * stride for r in rests for k in range(b + 1) if data[r + k * stride]]
+        stride = span
+    den *= prod(map(factorial, bounds))
+    exponents = list(product(*(range(b + 1) for b in bounds)))
+    return MultiPoly(ring, {exponents[i]: Fraction(data[i], den) for i in order if data[i]})
 
 
-def _interp_1d(vals: list[Fraction]) -> list[Fraction]:
-    """Monomial coefficients of the polynomial through (i, vals[i]), i = 0..n-1."""
-    n = len(vals)
-    dd = [Fraction(x) for x in vals]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / level
-    coeffs = [dd[n - 1]]
-    for i in range(n - 2, -1, -1):
-        nxt = [ZERO] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] += c
-            nxt[k] += c * (-i)
-        nxt[0] += dd[i]
-        coeffs = nxt
-    return coeffs
+def _interp_1d(vals: Sequence[int]) -> list[int]:
+    """b! times the monomial coefficients of the polynomial through (i, vals[i]), i = 0..b.
+
+    Forward differences give the Newton form sum_k D^k(0) x(x-1)...(x-k+1) / k!;
+    ``_falling_to_monomial`` expands it with integer weights b!/k!.
+    """
+    d = list(vals)
+    for level in range(1, len(d)):
+        d[level:] = map(sub, d[level:], d[level - 1 : -1])
+    return [sum(map(mul, d[j:], col)) for j, col in enumerate(_falling_to_monomial(len(d) - 1))]
+
+
+@cache
+def _falling_to_monomial(b: int) -> list[list[int]]:
+    """Column j holds (b!/k!) * s(k, j) for k = j..b.
+
+    s(k, j) are the signed Stirling numbers of the first kind, the monomial
+    coefficients of the falling factorial x(x-1)...(x-k+1);
+    s(k+1, j) = s(k, j-1) - k * s(k, j).
+    """
+    cols: list[list[int]] = [[] for _ in range(b + 1)]
+    stirling = [1]  # s(k, 0..k)
+    weight = factorial(b)  # b!/k!
+    for k in range(b + 1):
+        for j, s in enumerate(stirling):
+            cols[j].append(weight * s)
+        stirling = [
+            (stirling[j - 1] if j else 0) - (k * stirling[j] if j <= k else 0)
+            for j in range(k + 2)
+        ]
+        weight //= k + 1
+    return cols

@@ -7,8 +7,10 @@ entries of M are substituted first for every Milnor number mu, and the
 determinant of the substituted matrix is taken by Bareiss up to
 BAREISS_MAX_MU and above that by degree-probed grid interpolation
 (``detpoly.det_interpolate``) with an exact check at random rational
-points.  The grid and the probes evaluate the matrix through ``detpoly``'s
-one integer evaluator.
+points.  The degree probes are grids with one axis of more than one value,
+so the probes and the grid both run on ``detpoly``'s integer grid walk and
+integer interpolation; no Fraction appears before the final division.
+``FrontResult.strategy`` records the path taken (``front.json``).
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-from .detpoly import _det_values, _interp_1d, degree_bounds, det_bareiss, det_interpolate
+from .detpoly import _grid_values, _interp_1d, degree_bounds, det_bareiss, det_interpolate
 from .errors import MismatchError, ResourceLimitError, ZeroAfterSubstitutionError
 from .gcdtools import divide_monomial, monomial_content, squarefree_part
 from .gaussmanin import GaussManinData
@@ -34,7 +36,14 @@ BAREISS_MAX_MU = 8
 
 @dataclass
 class FrontResult:
-    """The pulled-back discriminant and its normalizations."""
+    """The pulled-back discriminant, its normalizations and the path taken.
+
+    ``strategy`` holds deterministic facts only (no timings): the engine
+    ("bareiss" or "probed grid") and the matrix size, and for the grid the
+    peeled and core sizes, the exponent parity, the safe and probed degree
+    bounds, the number of grid points and whether the safe-bounds fallback
+    ran.
+    """
 
     phi: MultiPoly
     raw: MultiPoly
@@ -43,6 +52,7 @@ class FrontResult:
     substitution: dict[str, MultiPoly]
     power: int
     metadata: dict = field(default_factory=dict)
+    strategy: dict = field(default_factory=dict)
 
 
 def front_ring(n: int, symbolic_s: bool) -> tuple[str, ...]:
@@ -90,8 +100,9 @@ def front_polynomial(
     M_sub = [[poly_substitute(e, bindings) for e in row] for row in data.M]
     if data.mu <= BAREISS_MAX_MU:
         raw = det_bareiss(M_sub)
+        strategy = {"engine": "bareiss", "size": data.mu}
     else:
-        raw = _det_probed_interpolation(M_sub, ring, seed=seed)
+        raw, strategy = _det_probed_interpolation(M_sub, ring, seed=seed)
     if raw.is_zero():
         raise ZeroAfterSubstitutionError(
             "discriminant pullback vanishes identically; raw system kept for diagnosis"
@@ -117,6 +128,7 @@ def front_polynomial(
             "sign_normalization": icis.sign,
             "case1_bookkeeping": "constant monomial mapped to the y1 direction",
         },
+        strategy=strategy,
     )
 
 
@@ -164,7 +176,7 @@ def _det_probed_interpolation(
     M_sub: list[list[MultiPoly]],
     ring: tuple[str, ...],
     seed: int = 0,
-) -> MultiPoly:
+) -> tuple[MultiPoly, dict]:
     """Determinant of a substituted matrix by probed-degree interpolation.
 
     Single-entry rows and columns are peeled off exactly first.  Then the
@@ -173,17 +185,31 @@ def _det_probed_interpolation(
     exactly, and the interpolant is verified against determinants of the
     entries evaluated directly (``eval_exact``, ``det_fraction``) at four
     random points, falling back to safe degree bounds on a verification
-    failure.
+    failure.  Returns the determinant and the ``FrontResult.strategy``
+    record of the path.
     """
     rng = random.Random(seed)
     factor, sign, core = _peel_single_entries(M_sub, ring)
+    record = {
+        "engine": "probed grid",
+        "size": len(M_sub),
+        "peeled": len(M_sub) - len(core),
+        "core": len(core),
+    }
     if not core:
-        return factor.scale(sign)
+        return factor.scale(sign), record
     parity = _variable_parity(core, ring)
     compressed = _compress_exponents(core, ring, parity)
     safe = degree_bounds(compressed)
     bounds = _probe_degrees(compressed, ring, rng, safe)
     bounds = [min(b, s) for b, s in zip(bounds, safe)]
+    record.update(
+        parity=parity,
+        safe_bounds=safe,
+        probed_bounds=bounds,
+        grid_points=prod(b + 1 for b in bounds),
+        fallback=False,
+    )
     det = det_interpolate(compressed, bounds)
     for _ in range(4):
         pt = {v: Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for v in ring}
@@ -196,9 +222,10 @@ def _det_probed_interpolation(
                     "probed interpolation failed verification and safe bounds "
                     f"exceed the grid cap {err.limit}"
                 ) from None
+            record["fallback"] = True
             break
     det = _decompress_exponents(det, ring, parity)
-    return (factor * det).scale(sign)
+    return (factor * det).scale(sign), record
 
 
 def _compress_exponents(M_sub, ring, parity):
@@ -228,17 +255,17 @@ def _decompress_exponents(p: MultiPoly, ring, parity) -> MultiPoly:
 def _probe_degrees(M_sub, ring, rng, safe: list[int]) -> list[int]:
     """Actual per-variable degree of det(M) along random axis-parallel lines.
 
-    The determinant is evaluated at safe_bound+1 nodes and interpolated as a
-    univariate; the trimmed degree is the probe.  Two lines per variable,
-    max taken.
+    The determinant is evaluated at safe_bound+1 nodes (a grid whose other
+    axes hold one value each) and interpolated as a univariate; the trimmed
+    degree is the probe.  Two lines per variable, max taken.
     """
     bounds = []
     for k in range(len(ring)):
         best = 0
         for _ in range(2):
-            point = [rng.randint(2, 19) for _ in range(len(ring) - 1)]
-            line = [point[:k] + [a] + point[k:] for a in range(safe[k] + 1)]
-            coeffs = _interp_1d(_det_values(M_sub, ring, line))
+            axes = [[rng.randint(2, 19)] for _ in range(len(ring) - 1)]
+            axes.insert(k, range(safe[k] + 1))
+            coeffs = _interp_1d(_grid_values(M_sub, ring, axes)[0])
             best = max(best, max((i for i, c in enumerate(coeffs) if c), default=0))
         bounds.append(best)
     return bounds

@@ -1,12 +1,21 @@
 import random
 from fractions import Fraction
-from math import prod
+from itertools import product
+from math import factorial, lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lerayfront.detpoly import _grid_values, degree_bounds, det_interpolate, det_poly_matrix
+from lerayfront.detpoly import (
+    _grid_values,
+    _interp_1d,
+    degree_bounds,
+    det_interpolate,
+    det_poly_matrix,
+)
 from lerayfront.errors import ResourceLimitError
-from lerayfront.linalg import det_fraction
+from lerayfront.linalg import RationalMatrix, det_fraction, solve_linear_exact
 from lerayfront.poly import MultiPoly
 
 RING = ("y1", "y2")
@@ -69,16 +78,33 @@ def test_interpolate_in_the_constant_ring():
     assert det_interpolate([[three]], degree_bounds([[three]])) == three
 
 
-@pytest.mark.parametrize("ring", [(), ("y",), ("a", "b", "c")], ids=len)
+@pytest.mark.parametrize("ring", [(), ("y",), ("a", "b", "c"), ("a", "b", "c", "d")], ids=len)
 def test_grid_values_match_determinants_of_evaluated_entries(ring):
+    # axes of uneven lengths, one with a negative value, catch a walk that
+    # swaps or reverses axes; the zero entry has no coefficients to walk
     rng = random.Random(len(ring))
     M = [[_random_poly(rng, 2, ring, max_den=6) for _ in range(3)] for _ in range(3)]
-    bounds = degree_bounds(M)
-    values = _grid_values(M, ring, bounds)
-    assert len(values) == prod(b + 1 for b in bounds)
-    for point, value in values.items():
+    M[1][2] = MultiPoly.zero(ring)
+    axes = [range(-1, 2 + k) for k in range(len(ring))]
+    values, scale = _grid_values(M, ring, axes)
+    points = list(product(*axes))
+    assert len(values) == len(points) == prod(len(axis) for axis in axes)
+    for point, value in zip(points, values):
         at = {v: Fraction(a) for v, a in zip(ring, point)}
-        assert value == det_fraction([[p.eval_exact(at) for p in row] for row in M])
+        assert Fraction(value, scale) == det_fraction([[p.eval_exact(at) for p in row] for row in M])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(-50, 50, max_denominator=12), min_size=1, max_size=12))
+def test_interp_1d_solves_the_vandermonde_system(vals):
+    # b! * (coefficients) from the integer routine, against an exact solve of
+    # sum_j c_j i^j = vals[i], i = 0..b
+    b = len(vals) - 1
+    den = lcm(*(v.denominator for v in vals))
+    scaled = _interp_1d([int(v * den) for v in vals])
+    V = RationalMatrix(b + 1, b + 1, [[Fraction(i**j) for j in range(b + 1)] for i in range(b + 1)])
+    coeffs = solve_linear_exact(V, vals).particular
+    assert [Fraction(c, den * factorial(b)) for c in scaled] == coeffs
 
 
 def test_interpolation_grid_cap():

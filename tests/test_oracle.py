@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from lerayfront.brieskorn import gm_matrices
-from lerayfront.detpoly import det_poly_matrix
+from lerayfront.detpoly import det_bareiss, det_poly_matrix
 from lerayfront.errors import MismatchError
 from lerayfront.gaussmanin import assemble_system, discriminant
 from lerayfront.oracle import (
@@ -12,6 +13,7 @@ from lerayfront.oracle import (
     critical_locus_eliminant,
     eval_front_on_samples,
     line_check,
+    line_determinant,
     sample_front,
     sample_level_set,
 )
@@ -22,7 +24,7 @@ from lerayfront.phase import (
     discover_weights,
     expand_phase,
 )
-from lerayfront.poly import MultiPoly
+from lerayfront.poly import MultiPoly, poly_substitute
 
 R = ("x1", "x2")
 X1 = MultiPoly.variable(R, "x1")
@@ -137,6 +139,23 @@ class TestLineCheck:
         for M in perturbed:
             with pytest.raises(MismatchError, match="radical mismatch"):
                 line_check(quadric_icis, M, seed=1)
+
+    def test_line_determinant_is_the_substituted_bareiss_determinant(
+        self, cusp_system, a1_system, a4_system, quadric_system, m1_cusp_system
+    ):
+        tau = MultiPoly.variable(("tau",), "tau")
+        rng = random.Random(4)
+        for _, data in (cusp_system, a1_system, a4_system, quadric_system, m1_cusp_system):
+            ring = data.y_ring
+            for _ in range(2):
+                a = [rng.randint(-9, 9) for _ in ring]
+                b = [rng.randint(-9, 9) for _ in ring]
+                on_line = {
+                    y: tau.scale(bl) + MultiPoly.constant(tau.ring, al)
+                    for y, al, bl in zip(ring, a, b)
+                }
+                M_line = [[poly_substitute(e, on_line) for e in row] for row in data.M]
+                assert line_determinant(data.M, ring, a, b) == det_bareiss(M_line), ring
 
     def test_maps_pass(
         self,
