@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate, islice, product
 from math import factorial, lcm, prod
 from operator import mul, sub
@@ -150,11 +149,12 @@ class _IntegerEvaluator:
     def __init__(self, mats: list[list[list[dict]]], ring: tuple[str, ...]):
         self.ring = ring
         self.shapes = [(len(mat), len(mat[0])) for mat in mats]
-        self.entries = [p for mat in mats for row in mat for p in row]
         index: dict[tuple[int, ...], int] = {}
         self.terms = [
             (tuple(index.setdefault(e, len(index)) for e in p), tuple(p.values()))
-            for p in self.entries
+            for mat in mats
+            for row in mat
+            for p in row
         ]
         self.monomials = list(index)
         self.maxdeg = [max((e[v] for e in index), default=0) for v in range(len(ring))]
@@ -190,7 +190,7 @@ class _IntegerEvaluator:
         coefficients, plan = self._walk_plan(len(axes))
         *outer, last = axes
         kexp, ends = plan[-1]
-        m, n = len(kexp), len(self.entries)
+        m, n = len(kexp), len(self.terms)
         powers = [x**k for x in last for k in kexp]
         his = [j * m + end for j in range(len(last)) for end in ends]
         los = [j * m + end for j in range(len(last)) for end in [0, *ends[:-1]]]
@@ -224,11 +224,16 @@ class _IntegerEvaluator:
         same order for the next axis.  A step holds each value's exponent at
         its axis and the end of each group; the last axis groups by entry.
         """
-        items = sorted(
-            ((i, e) for i, p in enumerate(self.entries) for e in p),
-            key=lambda item: (item[0], item[1][::-1]),
+        terms = sorted(
+            (
+                (i, self.monomials[j], c)
+                for i, (idx, cs) in enumerate(self.terms)
+                for j, c in zip(idx, cs)
+            ),
+            key=lambda term: (term[0], term[1][::-1]),
         )
-        coefficients = [self.entries[i][e] for i, e in items]
+        items = [(i, e) for i, e, _ in terms]
+        coefficients = [c for _, _, c in terms]
         plan = []
         for axis in range(nvars):
             groups = [(i, e[1:]) for i, e in items]
@@ -236,7 +241,7 @@ class _IntegerEvaluator:
             if axis < nvars - 1:
                 items = list(dict.fromkeys(groups))
             else:
-                items = [(i, ()) for i in range(len(self.entries))]
+                items = [(i, ()) for i in range(len(self.terms))]
             sizes = Counter(groups)
             plan.append((kexp, list(accumulate(sizes[g] for g in items))))
         return coefficients, plan
@@ -281,9 +286,10 @@ def _tensor_interpolate(
     stride = 1
     for b in reversed(bounds):
         span = stride * (b + 1)
+        cols = _falling_to_monomial(b)
         for start in range(0, len(data), span):
             for r in range(start, start + stride):
-                data[r : r + span : stride] = _interp_1d(data[r : r + span : stride])
+                data[r : r + span : stride] = _interp_1d(data[r : r + span : stride], cols)
         rests = dict.fromkeys(i - i // stride % (b + 1) * stride for i in order)
         order = [r + k * stride for r in rests for k in range(b + 1) if data[r + k * stride]]
         stride = span
@@ -292,19 +298,21 @@ def _tensor_interpolate(
     return MultiPoly(ring, {exponents[i]: Fraction(data[i], den) for i in order if data[i]})
 
 
-def _interp_1d(vals: Sequence[int]) -> list[int]:
+def _interp_1d(vals: Sequence[int], cols: list[list[int]] | None = None) -> list[int]:
     """b! times the monomial coefficients of the polynomial through (i, vals[i]), i = 0..b.
 
     Forward differences give the Newton form sum_k D^k(0) x(x-1)...(x-k+1) / k!;
-    ``_falling_to_monomial`` expands it with integer weights b!/k!.
+    ``cols`` (``_falling_to_monomial(b)``, passed in when many lines share
+    it) expands it with integer weights b!/k!.
     """
     d = list(vals)
     for level in range(1, len(d)):
         d[level:] = map(sub, d[level:], d[level - 1 : -1])
-    return [sum(map(mul, d[j:], col)) for j, col in enumerate(_falling_to_monomial(len(d) - 1))]
+    if cols is None:
+        cols = _falling_to_monomial(len(d) - 1)
+    return [sum(map(mul, d[j:], col)) for j, col in enumerate(cols)]
 
 
-@cache
 def _falling_to_monomial(b: int) -> list[list[int]]:
     """Column j holds (b!/k!) * s(k, j) for k = j..b.
 
