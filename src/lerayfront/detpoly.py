@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, islice, product
+from itertools import accumulate, product
 from math import factorial, lcm, prod
 from operator import mul, sub
 from typing import Iterator, Sequence
@@ -159,10 +159,13 @@ class _IntegerEvaluator:
         self.monomials = list(index)
         self.maxdeg = [max((e[v] for e in index), default=0) for v in range(len(ring))]
 
-    def _matrices(self, values) -> list[list[list[int]]]:
-        """The flat entry values, cut back into the matrices (fresh lists)."""
-        it = iter(values)
-        return [[list(islice(it, cols)) for _ in range(rows)] for rows, cols in self.shapes]
+    def _matrices(self, values: list[int], start: int = 0) -> list[list[list[int]]]:
+        """The entry values from ``start`` on, cut back into the matrices (fresh lists)."""
+        out = []
+        for rows, cols in self.shapes:
+            out.append([values[k : k + cols] for k in range(start, start + rows * cols, cols)])
+            start += rows * cols
+        return out
 
     def at(self, point: dict) -> list[list[list[int]]]:
         """Every matrix at ``point``, each entry times the common scale."""
@@ -172,17 +175,17 @@ class _IntegerEvaluator:
             powers.append([a**k * b ** (top - k) for k in range(top + 1)])
         table = [prod(powers[v][k] for v, k in enumerate(e)) for e in self.monomials]
         get = table.__getitem__
-        return self._matrices(sum(map(mul, cs, map(get, idx))) for idx, cs in self.terms)
+        return self._matrices([sum(map(mul, cs, map(get, idx))) for idx, cs in self.terms])
 
     def grid(self, axes: Sequence[Sequence[int]]) -> Iterator[list[list[list[int]]]]:
         """Every matrix at every point of axes[0] x ... x axes[-1], last axis fastest.
 
         Entries are evaluated one axis at a time, so all points under one
         prefix of the grid share that prefix's work.  On the last axis each
-        entry is a short coefficient vector, dotted with the power rows of
-        the axis's values for the whole prefix at once; the prefix's points
-        are then handed out one by one, so the grid's matrices are never
-        held together.
+        entry is a short coefficient vector, dotted with the powers of every
+        value of that axis at once (one product per term, running sums per
+        entry); the prefix's points are then handed out one by one, so the
+        grid's matrices are never held together.
         """
         if not axes:
             yield self.at({})
@@ -200,7 +203,7 @@ class _IntegerEvaluator:
                 cums = list(accumulate(map(mul, values * len(last), powers), initial=0))
                 flat = list(map(sub, map(cums.__getitem__, his), map(cums.__getitem__, los)))
                 for j in range(0, len(flat), n):
-                    yield self._matrices(flat[j : j + n])
+                    yield self._matrices(flat, j)
                 return
             kexp, ends = plan[axis]
             starts = [0, *ends[:-1]]
@@ -276,10 +279,11 @@ def _tensor_interpolate(
     """The polynomial that is values / den on the grid 0..bounds[i], last axis fastest.
 
     ``_interp_1d`` transforms each axis in place (in ints, times bounds[axis]!);
-    one division by den * prod(bounds[i]!) per coefficient ends it.  The
-    terms keep the order of the earlier axis-by-axis dict interpolation
-    (grouped by the other coordinates in order of appearance), so float
-    evaluations of the result sum in the same order as before.
+    one division by den * prod(bounds[i]!) per coefficient ends it.  Term
+    order is part of the output, since float evaluations of phi (t_zero.csv,
+    the rays) sum in term order: after each axis the terms are grouped by
+    their other coordinates in order of appearance, the order the recorded
+    artifacts were computed in.
     """
     data = list(values)
     order: Sequence[int] = range(len(data))
