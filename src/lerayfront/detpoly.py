@@ -13,11 +13,15 @@ the product of the b! and the denominator ends it.  ``wavefront`` runs it
 with probed degree bounds; the tests run it with the safe bounds of
 ``degree_bounds`` against Bareiss.
 
+``line_determinant`` restricts det M to a line y = a + b*tau the same way:
+integer determinants at tau = 0..bound, one 1-D interpolation
+(``oracle.line_check``).
+
 ``_IntegerEvaluator`` is the one evaluator of polynomial matrices at exact
 points.  ``at`` takes one rational point (the flatness oracle in
-``gaussmanin``, the seeded lines of ``oracle.line_check``); ``grid`` walks an
-integer grid axis by axis, so that neighbouring points share the work of
-their common prefix (the interpolation grid and the degree probes).
+``gaussmanin``, the points of a line); ``grid`` walks an integer grid axis
+by axis, so that neighbouring points share the work of their common prefix
+(the interpolation grid and the degree probes).
 """
 
 from __future__ import annotations
@@ -109,6 +113,20 @@ def det_interpolate(
         )
     values, scale = _grid_values(M, M[0][0].ring, [range(b + 1) for b in bounds])
     return _tensor_interpolate(values, bounds, M[0][0].ring, scale)
+
+
+def line_determinant(
+    M: list[list[MultiPoly]], ring: tuple[str, ...], a: list[int], b: list[int]
+) -> MultiPoly:
+    """det M(a + b*tau) in the ring (tau,), M's variables in ``ring`` order.
+
+    Its degree is at most the row/column total-degree bound of M, so integer
+    determinants at tau = 0..bound, interpolated once, give it exactly.
+    """
+    bound = _row_col_bound(M, MultiPoly.total_degree)
+    points = [[al + bl * k for al, bl in zip(a, b)] for k in range(bound + 1)]
+    values, scale = _det_values(M, ring, points)
+    return _tensor_interpolate(values, [bound], ("tau",), scale)
 
 
 def _integer_entries(mats: list[list[list[MultiPoly]]]) -> list[list[list[dict]]]:

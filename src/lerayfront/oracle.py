@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detpoly import _det_values, _row_col_bound, _tensor_interpolate
+from .detpoly import line_determinant
 from .errors import MismatchError
 from .gcdtools import squarefree_part
 from .groebner import (
@@ -112,10 +112,10 @@ def line_check(icis: IcisMap, M: list[list[MultiPoly]], seed: int) -> LineCheck:
 
     On each line y = a + b*tau (integer a, b drawn from [-LINE_RANGE,
     LINE_RANGE] by ``seed``) one side is det M(a + b*tau)
-    (``line_determinant``).  The other is the minimal polynomial of tau on
-    the zero-dimensional quotient by the critical ideal with y = a + b*tau:
-    its roots are the critical values on the line, since f is finite on the
-    critical locus of an ICIS.  The two radicals must be equal
+    (``detpoly.line_determinant``).  The other is the minimal polynomial of
+    tau on the zero-dimensional quotient by the critical ideal with
+    y = a + b*tau: its roots are the critical values on the line, since f is
+    finite on the critical locus of an ICIS.  The two radicals must be equal
     (``compare_discriminants``); a wrong det M agrees with the critical
     values on a random line only on a proper subvariety of lines.  Caps
     are groebner's defaults and raise ResourceLimitError.
@@ -140,20 +140,6 @@ def line_check(icis: IcisMap, M: list[list[MultiPoly]], seed: int) -> LineCheck:
             raise MismatchError(f"on the line y = {a} + {b}*tau: {err}", witness=err.witness)
         lines.append(LineResult(a, b, dimension, cmp.degree))
     return LineCheck(f"equal radicals on {LINE_COUNT} seeded lines (exact)", lines)
-
-
-def line_determinant(
-    M: list[list[MultiPoly]], ring: tuple[str, ...], a: list[int], b: list[int]
-) -> MultiPoly:
-    """det M(a + b*tau) in the ring (tau,), M's variables in ``ring`` order.
-
-    Its degree is at most the row/column total-degree bound of M, so integer
-    determinants at tau = 0..bound, interpolated once, give it exactly.
-    """
-    bound = _row_col_bound(M, MultiPoly.total_degree)
-    points = [[al + bl * k for al, bl in zip(a, b)] for k in range(bound + 1)]
-    values, scale = _det_values(M, ring, points)
-    return _tensor_interpolate(values, [bound], ("tau",), scale)
 
 
 def _minimal_polynomial(gb: GroebnerBasis, var: str) -> tuple[MultiPoly, int]:

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from lerayfront.brieskorn import gm_matrices
-from lerayfront.detpoly import det_bareiss, det_poly_matrix
+from lerayfront.detpoly import det_bareiss, det_poly_matrix, line_determinant
 from lerayfront.errors import MismatchError
 from lerayfront.gaussmanin import assemble_system, discriminant
 from lerayfront.oracle import (
@@ -13,7 +13,6 @@ from lerayfront.oracle import (
     critical_locus_eliminant,
     eval_front_on_samples,
     line_check,
-    line_determinant,
     sample_front,
     sample_level_set,
 )
