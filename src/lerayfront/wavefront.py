@@ -8,8 +8,8 @@ determinant of the substituted matrix is taken by Bareiss up to
 BAREISS_MAX_MU and above that by degree-probed grid interpolation
 (``detpoly.det_interpolate``) with an exact check at random rational
 points.  The degree probes are grids with one axis of more than one value,
-so the probes and the grid both run on ``detpoly``'s integer grid walk and
-integer interpolation; no Fraction appears before the final division.
+so the probes and the grid both run on ``detpoly``'s grid walk and
+interpolation, in Python ints from evaluation to the final division.
 ``FrontResult.strategy`` records the path taken (``front.json``).
 """
 
