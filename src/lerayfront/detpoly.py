@@ -2,7 +2,7 @@
 
 ``det_poly_matrix`` (``det_bareiss``) is fraction-free elimination in the
 polynomial ring, with exact divisions guaranteed by the Sylvester identity;
-every symbolic determinant (the discriminant, small pullbacks) uses it.
+the symbolic discriminant and the Jacobian minors (``phase``) use it.
 
 ``det_interpolate`` takes integer determinants on the grid 0..bounds[i] of
 each variable and recovers det M by tensor-grid interpolation one axis at a
@@ -10,8 +10,8 @@ time, all in Python ints: the grid's one denominator is cleared first, each
 axis runs forward differences and turns them into monomial coefficients by
 Stirling numbers of the first kind with weights b!/k!, and one division by
 the product of the b! and the denominator ends it.  ``wavefront`` runs it
-with probed degree bounds; the tests run it with the safe bounds of
-``degree_bounds`` against Bareiss.
+with probed degree bounds for every front determinant; the tests run it
+with the safe bounds of ``degree_bounds`` against Bareiss.
 
 ``line_determinant`` restricts det M to a line y = a + b*tau the same way:
 integer determinants at tau = 0..bound, one 1-D interpolation
@@ -93,23 +93,19 @@ def _row_col_bound(M: Sequence[Sequence[MultiPoly]], degree) -> int:
     return min(sum(map(max, D)), sum(map(max, zip(*D))))
 
 
-def det_interpolate(
-    M: Sequence[Sequence[MultiPoly]],
-    bounds: Sequence[int],
-    max_points: int = GRID_MAX_POINTS,
-) -> MultiPoly:
+def det_interpolate(M: Sequence[Sequence[MultiPoly]], bounds: Sequence[int]) -> MultiPoly:
     """Determinant by grid evaluation and tensor interpolation.
 
     ``bounds`` are per-variable degree bounds of det(M) (``degree_bounds``
     gives safe ones); the grid has prod(bounds[i]+1) points and must stay
-    within ``max_points``.
+    within ``GRID_MAX_POINTS``.
     """
     npts = prod(b + 1 for b in bounds)
-    if npts > max_points:
+    if npts > GRID_MAX_POINTS:
         raise ResourceLimitError(
-            f"interpolation grid of {npts} points exceeds cap {max_points}",
+            f"interpolation grid of {npts} points exceeds cap {GRID_MAX_POINTS}",
             kind="interpolation-grid",
-            limit=max_points,
+            limit=GRID_MAX_POINTS,
         )
     values, scale = _grid_values(M, M[0][0].ring, [range(b + 1) for b in bounds])
     return _tensor_interpolate(values, bounds, M[0][0].ring, scale)
@@ -297,14 +293,9 @@ def _tensor_interpolate(
     """The polynomial that is values / den on the grid 0..bounds[i], last axis fastest.
 
     ``_interp_1d`` transforms each axis in place (in ints, times bounds[axis]!);
-    one division by den * prod(bounds[i]!) per coefficient ends it.  Term
-    order is part of the output, since float evaluations of phi (t_zero.csv,
-    the rays) sum in term order: after each axis the terms are grouped by
-    their other coordinates in order of appearance, the order the recorded
-    artifacts were computed in.
+    one division by den * prod(bounds[i]!) per coefficient ends it.
     """
     data = list(values)
-    order: Sequence[int] = range(len(data))
     stride = 1
     for b in reversed(bounds):
         span = stride * (b + 1)
@@ -312,12 +303,10 @@ def _tensor_interpolate(
         for start in range(0, len(data), span):
             for r in range(start, start + stride):
                 data[r : r + span : stride] = _interp_1d(data[r : r + span : stride], cols)
-        rests = dict.fromkeys(i - i // stride % (b + 1) * stride for i in order)
-        order = [r + k * stride for r in rests for k in range(b + 1) if data[r + k * stride]]
         stride = span
     den *= prod(map(factorial, bounds))
-    exponents = list(product(*(range(b + 1) for b in bounds)))
-    return MultiPoly(ring, {exponents[i]: Fraction(data[i], den) for i in order if data[i]})
+    exponents = product(*(range(b + 1) for b in bounds))
+    return MultiPoly(ring, {e: Fraction(c, den) for e, c in zip(exponents, data) if c})
 
 
 def _interp_1d(vals: Sequence[int], cols: list[list[int]] | None = None) -> list[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import fsum, gcd, prod
 from typing import Callable, Mapping, Sequence
 
 from .errors import RingMismatchError
@@ -317,15 +317,9 @@ class MultiPoly:
         return total
 
     def eval_float(self, values: Mapping[str, float]) -> float:
+        """Float value at ``values``; ``math.fsum`` makes it independent of term order."""
         vals = [float(values[v]) for v in self.ring]
-        total = 0.0
-        for e, c in self.terms.items():
-            t = float(c)
-            for i, k in enumerate(e):
-                if k:
-                    t *= vals[i] ** k
-            total += t
-        return total
+        return fsum(prod(map(pow, vals, e), start=float(c)) for e, c in self.terms.items())
 
     def substitute_partial(self, assignment: Mapping[str, Fraction]) -> "MultiPoly":
         """Plug rational values into a subset of the variables (ring unchanged)."""

@@ -3,13 +3,12 @@
 The front polynomial phi(x, t, s) is det M(y) evaluated along
 y0 = s, y1 = (-W_1 | 0) depending on the case, and y_i = W_i(x, t) through
 the recorded couplings.  Ring maps commute with determinants, so the
-entries of M are substituted first for every Milnor number mu, and the
-determinant of the substituted matrix is taken by Bareiss up to
-BAREISS_MAX_MU and above that by degree-probed grid interpolation
-(``detpoly.det_interpolate``) with an exact check at random rational
-points.  The degree probes are grids with one axis of more than one value,
-so the probes and the grid both run on ``detpoly``'s grid walk and
-interpolation, in Python ints from evaluation to the final division.
+entries of M are substituted first for every Milnor number mu, and one
+engine takes the determinant of the substituted matrix: degree-probed grid
+interpolation (``detpoly.det_interpolate``) with an exact check at random
+rational points.  The degree probes are grids with one axis of more than
+one value, so the probes and the grid both run on ``detpoly``'s grid walk
+and interpolation, in Python ints from evaluation to the final division.
 ``FrontResult.strategy`` records the path taken (``front.json``).
 """
 
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
-from .detpoly import _grid_values, _interp_1d, degree_bounds, det_bareiss, det_interpolate
+from .detpoly import _grid_values, _interp_1d, degree_bounds, det_interpolate
 from .errors import MismatchError, ResourceLimitError, ZeroAfterSubstitutionError
 from .gcdtools import divide_monomial, monomial_content, squarefree_part
 from .gaussmanin import GaussManinData
@@ -28,21 +27,15 @@ from .linalg import det_fraction
 from .phase import IcisMap
 from .poly import MultiPoly, poly_substitute
 
-# Size switch on the Milnor number mu = dim M(y): the determinant of the
-# substituted matrix is taken by Bareiss up to BAREISS_MAX_MU, by the probed
-# grid above.
-BAREISS_MAX_MU = 8
-
 
 @dataclass
 class FrontResult:
     """The pulled-back discriminant, its normalizations and the path taken.
 
     ``strategy`` holds deterministic facts only (no timings): the engine
-    ("bareiss" or "probed grid") and the matrix size, and for the grid the
-    peeled and core sizes, the exponent parity, the safe and probed degree
-    bounds, the number of grid points and whether the safe-bounds fallback
-    ran.
+    ("probed grid"), the matrix size and the peeled and core sizes, and when
+    a core is left, its exponent parity, the safe and probed degree bounds,
+    the number of grid points and whether the safe-bounds fallback ran.
     """
 
     phi: MultiPoly
@@ -93,16 +86,12 @@ def front_polynomial(
     """Pull the discriminant back along the front substitution and normalize.
 
     The entries of M(y) are substituted first; the determinant of the
-    substituted matrix is then taken by Bareiss up to BAREISS_MAX_MU and by
-    probed interpolation above it.  ``data.delta`` is left untouched.
+    substituted matrix is then taken by probed interpolation.
+    ``data.delta`` is left untouched.
     """
     ring, bindings = front_substitution(icis, s_value)
     M_sub = [[poly_substitute(e, bindings) for e in row] for row in data.M]
-    if data.mu <= BAREISS_MAX_MU:
-        raw = det_bareiss(M_sub)
-        strategy = {"engine": "bareiss", "size": data.mu}
-    else:
-        raw, strategy = _det_probed_interpolation(M_sub, ring, seed=seed)
+    raw, strategy = _det_probed_interpolation(M_sub, ring, seed=seed)
     if raw.is_zero():
         raise ZeroAfterSubstitutionError(
             "discriminant pullback vanishes identically; raw system kept for diagnosis"

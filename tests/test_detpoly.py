@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lerayfront import detpoly
 from lerayfront.detpoly import (
     _grid_values,
     _interp_1d,
@@ -107,11 +108,13 @@ def test_interp_1d_solves_the_vandermonde_system(vals):
     assert [Fraction(c, den * factorial(b)) for c in scaled] == coeffs
 
 
-def test_interpolation_grid_cap():
+def test_interpolation_grid_cap(monkeypatch):
     M = [[Y1 * Y2, ONE], [ONE, Y1 * Y2]]
-    assert det_interpolate(M, degree_bounds(M), max_points=9) == Y1**2 * Y2**2 - ONE
+    monkeypatch.setattr(detpoly, "GRID_MAX_POINTS", 9)
+    assert det_interpolate(M, degree_bounds(M)) == Y1**2 * Y2**2 - ONE
+    monkeypatch.setattr(detpoly, "GRID_MAX_POINTS", 8)
     with pytest.raises(ResourceLimitError):
-        det_interpolate(M, degree_bounds(M), max_points=8)
+        det_interpolate(M, degree_bounds(M))
 
 
 def test_multiplicativity():

@@ -44,6 +44,14 @@ class TestBasics:
         with pytest.raises(RingMismatchError):
             X1 + q
 
+    def test_eval_float_ignores_term_order(self):
+        # 10**16 + 1 is no float: a running sum drops the 1 in one of the orders
+        terms = {(1, 0): Fraction(10**16), (0, 1): Fraction(-(10**16)), (0, 0): Fraction(1)}
+        for order in ([(1, 0), (0, 1), (0, 0)], [(1, 0), (0, 0), (0, 1)]):
+            p = MultiPoly(R2, {e: terms[e] for e in order})
+            assert list(p.terms) == order
+            assert p.eval_float({"x1": 1.0, "x2": 1.0}) == 1.0
+
     def test_partial(self):
         p = X1**2 * X2 + X2**3
         assert p.partial("x1") == 2 * X1 * X2

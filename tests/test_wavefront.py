@@ -88,7 +88,8 @@ def _m1_parabola_system():
 
 class TestFrontPolynomial:
     def test_strategies_agree(self, wave_parabola_icis, wave_parabola_system):
-        # det M(y) pulled back must equal the determinant of the pulled-back M
+        # det M(y) pulled back must equal the probed grid's determinant of
+        # the pulled-back M
         for icis, data in (_m1_parabola_system(), (wave_parabola_icis, wave_parabola_system)):
             discriminant(data)
             for s_value in (Fraction(1), None):
@@ -96,9 +97,12 @@ class TestFrontPolynomial:
                 _, bindings = front_substitution(icis, s_value)
                 assert fr.phi == poly_substitute(data.delta_raw, bindings).primitive_part()
 
-    def test_strategy_records_the_path(self, wave_cusp_front):
+    def test_strategy_records_the_path(
+        self, wave_cusp_front, wave_parabola_icis, wave_parabola_system
+    ):
         # the flagship's 15 x 15 matrix peels to an 11 x 11 core whose t
-        # exponents are all even; m1/parabola (mu = 1) takes Bareiss
+        # exponents are all even; m1/parabola (mu = 1) peels to nothing and
+        # wave/parabola (mu = 3) peels nothing
         assert wave_cusp_front.strategy == {
             "engine": "probed grid",
             "size": 15,
@@ -112,7 +116,19 @@ class TestFrontPolynomial:
         }
         icis, data = _m1_parabola_system()
         fr = front_polynomial(data, icis, s_value=Fraction(1))
-        assert fr.strategy == {"engine": "bareiss", "size": 1}
+        assert fr.strategy == {"engine": "probed grid", "size": 1, "peeled": 1, "core": 0}
+        fr = front_polynomial(wave_parabola_system, wave_parabola_icis, s_value=Fraction(1))
+        assert fr.strategy == {
+            "engine": "probed grid",
+            "size": 3,
+            "peeled": 0,
+            "core": 3,
+            "parity": [1, 1, 2],
+            "safe_bounds": [7, 12, 5],
+            "probed_bounds": [4, 6, 5],
+            "grid_points": 210,
+            "fallback": False,
+        }
 
     def test_leaves_the_discriminant_alone(self):
         icis, data = _m1_parabola_system()
