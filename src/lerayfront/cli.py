@@ -425,7 +425,7 @@ class Pipeline:
             count=40,
             seed=self.pb.seed,
         )
-        rep = eval_front_on_samples(fr.phi, rays.samples, self.pb.s_value, tol=self.pb.tol)
+        rep = eval_front_on_samples(fr.phi, rays.samples, self.pb.s_value)
         with open(self.out / "rays.csv", "w", newline="") as fh:
             wr = csv.writer(fh)
             n = self.pb.n

@@ -4,14 +4,18 @@
 polynomial ring, with exact divisions guaranteed by the Sylvester identity;
 the symbolic discriminant and the Jacobian minors (``phase``) use it.
 
-``det_interpolate`` takes integer determinants on the grid 0..bounds[i] of
-each variable and recovers det M by tensor-grid interpolation one axis at a
-time, all in Python ints: the grid's one denominator is cleared first, each
-axis runs forward differences and turns them into monomial coefficients by
-Stirling numbers of the first kind with weights b!/k!, and one division by
-the product of the b! and the denominator ends it.  ``wavefront`` runs it
-with probed degree bounds for every front determinant; the tests run it
-with the safe bounds of ``degree_bounds`` against Bareiss.
+``det_probed`` is the front pullback's determinant (``wavefront``): it
+peels single-entry rows and columns, divides out common exponent factors,
+probes each variable's degree, interpolates on the probed integer grid,
+checks the result exactly at random rational points and falls back to the
+safe bounds of ``degree_bounds``.  One integer evaluator of the core serves
+all of it.  ``det_interpolate`` is the same grid on given bounds; the tests
+run it with safe bounds against Bareiss.  The grid takes integer
+determinants on 0..bounds[i] of each variable and interpolates one axis at
+a time, all in Python ints: the grid's one denominator is cleared first,
+each axis runs forward differences and turns them into monomial
+coefficients by Stirling numbers of the first kind with weights b!/k!, and
+one division by the product of the b! and the denominator ends it.
 
 ``line_determinant`` restricts det M to a line y = a + b*tau the same way:
 integer determinants at tau = 0..bound, one 1-D interpolation
@@ -19,21 +23,24 @@ integer determinants at tau = 0..bound, one 1-D interpolation
 
 ``_IntegerEvaluator`` is the one evaluator of polynomial matrices at exact
 points.  ``at`` takes one rational point (the flatness oracle in
-``gaussmanin``, the points of a line); ``grid`` walks an integer grid axis
-by axis, so that neighbouring points share the work of their common prefix
-(the interpolation grid and the degree probes).
+``gaussmanin``, the points of a line, the check points of ``det_probed``);
+``grid`` walks an integer grid axis by axis, so that neighbouring points
+share the work of their common prefix (the interpolation grid and the
+degree probes).
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, product
-from math import factorial, lcm, prod
-from operator import mul, sub
+from math import factorial, gcd, lcm, prod
+from operator import floordiv, mul, sub
 from typing import Iterator, Sequence
 
-from .errors import ResourceLimitError
+from .errors import MismatchError, ResourceLimitError
 from .linalg import det_int
 from .poly import MultiPoly
 
@@ -100,6 +107,132 @@ def det_interpolate(M: Sequence[Sequence[MultiPoly]], bounds: Sequence[int]) -> 
     gives safe ones); the grid has prod(bounds[i]+1) points and must stay
     within ``GRID_MAX_POINTS``.
     """
+    return _interpolate_grid(*_row_scaled(M, M[0][0].ring), bounds)
+
+
+def det_probed(M: list[list[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict]:
+    """det M by probed-degree grid interpolation, checked exactly; and the path taken.
+
+    Rows and columns with one nonzero entry are peeled off exactly, and
+    exponents with a common factor in a variable are divided by it.  The
+    core left is evaluated by one row-scaled integer evaluator: the degree
+    probes (two random axis-parallel lines per variable, max taken), the
+    grid on the probed bounds, and four random rational points where the
+    interpolant must equal det_int of the evaluated core.  When a point
+    disagrees, the grid is taken again on the safe bounds; when that grid
+    exceeds ``GRID_MAX_POINTS``, MismatchError.  ``random.Random(seed)``
+    draws the probes first, then the check points.
+
+    The record (``FrontResult.strategy``) holds the engine, the matrix size,
+    the peeled and core sizes and, when a core is left, its exponent parity,
+    the safe and probed degree bounds, the grid points and whether the
+    safe-bounds fallback ran.
+    """
+    ring = M[0][0].ring
+    rng = random.Random(seed)
+    factor, sign, core = _peel_single_entries(M)
+    record = {
+        "engine": "probed grid",
+        "size": len(M),
+        "peeled": len(M) - len(core),
+        "core": len(core),
+    }
+    if not core:
+        return factor.scale(sign), record
+    # per-variable gcd of the exponents of all entries, 1 where all are 0
+    parity = [
+        gcd(*(e[i] for row in core for p in row for e in p.terms)) or 1 for i in range(len(ring))
+    ]
+    compressed = any(g > 1 for g in parity)
+    if compressed:
+        core = [[_map_exponents(p, floordiv, parity) for p in row] for row in core]
+    safe = degree_bounds(core)
+    evaluator, scale = _row_scaled(core, ring)
+    bounds = [min(b, s) for b, s in zip(_probe_degrees(evaluator, rng, safe), safe)]
+    record.update(
+        parity=parity,
+        safe_bounds=safe,
+        probed_bounds=bounds,
+        grid_points=prod(b + 1 for b in bounds),
+        fallback=False,
+    )
+    det = _interpolate_grid(evaluator, scale, bounds)
+    for _ in range(4):
+        pt = {v: Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for v in ring}
+        # the evaluator's entries are the row-scaled core's times S
+        S = prod(pt[v].denominator ** top for v, top in zip(ring, evaluator.maxdeg))
+        if det_int(evaluator.at(pt)[0]) != det.eval_exact(pt) * scale * S ** len(core):
+            try:
+                det = _interpolate_grid(evaluator, scale, safe)
+            except ResourceLimitError as err:
+                raise MismatchError(
+                    "probed interpolation failed verification and safe bounds "
+                    f"exceed the grid cap {err.limit}"
+                ) from None
+            record["fallback"] = True
+            break
+    if compressed:
+        det = _map_exponents(det, mul, parity)
+    return (factor * det).scale(sign), record
+
+
+def _peel_single_entries(M: list[list[MultiPoly]]):
+    """Laplace-expand along rows/columns with exactly one nonzero entry.
+
+    Returns (factor polynomial, sign, reduced matrix); repeated until no
+    such row or column remains.  Exact, and it shrinks both the matrix and
+    the interpolation grid.
+    """
+    ring = M[0][0].ring
+    factor = MultiPoly.constant(ring, 1)
+    sign = 1
+    m = [list(row) for row in M]
+    while m:
+        n = len(m)
+        rows = [[j for j in range(n) if not m[i][j].is_zero()] for i in range(n)]
+        cols = [[i for i in range(n) if not m[i][j].is_zero()] for j in range(n)]
+        if not all(rows) or not all(cols):
+            return MultiPoly.zero(ring), 1, []
+        single = [(i, nz[0]) for i, nz in enumerate(rows) if len(nz) == 1]
+        single += [(nz[0], j) for j, nz in enumerate(cols) if len(nz) == 1]
+        if not single:
+            break
+        i, j = single[0]
+        factor = factor * m[i][j]
+        sign *= (-1) ** (i + j)
+        m = [[m[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+    return factor, sign, m
+
+
+def _map_exponents(p: MultiPoly, op, parity: list[int]) -> MultiPoly:
+    """p with each exponent e_v replaced by op(e_v, parity[v])."""
+    return MultiPoly(p.ring, {tuple(map(op, e, parity)): c for e, c in p.terms.items()})
+
+
+def _probe_degrees(evaluator: _IntegerEvaluator, rng: random.Random, safe: list[int]) -> list[int]:
+    """Actual per-variable degree of the evaluator's determinant along random lines.
+
+    Along each axis-parallel line the determinant is taken at safe_bound+1
+    nodes (a grid whose other axes hold one value each) and interpolated as
+    a univariate; the trimmed degree is the probe.  Two lines per variable,
+    max taken.
+    """
+    bounds = []
+    for k in range(len(safe)):
+        best = 0
+        for _ in range(2):
+            axes = [[rng.randint(2, 19)] for _ in range(len(safe) - 1)]
+            axes.insert(k, range(safe[k] + 1))
+            coeffs = _interp_1d([det_int(mats[0]) for mats in evaluator.grid(axes)])
+            best = max(best, max((i for i, c in enumerate(coeffs) if c), default=0))
+        bounds.append(best)
+    return bounds
+
+
+def _interpolate_grid(
+    evaluator: _IntegerEvaluator, scale: int, bounds: Sequence[int]
+) -> MultiPoly:
+    """det M from the evaluator of M on the grid 0..bounds[i] (det M = det_int / scale)."""
     npts = prod(b + 1 for b in bounds)
     if npts > GRID_MAX_POINTS:
         raise ResourceLimitError(
@@ -107,8 +240,8 @@ def det_interpolate(M: Sequence[Sequence[MultiPoly]], bounds: Sequence[int]) -> 
             kind="interpolation-grid",
             limit=GRID_MAX_POINTS,
         )
-    values, scale = _grid_values(M, M[0][0].ring, [range(b + 1) for b in bounds])
-    return _tensor_interpolate(values, bounds, M[0][0].ring, scale)
+    values = [det_int(mats[0]) for mats in evaluator.grid([range(b + 1) for b in bounds])]
+    return _tensor_interpolate(values, bounds, evaluator.ring, scale)
 
 
 def line_determinant(
@@ -120,8 +253,11 @@ def line_determinant(
     determinants at tau = 0..bound, interpolated once, give it exactly.
     """
     bound = _row_col_bound(M, MultiPoly.total_degree)
-    points = [[al + bl * k for al, bl in zip(a, b)] for k in range(bound + 1)]
-    values, scale = _det_values(M, ring, points)
+    evaluator, scale = _row_scaled(M, ring)
+    values = [
+        det_int(evaluator.at({v: al + bl * k for v, al, bl in zip(ring, a, b)})[0])
+        for k in range(bound + 1)
+    ]
     return _tensor_interpolate(values, [bound], ("tau",), scale)
 
 
@@ -204,7 +340,7 @@ class _IntegerEvaluator:
         if not axes:
             yield self.at({})
             return
-        coefficients, plan = self._walk_plan(len(axes))
+        coefficients, plan = self._walk_plan
         *outer, last = axes
         kexp, ends = plan[-1]
         m, n = len(kexp), len(self.terms)
@@ -231,8 +367,9 @@ class _IntegerEvaluator:
 
         yield from walk(coefficients, 0)
 
-    def _walk_plan(self, nvars: int) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
-        """The entries' coefficients in walk order, and one step per axis.
+    @cached_property
+    def _walk_plan(self) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
+        """The entries' coefficients in walk order, and one step per axis (built once).
 
         Before axis a is evaluated, each value belongs to one (entry,
         exponents from a on) pair; the pairs are sorted by entry and then by
@@ -252,6 +389,7 @@ class _IntegerEvaluator:
         items = [(i, e) for i, e, _ in terms]
         coefficients = [c for _, _, c in terms]
         plan = []
+        nvars = len(self.ring)
         for axis in range(nvars):
             groups = [(i, e[1:]) for i, e in items]
             kexp = [e[0] for _, e in items]
@@ -273,18 +411,6 @@ def _row_scaled(M, ring) -> tuple[_IntegerEvaluator, int]:
     dens = [lcm(*(c.denominator for p in row for c in p.terms.values())) for row in M]
     scaled = [[p.scale(d) for p in row] for row, d in zip(M, dens)]
     return _IntegerEvaluator(_integer_entries([scaled]), ring), prod(dens)
-
-
-def _det_values(M, ring, points) -> tuple[list[int], int]:
-    """det M times the scale at each integer point (coordinates in ring order), and the scale."""
-    evaluator, scale = _row_scaled(M, ring)
-    return [det_int(evaluator.at(dict(zip(ring, pt)))[0]) for pt in points], scale
-
-
-def _grid_values(M, ring, axes) -> tuple[list[int], int]:
-    """det M times the scale on the grid axes[0] x ... (last axis fastest), and the scale."""
-    evaluator, scale = _row_scaled(M, ring)
-    return [det_int(mats[0]) for mats in evaluator.grid(axes)], scale
 
 
 def _tensor_interpolate(

@@ -140,13 +140,15 @@ def residue_exponents_K1(data: GaussManinData) -> list[Fraction]:
             for i in range(mu)
         ]
     )
-    if P0.det() == 0:
-        raise NotApplicableError("P^(0)(0) is singular; exponents undefined")
+    try:
+        inverse = P0.scale(p0).inverse()
+    except NoSolutionError:
+        raise NotApplicableError("P^(0)(0) is singular; exponents undefined") from None
     L = RationalMatrix.from_rows(
         [[Fraction(data.l_weights[i]) if i == j else ZERO for j in range(mu)] for i in range(mu)]
     )
     I = RationalMatrix.identity(mu)
-    B = (L * P0 - I.scale(p0)) * (P0.scale(p0)).inverse()
+    B = (L * P0 - I.scale(p0)) * inverse
     hints = [Fraction(l - p0, p0) for l in data.l_weights]
     return rational_eigenvalues(B, hints=hints)
 

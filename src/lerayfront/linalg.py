@@ -110,10 +110,6 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
-    def det(self) -> Fraction:
-        assert self.rows == self.cols
-        return det_fraction(self.entries)
-
     def inverse(self) -> "RationalMatrix":
         """Gauss-Jordan on [A | I]; singular exactly when a pivot leaves 0..n-1."""
         assert self.rows == self.cols

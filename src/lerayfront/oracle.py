@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import fsum, prod
 from typing import Sequence
 
 import numpy as np
@@ -168,14 +169,24 @@ def _minimal_polynomial(gb: GroebnerBasis, var: str) -> tuple[MultiPoly, int]:
     return MultiPoly((var,), {(k,): c for k, c in enumerate(v) if c}), len(rows)
 
 
-def scaled_residual(p: MultiPoly, values: dict[str, float]) -> float:
-    """|p(values)| / (L1 coefficient norm * max(1, |point|_inf)^deg)."""
+def scaled_residuals(p: MultiPoly, points: Sequence[dict[str, float]]) -> list[float]:
+    """|p(z)| / (L1 coefficient norm * max(1, |z|_inf)^deg) at each point z.
+
+    The norm, the degree and the float coefficients are taken once for all
+    points; p(z) is the ``math.fsum`` of ``MultiPoly.eval_float``.
+    """
     norm = float(sum(abs(c) for c in p.terms.values()))
     if norm == 0.0:
-        return 0.0
-    mag = max([1.0] + [abs(float(v)) for v in values.values()])
-    scale = norm * mag ** p.total_degree()
-    return abs(p.eval_float(values)) / scale
+        return [0.0] * len(points)
+    degree = p.total_degree()
+    terms = [(e, float(c)) for e, c in p.terms.items()]
+    out = []
+    for values in points:
+        vals = [float(values[v]) for v in p.ring]
+        mag = max([1.0] + [abs(float(v)) for v in values.values()])
+        value = fsum(prod(map(pow, vals, e), start=c) for e, c in terms)
+        out.append(abs(value) / (norm * mag**degree))
+    return out
 
 
 @dataclass
@@ -380,20 +391,19 @@ class FrontEvalReport:
 
 
 def eval_front_on_samples(
-    phi: MultiPoly, samples: Sequence[RaySample], s: Fraction, tol: float = 1e-6
+    phi: MultiPoly, samples: Sequence[RaySample], s: Fraction
 ) -> FrontEvalReport:
-    """Max scaled |phi| over ray samples; pass iff below tol."""
+    """Max scaled |phi| over ray samples, and the first sample that reaches it."""
     if not samples:
         return FrontEvalReport(max_scaled_residual=0.0, count=0, vacuous=True)
-    worst = 0.0
-    worst_s = None
+    points = []
     for smp in samples:
         values = {f"x{i + 1}": smp.x[i] for i in range(len(smp.x))}
         values["t"] = smp.t
         if "s" in phi.ring:
             values["s"] = float(s)
-        r = scaled_residual(phi, values)
-        if r > worst:
-            worst = r
-            worst_s = smp
+        points.append(values)
+    residuals = scaled_residuals(phi, points)
+    worst = max([0.0] + residuals)
+    worst_s = samples[residuals.index(worst)] if worst > 0.0 else None
     return FrontEvalReport(max_scaled_residual=worst, count=len(samples), worst=worst_s)

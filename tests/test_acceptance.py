@@ -241,7 +241,7 @@ def test_criterion_8_end_to_end(wave_cusp_pipeline, wave_cusp_front, cusp_front,
         wave_symbol, cusp_front, Fraction(1), t_values=[0.1, 0.5, 1.0], count=20, seed=5
     )
     assert len(rays.samples) >= 100
-    rep_b = eval_front_on_samples(fr.phi, rays.samples, Fraction(1), tol=1e-6)
+    rep_b = eval_front_on_samples(fr.phi, rays.samples, Fraction(1))
     assert rep_b.max_scaled_residual < 1e-6
     # (c) the hand ray from z = (1, 0): x = (1 +/- t, 0) lies on the front
     for tv in (Fraction(1, 10), Fraction(1, 2), Fraction(1)):

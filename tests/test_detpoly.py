@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from lerayfront import detpoly
 from lerayfront.detpoly import (
-    _grid_values,
     _interp_1d,
+    _row_scaled,
     degree_bounds,
     det_interpolate,
     det_poly_matrix,
 )
 from lerayfront.errors import ResourceLimitError
-from lerayfront.linalg import RationalMatrix, det_fraction, solve_linear_exact
+from lerayfront.linalg import RationalMatrix, det_fraction, det_int, solve_linear_exact
 from lerayfront.poly import MultiPoly
 
 RING = ("y1", "y2")
@@ -87,7 +87,8 @@ def test_grid_values_match_determinants_of_evaluated_entries(ring):
     M = [[_random_poly(rng, 2, ring, max_den=6) for _ in range(3)] for _ in range(3)]
     M[1][2] = MultiPoly.zero(ring)
     axes = [range(-1, 2 + k) for k in range(len(ring))]
-    values, scale = _grid_values(M, ring, axes)
+    evaluator, scale = _row_scaled(M, ring)
+    values = [det_int(mats[0]) for mats in evaluator.grid(axes)]
     points = list(product(*axes))
     assert len(values) == len(points) == prod(len(axis) for axis in axes)
     for point, value in zip(points, values):

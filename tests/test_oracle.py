@@ -15,6 +15,7 @@ from lerayfront.oracle import (
     line_check,
     sample_front,
     sample_level_set,
+    scaled_residuals,
 )
 from lerayfront.phase import (
     HyperbolicSymbol,
@@ -248,5 +249,24 @@ class TestEvalFront:
         ring = ("x1", "x2", "t")
         one = MultiPoly.constant(ring, 1)
         rep_rays = sample_front(WAVE, CUSP, Fraction(1), [0.5], count=5, seed=5)
-        rep = eval_front_on_samples(one, rep_rays.samples, Fraction(1), tol=1e-6)
+        rep = eval_front_on_samples(one, rep_rays.samples, Fraction(1))
         assert rep.max_scaled_residual > 0.5
+
+    def test_residuals_match_eval_float_bit_for_bit(self):
+        # the coefficients are converted once; each residual must still be
+        # the per-point formula on eval_float, to the last bit
+        ring = ("x1", "x2", "t")
+        rng = random.Random(4)
+        terms = {}
+        for _ in range(30):
+            e = tuple(rng.randint(0, 4) for _ in ring)
+            terms[e] = Fraction(rng.randint(-99, 99), rng.randint(1, 7))
+        p = MultiPoly(ring, terms)
+        points = [{v: rng.uniform(-3, 3) for v in ring} for _ in range(20)]
+        norm = float(sum(abs(c) for c in p.terms.values()))
+        expected = []
+        for pt in points:
+            mag = max([1.0] + [abs(x) for x in pt.values()])
+            expected.append(abs(p.eval_float(pt)) / (norm * mag ** p.total_degree()))
+        assert scaled_residuals(p, points) == expected
+        assert scaled_residuals(MultiPoly.zero(ring), points[:3]) == [0.0] * 3

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from lerayfront.detpoly import degree_bounds, det_bareiss
-from lerayfront.errors import ResourceLimitError
+from lerayfront import detpoly
+from lerayfront.detpoly import _probe_degrees, _row_scaled, degree_bounds, det_bareiss, det_probed
+from lerayfront.errors import MismatchError, ResourceLimitError
 from lerayfront.gcdtools import multivariate_gcd, squarefree_part
 from lerayfront.gaussmanin import discriminant
 from lerayfront.phase import (
@@ -18,10 +19,6 @@ from lerayfront.phase import (
 from lerayfront.poly import MultiPoly, poly_substitute
 from lerayfront.wavefront import (
     FrontResult,
-    _det_probed_interpolation,
-    _peel_single_entries,
-    _probe_degrees,
-    _variable_parity,
     front_polynomial,
     front_substitution,
     t_zero_check,
@@ -253,13 +250,14 @@ class TestProbedInterpolation:
         rng = random.Random(len(ring))
         for seed in range(2):
             M = _random_matrix(rng, ring, 4)
-            assert _det_probed_interpolation(M, ring, seed=seed)[0] == det_bareiss(M)
+            assert det_probed(M, seed=seed)[0] == det_bareiss(M)
 
     def test_probes_find_the_degrees(self):
         ring = ("a", "b", "c")
         M = _random_matrix(random.Random(9), ring, 4)
         det = det_bareiss(M)
-        probed = _probe_degrees(M, ring, random.Random(0), degree_bounds(M))
+        evaluator = _row_scaled(M, ring)[0]
+        probed = _probe_degrees(evaluator, random.Random(0), degree_bounds(M))
         assert probed == [det.degree_in(v) for v in ring]
 
     def test_single_entry_row_is_peeled(self):
@@ -267,14 +265,58 @@ class TestProbedInterpolation:
         M = _random_matrix(random.Random(7), ring, 4)
         zero = MultiPoly.zero(ring)
         M[1] = [zero, zero, MultiPoly.variable(ring, "b") + MultiPoly.constant(ring, 1), zero]
-        assert len(_peel_single_entries(M, ring)[2]) == 3
-        assert _det_probed_interpolation(M, ring, seed=3)[0] == det_bareiss(M)
+        det, record = det_probed(M, seed=3)
+        assert (record["peeled"], record["core"]) == (1, 3)
+        assert det == det_bareiss(M)
 
     def test_even_exponents_are_compressed(self):
         ring = ("a", "b", "c")
         M = _random_matrix(random.Random(8), ring, 4, step=2)
-        assert _variable_parity(M, ring) == [2, 2, 2]
-        assert _det_probed_interpolation(M, ring, seed=4)[0] == det_bareiss(M)
+        det, record = det_probed(M, seed=4)
+        assert record["parity"] == [2, 2, 2]
+        assert det == det_bareiss(M)
+
+    def test_one_evaluator_per_core(self, monkeypatch):
+        # the probes, the grid and the check points all walk one evaluator
+        built = []
+        init = detpoly._IntegerEvaluator.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(detpoly._IntegerEvaluator, "__init__", counting_init)
+        M = _random_matrix(random.Random(10), ("a", "b", "c"), 4)
+        assert det_probed(M, seed=1)[0] == det_bareiss(M)
+        assert len(built) == 1
+
+    def _under_reported(self, monkeypatch):
+        """Make the probes report one degree too few in the first variable that has one."""
+        probe = detpoly._probe_degrees
+
+        def short_probe(*args):
+            bounds = probe(*args)
+            k = next(i for i, b in enumerate(bounds) if b)
+            return bounds[:k] + [bounds[k] - 1] + bounds[k + 1 :]
+
+        monkeypatch.setattr(detpoly, "_probe_degrees", short_probe)
+        return _random_matrix(random.Random(11), ("a", "b", "c"), 4)
+
+    def test_failed_check_falls_back_to_safe_bounds(self, monkeypatch):
+        M = self._under_reported(monkeypatch)
+        det, record = det_probed(M, seed=2)
+        assert record["fallback"] is True
+        assert record["probed_bounds"] != record["safe_bounds"]
+        assert det == det_bareiss(M)
+
+    def test_fallback_over_the_grid_cap_is_a_mismatch(self, monkeypatch):
+        M = self._under_reported(monkeypatch)
+        safe_points = 1
+        for b in degree_bounds(M):
+            safe_points *= b + 1
+        monkeypatch.setattr(detpoly, "GRID_MAX_POINTS", safe_points - 1)
+        with pytest.raises(MismatchError, match="safe bounds exceed the grid cap"):
+            det_probed(M, seed=2)
 
 
 class TestTZero:
