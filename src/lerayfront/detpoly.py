@@ -6,19 +6,20 @@ the symbolic discriminant and the Jacobian minors (``phase``) use it.
 
 ``det_probed`` is the front pullback's determinant (``wavefront``): it
 peels single-entry rows and columns, divides out common exponent factors,
-probes each variable's degree, interpolates on the probed integer grid,
-checks the result exactly at random rational points and falls back to the
-safe bounds of ``degree_bounds``.  One integer evaluator of the core serves
-all of it.  ``det_interpolate`` is the same grid on given bounds; the tests
-run it with safe bounds against Bareiss.  The grid takes integer
-determinants on 0..bounds[i] of each variable and interpolates one axis at
-a time, all in Python ints: the grid's one denominator is cleared first,
-each axis runs forward differences and turns them into monomial
-coefficients by Stirling numbers of the first kind with weights b!/k!, and
-one division by the product of the b! and the denominator ends it.
+probes each variable's degree, valuation v and exponent step g,
+interpolates on the grid those leave, checks the result exactly at random
+rational points and falls back to the safe bounds of ``degree_bounds``.
+One integer evaluator of the core serves all of it.  ``det_interpolate``
+is the same grid on given bounds; the tests run it with safe bounds
+against Bareiss.  The grid takes integer determinants on (deg - v) // g + 1
+integer nodes of each variable, divides each by the nodes' powers
+prod x_i^v_i exactly, and interpolates one axis at a time in u = x^g, all
+in Python ints: each axis applies the integer Lagrange matrix of its
+nodes (``_lagrange``), and one division by the product of the matrices'
+denominators and the row scale ends it.
 
-``line_determinant`` restricts det M to a line y = a + b*tau the same way:
-integer determinants at tau = 0..bound, one 1-D interpolation
+``line_determinant`` restricts det M to a line y = a + b*tau with the same
+kernel: integer determinants at tau = 0..bound, one 1-D interpolation
 (``oracle.line_check``).
 
 ``_IntegerEvaluator`` is the one evaluator of polynomial matrices at exact
@@ -36,7 +37,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, product
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import floordiv, mul, sub
 from typing import Iterator, Sequence
 
@@ -45,7 +46,7 @@ from .linalg import det_int
 from .poly import MultiPoly
 
 # Most integer determinants one interpolation grid may take; the flagship
-# front's grid has 17,226 points.
+# front's grid has 6,480 points at s = 1 and 97,200 with symbolic s.
 GRID_MAX_POINTS = 400_000
 
 
@@ -107,26 +108,29 @@ def det_interpolate(M: Sequence[Sequence[MultiPoly]], bounds: Sequence[int]) -> 
     gives safe ones); the grid has prod(bounds[i]+1) points and must stay
     within ``GRID_MAX_POINTS``.
     """
-    return _interpolate_grid(*_row_scaled(M, M[0][0].ring), bounds)
+    evaluator, scale = _row_scaled(M, M[0][0].ring)
+    return _interpolate_grid(evaluator, scale, [range(b + 1) for b in bounds])
 
 
 def det_probed(M: list[list[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict]:
-    """det M by probed-degree grid interpolation, checked exactly; and the path taken.
+    """det M by probed-exponent grid interpolation, checked exactly; and the path taken.
 
     Rows and columns with one nonzero entry are peeled off exactly, and
     exponents with a common factor in a variable are divided by it.  The
-    core left is evaluated by one row-scaled integer evaluator: the degree
-    probes (two random axis-parallel lines per variable, max taken), the
-    grid on the probed bounds, and four random rational points where the
-    interpolant must equal det_int of the evaluated core.  When a point
-    disagrees, the grid is taken again on the safe bounds; when that grid
-    exceeds ``GRID_MAX_POINTS``, MismatchError.  ``random.Random(seed)``
-    draws the probes first, then the check points.
+    core left is evaluated by one row-scaled integer evaluator: the probes
+    (two random axis-parallel lines per variable give its degree, its
+    valuation v and the step g of its exponents), the grid of
+    (degree - v) // g + 1 nodes per variable, and four random rational
+    points where the interpolant must equal det_int of the evaluated core.
+    When a grid value is not divisible by the nodes' powers prod y_i^v_i or
+    a point disagrees, the grid is taken again on the safe bounds (v = 0,
+    g = 1); when that grid exceeds ``GRID_MAX_POINTS``, MismatchError.
+    ``random.Random(seed)`` draws the probes first, then the check points.
 
     The record (``FrontResult.strategy``) holds the engine, the matrix size,
     the peeled and core sizes and, when a core is left, its exponent parity,
-    the safe and probed degree bounds, the grid points and whether the
-    safe-bounds fallback ran.
+    the safe and probed degree bounds, the probed valuations and steps, the
+    points of the probed grid and whether the safe-bounds fallback ran.
     """
     ring = M[0][0].ring
     rng = random.Random(seed)
@@ -148,29 +152,34 @@ def det_probed(M: list[list[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict
         core = [[_map_exponents(p, floordiv, parity) for p in row] for row in core]
     safe = degree_bounds(core)
     evaluator, scale = _row_scaled(core, ring)
-    bounds = [min(b, s) for b, s in zip(_probe_degrees(evaluator, rng, safe), safe)]
+    bounds, valuations, steps = _probe_degrees(evaluator, rng, safe)
+    exponents = [range(v, b + 1, g) for b, v, g in zip(bounds, valuations, steps)]
     record.update(
         parity=parity,
         safe_bounds=safe,
         probed_bounds=bounds,
-        grid_points=prod(b + 1 for b in bounds),
+        probed_valuations=valuations,
+        probed_steps=steps,
+        grid_points=prod(map(len, exponents)),
         fallback=False,
     )
-    det = _interpolate_grid(evaluator, scale, bounds)
-    for _ in range(4):
+
+    def agrees_at_a_random_point() -> bool:
         pt = {v: Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for v in ring}
         # the evaluator's entries are the row-scaled core's times S
         S = prod(pt[v].denominator ** top for v, top in zip(ring, evaluator.maxdeg))
-        if det_int(evaluator.at(pt)[0]) != det.eval_exact(pt) * scale * S ** len(core):
-            try:
-                det = _interpolate_grid(evaluator, scale, safe)
-            except ResourceLimitError as err:
-                raise MismatchError(
-                    "probed interpolation failed verification and safe bounds "
-                    f"exceed the grid cap {err.limit}"
-                ) from None
-            record["fallback"] = True
-            break
+        return det_int(evaluator.at(pt)[0]) == det.eval_exact(pt) * scale * S ** len(core)
+
+    det = _interpolate_grid(evaluator, scale, exponents)
+    if det is None or not all(agrees_at_a_random_point() for _ in range(4)):
+        try:
+            det = _interpolate_grid(evaluator, scale, [range(b + 1) for b in safe])
+        except ResourceLimitError as err:
+            raise MismatchError(
+                "probed interpolation failed verification and safe bounds "
+                f"exceed the grid cap {err.limit}"
+            ) from None
+        record["fallback"] = True
     if compressed:
         det = _map_exponents(det, mul, parity)
     return (factor * det).scale(sign), record
@@ -209,39 +218,61 @@ def _map_exponents(p: MultiPoly, op, parity: list[int]) -> MultiPoly:
     return MultiPoly(p.ring, {tuple(map(op, e, parity)): c for e, c in p.terms.items()})
 
 
-def _probe_degrees(evaluator: _IntegerEvaluator, rng: random.Random, safe: list[int]) -> list[int]:
-    """Actual per-variable degree of the evaluator's determinant along random lines.
+def _probe_degrees(
+    evaluator: _IntegerEvaluator, rng: random.Random, safe: list[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """Per-variable degree, valuation and exponent step of the evaluator's determinant.
 
     Along each axis-parallel line the determinant is taken at safe_bound+1
     nodes (a grid whose other axes hold one value each) and interpolated as
-    a univariate; the trimmed degree is the probe.  Two lines per variable,
-    max taken.
+    a univariate.  Over the two random lines of a variable, the largest
+    exponent with a nonzero coefficient is its degree, the smallest is its
+    valuation v, and the gcd of their differences from v is its step (1
+    when that gcd is 0).
     """
-    bounds = []
+    degrees, valuations, steps = [], [], []
     for k in range(len(safe)):
-        best = 0
+        cols = _lagrange(range(safe[k] + 1))[0]
+        found = set()
         for _ in range(2):
             axes = [[rng.randint(2, 19)] for _ in range(len(safe) - 1)]
             axes.insert(k, range(safe[k] + 1))
-            coeffs = _interp_1d([det_int(mats[0]) for mats in evaluator.grid(axes)])
-            best = max(best, max((i for i, c in enumerate(coeffs) if c), default=0))
-        bounds.append(best)
-    return bounds
+            values = [det_int(mats[0]) for mats in evaluator.grid(axes)]
+            found.update(j for j, col in enumerate(cols) if sum(map(mul, values, col)))
+        v = min(found, default=0)
+        degrees.append(max(found, default=0))
+        valuations.append(v)
+        steps.append(gcd(*(j - v for j in found)) or 1)
+    return degrees, valuations, steps
 
 
 def _interpolate_grid(
-    evaluator: _IntegerEvaluator, scale: int, bounds: Sequence[int]
-) -> MultiPoly:
-    """det M from the evaluator of M on the grid 0..bounds[i] (det M = det_int / scale)."""
-    npts = prod(b + 1 for b in bounds)
+    evaluator: _IntegerEvaluator, scale: int, exponents: Sequence[range]
+) -> MultiPoly | None:
+    """det M from the evaluator of M, given each exponent of y_i in det M is in exponents[i].
+
+    With exponents[i] = range(v, ..., g), axis i takes len(exponents[i])
+    integer nodes, from 1 when v > 0 and from 0 otherwise; each grid value
+    is divided exactly by prod node_i^v_i and interpolated in u_i = y_i^g
+    (det M = det_int / scale).  None when a value is not divisible, which
+    shows the exponents wrong.
+    """
+    nodes = [range(1, len(e) + 1) if e.start else range(len(e)) for e in exponents]
+    npts = prod(map(len, nodes))
     if npts > GRID_MAX_POINTS:
         raise ResourceLimitError(
             f"interpolation grid of {npts} points exceeds cap {GRID_MAX_POINTS}",
             kind="interpolation-grid",
             limit=GRID_MAX_POINTS,
         )
-    values = [det_int(mats[0]) for mats in evaluator.grid([range(b + 1) for b in bounds])]
-    return _tensor_interpolate(values, bounds, evaluator.ring, scale)
+    powers = product(*([x**e.start for x in axis] for axis, e in zip(nodes, exponents)))
+    values = []
+    for mats, divisors in zip(evaluator.grid(nodes), powers):
+        value, rest = divmod(det_int(mats[0]), prod(divisors))
+        if rest:
+            return None
+        values.append(value)
+    return _tensor_interpolate(values, nodes, exponents, evaluator.ring, scale)
 
 
 def line_determinant(
@@ -252,13 +283,13 @@ def line_determinant(
     Its degree is at most the row/column total-degree bound of M, so integer
     determinants at tau = 0..bound, interpolated once, give it exactly.
     """
-    bound = _row_col_bound(M, MultiPoly.total_degree)
+    nodes = range(_row_col_bound(M, MultiPoly.total_degree) + 1)
     evaluator, scale = _row_scaled(M, ring)
     values = [
         det_int(evaluator.at({v: al + bl * k for v, al, bl in zip(ring, a, b)})[0])
-        for k in range(bound + 1)
+        for k in nodes
     ]
-    return _tensor_interpolate(values, [bound], ("tau",), scale)
+    return _tensor_interpolate(values, [nodes], [nodes], ("tau",), scale)
 
 
 def _integer_entries(mats: list[list[list[MultiPoly]]]) -> list[list[list[dict]]]:
@@ -414,58 +445,47 @@ def _row_scaled(M, ring) -> tuple[_IntegerEvaluator, int]:
 
 
 def _tensor_interpolate(
-    values: list[int], bounds: Sequence[int], ring, den: int
+    values: list[int], nodes: Sequence[Sequence[int]], exponents: Sequence[range], ring, den: int
 ) -> MultiPoly:
-    """The polynomial that is values / den on the grid 0..bounds[i], last axis fastest.
+    """The polynomial that is values / den on the grid of nodes, last axis fastest.
 
-    ``_interp_1d`` transforms each axis in place (in ints, times bounds[axis]!);
-    one division by den * prod(bounds[i]!) per coefficient ends it.
+    Along axis i it is a polynomial in u = y_i^g with exponents[i] =
+    range(v, ..., g) of y_i, divided by y_i^v in ``values``; each axis is
+    interpolated in place at u = node^g with the integer Lagrange matrix
+    (``_lagrange``), and one division by den times the matrices'
+    denominators ends it.
     """
     data = list(values)
     stride = 1
-    for b in reversed(bounds):
-        span = stride * (b + 1)
-        cols = _falling_to_monomial(b)
+    for axis, exps in zip(reversed(nodes), reversed(exponents)):
+        span = stride * len(axis)
+        cols, w = _lagrange([x**exps.step for x in axis])
         for start in range(0, len(data), span):
             for r in range(start, start + stride):
-                data[r : r + span : stride] = _interp_1d(data[r : r + span : stride], cols)
+                line = data[r : r + span : stride]
+                data[r : r + span : stride] = [sum(map(mul, line, col)) for col in cols]
+        den *= w
         stride = span
-    den *= prod(map(factorial, bounds))
-    exponents = product(*(range(b + 1) for b in bounds))
-    return MultiPoly(ring, {e: Fraction(c, den) for e, c in zip(exponents, data) if c})
+    return MultiPoly(ring, {e: Fraction(c, den) for e, c in zip(product(*exponents), data) if c})
 
 
-def _interp_1d(vals: Sequence[int], cols: list[list[int]] | None = None) -> list[int]:
-    """b! times the monomial coefficients of the polynomial through (i, vals[i]), i = 0..b.
+def _lagrange(nodes: Sequence[int]) -> tuple[list[tuple[int, ...]], int]:
+    """The integer Lagrange matrix of distinct integer nodes, by columns, and its denominator.
 
-    Forward differences give the Newton form sum_k D^k(0) x(x-1)...(x-k+1) / k!;
-    ``cols`` (``_falling_to_monomial(b)``, passed in when many lines share
-    it) expands it with integer weights b!/k!.
+    The polynomial through the points (nodes[i], vals[i]) has the
+    coefficient sum_i vals[i] * cols[j][i] / den at u^j.  Row i is
+    m(u) / (u - nodes[i]), one synthetic division of the master product
+    m(u) = prod_j (u - nodes[j]), times den / w_i, where
+    w_i = prod_{j != i} (nodes[i] - nodes[j]) and den is the lcm of the w_i.
     """
-    d = list(vals)
-    for level in range(1, len(d)):
-        d[level:] = map(sub, d[level:], d[level - 1 : -1])
-    if cols is None:
-        cols = _falling_to_monomial(len(d) - 1)
-    return [sum(map(mul, d[j:], col)) for j, col in enumerate(cols)]
-
-
-def _falling_to_monomial(b: int) -> list[list[int]]:
-    """Column j holds (b!/k!) * s(k, j) for k = j..b.
-
-    s(k, j) are the signed Stirling numbers of the first kind, the monomial
-    coefficients of the falling factorial x(x-1)...(x-k+1);
-    s(k+1, j) = s(k, j-1) - k * s(k, j).
-    """
-    cols: list[list[int]] = [[] for _ in range(b + 1)]
-    stirling = [1]  # s(k, 0..k)
-    weight = factorial(b)  # b!/k!
-    for k in range(b + 1):
-        for j, s in enumerate(stirling):
-            cols[j].append(weight * s)
-        stirling = [
-            (stirling[j - 1] if j else 0) - (k * stirling[j] if j <= k else 0)
-            for j in range(k + 2)
-        ]
-        weight //= k + 1
-    return cols
+    master = [1]  # coefficients from u^0 up
+    for a in nodes:
+        master = list(map(sub, [0, *master], [a * c for c in master] + [0]))
+    weights = [prod(a - b for b in nodes if b != a) for a in nodes]
+    den = lcm(*weights)
+    rows = [
+        # the quotient from the top down: q_(k-1) = m_k + a * q_k
+        [c * (den // w) for c in accumulate(master[-2:0:-1], lambda q, m: m + a * q, initial=1)]
+        for a, w in zip(nodes, weights)
+    ]
+    return list(zip(*(row[::-1] for row in rows))), den

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm, prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lerayfront import detpoly
 from lerayfront.detpoly import (
-    _interp_1d,
+    _lagrange,
     _row_scaled,
     degree_bounds,
     det_interpolate,
@@ -97,16 +97,27 @@ def test_grid_values_match_determinants_of_evaluated_entries(ring):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.fractions(-50, 50, max_denominator=12), min_size=1, max_size=12))
-def test_interp_1d_solves_the_vandermonde_system(vals):
-    # b! * (coefficients) from the integer routine, against an exact solve of
-    # sum_j c_j i^j = vals[i], i = 0..b
+@given(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=12, unique=True).flatmap(
+        lambda nodes: st.tuples(
+            st.just(nodes),
+            st.lists(
+                st.fractions(-50, 50, max_denominator=12), min_size=len(nodes), max_size=len(nodes)
+            ),
+        )
+    )
+)
+def test_interp_1d_solves_the_vandermonde_system(case):
+    # den times the coefficients from the integer Lagrange matrix, against an
+    # exact solve of sum_j c_j nodes[i]^j = vals[i]
+    nodes, vals = case
     b = len(vals) - 1
     den = lcm(*(v.denominator for v in vals))
-    scaled = _interp_1d([int(v * den) for v in vals])
-    V = RationalMatrix(b + 1, b + 1, [[Fraction(i**j) for j in range(b + 1)] for i in range(b + 1)])
+    cols, w = _lagrange(nodes)
+    scaled = [sum(int(v * den) * c for v, c in zip(vals, col)) for col in cols]
+    V = RationalMatrix(b + 1, b + 1, [[Fraction(x**j) for j in range(b + 1)] for x in nodes])
     coeffs = solve_linear_exact(V, vals).particular
-    assert [Fraction(c, den * factorial(b)) for c in scaled] == coeffs
+    assert [Fraction(c, den * w) for c in scaled] == coeffs
 
 
 def test_interpolation_grid_cap(monkeypatch):

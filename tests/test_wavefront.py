@@ -1,11 +1,20 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 
 from lerayfront import detpoly
-from lerayfront.detpoly import _probe_degrees, _row_scaled, degree_bounds, det_bareiss, det_probed
+from lerayfront.detpoly import (
+    _map_exponents,
+    _probe_degrees,
+    _row_scaled,
+    degree_bounds,
+    det_bareiss,
+    det_probed,
+)
 from lerayfront.errors import MismatchError, ResourceLimitError
 from lerayfront.gcdtools import multivariate_gcd, squarefree_part
 from lerayfront.gaussmanin import discriminant
@@ -98,8 +107,10 @@ class TestFrontPolynomial:
         self, wave_cusp_front, wave_parabola_icis, wave_parabola_system
     ):
         # the flagship's 15 x 15 matrix peels to an 11 x 11 core whose t
-        # exponents are all even; m1/parabola (mu = 1) peels to nothing and
-        # wave/parabola (mu = 3) peels nothing
+        # exponents are all even; its determinant is even in x1 and divisible
+        # by t^6 (of the compressed t), so the grid is 15 x 27 x 16 points.
+        # m1/parabola (mu = 1) peels to nothing and wave/parabola (mu = 3)
+        # peels nothing
         assert wave_cusp_front.strategy == {
             "engine": "probed grid",
             "size": 15,
@@ -108,7 +119,9 @@ class TestFrontPolynomial:
             "parity": [1, 1, 2],
             "safe_bounds": [48, 64, 29],
             "probed_bounds": [28, 26, 21],
-            "grid_points": 17226,
+            "probed_valuations": [0, 0, 6],
+            "probed_steps": [2, 1, 1],
+            "grid_points": 6480,
             "fallback": False,
         }
         icis, data = _m1_parabola_system()
@@ -123,7 +136,9 @@ class TestFrontPolynomial:
             "parity": [1, 1, 2],
             "safe_bounds": [7, 12, 5],
             "probed_bounds": [4, 6, 5],
-            "grid_points": 210,
+            "probed_valuations": [0, 0, 2],
+            "probed_steps": [1, 2, 1],
+            "grid_points": 80,
             "fallback": False,
         }
 
@@ -224,6 +239,17 @@ class TestCase1EndToEnd:
         assert fr.squarefree == level
 
 
+def _exponent_structure(det):
+    """Per-variable degree, valuation and exponent step (gcd of exponent - valuation, or 1)."""
+    degrees, valuations, steps = [], [], []
+    for i in range(len(det.ring)):
+        exps = {e[i] for e in det.terms}
+        degrees.append(max(exps))
+        valuations.append(min(exps))
+        steps.append(gcd(*(e - valuations[-1] for e in exps)) or 1)
+    return degrees, valuations, steps
+
+
 def _random_matrix(rng, ring, n, step=1):
     """n x n entries with up to 3 terms, exponents multiples of ``step``,
     and coefficients with denominators up to 5."""
@@ -255,10 +281,34 @@ class TestProbedInterpolation:
     def test_probes_find_the_degrees(self):
         ring = ("a", "b", "c")
         M = _random_matrix(random.Random(9), ring, 4)
-        det = det_bareiss(M)
         evaluator = _row_scaled(M, ring)[0]
         probed = _probe_degrees(evaluator, random.Random(0), degree_bounds(M))
-        assert probed == [det.degree_in(v) for v in ring]
+        assert probed == _exponent_structure(det_bareiss(M))
+
+    def test_probes_find_the_valuation_and_the_step(self):
+        # entries a^((i + j) % 2) * q_ij(a^2, b, c): every permutation takes
+        # an even number of odd entries, so det M is even in a although the
+        # entries' exponents of a have gcd 1; row 0 times b^3 puts b^3 in det M
+        ring = ("a", "b", "c")
+        a, b = MultiPoly.variable(ring, "a"), MultiPoly.variable(ring, "b")
+        M = _random_matrix(random.Random(25), ring, 4)
+        M = [
+            [a ** ((i + j) % 2) * _map_exponents(p, mul, [2, 1, 1]) for j, p in enumerate(row)]
+            for i, row in enumerate(M)
+        ]
+        M[0] = [b**3 * p for p in M[0]]
+        det, record = det_probed(M, seed=5)
+        assert record["parity"] == [1, 1, 1]
+        degrees, valuations, steps = _exponent_structure(det_bareiss(M))
+        assert (valuations, steps) == ([0, 3, 0], [2, 1, 1])
+        assert (record["probed_bounds"], record["probed_valuations"], record["probed_steps"]) == (
+            degrees,
+            valuations,
+            steps,
+        )
+        assert record["grid_points"] < (degrees[0] + 1) * (degrees[1] + 1) * (degrees[2] + 1)
+        assert record["fallback"] is False
+        assert det == det_bareiss(M)
 
     def test_single_entry_row_is_peeled(self):
         ring = ("a", "b", "c")
@@ -290,27 +340,56 @@ class TestProbedInterpolation:
         assert det_probed(M, seed=1)[0] == det_bareiss(M)
         assert len(built) == 1
 
-    def _under_reported(self, monkeypatch):
-        """Make the probes report one degree too few in the first variable that has one."""
+    def _misreported(self, monkeypatch, part, shift):
+        """Make the probes report part (0 degree, 1 valuation, 2 step) off by ``shift``.
+
+        The part changed is that of the first variable with a nonzero degree.
+        """
         probe = detpoly._probe_degrees
 
-        def short_probe(*args):
-            bounds = probe(*args)
-            k = next(i for i, b in enumerate(bounds) if b)
-            return bounds[:k] + [bounds[k] - 1] + bounds[k + 1 :]
+        def wrong_probe(*args):
+            found = probe(*args)
+            k = next(i for i, b in enumerate(found[0]) if b)
+            found[part][k] += shift
+            return found
 
-        monkeypatch.setattr(detpoly, "_probe_degrees", short_probe)
+        monkeypatch.setattr(detpoly, "_probe_degrees", wrong_probe)
         return _random_matrix(random.Random(11), ("a", "b", "c"), 4)
 
     def test_failed_check_falls_back_to_safe_bounds(self, monkeypatch):
-        M = self._under_reported(monkeypatch)
+        M = self._misreported(monkeypatch, 0, -1)
         det, record = det_probed(M, seed=2)
         assert record["fallback"] is True
         assert record["probed_bounds"] != record["safe_bounds"]
         assert det == det_bareiss(M)
 
+    def test_indivisible_grid_value_falls_back_at_once(self, monkeypatch):
+        # an overstated valuation leaves a grid value that prod node^v does
+        # not divide: the safe grid runs, with no check point drawn
+        M = self._misreported(monkeypatch, 1, 1)
+        grids = []
+        interpolate = detpoly._interpolate_grid
+
+        def recording_interpolate(*args):
+            grids.append(interpolate(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(detpoly, "_interpolate_grid", recording_interpolate)
+        monkeypatch.setattr(detpoly._IntegerEvaluator, "at", None)
+        det, record = det_probed(M, seed=2)
+        assert record["probed_valuations"] != [0, 0, 0]
+        assert (record["fallback"], grids[0]) == (True, None)
+        assert det == det_bareiss(M)
+
+    def test_overstated_step_falls_back(self, monkeypatch):
+        M = self._misreported(monkeypatch, 2, 1)
+        det, record = det_probed(M, seed=2)
+        assert record["probed_steps"] != [1, 1, 1]
+        assert record["fallback"] is True
+        assert det == det_bareiss(M)
+
     def test_fallback_over_the_grid_cap_is_a_mismatch(self, monkeypatch):
-        M = self._under_reported(monkeypatch)
+        M = self._misreported(monkeypatch, 0, -1)
         safe_points = 1
         for b in degree_bounds(M):
             safe_points *= b + 1
