@@ -2,8 +2,8 @@
 
 Three computations live here, all exact:
 
-* ``phi_basis``: the Groebner staircase of the critical ideal (maximal
-  Jacobian minors plus the map components); its size is the Milnor number.
+* ``phi_basis``: the Groebner staircase of the critical ideal
+  (``phase.critical_ideal``); its size is the Milnor number.
 * ``f_basis``: weighted-homogeneous (N+1)-form representatives of the
   companion quotient, selected greedily by ascending weight and then
   corrected to closed representatives.
@@ -18,7 +18,8 @@ coefficients off the tags of the reduced right-hand side.
 
 Every map with coordinate components (f_l = u_c) takes the collapse path:
 slices along the coordinate monomials are reduced against the restricted
-mapping on the remaining variables, and what each level leaves over is
+mapping on the remaining variables (``phase.bind_coordinates`` at images
+0, the critical ideal's binding), and what each level leaves over is
 re-expanded on the full ring and reduced at the next level.  Maps without
 coordinate components, and the restricted map itself, solve each piece
 directly.  There is no retry: the lattice is free, so a piece that has no
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .forms import DiffForm, EulerField, contract_euler, d_of_poly, exterior_d, wedge, wedge_all
 from .linalg import SparseEchelon
-from .phase import IcisMap, critical_staircase
+from .phase import IcisMap, bind_coordinates, critical_staircase
 # unused here, but perfbench's tracer test looks the name up on this module
 from .phase import critical_ideal_gens  # noqa: F401
 from .poly import Monomial, MultiPoly, monomials_of_weight
@@ -97,30 +98,22 @@ def _restricted_map(icis: IcisMap):
     Returns (restricted IcisMap on the remaining variables, their indices in
     the full ring, coordinate pairs (component, variable), original indices
     of the restricted components) when the map has coordinate components and
-    every other component survives setting the coordinate variables to zero.
+    every other component survives setting the coordinate variables to zero
+    (``bind_coordinates`` at images 0).
     """
     coords = icis.coordinate_components()
     if not coords:
         return None
-    coord_vars = {c for _, c in coords}
-    coord_comps = {l for l, _ in coords}
-    rest = [i for i in range(len(icis.ring)) if i not in coord_vars]
-    rest_names = tuple(icis.ring[i] for i in rest)
-    zero_assign = {icis.ring[c]: ZERO for c in coord_vars}
-    comp_indices = []
-    components = []
-    for l, f in enumerate(icis.components):
-        if l in coord_comps:
-            continue
-        fr = f.substitute_partial(zero_assign).rename_ring(rest_names)
-        if fr.is_zero():
-            return None
-        comp_indices.append(l)
-        components.append(fr)
+    comp_indices, components, rest_names = bind_coordinates(
+        icis, [MultiPoly.zero(())] * icis.K
+    )
+    if any(f.is_zero() for f in components):
+        return None
+    rest = [icis.ring.index(v) for v in rest_names]
     sub_icis = IcisMap(
         K=len(components),
         N=len(rest) - len(components),
-        ring=rest_names,
+        ring=tuple(rest_names),
         components=components,
         var_weights=tuple(icis.var_weights[i] for i in rest),
         comp_weights=tuple(icis.comp_weights[l] for l in comp_indices),

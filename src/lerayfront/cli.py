@@ -18,6 +18,7 @@ import csv
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 from . import __version__
@@ -161,11 +162,10 @@ class Problem:
 
     def weight_system(self) -> WeightSystem:
         if self.explicit_weights is not None:
-            total = None
+            # w(F) is the top weighted degree (0 for F = 0, which WeightSystem
+            # rejects); the Euler check rejects any lower term, a constant too
             F = self.front
-            for e in F.terms:
-                t = sum(w * k for w, k in zip(self.explicit_weights, e))
-                total = t if total is None else total
+            total = max((sum(map(mul, self.explicit_weights, e)) for e in F.terms), default=0)
             ws = WeightSystem(self.explicit_weights, total)
             ws.verify(F)
             return ws
@@ -521,18 +521,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         pipe = Pipeline(problem, out)
-        method = {
-            "check": pipe.cmd_check,
-            "phase": pipe.cmd_phase,
-            "build-map": pipe.cmd_build_map,
-            "milnor": pipe.cmd_milnor,
-            "gm": pipe.cmd_gm,
-            "discriminant": pipe.cmd_discriminant,
-            "wavefront": pipe.cmd_wavefront,
-            "verify-discriminant": pipe.cmd_verify_discriminant,
-            "verify-rays": pipe.cmd_verify_rays,
-            "all": pipe.cmd_all,
-        }[args.command]
+        method = getattr(pipe, "cmd_" + args.command.replace("-", "_"))
         method()
         print(f"{args.command}: ok (artifacts in {out})")
         return 0

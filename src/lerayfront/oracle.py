@@ -1,8 +1,9 @@
 """Independent verification: the critical-value locus and ray sampling.
 
 Nothing here touches the lattice machinery.  The critical-value locus comes
-from Groebner elimination on the graph-plus-minors ideal and is compared
-with det M exactly, by squarefree parts.  When a resource cap stops the
+from Groebner elimination on the graph-plus-minors ideal
+(``phase.critical_ideal`` with y_l left as variables) and is compared with
+det M exactly, by squarefree parts.  When a resource cap stops the
 eliminant or the gcd, both sides are restricted to seeded integer lines
 instead (``line_check``): det M on the line against the minimal polynomial
 of the line parameter on the zero-dimensional critical quotient, again
@@ -34,7 +35,7 @@ from .groebner import (
     standard_monomials,
 )
 from .linalg import RationalMatrix, solve_linear_exact
-from .phase import HyperbolicSymbol, IcisMap, maximal_minors
+from .phase import HyperbolicSymbol, IcisMap, critical_ideal
 from .poly import MultiPoly, poly_substitute
 
 ZERO = Fraction(0)
@@ -42,39 +43,6 @@ ZERO = Fraction(0)
 # integer entries of a and b drawn from [-LINE_RANGE, LINE_RANGE].
 LINE_COUNT = 2
 LINE_RANGE = 9
-
-
-def critical_ideal(
-    icis: IcisMap, images: Sequence[MultiPoly]
-) -> tuple[list[MultiPoly], list[str]]:
-    """<f_l - y_l> + <maximal Jacobian minors>, with y_l bound to images[l].
-
-    The images share one ring T; the generators live in the u variables
-    that are not coordinate components, followed by T.  A coordinate
-    component f_l = u_c binds u_c to images[l] exactly (its generator
-    vanishes), which shrinks the ideal to the essential variables.  Returns
-    the generators and the names of those u variables.
-    """
-    ring = icis.ring
-    coords = icis.coordinate_components()
-    coord_vars = {c: l for l, c in coords}
-    coord_comps = {l for l, _ in coords}
-    rest = [ring[i] for i in range(len(ring)) if i not in coord_vars]
-    target = tuple(rest) + images[0].ring
-    lifted = [y.rename_ring(target) for y in images]
-    bindings = {
-        v: lifted[coord_vars[i]] if i in coord_vars else MultiPoly.variable(target, v)
-        for i, v in enumerate(ring)
-    }
-    gens = [
-        poly_substitute(f, bindings) - lifted[l]
-        for l, f in enumerate(icis.components)
-        if l not in coord_comps
-    ]
-    for m in maximal_minors(icis.jacobian(), ring):
-        if not m.is_zero():
-            gens.append(poly_substitute(m, bindings))
-    return gens, rest
 
 
 def critical_locus_eliminant(

@@ -6,6 +6,10 @@ psi(x, t, z) = P(<x - z, grad F(z)>, t grad F(z)), expands it into the
 weighted deformation of <z, grad F>^m, and assembles the associated
 complete-intersection mapping whose parameter space carries the front data.
 
+``critical_ideal`` builds the mapping's critical ideal for every caller
+(staircase, restricted map, eliminant, seeded lines); with
+``bind_coordinates`` it is the only code that treats coordinate components.
+
 x and t are treated as weightless parameters; all weights live on the
 z-variables (and on the auxiliary variables of the mapping).
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Sequence
 
@@ -28,6 +33,7 @@ from .errors import (
     NotIsolatedError,
     RingMismatchError,
 )
+from .detpoly import det_bareiss
 from .groebner import GREVLEX, Staircase, groebner, standard_monomials
 from .linalg import RationalMatrix, solve_linear_exact
 from .poly import Monomial, MultiPoly, poly_substitute, weighted_graded_parts
@@ -45,7 +51,7 @@ class WeightSystem:
 
     def __post_init__(self):
         if any(w <= 0 for w in self.weights) or self.total <= 0:
-            raise ValueError("weights must be positive")
+            raise NoPositiveSolutionError("weights and w(F) must be positive")
 
     def verify(self, F: MultiPoly) -> None:
         """Check the Euler relation sum(w_i x_i dF/dx_i) = w(F) F exactly."""
@@ -392,9 +398,6 @@ class IcisMap:
                 out.append((l, e.index(1)))
         return out
 
-    def jacobian(self) -> list[list[MultiPoly]]:
-        return [[f.partial(v) for v in self.ring] for f in self.components]
-
     def validate_homogeneity(self) -> None:
         for f, p in zip(self.components, self.comp_weights):
             parts = weighted_graded_parts(f, self.var_weights)
@@ -536,25 +539,62 @@ def make_icis(
     return icis
 
 
-def maximal_minors(jac: list[list[MultiPoly]], ring) -> list[MultiPoly]:
-    """All K x K minors of the K x (N+K) Jacobian, unsigned."""
-    from itertools import combinations
+def bind_coordinates(
+    icis: IcisMap, images: Sequence[MultiPoly]
+) -> tuple[list[int], list[MultiPoly], list[str]]:
+    """Bind each coordinate variable u_c (f_l = u_c) to images[l].
 
-    from .detpoly import det_bareiss
+    The images share one ring T.  Returns the indices l of the other
+    components, their f_l - images[l] in the ring (rest, T), and rest: the
+    u variables that are not coordinate components.
+    """
+    ring = icis.ring
+    coord_vars = {c: l for l, c in icis.coordinate_components()}
+    rest = [v for i, v in enumerate(ring) if i not in coord_vars]
+    target = tuple(rest) + images[0].ring
+    lifted = [y.rename_ring(target) for y in images]
+    bindings = {
+        v: lifted[coord_vars[i]] if i in coord_vars else MultiPoly.variable(target, v)
+        for i, v in enumerate(ring)
+    }
+    kept = [l for l in range(icis.K) if l not in coord_vars.values()]
+    components = [poly_substitute(icis.components[l], bindings) - lifted[l] for l in kept]
+    return kept, components, rest
 
-    K = len(jac)
-    cols = len(jac[0])
-    out = []
-    for sel in combinations(range(cols), K):
-        sub = [[row[c] for c in sel] for row in jac]
-        out.append(det_bareiss(sub))
-    return out
+
+def critical_ideal(
+    icis: IcisMap, images: Sequence[MultiPoly]
+) -> tuple[list[MultiPoly], list[str]]:
+    """<f_l - y_l> + <maximal Jacobian minors>, with y_l bound to images[l].
+
+    A coordinate component f_l = u_c binds u_c to images[l] and drops out;
+    the others g_l = f_l - images[l] live in (rest, T) (``bind_coordinates``).
+    The minors are those of their own K' x (N+K') Jacobian in rest: a full
+    K x K minor that leaves out a coordinate column has a zero row, and
+    every other one is, up to sign, such a minor with u_c bound.  Returns
+    the nonzero generators, components first, and rest.
+    """
+    _, components, rest = bind_coordinates(icis, images)
+    if not components:  # every component is a coordinate: no critical points
+        return [MultiPoly.constant(tuple(rest) + images[0].ring, 1)], rest
+    jac = [[g.partial(v) for v in rest] for g in components]
+    minors = [
+        det_bareiss([[row[c] for c in sel] for row in jac])
+        for sel in combinations(range(len(rest)), len(jac))
+    ]
+    return [g for g in components + minors if not g.is_zero()], rest
 
 
 def critical_ideal_gens(icis: IcisMap) -> list[MultiPoly]:
-    """Generators of <maximal Jacobian minors> + <f_0..f_{K-1}>."""
-    minors = [q for q in maximal_minors(icis.jacobian(), icis.ring) if not q.is_zero()]
-    return minors + list(icis.components)
+    """Generators of <f_0..f_{K-1}> + <maximal Jacobian minors>.
+
+    ``critical_ideal`` at images 0, in the full ring, plus the coordinate
+    variables u_c.
+    """
+    gens, _ = critical_ideal(icis, [MultiPoly.zero(())] * icis.K)
+    ring = icis.ring
+    coords = [MultiPoly.variable(ring, ring[c]) for _, c in icis.coordinate_components()]
+    return [g.rename_ring(ring) for g in gens] + coords
 
 
 def critical_staircase(icis: IcisMap) -> Staircase:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lerayfront.cli import main
+from lerayfront.cli import COMMANDS, Pipeline, main
 
 SPEC = {
     "operator": "tau^2 - xi1^2 - xi2^2",
@@ -184,6 +184,27 @@ BAD_INPUTS = [
     ("operator not monic", write_spec, dict(M1_SPEC, operator="2*tau"), [], 2),
     ("zero denominator", write_spec, dict(M1_SPEC, front="x1^2 + x2^3 + 1/0"), [], 3),
     ("weights not positive", write_spec, dict(M1_SPEC, options={"weights": [0, 2]}), [], 2),
+    (
+        "--weights, constant term",
+        write_spec,
+        dict(M1_SPEC, front="1 + x1^2 + x2^3"),
+        ["--weights", "3,2"],
+        5,
+    ),
+    (
+        "weights, constant term",
+        write_spec,
+        dict(M1_SPEC, front="1 + x1^2 + x2^3", options={"weights": [3, 2]}),
+        [],
+        5,
+    ),
+    (
+        "--weights, zero front",
+        write_spec,
+        dict(M1_SPEC, front="x1 + x2 - x1 - x2"),
+        ["--weights", "1,1"],
+        5,
+    ),
     ("weights too long", write_spec, dict(M1_SPEC, options={"weights": [3, 2, 1]}), [], 2),
     ("--weights too short", write_spec, M1_SPEC, ["--weights", "3"], 2),
     ("--weights not integers", write_spec, M1_SPEC, ["--weights", "3,2.5"], 2),
@@ -227,6 +248,11 @@ def test_bad_input_exit_codes(tmp_path, make, content, flags, code):
     assert main(["check", "--spec", str(spec), "--out", str(out)] + flags) == code
     err = json.loads((out / "error.json").read_text())
     assert err["exit_code"] == code
+
+
+def test_every_command_is_a_pipeline_method():
+    for name in COMMANDS:
+        assert callable(getattr(Pipeline, "cmd_" + name.replace("-", "_"), None)), name
 
 
 def test_det_flag_is_gone(tmp_path):

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from lerayfront.detpoly import det_bareiss
 from lerayfront.errors import (
     AmbiguousWeightsError,
     HomogeneousOnlyError,
@@ -9,19 +11,24 @@ from lerayfront.errors import (
     InfiniteDimensionalError,
     NotIsolatedError,
 )
+from lerayfront.groebner import GREVLEX, groebner, standard_monomials
 from lerayfront.phase import (
     HyperbolicSymbol,
+    IcisMap,
     build_mapping,
     build_phase,
     check_c3,
     check_strict_hyperbolicity,
+    critical_ideal,
+    critical_ideal_gens,
+    critical_staircase,
     discover_weights,
     expand_phase,
     make_icis,
     phase_ring,
     validate_isolated,
 )
-from lerayfront.poly import MultiPoly, weighted_graded_parts
+from lerayfront.poly import MultiPoly, poly_substitute, weighted_graded_parts
 
 R = ("x1", "x2")
 X1 = MultiPoly.variable(R, "x1")
@@ -252,3 +259,82 @@ def test_critical_ideal_built_once_per_map(monkeypatch):
     assert len(brieskorn.f_basis(icis).forms) == phi.mu
     assert validate_isolated(icis) == phi.mu
     assert calls == [icis]
+
+
+def _full_minors(icis):
+    """Every K x K minor of the full K x (N+K) Jacobian, by Bareiss."""
+    jac = [[f.partial(v) for v in icis.ring] for f in icis.components]
+    return [
+        det_bareiss([[row[c] for c in sel] for row in jac])
+        for sel in combinations(range(len(icis.ring)), icis.K)
+    ]
+
+
+def _reference_critical_ideal(icis, images):
+    """<f_l - images[l]> + <full minors>, with each coordinate u_c bound to images[l]."""
+    coords = {c: l for l, c in icis.coordinate_components()}
+    rest = tuple(v for i, v in enumerate(icis.ring) if i not in coords)
+    target = rest + images[0].ring
+    lifted = [y.rename_ring(target) for y in images]
+    bindings = {
+        v: lifted[coords[i]] if i in coords else MultiPoly.variable(target, v)
+        for i, v in enumerate(icis.ring)
+    }
+    comps = [poly_substitute(f, bindings) - y for f, y in zip(icis.components, lifted)]
+    return comps + [poly_substitute(m, bindings) for m in _full_minors(icis)]
+
+
+def _primitive(gens):
+    return {g.primitive_part() for g in gens if not g.is_zero()}
+
+
+def _m1_parabola():
+    F = X1 + X2**2
+    P = HyperbolicSymbol.from_poly(TAU)
+    return build_mapping(expand_phase(build_phase(P, F), F, discover_weights(F)), 2)
+
+
+def _vanishing_at_zero():
+    """f_0 = u1 (u2^3 + u3^2) vanishes at u1 = 0, where the coordinate f_1 = u1 binds it."""
+    ring = ("u1", "u2", "u3")
+    u1, u2, u3 = (MultiPoly.variable(ring, v) for v in ring)
+    return IcisMap(
+        K=2,
+        N=1,
+        ring=ring,
+        components=[u1 * (u2**3 + u3**2), u1],
+        var_weights=(1, 2, 3),
+        comp_weights=(7, 1),
+    )
+
+
+def _all_coordinates():
+    return make_icis([MultiPoly.variable(("u1",), "u1")], (1,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        "cusp_icis",
+        "a1_icis",
+        "a4_icis",
+        "quadric_icis",
+        "wave_parabola_icis",
+        "m1_cusp_icis",
+        _m1_parabola,
+        _vanishing_at_zero,
+        _all_coordinates,
+    ],
+    ids=lambda b: b if isinstance(b, str) else b.__name__.strip("_"),
+)
+def test_critical_ideal_matches_the_full_minors(request, build):
+    """The block minors of the non-coordinate components give the full-minor ideal."""
+    icis = request.getfixturevalue(build) if isinstance(build, str) else build()
+    y = icis.y_names()
+    for images in ([MultiPoly.variable(y, v) for v in y], [MultiPoly.zero(())] * icis.K):
+        gens, rest = critical_ideal(icis, images)
+        assert _primitive(gens) == _primitive(_reference_critical_ideal(icis, images))
+        assert all(g.ring == tuple(rest) + images[0].ring for g in gens)
+    reference = groebner(_full_minors(icis) + icis.components, GREVLEX)
+    assert groebner(critical_ideal_gens(icis), GREVLEX) == reference
+    assert critical_staircase(icis) == standard_monomials(reference)
