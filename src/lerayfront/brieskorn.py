@@ -10,20 +10,25 @@ Three computations live here, all exact:
 * ``reduce_in_lattice`` / ``gm_matrices``: writes top forms as polynomial
   combinations of the staircase forms modulo df_0 ^ ... ^ df_{K-1} ^ d(eta),
   solving one graded piece at a time by exact linear algebra.  Every
-  reduction returns a certificate that re-expands to the input identically.
+  reduction returns a certificate that re-expands to the input identically;
+  the re-expansion runs in integers over one denominator.
 
 Both the f-basis search and the piece solves run on ``linalg.SparseEchelon``;
 a piece tags each column with its own coordinate, so a solve reads the
 coefficients off the tags of the reduced right-hand side.
 
-Every map with coordinate components (f_l = u_c) takes the collapse path:
-slices along the coordinate monomials are reduced against the restricted
-mapping on the remaining variables (``phase.bind_coordinates`` at images
-0, the critical ideal's binding), and what each level leaves over is
-re-expanded on the full ring and reduced at the next level.  Maps without
-coordinate components, and the restricted map itself, solve each piece
-directly.  There is no retry: the lattice is free, so a piece that has no
-solution fails with ReductionNoSolutionError.
+Every map with coordinate components (f_l = u_c) takes the collapse path.
+On such a component u^gamma f^beta = f^(beta + gamma), and D ^ d(u^gamma)
+= 0, so the reduction of u^gamma x^r (x the remaining variables) is the
+reduction of x^r shifted by gamma.  Each coordinate-free monomial x^r is
+therefore reduced once per ``LatticeContext``: one solve against the
+restricted mapping on the remaining variables (``phase.bind_coordinates``
+at images 0, the critical ideal's binding), re-expanded on the full ring,
+plus the shifted reductions of what that leaves over, whose coordinate-free
+parts have lower weight.  Maps without coordinate components, and the
+restricted map itself, solve each piece directly.  There is no retry: the
+lattice is free, so a piece that has no solution fails with
+ReductionNoSolutionError.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -46,7 +53,6 @@ from .phase import IcisMap, bind_coordinates, critical_staircase
 from .phase import critical_ideal_gens  # noqa: F401
 from .poly import Monomial, MultiPoly, monomials_of_weight
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -145,6 +151,7 @@ class LatticeContext:
         self._fpow: dict[tuple[int, ...], MultiPoly] = {
             tuple([0] * self.K): MultiPoly.constant(self.ring, 1)
         }
+        self._fpow_int: dict[tuple[int, ...], tuple[dict, int]] = {}
         self._solvers: dict[int, "_PieceSolver"] = {}
         # minors with signs: coefficient of D ^ du_r ^ du_J per (r, J)
         self._w_cache: dict[tuple[int, tuple[int, ...]], MultiPoly] = {}
@@ -167,6 +174,12 @@ class LatticeContext:
         res = self.f_power(tuple(prev)) * self.icis.components[l]
         self._fpow[beta] = res
         return res
+
+    def f_power_int(self, beta: tuple[int, ...]) -> tuple[dict, int]:
+        """f^beta as integer terms over one denominator (the components may be rational)."""
+        if beta not in self._fpow_int:
+            self._fpow_int[beta] = self.f_power(beta).integer_terms()
+        return self._fpow_int[beta]
 
     def w_minor(self, r: int, J: tuple[int, ...]) -> MultiPoly:
         """Top coefficient of D ^ du_r ^ du_J (zero when indices collide)."""
@@ -199,15 +212,30 @@ class LatticeContext:
             acc = acc + minor.mul_term(tuple(de), Fraction(delta[r]))
         return acc
 
+    def column(self, meta: tuple) -> MultiPoly:
+        """Top coefficient of a lattice generator: f^beta phi_j du for
+        ("phi", j, beta), D ^ d(u^delta du_J) for ("eta", J, delta)."""
+        kind, a, b = meta
+        if kind == "phi":
+            return self.f_power(b).mul_term(self.phi.monomials[a].exps, ONE)
+        return self.modulus_vector_poly(b, a)
+
     def expand_certificate(self, cert: LatticeCertificate) -> MultiPoly:
-        acc = MultiPoly.zero(self.ring)
-        for j, P in enumerate(cert.coefficients):
-            if P.is_zero():
-                continue
-            for e, c in P.terms.items():
-                acc = acc + self.f_power(e).mul_term(self.phi.monomials[j].exps, c)
-        mod = wedge(self.D, exterior_d(cert.eta))
-        return acc + self.top_coefficient(mod)
+        """sum_j P_j(f) phi_j + top(D ^ d(eta)), summed in integers over one denominator."""
+        mod, mod_den = self.top_coefficient(wedge(self.D, exterior_d(cert.eta))).integer_terms()
+        parts = [
+            (c, self.f_power_int(beta), self.phi.monomials[j].exps)
+            for j, P in enumerate(cert.coefficients)
+            for beta, c in P.terms.items()
+        ]
+        den = lcm(mod_den, *(c.denominator * fden for c, (_, fden), _ in parts))
+        acc = {e: a * (den // mod_den) for e, a in mod.items()}
+        for c, (terms, fden), shift in parts:
+            k = c.numerator * (den // (c.denominator * fden))
+            for e, a in terms.items():
+                e = tuple(map(add, e, shift))
+                acc[e] = acc.get(e, 0) + k * a
+        return MultiPoly(self.ring, {e: Fraction(a, den) for e, a in acc.items() if a})
 
     def solver(self, coeff_weight: int) -> "_PieceSolver":
         if coeff_weight not in self._solvers:
@@ -239,25 +267,20 @@ def _piece_solver(ctx: LatticeContext, coeff_weight: int) -> "_PieceSolver":
         )
     solver = _PieceSolver({e: i for i, e in enumerate(rows)})
     form_weight = coeff_weight + ctx.sum_v
-    for j, mono in enumerate(ctx.phi.monomials):
-        shift = form_weight - ctx.phi.weights[j]
-        if shift < 0:
-            continue
-        for beta in monomials_of_weight(ctx.p, shift):
-            poly = ctx.f_power(beta).mul_term(mono.exps, ONE)
-            solver.add_column(poly, ("phi", j, beta))
-    # modulus generators
     eta_weight = form_weight - ctx.sum_p
-    for J in combinations(range(ctx.nvars), ctx.N - 1) if ctx.N >= 1 else []:
-        legs_w = sum(ctx.v[i] for i in J)
-        dw = eta_weight - legs_w
-        if dw < 0:
-            continue
-        for delta in monomials_of_weight(ctx.v, dw):
-            poly = ctx.modulus_vector_poly(delta, J)
-            if poly.is_zero():
-                continue
-            solver.add_column(poly, ("eta", J, delta))
+    metas = [
+        ("phi", j, beta)
+        for j, w in enumerate(ctx.phi.weights)
+        for beta in monomials_of_weight(ctx.p, form_weight - w)
+    ] + [
+        ("eta", J, delta)
+        for J in (combinations(range(ctx.nvars), ctx.N - 1) if ctx.N >= 1 else [])
+        for delta in monomials_of_weight(ctx.v, eta_weight - sum(ctx.v[i] for i in J))
+    ]
+    for meta in metas:
+        poly = ctx.column(meta)
+        if not poly.is_zero():
+            solver.add_column(poly, meta)
     return solver
 
 
@@ -286,8 +309,8 @@ class _PieceSolver:
             self.echelon.insert(r)
         self.meta.append(meta)
 
-    def solve(self, target: MultiPoly):
-        """(phi part, eta part) of the combination equal to ``target``, or None."""
+    def solve(self, target: MultiPoly) -> dict[tuple, Fraction] | None:
+        """The combination equal to ``target`` as {column meta: coefficient}, or None."""
         rhs = {}
         for e, c in target.terms.items():
             if e not in self.row_index:
@@ -297,22 +320,23 @@ class _PieceSolver:
         r = self.echelon.residual(rhs)
         if r and min(r) < nrows:
             return None
-        phi_part: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        eta_part: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-        for tag in sorted(r):
-            meta = self.meta[tag - nrows]
-            part = phi_part if meta[0] == "phi" else eta_part
-            part[meta[1:]] = -r[tag]
-        return phi_part, eta_part
+        return {self.meta[tag - nrows]: -r[tag] for tag in sorted(r)}
 
 
 class _Collapse:
-    """Coordinate-collapse data: the restricted mapping and index embeddings."""
+    """The coordinate collapse: the restricted mapping and the memoised reductions.
+
+    A reduction is (den, terms): the input equals the sum of
+    terms[meta] / den times ``LatticeContext.column(meta)``, in integers.
+    ``monomial(r)`` reduces the coordinate-free monomial x^r (r an exponent on
+    the remaining variables) once per context; ``reduce`` adds the reductions
+    of u^gamma x^r, each x^r's shifted by gamma.
+    """
 
     def __init__(self, ctx: LatticeContext, sub_icis: IcisMap, rest, coords, comp_indices):
         self.ctx = ctx
         self.rest = rest
-        self.coord_pairs = coords  # (component index, variable index)
+        self.coord_comps = [l for l, _ in coords]  # f_l = u_c for each pair (l, c)
         self.coord_vars = [c for _, c in coords]
         self.comp_indices = comp_indices
         # staircase monomials never involve coordinate variables
@@ -329,32 +353,78 @@ class _Collapse:
             weights=[m.weight(sub_icis.var_weights) + sv for m in sub_phi_monos],
         )
         self.sub_ctx = LatticeContext(sub_icis, self.sub_phi, max_piece=ctx.max_piece)
+        self._memo: dict[tuple[int, ...], tuple[int, dict]] = {}
 
-    def slice_by_coords(self, poly: MultiPoly) -> dict[tuple[int, ...], MultiPoly]:
-        """Group terms by the exponent pattern on coordinate variables."""
-        out: dict[tuple[int, ...], dict] = {}
+    def split(self, e: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(coordinate exponents gamma, exponents r on the remaining variables) of u^gamma x^r."""
+        return tuple(e[c] for c in self.coord_vars), tuple(e[i] for i in self.rest)
+
+    def shift(self, gamma: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
+        """What u^gamma adds to beta (f_l = u_c on a coordinate pair) and to delta."""
+        return {
+            "phi": _place(self.ctx.K, self.coord_comps, gamma),
+            "eta": _place(self.ctx.nvars, self.coord_vars, gamma),
+        }
+
+    def reduce(self, poly: MultiPoly) -> dict[tuple, Fraction]:
+        """The reduction of ``poly`` as {column meta: coefficient}."""
+        parts = []
         for e, c in poly.terms.items():
-            gamma = tuple(e[i] for i in self.coord_vars)
-            rest_e = tuple(e[i] for i in self.rest)
-            out.setdefault(gamma, {})[rest_e] = c
-        ring = self.sub_ctx.ring
-        return {g: MultiPoly(ring, terms) for g, terms in out.items()}
+            gamma, r = self.split(e)
+            parts.append((c, self.shift(gamma), self.monomial(r)))
+        den, terms = _combine(parts)
+        return {meta: Fraction(a, den) for meta, a in terms.items() if a}
 
-    def lift_exponent(self, rest_e: tuple[int, ...], gamma: tuple[int, ...]) -> tuple[int, ...]:
-        e = [0] * self.ctx.nvars
-        for pos, i in enumerate(self.rest):
-            e[i] = rest_e[pos]
-        for (l, cvar), gk in zip(self.coord_pairs, gamma):
-            e[cvar] = gk
-        return tuple(e)
+    def monomial(self, r: tuple[int, ...]) -> tuple[int, dict]:
+        """The reduction of x^r: its restricted solve, lifted, less the shifted
+        reductions of what the solve's full-ring value adds to x^r."""
+        if r in self._memo:
+            return self._memo[r]
+        ctx = self.ctx
+        sol = {}
+        restricted = _reduce_direct(MultiPoly(self.sub_ctx.ring, {r: ONE}), self.sub_ctx)
+        for (kind, a, b), c in restricted.items():
+            if kind == "phi":
+                sol[kind, a, _place(ctx.K, self.comp_indices, b)] = c
+            else:
+                # rest is increasing, so the lifted legs stay sorted
+                sol[kind, tuple(self.rest[i] for i in a), _place(ctx.nvars, self.rest, b)] = c
+        excess = sum(
+            (ctx.column(meta).scale(c) for meta, c in sol.items()),
+            MultiPoly(ctx.ring, {_place(ctx.nvars, self.rest, r): -ONE}),
+        )
+        den = lcm(*(c.denominator for c in sol.values()))
+        solved = (den, {meta: c.numerator * (den // c.denominator) for meta, c in sol.items()})
+        parts = [(ONE, self.shift((0,) * len(self.coord_vars)), solved)]
+        for e, c in excess.terms.items():
+            gamma, r_low = self.split(e)
+            if not any(gamma):
+                raise ReductionNoSolutionError("collapse reduction failed to make progress")
+            parts.append((-c, self.shift(gamma), self.monomial(r_low)))
+        den, terms = _combine(parts)
+        g = gcd(den, *terms.values())
+        self._memo[r] = den // g, {meta: a // g for meta, a in terms.items() if a}
+        return self._memo[r]
 
-    def lift_y_exponent(self, beta_rest: tuple[int, ...], gamma: tuple[int, ...]) -> tuple[int, ...]:
-        b = [0] * self.ctx.K
-        for pos, l in enumerate(self.comp_indices):
-            b[l] = beta_rest[pos]
-        for (l, _), gk in zip(self.coord_pairs, gamma):
-            b[l] = gk
-        return tuple(b)
+
+def _place(n: int, idx: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
+    """The length-n exponent tuple with values at positions idx, zero elsewhere."""
+    out = [0] * n
+    for i, a in zip(idx, values):
+        out[i] = a
+    return tuple(out)
+
+
+def _combine(parts) -> tuple[int, dict]:
+    """sum c * u^gamma * red over (c, shift(gamma), red), in integers over one denominator."""
+    den = lcm(*(c.denominator * red[0] for c, _, red in parts))
+    acc: dict = {}
+    for c, shift, (d, terms) in parts:
+        k = c.numerator * (den // (c.denominator * d))
+        for (kind, a, b), n in terms.items():
+            key = (kind, a, tuple(map(add, b, shift[kind])))
+            acc[key] = acc.get(key, 0) + k * n
+    return den, acc
 
 
 def reduce_in_lattice(
@@ -378,108 +448,44 @@ def reduce_in_lattice(
 
 
 def _reduce_poly(coeff: MultiPoly, ctx: LatticeContext) -> LatticeCertificate:
-    y_zero = MultiPoly.zero(ctx.y_ring)
-    coefficients = [y_zero for _ in range(ctx.phi.mu)]
-    eta_terms: dict[tuple[int, ...], dict] = {}
     if coeff.is_zero():
-        return LatticeCertificate(
-            input_form=DiffForm.zero(ctx.ring, ctx.nvars),
-            coefficients=coefficients,
-            eta=DiffForm.zero(ctx.ring, ctx.N - 1) if ctx.N >= 1 else DiffForm.zero(ctx.ring, 0),
-        )
-    if ctx.collapse is not None:
-        phi_acc, eta_acc = _reduce_collapsed(coeff, ctx)
+        parts = {}
+    elif ctx.collapse is not None:
+        parts = ctx.collapse.reduce(coeff)
     else:
-        phi_acc, eta_acc = _reduce_direct(coeff, ctx)
-    for (j, beta), c in phi_acc.items():
-        coefficients[j] = coefficients[j] + MultiPoly(ctx.y_ring, {beta: c})
-    for (J, delta), c in eta_acc.items():
-        eta_terms.setdefault(J, {})[delta] = eta_terms.setdefault(J, {}).get(delta, ZERO) + c
-    comps = {
-        J: MultiPoly(ctx.ring, terms)
-        for J, terms in eta_terms.items()
-        if not MultiPoly(ctx.ring, terms).is_zero()
-    }
-    eta = DiffForm(ctx.ring, ctx.N - 1, comps)
+        parts = _reduce_direct(coeff, ctx)
+    coefficients: list[dict] = [{} for _ in range(ctx.phi.mu)]
+    eta_terms: dict[tuple[int, ...], dict] = {}
+    for (kind, a, b), c in parts.items():
+        if kind == "phi":
+            coefficients[a][b] = c
+        else:
+            eta_terms.setdefault(a, {})[b] = c
+    eta = DiffForm(
+        ctx.ring,
+        max(ctx.N - 1, 0),
+        {J: MultiPoly(ctx.ring, terms) for J, terms in eta_terms.items()},
+    )
     return LatticeCertificate(
-        input_form=DiffForm.zero(ctx.ring, ctx.nvars), coefficients=coefficients, eta=eta
+        input_form=DiffForm.zero(ctx.ring, ctx.nvars),
+        coefficients=[MultiPoly(ctx.y_ring, terms) for terms in coefficients],
+        eta=eta,
     )
 
 
-def _weight_of(ctx, poly: MultiPoly) -> int:
-    e = next(iter(poly.terms))
-    return sum(a * b for a, b in zip(ctx.v, e))
-
-
-def _reduce_direct(coeff: MultiPoly, ctx: LatticeContext):
+def _reduce_direct(coeff: MultiPoly, ctx: LatticeContext) -> dict[tuple, Fraction]:
     """Solve the one graded piece of the lattice that holds ``coeff``.
 
     The Brieskorn lattice of an ICIS is free (Greuel 1975), so a piece that
     has no solution means the staircase basis does not generate it.
     """
-    w = _weight_of(ctx, coeff)
+    w = Monomial(next(iter(coeff.terms))).weight(ctx.v)
     res = ctx.solver(w).solve(coeff)
     if res is None:
         raise ReductionNoSolutionError(
             f"no decomposition at weight {w}; staircase basis may not generate this piece"
         )
     return res
-
-
-def _reduce_collapsed(coeff: MultiPoly, ctx: LatticeContext):
-    """Peel coordinate-variable monomials and solve restricted pieces."""
-    col = ctx.collapse
-    phi_acc: dict = {}
-    eta_acc: dict = {}
-    residual = coeff
-    max_levels = 64
-    last_level = -1
-    for _ in range(max_levels):
-        if residual.is_zero():
-            return phi_acc, eta_acc
-        slices = col.slice_by_coords(residual)
-        level = min(sum(g) for g in slices)
-        if level <= last_level:
-            raise ReductionNoSolutionError(
-                "collapse reduction failed to make progress"
-            )
-        last_level = level
-        new_phi: dict = {}
-        new_eta: dict = {}
-        for gamma, part in sorted(slices.items()):
-            if sum(gamma) != level:
-                continue
-            res = _reduce_direct(part, col.sub_ctx)
-            for (j, beta_rest), c in res[0].items():
-                key = (j, col.lift_y_exponent(beta_rest, gamma))
-                new_phi[key] = new_phi.get(key, ZERO) + c
-            for (J_rest, delta_rest), c in res[1].items():
-                # rest is increasing, so the lifted legs stay sorted
-                J = tuple(col.rest[j] for j in J_rest)
-                key = (J, col.lift_exponent(delta_rest, gamma))
-                new_eta[key] = new_eta.get(key, ZERO) + c
-        # subtract the exact full-ring value of the new contributions
-        delta_poly = MultiPoly.zero(ctx.ring)
-        for (j, beta), c in new_phi.items():
-            delta_poly = delta_poly + ctx.f_power(beta).mul_term(
-                ctx.phi.monomials[j].exps, c
-            )
-            phi_acc[(j, beta)] = phi_acc.get((j, beta), ZERO) + c
-        eta_form_terms: dict[tuple[int, ...], dict] = {}
-        for (J, e), c in new_eta.items():
-            eta_form_terms.setdefault(J, {})[e] = c
-            eta_acc[(J, e)] = eta_acc.get((J, e), ZERO) + c
-        if eta_form_terms:
-            eta_form = DiffForm(
-                ctx.ring,
-                ctx.N - 1,
-                {J: MultiPoly(ctx.ring, t) for J, t in eta_form_terms.items()},
-            )
-            delta_poly = delta_poly + ctx.top_coefficient(
-                wedge(ctx.D, exterior_d(eta_form))
-            )
-        residual = residual - delta_poly
-    raise ReductionNoSolutionError("collapse reduction exceeded the level cap")
 
 
 def f_basis(icis: IcisMap, weight_cap: int | None = None) -> FBasis:

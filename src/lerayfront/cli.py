@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -24,6 +25,7 @@ from pathlib import Path
 from . import __version__
 from .brieskorn import f_basis, gm_matrices, phi_basis
 from .errors import (
+    ConstantFrontError,
     LerayfrontError,
     ProblemFileError,
     ResourceLimitError,
@@ -82,6 +84,9 @@ COMMANDS = (
 DISCRIMINANT_MAX_MU = 6
 
 
+_SPACE_VARIABLE = re.compile(r"xi?([1-9][0-9]*)")
+
+
 def _json_int(name: str, value) -> int:
     """An option value that must be a JSON integer (true/false and 2.0 are not)."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -103,16 +108,18 @@ class Problem:
         if missing:
             raise UsageError(f"problem file lacks a text {' and '.join(missing)}")
         self.front = parse_poly(spec["front"])
-        n = len(self.front.ring)
+        # n counts the space variables named by either expression: x1..xn in
+        # the front, xi1..xin in the operator
+        names = self.front.ring + parse_poly(spec["operator"]).ring
+        n = max((int(m[1]) for m in map(_SPACE_VARIABLE.fullmatch, names) if m), default=0)
         expected = tuple(f"x{i + 1}" for i in range(n))
-        if self.front.ring != expected:
-            self.front = self.front.rename_ring(expected) if set(
-                self.front.ring
-            ) <= set(expected) else self.front
-        if self.front.ring != expected:
+        if not set(self.front.ring) <= set(expected):
             raise UnknownVariableError(
                 f"front must use variables x1..x{n}, got {self.front.ring}"
             )
+        self.front = self.front.rename_ring(expected)
+        if self.front.is_constant():
+            raise ConstantFrontError(f"front {spec['front']!r} is constant: it uses no variable xk")
         op_ring = ("tau",) + tuple(f"xi{i + 1}" for i in range(n))
         self.operator = parse_poly(spec["operator"], ring=op_ring)
         self.n = n

@@ -54,6 +54,12 @@ class HomogeneousOnlyError(LerayfrontError):
     exit_code = 5
 
 
+class ConstantFrontError(LerayfrontError):
+    """The front polynomial uses none of the space variables."""
+
+    exit_code = 5
+
+
 class InfiniteDimensionalError(LerayfrontError):
     exit_code = 6
 

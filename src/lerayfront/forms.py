@@ -80,12 +80,6 @@ class DiffForm:
     def function(cls, p: MultiPoly) -> "DiffForm":
         return cls(p.ring, 0, {(): p})
 
-    @classmethod
-    def d_variable(cls, ring: Sequence[str], name: str) -> "DiffForm":
-        ring = tuple(ring)
-        i = ring.index(name)
-        return cls(ring, 1, {(i,): MultiPoly.constant(ring, 1)})
-
     def is_zero(self) -> bool:
         return not self.components
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from operator import add, le, neg
 from typing import Callable, Iterable, Sequence
 
@@ -125,12 +125,6 @@ def _head(terms: dict[Exponents, int], key) -> Head:
     return lt, terms[lt] // g, [(e, c // g) for e, c in terms.items() if e != lt]
 
 
-def _integer_terms(p: MultiPoly) -> tuple[dict[Exponents, int], int]:
-    """Integer terms and the denominator d with p = terms / d."""
-    d = lcm(*(c.denominator for c in p.terms.values()))
-    return {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}, d
-
-
 def _reduce(
     terms: dict[Exponents, int],
     heads: Sequence[Head],
@@ -201,8 +195,8 @@ def normal_form(p: MultiPoly, gb: GroebnerBasis, max_terms: int | None = None) -
     explosive eliminations early).
     """
     key = gb.order.key()
-    heads = [_head(_integer_terms(g)[0], key) for g in gb.generators]
-    terms, d = _integer_terms(p)
+    heads = [_head(g.integer_terms()[0], key) for g in gb.generators]
+    terms, d = p.integer_terms()
     rem, m = _reduce(terms, heads, gb.order.descending_key(), max_terms)
     return MultiPoly(p.ring, {e: Fraction(c, d * m) for e, c in rem.items()})
 
@@ -265,7 +259,7 @@ def groebner(
         lts.append(t)
 
     for g in sorted(gens, key=lambda p: key(p.leading(key)[0])):
-        r = _reduce(_integer_terms(g)[0], heads, descending_key)[0]
+        r = _reduce(g.integer_terms()[0], heads, descending_key)[0]
         if r:
             add_poly(r)
 

@@ -48,10 +48,6 @@ def matrix_to_json(M: list[list[MultiPoly]]) -> dict:
     }
 
 
-def matrix_from_json(obj: dict) -> list[list[MultiPoly]]:
-    return [[poly_from_json(p) for p in row] for row in obj["entries"]]
-
-
 def form_to_json(f: DiffForm) -> dict:
     return {
         "degree": f.degree,
@@ -61,14 +57,6 @@ def form_to_json(f: DiffForm) -> dict:
             for idx in sorted(f.components)
         ],
     }
-
-
-def form_from_json(obj: dict) -> DiffForm:
-    ring = tuple(obj["vars"])
-    comps = {
-        tuple(c["idx"]): poly_from_json(c["poly"]) for c in obj["components"]
-    }
-    return DiffForm(ring, obj["degree"], comps)
 
 
 def dump_json(obj: Any, path) -> None:

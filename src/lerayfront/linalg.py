@@ -48,9 +48,6 @@ class RationalMatrix:
     def zeros(cls, n: int, m: int) -> "RationalMatrix":
         return cls(n, m, [[ZERO] * m for _ in range(n)])
 
-    def copy(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, [row[:] for row in self.entries])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -102,10 +99,6 @@ class RationalMatrix:
                     if rowk[j]:
                         outi[j] += a * rowk[j]
         return RationalMatrix(self.rows, other.cols, out)
-
-    def matvec(self, v: Sequence[Fraction]) -> list[Fraction]:
-        assert self.cols == len(v)
-        return [sum((a * x for a, x in zip(row, v)), ZERO) for row in self.entries]
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, gcd, prod
+from math import fsum, gcd, lcm, prod
 from typing import Callable, Mapping, Sequence
 
 from .errors import RingMismatchError
@@ -84,8 +84,13 @@ class MultiPoly:
                     raise RingMismatchError(f"exponent tuple {e} does not match ring {self.ring}")
                 if any(x < 0 for x in e):
                     raise ValueError(f"negative exponent {e}")
-                clean[e] = clean.get(e, ZERO) + c
-                if clean[e] == 0:
+                if e not in clean:
+                    clean[e] = c
+                    continue
+                s = clean[e] + c
+                if s:
+                    clean[e] = s
+                else:
                     del clean[e]
         self.terms = clean
         self._hash = None
@@ -290,6 +295,11 @@ class MultiPoly:
             num = gcd(num, abs(c.numerator))
             den = den * c.denominator // gcd(den, c.denominator)
         return Fraction(num, den)
+
+    def integer_terms(self) -> tuple[dict[Exponents, int], int]:
+        """Integer terms and the denominator d with self = terms / d."""
+        d = lcm(*(c.denominator for c in self.terms.values()))
+        return {e: c.numerator * (d // c.denominator) for e, c in self.terms.items()}, d
 
     def primitive_part(self) -> "MultiPoly":
         """Integer coprime coefficients, positive grevlex-leading coefficient."""

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -24,8 +26,11 @@ from lerayfront.phase import (
     expand_phase,
     make_icis,
 )
+from lerayfront.jsonio import form_to_json, matrix_to_json, poly_to_json
 from lerayfront.linalg import RationalMatrix, det_fraction, solve_linear_exact
 from lerayfront.poly import MultiPoly
+
+from helpers import matvec
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +41,12 @@ def m1_cusp_icis(cusp_front):
     icis = build_mapping(expand_phase(psi, cusp_front, discover_weights(cusp_front)), 2)
     assert len(icis.ring) == 5 and len(icis.coordinate_components()) == 2
     return icis
+
+
+# sha256 of the flagship's P matrices and certificates (coefficients and eta)
+# as jsonio writes them, taken before the memoised collapse
+FLAGSHIP_P_SHA256 = "65e30940ad433b99a9308669a34cb836688c5415252183aec651e4e44ba8a474"
+FLAGSHIP_CERTIFICATES_SHA256 = "e0f766ceb7a716a2e4897614a82c979755700471c3a993563120a2b9c83898cf"
 
 
 class TestPhiBasis:
@@ -133,29 +144,92 @@ class TestReduction:
         assert exc.value.exit_code == 11
 
 
-class TestCollapse:
-    """The collapse path against solves on the full ring of the m1/cusp map."""
+def _gm_inputs(icis, ctx):
+    """The K * mu top forms that ``gm_matrices`` reduces."""
+    for l in range(icis.K):
+        for form in f_basis(icis).forms:
+            g = form
+            for k in range(icis.K):
+                if k != l:
+                    g = wedge(g, ctx.dfs[k])
+            yield g
 
-    def test_reductions_match_direct_solve(self, m1_cusp_icis):
-        icis = m1_cusp_icis
-        phi = phi_basis(icis)
-        collapsed = LatticeContext(icis, phi)
-        direct = LatticeContext(icis, phi)
-        assert collapsed.collapse is not None
-        direct.collapse = None
-        count = 0
-        for l in range(icis.K):
-            others = [collapsed.dfs[k] for k in range(icis.K) if k != l]
-            for form in f_basis(icis).forms:
-                g = form
-                for df in others:
-                    g = wedge(g, df)
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+class TestCollapse:
+    """The memoised collapse against solves on the full ring, and its shift identity."""
+
+    def test_reductions_match_direct_solve(self, m1_cusp_icis, wave_parabola_icis):
+        # tau over 1/2*x1^2 + x2^3 has the component z2^3 + 1/2*z1^2, so its
+        # f powers carry denominators
+        half_cusp = MultiPoly(("x1", "x2"), {(2, 0): Fraction(1, 2), (0, 3): Fraction(1)})
+        tau = MultiPoly.variable(("tau", "xi1", "xi2"), "tau")
+        psi = build_phase(HyperbolicSymbol.from_poly(tau), half_cusp)
+        half_icis = build_mapping(expand_phase(psi, half_cusp, discover_weights(half_cusp)), 2)
+        for icis, ncoords in ((m1_cusp_icis, 2), (wave_parabola_icis, 5), (half_icis, 2)):
+            phi = phi_basis(icis)
+            collapsed = LatticeContext(icis, phi)
+            direct = LatticeContext(icis, phi)
+            assert len(icis.coordinate_components()) == ncoords
+            assert collapsed.collapse is not None
+            direct.collapse = None
+            count = 0
+            for g in _gm_inputs(icis, collapsed):
                 a = reduce_in_lattice(g, phi, icis, collapsed)
                 b = reduce_in_lattice(g, phi, icis, direct)
                 assert a.coefficients == b.coefficients
                 assert a.verify(collapsed) and b.verify(direct)
                 count += 1
-        assert count == icis.K * phi.mu
+            assert count == icis.K * phi.mu
+            dens = {c.denominator for p in collapsed._fpow.values() for c in p.terms.values()}
+            assert (dens != {1}) == (icis is half_icis)
+
+    def test_shift_identity_on_the_flagship(self, wave_cusp_pipeline):
+        # reduce(u^gamma x^r) == shift_gamma(reduce(x^r)): P_j gains y^gamma on
+        # the coordinate components and eta is multiplied by u^gamma
+        icis, phi = wave_cusp_pipeline["icis"], wave_cusp_pipeline["phi"]
+        ctx = LatticeContext(icis, phi)
+        pairs = icis.coordinate_components()
+        # the input term with the most weight on the coordinate variables,
+        # times two more of them
+        e = list(max(
+            (e for g in _gm_inputs(icis, ctx) for e in ctx.top_coefficient(g).terms),
+            key=lambda e: (sum(e[c] * ctx.v[c] for _, c in pairs), e),
+        ))
+        e[pairs[0][1]] += 1
+        e[pairs[-1][1]] += 2
+        e = tuple(e)
+        coord = {c for _, c in pairs}
+        u_gamma = tuple(a if i in coord else 0 for i, a in enumerate(e))
+        y_gamma = [0] * icis.K
+        for l, c in pairs:
+            y_gamma[l] = e[c]
+        assert sum(u_gamma) >= 3 and sum(e) > sum(u_gamma)
+
+        def reduce_monomial(exps):
+            form = DiffForm(ctx.ring, ctx.nvars, {ctx.top_index: MultiPoly(ctx.ring, {exps: 1})})
+            return reduce_in_lattice(form, phi, icis, ctx)
+
+        shifted = reduce_monomial(e)
+        base = reduce_monomial(tuple(a - b for a, b in zip(e, u_gamma)))
+        y_shift = MultiPoly(ctx.y_ring, {tuple(y_gamma): 1})
+        assert shifted.coefficients == [P * y_shift for P in base.coefficients]
+        assert shifted.eta == base.eta.mul_poly(MultiPoly(ctx.ring, {u_gamma: 1}))
+        assert any(not P.is_zero() for P in base.coefficients)
+
+    def test_flagship_matrices_and_certificates_are_pinned(self, wave_cusp_pipeline):
+        gm = wave_cusp_pipeline["gm"]
+        matrices = [matrix_to_json(P) for P in gm.matrices]
+        certificates = [
+            [[poly_to_json(P) for P in cert.coefficients], form_to_json(cert.eta)]
+            for certs in gm.certificates
+            for cert in certs
+        ]
+        assert _digest(matrices) == FLAGSHIP_P_SHA256
+        assert _digest(certificates) == FLAGSHIP_CERTIFICATES_SHA256
 
     def test_f_basis_matches_full_ring(self, m1_cusp_icis):
         icis = m1_cusp_icis
@@ -246,7 +320,6 @@ def test_piece_solver_solves_exactly_in_the_column_span(columns, extra, weights)
         in_span = False
     assert (res is not None) == in_span
     if res is not None:
-        phi_part, eta_part = res
-        assert not eta_part
-        x = [phi_part.get((j, ()), Fraction(0)) for j in range(len(columns))]
-        assert A.matvec(x) == b
+        assert all(meta[0] == "phi" for meta in res)
+        x = [res.get(("phi", j, ()), Fraction(0)) for j in range(len(columns))]
+        assert matvec(A, x) == b

@@ -181,6 +181,8 @@ BAD_INPUTS = [
     ("options.s not rational", write_spec, dict(M1_SPEC, options={"s": "abc"}), [], 2),
     ("--s divides by zero", write_spec, M1_SPEC, ["--s", "1/0"], 2),
     ("front in y1, y2", write_spec, dict(M1_SPEC, front="y1^2 + y2^3"), [], 4),
+    ("front without variables", write_spec, dict(SPEC, front="1"), ["--weights", "3,2"], 5),
+    ("front cancels to zero", write_spec, dict(M1_SPEC, front="x1 - x1"), [], 5),
     ("operator not monic", write_spec, dict(M1_SPEC, operator="2*tau"), [], 2),
     ("zero denominator", write_spec, dict(M1_SPEC, front="x1^2 + x2^3 + 1/0"), [], 3),
     ("weights not positive", write_spec, dict(M1_SPEC, options={"weights": [0, 2]}), [], 2),
@@ -248,6 +250,24 @@ def test_bad_input_exit_codes(tmp_path, make, content, flags, code):
     assert main(["check", "--spec", str(spec), "--out", str(out)] + flags) == code
     err = json.loads((out / "error.json").read_text())
     assert err["exit_code"] == code
+
+
+def test_constant_front_is_blamed_not_the_operator(tmp_path):
+    spec = write_spec(tmp_path, dict(SPEC, front="1"))
+    out = tmp_path / "out"
+    assert main(["check", "--spec", str(spec), "--out", str(out), "--weights", "3,2"]) == 5
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConstantFrontError"
+    assert "'1'" in err["message"] and "xi1" not in err["message"]
+
+
+def test_space_dimension_comes_from_operator_and_front(tmp_path):
+    # the front names only x2, the operator xi1 and xi2: both live in n = 2
+    spec = write_spec(tmp_path, dict(SPEC, front="x2^3"))
+    out = tmp_path / "out"
+    assert main(["check", "--spec", str(spec), "--out", str(out)]) == 5
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "AmbiguousWeightsError"
 
 
 def test_every_command_is_a_pipeline_method():

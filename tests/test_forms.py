@@ -15,12 +15,14 @@ from lerayfront.forms import (
 )
 from lerayfront.poly import MultiPoly
 
+from helpers import d_variable
+
 RING = ("u1", "u2")
 E32 = EulerField((3, 2))
 U1 = MultiPoly.variable(RING, "u1")
 U2 = MultiPoly.variable(RING, "u2")
-DU1 = DiffForm.d_variable(RING, "u1")
-DU2 = DiffForm.d_variable(RING, "u2")
+DU1 = d_variable(RING, "u1")
+DU2 = d_variable(RING, "u2")
 
 
 def small_forms(ring=RING, degree=1):
@@ -53,7 +55,7 @@ class TestWedge:
         assert lhs == wedge(DU1, DU2).mul_poly(U1)
 
     def test_ambient_mismatch(self):
-        other = DiffForm.d_variable(("v1", "v2"), "v1")
+        other = d_variable(("v1", "v2"), "v1")
         with pytest.raises(RingMismatchError):
             wedge(DU1, other)
 
