@@ -622,10 +622,9 @@ def gm_matrices(
         rows = []
         certs = []
         others = [ctx.dfs[k] for k in range(icis.K) if k != l]
+        rest = wedge_all(others) if others else None
         for i in range(mu):
-            g = fb.forms[i]
-            for df in others:
-                g = wedge(g, df)
+            g = fb.forms[i] if rest is None else wedge(fb.forms[i], rest)
             cert = reduce_in_lattice(g, phi, icis, ctx)
             rows.append(cert.coefficients)
             certs.append(cert)

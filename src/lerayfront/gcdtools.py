@@ -90,17 +90,8 @@ def _poly_content_in(p: MultiPoly, var: str, budget: _Budget) -> MultiPoly:
     return g
 
 
-def multivariate_gcd(a: MultiPoly, b: MultiPoly, max_terms: int = 200_000) -> MultiPoly:
-    """gcd over Q, normalized primitive with positive leading coefficient.
-
-    Raises ResourceLimitError with kind ``gcd-steps`` after GCD_STEP_BUDGET
-    pseudo-remainder steps over the whole recursion, and with kind
-    ``gcd-terms`` when one pseudo-remainder exceeds ``max_terms`` terms.
-    """
-    return _gcd(a, b, _Budget(max_terms))
-
-
 def _gcd(a: MultiPoly, b: MultiPoly, budget: _Budget) -> MultiPoly:
+    """gcd over Q, primitive with positive leading coefficient, within ``budget``."""
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
     if a.is_zero():

@@ -21,10 +21,6 @@ def fraction_to_json(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
 
 
-def fraction_from_json(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def poly_to_json(p: MultiPoly) -> dict:
     return {
         "vars": list(p.ring),
@@ -32,12 +28,6 @@ def poly_to_json(p: MultiPoly) -> dict:
             {"c": fraction_to_json(c), "e": list(e)} for e, c in p.sorted_terms()
         ],
     }
-
-
-def poly_from_json(obj: dict) -> MultiPoly:
-    ring = tuple(obj["vars"])
-    terms = {tuple(t["e"]): fraction_from_json(t["c"]) for t in obj["terms"]}
-    return MultiPoly(ring, terms)
 
 
 def matrix_to_json(M: list[list[MultiPoly]]) -> dict:

@@ -19,9 +19,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, prod
+from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from .detpoly import line_determinant
 from .errors import MismatchError
@@ -43,6 +42,16 @@ ZERO = Fraction(0)
 # integer entries of a and b drawn from [-LINE_RANGE, LINE_RANGE].
 LINE_COUNT = 2
 LINE_RANGE = 9
+# Level-set points are kept inside the box |z_i| <= LEVEL_BOX and polished
+# onto F = s by POLISH_STEPS Newton steps; characteristic roots closer than
+# ROOT_COLLISION make sample_front skip the point.
+LEVEL_BOX = 2.5
+POLISH_STEPS = 6
+ROOT_COLLISION = 1e-8
+# The root finder ``_roots`` stops after ROOT_SWEEPS sweeps, or once no root
+# moved by more than ROOT_STEP of its modulus.
+ROOT_SWEEPS = 500
+ROOT_STEP = 1e-14
 
 
 def critical_locus_eliminant(
@@ -196,10 +205,32 @@ def compare_discriminants(
     )
 
 
+def _roots(coeffs: Sequence[float]) -> list[complex]:
+    """Complex roots of coeffs[0] * z^d + ... + coeffs[d], with coeffs[0] != 0.
+
+    Durand-Kerner iteration (Kerner 1966) from the powers of 0.4 + 0.9i: a
+    sweep moves each root z_k by p(z_k) / (coeffs[0] * prod_{j != k} (z_k - z_j)).
+    """
+    zs = [(0.4 + 0.9j) ** k for k in range(len(coeffs) - 1)]
+    for _ in range(ROOT_SWEEPS):
+        done = True
+        for k, z in enumerate(zs):
+            value = 0j
+            for c in coeffs:
+                value = value * z + c
+            den = prod((z - w for j, w in enumerate(zs) if j != k), start=coeffs[0])
+            step = value / den if den else 0j  # z_k met another root: stay
+            zs[k] = z - step
+            done = done and abs(step) <= ROOT_STEP * abs(z)
+        if done:
+            break
+    return zs
+
+
 def sample_level_set(
-    F: MultiPoly, s: Fraction, count: int, seed: int = 3, box: float = 2.5
+    F: MultiPoly, s: Fraction, count: int, seed: int = 3
 ) -> list[tuple[float, ...]]:
-    """Real points with F(z) = s, found on random lines inside a box."""
+    """Real points with F(z) = s, found on random lines, with |z_i| <= LEVEL_BOX."""
     rng = random.Random(seed)
     ring = F.ring
     n = len(ring)
@@ -224,14 +255,11 @@ def sample_level_set(
             coeffs[e[0]] = float(c)
         if len(coeffs) < 2 or all(abs(c) < 1e-14 for c in coeffs[1:]):
             continue
-        roots = np.roots(list(reversed(coeffs)))
-        for r in roots:
+        for r in _roots(coeffs[::-1]):
             if abs(r.imag) > 1e-10 * max(1.0, abs(r.real)):
                 continue
-            z = np.array([float(b) for b in base]) + float(r.real) * np.array(
-                [float(d) for d in direction]
-            )
-            if np.max(np.abs(z)) > box:
+            z = [float(b) + r.real * float(d) for b, d in zip(base, direction)]
+            if max(map(abs, z)) > LEVEL_BOX:
                 continue
             z = _newton_polish_level(F, grads, z, float(s))
             if z is None:
@@ -242,17 +270,16 @@ def sample_level_set(
     return out[:count]
 
 
-def _newton_polish_level(F, grads, z, s, iters: int = 6):
-    names = F.ring
-    for _ in range(iters):
-        vals = {v: z[i] for i, v in enumerate(names)}
+def _newton_polish_level(F, grads, z, s):
+    for _ in range(POLISH_STEPS):
+        vals = dict(zip(F.ring, z))
         r = F.eval_float(vals) - s
-        g = np.array([gp.eval_float(vals) for gp in grads])
-        gn = float(np.dot(g, g))
+        g = [gp.eval_float(vals) for gp in grads]
+        gn = sum(map(mul, g, g))
         if gn < 1e-18:
             return None
-        z = z - r * g / gn
-    vals = {v: z[i] for i, v in enumerate(names)}
+        z = [zi - r * gi / gn for zi, gi in zip(z, g)]
+    vals = dict(zip(F.ring, z))
     if abs(F.eval_float(vals) - s) > 1e-11 * max(1.0, abs(s)):
         return None
     return z
@@ -284,16 +311,14 @@ def sample_front(
     t_values: Sequence[float],
     count: int,
     seed: int = 5,
-    tol: float = 1e-8,
-    box: float = 2.5,
 ) -> RayReport:
     """Front points x = z + t * grad_xi(lambda_j)(grad F(z)) over all sheets.
 
-    Characteristic roots come from the companion matrix; their xi-gradients
-    from implicit differentiation (-P_xi / P_tau), with one Newton polish on
-    the root.  Near-collisions of roots are skipped and counted.
+    Characteristic roots come from ``_roots``; their xi-gradients from
+    implicit differentiation (-P_xi / P_tau), with one Newton polish on the
+    root.  Near-collisions of roots are skipped and counted.
     """
-    zs = sample_level_set(F, s, count, seed=seed, box=box)
+    zs = sample_level_set(F, s, count, seed=seed)
     tau_polys = P.tau_coefficient_polys()
     xi_ring = P.poly.ring[1:]
     p_tau = P.poly.partial("tau")
@@ -303,19 +328,17 @@ def sample_front(
     skipped = 0
     for z in zs:
         zvals = {v: z[i] for i, v in enumerate(F.ring)}
-        xi = np.array([g.eval_float(zvals) for g in grads])
-        if float(np.dot(xi, xi)) < 1e-16:
+        xi = [g.eval_float(zvals) for g in grads]
+        if sum(map(mul, xi, xi)) < 1e-16:
             continue
         xi_vals = {name: xi[i] for i, name in enumerate(xi_ring)}
         coeffs = [p.eval_float(xi_vals) for p in tau_polys]  # tau^m .. tau^0
-        roots = np.roots(coeffs)
-        lams = sorted(float(r.real) for r in roots)
-        if len(lams) != P.m or any(
-            abs(r.imag) > 1e-7 * max(1.0, abs(r.real)) for r in roots
-        ):
+        roots = _roots(coeffs)
+        lams = sorted(r.real for r in roots)
+        if any(abs(r.imag) > 1e-7 * max(1.0, abs(r.real)) for r in roots):
             skipped += 1
             continue
-        if any(abs(a - b) < tol for a, b in zip(lams, lams[1:])):
+        if any(abs(a - b) < ROOT_COLLISION for a, b in zip(lams, lams[1:])):
             skipped += 1
             continue
         level_res = abs(F.eval_float(zvals) - float(s))
@@ -331,17 +354,15 @@ def sample_front(
             point["tau"] = lam
             pt_val = p_tau.eval_float(point)
             root_res = abs(P.poly.eval_float(point))
-            grad_lam = np.array(
-                [-pxi.eval_float(point) / pt_val for pxi in p_xis]
-            )
+            grad_lam = [-pxi.eval_float(point) / pt_val for pxi in p_xis]
             for t in t_values:
-                x = np.array(z) + float(t) * grad_lam
+                x = tuple(zi + float(t) * gi for zi, gi in zip(z, grad_lam))
                 samples.append(
                     RaySample(
                         z=tuple(z),
                         sheet=j,
                         t=float(t),
-                        x=tuple(float(c) for c in x),
+                        x=x,
                         lam=lam,
                         residual_root=root_res,
                         residual_level=level_res,

@@ -130,7 +130,6 @@ def t_zero_check(
     s_value: Fraction,
     samples: int = 50,
     seed: int = 3,
-    box: float = 2.5,
 ) -> TZeroReport:
     """Residual at t = 0 on numerically sampled points of {F = s}.
 
@@ -141,7 +140,7 @@ def t_zero_check(
     """
     from .oracle import sample_level_set, scaled_residuals
 
-    pts = sample_level_set(F, Fraction(s_value), samples, seed=seed, box=box)
+    pts = sample_level_set(F, Fraction(s_value), samples, seed=seed)
     if not pts:
         return TZeroReport(max_scaled_residual=float("nan"), samples=0, no_real_points=True)
     ti = fr.phi.ring.index("t")

@@ -1,5 +1,6 @@
 """Helpers that only the tests need: a matrix-vector product, basis
-1-forms, and readers for the matrix and form JSON that ``jsonio`` writes."""
+1-forms, and readers for the polynomial, matrix and form JSON that
+``jsonio`` writes."""
 
 from __future__ import annotations
 
@@ -7,7 +8,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from lerayfront.forms import DiffForm
-from lerayfront.jsonio import poly_from_json
 from lerayfront.linalg import RationalMatrix
 from lerayfront.poly import MultiPoly
 
@@ -20,6 +20,11 @@ def matvec(A: RationalMatrix, v: Sequence[Fraction]) -> list[Fraction]:
 def d_variable(ring: Sequence[str], name: str) -> DiffForm:
     ring = tuple(ring)
     return DiffForm(ring, 1, {(ring.index(name),): MultiPoly.constant(ring, 1)})
+
+
+def poly_from_json(obj: dict) -> MultiPoly:
+    terms = {tuple(t["e"]): Fraction(t["c"]) for t in obj["terms"]}
+    return MultiPoly(tuple(obj["vars"]), terms)
 
 
 def matrix_from_json(obj: dict) -> list[list[MultiPoly]]:

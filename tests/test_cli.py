@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from lerayfront.cli import COMMANDS, Pipeline, main
 
+from helpers import poly_from_json
+
 SPEC = {
     "operator": "tau^2 - xi1^2 - xi2^2",
     "front": "x1^2 + x2^3",
@@ -130,8 +132,6 @@ class TestCommands:
         spec = write_spec(tmp_path, M1_SPEC)
         out = tmp_path / "out"
         assert main(["wavefront", "--spec", str(spec), "--out", str(out)]) == 0
-        from lerayfront.jsonio import poly_from_json
-
         rec = json.loads((out / "front.json").read_text())
         phi = poly_from_json(rec["phi"])
         assert not phi.is_zero()
@@ -290,6 +290,19 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "lerayfront" in proc.stdout
+
+
+def test_all_runs_without_numpy(tmp_path):
+    # the package needs only the standard library
+    spec = write_spec(tmp_path, dict(M1_SPEC, front="x1 + x2^2"))
+    args = ["all", "--spec", str(spec), "--out", str(tmp_path / "out")]
+    code = (
+        "import sys; sys.modules['numpy'] = None; from lerayfront.cli import main; "
+        f"sys.exit(main({args!r}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "out" / "verify_rays.json").read_text())["pass"] is True
 
 
 # -- fuzzed problem files ------------------------------------------------------

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import hypot
 
 import pytest
 
 from lerayfront.brieskorn import gm_matrices
 from lerayfront.detpoly import det_bareiss, det_poly_matrix, line_determinant
+from lerayfront import oracle
 from lerayfront.errors import MismatchError
 from lerayfront.gaussmanin import assemble_system, discriminant
 from lerayfront.oracle import (
+    _roots,
     compare_discriminants,
     critical_locus_eliminant,
     eval_front_on_samples,
@@ -191,6 +194,65 @@ class TestLineCheck:
                 assert any(line.b), case
 
 
+def _coefficients(roots, lead):
+    """lead * prod (z - r), highest power first."""
+    coeffs = [lead]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+class TestRoots:
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [0.5],
+            [-2.0, 0.5, 3.0, 1.25],
+            [1 + 2j, 1 - 2j, -0.25],
+            [0.0, 1.5, -1.0],
+            [-150.0, 2.0, 0.75],
+            [1e4, -3.0],
+        ],
+    )
+    def test_known_roots(self, roots):
+        coeffs = _coefficients(roots, 3.0)
+        assert all(c.imag == 0 for c in coeffs)
+        found = _roots([c.real for c in coeffs])
+        assert len(found) == len(roots)
+        for r in roots:  # match as a multiset, nearest first
+            k = min(range(len(found)), key=lambda k: abs(found[k] - r))
+            assert abs(found.pop(k) - r) <= 1e-12 * (abs(r) or 1.0), (roots, r)
+
+    def test_double_root_is_dropped_or_polished(self, monkeypatch):
+        # (z - 1)^2 (z + 2): the simple root is found to 1e-12, the double
+        # one only to about the square root of the float precision
+        found = sorted(_roots([1.0, 0.0, -3.0, 2.0]), key=lambda r: r.real)
+        assert abs(found[0] + 2) < 1e-12
+        assert all(abs(r - 1) < 1e-6 for r in found[1:])
+        # 0.1 (z - 1)^2 (z - b): two roots land on exactly 1.0, where the
+        # Durand-Kerner denominator is 0; they must stay there
+        coeffs = [0.1, -0.03723925607379869, -0.22552148785240264, 0.16276074392620132]
+        found = sorted(_roots(coeffs), key=lambda r: r.real)
+        assert abs(found[0] + 1.627607439262013) < 1e-12
+        assert found[1:] == [1.0, 1.0]
+        # every line meets F = x1^2 = 0 in a double root: the 1e-10
+        # imaginary filter drops a split complex pair, and Newton puts a
+        # split real pair back on F = 0
+        seen = []
+
+        def recorded(coeffs):
+            roots = _roots(coeffs)
+            seen.extend(roots)
+            return roots
+
+        monkeypatch.setattr(oracle, "_roots", recorded)
+        pts = sample_level_set(X1**2, Fraction(0), 20, seed=3)
+        dropped = [r for r in seen if abs(r.imag) > 1e-10 * max(1.0, abs(r.real))]
+        assert dropped and len(dropped) < len(seen)
+        assert len(pts) == 20
+        assert all(z[0] ** 2 <= 1e-11 for z in pts)
+
+
 class TestLevelSet:
     def test_points_on_level_set(self):
         pts = sample_level_set(CUSP, Fraction(1), 20, seed=3)
@@ -204,19 +266,14 @@ class TestRays:
     def test_hand_example(self):
         # z = (1, 0): grad F = (2, 0), lambda = +/-2, grad lambda = (+/-1, 0)
         rep = sample_front(WAVE, CUSP, Fraction(1), [0.5], count=5, seed=5)
-        # synthesize the hand-checkable start point by direct construction
-        import numpy as np
-
-        found = [s for s in rep.samples if abs(s.z[0] - 1) < 1e-9 and abs(s.z[1]) < 1e-9]
         # the sampler may not hit exactly z = (1, 0); verify the ray law instead
         for s in rep.samples:
-            gf = np.array([2 * s.z[0], 3 * s.z[1] ** 2])
-            norm = float(np.hypot(*gf))
+            norm = hypot(2 * s.z[0], 3 * s.z[1] ** 2)
             lam = s.lam
             assert abs(abs(lam) - norm) < 1e-7
-            direction = (np.array(s.x) - np.array(s.z)) / s.t
+            direction = [(x - z) / s.t for x, z in zip(s.x, s.z)]
             # unit speed: |dx/dt| = |grad lambda| = 1 for the wave operator
-            assert abs(float(np.hypot(*direction)) - 1.0) < 1e-7
+            assert abs(hypot(*direction) - 1.0) < 1e-7
 
     def test_t_zero_is_start(self):
         rep = sample_front(WAVE, CUSP, Fraction(1), [0.0], count=5, seed=5)

@@ -7,11 +7,11 @@ from lerayfront.errors import (
     NegativeExponentError,
     UnknownVariableError,
 )
-from lerayfront.jsonio import form_to_json, matrix_to_json, poly_from_json, poly_to_json
+from lerayfront.jsonio import form_to_json, matrix_to_json, poly_to_json
 from lerayfront.parser import parse_poly, poly_to_text
 from lerayfront.poly import MultiPoly
 
-from helpers import form_from_json, matrix_from_json
+from helpers import form_from_json, matrix_from_json, poly_from_json
 
 
 class TestParse:

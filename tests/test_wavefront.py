@@ -16,7 +16,7 @@ from lerayfront.detpoly import (
     det_probed,
 )
 from lerayfront.errors import MismatchError, ResourceLimitError
-from lerayfront.gcdtools import multivariate_gcd, squarefree_part
+from lerayfront.gcdtools import _Budget, _gcd, squarefree_part
 from lerayfront.gaussmanin import discriminant
 from lerayfront.phase import (
     HyperbolicSymbol,
@@ -204,7 +204,7 @@ class TestM1CuspDiscriminantSquarefree:
         delta = discriminant(data)
         t0 = time.time()
         with pytest.raises(ResourceLimitError) as err:
-            multivariate_gcd(delta, delta.partial("y0"))
+            _gcd(delta, delta.partial("y0"), _Budget(max_terms=200_000))
         assert err.value.kind == "gcd-steps"
         assert time.time() - t0 < 5.0
 
@@ -402,7 +402,7 @@ class TestTZero:
     def test_no_real_points(self, m1_pipeline):
         F, icis, data = m1_pipeline
         fr = front_polynomial(data, icis, s_value=Fraction(-1))
-        rep = t_zero_check(fr, F, Fraction(-10**6), samples=10, seed=3, box=1.0)
+        rep = t_zero_check(fr, F, Fraction(-10**6), samples=10, seed=3)
         assert rep.no_real_points or rep.samples == 0
 
     def test_corrupted_front_fails(self, m1_pipeline):
