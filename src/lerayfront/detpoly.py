@@ -6,17 +6,18 @@ the symbolic discriminant and the Jacobian minors (``phase``) use it.
 
 ``det_probed`` is the front pullback's determinant (``wavefront``): it
 peels single-entry rows and columns, divides out common exponent factors,
-probes each variable's degree, valuation v and exponent step g,
-interpolates on the grid those leave, checks the result exactly at random
-rational points and falls back to the safe bounds of ``degree_bounds``.
-One integer evaluator of the core serves all of it.  ``det_interpolate``
-is the same grid on given bounds; the tests run it with safe bounds
-against Bareiss.  The grid takes integer determinants on (deg - v) // g + 1
-integer nodes of each variable, divides each by the nodes' powers
-prod x_i^v_i exactly, and interpolates one axis at a time in u = x^g, all
-in Python ints: each axis applies the integer Lagrange matrix of its
-nodes (``_lagrange``), and one division by the product of the matrices'
-denominators and the row scale ends it.
+probes each variable's degree, valuation v and exponent step g (and the
+total degree, when that costs fewer determinants than it can save),
+interpolates on the lower set those leave, checks the result exactly at
+random rational points and falls back to the safe bounds of
+``degree_bounds`` and ``total_degree_bound``.  One integer evaluator of
+the core serves all of it.  The grid takes (deg - v) // g + 1 integer
+nodes of each variable and keeps the points whose exponents stay within
+the total-degree bound, a lower set of the box; it divides each integer
+determinant by the nodes' powers prod x_i^v_i exactly and interpolates in
+u = x^g (``_interpolate``), all in Python ints: divided differences along
+every axis, then the Newton-to-monomial conversion along every axis, then
+one division by the product of the axes' denominators and the row scale.
 
 ``line_determinant`` restricts det M to a line y = a + b*tau with the same
 kernel: integer determinants at tau = 0..bound, one 1-D interpolation
@@ -24,10 +25,10 @@ kernel: integer determinants at tau = 0..bound, one 1-D interpolation
 
 ``_IntegerEvaluator`` is the one evaluator of polynomial matrices at exact
 points.  ``at`` takes one rational point (the flatness oracle in
-``gaussmanin``, the points of a line, the check points of ``det_probed``);
-``grid`` walks an integer grid axis by axis, so that neighbouring points
-share the work of their common prefix (the interpolation grid and the
-degree probes).
+``gaussmanin``, the points of a line or a probe curve, the check points of
+``det_probed``); ``grid`` walks a lower set of an integer grid axis by
+axis, so that neighbouring points share the work of their common prefix
+(the interpolation grid and the degree probes).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, islice
 from math import gcd, lcm, prod
 from operator import floordiv, mul, sub
 from typing import Iterator, Sequence
@@ -45,8 +46,9 @@ from .errors import MismatchError, ResourceLimitError
 from .linalg import det_int
 from .poly import MultiPoly
 
-# Most integer determinants one interpolation grid may take; the flagship
-# front's grid has 6,480 points at s = 1 and 97,200 with symbolic s.
+# Most integer determinants one interpolation grid (a lower set) may take;
+# the flagship front's grid has 1,487 points at s = 1 and 14,599 with
+# symbolic s, and its safe fallback 24,031 and 660,130.
 GRID_MAX_POINTS = 400_000
 
 
@@ -95,42 +97,44 @@ def degree_bounds(M: Sequence[Sequence[MultiPoly]]) -> list[int]:
     return [_row_col_bound(M, lambda p: p.degree_in(v)) for v in M[0][0].ring]
 
 
+def total_degree_bound(M: Sequence[Sequence[MultiPoly]]) -> int:
+    """Safe total-degree bound for det(M): min of row and column sums."""
+    return _row_col_bound(M, MultiPoly.total_degree)
+
+
 def _row_col_bound(M: Sequence[Sequence[MultiPoly]], degree) -> int:
     """min(sum of row maxima, sum of column maxima) of degree(entry): bounds deg det(M)."""
     D = [[degree(p) for p in row] for row in M]
     return min(sum(map(max, D)), sum(map(max, zip(*D))))
 
 
-def det_interpolate(M: Sequence[Sequence[MultiPoly]], bounds: Sequence[int]) -> MultiPoly:
-    """Determinant by grid evaluation and tensor interpolation.
-
-    ``bounds`` are per-variable degree bounds of det(M) (``degree_bounds``
-    gives safe ones); the grid has prod(bounds[i]+1) points and must stay
-    within ``GRID_MAX_POINTS``.
-    """
-    evaluator, scale = _row_scaled(M, M[0][0].ring)
-    return _interpolate_grid(evaluator, scale, [range(b + 1) for b in bounds])
-
-
 def det_probed(M: list[list[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict]:
-    """det M by probed-exponent grid interpolation, checked exactly; and the path taken.
+    """det M by probed-exponent lower-set interpolation, checked exactly; and the path taken.
 
     Rows and columns with one nonzero entry are peeled off exactly, and
-    exponents with a common factor in a variable are divided by it.  The
-    core left is evaluated by one row-scaled integer evaluator: the probes
-    (two random axis-parallel lines per variable give its degree, its
-    valuation v and the step g of its exponents), the grid of
-    (degree - v) // g + 1 nodes per variable, and four random rational
-    points where the interpolant must equal det_int of the evaluated core.
-    When a grid value is not divisible by the nodes' powers prod y_i^v_i or
-    a point disagrees, the grid is taken again on the safe bounds (v = 0,
-    g = 1); when that grid exceeds ``GRID_MAX_POINTS``, MismatchError.
-    ``random.Random(seed)`` draws the probes first, then the check points.
+    exponents with a common factor (the parity) in a variable are divided
+    by it.  The core left is evaluated by one row-scaled integer
+    evaluator: the axis probes (two random axis-parallel lines per
+    variable give its degree, its valuation v and the step g of its
+    exponents), the grid of (degree - v) // g + 1 nodes per variable cut
+    to a lower set by a bound on the total degree of det M, and four
+    random rational points where the interpolant must equal det_int of the
+    evaluated core.  The bound is ``total_degree_bound`` of the core
+    (safe), or the degree along two random curves y_i = p_i + q_i *
+    tau^parity_i when their determinants are fewer than the grid points
+    that safe bound keeps.  When a grid value is not divisible by the
+    nodes' powers prod y_i^v_i or a point disagrees, the grid is taken
+    again on the safe bounds (v = 0, g = 1, the safe total degree); when
+    that grid exceeds ``GRID_MAX_POINTS``, MismatchError.
+    ``random.Random(seed)`` draws the axis probes first, then the curves,
+    then the check points.
 
     The record (``FrontResult.strategy``) holds the engine, the matrix size,
     the peeled and core sizes and, when a core is left, its exponent parity,
-    the safe and probed degree bounds, the probed valuations and steps, the
-    points of the probed grid and whether the safe-bounds fallback ran.
+    the safe and probed degree bounds, the safe total degree, the probed
+    valuations and steps, the probed total degree (None when not probed),
+    the points of the probed lower set and whether the safe-bounds fallback
+    ran.
     """
     ring = M[0][0].ring
     rng = random.Random(seed)
@@ -143,6 +147,9 @@ def det_probed(M: list[list[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict
     }
     if not core:
         return factor.scale(sign), record
+    # the weighted degree sum parity_i * e_i of the compressed core is the
+    # total degree of the core as given
+    safe_top = total_degree_bound(core)
     # per-variable gcd of the exponents of all entries, 1 where all are 0
     parity = [
         gcd(*(e[i] for row in core for p in row for e in p.terms)) or 1 for i in range(len(ring))
@@ -154,13 +161,22 @@ def det_probed(M: list[list[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict
     evaluator, scale = _row_scaled(core, ring)
     bounds, valuations, steps = _probe_degrees(evaluator, rng, safe)
     exponents = [range(v, b + 1, g) for b, v, g in zip(bounds, valuations, steps)]
+    lengths = list(map(len, exponents))
+    costs = list(map(mul, parity, steps))
+    floor = sum(map(mul, parity, valuations))
+    probed_top = None
+    if 2 * (safe_top + 1) < _lower_set_size(lengths, costs, safe_top - floor):
+        probed_top = _probe_total_degree(evaluator, rng, parity, safe_top)
+    budget = (safe_top if probed_top is None else probed_top) - floor
     record.update(
         parity=parity,
         safe_bounds=safe,
+        safe_total_degree=safe_top,
         probed_bounds=bounds,
         probed_valuations=valuations,
         probed_steps=steps,
-        grid_points=prod(map(len, exponents)),
+        probed_total_degree=probed_top,
+        grid_points=_lower_set_size(lengths, costs, budget),
         fallback=False,
     )
 
@@ -170,10 +186,11 @@ def det_probed(M: list[list[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict
         S = prod(pt[v].denominator ** top for v, top in zip(ring, evaluator.maxdeg))
         return det_int(evaluator.at(pt)[0]) == det.eval_exact(pt) * scale * S ** len(core)
 
-    det = _interpolate_grid(evaluator, scale, exponents)
+    det = _interpolate_grid(evaluator, scale, exponents, costs, budget)
     if det is None or not all(agrees_at_a_random_point() for _ in range(4)):
         try:
-            det = _interpolate_grid(evaluator, scale, [range(b + 1) for b in safe])
+            box = [range(b + 1) for b in safe]
+            det = _interpolate_grid(evaluator, scale, box, parity, safe_top)
         except ResourceLimitError as err:
             raise MismatchError(
                 "probed interpolation failed verification and safe bounds "
@@ -232,13 +249,13 @@ def _probe_degrees(
     """
     degrees, valuations, steps = [], [], []
     for k in range(len(safe)):
-        cols = _lagrange(range(safe[k] + 1))[0]
+        nodes = range(safe[k] + 1)
         found = set()
         for _ in range(2):
             axes = [[rng.randint(2, 19)] for _ in range(len(safe) - 1)]
-            axes.insert(k, range(safe[k] + 1))
+            axes.insert(k, nodes)
             values = [det_int(mats[0]) for mats in evaluator.grid(axes)]
-            found.update(j for j, col in enumerate(cols) if sum(map(mul, values, col)))
+            found.update(j for j, c in enumerate(_interpolate_line(values, nodes)[0]) if c)
         v = min(found, default=0)
         degrees.append(max(found, default=0))
         valuations.append(v)
@@ -246,33 +263,74 @@ def _probe_degrees(
     return degrees, valuations, steps
 
 
-def _interpolate_grid(
-    evaluator: _IntegerEvaluator, scale: int, exponents: Sequence[range]
-) -> MultiPoly | None:
-    """det M from the evaluator of M, given each exponent of y_i in det M is in exponents[i].
+def _probe_total_degree(
+    evaluator: _IntegerEvaluator, rng: random.Random, parity: list[int], safe_top: int
+) -> int:
+    """The degree sum_i parity_i * e_i of the evaluator's determinant, read on two random curves.
 
-    With exponents[i] = range(v, ..., g), axis i takes len(exponents[i])
-    integer nodes, from 1 when v > 0 and from 0 otherwise; each grid value
-    is divided exactly by prod node_i^v_i and interpolated in u_i = y_i^g
-    (det M = det_int / scale).  None when a value is not divisible, which
-    shows the exponents wrong.
+    On y_i = p_i + q_i * tau^parity_i a term prod y_i^e_i has degree
+    sum_i parity_i * e_i in tau, and the coefficient at the top degree is
+    a nonzero polynomial in q, so random q keep it.  Each curve takes the
+    determinant at tau = 0..safe_top and interpolates it as a univariate.
     """
-    nodes = [range(1, len(e) + 1) if e.start else range(len(e)) for e in exponents]
-    npts = prod(map(len, nodes))
+    nodes = range(safe_top + 1)
+    top = 0
+    for _ in range(2):
+        curve = [
+            (v, rng.randint(-9, 9), rng.randint(1, 9), e) for v, e in zip(evaluator.ring, parity)
+        ]
+        values = [
+            det_int(evaluator.at({v: p + q * x**e for v, p, q, e in curve})[0]) for x in nodes
+        ]
+        coefficients = _interpolate_line(values, nodes)[0]
+        top = max(top, max((j for j, c in enumerate(coefficients) if c), default=0))
+    return top
+
+
+def _interpolate_grid(
+    evaluator: _IntegerEvaluator,
+    scale: int,
+    exponents: Sequence[range],
+    costs: Sequence[int],
+    budget: int,
+) -> MultiPoly | None:
+    """det M from the evaluator of M, given each term of det M is prod y_i^(v_i + g_i*j_i)
+    with exponents[i] = range(v_i, ..., g_i) and j in the lower set
+    sum_i costs[i] * j_i <= budget.
+
+    Axis i takes len(exponents[i]) integer nodes, from 1 when v > 0 and
+    from 0 otherwise; each value on the lower set is divided exactly by
+    prod node_i^v_i and interpolated in u_i = y_i^g (det M = det_int /
+    scale).  None when a value is not divisible, which shows the exponents
+    wrong.
+    """
+    lengths = [len(e) for e in exponents]
+    npts = _lower_set_size(lengths, costs, budget)
     if npts > GRID_MAX_POINTS:
         raise ResourceLimitError(
             f"interpolation grid of {npts} points exceeds cap {GRID_MAX_POINTS}",
             kind="interpolation-grid",
             limit=GRID_MAX_POINTS,
         )
-    powers = product(*([x**e.start for x in axis] for axis, e in zip(nodes, exponents)))
+    points = _lower_set(lengths, costs, budget)
+    nodes = [range(1, len(e) + 1) if e.start else range(len(e)) for e in exponents]
     values = []
-    for mats, divisors in zip(evaluator.grid(nodes), powers):
-        value, rest = divmod(det_int(mats[0]), prod(divisors))
+    for mats, j in zip(evaluator.grid(nodes, costs, budget), points):
+        divisor = prod(axis[k] ** e.start for axis, k, e in zip(nodes, j, exponents))
+        value, rest = divmod(det_int(mats[0]), divisor)
         if rest:
             return None
         values.append(value)
-    return _tensor_interpolate(values, nodes, exponents, evaluator.ring, scale)
+    us = [[x**e.step for x in axis] for axis, e in zip(nodes, exponents)]
+    coefficients, den = _interpolate(values, us, points)
+    return MultiPoly(
+        evaluator.ring,
+        {
+            tuple(e[k] for e, k in zip(exponents, j)): Fraction(c, den * scale)
+            for j, c in zip(points, coefficients)
+            if c
+        },
+    )
 
 
 def line_determinant(
@@ -283,13 +341,16 @@ def line_determinant(
     Its degree is at most the row/column total-degree bound of M, so integer
     determinants at tau = 0..bound, interpolated once, give it exactly.
     """
-    nodes = range(_row_col_bound(M, MultiPoly.total_degree) + 1)
+    nodes = range(total_degree_bound(M) + 1)
     evaluator, scale = _row_scaled(M, ring)
     values = [
         det_int(evaluator.at({v: al + bl * k for v, al, bl in zip(ring, a, b)})[0])
         for k in nodes
     ]
-    return _tensor_interpolate(values, [nodes], [nodes], ("tau",), scale)
+    coefficients, den = _interpolate_line(values, nodes)
+    return MultiPoly(
+        ("tau",), {(j,): Fraction(c, den * scale) for j, c in enumerate(coefficients) if c}
+    )
 
 
 def _integer_entries(mats: list[list[list[MultiPoly]]]) -> list[list[list[dict]]]:
@@ -358,19 +419,24 @@ class _IntegerEvaluator:
         get = table.__getitem__
         return self._matrices([sum(map(mul, cs, map(get, idx))) for idx, cs in self.terms])
 
-    def grid(self, axes: Sequence[Sequence[int]]) -> Iterator[list[list[list[int]]]]:
-        """Every matrix at every point of axes[0] x ... x axes[-1], last axis fastest.
+    def grid(
+        self, axes: Sequence[Sequence[int]], costs: Sequence[int] | None = None, budget: int = 0
+    ) -> Iterator[list[list[list[int]]]]:
+        """Every matrix on a lower set of axes[0] x ... x axes[-1], last axis fastest.
 
+        The point with index j_i on axis i is taken when sum_i costs[i] *
+        j_i <= budget (``_lower_set``); without costs, the whole grid.
         Entries are evaluated one axis at a time, so all points under one
         prefix of the grid share that prefix's work.  On the last axis each
         entry is a short coefficient vector, dotted with the powers of every
-        value of that axis at once (one product per term, running sums per
-        entry); the prefix's points are then handed out one by one, so the
-        grid's matrices are never held together.
+        value of that axis the prefix leaves at once (one product per term,
+        running sums per entry); the prefix's points are then handed out one
+        by one, so the grid's matrices are never held together.
         """
         if not axes:
             yield self.at({})
             return
+        costs = costs or [0] * len(axes)
         coefficients, plan = self._walk_plan
         *outer, last = axes
         kexp, ends = plan[-1]
@@ -379,24 +445,27 @@ class _IntegerEvaluator:
         his = [j * m + end for j in range(len(last)) for end in ends]
         los = [j * m + end for j in range(len(last)) for end in [0, *ends[:-1]]]
 
-        def walk(values: list[int], axis: int):
+        def walk(values: list[int], axis: int, left: int):
             if axis == len(outer):
-                cums = list(accumulate(map(mul, values * len(last), powers), initial=0))
-                flat = list(map(sub, map(cums.__getitem__, his), map(cums.__getitem__, los)))
+                count = _allowed(len(last), costs[axis], left)
+                cums = list(accumulate(map(mul, values * count, powers), initial=0))
+                hi = map(cums.__getitem__, islice(his, count * n))
+                flat = list(map(sub, hi, map(cums.__getitem__, islice(los, count * n))))
                 for j in range(0, len(flat), n):
                     yield self._matrices(flat, j)
                 return
             kexp, ends = plan[axis]
             starts = [0, *ends[:-1]]
-            for x in outer[axis]:
-                pw = [x**k for k in range(self.maxdeg[axis] + 1)]
+            for k in range(_allowed(len(outer[axis]), costs[axis], left)):
+                pw = [outer[axis][k] ** e for e in range(self.maxdeg[axis] + 1)]
                 cums = list(accumulate(map(mul, values, map(pw.__getitem__, kexp)), initial=0))
                 yield from walk(
                     list(map(sub, map(cums.__getitem__, ends), map(cums.__getitem__, starts))),
                     axis + 1,
+                    left - costs[axis] * k,
                 )
 
-        yield from walk(coefficients, 0)
+        yield from walk(coefficients, 0, budget)
 
     @cached_property
     def _walk_plan(self) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
@@ -444,48 +513,100 @@ def _row_scaled(M, ring) -> tuple[_IntegerEvaluator, int]:
     return _IntegerEvaluator(_integer_entries([scaled]), ring), prod(dens)
 
 
-def _tensor_interpolate(
-    values: list[int], nodes: Sequence[Sequence[int]], exponents: Sequence[range], ring, den: int
-) -> MultiPoly:
-    """The polynomial that is values / den on the grid of nodes, last axis fastest.
+def _allowed(n: int, cost: int, left: int) -> int:
+    """How many of an axis's n indices k keep cost * k within ``left`` (all n at cost 0)."""
+    return n if cost == 0 else max(0, min(n, left // cost + 1))
 
-    Along axis i it is a polynomial in u = y_i^g with exponents[i] =
-    range(v, ..., g) of y_i, divided by y_i^v in ``values``; each axis is
-    interpolated in place at u = node^g with the integer Lagrange matrix
-    (``_lagrange``), and one division by den times the matrices'
-    denominators ends it.
+
+def _lower_set_size(lengths: Sequence[int], costs: Sequence[int], budget: int) -> int:
+    """The number of points of ``_lower_set``, counted by their spent budget."""
+    spent = Counter({0: 1})
+    for n, cost in zip(lengths, costs):
+        grown = Counter()
+        for s, count in spent.items():
+            for k in range(_allowed(n, cost, budget - s)):
+                grown[s + cost * k] += count
+        spent = grown
+    return sum(spent.values())
+
+
+def _lower_set(lengths: Sequence[int], costs: Sequence[int], budget: int) -> list[tuple[int, ...]]:
+    """The index tuples j with j_i < lengths[i] and sum_i costs[i] * j_i <= budget, last fastest.
+
+    A lower set: lowering any index stays inside it.  All-zero costs (and
+    budget 0) give the whole box.
+    """
+    points = [((), 0)]
+    for n, cost in zip(lengths, costs):
+        points = [
+            (j + (k,), s + cost * k)
+            for j, s in points
+            for k in range(_allowed(n, cost, budget - s))
+        ]
+    return [j for j, _ in points]
+
+
+def _interpolate(
+    values: list[int], nodes: Sequence[Sequence[int]], points: list[tuple[int, ...]]
+) -> tuple[list[int], int]:
+    """Integer coefficients c and a denominator den with sum_j c_j / den * prod_i u_i^j_i
+    equal to values[k] at u_i = nodes[i][points[k][i]]; points is a lower set.
+
+    Along each axis the points with the other indices fixed form a fiber
+    whose indices are a prefix 0..L-1.  First, on every axis, each fiber's
+    values become their divided differences on the fiber's prefix of
+    nodes (``_newton_matrices``); only after all of them, on every axis,
+    the Newton coefficients become monomial ones.  A fiber's Lagrange
+    interpolation, or a conversion before the other axes' differences,
+    mixes in points of longer fibers and is wrong on a lower set that is
+    not a box.
     """
     data = list(values)
-    stride = 1
-    for axis, exps in zip(reversed(nodes), reversed(exponents)):
-        span = stride * len(axis)
-        cols, w = _lagrange([x**exps.step for x in axis])
-        for start in range(0, len(data), span):
-            for r in range(start, start + stride):
-                line = data[r : r + span : stride]
-                data[r : r + span : stride] = [sum(map(mul, line, col)) for col in cols]
+    fibers = []  # per axis, the positions of each fiber's points in axis order
+    for axis in range(len(nodes)):
+        fibers.append({})
+        for k, j in enumerate(points):
+            fibers[-1].setdefault(j[:axis] + j[axis + 1 :], []).append(k)
+    matrices = [_newton_matrices(axis) for axis in nodes]
+    den = 1
+    for (differences, w, _), axis_fibers in zip(matrices, fibers):
+        for fiber in axis_fibers.values():
+            line = [data[k] for k in fiber]
+            for k, row in zip(fiber, differences):
+                data[k] = sum(map(mul, row, line))
         den *= w
-        stride = span
-    return MultiPoly(ring, {e: Fraction(c, den) for e, c in zip(product(*exponents), data) if c})
+    for (_, _, conversion), axis_fibers in zip(matrices, fibers):
+        for fiber in axis_fibers.values():
+            line = [data[k] for k in fiber]
+            for r, (k, row) in enumerate(zip(fiber, conversion)):
+                data[k] = sum(map(mul, row, islice(line, r, None)))
+    return data, den
 
 
-def _lagrange(nodes: Sequence[int]) -> tuple[list[tuple[int, ...]], int]:
-    """The integer Lagrange matrix of distinct integer nodes, by columns, and its denominator.
+def _interpolate_line(values: list[int], nodes: Sequence[int]) -> tuple[list[int], int]:
+    """``_interpolate`` on one axis: the coefficients of u^0, u^1, ... and their denominator."""
+    return _interpolate(values, [nodes], [(k,) for k in range(len(nodes))])
 
-    The polynomial through the points (nodes[i], vals[i]) has the
-    coefficient sum_i vals[i] * cols[j][i] / den at u^j.  Row i is
-    m(u) / (u - nodes[i]), one synthetic division of the master product
-    m(u) = prod_j (u - nodes[j]), times den / w_i, where
-    w_i = prod_{j != i} (nodes[i] - nodes[j]) and den is the lcm of the w_i.
+
+def _newton_matrices(nodes: Sequence[int]) -> tuple[list[list[int]], int, list[list[int]]]:
+    """Divided-difference rows of distinct integer nodes, their denominator, conversion rows.
+
+    Row r of the first takes the values at u_0..u_r to den times their r-th
+    divided difference: den / prod_{j <= r, j != i} (u_i - u_j) at i, with
+    den the lcm of the products.  Row r of the last holds the coefficient
+    of u^r in prod_{j < k} (u - u_j) for k = r, r+1, ...  Leading blocks
+    serve shorter prefixes of the nodes.
     """
-    master = [1]  # coefficients from u^0 up
-    for a in nodes:
-        master = list(map(sub, [0, *master], [a * c for c in master] + [0]))
-    weights = [prod(a - b for b in nodes if b != a) for a in nodes]
-    den = lcm(*weights)
-    rows = [
-        # the quotient from the top down: q_(k-1) = m_k + a * q_k
-        [c * (den // w) for c in accumulate(master[-2:0:-1], lambda q, m: m + a * q, initial=1)]
-        for a, w in zip(nodes, weights)
-    ]
-    return list(zip(*(row[::-1] for row in rows))), den
+    weights = []  # weights[r][i] = prod_{j <= r, j != i} (u_i - u_j)
+    for r, a in enumerate(nodes):
+        previous = weights[-1] if weights else []
+        weights.append(
+            [w * (b - a) for w, b in zip(previous, nodes)] + [prod(a - b for b in nodes[:r])]
+        )
+    den = lcm(*(w for row in weights for w in row))
+    differences = [[den // w for w in row] for row in weights]
+    newton = [[1]]  # coefficients of prod_{j < k} (u - u_j) from u^0 up
+    for a in nodes[:-1]:
+        newton.append(list(map(sub, [0, *newton[-1]], [a * c for c in newton[-1]] + [0])))
+    conversion = [[poly[r] for poly in newton[r:]] for r in range(len(nodes))]
+    return differences, den, conversion

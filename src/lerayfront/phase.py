@@ -273,17 +273,6 @@ class PhaseExpansion:
     bound: Fraction
     psi: MultiPoly = field(repr=False, default=None)
 
-    def reconstruct(self) -> MultiPoly:
-        ring = self.base.ring
-        n = self.n
-        acc = self.base
-        for mono, W in self.deformation:
-            e = [0] * len(ring)
-            for j, k in enumerate(mono.exps):
-                e[n + 1 + j] = k
-            acc = acc + W.mul_term(tuple(e), 1)
-        return acc
-
 
 def expand_phase(psi: MultiPoly, F: MultiPoly, w: WeightSystem) -> PhaseExpansion:
     """Collect psi - sign*<z,grad F>^m by z-monomial and verify the weight bound."""

@@ -1,14 +1,17 @@
 """Helpers that only the tests need: a matrix-vector product, basis
-1-forms, and readers for the polynomial, matrix and form JSON that
-``jsonio`` writes."""
+1-forms, readers for the polynomial, matrix and form JSON that ``jsonio``
+writes, a phase expansion summed back up, and a determinant by
+interpolation on given bounds."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
 
+from lerayfront.detpoly import _interpolate_grid, _row_scaled
 from lerayfront.forms import DiffForm
 from lerayfront.linalg import RationalMatrix
+from lerayfront.phase import PhaseExpansion
 from lerayfront.poly import MultiPoly
 
 
@@ -34,3 +37,30 @@ def matrix_from_json(obj: dict) -> list[list[MultiPoly]]:
 def form_from_json(obj: dict) -> DiffForm:
     comps = {tuple(c["idx"]): poly_from_json(c["poly"]) for c in obj["components"]}
     return DiffForm(tuple(obj["vars"]), obj["degree"], comps)
+
+
+def reconstruct(exp: PhaseExpansion) -> MultiPoly:
+    """base + sum W_i z^alpha_i: psi again, from its expansion."""
+    ring = exp.base.ring
+    acc = exp.base
+    for mono, W in exp.deformation:
+        e = [0] * len(ring)
+        for j, k in enumerate(mono.exps):
+            e[exp.n + 1 + j] = k
+        acc = acc + W.mul_term(tuple(e), 1)
+    return acc
+
+
+def det_interpolate(
+    M: Sequence[Sequence[MultiPoly]], bounds: Sequence[int], top: int | None = None
+) -> MultiPoly:
+    """Determinant by grid evaluation and interpolation.
+
+    ``bounds`` are per-variable degree bounds of det(M) and ``top`` a
+    total-degree bound (``degree_bounds`` and ``total_degree_bound`` give
+    safe ones); without ``top`` the grid is the whole box of
+    prod(bounds[i]+1) points.
+    """
+    evaluator, scale = _row_scaled(M, M[0][0].ring)
+    costs, budget = ([0] * len(bounds), 0) if top is None else ([1] * len(bounds), top)
+    return _interpolate_grid(evaluator, scale, [range(b + 1) for b in bounds], costs, budget)

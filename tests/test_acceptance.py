@@ -30,6 +30,8 @@ from lerayfront.phase import check_c3, discover_weights
 from lerayfront.poly import MultiPoly
 from lerayfront.wavefront import t_zero_check
 
+from helpers import det_interpolate, reconstruct
+
 
 def report(n, text):
     print(f"\n[PASS] criterion {n}: {text}")
@@ -72,7 +74,7 @@ def test_criterion_2_deformation_bound(wave_cusp_pipeline):
     t0 = time.time()
     exp = wave_cusp_pipeline["expansion"]
     psi = wave_cusp_pipeline["psi"]
-    assert exp.reconstruct() == psi  # exact reconstruction
+    assert reconstruct(exp) == psi  # exact reconstruction
     for mono, _ in exp.deformation:
         assert mono.weight(exp.weights.weights) < 2 * 6
     assert exp.mu_prime <= 24 and exp.bound == 24
@@ -264,7 +266,7 @@ def test_criterion_8_end_to_end(wave_cusp_pipeline, wave_cusp_front, cusp_front,
 
 def test_criterion_9_determinism(cusp_system, a1_system, a4_system, quadric_system, tmp_path):
     t0 = time.time()
-    from lerayfront.detpoly import degree_bounds, det_interpolate, det_poly_matrix
+    from lerayfront.detpoly import degree_bounds, det_poly_matrix
 
     for _, data in (cusp_system, a1_system, a4_system, quadric_system):
         d1 = det_poly_matrix(data.M)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +10,22 @@ from hypothesis import strategies as st
 
 from lerayfront import detpoly
 from lerayfront.detpoly import (
-    _lagrange,
+    _interpolate,
+    _interpolate_line,
+    _lower_set,
+    _lower_set_size,
+    _map_exponents,
     _row_scaled,
     degree_bounds,
-    det_interpolate,
+    det_bareiss,
     det_poly_matrix,
+    total_degree_bound,
 )
 from lerayfront.errors import ResourceLimitError
 from lerayfront.linalg import RationalMatrix, det_fraction, det_int, solve_linear_exact
 from lerayfront.poly import MultiPoly
+
+from helpers import det_interpolate
 
 RING = ("y1", "y2")
 Y1 = MultiPoly.variable(RING, "y1")
@@ -82,7 +90,8 @@ def test_interpolate_in_the_constant_ring():
 @pytest.mark.parametrize("ring", [(), ("y",), ("a", "b", "c"), ("a", "b", "c", "d")], ids=len)
 def test_grid_values_match_determinants_of_evaluated_entries(ring):
     # axes of uneven lengths, one with a negative value, catch a walk that
-    # swaps or reverses axes; the zero entry has no coefficients to walk
+    # swaps or reverses axes; the zero entry has no coefficients to walk;
+    # the lower set with costs 2, 1, 2, 1 and budget 3 cuts the grid
     rng = random.Random(len(ring))
     M = [[_random_poly(rng, 2, ring, max_den=6) for _ in range(3)] for _ in range(3)]
     M[1][2] = MultiPoly.zero(ring)
@@ -94,6 +103,14 @@ def test_grid_values_match_determinants_of_evaluated_entries(ring):
     for point, value in zip(points, values):
         at = {v: Fraction(a) for v, a in zip(ring, point)}
         assert Fraction(value, scale) == det_fraction([[p.eval_exact(at) for p in row] for row in M])
+    # a lower set of the same grid hands out the same values, in its order
+    costs = [2 - k % 2 for k in range(len(ring))]
+    kept = _lower_set([len(axis) for axis in axes], costs, 3)
+    assert len(kept) < len(points) or not ring
+    by_point = dict(zip(points, values))
+    assert [det_int(mats[0]) for mats in evaluator.grid(axes, costs, 3)] == [
+        by_point[tuple(axis[k] for axis, k in zip(axes, j))] for j in kept
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,16 +125,87 @@ def test_grid_values_match_determinants_of_evaluated_entries(ring):
     )
 )
 def test_interp_1d_solves_the_vandermonde_system(case):
-    # den times the coefficients from the integer Lagrange matrix, against an
-    # exact solve of sum_j c_j nodes[i]^j = vals[i]
+    # the lower-set kernel on one axis (divided differences, then the
+    # Newton-to-monomial conversion) against an exact solve of
+    # sum_j c_j nodes[i]^j = vals[i]
     nodes, vals = case
     b = len(vals) - 1
     den = lcm(*(v.denominator for v in vals))
-    cols, w = _lagrange(nodes)
-    scaled = [sum(int(v * den) * c for v, c in zip(vals, col)) for col in cols]
+    scaled, w = _interpolate_line([int(v * den) for v in vals], nodes)
     V = RationalMatrix(b + 1, b + 1, [[Fraction(x**j) for j in range(b + 1)] for x in nodes])
     coeffs = solve_linear_exact(V, vals).particular
     assert [Fraction(c, den * w) for c in scaled] == coeffs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lower_set_kernel_recovers_random_coefficients(seed):
+    # random integer coefficients on a lower set of uneven axes and costs,
+    # evaluated at distinct integer nodes (negative ones too), come back
+    # from the values; a fiber-wise Lagrange interpolation or a conversion
+    # before every axis's differences would not
+    rng = random.Random(seed)
+    lengths, costs = [5, 4, 6], [2, 3, 1]
+    points = _lower_set(lengths, costs, 9)
+    assert len(points) == _lower_set_size(lengths, costs, 9) < prod(lengths)
+    nodes = [rng.sample(range(-12, 13), n) for n in lengths]
+    coefficients = {j: rng.randint(-50, 50) for j in points}
+    terms = coefficients.items()
+    values = [
+        sum(c * prod(axis[k] ** e for axis, k, e in zip(nodes, j, exps)) for exps, c in terms)
+        for j in points
+    ]
+    found, den = _interpolate(values, nodes, points)
+    assert [Fraction(c, den) for c in found] == [coefficients[j] for j in points]
+
+
+def _row_variable_matrix(rng, ring):
+    """Row i's entries are polynomials in ring[i] alone, so the row bound of
+    the total degree is the sum of the per-variable bounds."""
+    return [
+        [_random_poly(rng, 3, (v,), max_den=4).rename_ring(ring) for _ in ring] for v in ring
+    ]
+
+
+def test_lower_set_interpolation_matches_bareiss():
+    # on the safe total-degree cut: random matrices whose lower set is
+    # smaller than the degree box, and matrices where it cuts nothing
+    rng = random.Random(17)
+    ring = ("a", "b", "c")
+    for _ in range(3):
+        M = [[_random_poly(rng, 2, ring, max_den=4) for _ in range(4)] for _ in range(4)]
+        bounds, top = degree_bounds(M), total_degree_bound(M)
+        box = prod(b + 1 for b in bounds)
+        assert _lower_set_size([b + 1 for b in bounds], [1, 1, 1], top) < box
+        assert det_interpolate(M, bounds, top) == det_bareiss(M)
+        M = _row_variable_matrix(rng, ring)
+        bounds, top = degree_bounds(M), total_degree_bound(M)
+        assert top == sum(bounds)
+        box = prod(b + 1 for b in bounds)
+        assert _lower_set_size([b + 1 for b in bounds], [1, 1, 1], top) == box
+        assert det_interpolate(M, bounds, top) == det_bareiss(M)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_total_degree_bound_is_safe_on_sparse_matrices(step):
+    # about half the entries zero, exponents multiples of step; the
+    # row/column bound on entry total degrees is at least the determinant's
+    rng = random.Random(step)
+    ring = ("a", "b", "c")
+    nonzero = 0
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        M = [
+            [
+                _map_exponents(_random_poly(rng, 3, ring), mul, [step] * 3).scale(rng.randint(0, 1))
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        det = det_bareiss(M)
+        if not det.is_zero():
+            nonzero += 1
+            assert total_degree_bound(M) >= det.total_degree()
+    assert nonzero >= 10
 
 
 def test_interpolation_grid_cap(monkeypatch):

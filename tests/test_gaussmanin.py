@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lerayfront.brieskorn import GMMatrices, PhiBasis, FBasis
-from lerayfront.detpoly import degree_bounds, det_interpolate
+from lerayfront.detpoly import degree_bounds
 from lerayfront.errors import (
     CurvatureNonzeroError,
     DegenerateSystemError,
@@ -16,6 +16,8 @@ from lerayfront.gaussmanin import (
     residue_exponents_K1,
 )
 from lerayfront.poly import MultiPoly
+
+from helpers import det_interpolate
 
 
 class TestAssemble:

@@ -30,6 +30,8 @@ from lerayfront.phase import (
 )
 from lerayfront.poly import MultiPoly, poly_substitute, weighted_graded_parts
 
+from helpers import reconstruct
+
 R = ("x1", "x2")
 X1 = MultiPoly.variable(R, "x1")
 X2 = MultiPoly.variable(R, "x2")
@@ -164,7 +166,7 @@ class TestExpandPhase:
         assert exp.bound == 24
         monos = {m.exps for m, _ in exp.deformation}
         assert monos == {(3, 0), (2, 2), (1, 3), (0, 5), (2, 0), (1, 2), (0, 4)}
-        assert exp.reconstruct() == psi
+        assert reconstruct(exp) == psi
         # every deformation weight strictly below m * w(F), coefficients of degree <= m
         for mono, W in exp.deformation:
             assert mono.weight(w.weights) < 2 * 6
@@ -178,7 +180,7 @@ class TestExpandPhase:
         assert exp.sign == -1 and exp.case == "case2"
         got = {(m.exps, W.pretty()) for m, W in exp.deformation}
         assert got == {((1, 0), "2*x1"), ((0, 2), "3*x2")}
-        assert exp.reconstruct() == psi
+        assert reconstruct(exp) == psi
 
     def test_case1_constant_term(self):
         # front with a linear monomial produces a constant phase term

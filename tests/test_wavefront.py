@@ -8,12 +8,15 @@ import pytest
 
 from lerayfront import detpoly
 from lerayfront.detpoly import (
+    _lower_set_size,
     _map_exponents,
     _probe_degrees,
+    _probe_total_degree,
     _row_scaled,
     degree_bounds,
     det_bareiss,
     det_probed,
+    total_degree_bound,
 )
 from lerayfront.errors import MismatchError, ResourceLimitError
 from lerayfront.gcdtools import _Budget, _gcd, squarefree_part
@@ -108,7 +111,8 @@ class TestFrontPolynomial:
     ):
         # the flagship's 15 x 15 matrix peels to an 11 x 11 core whose t
         # exponents are all even; its determinant is even in x1 and divisible
-        # by t^6 (of the compressed t), so the grid is 15 x 27 x 16 points.
+        # by t^6 (of the compressed t), so the box is 15 x 27 x 16 = 6,480
+        # points, and its total degree 42 (of 64 safe) leaves 1,487 of them.
         # m1/parabola (mu = 1) peels to nothing and wave/parabola (mu = 3)
         # peels nothing
         assert wave_cusp_front.strategy == {
@@ -118,10 +122,12 @@ class TestFrontPolynomial:
             "core": 11,
             "parity": [1, 1, 2],
             "safe_bounds": [48, 64, 29],
+            "safe_total_degree": 64,
             "probed_bounds": [28, 26, 21],
             "probed_valuations": [0, 0, 6],
             "probed_steps": [2, 1, 1],
-            "grid_points": 6480,
+            "probed_total_degree": 42,
+            "grid_points": 1487,
             "fallback": False,
         }
         icis, data = _m1_parabola_system()
@@ -135,10 +141,33 @@ class TestFrontPolynomial:
             "core": 3,
             "parity": [1, 1, 2],
             "safe_bounds": [7, 12, 5],
+            "safe_total_degree": 12,
             "probed_bounds": [4, 6, 5],
             "probed_valuations": [0, 0, 2],
             "probed_steps": [1, 2, 1],
-            "grid_points": 80,
+            "probed_total_degree": 10,
+            "grid_points": 28,
+            "fallback": False,
+        }
+
+    def test_m1_cusp_skips_the_total_degree_probe(self, m1_pipeline):
+        # the 5 x 5 core's box under the safe total degree 17 has 23 of its
+        # 24 points, fewer than the 36 determinants two curves would take
+        F, icis, data = m1_pipeline
+        fr = front_polynomial(data, icis, s_value=Fraction(1))
+        assert fr.strategy == {
+            "engine": "probed grid",
+            "size": 9,
+            "peeled": 4,
+            "core": 5,
+            "parity": [1, 1, 1],
+            "safe_bounds": [12, 17, 0],
+            "safe_total_degree": 17,
+            "probed_bounds": [10, 9, 0],
+            "probed_valuations": [0, 0, 0],
+            "probed_steps": [2, 3, 1],
+            "probed_total_degree": None,
+            "grid_points": 23,
             "fallback": False,
         }
 
@@ -284,6 +313,8 @@ class TestProbedInterpolation:
         evaluator = _row_scaled(M, ring)[0]
         probed = _probe_degrees(evaluator, random.Random(0), degree_bounds(M))
         assert probed == _exponent_structure(det_bareiss(M))
+        top = _probe_total_degree(evaluator, random.Random(0), [1, 1, 1], total_degree_bound(M))
+        assert top == det_bareiss(M).total_degree()
 
     def test_probes_find_the_valuation_and_the_step(self):
         # entries a^((i + j) % 2) * q_ij(a^2, b, c): every permutation takes
@@ -365,20 +396,39 @@ class TestProbedInterpolation:
 
     def test_indivisible_grid_value_falls_back_at_once(self, monkeypatch):
         # an overstated valuation leaves a grid value that prod node^v does
-        # not divide: the safe grid runs, with no check point drawn
+        # not divide: the safe grid runs, with no check point drawn (the
+        # curve probes, before the grid, are the only single points taken)
         M = self._misreported(monkeypatch, 1, 1)
-        grids = []
+        grids, events = [], []
         interpolate = detpoly._interpolate_grid
+        at = detpoly._IntegerEvaluator.at
 
         def recording_interpolate(*args):
+            events.append("grid")
             grids.append(interpolate(*args))
             return grids[-1]
 
+        def recording_at(self, point):
+            events.append("at")
+            return at(self, point)
+
         monkeypatch.setattr(detpoly, "_interpolate_grid", recording_interpolate)
-        monkeypatch.setattr(detpoly._IntegerEvaluator, "at", None)
+        monkeypatch.setattr(detpoly._IntegerEvaluator, "at", recording_at)
         det, record = det_probed(M, seed=2)
         assert record["probed_valuations"] != [0, 0, 0]
         assert (record["fallback"], grids[0]) == (True, None)
+        assert events[events.index("grid") :] == ["grid", "grid"]
+        assert det == det_bareiss(M)
+
+    def test_under_reported_total_degree_falls_back(self, monkeypatch):
+        # one total degree too few drops the top terms from the lower set:
+        # the interpolant fails the check and the safe lower set runs
+        probe = detpoly._probe_total_degree
+        monkeypatch.setattr(detpoly, "_probe_total_degree", lambda *args: probe(*args) - 1)
+        M = _random_matrix(random.Random(11), ("a", "b", "c"), 4)
+        det, record = det_probed(M, seed=2)
+        assert record["probed_total_degree"] == det_bareiss(M).total_degree() - 1
+        assert record["fallback"] is True
         assert det == det_bareiss(M)
 
     def test_overstated_step_falls_back(self, monkeypatch):
@@ -390,9 +440,8 @@ class TestProbedInterpolation:
 
     def test_fallback_over_the_grid_cap_is_a_mismatch(self, monkeypatch):
         M = self._misreported(monkeypatch, 0, -1)
-        safe_points = 1
-        for b in degree_bounds(M):
-            safe_points *= b + 1
+        lengths = [b + 1 for b in degree_bounds(M)]
+        safe_points = _lower_set_size(lengths, [1, 1, 1], total_degree_bound(M))
         monkeypatch.setattr(detpoly, "GRID_MAX_POINTS", safe_points - 1)
         with pytest.raises(MismatchError, match="safe bounds exceed the grid cap"):
             det_probed(M, seed=2)
