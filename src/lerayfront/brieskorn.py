@@ -51,7 +51,7 @@ from .linalg import SparseEchelon
 from .phase import IcisMap, bind_coordinates, critical_staircase
 # unused here, but perfbench's tracer test looks the name up on this module
 from .phase import critical_ideal_gens  # noqa: F401
-from .poly import Monomial, MultiPoly, monomials_of_weight
+from .poly import Exponents, MultiPoly, monomials_of_weight, weight
 
 ONE = Fraction(1)
 
@@ -60,7 +60,7 @@ ONE = Fraction(1)
 class PhiBasis:
     """Staircase monomials phi_j whose classes phi_j du span the top quotient."""
 
-    monomials: list[Monomial]
+    monomials: list[Exponents]
     mu: int
     weights: list[int]  # w(phi_j du) = w(phi_j) + sum(v)
 
@@ -94,7 +94,7 @@ def phi_basis(icis: IcisMap) -> PhiBasis:
             witness_variable=sc.witness_variable,
         )
     sv = sum(icis.var_weights)
-    weights = [m.weight(icis.var_weights) + sv for m in sc.monomials]
+    weights = [weight(m, icis.var_weights) + sv for m in sc.monomials]
     return PhiBasis(monomials=sc.monomials, mu=len(sc.monomials), weights=weights)
 
 
@@ -217,14 +217,14 @@ class LatticeContext:
         ("phi", j, beta), D ^ d(u^delta du_J) for ("eta", J, delta)."""
         kind, a, b = meta
         if kind == "phi":
-            return self.f_power(b).mul_term(self.phi.monomials[a].exps, ONE)
+            return self.f_power(b).mul_term(self.phi.monomials[a], ONE)
         return self.modulus_vector_poly(b, a)
 
     def expand_certificate(self, cert: LatticeCertificate) -> MultiPoly:
         """sum_j P_j(f) phi_j + top(D ^ d(eta)), summed in integers over one denominator."""
         mod, mod_den = self.top_coefficient(wedge(self.D, exterior_d(cert.eta))).integer_terms()
         parts = [
-            (c, self.f_power_int(beta), self.phi.monomials[j].exps)
+            (c, self.f_power_int(beta), self.phi.monomials[j])
             for j, P in enumerate(cert.coefficients)
             for beta, c in P.terms.items()
         ]
@@ -342,15 +342,13 @@ class _Collapse:
         # staircase monomials never involve coordinate variables
         for m in ctx.phi.monomials:
             for c in self.coord_vars:
-                assert m.exps[c] == 0, "staircase touches a coordinate variable"
-        sub_phi_monos = [
-            Monomial(tuple(m.exps[i] for i in rest)) for m in ctx.phi.monomials
-        ]
+                assert m[c] == 0, "staircase touches a coordinate variable"
+        sub_phi_monos = [tuple(m[i] for i in rest) for m in ctx.phi.monomials]
         sv = sum(sub_icis.var_weights)
         self.sub_phi = PhiBasis(
             monomials=sub_phi_monos,
             mu=len(sub_phi_monos),
-            weights=[m.weight(sub_icis.var_weights) + sv for m in sub_phi_monos],
+            weights=[weight(m, sub_icis.var_weights) + sv for m in sub_phi_monos],
         )
         self.sub_ctx = LatticeContext(sub_icis, self.sub_phi, max_piece=ctx.max_piece)
         self._memo: dict[tuple[int, ...], tuple[int, dict]] = {}
@@ -479,7 +477,7 @@ def _reduce_direct(coeff: MultiPoly, ctx: LatticeContext) -> dict[tuple, Fractio
     The Brieskorn lattice of an ICIS is free (Greuel 1975), so a piece that
     has no solution means the staircase basis does not generate it.
     """
-    w = Monomial(next(iter(coeff.terms))).weight(ctx.v)
+    w = weight(next(iter(coeff.terms)), ctx.v)
     res = ctx.solver(w).solve(coeff)
     if res is None:
         raise ReductionNoSolutionError(
@@ -651,8 +649,7 @@ def _validate_forced_weights(gm: GMMatrices, icis: IcisMap) -> None:
                     continue
                 forced = gm.l_weights[i] + sum_p - icis.comp_weights[l] - gm.phi.weights[j]
                 for e in entry.terms:
-                    w = sum(a * b for a, b in zip(icis.comp_weights, e))
-                    if w != forced:
+                    if weight(e, icis.comp_weights) != forced:
                         raise ReductionNoSolutionError(
                             f"entry P^({l})[{i}][{j}] violates the forced weight {forced}"
                         )

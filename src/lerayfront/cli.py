@@ -19,7 +19,6 @@ import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from operator import mul
 from pathlib import Path
 
 from . import __version__
@@ -64,6 +63,7 @@ from .phase import (
     discover_weights,
     expand_phase,
 )
+from .poly import weight
 from .wavefront import front_polynomial, t_zero_check
 
 COMMANDS = (
@@ -172,7 +172,7 @@ class Problem:
             # w(F) is the top weighted degree (0 for F = 0, which WeightSystem
             # rejects); the Euler check rejects any lower term, a constant too
             F = self.front
-            total = max((sum(map(mul, self.explicit_weights, e)) for e in F.terms), default=0)
+            total = max((weight(e, self.explicit_weights) for e in F.terms), default=0)
             ws = WeightSystem(self.explicit_weights, total)
             ws.verify(F)
             return ws
@@ -273,8 +273,8 @@ class Pipeline:
             "bound": fraction_to_json(Fraction(exp.bound)),
             "deformation": [
                 {
-                    "monomial": list(mono.exps),
-                    "weight": mono.weight(exp.weights.weights),
+                    "monomial": list(mono),
+                    "weight": weight(mono, exp.weights.weights),
                     "W": poly_to_json(W),
                 }
                 for mono, W in exp.deformation
@@ -304,7 +304,7 @@ class Pipeline:
                 {
                     "y_index": c.y_index,
                     "var": c.var,
-                    "monomial": list(c.monomial.exps),
+                    "monomial": list(c.monomial),
                     "W": poly_to_json(c.w_poly),
                 }
                 for c in icis.couplings
@@ -319,7 +319,7 @@ class Pipeline:
         phi = self.phi_basis()
         rec = {
             "mu": phi.mu,
-            "staircase": [list(m.exps) for m in phi.monomials],
+            "staircase": [list(m) for m in phi.monomials],
             "weights": list(phi.weights),
         }
         dump_json(rec, self.out / "milnor.json")
@@ -332,7 +332,7 @@ class Pipeline:
             "K": data.K,
             "l_weights": list(data.l_weights),
             "comp_weights": list(data.comp_weights),
-            "phi": [list(m.exps) for m in data.phi.monomials],
+            "phi": [list(m) for m in data.phi.monomials],
             "f_basis": [form_to_json(f) for f in data.fbasis.forms],
             "matrices": {
                 f"P{l}": matrix_to_json(data.matrices[l]) for l in range(data.K)

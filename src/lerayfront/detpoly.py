@@ -11,9 +11,10 @@ total degree, when that costs fewer determinants than it can save),
 interpolates on the lower set those leave, checks the result exactly at
 random rational points and falls back to the safe bounds of
 ``degree_bounds`` and ``total_degree_bound``.  One integer evaluator of
-the core serves all of it.  The grid takes (deg - v) // g + 1 integer
-nodes of each variable and keeps the points whose exponents stay within
-the total-degree bound, a lower set of the box; it divides each integer
+the core serves all of it, and a 1 x 1 one of the interpolant's integer
+terms the check.  The grid takes (deg - v) // g + 1 integer nodes of each
+variable and keeps the points whose exponents stay within the
+total-degree bound, a lower set of the box; it divides each integer
 determinant by the nodes' powers prod x_i^v_i exactly and interpolates in
 u = x^g (``_interpolate``), all in Python ints: divided differences along
 every axis, then the Newton-to-monomial conversion along every axis, then
@@ -118,14 +119,15 @@ def det_probed(M: list[list[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict
     variable give its degree, its valuation v and the step g of its
     exponents), the grid of (degree - v) // g + 1 nodes per variable cut
     to a lower set by a bound on the total degree of det M, and four
-    random rational points where the interpolant must equal det_int of the
-    evaluated core.  The bound is ``total_degree_bound`` of the core
-    (safe), or the degree along two random curves y_i = p_i + q_i *
-    tau^parity_i when their determinants are fewer than the grid points
-    that safe bound keeps.  When a grid value is not divisible by the
-    nodes' powers prod y_i^v_i or a point disagrees, the grid is taken
-    again on the safe bounds (v = 0, g = 1, the safe total degree); when
-    that grid exceeds ``GRID_MAX_POINTS``, MismatchError.
+    random rational points where the interpolant (by a 1 x 1 evaluator of
+    its integer terms) must equal det_int of the evaluated core.  The
+    bound is ``total_degree_bound`` of the core (safe), or the degree
+    along two random curves y_i = p_i + q_i * tau^parity_i when their
+    determinants are fewer than the grid points that safe bound keeps.
+    When a grid value is not divisible by the nodes' powers prod y_i^v_i
+    or a point disagrees, the grid is taken again on the safe bounds
+    (v = 0, g = 1, the safe total degree); when that grid exceeds
+    ``GRID_MAX_POINTS``, MismatchError.
     ``random.Random(seed)`` draws the axis probes first, then the curves,
     then the check points.
 
@@ -180,14 +182,23 @@ def det_probed(M: list[list[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict
         fallback=False,
     )
 
-    def agrees_at_a_random_point() -> bool:
-        pt = {v: Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for v in ring}
-        # the evaluator's entries are the row-scaled core's times S
-        S = prod(pt[v].denominator ** top for v, top in zip(ring, evaluator.maxdeg))
-        return det_int(evaluator.at(pt)[0]) == det.eval_exact(pt) * scale * S ** len(core)
+    def agrees_at_random_points(det: MultiPoly) -> bool:
+        terms, den = det.integer_terms()
+        check = _IntegerEvaluator([[[terms]]], ring)
+        for _ in range(4):
+            pt = {v: Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for v in ring}
+            # each evaluator's values are its entries times its prod_v b_v^maxdeg_v
+            S, T = (
+                prod(pt[v].denominator ** top for v, top in zip(ring, e.maxdeg))
+                for e in (evaluator, check)
+            )
+            value = check.at(pt)[0][0][0] * scale * S ** len(core)
+            if det_int(evaluator.at(pt)[0]) * den * T != value:
+                return False
+        return True
 
     det = _interpolate_grid(evaluator, scale, exponents, costs, budget)
-    if det is None or not all(agrees_at_a_random_point() for _ in range(4)):
+    if det is None or not agrees_at_random_points(det):
         try:
             box = [range(b + 1) for b in safe]
             det = _interpolate_grid(evaluator, scale, box, parity, safe_top)

@@ -14,7 +14,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import RingMismatchError
-from .poly import MultiPoly
+from .poly import MultiPoly, weight
 
 IndexSet = tuple[int, ...]
 
@@ -138,7 +138,7 @@ class DiffForm:
         for idx, p in self.components.items():
             legs = sum(v[i] for i in idx)
             for e in p.terms:
-                seen.add(legs + sum(w * k for w, k in zip(v, e)))
+                seen.add(legs + weight(e, v))
             if len(seen) > 1:
                 return None
         if not seen:

@@ -6,13 +6,15 @@ errors instead of hangs.
 
 Every reduction (normal forms, S-polynomials, the input generators and the
 final inter-reduction) runs one kernel, ``_reduce``: heap-ordered reduction,
-heads cached per basis element.  The working terms sit in a heap under the
-order's descending key, computed once per exponent as it enters (Monagan
-and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors", 2007).  Each basis element is held as the head of its
-primitive integer multiple (leading term, leading coefficient, tail),
-computed once, when it joins the basis; the working terms are integers over
-one running denominator, so a reduction step makes no Fraction.
+heads cached per basis element.  Each order has one key, under which the
+largest monomial sorts first: ``min`` finds a leading term, and the working
+terms sit in a min-heap under it, the key computed once per exponent as it
+enters (Monagan and Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors", 2007).  Each basis element is held as
+the head of its primitive integer multiple (leading term, leading
+coefficient, tail), computed once, when it joins the basis; the working
+terms are integers over one running denominator, so a reduction step makes
+no Fraction.  Monomials are exponent tuples, staircases included.
 """
 
 from __future__ import annotations
@@ -25,15 +27,11 @@ from operator import add, le, neg
 from typing import Callable, Iterable, Sequence
 
 from .errors import ResourceLimitError, RingMismatchError
-from .poly import Exponents, Monomial, MultiPoly, grevlex_key, lex_key
+from .poly import Exponents, MultiPoly, grevlex_descending
 
 # A cached head: leading exponent, leading coefficient and the remaining
 # terms of a primitive integer polynomial with positive leading coefficient.
 Head = tuple[Exponents, int, list[tuple[Exponents, int]]]
-
-
-def _grevlex_descending(e: Exponents):
-    return (-sum(e), e[::-1])
 
 
 def _lex_descending(e: Exponents):
@@ -42,7 +40,7 @@ def _lex_descending(e: Exponents):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total multiplicative well-order on monomials, as a sort key factory.
+    """Total multiplicative well-order on monomials, as a largest-first sort key.
 
     ``kind`` is one of ``lex``, ``grevlex``, ``block``; a block order compares
     the first ``split`` variables grevlex first (used for elimination).
@@ -51,31 +49,17 @@ class MonomialOrder:
     kind: str = "grevlex"
     split: int = 0
 
-    def key(self) -> Callable[[Exponents], object]:
-        if self.kind == "grevlex":
-            return grevlex_key
-        if self.kind == "lex":
-            return lex_key
-        if self.kind == "block":
-            s = self.split
-
-            def block_key(e: Exponents):
-                return (grevlex_key(e[:s]), grevlex_key(e[s:]))
-
-            return block_key
-        raise ValueError(f"unknown order kind {self.kind}")
-
     def descending_key(self) -> Callable[[Exponents], object]:
         """Sort key under which the largest monomial comes first (a min-heap key)."""
         if self.kind == "grevlex":
-            return _grevlex_descending
+            return grevlex_descending
         if self.kind == "lex":
             return _lex_descending
         if self.kind == "block":
             s = self.split
 
             def block_descending(e: Exponents):
-                return (_grevlex_descending(e[:s]), _grevlex_descending(e[s:]))
+                return (grevlex_descending(e[:s]), grevlex_descending(e[s:]))
 
             return block_descending
         raise ValueError(f"unknown order kind {self.kind}")
@@ -112,13 +96,13 @@ class GroebnerBasis:
             self.ring = self.generators[0].ring
 
     def leading_terms(self) -> list[Exponents]:
-        key = self.order.key()
+        key = self.order.descending_key()
         return [g.leading(key)[0] for g in self.generators]
 
 
 def _head(terms: dict[Exponents, int], key) -> Head:
     """The head of the primitive integer multiple, positive leading coefficient, of terms."""
-    lt = max(terms, key=key)
+    lt = min(terms, key=key)
     g = gcd(*terms.values())
     if terms[lt] < 0:
         g = -g
@@ -128,10 +112,10 @@ def _head(terms: dict[Exponents, int], key) -> Head:
 def _reduce(
     terms: dict[Exponents, int],
     heads: Sequence[Head],
-    descending_key,
+    key,
     max_terms: int | None = None,
 ) -> tuple[dict[Exponents, int], int]:
-    """Full remainder of the terms modulo the heads, the largest term first.
+    """Full remainder of the terms modulo the heads, the largest term under ``key`` first.
 
     Returns ``(rem, m)``: ``rem / m`` is the remainder.  Each step pops the
     largest working term ``c x^e`` and cancels it with the first head ``L x^lt
@@ -145,7 +129,7 @@ def _reduce(
     work = dict(terms)
     if not heads:
         return work, 1
-    heap = [(descending_key(e), e) for e in work]
+    heap = [(key(e), e) for e in work]
     heapify(heap)
     rem: dict[Exponents, int] = {}
     scale = 1
@@ -178,7 +162,7 @@ def _reduce(
             old = work.get(te)
             if old is None:
                 work[te] = -q * gc
-                heappush(heap, (descending_key(te), te))
+                heappush(heap, (key(te), te))
             else:
                 s = old - q * gc
                 if s:
@@ -194,10 +178,10 @@ def normal_form(p: MultiPoly, gb: GroebnerBasis, max_terms: int | None = None) -
     ``max_terms`` caps the working term count (used by Buchberger to abort
     explosive eliminations early).
     """
-    key = gb.order.key()
+    key = gb.order.descending_key()
     heads = [_head(g.integer_terms()[0], key) for g in gb.generators]
     terms, d = p.integer_terms()
-    rem, m = _reduce(terms, heads, gb.order.descending_key(), max_terms)
+    rem, m = _reduce(terms, heads, key, max_terms)
     return MultiPoly(p.ring, {e: Fraction(c, d * m) for e, c in rem.items()})
 
 
@@ -214,8 +198,7 @@ def groebner(
     criterion).  Raises ResourceLimitError when caps are hit.  The basis is
     held as integer heads; each element is made monic over Q on output.
     """
-    key = order.key()
-    descending_key = order.descending_key()
+    key = order.descending_key()
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty generator list")
@@ -246,7 +229,7 @@ def groebner(
         pairs = kept
         # prune among the new pairs: keep minimal lcms, drop coprime ones
         pruned: list[tuple[Exponents, int, int]] = []
-        for (l, i, j) in sorted(new_pairs, key=lambda t3: grevlex_key(t3[0])):
+        for (l, i, j) in sorted(new_pairs, key=lambda t3: grevlex_descending(t3[0]), reverse=True):
             if _disjoint(lts[i], t):
                 continue
             if any(_divides(l2, l) and l2 != l for (l2, _, _) in pruned):
@@ -258,14 +241,14 @@ def groebner(
         heads.append(head)
         lts.append(t)
 
-    for g in sorted(gens, key=lambda p: key(p.leading(key)[0])):
-        r = _reduce(g.integer_terms()[0], heads, descending_key)[0]
+    for g in sorted(gens, key=lambda p: key(p.leading(key)[0]), reverse=True):
+        r = _reduce(g.integer_terms()[0], heads, key)[0]
         if r:
             add_poly(r)
 
     processed = 0
     while pairs:
-        pairs.sort(key=lambda t3: grevlex_key(t3[0]), reverse=True)
+        pairs.sort(key=lambda t3: grevlex_descending(t3[0]))
         l, i, j = pairs.pop()
         processed += 1
         if processed > max_pairs:
@@ -278,7 +261,7 @@ def groebner(
                 kind="degree",
                 limit=max_degree,
             )
-        s = _reduce(_spoly(heads[i], heads[j]), heads, descending_key, max_poly_terms)[0]
+        s = _reduce(_spoly(heads[i], heads[j]), heads, key, max_poly_terms)[0]
         if s:
             add_poly(s)
 
@@ -292,11 +275,11 @@ def groebner(
     for n, i in enumerate(kept):
         lt, lc, tail = heads[i]
         others = [heads[j] for j in kept[:n] + kept[n + 1 :]]
-        r = _reduce({lt: lc, **dict(tail)}, others, descending_key)[0]
+        r = _reduce({lt: lc, **dict(tail)}, others, key)[0]
         if r:
-            top = r[max(r, key=key)]
+            top = r[min(r, key=key)]
             reduced.append(MultiPoly(ring, {e: Fraction(c, top) for e, c in r.items()}))
-    reduced.sort(key=lambda p: key(p.leading(key)[0]))
+    reduced.sort(key=lambda p: key(p.leading(key)[0]), reverse=True)
     return GroebnerBasis(reduced, order, ring)
 
 
@@ -324,7 +307,7 @@ class Staircase:
     """Monomials below the leading-term staircase of an ideal."""
 
     finite: bool
-    monomials: list[Monomial] = field(default_factory=list)
+    monomials: list[Exponents] = field(default_factory=list)
     witness_variable: str | None = None
 
     @property
@@ -340,7 +323,6 @@ def standard_monomials(gb: GroebnerBasis) -> Staircase:
     Finite exactly when every variable has a pure power among the leading
     terms; otherwise the witness variable of an unbounded ray is reported.
     """
-    key = gb.order.key()
     lts = gb.leading_terms()
     n = len(gb.ring)
     if any(sum(t) == 0 for t in lts):
@@ -371,8 +353,8 @@ def standard_monomials(gb: GroebnerBasis) -> Staircase:
         e[i] = 0
 
     rec(0)
-    out.sort(key=key)
-    return Staircase(finite=True, monomials=[Monomial(x) for x in out])
+    out.sort(key=gb.order.descending_key(), reverse=True)
+    return Staircase(finite=True, monomials=out)
 
 
 def eliminate(

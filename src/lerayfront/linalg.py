@@ -44,10 +44,6 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, n: int, m: int) -> "RationalMatrix":
-        return cls(n, m, [[ZERO] * m for _ in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]

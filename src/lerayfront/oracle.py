@@ -132,7 +132,7 @@ def _minimal_polynomial(gb: GroebnerBasis, var: str) -> tuple[MultiPoly, int]:
         raise MismatchError(
             f"line ideal is not zero-dimensional (unbounded in {staircase.witness_variable})"
         )
-    rows = [m.exps for m in staircase.monomials]
+    rows = staircase.monomials
     x = MultiPoly.variable(gb.ring, var)
     power = MultiPoly.constant(gb.ring, 1)
     columns = []

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import (
@@ -36,7 +36,7 @@ from .errors import (
 from .detpoly import det_bareiss
 from .groebner import GREVLEX, Staircase, groebner, standard_monomials
 from .linalg import RationalMatrix, solve_linear_exact
-from .poly import Monomial, MultiPoly, poly_substitute, weighted_graded_parts
+from .poly import Exponents, MultiPoly, poly_substitute, weight, weighted_graded_parts
 from .univariate import degree, real_roots_of_chain, sturm_chain
 
 ONE = Fraction(1)
@@ -94,14 +94,7 @@ def discover_weights(F: MultiPoly) -> WeightSystem:
     v = [x / v[-1] for x in v]  # normalize total weight positive
     if any(x <= 0 for x in v):
         raise NoPositiveSolutionError("weight solution is not positive")
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints[:-1]:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
+    ints = _coprime_integers(v)
     weights, total = tuple(ints[:-1]), ints[-1]
     if len(set(weights)) == 1 and n > 1:
         raise HomogeneousOnlyError(
@@ -112,6 +105,14 @@ def discover_weights(F: MultiPoly) -> WeightSystem:
     ws = WeightSystem(weights, total)
     ws.verify(F)
     return ws
+
+
+def _coprime_integers(v: Sequence[Fraction]) -> list[int]:
+    """The positive multiple of a nonzero rational vector with coprime integer entries."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints)
+    return [x // g for x in ints]
 
 
 def jacobian_ideal_gens(F: MultiPoly) -> list[MultiPoly]:
@@ -266,7 +267,7 @@ class PhaseExpansion:
     n: int
     base: MultiPoly
     sign: int
-    deformation: list[tuple[Monomial, MultiPoly]]  # (z-monomial, W_i(x, t))
+    deformation: list[tuple[Exponents, MultiPoly]]  # (z-monomial, W_i(x, t))
     case: str  # "case1" | "case2"
     mu_prime: int
     mu: int
@@ -282,10 +283,7 @@ def expand_phase(psi: MultiPoly, F: MultiPoly, w: WeightSystem) -> PhaseExpansio
         raise RingMismatchError("psi does not live in the phase ring")
     # infer m from the z-degree structure: top weight must be m * w(F)
     z_weights = [0] * (n + 1) + list(w.weights)
-    top = 0
-    for e in psi.terms:
-        wt = sum(a * b for a, b in zip(z_weights, e))
-        top = max(top, wt)
+    top = max((weight(e, z_weights) for e in psi.terms), default=0)
     if top == 0 or top % w.total != 0:
         raise BoundViolationError(
             f"top z-weight {top} of psi is not a multiple of w(F) = {w.total}"
@@ -301,8 +299,8 @@ def expand_phase(psi: MultiPoly, F: MultiPoly, w: WeightSystem) -> PhaseExpansio
         xte = e[: n + 1] + tuple([0] * n)
         groups.setdefault(zexp, {})[xte] = c
     deformation = []
-    for zexp in sorted(groups, key=lambda z: (Monomial(z).weight(w.weights), z)):
-        wt = Monomial(zexp).weight(w.weights)
+    for zexp in sorted(groups, key=lambda z: (weight(z, w.weights), z)):
+        wt = weight(zexp, w.weights)
         if wt >= m * w.total:
             raise BoundViolationError(
                 f"deformation monomial z^{zexp} has weight {wt} >= m*w(F) = {m * w.total}; "
@@ -313,7 +311,7 @@ def expand_phase(psi: MultiPoly, F: MultiPoly, w: WeightSystem) -> PhaseExpansio
             raise BoundViolationError(
                 f"coefficient of z^{zexp} has degree {W.total_degree()} > m = {m}"
             )
-        deformation.append((Monomial(zexp), W))
+        deformation.append((zexp, W))
     bound = Fraction(m) ** n
     for wi in w.weights:
         bound *= Fraction(w.total, wi)
@@ -322,7 +320,7 @@ def expand_phase(psi: MultiPoly, F: MultiPoly, w: WeightSystem) -> PhaseExpansio
         raise BoundViolationError(
             f"deformation has {mu_prime} monomials, exceeding the bound {bound}"
         )
-    case = "case1" if deformation and deformation[0][0].degree() == 0 else "case2"
+    case = "case1" if deformation and not any(deformation[0][0]) else "case2"
     mu = mu_prime if case == "case1" else mu_prime + 1
     return PhaseExpansion(
         F=F,
@@ -350,7 +348,7 @@ class Coupling:
 
     y_index: int
     var: str
-    monomial: Monomial
+    monomial: Exponents
     w_poly: MultiPoly
 
 
@@ -408,11 +406,11 @@ def build_mapping(exp: PhaseExpansion, power: int = 2) -> IcisMap:
     if power < 2:
         raise ValueError("power must be >= 2")
     n, m, wF = exp.n, exp.m, exp.weights.total
-    coupled: list[tuple[Monomial, MultiPoly]] = []
+    coupled: list[tuple[Exponents, MultiPoly]] = []
     y1_value: MultiPoly | None = None
     if exp.case == "case1":
         const_mono, W1 = exp.deformation[0]
-        assert const_mono.degree() == 0
+        assert not any(const_mono)
         coupled = exp.deformation[1:]
     else:
         coupled = list(exp.deformation)
@@ -439,7 +437,7 @@ def build_mapping(exp: PhaseExpansion, power: int = 2) -> IcisMap:
     for i, (mono, W) in enumerate(coupled):
         var = ring[n + i]
         e = [0] * len(ring)
-        for j, k in enumerate(mono.exps):
+        for j, k in enumerate(mono):
             e[j] = k
         e[n + i] = 1
         f1 = f1 + MultiPoly.from_monomial(ring, tuple(e), 1)
@@ -461,22 +459,10 @@ def build_mapping(exp: PhaseExpansion, power: int = 2) -> IcisMap:
     # weights: start from the front weights, extend, rescale to integers
     vw: list[Fraction] = [Fraction(w) for w in exp.weights.weights]
     for mono, _ in coupled:
-        vw.append(Fraction(m * wF - mono.weight(exp.weights.weights)))
+        vw.append(Fraction(m * wF - weight(mono, exp.weights.weights)))
     vw.append(Fraction(m * wF, power))
-    den = 1
-    for x in vw:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vw]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    var_weights = tuple(x // g for x in ints)
-    comp_weights = []
-    for f in components:
-        e = next(iter(f.terms))
-        wt = sum(a * b for a, b in zip(var_weights, e))
-        comp_weights.append(wt)
-    comp_weights = tuple(comp_weights)
+    var_weights = tuple(_coprime_integers(vw))
+    comp_weights = tuple(weight(next(iter(f.terms)), var_weights) for f in components)
 
     icis = IcisMap(
         K=mu + 1,

@@ -4,15 +4,18 @@ Coefficients are ``fractions.Fraction`` throughout; terms are stored sparsely
 as a dict from exponent tuples to coefficients.  All operations are pure and
 return new objects, so values can be shared freely across threads.
 
-Monomial orders live here as key functions on exponent tuples: ``grevlex``
-is the default order used for canonical printing and for Groebner bases.
+A monomial is its exponent tuple.  A monomial order is one key function on
+exponent tuples under which the largest monomial sorts first: ``min`` under
+the key finds a leading term, and a plain sort lists terms from the largest
+down.  ``grevlex_descending`` is the default order, used for canonical
+printing and for Groebner bases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, gcd, lcm, prod
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .errors import RingMismatchError
@@ -23,36 +26,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def grevlex_key(e: Exponents):
-    """Sort key realizing graded reverse lexicographic order (ascending)."""
-    return (sum(e), tuple(-x for x in reversed(e)))
+def grevlex_descending(e: Exponents):
+    """Graded reverse lexicographic order as a key: the largest monomial first."""
+    return (-sum(e), e[::-1])
 
 
-def lex_key(e: Exponents):
-    return e
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A power product, given by one exponent per ring variable."""
-
-    exps: Exponents
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.exps):
-            raise ValueError(f"negative exponent in {self.exps}")
-
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def weight(self, weights: Sequence[int]) -> int:
-        return sum(w * e for w, e in zip(weights, self.exps))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def __repr__(self):
-        return f"Monomial{self.exps}"
+def weight(e: Exponents, weights: Sequence[int]) -> int:
+    """The weighted degree sum_i weights[i] * e[i] of a monomial."""
+    return sum(map(mul, weights, e))
 
 
 def _coerce(c) -> Fraction:
@@ -117,9 +98,8 @@ class MultiPoly:
         return cls(ring, {tuple(e): ONE})
 
     @classmethod
-    def from_monomial(cls, ring: Sequence[str], mono: Monomial | Exponents, c=ONE) -> "MultiPoly":
-        e = mono.exps if isinstance(mono, Monomial) else tuple(mono)
-        return cls(ring, {e: _coerce(c)})
+    def from_monomial(cls, ring: Sequence[str], e: Exponents, c=ONE) -> "MultiPoly":
+        return cls(ring, {e: c})
 
     # -- basic predicates ----------------------------------------------
 
@@ -242,10 +222,11 @@ class MultiPoly:
 
     def sorted_terms(self):
         """Terms in the canonical order, grevlex descending."""
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: grevlex_descending(t[0]))
 
-    def leading(self, key: Callable = grevlex_key) -> tuple[Exponents, Fraction]:
-        e = max(self.terms, key=key)
+    def leading(self, key: Callable = grevlex_descending) -> tuple[Exponents, Fraction]:
+        """The largest term under ``key``, a largest-first order key."""
+        e = min(self.terms, key=key)
         return e, self.terms[e]
 
     def total_degree(self) -> int:
@@ -489,8 +470,7 @@ def weighted_graded_parts(p: MultiPoly, weights: Sequence[int]) -> list[tuple[in
         raise RingMismatchError("weight vector does not cover the ring")
     buckets: dict[int, dict[Exponents, Fraction]] = {}
     for e, c in p.terms.items():
-        w = sum(wi * ei for wi, ei in zip(weights, e))
-        buckets.setdefault(w, {})[e] = c
+        buckets.setdefault(weight(e, weights), {})[e] = c
     return [(w, MultiPoly(p.ring, buckets[w])) for w in sorted(buckets)]
 
 
@@ -517,4 +497,4 @@ def monomials_of_weight(weights: Sequence[int], target: int) -> list[Exponents]:
     if target < 0:
         return []
     rec(0, target)
-    return sorted(out, key=grevlex_key)
+    return sorted(out, key=grevlex_descending, reverse=True)

@@ -45,7 +45,7 @@ def reconstruct(exp: PhaseExpansion) -> MultiPoly:
     acc = exp.base
     for mono, W in exp.deformation:
         e = [0] * len(ring)
-        for j, k in enumerate(mono.exps):
+        for j, k in enumerate(mono):
             e[exp.n + 1 + j] = k
         acc = acc + W.mul_term(tuple(e), 1)
     return acc

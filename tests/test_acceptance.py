@@ -27,7 +27,7 @@ from lerayfront.oracle import (
     sample_front,
 )
 from lerayfront.phase import check_c3, discover_weights
-from lerayfront.poly import MultiPoly
+from lerayfront.poly import MultiPoly, weight
 from lerayfront.wavefront import t_zero_check
 
 from helpers import det_interpolate, reconstruct
@@ -76,7 +76,7 @@ def test_criterion_2_deformation_bound(wave_cusp_pipeline):
     psi = wave_cusp_pipeline["psi"]
     assert reconstruct(exp) == psi  # exact reconstruction
     for mono, _ in exp.deformation:
-        assert mono.weight(exp.weights.weights) < 2 * 6
+        assert weight(mono, exp.weights.weights) < 2 * 6
     assert exp.mu_prime <= 24 and exp.bound == 24
     el = time.time() - t0
     assert el < 1.0

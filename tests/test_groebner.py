@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from lerayfront.groebner import (
     normal_form,
     standard_monomials,
 )
-from lerayfront.poly import MultiPoly
+from lerayfront.poly import MultiPoly, monomials_of_weight
 
 R = ("x1", "x2")
 R3 = ("x1", "x2", "x3")
@@ -58,7 +60,7 @@ class TestStaircase:
         gb = groebner([X1, X2**2], GREVLEX)
         sc = standard_monomials(gb)
         assert sc.finite
-        assert [m.exps for m in sc.monomials] == [(0, 0), (0, 1)]
+        assert sc.monomials == [(0, 0), (0, 1)]
         assert sc.dimension == 2
 
     def test_infinite(self):
@@ -137,10 +139,41 @@ class TestEliminate:
         assert [p.pretty() for p in out] == ["y"]
 
 
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _lex_cmp(a, b):
+    """Lex: the first exponent where a and b differ decides, the larger one wins."""
+    return next((_sign(x - y) for x, y in zip(a, b) if x != y), 0)
+
+
+def _grevlex_cmp(a, b):
+    """Grevlex: the total degree decides, then the last exponent where they differ, smaller wins."""
+    if sum(a) != sum(b):
+        return _sign(sum(a) - sum(b))
+    return next((_sign(y - x) for x, y in zip(a[::-1], b[::-1]) if x != y), 0)
+
+
+def ascending(order):
+    """A sort key, smallest monomial first, written out from the order's definition."""
+    if order.kind == "lex":
+        return cmp_to_key(_lex_cmp)
+    if order.kind == "grevlex":
+        return cmp_to_key(_grevlex_cmp)
+    s = order.split
+    return cmp_to_key(lambda a, b: _grevlex_cmp(a[:s], b[:s]) or _grevlex_cmp(a[s:], b[s:]))
+
+
 def test_block_order_key():
-    key = MonomialOrder("block", split=1).key()
+    order = MonomialOrder("block", split=1)
     # (1, 0) > (0, 5) in the elimination block order: first block dominates
-    assert key((1, 0)) > key((0, 5))
+    assert ascending(order)((1, 0)) > ascending(order)((0, 5))
+    assert sorted([(0, 5), (1, 0)], key=order.descending_key()) == [(1, 0), (0, 5)]
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
 
 
 def reference_normal_form(p, gb, max_terms=None):
@@ -148,16 +181,20 @@ def reference_normal_form(p, gb, max_terms=None):
 
     Each step takes the largest working term by a ``max`` over all of them
     and cancels it with the first generator whose leading term divides it.
+    The order is the test's own ``ascending`` key, not the kernel's.
     """
-    key = gb.order.key()
-    heads = [g.leading(key) + (g,) for g in gb.generators]
+    key = ascending(gb.order)
+    heads = []
+    for g in gb.generators:
+        lt = max(g.terms, key=key)
+        heads.append((lt, g.terms[lt], g))
     rem, work = {}, dict(p.terms)
     while work:
         if max_terms is not None and len(work) + len(rem) > max_terms:
             raise ResourceLimitError("too many terms", kind="terms", limit=max_terms)
         e = max(work, key=key)
         c = work.pop(e)
-        hit = next((h for h in heads if all(x <= y for x, y in zip(h[0], e))), None)
+        hit = next((h for h in heads if _divides(h[0], e)), None)
         if hit is None:
             rem[e] = c
             continue
@@ -186,6 +223,38 @@ def small_polys(max_size):
 
 
 ORDERS = [LEX, GREVLEX, MonomialOrder("block", split=1), MonomialOrder("block", split=2)]
+
+
+class TestOrderKeys:
+    """Every order's one largest-first key against the test's own definitions."""
+
+    def test_orders_agree_with_their_definitions(self):
+        rng = random.Random(19)
+        ring = ("x1", "x2", "x3")
+        grevlex = ascending(GREVLEX)
+
+        def exponents(low=0):
+            return tuple(rng.randint(low, 3) for _ in ring)
+
+        for _ in range(40):
+            p = MultiPoly(ring, {exponents(): 1 for _ in range(6)})
+            assert [e for e, _ in p.sorted_terms()] == sorted(p.terms, key=grevlex, reverse=True)
+            out = monomials_of_weight(exponents(low=1), rng.randint(0, 12))
+            assert out == sorted(out, key=grevlex)
+        for order in ORDERS:
+            key = ascending(order)
+            for _ in range(40):
+                p = MultiPoly(ring, {exponents(): 1 for _ in range(6)})
+                assert p.leading(order.descending_key())[0] == max(p.terms, key=key)
+            for _ in range(10):
+                # three pure powers make the staircase finite, inside the 4^3 box
+                gens = [exponents() for _ in range(3)]
+                gens += [tuple(rng.randint(1, 4) * (j == i) for j in range(3)) for i in range(3)]
+                gb = GroebnerBasis([MultiPoly(ring, {e: 1}) for e in gens], order)
+                below = standard_monomials(gb).monomials
+                assert below == sorted(below, key=key)
+                box = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
+                assert set(below) == {e for e in box if not any(_divides(g, e) for g in gens)}
 
 
 class TestReductionKernel:

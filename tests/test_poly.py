@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from lerayfront.errors import RingMismatchError
 from lerayfront.poly import (
-    Monomial,
     MultiPoly,
     monomials_of_weight,
     poly_substitute,
+    weight,
     weighted_graded_parts,
 )
 
@@ -165,9 +165,12 @@ def test_monomials_of_weight():
     assert monomials_of_weight((3, 2), 0) == [(0, 0)]
 
 
-def test_monomial_type():
-    m = Monomial((1, 2))
-    assert m.degree() == 3
-    assert m.weight((3, 2)) == 7
+def test_monomials_are_exponent_tuples():
+    m = MultiPoly.from_monomial(R2, (1, 2))
+    assert m.terms == {(1, 2): 1}
+    assert m.total_degree() == 3
+    assert weight((1, 2), (3, 2)) == 7
     with pytest.raises(ValueError):
-        Monomial((-1, 0))
+        MultiPoly(R2, {(-1, 0): 1})
+    with pytest.raises(ValueError):
+        MultiPoly.from_monomial(R2, (-1, 0))

@@ -359,6 +359,7 @@ class TestProbedInterpolation:
 
     def test_one_evaluator_per_core(self, monkeypatch):
         # the probes, the grid and the check points all walk one evaluator
+        # of the core; the check points also evaluate the interpolant, 1 x 1
         built = []
         init = detpoly._IntegerEvaluator.__init__
 
@@ -368,8 +369,10 @@ class TestProbedInterpolation:
 
         monkeypatch.setattr(detpoly._IntegerEvaluator, "__init__", counting_init)
         M = _random_matrix(random.Random(10), ("a", "b", "c"), 4)
-        assert det_probed(M, seed=1)[0] == det_bareiss(M)
-        assert len(built) == 1
+        det, record = det_probed(M, seed=1)
+        assert det == det_bareiss(M)
+        assert record["core"] == 4 and record["fallback"] is False
+        assert [e.shapes for e in built] == [[(4, 4)], [(1, 1)]]
 
     def _misreported(self, monkeypatch, part, shift):
         """Make the probes report part (0 degree, 1 valuation, 2 step) off by ``shift``.
