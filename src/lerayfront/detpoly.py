@@ -1,8 +1,12 @@
 """Determinants of matrices with multivariate polynomial entries.
 
-``det_poly_matrix`` (``det_bareiss``) is fraction-free elimination in the
-polynomial ring, with exact divisions guaranteed by the Sylvester identity;
-the symbolic discriminant and the Jacobian minors (``phase``) use it.
+``det_poly_matrix`` (``det_bareiss``) is fraction-free Bareiss elimination
+over Z[y]: each row of M is scaled to integer coefficients, the elimination
+runs on ``{exponents: int}`` dicts, and the product of the row scales is
+divided out once, at the end.  By the Sylvester identity each step's
+division by the previous pivot is exact in Z[y]; the one heap-ordered
+exact division ``poly.exact_div_int`` takes it.  The symbolic discriminant
+and the Jacobian minors (``phase``) use it.
 
 ``det_probed`` is the front pullback's determinant (``wavefront``): it
 peels single-entry rows and columns, divides out common exponent factors,
@@ -40,12 +44,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
 from math import gcd, lcm, prod
-from operator import floordiv, mul, sub
+from operator import add, floordiv, mul, sub
 from typing import Iterator, Sequence
 
 from .errors import MismatchError, ResourceLimitError
 from .linalg import det_int
-from .poly import MultiPoly
+from .poly import MultiPoly, exact_div_int
 
 # Most integer determinants one interpolation grid (a lower set) may take;
 # the flagship front's grid has 1,487 points at s = 1 and 14,599 with
@@ -69,28 +73,50 @@ def det_poly_matrix(M: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
 
 def det_bareiss(M: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    n = len(M)
+    """Exact det M by fraction-free Bareiss elimination over Z[y].
+
+    Each row is scaled to integer coefficients by the lcm of its
+    denominators, elimination runs on ``{exponents: int}`` dicts, and the
+    result is divided by the product of the row scales once, at the end.
+    By the Sylvester identity every step's division by the previous pivot is
+    exact in Z[y]; the heap-ordered ``poly.exact_div_int`` takes it, so no
+    step makes a Fraction or rescans a remainder.
+    """
     ring = M[0][0].ring
-    m = [[p for p in row] for row in M]
+    m, scale = _row_scaled_entries(M)
+    n = len(m)
     sign = 1
-    prev = MultiPoly.constant(ring, 1)
+    prev = None
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            piv = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
             if piv is None:
                 return MultiPoly.zero(ring)
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
+        rowk = m[k]
+        pkk = rowk[k]
+        for rowi in m[k + 1 :]:
+            mik = rowi[k]
             for j in range(k + 1, n):
-                num = pkk * m[i][j] - mik * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = MultiPoly.zero(ring)
+                num = _mul_sub(pkk, rowi[j], mik, rowk[j])
+                rowi[j] = num if prev is None else exact_div_int(num, prev)
+            rowi[k] = {}
         prev = pkk
-    d = m[n - 1][n - 1]
-    return d if sign == 1 else -d
+    return MultiPoly(ring, {e: Fraction(sign * c, scale) for e, c in m[n - 1][n - 1].items()})
+
+
+def _mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
+    """a * b - c * d for integer polynomials as {exponents: int} dicts."""
+    out: dict = {}
+    get = out.get
+    for x, y, sign in ((a, b, 1), (c, d, -1)):
+        for e1, c1 in x.items():
+            c1 *= sign
+            for e2, c2 in y.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+    return {e: v for e, v in out.items() if v}
 
 
 def degree_bounds(M: Sequence[Sequence[MultiPoly]]) -> list[int]:
@@ -513,15 +539,25 @@ class _IntegerEvaluator:
         return coefficients, plan
 
 
-def _row_scaled(M, ring) -> tuple[_IntegerEvaluator, int]:
-    """An evaluator of M with each row scaled to integers, and the product of the scales.
+def _row_scaled_entries(M) -> tuple[list[list[dict]], int]:
+    """M's entries as {exponents: int}, each row scaled to integers, and the scales' product.
 
-    Each row gets its own denominator, which keeps the operands of det_int
-    smaller than one common denominator would; det M = det_int / scale.
+    Each row gets its own denominator, the lcm of its coefficients'
+    denominators, which keeps the operands of a determinant smaller than one
+    common denominator would; det M = det(scaled) / product.
     """
     dens = [lcm(*(c.denominator for p in row for c in p.terms.values())) for row in M]
-    scaled = [[p.scale(d) for p in row] for row, d in zip(M, dens)]
-    return _IntegerEvaluator(_integer_entries([scaled]), ring), prod(dens)
+    entries = [
+        [{e: c.numerator * (d // c.denominator) for e, c in p.terms.items()} for p in row]
+        for row, d in zip(M, dens)
+    ]
+    return entries, prod(dens)
+
+
+def _row_scaled(M, ring) -> tuple[_IntegerEvaluator, int]:
+    """An evaluator of M with each row scaled to integers (det M = det_int / scale)."""
+    entries, scale = _row_scaled_entries(M)
+    return _IntegerEvaluator([entries], ring), scale
 
 
 def _allowed(n: int, cost: int, left: int) -> int:

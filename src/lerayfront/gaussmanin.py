@@ -2,7 +2,9 @@
 
 The system data is the matrix M(y) = sum_l (-1)^l p_l y_l P^(l)(y) together
 with L_V = diag(l_1..l_mu); the discriminant is det M, taken by Bareiss
-(``detpoly.det_poly_matrix``).  Flatness of the induced connection is
+over Z[y] on the row-scaled matrix, with each exact division one
+heap-ordered ``poly.exact_div_int`` (``detpoly.det_poly_matrix``), and
+divided by the row scales once.  Flatness of the induced connection is
 verified exactly at random rational points off the discriminant, with the
 matrices evaluated by ``detpoly._IntegerEvaluator``; K = 1 systems expose
 their classical local exponents as a bridge to known special cases.

@@ -9,13 +9,18 @@ exponent tuples under which the largest monomial sorts first: ``min`` under
 the key finds a leading term, and a plain sort lists terms from the largest
 down.  ``grevlex_descending`` is the default order, used for canonical
 printing and for Groebner bases.
+
+``exact_div_int`` is the one exact division: heap-ordered, on integer
+polynomials as ``{exponents: int}`` dicts.  ``MultiPoly.exact_div`` and the
+Bareiss determinant (``detpoly.det_bareiss``) both run on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import fsum, gcd, lcm, prod
-from operator import mul
+from operator import add, le, mul, sub
 from typing import Callable, Mapping, Sequence
 
 from .errors import RingMismatchError
@@ -34,6 +39,54 @@ def grevlex_descending(e: Exponents):
 def weight(e: Exponents, weights: Sequence[int]) -> int:
     """The weighted degree sum_i weights[i] * e[i] of a monomial."""
     return sum(map(mul, weights, e))
+
+
+def exact_div_int(a: Mapping[Exponents, int], d: Mapping[Exponents, int]) -> dict[Exponents, int]:
+    """Exact quotient a / d of integer polynomials ({exponents: int} dicts).
+
+    Heap-ordered division (Monagan and Pearce, 2007): the remainder's
+    exponents sit in a min-heap under ``grevlex_descending``, each key
+    computed once as its exponent enters, and each step pops the largest
+    remainder term and cancels it with one quotient term times d.  The
+    popped exponents strictly decrease, so the remainder is never rescanned.
+    An exponent whose coefficient cancelled stays in the heap and is skipped
+    when popped.  Raises ValueError as soon as the leading exponent or
+    coefficient of d does not divide the largest remainder term.
+    """
+    if not d:
+        raise ZeroDivisionError("division by zero polynomial")
+    lt = min(d, key=grevlex_descending)
+    lc = d[lt]
+    tail = [(e, c) for e, c in d.items() if e != lt]
+    work = dict(a)
+    heap = [(grevlex_descending(e), e) for e in work]
+    heapify(heap)
+    q: dict[Exponents, int] = {}
+    while heap:
+        e = heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        if not all(map(le, lt, e)):
+            raise ValueError("not exactly divisible: leading exponent does not divide")
+        qc, r = divmod(c, lc)
+        if r:
+            raise ValueError("not exactly divisible: leading coefficient does not divide")
+        shift = tuple(map(sub, e, lt))
+        q[shift] = qc
+        for ge, gc in tail:
+            te = tuple(map(add, ge, shift))
+            old = work.get(te)
+            if old is None:
+                work[te] = -qc * gc
+                heappush(heap, (grevlex_descending(te), te))
+            else:
+                s = old - qc * gc
+                if s:
+                    work[te] = s
+                else:
+                    del work[te]
+    return q
 
 
 def _coerce(c) -> Fraction:
@@ -364,26 +417,22 @@ class MultiPoly:
     # -- division ------------------------------------------------------
 
     def exact_div(self, d: "MultiPoly") -> "MultiPoly":
-        """Exact quotient self/d; raises if the division is not exact."""
+        """Exact quotient self/d; raises ValueError if the division is not exact.
+
+        With self = a / m and d = g * b / n, where a and b are integer
+        polynomials and b is primitive, self/d = (a / b) * n / (m * g).  By
+        Gauss's lemma a / b lies in Z[y] whenever it lies in Q[y], so the one
+        integer kernel ``exact_div_int`` takes it, and a division that is not
+        exact over Q fails there too.
+        """
         self._check(d)
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return self
-        if d.is_constant():
-            return self.scale(1 / d.constant_value())
-        q: dict[Exponents, Fraction] = {}
-        r = self
-        de, dc = d.leading()
-        while not r.is_zero():
-            re, rc = r.leading()
-            qe = tuple(a - b for a, b in zip(re, de))
-            if any(x < 0 for x in qe):
-                raise ValueError("not exactly divisible")
-            qc = rc / dc
-            q[qe] = q.get(qe, ZERO) + qc
-            r = r - d.mul_term(qe, qc)
-        return MultiPoly(self.ring, q)
+        a, m = self.integer_terms()
+        b, n = d.integer_terms()
+        g = gcd(*b.values())
+        q = exact_div_int(a, {e: c // g for e, c in b.items()})
+        return MultiPoly(self.ring, {e: Fraction(c * n, m * g) for e, c in q.items()})
 
     # -- printing --------------------------------------------------------
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import lcm, prod
 from operator import mul
 
@@ -230,6 +230,54 @@ def test_multiplicativity():
             for i in range(2)
         ]
         assert det_poly_matrix(AB) == det_poly_matrix(A) * det_poly_matrix(B)
+
+
+def _leibniz(M):
+    """sum over permutations p of sign(p) * prod_i M[i][p(i)]."""
+    n = len(M)
+    total = MultiPoly.zero(M[0][0].ring)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = MultiPoly.constant(total.ring, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * M[i][j]
+        total = total + term
+    return total
+
+
+def test_bareiss_matches_leibniz_on_row_scaled_matrices():
+    # each row has its own denominators (2, 3, 5, 7 times a small factor), so
+    # every row scale is more than 1; about a third of the entries are zero,
+    # so zero pivots force row swaps, and some matrices get an all-zero row
+    rng = random.Random(20)
+    ring = ("a", "b")
+    zero = MultiPoly.zero(ring)
+    swapped = zero_rows = 0
+    for trial in range(120):
+        n = 1 + trial % 4
+        M = [
+            [
+                zero if rng.random() < 0.35 else _random_poly(rng, 2, ring, 1).scale(
+                    Fraction(1, (2, 3, 5, 7)[i] * rng.randint(1, 3))
+                )
+                for _ in range(n)
+            ]
+            for i in range(n)
+        ]
+        if n > 1 and trial % 5 == 0:
+            M[0][0] = zero
+        if trial % 7 == 0:
+            M[rng.randrange(n)] = [zero] * n
+            zero_rows += 1
+        det = det_bareiss(M)
+        assert det == _leibniz(M), M
+        swapped += M[0][0].is_zero() and not det.is_zero()
+    # a zero pivot after the first elimination step: m[1][1] = 1*1 - 1*1 = 0
+    one = MultiPoly.constant(ring, Fraction(1, 3))
+    a = MultiPoly.variable(ring, "a")
+    M = [[one, one, zero], [one, one, a], [zero, one.scale(2), a]]
+    assert det_bareiss(M) == _leibniz(M) == a.scale(Fraction(-2, 9))
+    assert swapped >= 5 and zero_rows >= 10
 
 
 def test_zero_column():

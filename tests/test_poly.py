@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lerayfront.errors import RingMismatchError
 from lerayfront.poly import (
     MultiPoly,
+    exact_div_int,
     monomials_of_weight,
     poly_substitute,
     weight,
@@ -27,6 +28,12 @@ def small_polys(ring=R2, max_terms=5, max_exp=4):
     return st.lists(term, max_size=max_terms).map(
         lambda ts: MultiPoly(ring, {e: Fraction(c) for e, c in ts})
     )
+
+
+def rational_polys(ring=R2, max_terms=5, max_exp=3):
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    exps = st.tuples(*[st.integers(0, max_exp) for _ in ring])
+    return st.dictionaries(exps, coeff, max_size=max_terms).map(lambda t: MultiPoly(ring, t))
 
 
 class TestBasics:
@@ -62,6 +69,65 @@ class TestBasics:
         assert p.exact_div(X1 + X2) == X1**2 - X2
         with pytest.raises(ValueError):
             (X1 + MultiPoly.constant(R2, 1)).exact_div(X2)
+
+    def test_exact_div_fixed_divisors(self):
+        one = MultiPoly.constant(R2, 1)
+        a = Fraction(5, 7) * X1**2 * X2 - Fraction(3, 2) * X2 + one
+        divisors = [
+            Fraction(2, 3) * (X1 + one),  # not primitive: content 2/3
+            MultiPoly.from_monomial(R2, (2, 1), Fraction(-5, 2)),  # one term
+            MultiPoly.constant(R2, Fraction(-4, 9)),
+            6 * X1 * X2 - 4 * X2**2 + one,
+        ]
+        for d in divisors:
+            assert (a * d).exact_div(d) == a
+        assert MultiPoly.zero(R2).exact_div(X1) == MultiPoly.zero(R2)
+        with pytest.raises(ZeroDivisionError):
+            a.exact_div(MultiPoly.zero(R2))
+
+    def test_exact_div_empty_ring(self):
+        a = MultiPoly.constant((), Fraction(3, 4))
+        d = MultiPoly.constant((), Fraction(-2, 5))
+        assert (a * d).exact_div(d) == a
+        assert a.exact_div(d) == MultiPoly.constant((), Fraction(-15, 8))
+
+    def test_exact_div_raises_when_not_exact(self):
+        one = MultiPoly.constant(R2, 1)
+        # the leading exponent x1 does not divide the remainder -1 after one step
+        with pytest.raises(ValueError):
+            (X1 + one).exact_div(X1 + 2 * one)
+        with pytest.raises(ValueError):
+            (X1 * X2 + X2).exact_div(X1**2)
+        # a coefficient that does not divide: x1 + 1 over 2*x1 + 1
+        with pytest.raises(ValueError):
+            (X1 + one).exact_div(2 * X1 + one)
+        with pytest.raises(ValueError, match="coefficient"):
+            exact_div_int({(1, 0): 1, (0, 0): 1}, {(1, 0): 2, (0, 0): 1})
+        with pytest.raises(ValueError, match="exponent"):
+            exact_div_int({(1, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 2})
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_polys(), rational_polys())
+    def test_exact_div_inverts_multiplication(self, a, d):
+        if d.is_zero():
+            return
+        assert (a * d).exact_div(d) == a
+        # the integer kernel on integer multiples of a and d, d not primitive
+        A = a.integer_terms()[0]
+        B = {e: 2 * c for e, c in d.integer_terms()[0].items()}
+        AB = (MultiPoly(R2, A) * MultiPoly(R2, B)).terms
+        assert exact_div_int({e: int(c) for e, c in AB.items()}, B) == A
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_polys(), rational_polys())
+    def test_exact_div_quotient_or_value_error(self, a, d):
+        if d.is_zero():
+            return
+        try:
+            q = a.exact_div(d)
+        except ValueError:
+            return
+        assert q * d == a
 
     def test_primitive_part(self):
         p = 6 * X1 - 9 * X2
