@@ -8,8 +8,15 @@ division by the previous pivot is exact in Z[y]; the one heap-ordered
 exact division ``poly.exact_div_int`` takes it.  The symbolic discriminant
 and the Jacobian minors (``phase``) use it.
 
-``det_probed`` is the front pullback's determinant (``wavefront``): it
-peels single-entry rows and columns, divides out common exponent factors,
+``pullback`` is the front pullback's substitution (``wavefront``): it
+pulls M(y) back along one image polynomial per y_l straight to integer
+rows, {exponents: int} dicts over one scale per row, with one table of
+the images' integer powers and one expansion per distinct monomial of M.
+No entry is substituted in Fractions.
+
+``det_probed`` is the front pullback's determinant: on those integer
+rows it peels single-entry rows and columns (the peeled entries are the
+one product taken in MultiPolys), divides out common exponent factors,
 probes each variable's degree, valuation v and exponent step g (and the
 total degree, when that costs fewer determinants than it can save),
 interpolates on the lower set those leave, checks the result exactly at
@@ -22,18 +29,18 @@ total-degree bound, a lower set of the box; it divides each integer
 determinant by the nodes' powers prod x_i^v_i exactly and interpolates in
 u = x^g (``_interpolate``), all in Python ints: divided differences along
 every axis, then the Newton-to-monomial conversion along every axis, then
-one division by the product of the axes' denominators and the row scale.
+one division by the product of the axes' denominators and the row scales.
 
 ``line_determinant`` restricts det M to a line y = a + b*tau with the same
-kernel: integer determinants at tau = 0..bound, one 1-D interpolation
-(``oracle.line_check``).
+kernels: ``pullback`` to integer rows in tau, their integer determinants
+at tau = 0..bound, one 1-D interpolation (``oracle.line_check``).
 
 ``_IntegerEvaluator`` is the one evaluator of polynomial matrices at exact
 points.  ``at`` takes one rational point (the flatness oracle in
-``gaussmanin``, the points of a line or a probe curve, the check points of
+``gaussmanin``, the points of a probe curve, the check points of
 ``det_probed``); ``grid`` walks a lower set of an integer grid axis by
 axis, so that neighbouring points share the work of their common prefix
-(the interpolation grid and the degree probes).
+(the interpolation grid, the degree probes and the nodes of a line).
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from functools import cached_property
 from itertools import accumulate, islice
 from math import gcd, lcm, prod
 from operator import add, floordiv, mul, sub
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import MismatchError, ResourceLimitError
 from .linalg import det_int
@@ -83,7 +90,7 @@ def det_bareiss(M: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     step makes a Fraction or rescans a remainder.
     """
     ring = M[0][0].ring
-    m, scale = _row_scaled_entries(M)
+    m, scales = _row_scaled_entries(M)
     n = len(m)
     sign = 1
     prev = None
@@ -103,14 +110,20 @@ def det_bareiss(M: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
                 rowi[j] = num if prev is None else exact_div_int(num, prev)
             rowi[k] = {}
         prev = pkk
+    scale = prod(scales)
     return MultiPoly(ring, {e: Fraction(sign * c, scale) for e, c in m[n - 1][n - 1].items()})
 
 
 def _mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
     """a * b - c * d for integer polynomials as {exponents: int} dicts."""
+    return _sum_of_products(((a, b, 1), (c, d, -1)))
+
+
+def _sum_of_products(triples) -> dict:
+    """The sum of sign * x * y over (x, y, sign) triples of {exponents: int} dicts."""
     out: dict = {}
     get = out.get
-    for x, y, sign in ((a, b, 1), (c, d, -1)):
+    for x, y, sign in triples:
         for e1, c1 in x.items():
             c1 *= sign
             for e2, c2 in y.items():
@@ -119,34 +132,110 @@ def _mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
     return {e: v for e, v in out.items() if v}
 
 
-def degree_bounds(M: Sequence[Sequence[MultiPoly]]) -> list[int]:
-    """Safe per-variable degree bounds for det(M): min of row and column sums."""
-    return [_row_col_bound(M, lambda p: p.degree_in(v)) for v in M[0][0].ring]
+def degree_bounds(M: Sequence[Sequence[dict]], nvars: int) -> list[int]:
+    """Safe per-variable degree bounds for det(M) of {exponents: int} entries: min of row and
+    column sums."""
+    return [_row_col_bound(M, lambda p: max((e[v] for e in p), default=0)) for v in range(nvars)]
 
 
-def total_degree_bound(M: Sequence[Sequence[MultiPoly]]) -> int:
-    """Safe total-degree bound for det(M): min of row and column sums."""
-    return _row_col_bound(M, MultiPoly.total_degree)
+def total_degree_bound(M: Sequence[Sequence[dict]]) -> int:
+    """Safe total-degree bound for det(M) of {exponents: int} entries: min of row and column
+    sums."""
+    return _row_col_bound(M, lambda p: max(map(sum, p), default=0))
 
 
-def _row_col_bound(M: Sequence[Sequence[MultiPoly]], degree) -> int:
+def _row_col_bound(M: Sequence[Sequence[dict]], degree) -> int:
     """min(sum of row maxima, sum of column maxima) of degree(entry): bounds deg det(M)."""
     D = [[degree(p) for p in row] for row in M]
     return min(sum(map(max, D)), sum(map(max, zip(*D))))
 
 
-def det_probed(M: list[list[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict]:
-    """det M by probed-exponent lower-set interpolation, checked exactly; and the path taken.
+def pullback(
+    M: Sequence[Sequence[MultiPoly]], bindings: Mapping[str, MultiPoly]
+) -> tuple[list[list[dict]], list[int]]:
+    """M with every variable y_l replaced by its image, as integer rows over row scales.
 
-    Rows and columns with one nonzero entry are peeled off exactly, and
+    Entry (i, j) of the substituted matrix is rows[i][j] / scales[i], with
+    rows[i][j] an {exponents: int} dict in the images' ring and scales[i]
+    the lcm of the denominators of that row, as ``_row_scaled_entries`` of
+    the entry-wise ``poly_substitute`` gives them.  Each image y_l =
+    g_l / d_l is split into integers once; one table of the powers g_l^k
+    serves every entry, and each distinct monomial y^e of M is expanded
+    once, from the expansion of its prefix.  Row i is scaled by
+    r_i * prod_l d_l^D_il, with r_i the lcm of its denominators in M and
+    D_il its largest degree in y_l, which makes it integer, and then
+    divided by the gcd of that scale and the row's content.
+    """
+    source = M[0][0].ring
+    images = [bindings[v].integer_terms() for v in source]
+    nvars = len(source)
+    one = {(0,) * len(bindings[source[0]].ring): 1}
+    powers = []  # powers[l][k] = g_l^k
+    for l, (g, _) in enumerate(images):
+        table = [one]
+        for _ in range(max((e[l] for row in M for p in row for e in p.terms), default=0)):
+            table.append(_sum_of_products(((table[-1], g, 1),)))
+        powers.append(table)
+    expanded = {(0,) * nvars: one}
+
+    def expand(e: tuple[int, ...]) -> dict:
+        """prod_l g_l^e_l: the last nonzero power times the expansion of the rest."""
+        if e not in expanded:
+            l = max(i for i, k in enumerate(e) if k)
+            rest = expand(e[:l] + (0,) * (nvars - l))
+            expanded[e] = _sum_of_products(((rest, powers[l][e[l]], 1),))
+        return expanded[e]
+
+    rows, scales = [], []
+    for row in M:
+        r = lcm(*(c.denominator for p in row for c in p.terms.values()))
+        tops = [max((e[l] for p in row for e in p.terms), default=0) for l in range(nvars)]
+        # y^e = G_e / prod_l d_l^e_l, so the row scale leaves prod_l d_l^(D_il - e_l)
+        cofactors = [[d ** (top - k) for k in range(top + 1)] for (_, d), top in zip(images, tops)]
+        entries = []
+        for p in row:
+            out: dict = {}
+            get = out.get
+            for e, c in p.terms.items():
+                k = c.numerator * (r // c.denominator) * prod(map(list.__getitem__, cofactors, e))
+                for e2, c2 in expand(e).items():
+                    out[e2] = get(e2, 0) + k * c2
+            entries.append({e: c for e, c in out.items() if c})
+        entries, scale = _reduced(entries, r * prod(table[0] for table in cofactors))
+        rows.append(entries)
+        scales.append(scale)
+    return rows, scales
+
+
+def _reduced(row: list[dict], scale: int) -> tuple[list[dict], int]:
+    """An integer row over its scale, both divided by gcd(scale, content of the row).
+
+    The scale left is the lcm of the denominators of the row's entries
+    row / scale.
+    """
+    g = gcd(scale, *(c for p in row for c in p.values()))
+    if g == 1:
+        return row, scale
+    return [{e: c // g for e, c in p.items()} for p in row], scale // g
+
+
+def det_probed(
+    M: list[list[dict]], scales: list[int], ring: tuple[str, ...], seed: int = 0
+) -> tuple[MultiPoly, dict]:
+    """det of M[i][j] / scales[i] by probed-exponent lower-set interpolation, checked
+    exactly; and the path taken.
+
+    M holds integer rows of {exponents: int} dicts in ``ring`` and one
+    scale per row, as ``pullback`` gives them.  Rows and columns with one
+    nonzero entry are peeled off exactly (``_peel_single_entries``), and
     exponents with a common factor (the parity) in a variable are divided
-    by it.  The core left is evaluated by one row-scaled integer
-    evaluator: the axis probes (two random axis-parallel lines per
-    variable give its degree, its valuation v and the step g of its
-    exponents), the grid of (degree - v) // g + 1 nodes per variable cut
-    to a lower set by a bound on the total degree of det M, and four
-    random rational points where the interpolant (by a 1 x 1 evaluator of
-    its integer terms) must equal det_int of the evaluated core.  The
+    by it.  The core left is evaluated by one integer evaluator: the axis
+    probes (two random axis-parallel lines per variable give its degree,
+    its valuation v and the step g of its exponents), the grid of
+    (degree - v) // g + 1 nodes per variable cut to a lower set by a bound
+    on the total degree of det M, and four random rational points where
+    the interpolant (by a 1 x 1 evaluator of its integer terms) must equal
+    det_int of the evaluated core.  The
     bound is ``total_degree_bound`` of the core (safe), or the degree
     along two random curves y_i = p_i + q_i * tau^parity_i when their
     determinants are fewer than the grid points that safe bound keeps.
@@ -164,9 +253,8 @@ def det_probed(M: list[list[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict
     the points of the probed lower set and whether the safe-bounds fallback
     ran.
     """
-    ring = M[0][0].ring
     rng = random.Random(seed)
-    factor, sign, core = _peel_single_entries(M)
+    factor, sign, core, core_scales = _peel_single_entries(M, scales, ring)
     record = {
         "engine": "probed grid",
         "size": len(M),
@@ -180,13 +268,13 @@ def det_probed(M: list[list[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict
     safe_top = total_degree_bound(core)
     # per-variable gcd of the exponents of all entries, 1 where all are 0
     parity = [
-        gcd(*(e[i] for row in core for p in row for e in p.terms)) or 1 for i in range(len(ring))
+        gcd(*(e[i] for row in core for p in row for e in p)) or 1 for i in range(len(ring))
     ]
     compressed = any(g > 1 for g in parity)
     if compressed:
         core = [[_map_exponents(p, floordiv, parity) for p in row] for row in core]
-    safe = degree_bounds(core)
-    evaluator, scale = _row_scaled(core, ring)
+    safe = degree_bounds(core, len(ring))
+    evaluator, scale = _IntegerEvaluator([core], ring), prod(core_scales)
     bounds, valuations, steps = _probe_degrees(evaluator, rng, safe)
     exponents = [range(v, b + 1, g) for b, v, g in zip(bounds, valuations, steps)]
     lengths = list(map(len, exponents))
@@ -235,41 +323,47 @@ def det_probed(M: list[list[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict
             ) from None
         record["fallback"] = True
     if compressed:
-        det = _map_exponents(det, mul, parity)
+        det = MultiPoly(ring, _map_exponents(det.terms, mul, parity))
     return (factor * det).scale(sign), record
 
 
-def _peel_single_entries(M: list[list[MultiPoly]]):
+def _peel_single_entries(M: list[list[dict]], scales: list[int], ring: tuple[str, ...]):
     """Laplace-expand along rows/columns with exactly one nonzero entry.
 
-    Returns (factor polynomial, sign, reduced matrix); repeated until no
-    such row or column remains.  Exact, and it shrinks both the matrix and
-    the interpolation grid.
+    Returns (factor polynomial, sign, reduced integer rows, their scales);
+    repeated until no such row or column remains.  The factor is the
+    product of the peeled entries over their rows' scales, and each row
+    left is divided by the gcd of its scale and its content
+    (``_reduced``), since a peeled column may have held a row's only
+    denominator.  Exact, and it shrinks both the matrix and the
+    interpolation grid.
     """
-    ring = M[0][0].ring
     factor = MultiPoly.constant(ring, 1)
     sign = 1
     m = [list(row) for row in M]
+    scales = list(scales)
     while m:
         n = len(m)
-        rows = [[j for j in range(n) if not m[i][j].is_zero()] for i in range(n)]
-        cols = [[i for i in range(n) if not m[i][j].is_zero()] for j in range(n)]
+        rows = [[j for j in range(n) if m[i][j]] for i in range(n)]
+        cols = [[i for i in range(n) if m[i][j]] for j in range(n)]
         if not all(rows) or not all(cols):
-            return MultiPoly.zero(ring), 1, []
+            return MultiPoly.zero(ring), 1, [], []
         single = [(i, nz[0]) for i, nz in enumerate(rows) if len(nz) == 1]
         single += [(nz[0], j) for j, nz in enumerate(cols) if len(nz) == 1]
         if not single:
             break
         i, j = single[0]
-        factor = factor * m[i][j]
+        factor = factor * MultiPoly(ring, {e: Fraction(c, scales[i]) for e, c in m[i][j].items()})
         sign *= (-1) ** (i + j)
         m = [[m[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-    return factor, sign, m
+        del scales[i]
+    reduced = [_reduced(row, scale) for row, scale in zip(m, scales)]
+    return factor, sign, [row for row, _ in reduced], [scale for _, scale in reduced]
 
 
-def _map_exponents(p: MultiPoly, op, parity: list[int]) -> MultiPoly:
-    """p with each exponent e_v replaced by op(e_v, parity[v])."""
-    return MultiPoly(p.ring, {tuple(map(op, e, parity)): c for e, c in p.terms.items()})
+def _map_exponents(p: dict, op, parity: list[int]) -> dict:
+    """The {exponents: coefficient} dict p with each exponent e_v replaced by op(e_v, parity[v])."""
+    return {tuple(map(op, e, parity)): c for e, c in p.items()}
 
 
 def _probe_degrees(
@@ -375,18 +469,20 @@ def line_determinant(
 ) -> MultiPoly:
     """det M(a + b*tau) in the ring (tau,), M's variables in ``ring`` order.
 
-    Its degree is at most the row/column total-degree bound of M, so integer
-    determinants at tau = 0..bound, interpolated once, give it exactly.
+    M is pulled back to integer rows in tau once (``pullback``).  The
+    determinant's degree is at most their row/column degree bound, so
+    integer determinants of those rows at tau = 0..bound, interpolated
+    once, give it exactly.
     """
-    nodes = range(total_degree_bound(M) + 1)
-    evaluator, scale = _row_scaled(M, ring)
-    values = [
-        det_int(evaluator.at({v: al + bl * k for v, al, bl in zip(ring, a, b)})[0])
-        for k in nodes
-    ]
+    line = ("tau",)
+    rows, scales = pullback(
+        M, {v: MultiPoly(line, {(0,): al, (1,): bl}) for v, al, bl in zip(ring, a, b)}
+    )
+    nodes = range(total_degree_bound(rows) + 1)
+    values = [det_int(mats[0]) for mats in _IntegerEvaluator([rows], line).grid([nodes])]
     coefficients, den = _interpolate_line(values, nodes)
     return MultiPoly(
-        ("tau",), {(j,): Fraction(c, den * scale) for j, c in enumerate(coefficients) if c}
+        line, {(j,): Fraction(c, den * prod(scales)) for j, c in enumerate(coefficients) if c}
     )
 
 
@@ -539,25 +635,19 @@ class _IntegerEvaluator:
         return coefficients, plan
 
 
-def _row_scaled_entries(M) -> tuple[list[list[dict]], int]:
-    """M's entries as {exponents: int}, each row scaled to integers, and the scales' product.
+def _row_scaled_entries(M) -> tuple[list[list[dict]], list[int]]:
+    """M's entries as {exponents: int}, each row scaled to integers, and the row scales.
 
     Each row gets its own denominator, the lcm of its coefficients'
     denominators, which keeps the operands of a determinant smaller than one
-    common denominator would; det M = det(scaled) / product.
+    common denominator would; det M = det(scaled) / product of the scales.
     """
     dens = [lcm(*(c.denominator for p in row for c in p.terms.values())) for row in M]
     entries = [
         [{e: c.numerator * (d // c.denominator) for e, c in p.terms.items()} for p in row]
         for row, d in zip(M, dens)
     ]
-    return entries, prod(dens)
-
-
-def _row_scaled(M, ring) -> tuple[_IntegerEvaluator, int]:
-    """An evaluator of M with each row scaled to integers (det M = det_int / scale)."""
-    entries, scale = _row_scaled_entries(M)
-    return _IntegerEvaluator([entries], ring), scale
+    return entries, dens
 
 
 def _allowed(n: int, cost: int, left: int) -> int:

@@ -1,14 +1,22 @@
 """Helpers that only the tests need: a matrix-vector product, basis
 1-forms, readers for the polynomial, matrix and form JSON that ``jsonio``
-writes, a phase expansion summed back up, and a determinant by
-interpolation on given bounds."""
+writes, a phase expansion summed back up, a determinant by interpolation
+on given bounds, and the integer-row engines on MultiPoly matrices."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
-from lerayfront.detpoly import _interpolate_grid, _row_scaled
+from lerayfront.detpoly import (
+    _IntegerEvaluator,
+    _interpolate_grid,
+    _row_scaled_entries,
+    degree_bounds,
+    det_probed,
+    total_degree_bound,
+)
 from lerayfront.forms import DiffForm
 from lerayfront.linalg import RationalMatrix
 from lerayfront.phase import PhaseExpansion
@@ -61,6 +69,27 @@ def det_interpolate(
     safe ones); without ``top`` the grid is the whole box of
     prod(bounds[i]+1) points.
     """
-    evaluator, scale = _row_scaled(M, M[0][0].ring)
+    evaluator, scale = integer_evaluator(M)
     costs, budget = ([0] * len(bounds), 0) if top is None else ([1] * len(bounds), top)
     return _interpolate_grid(evaluator, scale, [range(b + 1) for b in bounds], costs, budget)
+
+
+# The engines below take integer rows over row scales; a MultiPoly matrix
+# is converted once, here, by the row scaling ``det_bareiss`` uses.
+
+
+def integer_evaluator(M: Sequence[Sequence[MultiPoly]]) -> tuple[_IntegerEvaluator, int]:
+    """An evaluator of M's row-scaled integer rows and the scales' product (det M = det_int / it)."""
+    rows, scales = _row_scaled_entries(M)
+    return _IntegerEvaluator([rows], M[0][0].ring), prod(scales)
+
+
+def safe_bounds(M: Sequence[Sequence[MultiPoly]]) -> tuple[list[int], int]:
+    """``degree_bounds`` and ``total_degree_bound`` of M."""
+    rows = _row_scaled_entries(M)[0]
+    return degree_bounds(rows, len(M[0][0].ring)), total_degree_bound(rows)
+
+
+def probed(M: Sequence[Sequence[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict]:
+    """``det_probed`` of M."""
+    return det_probed(*_row_scaled_entries(M), M[0][0].ring, seed=seed)

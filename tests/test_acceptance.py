@@ -30,7 +30,7 @@ from lerayfront.phase import check_c3, discover_weights
 from lerayfront.poly import MultiPoly, weight
 from lerayfront.wavefront import t_zero_check
 
-from helpers import det_interpolate, reconstruct
+from helpers import det_interpolate, reconstruct, safe_bounds
 
 
 def report(n, text):
@@ -266,11 +266,11 @@ def test_criterion_8_end_to_end(wave_cusp_pipeline, wave_cusp_front, cusp_front,
 
 def test_criterion_9_determinism(cusp_system, a1_system, a4_system, quadric_system, tmp_path):
     t0 = time.time()
-    from lerayfront.detpoly import degree_bounds, det_poly_matrix
+    from lerayfront.detpoly import det_poly_matrix
 
     for _, data in (cusp_system, a1_system, a4_system, quadric_system):
         d1 = det_poly_matrix(data.M)
-        d2 = det_interpolate(data.M, degree_bounds(data.M))
+        d2 = det_interpolate(data.M, safe_bounds(data.M)[0])
         assert d1 == d2
     # byte-identical artifacts for identical spec and seeds
     from lerayfront.cli import main

@@ -15,17 +15,17 @@ from lerayfront.detpoly import (
     _lower_set,
     _lower_set_size,
     _map_exponents,
-    _row_scaled,
-    degree_bounds,
+    _row_scaled_entries,
     det_bareiss,
     det_poly_matrix,
-    total_degree_bound,
+    det_probed,
+    pullback,
 )
 from lerayfront.errors import ResourceLimitError
 from lerayfront.linalg import RationalMatrix, det_fraction, det_int, solve_linear_exact
-from lerayfront.poly import MultiPoly
+from lerayfront.poly import MultiPoly, poly_substitute
 
-from helpers import det_interpolate
+from helpers import det_interpolate, integer_evaluator, safe_bounds
 
 RING = ("y1", "y2")
 Y1 = MultiPoly.variable(RING, "y1")
@@ -45,7 +45,7 @@ def test_symbolic_2x2():
     a, b, c, d = (MultiPoly.variable(ring, v) for v in ring)
     M = [[a, b], [c, d]]
     assert det_poly_matrix(M) == a * d - b * c
-    assert det_interpolate(M, degree_bounds(M)) == a * d - b * c
+    assert det_interpolate(M, safe_bounds(M)[0]) == a * d - b * c
 
 
 def _random_poly(rng, max_deg=2, ring=RING, max_den=1):
@@ -61,7 +61,7 @@ def test_strategies_agree_random_4x4():
     rng = random.Random(42)
     M = [[_random_poly(rng) for _ in range(4)] for _ in range(4)]
     d1 = det_poly_matrix(M)
-    d2 = det_interpolate(M, degree_bounds(M))
+    d2 = det_interpolate(M, safe_bounds(M)[0])
     assert d1 == d2
 
 
@@ -70,7 +70,7 @@ def test_strategies_agree_on_rational_entries():
     rng = random.Random(5)
     for _ in range(3):
         M = [[_random_poly(rng, max_den=6) for _ in range(3)] for _ in range(3)]
-        assert det_interpolate(M, degree_bounds(M)) == det_poly_matrix(M)
+        assert det_interpolate(M, safe_bounds(M)[0]) == det_poly_matrix(M)
 
 
 def test_strategies_agree_in_one_variable():
@@ -78,13 +78,13 @@ def test_strategies_agree_in_one_variable():
     ring = ("y",)
     M = [[_random_poly(rng, 3, ring, max_den=4) for _ in range(4)] for _ in range(4)]
     d = det_poly_matrix(M)
-    assert det_interpolate(M, degree_bounds(M)) == d
+    assert det_interpolate(M, safe_bounds(M)[0]) == d
     assert d.ring == ring
 
 
 def test_interpolate_in_the_constant_ring():
     three = MultiPoly.constant((), 3)
-    assert det_interpolate([[three]], degree_bounds([[three]])) == three
+    assert det_interpolate([[three]], safe_bounds([[three]])[0]) == three
 
 
 @pytest.mark.parametrize("ring", [(), ("y",), ("a", "b", "c"), ("a", "b", "c", "d")], ids=len)
@@ -96,7 +96,7 @@ def test_grid_values_match_determinants_of_evaluated_entries(ring):
     M = [[_random_poly(rng, 2, ring, max_den=6) for _ in range(3)] for _ in range(3)]
     M[1][2] = MultiPoly.zero(ring)
     axes = [range(-1, 2 + k) for k in range(len(ring))]
-    evaluator, scale = _row_scaled(M, ring)
+    evaluator, scale = integer_evaluator(M)
     values = [det_int(mats[0]) for mats in evaluator.grid(axes)]
     points = list(product(*axes))
     assert len(values) == len(points) == prod(len(axis) for axis in axes)
@@ -173,12 +173,12 @@ def test_lower_set_interpolation_matches_bareiss():
     ring = ("a", "b", "c")
     for _ in range(3):
         M = [[_random_poly(rng, 2, ring, max_den=4) for _ in range(4)] for _ in range(4)]
-        bounds, top = degree_bounds(M), total_degree_bound(M)
+        bounds, top = safe_bounds(M)
         box = prod(b + 1 for b in bounds)
         assert _lower_set_size([b + 1 for b in bounds], [1, 1, 1], top) < box
         assert det_interpolate(M, bounds, top) == det_bareiss(M)
         M = _row_variable_matrix(rng, ring)
-        bounds, top = degree_bounds(M), total_degree_bound(M)
+        bounds, top = safe_bounds(M)
         assert top == sum(bounds)
         box = prod(b + 1 for b in bounds)
         assert _lower_set_size([b + 1 for b in bounds], [1, 1, 1], top) == box
@@ -196,7 +196,8 @@ def test_total_degree_bound_is_safe_on_sparse_matrices(step):
         n = rng.randint(2, 5)
         M = [
             [
-                _map_exponents(_random_poly(rng, 3, ring), mul, [step] * 3).scale(rng.randint(0, 1))
+                MultiPoly(ring, _map_exponents(_random_poly(rng, 3, ring).terms, mul, [step] * 3))
+                .scale(rng.randint(0, 1))
                 for _ in range(n)
             ]
             for _ in range(n)
@@ -204,17 +205,17 @@ def test_total_degree_bound_is_safe_on_sparse_matrices(step):
         det = det_bareiss(M)
         if not det.is_zero():
             nonzero += 1
-            assert total_degree_bound(M) >= det.total_degree()
+            assert safe_bounds(M)[1] >= det.total_degree()
     assert nonzero >= 10
 
 
 def test_interpolation_grid_cap(monkeypatch):
     M = [[Y1 * Y2, ONE], [ONE, Y1 * Y2]]
     monkeypatch.setattr(detpoly, "GRID_MAX_POINTS", 9)
-    assert det_interpolate(M, degree_bounds(M)) == Y1**2 * Y2**2 - ONE
+    assert det_interpolate(M, safe_bounds(M)[0]) == Y1**2 * Y2**2 - ONE
     monkeypatch.setattr(detpoly, "GRID_MAX_POINTS", 8)
     with pytest.raises(ResourceLimitError):
-        det_interpolate(M, degree_bounds(M))
+        det_interpolate(M, safe_bounds(M)[0])
 
 
 def test_multiplicativity():
@@ -293,3 +294,42 @@ def test_row_swap_pivoting():
 def test_rejects_non_square():
     with pytest.raises(ValueError):
         det_poly_matrix([[ONE, ONE]])
+
+
+SOURCE = ("y0", "y1", "y2", "y3")
+TARGET = ("x", "t")
+
+
+def _sparse_polys(ring, max_exponent, max_terms):
+    return st.dictionaries(
+        st.tuples(*(st.integers(0, max_exponent) for _ in ring)),
+        st.fractions(-9, 9, max_denominator=6),
+        max_size=max_terms,
+    ).map(lambda terms: MultiPoly(ring, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_sparse_polys(SOURCE, 2, 4), min_size=9, max_size=9),
+    st.fractions(-5, 5, max_denominator=7),
+    st.lists(_sparse_polys(TARGET, 2, 3), min_size=2, max_size=2),
+)
+def test_pullback_is_the_row_scaled_substitution(entries, s, images):
+    # y0 goes to a constant (a numeric s), y1 to zero (as in case 2), y2
+    # and y3 to polynomials with rational coefficients; entry (0, 1) is
+    # (y0 - s) * p, which cancels to zero once y0 = s
+    bindings = {
+        "y0": MultiPoly.constant(TARGET, s),
+        "y1": MultiPoly.zero(TARGET),
+        "y2": images[0],
+        "y3": images[1],
+    }
+    M = [entries[3 * i : 3 * i + 3] for i in range(3)]
+    y0 = MultiPoly.variable(SOURCE, "y0")
+    M[0][1] = (y0 - MultiPoly.constant(SOURCE, s)) * M[0][1]
+    substituted = [[poly_substitute(e, bindings) for e in row] for row in M]
+    rows, scales = pullback(M, bindings)
+    assert (rows, scales) == _row_scaled_entries(substituted)
+    assert rows[0][1] == {}
+    det, _ = det_probed(rows, scales, TARGET, seed=1)
+    assert det == det_bareiss(substituted)

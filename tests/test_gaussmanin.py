@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from lerayfront.brieskorn import GMMatrices, PhiBasis, FBasis
-from lerayfront.detpoly import degree_bounds
 from lerayfront.errors import (
     CurvatureNonzeroError,
     DegenerateSystemError,
@@ -17,7 +16,7 @@ from lerayfront.gaussmanin import (
 )
 from lerayfront.poly import MultiPoly
 
-from helpers import det_interpolate
+from helpers import det_interpolate, safe_bounds
 
 
 class TestAssemble:
@@ -108,7 +107,7 @@ class TestDiscriminant:
     def test_strategies_agree(self, quadric_system):
         _, data = quadric_system
         d1 = discriminant(data)
-        raw = det_interpolate(data.M, degree_bounds(data.M))
+        raw = det_interpolate(data.M, safe_bounds(data.M)[0])
         assert data.delta_raw == raw
         assert d1 == raw.primitive_part()
 

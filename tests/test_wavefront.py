@@ -12,11 +12,10 @@ from lerayfront.detpoly import (
     _map_exponents,
     _probe_degrees,
     _probe_total_degree,
-    _row_scaled,
-    degree_bounds,
+    _row_scaled_entries,
     det_bareiss,
     det_probed,
-    total_degree_bound,
+    pullback,
 )
 from lerayfront.errors import MismatchError, ResourceLimitError
 from lerayfront.gcdtools import _Budget, _gcd, squarefree_part
@@ -35,6 +34,8 @@ from lerayfront.wavefront import (
     front_substitution,
     t_zero_check,
 )
+
+from helpers import integer_evaluator, probed, safe_bounds
 
 SR = ("tau", "xi1", "xi2")
 
@@ -305,15 +306,16 @@ class TestProbedInterpolation:
         rng = random.Random(len(ring))
         for seed in range(2):
             M = _random_matrix(rng, ring, 4)
-            assert det_probed(M, seed=seed)[0] == det_bareiss(M)
+            assert probed(M, seed=seed)[0] == det_bareiss(M)
 
     def test_probes_find_the_degrees(self):
         ring = ("a", "b", "c")
         M = _random_matrix(random.Random(9), ring, 4)
-        evaluator = _row_scaled(M, ring)[0]
-        probed = _probe_degrees(evaluator, random.Random(0), degree_bounds(M))
-        assert probed == _exponent_structure(det_bareiss(M))
-        top = _probe_total_degree(evaluator, random.Random(0), [1, 1, 1], total_degree_bound(M))
+        evaluator = integer_evaluator(M)[0]
+        bounds, safe_top = safe_bounds(M)
+        found = _probe_degrees(evaluator, random.Random(0), bounds)
+        assert found == _exponent_structure(det_bareiss(M))
+        top = _probe_total_degree(evaluator, random.Random(0), [1, 1, 1], safe_top)
         assert top == det_bareiss(M).total_degree()
 
     def test_probes_find_the_valuation_and_the_step(self):
@@ -324,11 +326,14 @@ class TestProbedInterpolation:
         a, b = MultiPoly.variable(ring, "a"), MultiPoly.variable(ring, "b")
         M = _random_matrix(random.Random(25), ring, 4)
         M = [
-            [a ** ((i + j) % 2) * _map_exponents(p, mul, [2, 1, 1]) for j, p in enumerate(row)]
+            [
+                a ** ((i + j) % 2) * MultiPoly(ring, _map_exponents(p.terms, mul, [2, 1, 1]))
+                for j, p in enumerate(row)
+            ]
             for i, row in enumerate(M)
         ]
         M[0] = [b**3 * p for p in M[0]]
-        det, record = det_probed(M, seed=5)
+        det, record = probed(M, seed=5)
         assert record["parity"] == [1, 1, 1]
         degrees, valuations, steps = _exponent_structure(det_bareiss(M))
         assert (valuations, steps) == ([0, 3, 0], [2, 1, 1])
@@ -346,14 +351,44 @@ class TestProbedInterpolation:
         M = _random_matrix(random.Random(7), ring, 4)
         zero = MultiPoly.zero(ring)
         M[1] = [zero, zero, MultiPoly.variable(ring, "b") + MultiPoly.constant(ring, 1), zero]
-        det, record = det_probed(M, seed=3)
+        det, record = probed(M, seed=3)
         assert (record["peeled"], record["core"]) == (1, 3)
+        assert det == det_bareiss(M)
+
+    def test_core_rows_are_scaled_as_the_core_alone(self, monkeypatch):
+        # row 0 has one nonzero entry, so column 2 is peeled with it; b / 5
+        # there is row 1's only denominator, so the pulled-back row 1 is 5
+        # times the integers of the core's own row scaling until det_probed
+        # divides it again
+        ring = ("a", "b")
+        a, b = (MultiPoly.variable(ring, v) for v in ring)
+        one = MultiPoly.constant(ring, 1)
+        M = [
+            [MultiPoly.zero(ring), MultiPoly.zero(ring), a + one],
+            [a * 2 + b * 3, a * b, b.scale(Fraction(1, 5))],
+            [a - one.scale(Fraction(1, 3)), b * b, a],
+        ]
+        bindings = {"a": a, "b": b}
+        rows, scales = pullback(M, bindings)
+        assert scales[1] == 5
+        built = []
+        init = detpoly._IntegerEvaluator.__init__
+
+        def recording_init(self, mats, ring):
+            built.append(mats)
+            init(self, mats, ring)
+
+        monkeypatch.setattr(detpoly._IntegerEvaluator, "__init__", recording_init)
+        det, record = det_probed(rows, scales, ring, seed=1)
+        assert (record["peeled"], record["core"]) == (1, 2)
+        core = [[poly_substitute(p, bindings) for p in row[:2]] for row in M[1:]]
+        assert built[0] == [_row_scaled_entries(core)[0]]
         assert det == det_bareiss(M)
 
     def test_even_exponents_are_compressed(self):
         ring = ("a", "b", "c")
         M = _random_matrix(random.Random(8), ring, 4, step=2)
-        det, record = det_probed(M, seed=4)
+        det, record = probed(M, seed=4)
         assert record["parity"] == [2, 2, 2]
         assert det == det_bareiss(M)
 
@@ -369,7 +404,7 @@ class TestProbedInterpolation:
 
         monkeypatch.setattr(detpoly._IntegerEvaluator, "__init__", counting_init)
         M = _random_matrix(random.Random(10), ("a", "b", "c"), 4)
-        det, record = det_probed(M, seed=1)
+        det, record = probed(M, seed=1)
         assert det == det_bareiss(M)
         assert record["core"] == 4 and record["fallback"] is False
         assert [e.shapes for e in built] == [[(4, 4)], [(1, 1)]]
@@ -392,7 +427,7 @@ class TestProbedInterpolation:
 
     def test_failed_check_falls_back_to_safe_bounds(self, monkeypatch):
         M = self._misreported(monkeypatch, 0, -1)
-        det, record = det_probed(M, seed=2)
+        det, record = probed(M, seed=2)
         assert record["fallback"] is True
         assert record["probed_bounds"] != record["safe_bounds"]
         assert det == det_bareiss(M)
@@ -417,7 +452,7 @@ class TestProbedInterpolation:
 
         monkeypatch.setattr(detpoly, "_interpolate_grid", recording_interpolate)
         monkeypatch.setattr(detpoly._IntegerEvaluator, "at", recording_at)
-        det, record = det_probed(M, seed=2)
+        det, record = probed(M, seed=2)
         assert record["probed_valuations"] != [0, 0, 0]
         assert (record["fallback"], grids[0]) == (True, None)
         assert events[events.index("grid") :] == ["grid", "grid"]
@@ -429,25 +464,25 @@ class TestProbedInterpolation:
         probe = detpoly._probe_total_degree
         monkeypatch.setattr(detpoly, "_probe_total_degree", lambda *args: probe(*args) - 1)
         M = _random_matrix(random.Random(11), ("a", "b", "c"), 4)
-        det, record = det_probed(M, seed=2)
+        det, record = probed(M, seed=2)
         assert record["probed_total_degree"] == det_bareiss(M).total_degree() - 1
         assert record["fallback"] is True
         assert det == det_bareiss(M)
 
     def test_overstated_step_falls_back(self, monkeypatch):
         M = self._misreported(monkeypatch, 2, 1)
-        det, record = det_probed(M, seed=2)
+        det, record = probed(M, seed=2)
         assert record["probed_steps"] != [1, 1, 1]
         assert record["fallback"] is True
         assert det == det_bareiss(M)
 
     def test_fallback_over_the_grid_cap_is_a_mismatch(self, monkeypatch):
         M = self._misreported(monkeypatch, 0, -1)
-        lengths = [b + 1 for b in degree_bounds(M)]
-        safe_points = _lower_set_size(lengths, [1, 1, 1], total_degree_bound(M))
+        bounds, top = safe_bounds(M)
+        safe_points = _lower_set_size([b + 1 for b in bounds], [1, 1, 1], top)
         monkeypatch.setattr(detpoly, "GRID_MAX_POINTS", safe_points - 1)
         with pytest.raises(MismatchError, match="safe bounds exceed the grid cap"):
-            det_probed(M, seed=2)
+            probed(M, seed=2)
 
 
 class TestTZero:
