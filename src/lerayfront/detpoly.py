@@ -133,14 +133,12 @@ def _sum_of_products(triples) -> dict:
 
 
 def degree_bounds(M: Sequence[Sequence[dict]], nvars: int) -> list[int]:
-    """Safe per-variable degree bounds for det(M) of {exponents: int} entries: min of row and
-    column sums."""
+    """Safe per-variable degree bounds for det(M): min of row and column sums."""
     return [_row_col_bound(M, lambda p: max((e[v] for e in p), default=0)) for v in range(nvars)]
 
 
 def total_degree_bound(M: Sequence[Sequence[dict]]) -> int:
-    """Safe total-degree bound for det(M) of {exponents: int} entries: min of row and column
-    sums."""
+    """Safe total-degree bound for det(M): min of row and column sums."""
     return _row_col_bound(M, lambda p: max(map(sum, p), default=0))
 
 
@@ -208,11 +206,8 @@ def pullback(
 
 
 def _reduced(row: list[dict], scale: int) -> tuple[list[dict], int]:
-    """An integer row over its scale, both divided by gcd(scale, content of the row).
-
-    The scale left is the lcm of the denominators of the row's entries
-    row / scale.
-    """
+    """An integer row and its scale divided by gcd(scale, content): the scale is then the
+    lcm of the denominators of row / scale."""
     g = gcd(scale, *(c for p in row for c in p.values()))
     if g == 1:
         return row, scale

@@ -79,7 +79,7 @@ def det_interpolate(
 
 
 def integer_evaluator(M: Sequence[Sequence[MultiPoly]]) -> tuple[_IntegerEvaluator, int]:
-    """An evaluator of M's row-scaled integer rows and the scales' product (det M = det_int / it)."""
+    """An evaluator of M's row-scaled integer rows and the scales' product P (det_int / P)."""
     rows, scales = _row_scaled_entries(M)
     return _IntegerEvaluator([rows], M[0][0].ring), prod(scales)
 
