@@ -19,6 +19,7 @@ import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from math import inf
 from pathlib import Path
 
 from . import __version__
@@ -139,6 +140,8 @@ class Problem:
                 raise ValueError(f"powerP must be at least 2, got {self.power}")
             self.seed = _json_int("seed", options.get("seed", 1))
             self.tol = float(options.get("tol", 1e-6))
+            if not 0 < self.tol < inf:
+                raise ValueError(f"tol must be a finite positive number, got {self.tol}")
             self.weight_cap = options.get("weight_cap")
             if self.weight_cap is not None and _json_int("weight_cap", self.weight_cap) < 1:
                 raise ValueError(f"weight_cap must be positive, got {self.weight_cap}")

@@ -8,39 +8,39 @@ division by the previous pivot is exact in Z[y]; the one heap-ordered
 exact division ``poly.exact_div_int`` takes it.  The symbolic discriminant
 and the Jacobian minors (``phase``) use it.
 
-``pullback`` is the front pullback's substitution (``wavefront``): it
-pulls M(y) back along one image polynomial per y_l straight to integer
-rows, {exponents: int} dicts over one scale per row, with one table of
-the images' integer powers and one expansion per distinct monomial of M.
-No entry is substituted in Fractions.
+``det_probed`` is the front pullback's determinant.  It takes M(y)
+pulled back by ``poly.pullback``, the one substitution, as integer rows,
+{exponents: int} dicts over one scale per row (``wavefront``).  It peels
+single-entry rows and columns (the peeled entries multiply as integer
+terms over the product of their rows' scales), divides out common
+exponent factors, probes each variable's degree, valuation v and
+exponent step g (and the total degree, when that costs fewer
+determinants than it can save), interpolates on the lower set those
+leave, checks the result exactly at random rational points and falls
+back to the safe bounds of ``degree_bounds`` and ``total_degree_bound``.
+One integer evaluator of the core serves the grid, the check points and
+the fallback, and a 1 x 1 one of the interpolant's integer terms the
+check.  The grid takes (deg - v) // g + 1 integer nodes of each variable
+and keeps the points whose exponents stay within the total-degree bound,
+a lower set of the box; it divides each integer determinant by the
+nodes' powers prod x_i^v_i exactly and interpolates in u = x^g
+(``_interpolate``), all in Python ints: divided differences along every
+axis, then the Newton-to-monomial conversion along every axis.  One
+MultiPoly is built at the end, over the product of the axes'
+denominators and the row scales.
 
-``det_probed`` is the front pullback's determinant: on those integer
-rows it peels single-entry rows and columns (the peeled entries are the
-one product taken in MultiPolys), divides out common exponent factors,
-probes each variable's degree, valuation v and exponent step g (and the
-total degree, when that costs fewer determinants than it can save),
-interpolates on the lower set those leave, checks the result exactly at
-random rational points and falls back to the safe bounds of
-``degree_bounds`` and ``total_degree_bound``.  One integer evaluator of
-the core serves all of it, and a 1 x 1 one of the interpolant's integer
-terms the check.  The grid takes (deg - v) // g + 1 integer nodes of each
-variable and keeps the points whose exponents stay within the
-total-degree bound, a lower set of the box; it divides each integer
-determinant by the nodes' powers prod x_i^v_i exactly and interpolates in
-u = x^g (``_interpolate``), all in Python ints: divided differences along
-every axis, then the Newton-to-monomial conversion along every axis, then
-one division by the product of the axes' denominators and the row scales.
-
-``line_determinant`` restricts det M to a line y = a + b*tau with the same
-kernels: ``pullback`` to integer rows in tau, their integer determinants
-at tau = 0..bound, one 1-D interpolation (``oracle.line_check``).
+``_curve_determinant`` restricts det M to a curve y = images(tau): it
+pulls the integer rows back to (tau,) with ``poly.pullback``, takes
+their integer determinants at tau = 0..their row/column degree bound and
+interpolates once.  The axis probes, the total-degree curves and
+``line_determinant`` (``oracle.line_check``) all go through it.
 
 ``_IntegerEvaluator`` is the one evaluator of polynomial matrices at exact
 points.  ``at`` takes one rational point (the flatness oracle in
-``gaussmanin``, the points of a probe curve, the check points of
-``det_probed``); ``grid`` walks a lower set of an integer grid axis by
-axis, so that neighbouring points share the work of their common prefix
-(the interpolation grid, the degree probes and the nodes of a line).
+``gaussmanin`` and the check points of ``det_probed``); ``grid`` walks a
+lower set of an integer grid axis by axis, so that neighbouring points
+share the work of their common prefix (the interpolation grid and the
+nodes of a curve).
 """
 
 from __future__ import annotations
@@ -51,12 +51,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
 from math import gcd, lcm, prod
-from operator import add, floordiv, mul, sub
-from typing import Iterator, Mapping, Sequence
+from operator import floordiv, mul, sub
+from typing import Iterator, Sequence
 
 from .errors import MismatchError, ResourceLimitError
 from .linalg import det_int
-from .poly import MultiPoly, exact_div_int
+from .poly import MultiPoly, _reduced, _sum_of_products, exact_div_int, pullback
 
 # Most integer determinants one interpolation grid (a lower set) may take;
 # the flagship front's grid has 1,487 points at s = 1 and 14,599 with
@@ -119,19 +119,6 @@ def _mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
     return _sum_of_products(((a, b, 1), (c, d, -1)))
 
 
-def _sum_of_products(triples) -> dict:
-    """The sum of sign * x * y over (x, y, sign) triples of {exponents: int} dicts."""
-    out: dict = {}
-    get = out.get
-    for x, y, sign in triples:
-        for e1, c1 in x.items():
-            c1 *= sign
-            for e2, c2 in y.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-    return {e: v for e, v in out.items() if v}
-
-
 def degree_bounds(M: Sequence[Sequence[dict]], nvars: int) -> list[int]:
     """Safe per-variable degree bounds for det(M): min of row and column sums."""
     return [_row_col_bound(M, lambda p: max((e[v] for e in p), default=0)) for v in range(nvars)]
@@ -148,72 +135,6 @@ def _row_col_bound(M: Sequence[Sequence[dict]], degree) -> int:
     return min(sum(map(max, D)), sum(map(max, zip(*D))))
 
 
-def pullback(
-    M: Sequence[Sequence[MultiPoly]], bindings: Mapping[str, MultiPoly]
-) -> tuple[list[list[dict]], list[int]]:
-    """M with every variable y_l replaced by its image, as integer rows over row scales.
-
-    Entry (i, j) of the substituted matrix is rows[i][j] / scales[i], with
-    rows[i][j] an {exponents: int} dict in the images' ring and scales[i]
-    the lcm of the denominators of that row, as ``_row_scaled_entries`` of
-    the entry-wise ``poly_substitute`` gives them.  Each image y_l =
-    g_l / d_l is split into integers once; one table of the powers g_l^k
-    serves every entry, and each distinct monomial y^e of M is expanded
-    once, from the expansion of its prefix.  Row i is scaled by
-    r_i * prod_l d_l^D_il, with r_i the lcm of its denominators in M and
-    D_il its largest degree in y_l, which makes it integer, and then
-    divided by the gcd of that scale and the row's content.
-    """
-    source = M[0][0].ring
-    images = [bindings[v].integer_terms() for v in source]
-    nvars = len(source)
-    one = {(0,) * len(bindings[source[0]].ring): 1}
-    powers = []  # powers[l][k] = g_l^k
-    for l, (g, _) in enumerate(images):
-        table = [one]
-        for _ in range(max((e[l] for row in M for p in row for e in p.terms), default=0)):
-            table.append(_sum_of_products(((table[-1], g, 1),)))
-        powers.append(table)
-    expanded = {(0,) * nvars: one}
-
-    def expand(e: tuple[int, ...]) -> dict:
-        """prod_l g_l^e_l: the last nonzero power times the expansion of the rest."""
-        if e not in expanded:
-            l = max(i for i, k in enumerate(e) if k)
-            rest = expand(e[:l] + (0,) * (nvars - l))
-            expanded[e] = _sum_of_products(((rest, powers[l][e[l]], 1),))
-        return expanded[e]
-
-    rows, scales = [], []
-    for row in M:
-        r = lcm(*(c.denominator for p in row for c in p.terms.values()))
-        tops = [max((e[l] for p in row for e in p.terms), default=0) for l in range(nvars)]
-        # y^e = G_e / prod_l d_l^e_l, so the row scale leaves prod_l d_l^(D_il - e_l)
-        cofactors = [[d ** (top - k) for k in range(top + 1)] for (_, d), top in zip(images, tops)]
-        entries = []
-        for p in row:
-            out: dict = {}
-            get = out.get
-            for e, c in p.terms.items():
-                k = c.numerator * (r // c.denominator) * prod(map(list.__getitem__, cofactors, e))
-                for e2, c2 in expand(e).items():
-                    out[e2] = get(e2, 0) + k * c2
-            entries.append({e: c for e, c in out.items() if c})
-        entries, scale = _reduced(entries, r * prod(table[0] for table in cofactors))
-        rows.append(entries)
-        scales.append(scale)
-    return rows, scales
-
-
-def _reduced(row: list[dict], scale: int) -> tuple[list[dict], int]:
-    """An integer row and its scale divided by gcd(scale, content): the scale is then the
-    lcm of the denominators of row / scale."""
-    g = gcd(scale, *(c for p in row for c in p.values()))
-    if g == 1:
-        return row, scale
-    return [{e: c // g for e, c in p.items()} for p in row], scale // g
-
-
 def det_probed(
     M: list[list[dict]], scales: list[int], ring: tuple[str, ...], seed: int = 0
 ) -> tuple[MultiPoly, dict]:
@@ -221,23 +142,25 @@ def det_probed(
     exactly; and the path taken.
 
     M holds integer rows of {exponents: int} dicts in ``ring`` and one
-    scale per row, as ``pullback`` gives them.  Rows and columns with one
-    nonzero entry are peeled off exactly (``_peel_single_entries``), and
-    exponents with a common factor (the parity) in a variable are divided
-    by it.  The core left is evaluated by one integer evaluator: the axis
-    probes (two random axis-parallel lines per variable give its degree,
-    its valuation v and the step g of its exponents), the grid of
-    (degree - v) // g + 1 nodes per variable cut to a lower set by a bound
-    on the total degree of det M, and four random rational points where
-    the interpolant (by a 1 x 1 evaluator of its integer terms) must equal
-    det_int of the evaluated core.  The
-    bound is ``total_degree_bound`` of the core (safe), or the degree
-    along two random curves y_i = p_i + q_i * tau^parity_i when their
-    determinants are fewer than the grid points that safe bound keeps.
+    scale per row, as ``poly.pullback`` gives them.  Rows and columns with
+    one nonzero entry are peeled off exactly (``_peel_single_entries``),
+    and exponents with a common factor (the parity) in a variable are
+    divided by it.  Two random axis-parallel lines per variable give its
+    degree, its valuation v and the step g of its exponents
+    (``_probe_degrees``).  One integer evaluator of the core then takes the
+    grid of (degree - v) // g + 1 nodes per variable, cut to a lower set by
+    a bound on the total degree of det M, and four random rational points
+    where the interpolant (by a 1 x 1 evaluator of its integer terms) must
+    equal det_int of the evaluated core.  The bound is
+    ``total_degree_bound`` of the core (safe), or the degree along two
+    random curves y_i = p_i + q_i * tau^parity_i (``_probe_total_degree``)
+    when their determinants are fewer than the grid points that safe bound
+    keeps; the lines and the curves are each one ``_curve_determinant``.
     When a grid value is not divisible by the nodes' powers prod y_i^v_i
     or a point disagrees, the grid is taken again on the safe bounds
     (v = 0, g = 1, the safe total degree); when that grid exceeds
-    ``GRID_MAX_POINTS``, MismatchError.
+    ``GRID_MAX_POINTS``, MismatchError.  Everything stays in Python ints
+    until the one MultiPoly of the result.
     ``random.Random(seed)`` draws the axis probes first, then the curves,
     then the check points.
 
@@ -249,7 +172,7 @@ def det_probed(
     ran.
     """
     rng = random.Random(seed)
-    factor, sign, core, core_scales = _peel_single_entries(M, scales, ring)
+    factor, factor_scale, core, core_scales = _peel_single_entries(M, scales, ring)
     record = {
         "engine": "probed grid",
         "size": len(M),
@@ -257,7 +180,7 @@ def det_probed(
         "core": len(core),
     }
     if not core:
-        return factor.scale(sign), record
+        return MultiPoly(ring, {e: Fraction(c, factor_scale) for e, c in factor.items()}), record
     # the weighted degree sum parity_i * e_i of the compressed core is the
     # total degree of the core as given
     safe_top = total_degree_bound(core)
@@ -269,15 +192,15 @@ def det_probed(
     if compressed:
         core = [[_map_exponents(p, floordiv, parity) for p in row] for row in core]
     safe = degree_bounds(core, len(ring))
-    evaluator, scale = _IntegerEvaluator([core], ring), prod(core_scales)
-    bounds, valuations, steps = _probe_degrees(evaluator, rng, safe)
+    evaluator = _IntegerEvaluator([core], ring)
+    bounds, valuations, steps = _probe_degrees(core, core_scales, rng, len(ring))
     exponents = [range(v, b + 1, g) for b, v, g in zip(bounds, valuations, steps)]
     lengths = list(map(len, exponents))
     costs = list(map(mul, parity, steps))
     floor = sum(map(mul, parity, valuations))
     probed_top = None
     if 2 * (safe_top + 1) < _lower_set_size(lengths, costs, safe_top - floor):
-        probed_top = _probe_total_degree(evaluator, rng, parity, safe_top)
+        probed_top = _probe_total_degree(core, core_scales, rng, parity)
     budget = (safe_top if probed_top is None else probed_top) - floor
     record.update(
         parity=parity,
@@ -291,8 +214,7 @@ def det_probed(
         fallback=False,
     )
 
-    def agrees_at_random_points(det: MultiPoly) -> bool:
-        terms, den = det.integer_terms()
+    def agrees_at_random_points(terms: dict, den: int) -> bool:
         check = _IntegerEvaluator([[[terms]]], ring)
         for _ in range(4):
             pt = {v: Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for v in ring}
@@ -301,40 +223,41 @@ def det_probed(
                 prod(pt[v].denominator ** top for v, top in zip(ring, e.maxdeg))
                 for e in (evaluator, check)
             )
-            value = check.at(pt)[0][0][0] * scale * S ** len(core)
-            if det_int(evaluator.at(pt)[0]) * den * T != value:
+            if det_int(evaluator.at(pt)[0]) * den * T != check.at(pt)[0][0][0] * S ** len(core):
                 return False
         return True
 
-    det = _interpolate_grid(evaluator, scale, exponents, costs, budget)
-    if det is None or not agrees_at_random_points(det):
+    det = _interpolate_grid(evaluator, exponents, costs, budget)
+    if det is None or not agrees_at_random_points(*det):
         try:
             box = [range(b + 1) for b in safe]
-            det = _interpolate_grid(evaluator, scale, box, parity, safe_top)
+            det = _interpolate_grid(evaluator, box, parity, safe_top)
         except ResourceLimitError as err:
             raise MismatchError(
                 "probed interpolation failed verification and safe bounds "
                 f"exceed the grid cap {err.limit}"
             ) from None
         record["fallback"] = True
+    terms, den = det
     if compressed:
-        det = MultiPoly(ring, _map_exponents(det.terms, mul, parity))
-    return (factor * det).scale(sign), record
+        terms = _map_exponents(terms, mul, parity)
+    den *= prod(core_scales) * factor_scale
+    terms = _sum_of_products(((factor, terms, 1),))
+    return MultiPoly(ring, {e: Fraction(c, den) for e, c in terms.items()}), record
 
 
 def _peel_single_entries(M: list[list[dict]], scales: list[int], ring: tuple[str, ...]):
     """Laplace-expand along rows/columns with exactly one nonzero entry.
 
-    Returns (factor polynomial, sign, reduced integer rows, their scales);
+    Returns (factor, its scale, reduced integer rows, their scales);
     repeated until no such row or column remains.  The factor is the
-    product of the peeled entries over their rows' scales, and each row
-    left is divided by the gcd of its scale and its content
-    (``_reduced``), since a peeled column may have held a row's only
-    denominator.  Exact, and it shrinks both the matrix and the
-    interpolation grid.
+    signed product of the peeled entries as integer terms, over the product
+    of their rows' scales, and each row left is divided by the gcd of its
+    scale and its content (``_reduced``), since a peeled column may have
+    held a row's only denominator.  Exact, and it shrinks both the matrix
+    and the interpolation grid.
     """
-    factor = MultiPoly.constant(ring, 1)
-    sign = 1
+    factor, factor_scale = {(0,) * len(ring): 1}, 1
     m = [list(row) for row in M]
     scales = list(scales)
     while m:
@@ -342,18 +265,18 @@ def _peel_single_entries(M: list[list[dict]], scales: list[int], ring: tuple[str
         rows = [[j for j in range(n) if m[i][j]] for i in range(n)]
         cols = [[i for i in range(n) if m[i][j]] for j in range(n)]
         if not all(rows) or not all(cols):
-            return MultiPoly.zero(ring), 1, [], []
+            return {}, 1, [], []
         single = [(i, nz[0]) for i, nz in enumerate(rows) if len(nz) == 1]
         single += [(nz[0], j) for j, nz in enumerate(cols) if len(nz) == 1]
         if not single:
             break
         i, j = single[0]
-        factor = factor * MultiPoly(ring, {e: Fraction(c, scales[i]) for e, c in m[i][j].items()})
-        sign *= (-1) ** (i + j)
+        factor = _sum_of_products(((factor, m[i][j], (-1) ** (i + j)),))
+        factor_scale *= scales[i]
         m = [[m[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
         del scales[i]
     reduced = [_reduced(row, scale) for row, scale in zip(m, scales)]
-    return factor, sign, [row for row, _ in reduced], [scale for _, scale in reduced]
+    return factor, factor_scale, [row for row, _ in reduced], [scale for _, scale in reduced]
 
 
 def _map_exponents(p: dict, op, parity: list[int]) -> dict:
@@ -362,26 +285,25 @@ def _map_exponents(p: dict, op, parity: list[int]) -> dict:
 
 
 def _probe_degrees(
-    evaluator: _IntegerEvaluator, rng: random.Random, safe: list[int]
+    core: list[list[dict]], scales: list[int], rng: random.Random, nvars: int
 ) -> tuple[list[int], list[int], list[int]]:
-    """Per-variable degree, valuation and exponent step of the evaluator's determinant.
+    """Per-variable degree, valuation and exponent step of det of core[i][j] / scales[i].
 
-    Along each axis-parallel line the determinant is taken at safe_bound+1
-    nodes (a grid whose other axes hold one value each) and interpolated as
-    a univariate.  Over the two random lines of a variable, the largest
-    exponent with a nonzero coefficient is its degree, the smallest is its
-    valuation v, and the gcd of their differences from v is its step (1
-    when that gcd is 0).
+    On each of two random axis-parallel lines per variable, that variable
+    goes to tau and every other one to a random integer in [2, 19], and
+    ``_curve_determinant`` gives the determinant as a univariate.  Over the
+    two lines of a variable, the largest exponent with a nonzero
+    coefficient is its degree, the smallest is its valuation v, and the gcd
+    of their differences from v is its step (1 when that gcd is 0).
     """
+    line = ("tau",)
     degrees, valuations, steps = [], [], []
-    for k in range(len(safe)):
-        nodes = range(safe[k] + 1)
+    for k in range(nvars):
         found = set()
         for _ in range(2):
-            axes = [[rng.randint(2, 19)] for _ in range(len(safe) - 1)]
-            axes.insert(k, nodes)
-            values = [det_int(mats[0]) for mats in evaluator.grid(axes)]
-            found.update(j for j, c in enumerate(_interpolate_line(values, nodes)[0]) if c)
+            images = [MultiPoly.constant(line, rng.randint(2, 19)) for _ in range(nvars - 1)]
+            images.insert(k, MultiPoly.variable(line, "tau"))
+            found.update(j for j, c in enumerate(_curve_determinant(core, scales, images)[0]) if c)
         v = min(found, default=0)
         degrees.append(max(found, default=0))
         valuations.append(v)
@@ -390,45 +312,60 @@ def _probe_degrees(
 
 
 def _probe_total_degree(
-    evaluator: _IntegerEvaluator, rng: random.Random, parity: list[int], safe_top: int
+    core: list[list[dict]], scales: list[int], rng: random.Random, parity: list[int]
 ) -> int:
-    """The degree sum_i parity_i * e_i of the evaluator's determinant, read on two random curves.
+    """The degree sum_i parity_i * e_i of det of core[i][j] / scales[i], read on two random curves.
 
     On y_i = p_i + q_i * tau^parity_i a term prod y_i^e_i has degree
     sum_i parity_i * e_i in tau, and the coefficient at the top degree is
-    a nonzero polynomial in q, so random q keep it.  Each curve takes the
-    determinant at tau = 0..safe_top and interpolates it as a univariate.
+    a nonzero polynomial in q, so random q keep it.  Each curve is one
+    ``_curve_determinant``.
     """
-    nodes = range(safe_top + 1)
+    line = ("tau",)
     top = 0
     for _ in range(2):
-        curve = [
-            (v, rng.randint(-9, 9), rng.randint(1, 9), e) for v, e in zip(evaluator.ring, parity)
+        images = [
+            MultiPoly(line, {(0,): rng.randint(-9, 9), (e,): rng.randint(1, 9)}) for e in parity
         ]
-        values = [
-            det_int(evaluator.at({v: p + q * x**e for v, p, q, e in curve})[0]) for x in nodes
-        ]
-        coefficients = _interpolate_line(values, nodes)[0]
+        coefficients = _curve_determinant(core, scales, images)[0]
         top = max(top, max((j for j, c in enumerate(coefficients) if c), default=0))
     return top
 
 
+def _curve_determinant(
+    rows: list[list[dict]], scales: list[int], images: Sequence[MultiPoly]
+) -> tuple[list[int], int]:
+    """det of rows[i][j] / scales[i] on the curve y_l = images[l](tau): the integer
+    coefficients of tau^0, tau^1, ... and their denominator.
+
+    The rows are pulled back to (tau,) once (``poly.pullback``).  The
+    determinant's degree is at most the row/column degree bound of the
+    pulled rows, so their integer determinants at tau = 0..bound,
+    interpolated once, give it exactly.
+    """
+    line = ("tau",)
+    pulled, pulled_scales = pullback(rows, scales, images, line)
+    nodes = range(total_degree_bound(pulled) + 1)
+    values = [det_int(mats[0]) for mats in _IntegerEvaluator([pulled], line).grid([nodes])]
+    coefficients, den = _interpolate_line(values, nodes)
+    return coefficients, den * prod(pulled_scales)
+
+
 def _interpolate_grid(
     evaluator: _IntegerEvaluator,
-    scale: int,
     exponents: Sequence[range],
     costs: Sequence[int],
     budget: int,
-) -> MultiPoly | None:
-    """det M from the evaluator of M, given each term of det M is prod y_i^(v_i + g_i*j_i)
-    with exponents[i] = range(v_i, ..., g_i) and j in the lower set
-    sum_i costs[i] * j_i <= budget.
+) -> tuple[dict, int] | None:
+    """det_int of the evaluator's matrix as integer terms and one denominator, given
+    each of its terms is prod y_i^(v_i + g_i*j_i) with exponents[i] = range(v_i, ..., g_i)
+    and j in the lower set sum_i costs[i] * j_i <= budget.
 
     Axis i takes len(exponents[i]) integer nodes, from 1 when v > 0 and
     from 0 otherwise; each value on the lower set is divided exactly by
-    prod node_i^v_i and interpolated in u_i = y_i^g (det M = det_int /
-    scale).  None when a value is not divisible, which shows the exponents
-    wrong.
+    prod node_i^v_i and interpolated in u_i = y_i^g; the terms and the
+    denominator are divided by their gcd.  None when a value is not
+    divisible, which shows the exponents wrong.
     """
     lengths = [len(e) for e in exponents]
     npts = _lower_set_size(lengths, costs, budget)
@@ -449,36 +386,24 @@ def _interpolate_grid(
         values.append(value)
     us = [[x**e.step for x in axis] for axis, e in zip(nodes, exponents)]
     coefficients, den = _interpolate(values, us, points)
-    return MultiPoly(
-        evaluator.ring,
-        {
-            tuple(e[k] for e, k in zip(exponents, j)): Fraction(c, den * scale)
-            for j, c in zip(points, coefficients)
-            if c
-        },
-    )
+    terms = {
+        tuple(e[k] for e, k in zip(exponents, j)): c for j, c in zip(points, coefficients) if c
+    }
+    [terms], den = _reduced([terms], den)
+    return terms, den
 
 
 def line_determinant(
     M: list[list[MultiPoly]], ring: tuple[str, ...], a: list[int], b: list[int]
 ) -> MultiPoly:
-    """det M(a + b*tau) in the ring (tau,), M's variables in ``ring`` order.
-
-    M is pulled back to integer rows in tau once (``pullback``).  The
-    determinant's degree is at most their row/column degree bound, so
-    integer determinants of those rows at tau = 0..bound, interpolated
-    once, give it exactly.
-    """
+    """det M(a + b*tau) in the ring (tau,), M's variables in ``ring`` order: the
+    ``_curve_determinant`` of M's row-scaled entries on that line."""
     line = ("tau",)
-    rows, scales = pullback(
-        M, {v: MultiPoly(line, {(0,): al, (1,): bl}) for v, al, bl in zip(ring, a, b)}
+    on_line = {v: MultiPoly(line, {(0,): al, (1,): bl}) for v, al, bl in zip(ring, a, b)}
+    coefficients, den = _curve_determinant(
+        *_row_scaled_entries(M), [on_line[v] for v in M[0][0].ring]
     )
-    nodes = range(total_degree_bound(rows) + 1)
-    values = [det_int(mats[0]) for mats in _IntegerEvaluator([rows], line).grid([nodes])]
-    coefficients, den = _interpolate_line(values, nodes)
-    return MultiPoly(
-        line, {(j,): Fraction(c, den * prod(scales)) for j, c in enumerate(coefficients) if c}
-    )
+    return MultiPoly(line, {(j,): Fraction(c, den) for j, c in enumerate(coefficients) if c})
 
 
 def _integer_entries(mats: list[list[list[MultiPoly]]]) -> list[list[list[dict]]]:

@@ -195,12 +195,10 @@ def check_strict_hyperbolicity(
         xi = tuple(Fraction(rng.randint(-9, 9)) for _ in range(P.n))
         if all(x == 0 for x in xi):
             continue
-        assignment = {f"xi{j + 1}": xi[j] for j in range(P.n)}
-        spec = P.poly.substitute_partial(assignment)
-        coeffs = [Fraction(0)] * (P.m + 1)
-        for e, c in spec.terms.items():
-            coeffs[e[0]] += c
-        chain = sturm_chain(coeffs)
+        spec = poly_substitute(
+            P.poly, {f"xi{j + 1}": MultiPoly.constant(("tau",), x) for j, x in enumerate(xi)}
+        )
+        chain = sturm_chain([spec.terms.get((k,), Fraction(0)) for k in range(P.m + 1)])
         if degree(chain[-1]) > 0:
             raise HyperbolicityError(
                 f"repeated characteristic roots at xi = {xi}", witness=xi

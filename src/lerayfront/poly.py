@@ -13,6 +13,11 @@ printing and for Groebner bases.
 ``exact_div_int`` is the one exact division: heap-ordered, on integer
 polynomials as ``{exponents: int}`` dicts.  ``MultiPoly.exact_div`` and the
 Bareiss determinant (``detpoly.det_bareiss``) both run on it.
+
+``pullback`` is the one substitution, a ring map on integer rows over row
+scales; ``poly_substitute`` is its 1 x 1 case, and the front pullback
+(``wavefront``) and every curve restriction of a determinant
+(``detpoly._curve_determinant``) call it on whole matrices.
 """
 
 from __future__ import annotations
@@ -87,6 +92,86 @@ def exact_div_int(a: Mapping[Exponents, int], d: Mapping[Exponents, int]) -> dic
                 else:
                     del work[te]
     return q
+
+
+def _sum_of_products(triples) -> dict[Exponents, int]:
+    """The sum of sign * x * y over (x, y, sign) triples of {exponents: int} dicts."""
+    out: dict = {}
+    get = out.get
+    for x, y, sign in triples:
+        for e1, c1 in x.items():
+            c1 *= sign
+            for e2, c2 in y.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+    return {e: v for e, v in out.items() if v}
+
+
+def _reduced(row: list[dict], scale: int) -> tuple[list[dict], int]:
+    """An integer row and its scale divided by gcd(scale, content): the scale is then the
+    lcm of the denominators of row / scale."""
+    g = gcd(scale, *(c for p in row for c in p.values()))
+    if g == 1:
+        return row, scale
+    return [{e: c // g for e, c in p.items()} for p in row], scale // g
+
+
+def pullback(
+    rows: Sequence[Sequence[Mapping[Exponents, int]]],
+    scales: Sequence[int],
+    images: Sequence[MultiPoly],
+    ring: Sequence[str],
+) -> tuple[list[list[dict[Exponents, int]]], list[int]]:
+    """The matrix rows[i][j] / scales[i] with each variable y_l replaced by images[l].
+
+    rows[i][j] is an {exponents: int} dict in the variables y_l, and the
+    images are polynomials in ``ring``; the result is integer rows in
+    ``ring`` over one scale per row, each scale the lcm of the denominators
+    of its substituted row.  Each image y_l = g_l / d_l is split into
+    integers once; one table of the powers g_l^k serves every entry, and
+    each distinct monomial y^e is expanded once, from the expansion of its
+    prefix.  Row i is scaled by prod_l d_l^D_il, with D_il its largest
+    degree in y_l, which makes it integer over scales[i] * prod_l
+    d_l^D_il, and then divided by the gcd of that scale and the row's
+    content.
+    """
+    images = [g.integer_terms() for g in images]
+    nvars = len(images)
+    one = {(0,) * len(ring): 1}
+    powers = []  # powers[l][k] = g_l^k
+    for l, (g, _) in enumerate(images):
+        table = [one]
+        for _ in range(max((e[l] for row in rows for p in row for e in p), default=0)):
+            table.append(_sum_of_products(((table[-1], g, 1),)))
+        powers.append(table)
+    expanded = {(0,) * nvars: one}
+
+    def expand(e: Exponents) -> dict:
+        """prod_l g_l^e_l: the last nonzero power times the expansion of the rest."""
+        if e not in expanded:
+            l = max(i for i, k in enumerate(e) if k)
+            rest = expand(e[:l] + (0,) * (nvars - l))
+            expanded[e] = _sum_of_products(((rest, powers[l][e[l]], 1),))
+        return expanded[e]
+
+    out_rows, out_scales = [], []
+    for row, scale in zip(rows, scales):
+        tops = [max((e[l] for p in row for e in p), default=0) for l in range(nvars)]
+        # y^e = G_e / prod_l d_l^e_l, so the row scale leaves prod_l d_l^(D_il - e_l)
+        cofactors = [[d ** (top - k) for k in range(top + 1)] for (_, d), top in zip(images, tops)]
+        entries = []
+        for p in row:
+            out: dict = {}
+            get = out.get
+            for e, c in p.items():
+                k = c * prod(map(list.__getitem__, cofactors, e))
+                for e2, c2 in expand(e).items():
+                    out[e2] = get(e2, 0) + k * c2
+            entries.append({e: c for e, c in out.items() if c})
+        entries, scale = _reduced(entries, scale * prod(table[0] for table in cofactors))
+        out_rows.append(entries)
+        out_scales.append(scale)
+    return out_rows, out_scales
 
 
 def _coerce(c) -> Fraction:
@@ -342,7 +427,7 @@ class MultiPoly:
         p = self.scale(1 / self.content())
         return -p if p.leading()[1] < 0 else p
 
-    # -- evaluation and substitution ------------------------------------
+    # -- evaluation ------------------------------------------------------
 
     def eval_exact(self, values: Mapping[str, Fraction]) -> Fraction:
         """Evaluate at a full rational point."""
@@ -364,29 +449,6 @@ class MultiPoly:
         """Float value at ``values``; ``math.fsum`` makes it independent of term order."""
         vals = [float(values[v]) for v in self.ring]
         return fsum(prod(map(pow, vals, e), start=float(c)) for e, c in self.terms.items())
-
-    def substitute_partial(self, assignment: Mapping[str, Fraction]) -> "MultiPoly":
-        """Plug rational values into a subset of the variables (ring unchanged)."""
-        idxs = {self.ring.index(v): _coerce(c) for v, c in assignment.items()}
-        res: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            val = c
-            e2 = list(e)
-            for i, a in idxs.items():
-                if e[i]:
-                    val *= a ** e[i]
-                    e2[i] = 0
-            if val == 0:
-                continue
-            e2 = tuple(e2)
-            s = res.get(e2, ZERO) + val
-            if s == 0:
-                res.pop(e2, None)
-            else:
-                res[e2] = s
-        out = MultiPoly.__new__(MultiPoly)
-        out.ring, out.terms, out._hash = self.ring, res, None
-        return out
 
     def relabel(self, new_names: Sequence[str]) -> "MultiPoly":
         """Rename variables positionally (ring length unchanged)."""
@@ -472,45 +534,27 @@ def poly_substitute(p: MultiPoly, bindings: Mapping[str, MultiPoly]) -> MultiPol
     ring which also contains every unbound variable of ``p``.  A name shared
     between the target ring and a *bound* source variable is fine, but an
     untouched source variable colliding with nothing to receive it is an
-    error surfaced by the ring check.
+    error surfaced by the ring check.  ``pullback`` of the 1 x 1 matrix
+    [[p]] takes it.
     """
     for v in bindings:
         if v not in p.ring:
             raise RingMismatchError(f"bound variable {v} not in source ring {p.ring}")
-    if bindings:
-        target = None
-        for img in bindings.values():
-            if target is None:
-                target = img.ring
-            elif img.ring != target:
-                raise RingMismatchError("images of bound variables live in different rings")
-    else:
-        target = p.ring
-    target = tuple(target)
-    unbound = [v for v in p.ring if v not in bindings]
-    for v in unbound:
-        if v not in target:
-            raise RingMismatchError(
-                f"unbound variable {v} missing from target ring {target}"
-            )
-    images: list[MultiPoly] = []
+    rings = {img.ring for img in bindings.values()} or {p.ring}
+    if len(rings) > 1:
+        raise RingMismatchError("images of bound variables live in different rings")
+    [target] = rings
+    images = []
     for v in p.ring:
         if v in bindings:
             images.append(bindings[v])
-        else:
+        elif v in target:
             images.append(MultiPoly.variable(target, v))
-    result = MultiPoly.zero(target)
-    pow_cache: list[dict[int, MultiPoly]] = [dict() for _ in p.ring]
-    for e, c in p.terms.items():
-        term = MultiPoly.constant(target, c)
-        for i, k in enumerate(e):
-            if k:
-                cache = pow_cache[i]
-                if k not in cache:
-                    cache[k] = images[i] ** k
-                term = term * cache[k]
-        result = result + term
-    return result
+        else:
+            raise RingMismatchError(f"unbound variable {v} missing from target ring {target}")
+    terms, den = p.integer_terms()
+    [[q]], [scale] = pullback([[terms]], [den], images, target)
+    return MultiPoly(target, {e: Fraction(c, scale) for e, c in q.items()})
 
 
 def weighted_graded_parts(p: MultiPoly, weights: Sequence[int]) -> list[tuple[int, MultiPoly]]:

@@ -4,14 +4,14 @@ The front polynomial phi(x, t, s) is det M(y) evaluated along
 y0 = s, y1 = (-W_1 | 0) depending on the case, and y_i = W_i(x, t) through
 the recorded couplings.  Ring maps commute with determinants, so the
 entries of M are pulled back first for every Milnor number mu, in Python
-integers: ``detpoly.pullback`` gives the substituted matrix as integer
-rows over row scales.  One engine, ``detpoly.det_probed``, takes the
-determinant of those rows: the peel, the parity compression, the degree
-probes, the integer grid, its exact check at random rational points and
-the safe-bounds fallback all live there.  This module keeps the
-substitution map, the normalizations (primitive and squarefree parts)
-and the metadata; ``FrontResult.strategy`` records the path taken
-(``front.json``).
+integers: ``poly.pullback``, the one substitution, gives the substituted
+matrix as integer rows over row scales.  One engine,
+``detpoly.det_probed``, takes the determinant of those rows: the peel,
+the parity compression, the degree probes, the integer grid, its exact
+check at random rational points and the safe-bounds fallback all live
+there.  This module keeps the substitution map, the normalizations
+(primitive and squarefree parts) and the metadata;
+``FrontResult.strategy`` records the path taken (``front.json``).
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .detpoly import det_probed, pullback
+from .detpoly import _row_scaled_entries, det_probed
 from .errors import ResourceLimitError, ZeroAfterSubstitutionError
 from .gcdtools import divide_monomial, monomial_content, squarefree_part
 from .gaussmanin import GaussManinData
 from .phase import IcisMap
-from .poly import MultiPoly
+from .poly import MultiPoly, pullback
 
 
 @dataclass
@@ -84,12 +84,13 @@ def front_polynomial(
     """Pull the discriminant back along the front substitution and normalize.
 
     The entries of M(y) are pulled back first, to integer rows
-    (``detpoly.pullback``); ``detpoly.det_probed`` then takes the
+    (``poly.pullback``); ``detpoly.det_probed`` then takes the
     determinant of the substituted matrix.  ``data.delta`` is left
     untouched.
     """
     ring, bindings = front_substitution(icis, s_value)
-    rows, scales = pullback(data.M, bindings)
+    images = [bindings[y] for y in data.y_ring]
+    rows, scales = pullback(*_row_scaled_entries(data.M), images, ring)
     raw, strategy = det_probed(rows, scales, ring, seed=seed)
     if raw.is_zero():
         raise ZeroAfterSubstitutionError(

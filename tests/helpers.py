@@ -1,13 +1,14 @@
 """Helpers that only the tests need: a matrix-vector product, basis
 1-forms, readers for the polynomial, matrix and form JSON that ``jsonio``
-writes, a phase expansion summed back up, a determinant by interpolation
-on given bounds, and the integer-row engines on MultiPoly matrices."""
+writes, a phase expansion summed back up, a substitution built from MultiPoly
+arithmetic alone, a determinant by interpolation on given bounds, and the
+integer-row engines on MultiPoly matrices."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from lerayfront.detpoly import (
     _IntegerEvaluator,
@@ -59,6 +60,19 @@ def reconstruct(exp: PhaseExpansion) -> MultiPoly:
     return acc
 
 
+def substitute(p: MultiPoly, bindings: Mapping[str, MultiPoly], ring: Sequence[str]) -> MultiPoly:
+    """p with each bound variable replaced by its image in ``ring`` and each unbound one
+    by itself there, by MultiPoly +, * and ** alone: a reference for ``poly.pullback``."""
+    images = [bindings[v] if v in bindings else MultiPoly.variable(ring, v) for v in p.ring]
+    out = MultiPoly.zero(ring)
+    for e, c in p.terms.items():
+        term = MultiPoly.constant(ring, c)
+        for image, k in zip(images, e):
+            term = term * image**k
+        out = out + term
+    return out
+
+
 def det_interpolate(
     M: Sequence[Sequence[MultiPoly]], bounds: Sequence[int], top: int | None = None
 ) -> MultiPoly:
@@ -71,7 +85,8 @@ def det_interpolate(
     """
     evaluator, scale = integer_evaluator(M)
     costs, budget = ([0] * len(bounds), 0) if top is None else ([1] * len(bounds), top)
-    return _interpolate_grid(evaluator, scale, [range(b + 1) for b in bounds], costs, budget)
+    terms, den = _interpolate_grid(evaluator, [range(b + 1) for b in bounds], costs, budget)
+    return MultiPoly(M[0][0].ring, {e: Fraction(c, den * scale) for e, c in terms.items()})
 
 
 # The engines below take integer rows over row scales; a MultiPoly matrix

@@ -220,6 +220,11 @@ BAD_INPUTS = [
     ("max_pairs a string", write_spec, dict(M1_SPEC, options={"max_pairs": "100"}), [], 2),
     ("max_pairs zero", write_spec, dict(M1_SPEC, options={"max_pairs": 0}), [], 2),
     ("--max-pairs negative", write_spec, M1_SPEC, ["--max-pairs", "-5"], 2),
+    ("tol nan", write_spec, dict(M1_SPEC, options={"tol": "nan"}), [], 2),
+    ("tol zero", write_spec, dict(M1_SPEC, options={"tol": 0}), [], 2),
+    ("--tol nan", write_spec, M1_SPEC, ["--tol", "nan"], 2),
+    ("--tol inf", write_spec, M1_SPEC, ["--tol", "inf"], 2),
+    ("--tol negative", write_spec, M1_SPEC, ["--tol", "-1"], 2),
     ("weight_cap not a number", write_spec, dict(M1_SPEC, options={"weight_cap": "abc"}), [], 2),
     ("weight_cap zero", write_spec, dict(M1_SPEC, options={"weight_cap": 0}), [], 2),
     ("--weight-cap zero", write_spec, M1_SPEC, ["--weight-cap", "0"], 2),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lerayfront import detpoly
 from lerayfront.detpoly import (
+    _curve_determinant,
     _interpolate,
     _interpolate_line,
     _lower_set,
@@ -19,13 +20,12 @@ from lerayfront.detpoly import (
     det_bareiss,
     det_poly_matrix,
     det_probed,
-    pullback,
 )
 from lerayfront.errors import ResourceLimitError
 from lerayfront.linalg import RationalMatrix, det_fraction, det_int, solve_linear_exact
-from lerayfront.poly import MultiPoly, poly_substitute
+from lerayfront.poly import MultiPoly, pullback
 
-from helpers import det_interpolate, integer_evaluator, safe_bounds
+from helpers import det_interpolate, integer_evaluator, safe_bounds, substitute
 
 RING = ("y1", "y2")
 Y1 = MultiPoly.variable(RING, "y1")
@@ -327,9 +327,49 @@ def test_pullback_is_the_row_scaled_substitution(entries, s, images):
     M = [entries[3 * i : 3 * i + 3] for i in range(3)]
     y0 = MultiPoly.variable(SOURCE, "y0")
     M[0][1] = (y0 - MultiPoly.constant(SOURCE, s)) * M[0][1]
-    substituted = [[poly_substitute(e, bindings) for e in row] for row in M]
-    rows, scales = pullback(M, bindings)
+    substituted = [[substitute(e, bindings, TARGET) for e in row] for row in M]
+    rows, scales = pullback(*_row_scaled_entries(M), [bindings[v] for v in SOURCE], TARGET)
     assert (rows, scales) == _row_scaled_entries(substituted)
     assert rows[0][1] == {}
     det, _ = det_probed(rows, scales, TARGET, seed=1)
     assert det == det_bareiss(substituted)
+
+
+def _integer_polys(ring, max_exponent, max_terms):
+    return st.dictionaries(
+        st.tuples(*(st.integers(0, max_exponent) for _ in ring)),
+        st.integers(-9, 9).filter(bool),
+        max_size=max_terms,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_curve_determinant_is_the_substituted_bareiss_determinant(data):
+    # integer rows over row scales, restricted to an axis line (one variable
+    # to tau, the others to integers) or to a curve y_l = p_l + q_l * tau^2,
+    # sometimes with one variable sent to zero
+    ring = SOURCE[:3]
+    n = data.draw(st.integers(1, 3))
+    row = st.lists(_integer_polys(ring, 2, 3), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=n, max_size=n))
+    scales = data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    line = ("tau",)
+    tau = MultiPoly.variable(line, "tau")
+    if data.draw(st.booleans()):
+        images = [MultiPoly.constant(line, data.draw(st.integers(-9, 19))) for _ in ring]
+        images[data.draw(st.integers(0, len(ring) - 1))] = tau
+    else:
+        pq = st.fractions(-9, 9, max_denominator=4)
+        images = [MultiPoly.constant(line, data.draw(pq)) + tau**2 * data.draw(pq) for _ in ring]
+    zero = data.draw(st.integers(-1, len(ring) - 1))
+    if zero >= 0:
+        images[zero] = MultiPoly.zero(line)
+    coefficients, den = _curve_determinant(rows, scales, images)
+    M = [
+        [MultiPoly(ring, {e: Fraction(c, s) for e, c in p.items()}) for p in r]
+        for r, s in zip(rows, scales)
+    ]
+    on_curve = [[substitute(p, dict(zip(ring, images)), line) for p in r] for r in M]
+    det = MultiPoly(line, {(j,): Fraction(c, den) for j, c in enumerate(coefficients)})
+    assert det == det_bareiss(on_curve)

@@ -27,7 +27,9 @@ from lerayfront.phase import (
     discover_weights,
     expand_phase,
 )
-from lerayfront.poly import MultiPoly, poly_substitute
+from lerayfront.poly import MultiPoly
+
+from helpers import substitute
 
 R = ("x1", "x2")
 X1 = MultiPoly.variable(R, "x1")
@@ -157,7 +159,7 @@ class TestLineCheck:
                     y: tau.scale(bl) + MultiPoly.constant(tau.ring, al)
                     for y, al, bl in zip(ring, a, b)
                 }
-                M_line = [[poly_substitute(e, on_line) for e in row] for row in data.M]
+                M_line = [[substitute(e, on_line, tau.ring) for e in row] for row in data.M]
                 assert line_determinant(data.M, ring, a, b) == det_bareiss(M_line), ring
 
     def test_maps_pass(

@@ -14,6 +14,8 @@ from lerayfront.poly import (
     weighted_graded_parts,
 )
 
+from helpers import substitute
+
 R2 = ("x1", "x2")
 X1 = MultiPoly.variable(R2, "x1")
 X2 = MultiPoly.variable(R2, "x2")
@@ -189,6 +191,41 @@ class TestSubstitute:
         bind = {"x1": a + b, "x2": a * b - b}
         assert poly_substitute(p * q, bind) == poly_substitute(p, bind) * poly_substitute(q, bind)
         assert poly_substitute(p + q, bind) == poly_substitute(p, bind) + poly_substitute(q, bind)
+
+
+def _rational_polys(ring, max_exponent, max_terms):
+    return st.dictionaries(
+        st.tuples(*(st.integers(0, max_exponent) for _ in ring)),
+        st.fractions(-9, 9, max_denominator=5),
+        max_size=max_terms,
+    ).map(lambda terms: MultiPoly(ring, terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_poly_substitute_is_the_reference_substitution(data):
+    # each variable is unbound, or goes to zero, a rational constant or a
+    # polynomial with rational coefficients; into the empty ring only
+    # constants can go, and from it only the empty binding
+    source = ("x1", "x2", "x3")
+    source, target = data.draw(
+        st.sampled_from([(source, ("a", *source)), (source, ()), ((), ())])
+    )
+    p = data.draw(_rational_polys(source, 3, 5))
+    kinds = ["zero", "constant"] + (["unbound", "polynomial"] if target else [])
+    constants = st.fractions(-5, 5, max_denominator=7)
+    bindings = {}
+    for v in source:
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "zero":
+            bindings[v] = MultiPoly.zero(target)
+        elif kind == "constant":
+            bindings[v] = MultiPoly.constant(target, data.draw(constants))
+        elif kind == "polynomial":
+            bindings[v] = data.draw(_rational_polys(target, 2, 3))
+    # with no binding the target ring is p's own
+    ring = target if bindings else source
+    assert poly_substitute(p, bindings) == substitute(p, bindings, ring)
 
 
 class TestGradedParts:

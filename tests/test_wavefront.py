@@ -15,7 +15,6 @@ from lerayfront.detpoly import (
     _row_scaled_entries,
     det_bareiss,
     det_probed,
-    pullback,
 )
 from lerayfront.errors import MismatchError, ResourceLimitError
 from lerayfront.gcdtools import _Budget, _gcd, squarefree_part
@@ -27,7 +26,7 @@ from lerayfront.phase import (
     discover_weights,
     expand_phase,
 )
-from lerayfront.poly import MultiPoly, poly_substitute
+from lerayfront.poly import MultiPoly, poly_substitute, pullback
 from lerayfront.wavefront import (
     FrontResult,
     front_polynomial,
@@ -35,7 +34,7 @@ from lerayfront.wavefront import (
     t_zero_check,
 )
 
-from helpers import integer_evaluator, probed, safe_bounds
+from helpers import probed, safe_bounds, substitute
 
 SR = ("tau", "xi1", "xi2")
 
@@ -311,11 +310,10 @@ class TestProbedInterpolation:
     def test_probes_find_the_degrees(self):
         ring = ("a", "b", "c")
         M = _random_matrix(random.Random(9), ring, 4)
-        evaluator = integer_evaluator(M)[0]
-        bounds, safe_top = safe_bounds(M)
-        found = _probe_degrees(evaluator, random.Random(0), bounds)
+        rows, scales = _row_scaled_entries(M)
+        found = _probe_degrees(rows, scales, random.Random(0), len(ring))
         assert found == _exponent_structure(det_bareiss(M))
-        top = _probe_total_degree(evaluator, random.Random(0), [1, 1, 1], safe_top)
+        top = _probe_total_degree(rows, scales, random.Random(0), [1, 1, 1])
         assert top == det_bareiss(M).total_degree()
 
     def test_probes_find_the_valuation_and_the_step(self):
@@ -369,7 +367,7 @@ class TestProbedInterpolation:
             [a - one.scale(Fraction(1, 3)), b * b, a],
         ]
         bindings = {"a": a, "b": b}
-        rows, scales = pullback(M, bindings)
+        rows, scales = pullback(*_row_scaled_entries(M), [a, b], ring)
         assert scales[1] == 5
         built = []
         init = detpoly._IntegerEvaluator.__init__
@@ -381,7 +379,7 @@ class TestProbedInterpolation:
         monkeypatch.setattr(detpoly._IntegerEvaluator, "__init__", recording_init)
         det, record = det_probed(rows, scales, ring, seed=1)
         assert (record["peeled"], record["core"]) == (1, 2)
-        core = [[poly_substitute(p, bindings) for p in row[:2]] for row in M[1:]]
+        core = [[substitute(p, bindings, ring) for p in row[:2]] for row in M[1:]]
         assert built[0] == [_row_scaled_entries(core)[0]]
         assert det == det_bareiss(M)
 
@@ -393,8 +391,10 @@ class TestProbedInterpolation:
         assert det == det_bareiss(M)
 
     def test_one_evaluator_per_core(self, monkeypatch):
-        # the probes, the grid and the check points all walk one evaluator
-        # of the core; the check points also evaluate the interpolant, 1 x 1
+        # the grid and the check points walk one evaluator of the core, and
+        # the check points also evaluate the interpolant, 1 x 1; each of the
+        # six probe lines and two total-degree curves pulls the core back to
+        # (tau,) and walks an evaluator of its own
         built = []
         init = detpoly._IntegerEvaluator.__init__
 
@@ -407,7 +407,11 @@ class TestProbedInterpolation:
         det, record = probed(M, seed=1)
         assert det == det_bareiss(M)
         assert record["core"] == 4 and record["fallback"] is False
-        assert [e.shapes for e in built] == [[(4, 4)], [(1, 1)]]
+        assert record["probed_total_degree"] is not None
+        ring, line = ("a", "b", "c"), ("tau",)
+        assert [(e.ring, e.shapes) for e in built] == (
+            [(ring, [(4, 4)])] + [(line, [(4, 4)])] * (2 * 3 + 2) + [(ring, [(1, 1)])]
+        )
 
     def _misreported(self, monkeypatch, part, shift):
         """Make the probes report part (0 degree, 1 valuation, 2 step) off by ``shift``.
@@ -435,7 +439,8 @@ class TestProbedInterpolation:
     def test_indivisible_grid_value_falls_back_at_once(self, monkeypatch):
         # an overstated valuation leaves a grid value that prod node^v does
         # not divide: the safe grid runs, with no check point drawn (the
-        # curve probes, before the grid, are the only single points taken)
+        # check points are the only single points taken; the probes walk
+        # grids of their own)
         M = self._misreported(monkeypatch, 1, 1)
         grids, events = [], []
         interpolate = detpoly._interpolate_grid
