@@ -135,12 +135,8 @@ def residue_exponents_K1(data: GaussManinData) -> list[Fraction]:
         raise NotApplicableError("exponents are defined only for K = 1")
     mu = data.mu
     p0 = data.comp_weights[0]
-    zero_point = {v: ZERO for v in data.y_ring}
     P0 = RationalMatrix.from_rows(
-        [
-            [data.matrices[0][i][j].eval_exact(zero_point) for j in range(mu)]
-            for i in range(mu)
-        ]
+        [[data.matrices[0][i][j].constant_value() for j in range(mu)] for i in range(mu)]
     )
     try:
         inverse = P0.scale(p0).inverse()

@@ -5,12 +5,26 @@ Schema: a polynomial is {"vars": [...], "terms": [{"c": "num/den", "e":
 coefficients as strings, so arbitrary precision survives every consumer.
 Matrices are row-major lists of polynomial objects.  All emitters sort keys
 and avoid timestamps: identical inputs give byte-identical files.
+
+Byte contract: ``dump_json(obj, path)`` writes exactly the bytes of
+``json.dump(obj, fh, sort_keys=True, indent=1, separators=(",", ": "))``
+followed by ``"\n"``.  ``json.dump`` with an ``indent`` always runs the
+pure-Python ``_iterencode``, one ``write`` per token; the writer here walks
+the value itself with the same rules (``encode_basestring_ascii`` for keys
+and strings, ``int.__repr__``, ``float.__repr__`` with ``NaN`` and
+``Infinity`` spelled as ``json`` spells them, keys sorted before they are
+converted) and writes a list whose items are all ``int`` in one join.
+
+Streaming: the writer collects pieces in a list and hands them to the file in
+one ``write`` whenever the list reaches ``_FLUSH_PIECES``, so its memory stays
+bounded by that count and not by the size of the document.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .forms import DiffForm
@@ -49,10 +63,101 @@ def form_to_json(f: DiffForm) -> dict:
     }
 
 
+# Pieces collected before one write; bounds the writer's memory.
+_FLUSH_PIECES = 1024
+_INF = float("inf")
+_INT_ONLY = {int}
+
+
+def _scalar_text(o: Any) -> str:
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _scalar_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_json(obj: Any, fh) -> None:
+    """Write ``obj`` to ``fh`` under the module's byte contract and streaming rule."""
+    pieces: list[str] = []
+    append = pieces.append
+    encode = encode_basestring_ascii
+    newlines = ["\n"]  # newlines[k] is a newline and the indent of depth k
+
+    def flush() -> None:
+        fh.write("".join(pieces))
+        pieces.clear()
+
+    def emit(o: Any, level: int) -> None:
+        if isinstance(o, str):
+            append(encode(o))
+            return
+        if not isinstance(o, (list, tuple, dict)):
+            append(_scalar_text(o))
+            return
+        if not o:
+            append("{}" if isinstance(o, dict) else "[]")
+            return
+        if len(newlines) <= level + 1:
+            newlines.append(newlines[-1] + " ")
+        inner = newlines[level + 1]
+        comma = "," + inner
+        if isinstance(o, dict):
+            sep = "{" + inner
+            for key, v in sorted(o.items()):
+                head = encode(key if type(key) is str else _key_text(key)) + ": "
+                if isinstance(v, str):
+                    append(sep + head + encode(v))
+                else:
+                    append(sep + head)
+                    emit(v, level + 1)
+                sep = comma
+                if len(pieces) >= _FLUSH_PIECES:
+                    flush()
+            append(newlines[level] + "}")
+        elif set(map(type, o)) == _INT_ONLY:
+            append("[" + inner + comma.join(map(int.__repr__, o)) + newlines[level] + "]")
+        else:
+            sep = "[" + inner
+            for v in o:
+                if isinstance(v, str):
+                    append(sep + encode(v))
+                else:
+                    append(sep)
+                    emit(v, level + 1)
+                sep = comma
+                if len(pieces) >= _FLUSH_PIECES:
+                    flush()
+            append(newlines[level] + "]")
+
+    emit(obj, 0)
+    append("\n")
+    flush()
+
+
 def dump_json(obj: Any, path) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1, separators=(",", ": "))
-        fh.write("\n")
+        _write_json(obj, fh)
 
 
 def load_json(path) -> Any:
