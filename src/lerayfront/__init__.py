@@ -10,7 +10,7 @@ system discriminant back to (x, t, s) to obtain the front polynomial.
 __version__ = "0.1.0"
 
 from .poly import MultiPoly, poly_substitute, weighted_graded_parts
-from .linalg import RationalMatrix, solve_linear_exact
+from .linalg import RationalMatrix
 from .detpoly import det_poly_matrix
 from .forms import DiffForm, EulerField, contract_euler, exterior_d, wedge
 from .groebner import (

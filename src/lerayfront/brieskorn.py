@@ -13,9 +13,10 @@ Three computations live here, all exact:
   reduction returns a certificate that re-expands to the input identically;
   the re-expansion runs in integers over one denominator.
 
-Both the f-basis search and the piece solves run on ``linalg.SparseEchelon``;
-a piece tags each column with its own coordinate, so a solve reads the
-coefficients off the tags of the reduced right-hand side.
+The f-basis search keeps independent forms in ``linalg.SparseEchelon``;
+each graded piece solves in a ``linalg.ColumnSpan`` of its columns, which
+tags each column on that echelon, so a solve reads the coefficients off
+the tags of the reduced right-hand side.
 
 Every map with coordinate components (f_l = u_c) takes the collapse path.
 On such a component u^gamma f^beta = f^(beta + gamma), and D ^ d(u^gamma)
@@ -46,14 +47,26 @@ from .errors import (
     ReductionNoSolutionError,
     ResourceLimitError,
 )
-from .forms import DiffForm, EulerField, contract_euler, d_of_poly, exterior_d, wedge, wedge_all
-from .linalg import SparseEchelon
+from .forms import (
+    DiffForm,
+    EulerField,
+    _merge_indices,
+    contract_euler,
+    d_of_poly,
+    exterior_d,
+    wedge,
+    wedge_all,
+)
+from .linalg import ColumnSpan, SparseEchelon
 from .phase import IcisMap, bind_coordinates, critical_staircase
 # unused here, but perfbench's tracer test looks the name up on this module
 from .phase import critical_ideal_gens  # noqa: F401
 from .poly import Exponents, MultiPoly, monomials_of_weight, weight
 
 ONE = Fraction(1)
+# The most row monomials one graded piece of the lattice may have; a larger
+# piece ends the reduction with ResourceLimitError (kind "graded-piece").
+MAX_PIECE = 40_000
 
 
 @dataclass
@@ -132,7 +145,7 @@ def _restricted_map(icis: IcisMap):
 class LatticeContext:
     """Precomputed data for repeated lattice reductions over one mapping."""
 
-    def __init__(self, icis: IcisMap, phi: PhiBasis, max_piece: int = 40_000):
+    def __init__(self, icis: IcisMap, phi: PhiBasis):
         self.icis = icis
         self.phi = phi
         self.ring = icis.ring
@@ -143,7 +156,6 @@ class LatticeContext:
         self.K = icis.K
         self.sum_v = sum(self.v)
         self.sum_p = sum(self.p)
-        self.max_piece = max_piece
         self.y_ring = icis.y_names()
         self.top_index = tuple(range(self.nvars))
         self.dfs = [d_of_poly(f) for f in icis.components]
@@ -152,7 +164,7 @@ class LatticeContext:
             tuple([0] * self.K): MultiPoly.constant(self.ring, 1)
         }
         self._fpow_int: dict[tuple[int, ...], tuple[dict, int]] = {}
-        self._solvers: dict[int, "_PieceSolver"] = {}
+        self._solvers: dict[int, ColumnSpan] = {}
         # minors with signs: coefficient of D ^ du_r ^ du_J per (r, J)
         self._w_cache: dict[tuple[int, tuple[int, ...]], MultiPoly] = {}
         rest = _restricted_map(icis)
@@ -185,17 +197,15 @@ class LatticeContext:
         """Top coefficient of D ^ du_r ^ du_J (zero when indices collide)."""
         key = (r, J)
         if key not in self._w_cache:
-            legs = (r,) + J
-            if len(set(legs)) != len(legs):
+            merged = _merge_indices((r,), J)
+            if merged is None:
                 self._w_cache[key] = MultiPoly.zero(self.ring)
             else:
+                # du_r ^ du_J = sign * du_legs, legs increasing
+                legs, sign = merged
                 one = MultiPoly.constant(self.ring, 1)
-                eta_like = DiffForm(self.ring, self.N, {tuple(sorted(legs)): one})
-                # sign from sorting (r, J) into increasing order
-                sign = _sort_sign(legs)
-                w = wedge(self.D, eta_like)
-                coeff = self.top_coefficient(w)
-                self._w_cache[key] = coeff.scale(sign)
+                w = wedge(self.D, DiffForm(self.ring, self.N, {legs: one}))
+                self._w_cache[key] = self.top_coefficient(w).scale(sign)
         return self._w_cache[key]
 
     def modulus_vector_poly(self, delta: tuple[int, ...], J: tuple[int, ...]) -> MultiPoly:
@@ -237,35 +247,26 @@ class LatticeContext:
                 acc[e] = acc.get(e, 0) + k * a
         return MultiPoly(self.ring, {e: Fraction(a, den) for e, a in acc.items() if a})
 
-    def solver(self, coeff_weight: int) -> "_PieceSolver":
+    def solver(self, coeff_weight: int) -> ColumnSpan:
         if coeff_weight not in self._solvers:
             self._solvers[coeff_weight] = _piece_solver(self, coeff_weight)
         return self._solvers[coeff_weight]
 
 
-def _sort_sign(legs: Sequence[int]) -> int:
-    inv = 0
-    for i, a in enumerate(legs):
-        for b in legs[i + 1 :]:
-            if b < a:
-                inv += 1
-    return (-1) ** inv
-
-
-def _piece_solver(ctx: LatticeContext, coeff_weight: int) -> "_PieceSolver":
+def _piece_solver(ctx: LatticeContext, coeff_weight: int) -> ColumnSpan:
     """The solver for one graded piece of the lattice decomposition.
 
     Unknowns: coefficients of f^beta phi_j du (for all y-monomials beta of
     matching weight) and of the modulus generators D ^ d(u^delta du_J).
     """
     rows = monomials_of_weight(ctx.v, coeff_weight)
-    if len(rows) > ctx.max_piece:
+    if len(rows) > MAX_PIECE:
         raise ResourceLimitError(
-            f"graded piece of {len(rows)} monomials exceeds cap {ctx.max_piece}",
+            f"graded piece of {len(rows)} monomials exceeds cap {MAX_PIECE}",
             kind="graded-piece",
-            limit=ctx.max_piece,
+            limit=MAX_PIECE,
         )
-    solver = _PieceSolver({e: i for i, e in enumerate(rows)})
+    span = ColumnSpan(rows)
     form_weight = coeff_weight + ctx.sum_v
     eta_weight = form_weight - ctx.sum_p
     metas = [
@@ -280,47 +281,8 @@ def _piece_solver(ctx: LatticeContext, coeff_weight: int) -> "_PieceSolver":
     for meta in metas:
         poly = ctx.column(meta)
         if not poly.is_zero():
-            solver.add_column(poly, meta)
-    return solver
-
-
-class _PieceSolver:
-    """Exact solves in the span of polynomial columns over fixed row monomials.
-
-    Column j enters the echelon with a tag coordinate nrows + j of value 1
-    and is kept only while its residual has a row index as pivot.  A
-    right-hand side that reduces to tags alone is the column combination
-    whose coefficients are minus those tags.
-    """
-
-    def __init__(self, row_index: dict[tuple[int, ...], int]):
-        self.row_index = row_index
-        self.echelon = SparseEchelon()
-        self.meta: list[tuple] = []
-
-    def add_column(self, poly: MultiPoly, meta: tuple):
-        nrows = len(self.row_index)
-        vec = {self.row_index[e]: c for e, c in poly.terms.items()}
-        vec[nrows + len(self.meta)] = ONE
-        r = self.echelon.residual(vec)
-        # a residual of tags alone is a kernel vector: keeping it would only
-        # slow every later reduction
-        if min(r) < nrows:
-            self.echelon.insert(r)
-        self.meta.append(meta)
-
-    def solve(self, target: MultiPoly) -> dict[tuple, Fraction] | None:
-        """The combination equal to ``target`` as {column meta: coefficient}, or None."""
-        rhs = {}
-        for e, c in target.terms.items():
-            if e not in self.row_index:
-                return None
-            rhs[self.row_index[e]] = c
-        nrows = len(self.row_index)
-        r = self.echelon.residual(rhs)
-        if r and min(r) < nrows:
-            return None
-        return {self.meta[tag - nrows]: -r[tag] for tag in sorted(r)}
+            span.add(poly.terms, meta)
+    return span
 
 
 class _Collapse:
@@ -350,7 +312,7 @@ class _Collapse:
             mu=len(sub_phi_monos),
             weights=[weight(m, sub_icis.var_weights) + sv for m in sub_phi_monos],
         )
-        self.sub_ctx = LatticeContext(sub_icis, self.sub_phi, max_piece=ctx.max_piece)
+        self.sub_ctx = LatticeContext(sub_icis, self.sub_phi)
         self._memo: dict[tuple[int, ...], tuple[int, dict]] = {}
 
     def split(self, e: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -478,7 +440,7 @@ def _reduce_direct(coeff: MultiPoly, ctx: LatticeContext) -> dict[tuple, Fractio
     has no solution means the staircase basis does not generate it.
     """
     w = weight(next(iter(coeff.terms)), ctx.v)
-    res = ctx.solver(w).solve(coeff)
+    res = ctx.solver(w).solve(coeff.terms)
     if res is None:
         raise ReductionNoSolutionError(
             f"no decomposition at weight {w}; staircase basis may not generate this piece"

@@ -139,7 +139,10 @@ class Problem:
             if self.power < 2:
                 raise ValueError(f"powerP must be at least 2, got {self.power}")
             self.seed = _json_int("seed", options.get("seed", 1))
-            self.tol = float(options.get("tol", 1e-6))
+            tol = options.get("tol", 1e-6)
+            if isinstance(tol, bool):
+                raise ValueError(f"tol must be a number, got {tol!r}")
+            self.tol = float(tol)
             if not 0 < self.tol < inf:
                 raise ValueError(f"tol must be a finite positive number, got {self.tol}")
             self.weight_cap = options.get("weight_cap")

@@ -34,6 +34,8 @@ MODULUS = (1 << 61) - 1
 # against its y0-partial, 600 steps take 0.5 s, 2,000 take 12 s, and the gcd
 # is still running after 3,886 steps and 150 s.
 GCD_STEP_BUDGET = 200
+# Terms that one pseudo-remainder of ``squarefree_part``'s gcd may hold.
+GCD_MAX_TERMS = 200_000
 
 
 class _Budget:
@@ -249,7 +251,7 @@ def divide_monomial(p: MultiPoly, m: tuple[int, ...]) -> MultiPoly:
     return MultiPoly(p.ring, {tuple(a - b for a, b in zip(e, m)): c for e, c in p.terms.items()})
 
 
-def squarefree_part(p: MultiPoly, max_terms: int = 200_000, seed: int = 7) -> MultiPoly:
+def squarefree_part(p: MultiPoly, seed: int = 7) -> MultiPoly:
     """p divided by gcd(p, dp/dx_i over all i); primitive, positive leading.
 
     The monomial content is split off first, the rest is proved squarefree
@@ -263,7 +265,7 @@ def squarefree_part(p: MultiPoly, max_terms: int = 200_000, seed: int = 7) -> Mu
     rest = divide_monomial(p, m)
     variables = MultiPoly(p.ring, {tuple(min(k, 1) for k in m): Fraction(1)})
     if not probably_squarefree(rest, seed=seed):
-        budget = _Budget(max_terms)
+        budget = _Budget(GCD_MAX_TERMS)
         g = rest
         for v in rest.variables_used():
             g = _gcd(g, rest.partial(v), budget)

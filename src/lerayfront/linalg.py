@@ -1,15 +1,17 @@
 """Exact rational linear algebra: solving, determinants, characteristic polynomials.
 
-Everything works over ``fractions.Fraction``.  Solvers return certificates
-(particular solution plus nullspace basis) so callers can verify results by
-substitution.  ``SparseEchelon`` is the one sparse echelon: the f-basis
-search keeps independent forms in it, and each graded lattice piece solves
-its tagged columns with it (``brieskorn._PieceSolver``).
+Everything works over ``fractions.Fraction``.  ``SparseEchelon`` is the one
+sparse echelon, and ``ColumnSpan`` is the one exact solver on it: every
+solve, inverse and dependency search (the lattice pieces of ``brieskorn``,
+the weight system of ``phase``, the minimal polynomial of ``oracle``,
+``RationalMatrix.inverse``) tags its columns and reads the answer off the
+tags.  The f-basis search keeps independent forms in a bare
+``SparseEchelon``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -100,76 +102,17 @@ class RationalMatrix:
         return all(x == 0 for row in self.entries for x in row)
 
     def inverse(self) -> "RationalMatrix":
-        """Gauss-Jordan on [A | I]; singular exactly when a pivot leaves 0..n-1."""
+        """Column i of the inverse is ``ColumnSpan.solve(e_i)``; singular
+        exactly when a column depends on the earlier ones."""
         assert self.rows == self.cols
         n = self.rows
-        ident = RationalMatrix.identity(n).entries
-        aug, pivots = _echelonize([row + ident[i] for i, row in enumerate(self.entries)])
-        if pivots[:n] != list(range(n)):
-            raise NoSolutionError("matrix is singular")
-        return RationalMatrix(n, n, [row[n:] for row in aug])
-
-
-@dataclass
-class LinearSolution:
-    """One solution of A x = b plus a basis of ker A."""
-
-    particular: list[Fraction]
-    nullspace: list[list[Fraction]] = field(default_factory=list)
-
-
-def _echelonize(entries: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (matrix, pivot column list)."""
-    rows = len(entries)
-    cols = len(entries[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if entries[i][c] != 0), None)
-        if piv is None:
-            continue
-        entries[r], entries[piv] = entries[piv], entries[r]
-        pv = entries[r][c]
-        entries[r] = [x / pv for x in entries[r]]
-        for i in range(rows):
-            if i != r and entries[i][c] != 0:
-                f = entries[i][c]
-                entries[i] = [a - f * b for a, b in zip(entries[i], entries[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return entries, pivots
-
-
-def solve_linear_exact(A: RationalMatrix, b: Sequence[Fraction]) -> LinearSolution:
-    """Solve A x = b exactly; raises NoSolutionError when inconsistent."""
-    if A.rows != len(b):
-        raise ValueError("dimension mismatch")
-    aug = [row[:] + [Fraction(b[i])] for i, row in enumerate(A.entries)]
-    aug, pivots = _echelonize(aug)
-    n = A.cols
-    for r, row in enumerate(aug):
-        if all(x == 0 for x in row[:n]) and row[n] != 0:
-            raise NoSolutionError("rank(A) < rank(A|b)")
-    x = [ZERO] * n
-    for r, c in enumerate(pivots):
-        if c < n:
-            x[c] = aug[r][n]
-        elif aug[r][n] != 0:
-            raise NoSolutionError("rank(A) < rank(A|b)")
-    pivset = set(c for c in pivots if c < n)
-    null: list[list[Fraction]] = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = [ZERO] * n
-        v[free] = ONE
-        for r, c in enumerate(pivots):
-            if c < n:
-                v[c] = -aug[r][free]
-        null.append(v)
-    return LinearSolution(particular=x, nullspace=null)
+        span = ColumnSpan(range(n))
+        for j in range(n):
+            column = {i: row[j] for i, row in enumerate(self.entries) if row[j]}
+            if span.add(column, j) is not None:
+                raise NoSolutionError("matrix is singular")
+        cols = [span.solve({i: ONE}) for i in range(n)]
+        return RationalMatrix(n, n, [[col.get(k, ZERO) for col in cols] for k in range(n)])
 
 
 class SparseEchelon:
@@ -206,6 +149,50 @@ class SparseEchelon:
         pv = r[p]
         self.rows[p] = {i: v / pv for i, v in r.items()}
         return True
+
+
+class ColumnSpan:
+    """Exact solves in the span of sparse Fraction columns over fixed row keys.
+
+    Column j enters the echelon with a tag coordinate nrows + j of value 1
+    and is kept only while its residual has a row index as pivot.  A
+    residual of tags alone is a relation among the columns, with
+    coefficient 1 at the newest; a right-hand side that reduces to tags
+    alone is the column combination whose coefficients are minus those tags.
+    """
+
+    def __init__(self, rows: Sequence):
+        self.row_index = {key: i for i, key in enumerate(rows)}
+        self.echelon = SparseEchelon()
+        self.labels: list = []
+
+    def _tags(self, r: dict[int, Fraction], sign: int) -> dict:
+        nrows = len(self.row_index)
+        return {self.labels[tag - nrows]: sign * r[tag] for tag in sorted(r)}
+
+    def add(self, column: dict, label) -> dict | None:
+        """Append ``column`` ({row key: value}); None when it is independent of
+        the earlier columns, else the relation {label: coefficient} that
+        holds among them, with coefficient 1 at ``label``."""
+        nrows = len(self.row_index)
+        vec = {self.row_index[key]: c for key, c in column.items()}
+        vec[nrows + len(self.labels)] = ONE
+        self.labels.append(label)
+        r = self.echelon.residual(vec)
+        if min(r) < nrows:
+            self.echelon.insert(r)
+            return None
+        # a kept kernel vector would only slow every later reduction
+        return self._tags(r, 1)
+
+    def solve(self, rhs: dict) -> dict | None:
+        """The combination of columns equal to ``rhs`` as {label: coefficient}, or None."""
+        if any(key not in self.row_index for key in rhs):
+            return None
+        r = self.echelon.residual({self.row_index[key]: c for key, c in rhs.items()})
+        if r and min(r) < len(self.row_index):
+            return None
+        return self._tags(r, -1)
 
 
 def det_fraction(entries: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -33,11 +33,10 @@ from .groebner import (
     normal_form,
     standard_monomials,
 )
-from .linalg import RationalMatrix, solve_linear_exact
+from .linalg import ColumnSpan
 from .phase import HyperbolicSymbol, IcisMap, critical_ideal
 from .poly import MultiPoly, poly_substitute
 
-ZERO = Fraction(0)
 # line_check restricts to this many seeded lines y = a + b*tau, with the
 # integer entries of a and b drawn from [-LINE_RANGE, LINE_RANGE].
 LINE_COUNT = 2
@@ -54,18 +53,11 @@ ROOT_SWEEPS = 500
 ROOT_STEP = 1e-14
 
 
-def critical_locus_eliminant(
-    icis: IcisMap,
-    max_pairs: int = 100_000,
-    max_degree: int = 60,
-    max_poly_terms: int = 30_000,
-) -> list[MultiPoly]:
+def critical_locus_eliminant(icis: IcisMap, max_pairs: int = 100_000) -> list[MultiPoly]:
     """Eliminate u from the critical ideal with y_l left as variables."""
     y_names = icis.y_names()
     gens, drop = critical_ideal(icis, [MultiPoly.variable(y_names, y) for y in y_names])
-    out = eliminate(
-        gens, drop, max_pairs=max_pairs, max_degree=max_degree, max_poly_terms=max_poly_terms
-    )
+    out = eliminate(gens, drop, max_pairs=max_pairs)
     return [p.rename_ring(y_names) for p in out]
 
 
@@ -123,9 +115,10 @@ def line_check(icis: IcisMap, M: list[list[MultiPoly]], seed: int) -> LineCheck:
 def _minimal_polynomial(gb: GroebnerBasis, var: str) -> tuple[MultiPoly, int]:
     """Minimal polynomial of var on a zero-dimensional quotient, and its dimension D.
 
-    The normal forms of 1, var, ..., var^D are D + 1 vectors on the
-    staircase; the first dependency among them (the first nullspace vector
-    of the reduced echelon form) is the monic minimal polynomial.
+    The normal forms of 1, var, var^2, ... are columns on the staircase; the
+    first that depends on the earlier ones gives the first relation of a
+    ``linalg.ColumnSpan``, with coefficient 1 at the newest power: the monic
+    minimal polynomial.  It comes at degree D at the latest.
     """
     staircase = standard_monomials(gb)
     if not staircase.finite:
@@ -133,17 +126,12 @@ def _minimal_polynomial(gb: GroebnerBasis, var: str) -> tuple[MultiPoly, int]:
             f"line ideal is not zero-dimensional (unbounded in {staircase.witness_variable})"
         )
     rows = staircase.monomials
+    span = ColumnSpan(rows)
     x = MultiPoly.variable(gb.ring, var)
-    power = MultiPoly.constant(gb.ring, 1)
-    columns = []
-    for _ in range(len(rows) + 1):
-        power = normal_form(power, gb)
-        columns.append(power.terms)
-        power = power * x
-    entries = [[col.get(e, ZERO) for col in columns] for e in rows]
-    A = RationalMatrix(len(rows), len(columns), entries)
-    v = solve_linear_exact(A, [ZERO] * len(rows)).nullspace[0]
-    return MultiPoly((var,), {(k,): c for k, c in enumerate(v) if c}), len(rows)
+    power = normal_form(MultiPoly.constant(gb.ring, 1), gb)
+    while (relation := span.add(power.terms, len(span.labels))) is None:
+        power = normal_form(power * x, gb)
+    return MultiPoly((var,), {(k,): c for k, c in relation.items()}), len(rows)
 
 
 def scaled_residuals(p: MultiPoly, points: Sequence[dict[str, float]]) -> list[float]:

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .detpoly import det_bareiss
 from .groebner import GREVLEX, Staircase, groebner, standard_monomials
-from .linalg import RationalMatrix, solve_linear_exact
+from .linalg import ColumnSpan
 from .poly import Exponents, MultiPoly, poly_substitute, weight, weighted_graded_parts
 from .univariate import degree, real_roots_of_chain, sturm_chain
 
@@ -78,17 +78,20 @@ def discover_weights(F: MultiPoly) -> WeightSystem:
         raise NoPositiveSolutionError("front polynomial must have no constant term")
     n = len(F.ring)
     support = sorted(F.terms)
-    # homogeneous system (alpha, -1) . (w, W) = 0
-    A = RationalMatrix.from_rows([list(e) + [-1] for e in support])
-    sol = solve_linear_exact(A, [Fraction(0)] * len(support))
-    null = sol.nullspace
+    # homogeneous system (alpha, -1) . (w, W) = 0: the relations among its
+    # columns w_1, ..., w_n, W are a basis of its nullspace
+    span = ColumnSpan(range(len(support)))
+    columns = [{i: Fraction(e[j]) for i, e in enumerate(support) if e[j]} for j in range(n)]
+    columns.append({i: Fraction(-1) for i in range(len(support))})
+    relations = [span.add(col, j) for j, col in enumerate(columns)]
+    null = [rel for rel in relations if rel is not None]
     if len(null) == 0:
         raise NoPositiveSolutionError("front polynomial is not quasihomogeneous")
     if len(null) > 1:
         raise AmbiguousWeightsError(
             "weight system is not unique; pass explicit weights"
         )
-    v = null[0]
+    v = [null[0].get(j, Fraction(0)) for j in range(n + 1)]
     if v[-1] == 0:
         raise NoPositiveSolutionError("front polynomial is not quasihomogeneous")
     v = [x / v[-1] for x in v]  # normalize total weight positive

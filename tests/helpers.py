@@ -1,12 +1,13 @@
-"""Helpers that only the tests need: a matrix-vector product, basis
-1-forms, readers for the polynomial, matrix and form JSON that ``jsonio``
-writes, a phase expansion summed back up, a substitution built from MultiPoly
-arithmetic alone, a determinant by interpolation on given bounds, and the
-integer-row engines on MultiPoly matrices."""
+"""Helpers that only the tests need: a matrix-vector product, a rank by
+minors, basis 1-forms, readers for the polynomial, matrix and form JSON that
+``jsonio`` writes, a phase expansion summed back up, a substitution built
+from MultiPoly arithmetic alone, a determinant by interpolation on given
+bounds, and the integer-row engines on MultiPoly matrices."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 from typing import Mapping, Sequence
 
@@ -19,7 +20,7 @@ from lerayfront.detpoly import (
     total_degree_bound,
 )
 from lerayfront.forms import DiffForm
-from lerayfront.linalg import RationalMatrix
+from lerayfront.linalg import RationalMatrix, det_fraction
 from lerayfront.phase import PhaseExpansion
 from lerayfront.poly import MultiPoly
 
@@ -27,6 +28,17 @@ from lerayfront.poly import MultiPoly
 def matvec(A: RationalMatrix, v: Sequence[Fraction]) -> list[Fraction]:
     assert A.cols == len(v)
     return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in A.entries]
+
+
+def rank_by_minors(rows: Sequence[Sequence[Fraction]]) -> int:
+    """The size of the largest square submatrix with a nonzero determinant."""
+    ncols = len(rows[0]) if rows else 0
+    for k in range(min(len(rows), ncols), 0, -1):
+        for I in combinations(range(len(rows)), k):
+            for J in combinations(range(ncols), k):
+                if det_fraction([[rows[i][j] for j in J] for i in I]):
+                    return k
+    return 0
 
 
 def d_variable(ring: Sequence[str], name: str) -> DiffForm:

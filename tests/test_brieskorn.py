@@ -10,13 +10,12 @@ from lerayfront.brieskorn import (
     LatticeContext,
     PhiBasis,
     _fbasis_graded,
-    _PieceSolver,
     f_basis,
     gm_matrices,
     phi_basis,
     reduce_in_lattice,
 )
-from lerayfront.errors import NoSolutionError, ReductionNoSolutionError
+from lerayfront.errors import ReductionNoSolutionError
 from lerayfront.forms import DiffForm, exterior_d, wedge
 from lerayfront.phase import (
     HyperbolicSymbol,
@@ -27,10 +26,10 @@ from lerayfront.phase import (
     make_icis,
 )
 from lerayfront.jsonio import form_to_json, matrix_to_json, poly_to_json
-from lerayfront.linalg import RationalMatrix, det_fraction, solve_linear_exact
+from lerayfront.linalg import ColumnSpan, RationalMatrix, det_fraction
 from lerayfront.poly import MultiPoly
 
-from helpers import matvec
+from helpers import matvec, rank_by_minors
 
 
 @pytest.fixture(scope="module")
@@ -298,26 +297,23 @@ sparse_vector = st.dictionaries(st.integers(0, NROWS - 1), st.integers(-3, 3), m
 )
 def test_piece_solver_solves_exactly_in_the_column_span(columns, extra, weights):
     # right-hand side: a combination of the columns plus a random sparse
-    # vector, so both members and non-members of the span come up
+    # vector, so both members and non-members of the span come up; the
+    # piece solver is a ColumnSpan over monomial rows with column metas
     b = [Fraction(extra.get(i, 0)) for i in range(NROWS)]
     for col, w in zip(columns, weights):
         for i, c in col.items():
             b[i] += w * c
-    ring = ("u",)
-    solver = _PieceSolver({(i,): i for i in range(NROWS)})
+    solver = ColumnSpan([(i,) for i in range(NROWS)])
     for j, col in enumerate(columns):
-        solver.add_column(
-            MultiPoly(ring, {(i,): Fraction(c) for i, c in col.items()}), ("phi", j, ())
-        )
-    res = solver.solve(MultiPoly(ring, {(i,): c for i, c in enumerate(b)}))
+        solver.add({(i,): Fraction(c) for i, c in col.items() if c}, ("phi", j, ()))
+    res = solver.solve({(i,): c for i, c in enumerate(b) if c})
     A = RationalMatrix.from_rows(
         [[Fraction(col.get(i, 0)) for col in columns] for i in range(NROWS)]
     )
-    try:
-        solve_linear_exact(A, b)
-        in_span = True
-    except NoSolutionError:
-        in_span = False
+    # b is in the span exactly when appending it leaves the rank by minors
+    in_span = rank_by_minors(A.entries) == rank_by_minors(
+        [row + [x] for row, x in zip(A.entries, b)]
+    )
     assert (res is not None) == in_span
     if res is not None:
         assert all(meta[0] == "phi" for meta in res)

@@ -222,6 +222,7 @@ BAD_INPUTS = [
     ("--max-pairs negative", write_spec, M1_SPEC, ["--max-pairs", "-5"], 2),
     ("tol nan", write_spec, dict(M1_SPEC, options={"tol": "nan"}), [], 2),
     ("tol zero", write_spec, dict(M1_SPEC, options={"tol": 0}), [], 2),
+    ("tol a boolean", write_spec, dict(M1_SPEC, options={"tol": True}), [], 2),
     ("--tol nan", write_spec, M1_SPEC, ["--tol", "nan"], 2),
     ("--tol inf", write_spec, M1_SPEC, ["--tol", "inf"], 2),
     ("--tol negative", write_spec, M1_SPEC, ["--tol", "-1"], 2),

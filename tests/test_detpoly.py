@@ -22,7 +22,7 @@ from lerayfront.detpoly import (
     det_probed,
 )
 from lerayfront.errors import ResourceLimitError
-from lerayfront.linalg import RationalMatrix, det_fraction, det_int, solve_linear_exact
+from lerayfront.linalg import det_fraction, det_int
 from lerayfront.poly import MultiPoly, pullback
 
 from helpers import det_interpolate, integer_evaluator, safe_bounds, substitute
@@ -126,14 +126,18 @@ def test_grid_values_match_determinants_of_evaluated_entries(ring):
 )
 def test_interp_1d_solves_the_vandermonde_system(case):
     # the lower-set kernel on one axis (divided differences, then the
-    # Newton-to-monomial conversion) against an exact solve of
+    # Newton-to-monomial conversion) against Cramer's rule on
     # sum_j c_j nodes[i]^j = vals[i]
     nodes, vals = case
     b = len(vals) - 1
     den = lcm(*(v.denominator for v in vals))
     scaled, w = _interpolate_line([int(v * den) for v in vals], nodes)
-    V = RationalMatrix(b + 1, b + 1, [[Fraction(x**j) for j in range(b + 1)] for x in nodes])
-    coeffs = solve_linear_exact(V, vals).particular
+    V = [[Fraction(x**j) for j in range(b + 1)] for x in nodes]
+    det_V = det_fraction(V)
+    coeffs = [
+        det_fraction([row[:j] + [v] + row[j + 1 :] for row, v in zip(V, vals)]) / det_V
+        for j in range(b + 1)
+    ]
     assert [Fraction(c, den * w) for c in scaled] == coeffs
 
 

@@ -6,37 +6,44 @@ from hypothesis import strategies as st
 
 from lerayfront.errors import NoSolutionError, ResourceLimitError
 from lerayfront.linalg import (
+    ColumnSpan,
     RationalMatrix,
     char_poly,
     det_fraction,
     rational_eigenvalues,
-    solve_linear_exact,
 )
 
-from helpers import matvec
+from helpers import matvec, rank_by_minors
+
+
+def _span(rows: list[list[Fraction]]) -> tuple[ColumnSpan, list]:
+    """The span of the columns of ``rows``, and what ``add`` returned for each."""
+    span = ColumnSpan(range(len(rows)))
+    added = [
+        span.add({i: row[j] for i, row in enumerate(rows) if row[j]}, j)
+        for j in range(len(rows[0]))
+    ]
+    return span, added
 
 
 def test_identity_solve():
-    A = RationalMatrix.identity(2)
-    sol = solve_linear_exact(A, [Fraction(1), Fraction(2)])
-    assert sol.particular == [Fraction(1), Fraction(2)]
-    assert sol.nullspace == []
+    span, added = _span(RationalMatrix.identity(2).entries)
+    assert added == [None, None]
+    assert span.solve({0: Fraction(1), 1: Fraction(2)}) == {0: 1, 1: 2}
 
 
 def test_underdetermined():
-    A = RationalMatrix.from_rows([[1, 1]])
-    sol = solve_linear_exact(A, [Fraction(3)])
-    x = sol.particular
-    assert x[0] + x[1] == 3
-    assert len(sol.nullspace) == 1
-    v = sol.nullspace[0]
-    assert v[0] + v[1] == 0 and v != [0, 0]
+    span, added = _span(RationalMatrix.from_rows([[1, 1]]).entries)
+    assert added == [None, {0: -1, 1: 1}]
+    x = span.solve({0: Fraction(3)})
+    assert x.get(0, 0) + x.get(1, 0) == 3
 
 
 def test_inconsistent():
-    A = RationalMatrix.from_rows([[1], [1]])
-    with pytest.raises(NoSolutionError):
-        solve_linear_exact(A, [Fraction(1), Fraction(2)])
+    span, _ = _span(RationalMatrix.from_rows([[1], [1]]).entries)
+    assert span.solve({0: Fraction(1), 1: Fraction(2)}) is None
+    # a row key outside the span's rows is inconsistent too
+    assert span.solve({5: Fraction(1)}) is None
 
 
 rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
@@ -48,13 +55,38 @@ def test_solutions_satisfy_system(rows, b):
     if len(rows) != len(b):
         b = (b * len(rows))[: len(rows)]
     A = RationalMatrix.from_rows(rows)
-    try:
-        sol = solve_linear_exact(A, b)
-    except NoSolutionError:
-        return
-    assert matvec(A, sol.particular) == [Fraction(x) for x in b]
-    for v in sol.nullspace:
-        assert matvec(A, v) == [Fraction(0)] * A.rows
+    span, added = _span(A.entries)
+    sol = span.solve({i: Fraction(x) for i, x in enumerate(b) if x})
+    if sol is not None:
+        assert matvec(A, [sol.get(j, 0) for j in range(A.cols)]) == [Fraction(x) for x in b]
+    for rel in added:
+        if rel is not None:
+            assert matvec(A, [rel.get(j, 0) for j in range(A.cols)]) == [Fraction(0)] * A.rows
+
+
+small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda nrows: st.lists(
+            st.lists(small_rational, min_size=nrows, max_size=nrows), min_size=1, max_size=6
+        )
+    )
+)
+def test_add_returns_a_relation_exactly_on_a_dependent_column(columns):
+    # the reference: column j lies in the span of columns 0..j-1 exactly
+    # when appending it leaves the rank by minors where it was
+    rows = [list(r) for r in zip(*columns)]
+    _, added = _span(rows)
+    for j, rel in enumerate(added):
+        before = rank_by_minors([r[:j] for r in rows])
+        assert (rel is not None) == (rank_by_minors([r[: j + 1] for r in rows]) == before)
+        if rel is not None:
+            assert rel[j] == 1 and all(k <= j for k in rel)
+            A = RationalMatrix.from_rows(rows)
+            assert matvec(A, [rel.get(k, 0) for k in range(A.cols)]) == [Fraction(0)] * A.rows
 
 
 def test_det_and_inverse():

@@ -10,7 +10,9 @@ from lerayfront.detpoly import det_bareiss, det_poly_matrix, line_determinant
 from lerayfront import oracle
 from lerayfront.errors import MismatchError
 from lerayfront.gaussmanin import assemble_system, discriminant
+from lerayfront.groebner import groebner
 from lerayfront.oracle import (
+    _minimal_polynomial,
     _roots,
     compare_discriminants,
     critical_locus_eliminant,
@@ -116,6 +118,33 @@ class TestEliminant:
             if expected == "radical mismatch":
                 d_sf, e_sf = err.value.witness
                 assert d_sf != e_sf, case
+
+
+QR = ("u", "tau")
+QU = MultiPoly.variable(QR, "u")
+QTAU = MultiPoly.variable(QR, "tau")
+Q1 = MultiPoly.constant(QR, 1)
+T = MultiPoly.variable(("tau",), "tau")
+T1 = MultiPoly.constant(("tau",), 1)
+
+
+@pytest.mark.parametrize(
+    "gens, minpoly, dimension",
+    [
+        # tau^2 = 2 on a 4-dimensional quotient: the relation comes before D
+        ([QU**2 - Q1, QTAU**2 - Q1.scale(2)], T**2 - T1.scale(2), 4),
+        # tau = u + 1 with u^2 = 2: tau generates, so the degree is D
+        ([QU**2 - Q1.scale(2), QTAU - QU - Q1], T**2 - T.scale(2) - T1, 2),
+        # a nilpotent tau: the relation is a power of tau
+        ([QU, QTAU**3], T**3, 3),
+    ],
+)
+def test_minimal_polynomial_is_the_monic_first_relation(gens, minpoly, dimension):
+    got, D = _minimal_polynomial(groebner(gens), "tau")
+    assert D == dimension
+    assert got == minpoly
+    top = max(got.terms)
+    assert got.terms[top] == 1 and top == (minpoly.total_degree(),)
 
 
 class TestLineCheck:
