@@ -10,8 +10,7 @@ Three computations live here, all exact:
 * ``reduce_in_lattice`` / ``gm_matrices``: writes top forms as polynomial
   combinations of the staircase forms modulo df_0 ^ ... ^ df_{K-1} ^ d(eta),
   solving one graded piece at a time by exact linear algebra.  Every
-  reduction returns a certificate that re-expands to the input identically;
-  the re-expansion runs in integers over one denominator.
+  reduction returns a certificate that re-expands to the input identically.
 
 The f-basis search keeps independent forms in ``linalg.SparseEchelon``;
 each graded piece solves in a ``linalg.ColumnSpan`` of its columns, which
@@ -30,15 +29,29 @@ parts have lower weight.  Maps without coordinate components, and the
 restricted map itself, solve each piece directly.  There is no retry: the
 lattice is free, so a piece that has no solution fails with
 ReductionNoSolutionError.
+
+The collapse and the certificate check run in Python ints on packed keys
+(``poly.pack``).  A column meta ("phi", j, beta) or ("eta", J, delta) is one
+int, one bit field per exponent with j or J's index above them, so u^gamma
+shifts a memoised reduction by one integer add per term; metas and
+Fractions come back once, where the certificate is built.  Every weight is
+a positive integer and the data are weighted-homogeneous, so an exponent in
+a reduction of coefficient weight w is at most (w + sum_v) / min weight:
+the fields take that bound's bit length, and past MAX_FIELD_BITS the
+reduction ends with ResourceLimitError (kind "exponent-field").  The check
+expands sum_j P_j(f) phi_j + top(D ^ d(eta)) from f^beta, D's integer
+components and eta's integer partials, never from the solver's columns.
+On the flagship ``gm_matrices`` takes 0.25 reference s under
+``perfbench/run.py --trace 1`` and ``reduce_in_lattice`` 0.22 of it (0.59
+and 0.56 with tuple keys and a Fraction re-expansion; BENCH_25.json).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
-from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -61,12 +74,17 @@ from .linalg import ColumnSpan, SparseEchelon
 from .phase import IcisMap, bind_coordinates, critical_staircase
 # unused here, but perfbench's tracer test looks the name up on this module
 from .phase import critical_ideal_gens  # noqa: F401
-from .poly import Exponents, MultiPoly, monomials_of_weight, weight
+from .poly import Exponents, MultiPoly, _sum_of_products, monomials_of_weight, pack, unpack, weight
 
 ONE = Fraction(1)
 # The most row monomials one graded piece of the lattice may have; a larger
 # piece ends the reduction with ResourceLimitError (kind "graded-piece").
 MAX_PIECE = 40_000
+# The widest bit field of a packed exponent; a reduction that needs more ends
+# with ResourceLimitError (kind "exponent-field").  Wider fields would still
+# be exact in Python ints: the cap bounds the size of the keys.  The
+# flagship's reductions need 5 bits.
+MAX_FIELD_BITS = 32
 
 
 @dataclass
@@ -95,8 +113,11 @@ class LatticeCertificate:
     eta: DiffForm
 
     def verify(self, ctx: "LatticeContext") -> bool:
-        recon = ctx.expand_certificate(self)
-        return recon == ctx.top_coefficient(self.input_form)
+        """The re-expansion equals the input's top coefficient, compared in integers."""
+        acc, den = ctx.expand_certificate(self)
+        terms, tden = ctx.top_coefficient(self.input_form).integer_terms()
+        expected = _pack_terms({e: c * den for e, c in terms.items()}, ctx.packed.width)
+        return {key: a * tden for key, a in acc.items() if a} == expected
 
 
 def phi_basis(icis: IcisMap) -> PhiBasis:
@@ -142,6 +163,26 @@ def _restricted_map(icis: IcisMap):
     return sub_icis, rest, coords, comp_indices
 
 
+class _Packed:
+    """What a context's reductions keep at one field width.
+
+    Packed metas: ("phi", j, beta) is ``pack(beta + (j,))`` and ("eta", J,
+    delta) is ``pack(delta + (code of J,))``, so u^gamma shifts a meta by one
+    integer add.  Holds phi_j, D's components, the f powers and the lattice
+    columns packed, the collapse's memo and the metas of its keys; widening
+    the fields replaces it.
+    """
+
+    def __init__(self, ctx: "LatticeContext", width: int):
+        self.width = width
+        self.phi = [pack(m, width) for m in ctx.phi.monomials]
+        self.D = {I: (_pack_terms(t, width), den) for I, (t, den) in ctx.d_terms.items()}
+        self.fpow: dict[tuple[int, ...], tuple[dict[int, int], int]] = {}
+        self.columns: dict[tuple, tuple[dict[int, int], int]] = {}
+        self.memo: dict[int, tuple[int, dict[int, int], dict[int, int]]] = {}
+        self.names: dict[str, dict[int, tuple]] = {"phi": {}, "eta": {}}  # key -> meta
+
+
 class LatticeContext:
     """Precomputed data for repeated lattice reductions over one mapping."""
 
@@ -156,17 +197,38 @@ class LatticeContext:
         self.K = icis.K
         self.sum_v = sum(self.v)
         self.sum_p = sum(self.p)
+        self.min_weight = min(self.v + self.p)
         self.y_ring = icis.y_names()
         self.top_index = tuple(range(self.nvars))
         self.dfs = [d_of_poly(f) for f in icis.components]
         self.D = wedge_all(self.dfs)
-        self._fpow: dict[tuple[int, ...], MultiPoly] = {
-            tuple([0] * self.K): MultiPoly.constant(self.ring, 1)
+        # the legs J of eta's components; a packed eta meta carries J's index
+        self.legs = list(combinations(range(self.nvars), self.N - 1)) if self.N >= 1 else []
+        self.leg_code = {J: k for k, J in enumerate(self.legs)}
+        # D's components as integer terms, and for each (i, J) the component I
+        # and sign with top(D ^ du_i ^ du_J) = sign * D_I
+        self.d_terms = {I: q.integer_terms() for I, q in self.D.components.items()}
+        self._d_legs: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], int]] = {}
+        for J in self.legs:
+            for i in range(self.nvars):
+                merged = _merge_indices((i,), J)
+                if merged is None:
+                    continue
+                L, sign = merged
+                I = tuple(k for k in range(self.nvars) if k not in L)
+                if I in self.d_terms:
+                    self._d_legs[i, J] = I, sign * _merge_indices(I, L)[1]
+        # f^beta multiplied out in integers over one denominator; _fpow holds the
+        # MultiPoly forms the solver's columns read
+        self._f_int = [f.integer_terms() for f in icis.components]
+        self._fpow_int: dict[tuple[int, ...], tuple[dict[Exponents, int], int]] = {
+            (0,) * self.K: ({(0,) * self.nvars: 1}, 1)
         }
-        self._fpow_int: dict[tuple[int, ...], tuple[dict, int]] = {}
+        self._fpow: dict[tuple[int, ...], MultiPoly] = {}
         self._solvers: dict[int, ColumnSpan] = {}
         # minors with signs: coefficient of D ^ du_r ^ du_J per (r, J)
         self._w_cache: dict[tuple[int, tuple[int, ...]], MultiPoly] = {}
+        self.packed: _Packed | None = None
         rest = _restricted_map(icis)
         self.collapse = None if rest is None else _Collapse(self, *rest)
 
@@ -177,21 +239,56 @@ class LatticeContext:
             raise ValueError("not a top-degree form")
         return form.components.get(self.top_index, MultiPoly.zero(self.ring))
 
-    def f_power(self, beta: tuple[int, ...]) -> MultiPoly:
-        if beta in self._fpow:
-            return self._fpow[beta]
-        l = next(i for i, b in enumerate(beta) if b)
-        prev = list(beta)
-        prev[l] -= 1
-        res = self.f_power(tuple(prev)) * self.icis.components[l]
-        self._fpow[beta] = res
-        return res
+    def coefficient_weight(self, poly: MultiPoly) -> int:
+        """The largest weight of a term of a top coefficient (0 for the zero polynomial)."""
+        return max((weight(e, self.v) for e in poly.terms), default=0)
 
-    def f_power_int(self, beta: tuple[int, ...]) -> tuple[dict, int]:
-        """f^beta as integer terms over one denominator (the components may be rational)."""
-        if beta not in self._fpow_int:
-            self._fpow_int[beta] = self.f_power(beta).integer_terms()
-        return self._fpow_int[beta]
+    def fit(self, w: int) -> None:
+        """Widen the packed fields to the bit length of (w + sum_v) // min weight,
+        which bounds every exponent of u, beta and delta in a reduction of
+        coefficient weight w."""
+        width = ((max(w, 0) + self.sum_v) // self.min_weight).bit_length()
+        if width > MAX_FIELD_BITS:
+            raise ResourceLimitError(
+                f"exponents of weight {w} need {width}-bit fields; the cap is {MAX_FIELD_BITS}",
+                kind="exponent-field",
+                limit=MAX_FIELD_BITS,
+            )
+        if self.packed is None or width > self.packed.width:
+            self.packed = _Packed(self, width)
+
+    def f_power_int(self, beta: tuple[int, ...]) -> tuple[dict[Exponents, int], int]:
+        """f^beta as integer terms over one denominator (the components may be rational).
+
+        Steps down one factor at a time to a power already taken, then
+        multiplies back up, so a large exponent costs no recursion depth.
+        """
+        path = []
+        low = beta
+        while low not in self._fpow_int:
+            l = next(i for i, b in enumerate(low) if b)
+            path.append((low, l))
+            low = low[:l] + (low[l] - 1,) + low[l + 1 :]
+        terms, den = self._fpow_int[low]
+        for high, l in reversed(path):
+            g, gden = self._f_int[l]
+            terms, den = _sum_of_products(((terms, g, 1),)), den * gden
+            self._fpow_int[high] = terms, den
+        return terms, den
+
+    def f_power(self, beta: tuple[int, ...]) -> MultiPoly:
+        if beta not in self._fpow:
+            terms, den = self.f_power_int(beta)
+            self._fpow[beta] = MultiPoly(self.ring, {e: Fraction(c, den) for e, c in terms.items()})
+        return self._fpow[beta]
+
+    def f_power_packed(self, beta: tuple[int, ...]) -> tuple[dict[int, int], int]:
+        """``f_power_int`` in the fields of ``packed``."""
+        got = self.packed.fpow.get(beta)
+        if got is None:
+            terms, den = self.f_power_int(beta)
+            got = self.packed.fpow[beta] = _pack_terms(terms, self.packed.width), den
+        return got
 
     def w_minor(self, r: int, J: tuple[int, ...]) -> MultiPoly:
         """Top coefficient of D ^ du_r ^ du_J (zero when indices collide)."""
@@ -230,22 +327,70 @@ class LatticeContext:
             return self.f_power(b).mul_term(self.phi.monomials[a], ONE)
         return self.modulus_vector_poly(b, a)
 
-    def expand_certificate(self, cert: LatticeCertificate) -> MultiPoly:
-        """sum_j P_j(f) phi_j + top(D ^ d(eta)), summed in integers over one denominator."""
-        mod, mod_den = self.top_coefficient(wedge(self.D, exterior_d(cert.eta))).integer_terms()
+    def column_packed(self, meta: tuple) -> tuple[dict[int, int], int]:
+        """``column(meta)`` as packed integer terms over one denominator."""
+        got = self.packed.columns.get(meta)
+        if got is None:
+            terms, den = self.column(meta).integer_terms()
+            got = self.packed.columns[meta] = _pack_terms(terms, self.packed.width), den
+        return got
+
+    def expand_certificate(self, cert: LatticeCertificate) -> tuple[dict[int, int], int]:
+        """sum_j P_j(f) phi_j + top(D ^ d(eta)) as packed integer terms over one denominator.
+
+        d(eta) comes term by term from the integer partials of eta, and
+        D ^ du_i ^ du_J from D's integer components with the signs of
+        ``_merge_indices``: neither the solver's columns nor ``wedge`` enter.
+        The fields are first fitted to the heaviest column the certificate
+        names, so no field can overflow whatever the certificate holds.
+        """
+        v, sv = self.v, self.sum_v
+        self.fit(max(chain(
+            [self.coefficient_weight(self.top_coefficient(cert.input_form))],
+            (
+                weight(beta, self.p) + self.phi.weights[j] - sv
+                for j, P in enumerate(cert.coefficients)
+                for beta in P.terms
+            ),
+            (
+                weight(e, v) + sum(v[i] for i in J) + self.sum_p - sv
+                for J, q in cert.eta.components.items()
+                for e in q.terms
+            ),
+        )))
+        pk = self.packed
+        width = pk.width
         parts = [
-            (c, self.f_power_int(beta), self.phi.monomials[j])
+            (c.numerator, c.denominator, pk.phi[j], self.f_power_packed(beta))
             for j, P in enumerate(cert.coefficients)
             for beta, c in P.terms.items()
         ]
-        den = lcm(mod_den, *(c.denominator * fden for c, (_, fden), _ in parts))
-        acc = {e: a * (den // mod_den) for e, a in mod.items()}
-        for c, (terms, fden), shift in parts:
-            k = c.numerator * (den // (c.denominator * fden))
-            for e, a in terms.items():
-                e = tuple(map(add, e, shift))
-                acc[e] = acc.get(e, 0) + k * a
-        return MultiPoly(self.ring, {e: Fraction(a, den) for e, a in acc.items() if a})
+        for J, q in cert.eta.components.items():
+            for e, c in q.terms.items():
+                key = pack(e, width)
+                for i, k in enumerate(e):
+                    if k and (i, J) in self._d_legs:
+                        I, sign = self._d_legs[i, J]
+                        parts.append((
+                            sign * k * c.numerator,
+                            c.denominator,
+                            key - (1 << (width * i)),
+                            pk.D[I],
+                        ))
+        return _sum_shifted(parts)
+
+    def metas(self, den: int, phi: dict[int, int], eta: dict[int, int]):
+        """The packed reduction (den, phi, eta) as (column meta, Fraction) pairs."""
+        pk = self.packed
+        for kind, terms, n in (("phi", phi, self.K), ("eta", eta, self.nvars)):
+            names = pk.names[kind]
+            for key, c in terms.items():
+                if c:
+                    meta = names.get(key)
+                    if meta is None:
+                        *b, a = unpack(key, pk.width, n + 1)
+                        meta = names[key] = kind, a if kind == "phi" else self.legs[a], tuple(b)
+                    yield meta, Fraction(c, den)
 
     def solver(self, coeff_weight: int) -> ColumnSpan:
         if coeff_weight not in self._solvers:
@@ -275,7 +420,7 @@ def _piece_solver(ctx: LatticeContext, coeff_weight: int) -> ColumnSpan:
         for beta in monomials_of_weight(ctx.p, form_weight - w)
     ] + [
         ("eta", J, delta)
-        for J in (combinations(range(ctx.nvars), ctx.N - 1) if ctx.N >= 1 else [])
+        for J in ctx.legs
         for delta in monomials_of_weight(ctx.v, eta_weight - sum(ctx.v[i] for i in J))
     ]
     for meta in metas:
@@ -285,14 +430,34 @@ def _piece_solver(ctx: LatticeContext, coeff_weight: int) -> ColumnSpan:
     return span
 
 
+def _pack_terms(terms: dict[Exponents, int], width: int) -> dict[int, int]:
+    return {pack(e, width): c for e, c in terms.items()}
+
+
+def _sum_shifted(parts) -> tuple[dict[int, int], int]:
+    """sum (n / d) * u^shift * (terms / tden) over parts (n, d, shift, (terms, tden)):
+    packed integer terms over one denominator, one integer add per exponent sum."""
+    den = lcm(*(d * tden for _, d, _, (_, tden) in parts))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for n, d, shift, (terms, tden) in parts:
+        k = n * (den // (d * tden))
+        for key, a in terms.items():
+            key += shift
+            acc[key] = get(key, 0) + k * a
+    return acc, den
+
+
 class _Collapse:
     """The coordinate collapse: the restricted mapping and the memoised reductions.
 
-    A reduction is (den, terms): the input equals the sum of
-    terms[meta] / den times ``LatticeContext.column(meta)``, in integers.
-    ``monomial(r)`` reduces the coordinate-free monomial x^r (r an exponent on
-    the remaining variables) once per context; ``reduce`` adds the reductions
-    of u^gamma x^r, each x^r's shifted by gamma.
+    A reduction is (den, phi, eta): the input equals the sum of n / den
+    times ``LatticeContext.column(meta)`` over the packed metas {key: n} of
+    phi and eta.  ``monomial(key)`` reduces the coordinate-free monomial x^r
+    (packed on the full ring) once per context and field width; ``reduce``
+    adds the reductions of u^gamma x^r, each x^r's shifted by gamma.  A
+    restricted solve's eta terms lift with ``sign``, which relates D to the
+    restricted D when the coordinate components or variables are not last.
     """
 
     def __init__(self, ctx: LatticeContext, sub_icis: IcisMap, rest, coords, comp_indices):
@@ -313,58 +478,83 @@ class _Collapse:
             weights=[weight(m, sub_icis.var_weights) + sv for m in sub_phi_monos],
         )
         self.sub_ctx = LatticeContext(sub_icis, self.sub_phi)
-        self._memo: dict[tuple[int, ...], tuple[int, dict]] = {}
+        # D = s_f * (the other df_l) ^ du_c1 ^ ... ^ du_cm, and moving the du_c
+        # past the N legs and into place among the variables gives (-1)^(m N) * s_v:
+        # at u_c = 0, top(D ^ du_L) = sign * top(D_sub ^ du_L) for legs L in x
+        self.sign = (
+            _permutation_sign([*comp_indices, *self.coord_comps])
+            * _permutation_sign([*rest, *self.coord_vars])
+            * (-1) ** (len(coords) * ctx.N)
+        )
 
-    def split(self, e: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(coordinate exponents gamma, exponents r on the remaining variables) of u^gamma x^r."""
-        return tuple(e[c] for c in self.coord_vars), tuple(e[i] for i in self.rest)
+    def split(self, key: int) -> tuple[int, int, int]:
+        """(phi shift, eta shift, x^r) for the packed monomial u^gamma x^r:
+        u^gamma adds gamma to beta on the components f_l = u_c and to delta."""
+        width = self.ctx.packed.width
+        mask = (1 << width) - 1
+        gamma = [(key >> (width * c)) & mask for c in self.coord_vars]
+        eta_shift = sum(g << (width * c) for g, c in zip(gamma, self.coord_vars))
+        phi_shift = sum(g << (width * l) for g, l in zip(gamma, self.coord_comps))
+        return phi_shift, eta_shift, key - eta_shift
 
-    def shift(self, gamma: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
-        """What u^gamma adds to beta (f_l = u_c on a coordinate pair) and to delta."""
-        return {
-            "phi": _place(self.ctx.K, self.coord_comps, gamma),
-            "eta": _place(self.ctx.nvars, self.coord_vars, gamma),
-        }
-
-    def reduce(self, poly: MultiPoly) -> dict[tuple, Fraction]:
-        """The reduction of ``poly`` as {column meta: coefficient}."""
+    def reduce(self, poly: MultiPoly) -> tuple[int, dict, dict]:
+        """The reduction of ``poly``; the context's fields must hold its weight."""
+        width = self.ctx.packed.width
         parts = []
         for e, c in poly.terms.items():
-            gamma, r = self.split(e)
-            parts.append((c, self.shift(gamma), self.monomial(r)))
-        den, terms = _combine(parts)
-        return {meta: Fraction(a, den) for meta, a in terms.items() if a}
+            phi_shift, eta_shift, low = self.split(pack(e, width))
+            parts.append((c.numerator, c.denominator, phi_shift, eta_shift, self.monomial(low)))
+        return _combine(parts)
 
-    def monomial(self, r: tuple[int, ...]) -> tuple[int, dict]:
+    def monomial(self, key: int) -> tuple[int, dict, dict]:
         """The reduction of x^r: its restricted solve, lifted, less the shifted
         reductions of what the solve's full-ring value adds to x^r."""
-        if r in self._memo:
-            return self._memo[r]
         ctx = self.ctx
-        sol = {}
-        restricted = _reduce_direct(MultiPoly(self.sub_ctx.ring, {r: ONE}), self.sub_ctx)
+        memo = ctx.packed.memo
+        if key in memo:
+            return memo[key]
+        width = ctx.packed.width
+        r = unpack(key, width, ctx.nvars)
+        restricted = _reduce_direct(
+            MultiPoly(self.sub_ctx.ring, {tuple(r[i] for i in self.rest): ONE}), self.sub_ctx
+        )
+        den = lcm(*(c.denominator for c in restricted.values()))
+        phi, eta, lifted = {}, {}, []
         for (kind, a, b), c in restricted.items():
+            n = c.numerator * (den // c.denominator)
             if kind == "phi":
-                sol[kind, a, _place(ctx.K, self.comp_indices, b)] = c
+                b = _place(ctx.K, self.comp_indices, b)
+                phi[pack(b + (a,), width)] = n
             else:
                 # rest is increasing, so the lifted legs stay sorted
-                sol[kind, tuple(self.rest[i] for i in a), _place(ctx.nvars, self.rest, b)] = c
-        excess = sum(
-            (ctx.column(meta).scale(c) for meta, c in sol.items()),
-            MultiPoly(ctx.ring, {_place(ctx.nvars, self.rest, r): -ONE}),
+                a = tuple(self.rest[i] for i in a)
+                b = _place(ctx.nvars, self.rest, b)
+                n *= self.sign
+                eta[pack(b + (ctx.leg_code[a],), width)] = n
+            lifted.append((n, 1, 0, ctx.column_packed((kind, a, b))))
+        # the lifted solve's value is excess / (den * eden) + x^r
+        excess, eden = _sum_shifted(lifted)
+        excess[key] = excess.get(key, 0) - eden * den
+        parts = [(1, 1, 0, 0, (den, phi, eta))]
+        for e, a in excess.items():
+            if a:
+                phi_shift, eta_shift, low = self.split(e)
+                if not eta_shift:
+                    raise ReductionNoSolutionError("collapse reduction failed to make progress")
+                parts.append((-a, eden * den, phi_shift, eta_shift, self.monomial(low)))
+        den, phi, eta = _combine(parts)
+        g = gcd(den, *phi.values(), *eta.values())
+        memo[key] = (
+            den // g,
+            {k: a // g for k, a in phi.items() if a},
+            {k: a // g for k, a in eta.items() if a},
         )
-        den = lcm(*(c.denominator for c in sol.values()))
-        solved = (den, {meta: c.numerator * (den // c.denominator) for meta, c in sol.items()})
-        parts = [(ONE, self.shift((0,) * len(self.coord_vars)), solved)]
-        for e, c in excess.terms.items():
-            gamma, r_low = self.split(e)
-            if not any(gamma):
-                raise ReductionNoSolutionError("collapse reduction failed to make progress")
-            parts.append((-c, self.shift(gamma), self.monomial(r_low)))
-        den, terms = _combine(parts)
-        g = gcd(den, *terms.values())
-        self._memo[r] = den // g, {meta: a // g for meta, a in terms.items() if a}
-        return self._memo[r]
+        return memo[key]
+
+
+def _permutation_sign(seq: Sequence[int]) -> int:
+    """(-1)^(number of inversions) of a sequence of distinct ints."""
+    return (-1) ** sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
 
 
 def _place(n: int, idx: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
@@ -375,16 +565,11 @@ def _place(n: int, idx: Sequence[int], values: Sequence[int]) -> tuple[int, ...]
     return tuple(out)
 
 
-def _combine(parts) -> tuple[int, dict]:
-    """sum c * u^gamma * red over (c, shift(gamma), red), in integers over one denominator."""
-    den = lcm(*(c.denominator * red[0] for c, _, red in parts))
-    acc: dict = {}
-    for c, shift, (d, terms) in parts:
-        k = c.numerator * (den // (c.denominator * d))
-        for (kind, a, b), n in terms.items():
-            key = (kind, a, tuple(map(add, b, shift[kind])))
-            acc[key] = acc.get(key, 0) + k * n
-    return den, acc
+def _combine(parts) -> tuple[int, dict, dict]:
+    """sum (n / d) * u^gamma * red over (n, d, phi shift, eta shift, red): one packed reduction."""
+    phi, den = _sum_shifted([(n, d, s, (red[1], red[0])) for n, d, s, _, red in parts])
+    eta, _ = _sum_shifted([(n, d, s, (red[2], red[0])) for n, d, _, s, red in parts])
+    return den, phi, eta
 
 
 def reduce_in_lattice(
@@ -408,15 +593,16 @@ def reduce_in_lattice(
 
 
 def _reduce_poly(coeff: MultiPoly, ctx: LatticeContext) -> LatticeCertificate:
+    ctx.fit(ctx.coefficient_weight(coeff))
     if coeff.is_zero():
-        parts = {}
+        parts = []
     elif ctx.collapse is not None:
-        parts = ctx.collapse.reduce(coeff)
+        parts = ctx.metas(*ctx.collapse.reduce(coeff))
     else:
-        parts = _reduce_direct(coeff, ctx)
+        parts = _reduce_direct(coeff, ctx).items()
     coefficients: list[dict] = [{} for _ in range(ctx.phi.mu)]
     eta_terms: dict[tuple[int, ...], dict] = {}
-    for (kind, a, b), c in parts.items():
+    for (kind, a, b), c in parts:
         if kind == "phi":
             coefficients[a][b] = c
         else:
@@ -575,21 +761,15 @@ def gm_matrices(
     if fb is None:
         fb = f_basis(icis)
     ctx = LatticeContext(icis, phi)
-    mu = phi.mu
-    matrices = []
-    certs_all = []
+    inputs = []
     for l in range(icis.K):
-        rows = []
-        certs = []
         others = [ctx.dfs[k] for k in range(icis.K) if k != l]
         rest = wedge_all(others) if others else None
-        for i in range(mu):
-            g = fb.forms[i] if rest is None else wedge(fb.forms[i], rest)
-            cert = reduce_in_lattice(g, phi, icis, ctx)
-            rows.append(cert.coefficients)
-            certs.append(cert)
-        matrices.append(rows)
-        certs_all.append(certs)
+        inputs.append([form if rest is None else wedge(form, rest) for form in fb.forms])
+    # one field width, the smallest the heaviest input allows, for the whole memo
+    ctx.fit(max(ctx.coefficient_weight(ctx.top_coefficient(g)) for row in inputs for g in row))
+    certs_all = [[reduce_in_lattice(g, phi, icis, ctx) for g in row] for row in inputs]
+    matrices = [[cert.coefficients for cert in certs] for certs in certs_all]
     gm = GMMatrices(
         matrices=matrices,
         l_weights=list(fb.weights),

@@ -75,18 +75,18 @@ def assemble_system(
     for mat in gm.matrices:
         if len(mat) != mu or any(len(row) != mu for row in mat):
             raise ValueError("matrix size mismatch")
-    zero = MultiPoly.zero(y_ring)
-    M = [[zero for _ in range(mu)] for _ in range(mu)]
+    # each entry's terms in one dict: sign * p_l times the P^(l) entry, shifted by y_l
+    M_terms = [[{} for _ in range(mu)] for _ in range(mu)]
     for l in range(K):
-        sign = 1 if l % 2 == 0 else -1
-        p_l = icis.comp_weights[l]
-        y_l = MultiPoly.variable(y_ring, f"y{l}")
-        factor = y_l.scale(sign * p_l)
-        for i in range(mu):
-            for j in range(mu):
-                entry = gm.matrices[l][i][j]
-                if not entry.is_zero():
-                    M[i][j] = M[i][j] + factor * entry
+        k = (1 if l % 2 == 0 else -1) * icis.comp_weights[l]
+        y = y_ring.index(f"y{l}")
+        for row, acc_row in zip(gm.matrices[l], M_terms):
+            for entry, acc in zip(row, acc_row):
+                for e, c in entry.terms.items():
+                    e = e[:y] + (e[y] + 1,) + e[y + 1 :]
+                    old = acc.get(e)
+                    acc[e] = k * c if old is None else old + k * c
+    M = [[MultiPoly(y_ring, terms) for terms in row] for row in M_terms]
     data = GaussManinData(
         K=K,
         mu=mu,

@@ -18,6 +18,10 @@ Bareiss determinant (``detpoly.det_bareiss``) both run on it.
 scales; ``poly_substitute`` is its 1 x 1 case, and the front pullback
 (``wavefront``) and every curve restriction of a determinant
 (``detpoly._curve_determinant``) call it on whole matrices.
+
+``pack``/``unpack`` turn an exponent tuple into one int of fixed-width bit
+fields and back, for kernels whose inner loops add exponents (the lattice
+reductions in ``brieskorn``); ``MultiPoly`` keeps tuple exponents.
 """
 
 from __future__ import annotations
@@ -44,6 +48,32 @@ def grevlex_descending(e: Exponents):
 def weight(e: Exponents, weights: Sequence[int]) -> int:
     """The weighted degree sum_i weights[i] * e[i] of a monomial."""
     return sum(map(mul, weights, e))
+
+
+def pack(e: Exponents, width: int) -> int:
+    """The exponent tuple e as one int, e[i] in the bits from width * i up.
+
+    Every field but the last must be below 2^width; the last one is open, so
+    a tag (a basis index) may ride above the exponents.  While every field of
+    a sum stays below 2^width, the sum of packed keys is the packed sum of
+    the tuples: one integer add per exponent sum (the packed exponent vectors
+    of Monagan and Pearce, 2007).
+    """
+    key = 0
+    for x in reversed(e):
+        key = (key << width) + x
+    return key
+
+
+def unpack(key: int, width: int, n: int) -> Exponents:
+    """The n fields of a packed key, the last one open: the inverse of ``pack``."""
+    mask = (1 << width) - 1
+    out = []
+    for _ in range(n - 1):
+        out.append(key & mask)
+        key >>= width
+    out.append(key)
+    return tuple(out)
 
 
 def exact_div_int(a: Mapping[Exponents, int], d: Mapping[Exponents, int]) -> dict[Exponents, int]:
@@ -201,7 +231,7 @@ class MultiPoly:
                 e = tuple(e)
                 if len(e) != n:
                     raise RingMismatchError(f"exponent tuple {e} does not match ring {self.ring}")
-                if any(x < 0 for x in e):
+                if e and min(e) < 0:
                     raise ValueError(f"negative exponent {e}")
                 if e not in clean:
                     clean[e] = c

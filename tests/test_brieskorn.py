@@ -1,12 +1,17 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lerayfront import brieskorn
 from lerayfront.brieskorn import (
+    MAX_FIELD_BITS,
+    LatticeCertificate,
     LatticeContext,
     PhiBasis,
     _fbasis_graded,
@@ -15,7 +20,7 @@ from lerayfront.brieskorn import (
     phi_basis,
     reduce_in_lattice,
 )
-from lerayfront.errors import ReductionNoSolutionError
+from lerayfront.errors import ReductionNoSolutionError, ResourceLimitError
 from lerayfront.forms import DiffForm, exterior_d, wedge
 from lerayfront.phase import (
     HyperbolicSymbol,
@@ -236,6 +241,149 @@ class TestCollapse:
         fb = f_basis(icis)
         assert fb.weights == weights
         assert fb.forms == forms
+
+
+def _top_form(ctx, terms):
+    return DiffForm(ctx.ring, ctx.nvars, {ctx.top_index: MultiPoly(ctx.ring, terms)})
+
+
+def _perturbed(poly, delta):
+    """poly with delta added to the coefficient of its largest term."""
+    e, c = poly.leading()
+    return MultiPoly(poly.ring, {**poly.terms, e: c + delta})
+
+
+def _mutated(cert, mutation, ctx):
+    """A copy of the certificate with one coefficient, one eta term or one input coefficient changed."""
+    coefficients, eta, form = list(cert.coefficients), cert.eta, cert.input_form
+    den = lcm(*(c.denominator for P in coefficients for c in P.terms.values()))
+    j = next(j for j, P in enumerate(coefficients) if not P.is_zero())
+    if mutation == "P_j off by 1/den":
+        coefficients[j] = _perturbed(coefficients[j], Fraction(1, den))
+    elif mutation == "P_j gains a term off the input's support":
+        # y_l^k on a coordinate component f_l = u_c, k past the input's degree in u_c
+        l, c = ctx.icis.coordinate_components()[0]
+        beta = list(coefficients[j].leading()[0])
+        beta[l] += 1 + max(e[c] for e in ctx.top_coefficient(form).terms)
+        coefficients[j] = coefficients[j] + MultiPoly(ctx.y_ring, {tuple(beta): Fraction(1, den)})
+    elif mutation == "eta term dropped":
+        J, q = next(iter(eta.components.items()))
+        e = q.leading()[0]
+        dropped = MultiPoly(q.ring, {k: c for k, c in q.terms.items() if k != e})
+        eta = DiffForm(eta.ring, eta.degree, {**eta.components, J: dropped})
+    else:
+        top = ctx.top_index
+        form = DiffForm(form.ring, form.degree, {top: _perturbed(form.components[top], 1)})
+    return LatticeCertificate(input_form=form, coefficients=coefficients, eta=eta)
+
+
+class TestPackedKernel:
+    """The integer certificate check, the packed field widths and their cap, and
+    the collapse on components out of variable order and on long shifts."""
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            "P_j off by 1/den",
+            "P_j gains a term off the input's support",
+            "eta term dropped",
+            "input coefficient changed",
+        ],
+    )
+    def test_a_mutated_certificate_fails_and_its_reduction_exits_11(
+        self, wave_cusp_pipeline, monkeypatch, mutation
+    ):
+        icis, phi, gm = wave_cusp_pipeline["icis"], wave_cusp_pipeline["phi"], wave_cusp_pipeline["gm"]
+        ctx = LatticeContext(icis, phi)
+        cert = next(
+            c for certs in gm.certificates for c in certs
+            if not c.eta.is_zero() and any(not P.is_zero() for P in c.coefficients)
+        )
+        assert cert.verify(ctx)
+        assert not _mutated(cert, mutation, ctx).verify(ctx)
+        # the same mutation inside the reduction
+        reduce_poly = brieskorn._reduce_poly
+        if mutation == "input coefficient changed":
+            def mutated(coeff, ctx):
+                return reduce_poly(_perturbed(coeff, 1), ctx)
+        else:
+            def mutated(coeff, ctx):
+                cert = reduce_poly(coeff, ctx)
+                cert.input_form = _top_form(ctx, coeff.terms)
+                return _mutated(cert, mutation, ctx)
+        monkeypatch.setattr(brieskorn, "_reduce_poly", mutated)
+        with pytest.raises(ReductionNoSolutionError) as exc:
+            reduce_in_lattice(cert.input_form, phi, icis, ctx)
+        assert exc.value.exit_code == 11
+
+    def test_collapse_with_components_out_of_variable_order(self, m1_cusp_icis):
+        # reversed, the coordinate components are f_0 = z4 and f_1 = z3, so u^gamma
+        # shifts beta on other fields than delta
+        icis = dataclasses.replace(
+            m1_cusp_icis,
+            components=m1_cusp_icis.components[::-1],
+            comp_weights=m1_cusp_icis.comp_weights[::-1],
+        )
+        assert icis.coordinate_components() == [(0, 3), (1, 2)]
+        phi = phi_basis(icis)
+        ctx, direct = LatticeContext(icis, phi), LatticeContext(icis, phi)
+        direct.collapse = None
+        for g in _gm_inputs(icis, ctx):
+            a = reduce_in_lattice(g, phi, icis, ctx)
+            b = reduce_in_lattice(g, phi, icis, direct)
+            assert (a.coefficients, a.eta) == (b.coefficients, b.eta)
+
+    def test_reductions_at_the_smallest_field_width(self, m1_cusp_icis):
+        # m1/cusp: min weight 2 and sum_v 13, so weight w needs the bit
+        # length of (w + 13) // 2 per field; the gm inputs (weights 3..12)
+        # need 4 bits, weight 17 is the heaviest that 4 bits hold, and weight
+        # 19 needs 5, which replaces the memo
+        icis = m1_cusp_icis
+        phi = phi_basis(icis)
+        ctx, direct = LatticeContext(icis, phi), LatticeContext(icis, phi)
+        direct.collapse = None
+        assert (ctx.min_weight, ctx.sum_v) == (2, 13)
+        inputs = list(_gm_inputs(icis, ctx))
+        heaviest = max(ctx.coefficient_weight(ctx.top_coefficient(g)) for g in inputs)
+        assert heaviest == 12
+        # z1 * z3^4 * z4 of weight 17 (bound 15), z1 * z3^4 * z4^2 of weight 19 (bound 16)
+        heavy = [_top_form(ctx, {(1, 0, 4, 1, 0): 1}), _top_form(ctx, {(1, 0, 4, 2, 0): 1})]
+        assert [ctx.coefficient_weight(ctx.top_coefficient(g)) for g in heavy] == [17, 19]
+        for g, width in [(g, 4) for g in inputs] + list(zip(heavy, (4, 5))):
+            a = reduce_in_lattice(g, phi, icis, ctx)
+            b = reduce_in_lattice(g, phi, icis, direct)
+            assert ctx.packed.width == width
+            assert (a.coefficients, a.eta) == (b.coefficients, b.eta)
+            assert a.verify(direct) and b.verify(ctx)
+
+    def test_a_coordinate_shift_of_thousands(self, m1_cusp_icis):
+        # z3 = f_2 on m1/cusp: z1 * z3^3000 reduces to z1's reduction shifted
+        # by y2^3000, in 13-bit fields ((9003 + 13) // 2 = 4508), and its check
+        # multiplies out f_2^3000
+        icis = m1_cusp_icis
+        phi = phi_basis(icis)
+        ctx = LatticeContext(icis, phi)
+        base = reduce_in_lattice(_top_form(ctx, {(1, 0, 0, 0, 0): 1}), phi, icis, ctx)
+        shifted = reduce_in_lattice(_top_form(ctx, {(1, 0, 3000, 0, 0): 1}), phi, icis, ctx)
+        assert ctx.packed.width == 13
+        y_shift = MultiPoly(ctx.y_ring, {(0, 0, 3000, 0): 1})
+        assert shifted.coefficients == [P * y_shift for P in base.coefficients]
+        assert shifted.eta == base.eta.mul_poly(MultiPoly(ctx.ring, {(0, 0, 3000, 0, 0): 1}))
+
+    @pytest.mark.parametrize("collapse", [True, False])
+    def test_an_input_past_the_field_cap_ends_in_exit_14(self, m1_cusp_icis, cusp_icis, collapse):
+        # weight w needs (w + sum_v) // min_weight below 2^MAX_FIELD_BITS
+        icis = m1_cusp_icis if collapse else cusp_icis
+        phi = phi_basis(icis)
+        ctx = LatticeContext(icis, phi)
+        assert (ctx.collapse is not None) == collapse
+        e = [0] * ctx.nvars
+        e[-1] = 1 << MAX_FIELD_BITS
+        with pytest.raises(ResourceLimitError) as exc:
+            reduce_in_lattice(_top_form(ctx, {tuple(e): 1}), phi, icis, ctx)
+        assert (exc.value.kind, exc.value.limit, exc.value.exit_code) == (
+            "exponent-field", MAX_FIELD_BITS, 14
+        )
 
 
 class TestGMMatrices:

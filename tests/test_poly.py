@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,9 @@ from lerayfront.poly import (
     MultiPoly,
     exact_div_int,
     monomials_of_weight,
+    pack,
     poly_substitute,
+    unpack,
     weight,
     weighted_graded_parts,
 )
@@ -226,6 +229,25 @@ def test_poly_substitute_is_the_reference_substitution(data):
     # with no binding the target ring is p's own
     ring = target if bindings else source
     assert poly_substitute(p, bindings) == substitute(p, bindings, ring)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pack_round_trips_and_adds_like_tuples(data):
+    # fields up to 2^width - 1, the largest exponent a field of that width
+    # admits, and sums that stay within it
+    width = data.draw(st.integers(1, 12))
+    top = (1 << width) - 1
+    n = data.draw(st.integers(1, 6))
+    a = data.draw(st.tuples(*[st.integers(0, top)] * n))
+    b = tuple(data.draw(st.integers(0, top - x)) for x in a)
+    for e in (a, b, (top,) * n):
+        assert unpack(pack(e, width), width, n) == e
+    assert pack(a, width) + pack(b, width) == pack(tuple(map(add, a, b)), width)
+    # the last field is open: a tag of any size rides above the exponents
+    tag = data.draw(st.integers(0, 10**9))
+    assert unpack(pack(a + (tag,), width), width, n + 1) == a + (tag,)
+    assert pack(a + (tag,), width) + pack(b + (0,), width) == pack(tuple(map(add, a, b)) + (tag,), width)
 
 
 class TestGradedParts:
