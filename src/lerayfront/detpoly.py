@@ -36,8 +36,10 @@ interpolates once.  The axis probes, the total-degree curves and
 ``line_determinant`` (``oracle.line_check``) all go through it.
 
 ``_IntegerEvaluator`` is the one evaluator of polynomial matrices at exact
-points.  ``at`` takes one rational point (the flatness oracle in
-``gaussmanin`` and the check points of ``det_probed``); ``grid`` walks a
+points, and of their first partials, which it reads off its interned
+monomials (``partials``, for the flatness oracle).  ``at`` takes one
+rational point (the flatness oracle in ``gaussmanin`` and the check points
+of ``det_probed``, drawn from at least 2^32 values); ``grid`` walks a
 lower set of an integer grid axis by axis, so that neighbouring points
 share the work of their common prefix (the interpolation grid and the
 nodes of a curve).
@@ -49,9 +51,9 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 from math import gcd, lcm, prod
-from operator import floordiv, mul, sub
+from operator import floordiv, getitem, mul, sub
 from typing import Iterator, Sequence
 
 from .errors import MismatchError, ResourceLimitError
@@ -150,8 +152,8 @@ def det_probed(
     (``_probe_degrees``).  One integer evaluator of the core then takes the
     grid of (degree - v) // g + 1 nodes per variable, cut to a lower set by
     a bound on the total degree of det M, and four random rational points
-    where the interpolant (by a 1 x 1 evaluator of its integer terms) must
-    equal det_int of the evaluated core.  The bound is
+    where the interpolant must equal det_int of the evaluated core
+    (``_agrees_at_random_points``, which states the error bound).  The bound is
     ``total_degree_bound`` of the core (safe), or the degree along two
     random curves y_i = p_i + q_i * tau^parity_i (``_probe_total_degree``)
     when their determinants are fewer than the grid points that safe bound
@@ -214,21 +216,8 @@ def det_probed(
         fallback=False,
     )
 
-    def agrees_at_random_points(terms: dict, den: int) -> bool:
-        check = _IntegerEvaluator([[[terms]]], ring)
-        for _ in range(4):
-            pt = {v: Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for v in ring}
-            # each evaluator's values are its entries times its prod_v b_v^maxdeg_v
-            S, T = (
-                prod(pt[v].denominator ** top for v, top in zip(ring, e.maxdeg))
-                for e in (evaluator, check)
-            )
-            if det_int(evaluator.at(pt)[0]) * den * T != check.at(pt)[0][0][0] * S ** len(core):
-                return False
-        return True
-
     det = _interpolate_grid(evaluator, exponents, costs, budget)
-    if det is None or not agrees_at_random_points(*det):
+    if det is None or not _agrees_at_random_points(evaluator, len(core), *det, rng):
         try:
             box = [range(b + 1) for b in safe]
             det = _interpolate_grid(evaluator, box, parity, safe_top)
@@ -244,6 +233,38 @@ def det_probed(
     den *= prod(core_scales) * factor_scale
     terms = _sum_of_products(((factor, terms, 1),))
     return MultiPoly(ring, {e: Fraction(c, den) for e, c in terms.items()}), record
+
+
+def _agrees_at_random_points(
+    evaluator: _IntegerEvaluator, size: int, terms: dict, den: int, rng: random.Random
+) -> bool:
+    """Whether terms / den equals det_int of the evaluator's size x size matrix at
+    four random rational points (the interpolant by a 1 x 1 evaluator of its terms).
+
+    Each coordinate is a / b with a uniform in [2^31, 2^32) and b in
+    [1, 2^16].  A value q comes only from denominators b with 2^31 <= q*b <
+    2^32, at most 2^15 + 1 of them, and from one numerator each, so no value
+    has probability above (2^15 + 1) / 2^47 = (1 + 2^-15) / 2^32.  A wrong
+    interpolant differs from det by a nonzero polynomial of total degree at
+    most D, the safe total degree of the core, so by Schwartz-Zippel
+    (Schwartz 1980; Zippel 1979) it passes one point with probability at
+    most D (1 + 2^-15) / 2^32, and all four with about (D / 2^32)^4.  The
+    flagship's D is 64.
+    """
+    check = _IntegerEvaluator([[[terms]]], evaluator.ring)
+    for _ in range(4):
+        pt = {
+            v: Fraction(rng.randrange(2**31, 2**32), rng.randint(1, 2**16))
+            for v in evaluator.ring
+        }
+        # each evaluator's values are its entries times its prod_v b_v^maxdeg_v
+        S, T = (
+            prod(pt[v].denominator ** top for v, top in zip(evaluator.ring, e.maxdeg))
+            for e in (evaluator, check)
+        )
+        if det_int(evaluator.at(pt)[0]) * den * T != check.at(pt)[0][0][0] * S**size:
+            return False
+    return True
 
 
 def _peel_single_entries(M: list[list[dict]], scales: list[int], ring: tuple[str, ...]):
@@ -420,14 +441,6 @@ def _integer_entries(mats: list[list[list[MultiPoly]]]) -> list[list[list[dict]]
     ]
 
 
-def _partial_entries(mat: list[list[dict]], i: int) -> list[list[dict]]:
-    """Derivative in variable number ``i`` of a matrix from ``_integer_entries``."""
-    return [
-        [{e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.items() if e[i]} for p in row]
-        for row in mat
-    ]
-
-
 class _IntegerEvaluator:
     """Integer polynomial matrices in one ring, evaluated together at exact points.
 
@@ -439,9 +452,18 @@ class _IntegerEvaluator:
 
     ``grid`` takes one list of integers per variable and walks the grid they
     span.
+
+    ``partials`` lists variable numbers i; after ``mats`` come the
+    derivatives d_i of each matrix, matrix by matrix and in the order of
+    ``partials``.  They are read off the interned monomials, never built as
+    polynomials: each monomial e with e_i > 0 maps once to the number of
+    e - 1_i, and a derivative entry keeps its base entry's terms with
+    e_i > 0, each coefficient times e_i.
     """
 
-    def __init__(self, mats: list[list[list[dict]]], ring: tuple[str, ...]):
+    def __init__(
+        self, mats: list[list[list[dict]]], ring: tuple[str, ...], partials: Sequence[int] = ()
+    ):
         self.ring = ring
         self.shapes = [(len(mat), len(mat[0])) for mat in mats]
         index: dict[tuple[int, ...], int] = {}
@@ -451,6 +473,26 @@ class _IntegerEvaluator:
             for row in mat
             for p in row
         ]
+        base = list(index)
+        lowered = []  # per variable i: each base monomial's e_i, and the number of e - 1_i
+        for i in partials:
+            exps = [e[i] for e in base]
+            shift = [
+                index.setdefault(e[:i] + (k - 1,) + e[i + 1 :], len(index)) if k else -1
+                for e, k in zip(base, exps)
+            ]
+            lowered.append((exps, shift))
+        first = 0
+        for rows, cols in list(self.shapes):
+            block = self.terms[first : first + rows * cols]
+            first += rows * cols
+            for exps, shift in lowered:
+                self.shapes.append((rows, cols))
+                for idx, cs in block:
+                    keep = list(map(exps.__getitem__, idx))  # e_i of each term
+                    lowered_idx = tuple(map(shift.__getitem__, compress(idx, keep)))
+                    scaled = tuple(map(mul, compress(cs, keep), compress(keep, keep)))
+                    self.terms.append((lowered_idx, scaled))
         self.monomials = list(index)
         self.maxdeg = [max((e[v] for e in index), default=0) for v in range(len(ring))]
 
@@ -468,7 +510,7 @@ class _IntegerEvaluator:
         for v, top in zip(self.ring, self.maxdeg):
             a, b = point[v].numerator, point[v].denominator
             powers.append([a**k * b ** (top - k) for k in range(top + 1)])
-        table = [prod(powers[v][k] for v, k in enumerate(e)) for e in self.monomials]
+        table = [prod(map(getitem, powers, e)) for e in self.monomials]
         get = table.__getitem__
         return self._matrices([sum(map(mul, cs, map(get, idx))) for idx, cs in self.terms])
 

@@ -5,9 +5,13 @@ with L_V = diag(l_1..l_mu); the discriminant is det M, taken by Bareiss
 over Z[y] on the row-scaled matrix, with each exact division one
 heap-ordered ``poly.exact_div_int`` (``detpoly.det_poly_matrix``), and
 divided by the row scales once.  Flatness of the induced connection is
-verified exactly at random rational points off the discriminant, with the
-matrices evaluated by ``detpoly._IntegerEvaluator``; K = 1 systems expose
-their classical local exponents as a bridge to known special cases.
+verified exactly at random rational points off the discriminant: one
+``detpoly._IntegerEvaluator`` holds M and the P^(l) as integer terms over
+one denominator and reads their first partials in y_0..y_{K-1} off its
+interned monomials (no derivative is built as a polynomial), so a point
+costs one table of scaled monomials, one integer dot product per entry, one
+inverse of M and K^2 integer matrix products.  K = 1 systems expose their
+classical local exponents as a bridge to known special cases.
 """
 
 from __future__ import annotations
@@ -19,12 +23,7 @@ from math import lcm
 from operator import mul
 
 from .brieskorn import FBasis, GMMatrices, PhiBasis
-from .detpoly import (
-    _IntegerEvaluator,
-    _integer_entries,
-    _partial_entries,
-    det_poly_matrix,
-)
+from .detpoly import _IntegerEvaluator, _integer_entries, det_poly_matrix
 from .errors import (
     CurvatureNonzeroError,
     DegenerateSystemError,
@@ -184,11 +183,12 @@ def flatness_check(
 
     Every accepted point has M invertible, so C_kl = 0 exactly when L_V B_kl
     = 0, that is when each row i of B_kl with l_i != 0 vanishes.  All
-    matrices are evaluated as integers over one common positive scale and
-    M^{-1} is written as N / d with N integer, so B_kl is checked as the
-    integer matrix d * scale * B_kl: one evaluation pass, K products for the
-    X_l and two products per pair.  Points are drawn, singular ones skipped
-    and failures reported as the direct formula would.
+    matrices are evaluated as integers over one common positive scale, the
+    partials d_k by the same evaluator (``partials``), and M^{-1} is written
+    as N / d with N integer, so B_kl is checked as the integer matrix
+    d * scale * B_kl: one evaluation pass, K products for the X_l and two
+    products per pair.  Points are drawn, singular ones skipped and failures
+    reported as the direct formula would.
     """
     if sample_points < 1:
         raise ValueError(f"sample_points must be at least 1, got {sample_points}")
@@ -201,10 +201,9 @@ def flatness_check(
     weights = data.l_weights
     rows = [i for i in range(mu) if weights[i] != 0]
     # M, P^(0..K-1), then d_k of each of them in that order
-    base = _integer_entries([data.M, *data.matrices])
     ys = [data.y_ring.index(f"y{k}") for k in range(K)]
     evaluator = _IntegerEvaluator(
-        base + [_partial_entries(mat, i) for mat in base for i in ys], data.y_ring
+        _integer_entries([data.M, *data.matrices]), data.y_ring, partials=ys
     )
     pairs = K * (K - 1) // 2
     points = []

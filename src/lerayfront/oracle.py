@@ -137,20 +137,29 @@ def _minimal_polynomial(gb: GroebnerBasis, var: str) -> tuple[MultiPoly, int]:
 def scaled_residuals(p: MultiPoly, points: Sequence[dict[str, float]]) -> list[float]:
     """|p(z)| / (L1 coefficient norm * max(1, |z|_inf)^deg) at each point z.
 
-    The norm, the degree and the float coefficients are taken once for all
-    points; p(z) is the ``math.fsum`` of ``MultiPoly.eval_float``.
+    The norm, the degree, the float coefficients and each variable's column
+    of exponents are taken once for all points.  At a point, each variable
+    gets one table of x**k up to its largest exponent, and each term is
+    multiplied out as c * x1^a * x2^b * ..., the order of
+    ``prod(map(pow, vals, e), start=c)``, through one lazy map per variable;
+    p(z) is their ``math.fsum``, which is exactly rounded, so every residual
+    is the one ``MultiPoly.eval_float`` gives, to the last bit.
     """
     norm = float(sum(abs(c) for c in p.terms.values()))
     if norm == 0.0:
         return [0.0] * len(points)
     degree = p.total_degree()
-    terms = [(e, float(c)) for e, c in p.terms.items()]
+    coefficients = [float(c) for c in p.terms.values()]
+    columns = [(v, column, max(column)) for v, column in zip(p.ring, zip(*p.terms))]
     out = []
     for values in points:
-        vals = [float(values[v]) for v in p.ring]
         mag = max([1.0] + [abs(float(v)) for v in values.values()])
-        value = fsum(prod(map(pow, vals, e), start=c) for e, c in terms)
-        out.append(abs(value) / (norm * mag**degree))
+        terms = coefficients
+        for v, column, top in columns:
+            x = float(values[v])
+            table = [x**k for k in range(top + 1)]
+            terms = map(mul, terms, map(table.__getitem__, column))
+        out.append(abs(fsum(terms)) / (norm * mag**degree))
     return out
 
 

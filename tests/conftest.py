@@ -144,12 +144,30 @@ def m1_cusp_system(m1_cusp_icis):
 
 
 @pytest.fixture(scope="session")
-def wave_cusp_front(wave_cusp_pipeline):
+def wave_cusp_probed(wave_cusp_pipeline):
+    """The flagship front at s = 1, and the arguments (evaluator, size, terms,
+    den) of the exact check ``det_probed`` ran on its core's interpolant."""
+    from lerayfront import detpoly
     from lerayfront.wavefront import front_polynomial
 
-    return front_polynomial(
-        wave_cusp_pipeline["data"],
-        wave_cusp_pipeline["icis"],
-        s_value=Fraction(1),
-        seed=0,
-    )
+    checks = []
+    agrees = detpoly._agrees_at_random_points
+
+    def recording(*args):
+        checks.append(args[:4])
+        return agrees(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detpoly, "_agrees_at_random_points", recording)
+        front = front_polynomial(
+            wave_cusp_pipeline["data"],
+            wave_cusp_pipeline["icis"],
+            s_value=Fraction(1),
+            seed=0,
+        )
+    return front, checks[0]
+
+
+@pytest.fixture(scope="session")
+def wave_cusp_front(wave_cusp_probed):
+    return wave_cusp_probed[0]

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
 from lerayfront.brieskorn import GMMatrices, PhiBasis, FBasis
+from lerayfront.detpoly import _IntegerEvaluator, _integer_entries
 from lerayfront.errors import (
     CurvatureNonzeroError,
     DegenerateSystemError,
@@ -188,3 +191,46 @@ class TestFlatness:
         )
         with pytest.raises(CurvatureNonzeroError):
             flatness_check(data_bad, sample_points=1, seed=11)
+
+
+def _zero_partials_checked(mats, ring, partials, points):
+    """Assert that ``_IntegerEvaluator`` with ``partials`` gives mats and then
+    d_i of each matrix (matrix by matrix) as MultiPoly.partial evaluated
+    exactly, times the evaluator's scale; return how many derivative entries
+    are the zero polynomial."""
+    den = lcm(*(c.denominator for mat in mats for row in mat for p in row for c in p.terms.values()))
+    evaluator = _IntegerEvaluator(_integer_entries(mats), ring, partials=partials)
+    derived = [[[p.partial(ring[i]) for p in row] for row in mat] for mat in mats for i in partials]
+    expected = [*mats, *derived]
+    for pt in points:
+        scale = den * prod(pt[v].denominator ** top for v, top in zip(ring, evaluator.maxdeg))
+        values = evaluator.at(pt)
+        assert len(values) == len(expected)
+        for got, want in zip(values, expected):
+            assert got == [[p.eval_exact(pt) * scale for p in row] for row in want]
+    return sum(p.is_zero() for mat in derived for row in mat for p in row)
+
+
+class TestEvaluatorPartials:
+    """The flatness oracle reads d_i of M and the P^(l) off the evaluator's
+    interned monomials; each must be MultiPoly.partial, evaluated exactly."""
+
+    def test_quadric_system(self, quadric_system):
+        _, data = quadric_system
+        rng = random.Random(5)
+        ring = data.y_ring
+        points = [
+            {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in ring} for _ in range(5)
+        ]
+        # both orders of the variables, so the derivatives' order is checked
+        for partials in (range(len(ring)), range(len(ring))[::-1]):
+            zeros = _zero_partials_checked([data.M, *data.matrices], ring, list(partials), points)
+            assert zeros > 0
+
+    def test_flagship_matrices(self, wave_cusp_pipeline):
+        data = wave_cusp_pipeline["data"]
+        rng = random.Random(6)
+        ring = data.y_ring
+        point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in ring}
+        zeros = _zero_partials_checked(data.matrices, ring, list(range(len(ring))), [point])
+        assert 0 < zeros < len(ring) * len(data.matrices) * data.mu**2

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import hypot
+from math import fsum, hypot, prod
 
 import pytest
 
@@ -358,3 +358,51 @@ class TestEvalFront:
             expected.append(abs(p.eval_float(pt)) / (norm * mag ** p.total_degree()))
         assert scaled_residuals(p, points) == expected
         assert scaled_residuals(MultiPoly.zero(ring), points[:3]) == [0.0] * 3
+
+    @pytest.mark.parametrize("used", [("x1", "x2", "t", "s"), ("x1", "t", "s"), ()], ids=len)
+    def test_power_tables_match_the_per_term_formula(self, used):
+        # symbolic s makes a 4-variable ring; an unused variable has only
+        # exponent 0, and no used variable leaves a constant; the points
+        # include zeros, a negative zero and negative coordinates
+        ring = ("x1", "x2", "t", "s")
+        rng = random.Random(len(used))
+        terms = {}
+        for _ in range(40):
+            e = tuple(rng.randint(0, 7) if v in used else 0 for v in ring)
+            terms[e] = Fraction(rng.randint(-999, 999), rng.randint(1, 97))
+        p = MultiPoly(ring, terms)
+        points = [{v: rng.uniform(-2.5, 2.5) for v in ring} for _ in range(30)]
+        points += [
+            dict.fromkeys(ring, 0.0),
+            dict.fromkeys(ring, -0.0),
+            {"x1": -1.0, "x2": 0.0, "t": -2.0, "s": -0.5},
+            {"x1": 0.0, "x2": -3.0, "t": 0.0, "s": 1.0},
+        ]
+        assert scaled_residuals(p, points) == _per_term_residuals(p, points)
+        assert scaled_residuals(MultiPoly.zero(ring), points) == [0.0] * len(points)
+
+    def test_flagship_rays_match_the_per_term_formula(self, wave_cusp_front):
+        # the 240 ray samples of ``lerayfront all`` on the flagship (seed 1)
+        phi = wave_cusp_front.phi
+        rays = sample_front(WAVE, CUSP, Fraction(1), [0.1, 0.5, 1.0], count=40, seed=1)
+        assert len(rays.samples) == 240
+        points = [{"x1": smp.x[0], "x2": smp.x[1], "t": smp.t} for smp in rays.samples]
+        residuals = scaled_residuals(phi, points)
+        assert residuals == _per_term_residuals(phi, points)
+        rep = eval_front_on_samples(phi, rays.samples, Fraction(1))
+        assert rep.max_scaled_residual == max(residuals) < 1e-6
+
+
+def _per_term_residuals(p, points):
+    """scaled_residuals by one prod(map(pow, ...)) per term and point."""
+    norm = float(sum(abs(c) for c in p.terms.values()))
+    if norm == 0.0:
+        return [0.0] * len(points)
+    terms = [(e, float(c)) for e, c in p.terms.items()]
+    out = []
+    for values in points:
+        vals = [float(values[v]) for v in p.ring]
+        mag = max([1.0] + [abs(float(v)) for v in values.values()])
+        value = fsum(prod(map(pow, vals, e), start=c) for e, c in terms)
+        out.append(abs(value) / (norm * mag ** p.total_degree()))
+    return out

@@ -1,13 +1,15 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 import pytest
 
 from lerayfront import detpoly
 from lerayfront.detpoly import (
+    _agrees_at_random_points,
+    _IntegerEvaluator,
     _lower_set_size,
     _map_exponents,
     _probe_degrees,
@@ -488,6 +490,62 @@ class TestProbedInterpolation:
         monkeypatch.setattr(detpoly, "GRID_MAX_POINTS", safe_points - 1)
         with pytest.raises(MismatchError, match="safe bounds exceed the grid cap"):
             probed(M, seed=2)
+
+
+def _grid_vanishing(ring, den, var, nodes, power, cofactor):
+    """den * cofactor * prod_k (x^power - k^power) over the nodes k of x = ``var``,
+    as integer terms: zero wherever x is a grid node."""
+    x = MultiPoly.variable(ring, var) ** power
+    factors = (x - MultiPoly.constant(ring, k**power) for k in nodes)
+    return {e: int(c) for e, c in prod(factors, start=cofactor.scale(den)).terms.items()}
+
+
+def _plus(terms, extra):
+    out = dict(terms)
+    for e, c in extra.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+class TestCheckPoints:
+    """det_probed's exact check of the interpolant at four random points.
+
+    An interpolant that is wrong by a multiple of prod (x - node) agrees with
+    det on every grid point; only the check points can see it.  Coordinates
+    drawn from -7..7 over 1..3 hit the nodes often enough that such an
+    interpolant passed on about one seed in six on the flagship.
+    """
+
+    def test_grid_vanishing_interpolant_is_rejected_on_a_small_core(self):
+        ring = ("a", "b", "c")
+        M = _random_matrix(random.Random(10), ring, 4)
+        rows, scales = _row_scaled_entries(M)
+        evaluator = _IntegerEvaluator([rows], ring)
+        det = det_bareiss(M).scale(prod(scales))
+        terms = {e: int(c) for e, c in det.terms.items()}
+        b = MultiPoly.variable(ring, "b")
+        wrong = _plus(terms, _grid_vanishing(ring, 1, "a", range(det.degree_in("a") + 1), 1, b))
+        assert _agrees_at_random_points(evaluator, 4, terms, 1, random.Random(0))
+        accepted = [
+            seed
+            for seed in range(500)
+            if _agrees_at_random_points(evaluator, 4, wrong, 1, random.Random(seed))
+        ]
+        assert accepted == []
+
+    def test_grid_vanishing_interpolant_is_rejected_on_the_flagship(self, wave_cusp_probed):
+        # the flagship core's grid takes x1 = 0..14 (exponents 0, 2, ..., 28)
+        # and keeps t^6 of the compressed t; the seeds are those on which the
+        # -7..7 / 1..3 draws accepted this interpolant
+        front, (evaluator, size, terms, den) = wave_cusp_probed
+        assert front.strategy["probed_bounds"][0] == 28
+        assert front.strategy["probed_steps"][0] == 2
+        ring = evaluator.ring
+        t = MultiPoly.variable(ring, "t")
+        wrong = _plus(terms, _grid_vanishing(ring, den, "x1", range(15), 2, t**6))
+        assert _agrees_at_random_points(evaluator, size, terms, den, random.Random(0))
+        for seed in (0, 5, 8, 10, 11, 24, 28, 37, 46, 50, 56, 63, 67, 86, 89, 97):
+            assert not _agrees_at_random_points(evaluator, size, wrong, den, random.Random(seed))
 
 
 class TestTZero:
