@@ -4,9 +4,10 @@
 For f = u1^2 + u2^(k+1) the staircase basis has weights l_j, and the system
 on the critical-value line has exponents (l_j - p0) / p0; classically these
 are j/(k+1) - 1/2 for j = 1..k.  The table below is computed from scratch
-and compared against that closed form.
+and compared against that closed form; the script exits 1 on a mismatch.
 """
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -24,8 +25,9 @@ def a_k(k: int):
     return make_icis([u1**2 + u2 ** (k + 1)], ((k + 1) // g, 2 // g))
 
 
-def main():
+def main() -> int:
     print(f"{'k':>2} {'mu':>3}  computed exponents      closed form")
+    mismatches = 0
     for k in range(1, 7):
         icis = a_k(k)
         gm = gm_matrices(icis)
@@ -33,8 +35,10 @@ def main():
         got = residue_exponents_K1(data)
         expected = sorted(Fraction(j, k + 1) - Fraction(1, 2) for j in range(1, k + 1))
         mark = "ok" if got == expected else "MISMATCH"
+        mismatches += got != expected
         print(f"{k:>2} {data.mu:>3}  {[str(e) for e in got]}  {mark}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

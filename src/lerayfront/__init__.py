@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .poly import MultiPoly, poly_substitute, weighted_graded_parts
 from .linalg import RationalMatrix
 from .detpoly import det_poly_matrix
-from .forms import DiffForm, EulerField, contract_euler, exterior_d, wedge
+from .forms import DiffForm, contract_euler, exterior_d, wedge
 from .groebner import (
     GREVLEX,
     LEX,

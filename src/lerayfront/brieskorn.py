@@ -62,7 +62,6 @@ from .errors import (
 )
 from .forms import (
     DiffForm,
-    EulerField,
     _merge_indices,
     contract_euler,
     d_of_poly,
@@ -482,8 +481,8 @@ class _Collapse:
         # past the N legs and into place among the variables gives (-1)^(m N) * s_v:
         # at u_c = 0, top(D ^ du_L) = sign * top(D_sub ^ du_L) for legs L in x
         self.sign = (
-            _permutation_sign([*comp_indices, *self.coord_comps])
-            * _permutation_sign([*rest, *self.coord_vars])
+            _merge_indices(tuple(comp_indices), tuple(self.coord_comps))[1]
+            * _merge_indices(tuple(rest), tuple(self.coord_vars))[1]
             * (-1) ** (len(coords) * ctx.N)
         )
 
@@ -550,11 +549,6 @@ class _Collapse:
             {k: a // g for k, a in eta.items() if a},
         )
         return memo[key]
-
-
-def _permutation_sign(seq: Sequence[int]) -> int:
-    """(-1)^(number of inversions) of a sequence of distinct ints."""
-    return (-1) ** sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
 
 
 def _place(n: int, idx: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
@@ -665,7 +659,6 @@ def _fbasis_graded(icis: IcisMap, mu: int, weight_cap: int):
     ring, vweights, N, pweights = icis.ring, icis.var_weights, icis.N, icis.comp_weights
     nvars = len(ring)
     deg = N + 1
-    euler = EulerField.unchecked(vweights)
     dfs = [d_of_poly(f) for f in icis.components]
     subsets = list(combinations(range(nvars), deg))
     n_subsets = list(combinations(range(nvars), N))
@@ -705,7 +698,7 @@ def _fbasis_graded(icis: IcisMap, mu: int, weight_cap: int):
             for J in t_subsets:
                 legs = sum(vweights[i] for i in J)
                 base = contract_euler(
-                    DiffForm(ring, deg + 1, {J: MultiPoly.constant(ring, 1)}), euler
+                    DiffForm(ring, deg + 1, {J: MultiPoly.constant(ring, 1)}), vweights
                 )
                 for e in monomials_of_weight(vweights, d - legs):
                     ech.insert(vec_of(base.mul_poly(MultiPoly.from_monomial(ring, e))))
@@ -732,7 +725,7 @@ def _fbasis_graded(icis: IcisMap, mu: int, weight_cap: int):
         if dw.is_zero():
             closed.append(form)
             continue
-        corr = contract_euler(dw, euler).scale(Fraction(-1, w))
+        corr = contract_euler(dw, vweights).scale(Fraction(-1, w))
         fixed = form + corr
         assert exterior_d(fixed).is_zero()
         closed.append(fixed)

@@ -202,7 +202,7 @@ class Pipeline:
         return self._get("weights", self.pb.weight_system)
 
     def c3(self):
-        return self._get("c3", lambda: check_c3(self.pb.front, self.weights()))
+        return self._get("c3", lambda: check_c3(self.pb.front))
 
     def hyperbolicity(self):
         return self._get(

@@ -3,43 +3,19 @@
 A ``DiffForm`` of degree k on variables u_1..u_N stores a sparse map from
 strictly increasing k-index-subsets to polynomial coefficients.  The three
 operations needed downstream are the wedge product, the exterior derivative,
-and contraction with the Euler vector field sum(v_i u_i d/du_i).
+and contraction with the Euler vector field sum(v_i u_i d/du_i), given by
+its weight tuple v.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import RingMismatchError
 from .poly import MultiPoly, weight
 
 IndexSet = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EulerField:
-    """Positive integer variable weights with gcd 1."""
-
-    weights: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.weights or any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        g = 0
-        for w in self.weights:
-            g = gcd(g, w)
-        if g != 1:
-            raise ValueError(f"weights {self.weights} have gcd {g} != 1")
-
-    @classmethod
-    def unchecked(cls, weights) -> "EulerField":
-        """Internal constructor for restricted weight tuples (gcd may exceed 1)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "weights", tuple(weights))
-        return obj
 
 
 class DiffForm:
@@ -131,14 +107,13 @@ class DiffForm:
             out.components = {i: p * q for i, p in self.components.items()}
         return out
 
-    def weight(self, euler: EulerField) -> int | None:
+    def weight(self, weights: Sequence[int]) -> int | None:
         """Weight if weighted-homogeneous (coefficient weight + leg weights)."""
         seen: set[int] = set()
-        v = euler.weights
         for idx, p in self.components.items():
-            legs = sum(v[i] for i in idx)
+            legs = sum(weights[i] for i in idx)
             for e in p.terms:
-                seen.add(legs + weight(e, v))
+                seen.add(legs + weight(e, weights))
             if len(seen) > 1:
                 return None
         if not seen:
@@ -156,9 +131,11 @@ class DiffForm:
 
 
 def _merge_indices(a: IndexSet, b: IndexSet) -> tuple[IndexSet, int] | None:
-    """Merge two strictly increasing tuples; None if they collide.
+    """Merge two index tuples; None if they collide.
 
-    Returns the merged tuple and the permutation sign.
+    Returns the sorted merged tuple and the sign of the permutation that
+    sorts the concatenation a + b (its inversions, so neither tuple need be
+    increasing).
     """
     if set(a) & set(b):
         return None
@@ -238,9 +215,10 @@ def d_of_poly(p: MultiPoly) -> DiffForm:
     return exterior_d(DiffForm.function(p))
 
 
-def contract_euler(a: DiffForm, euler: EulerField) -> DiffForm:
-    """Interior product with the Euler field: an anti-derivation of degree -1."""
-    if len(euler.weights) != len(a.ring):
+def contract_euler(a: DiffForm, weights: Sequence[int]) -> DiffForm:
+    """Interior product with the Euler field sum(weights[i] u_i d/du_i): an
+    anti-derivation of degree -1."""
+    if len(weights) != len(a.ring):
         raise RingMismatchError("Euler field does not match ambient")
     if a.degree == 0:
         return DiffForm.zero(a.ring, 0)
@@ -248,7 +226,7 @@ def contract_euler(a: DiffForm, euler: EulerField) -> DiffForm:
     for idx, p in a.components.items():
         for k, i in enumerate(idx):
             rest = idx[:k] + idx[k + 1 :]
-            coeff = p.mul_term(_unit_exp(len(a.ring), i), Fraction(euler.weights[i]))
+            coeff = p.mul_term(_unit_exp(len(a.ring), i), Fraction(weights[i]))
             if k % 2 == 1:
                 coeff = -coeff
             s = comps[rest] + coeff if rest in comps else coeff

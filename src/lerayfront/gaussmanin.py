@@ -11,7 +11,9 @@ one denominator and reads their first partials in y_0..y_{K-1} off its
 interned monomials (no derivative is built as a polynomial), so a point
 costs one table of scaled monomials, one integer dot product per entry, one
 inverse of M and K^2 integer matrix products.  K = 1 systems expose their
-classical local exponents as a bridge to known special cases.
+classical local exponents as a bridge to known special cases: the rational
+roots of the pencil determinant det(lam p0 P(0) - L_V P(0) + p0 I), taken on
+the line engine of ``detpoly.line_determinant``.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ from math import lcm
 from operator import mul
 
 from .brieskorn import FBasis, GMMatrices, PhiBasis
-from .detpoly import _IntegerEvaluator, _integer_entries, det_poly_matrix
+from .detpoly import _IntegerEvaluator, _integer_entries, det_poly_matrix, line_determinant
 from .errors import (
     CurvatureNonzeroError,
     DegenerateSystemError,
     NoSolutionError,
     NotApplicableError,
 )
-from .linalg import RationalMatrix, rational_eigenvalues
+from .linalg import RationalMatrix, rational_roots
 from .phase import IcisMap
 from .poly import MultiPoly, weighted_graded_parts
 
@@ -127,27 +129,29 @@ def discriminant(data: GaussManinData) -> MultiPoly:
 def residue_exponents_K1(data: GaussManinData) -> list[Fraction]:
     """Local exponents of the one-parameter system at y0 = 0.
 
-    Eigenvalues of (L_V P(0) - p0 I)(p0 P(0))^{-1}; the classical residue
-    data of the connection on the y0-line.
+    The eigenvalues of B = (L_V P(0) - p0 I)(p0 P(0))^{-1}, the classical
+    residue data of the connection on the y0-line, read off the pencil
+    determinant q(lam) = det(lam p0 P(0) - L_V P(0) + p0 I) =
+    det(p0 P(0)) det(lam I - B) (``detpoly.line_determinant``): its
+    lam^mu coefficient vanishes exactly when P(0) is singular, and
+    otherwise its roots are B's eigenvalues with multiplicity.
     """
     if data.K != 1:
         raise NotApplicableError("exponents are defined only for K = 1")
     mu = data.mu
     p0 = data.comp_weights[0]
-    P0 = RationalMatrix.from_rows(
-        [[data.matrices[0][i][j].constant_value() for j in range(mu)] for i in range(mu)]
-    )
-    try:
-        inverse = P0.scale(p0).inverse()
-    except NoSolutionError:
-        raise NotApplicableError("P^(0)(0) is singular; exponents undefined") from None
-    L = RationalMatrix.from_rows(
-        [[Fraction(data.l_weights[i]) if i == j else ZERO for j in range(mu)] for i in range(mu)]
-    )
-    I = RationalMatrix.identity(mu)
-    B = (L * P0 - I.scale(p0)) * inverse
+    ring = ("lam",)
+    P0 = [[e.constant_value() for e in row] for row in data.matrices[0]]
+    pencil = [
+        [MultiPoly(ring, {(1,): p0 * c, (0,): p0 * (i == j) - l * c}) for j, c in enumerate(row)]
+        for i, (row, l) in enumerate(zip(P0, data.l_weights))
+    ]
+    q = line_determinant(pencil, ring, [0], [1])
+    lead = q.terms.get((mu,), ZERO)
+    if lead == 0:
+        raise NotApplicableError("P^(0)(0) is singular; exponents undefined")
     hints = [Fraction(l - p0, p0) for l in data.l_weights]
-    return rational_eigenvalues(B, hints=hints)
+    return rational_roots([q.terms.get((k,), ZERO) / lead for k in range(mu + 1)], hints=hints)
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -361,8 +361,6 @@ def eliminate(
     gens: Sequence[MultiPoly],
     drop: Sequence[str],
     max_pairs: int = 100_000,
-    max_degree: int = 60,
-    max_poly_terms: int = 30_000,
 ) -> list[MultiPoly]:
     """Generators of the elimination ideal in the kept variables.
 
@@ -380,13 +378,7 @@ def eliminate(
     perm_ring = tuple(drop + keep)
     permuted = [g.rename_ring(perm_ring) for g in gens]
     order = MonomialOrder("block", split=len(drop))
-    gb = groebner(
-        permuted,
-        order,
-        max_pairs=max_pairs,
-        max_degree=max_degree,
-        max_poly_terms=max_poly_terms,
-    )
+    gb = groebner(permuted, order, max_pairs=max_pairs)
     k = len(drop)
     out = []
     for g in gb.generators:

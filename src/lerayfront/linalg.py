@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: solving, determinants, characteristic polynomials.
+"""Exact rational linear algebra: solving, determinants, rational roots.
 
 Everything works over ``fractions.Fraction``.  ``SparseEchelon`` is the one
 sparse echelon, and ``ColumnSpan`` is the one exact solver on it: every
@@ -6,7 +6,8 @@ solve, inverse and dependency search (the lattice pieces of ``brieskorn``,
 the weight system of ``phase``, the minimal polynomial of ``oracle``,
 ``RationalMatrix.inverse``) tags its columns and reads the answer off the
 tags.  The f-basis search keeps independent forms in a bare
-``SparseEchelon``.
+``SparseEchelon``.  ``rational_roots`` finds the roots of a univariate
+polynomial given by its coefficients (the exponents of ``gaussmanin``).
 """
 
 from __future__ import annotations
@@ -45,14 +46,6 @@ class RationalMatrix:
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __setitem__(self, ij, v):
-        i, j = ij
-        self.entries[i][j] = Fraction(v)
 
     def __eq__(self, other):
         return (
@@ -237,23 +230,6 @@ def det_int(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def char_poly(A: RationalMatrix) -> list[Fraction]:
-    """Coefficients [c0..cn] of det(xI - A), ascending, via Faddeev-LeVerrier."""
-    assert A.rows == A.cols
-    n = A.rows
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    M = RationalMatrix.identity(n)
-    c = ONE
-    for k in range(1, n + 1):
-        AM = A * M
-        tr = sum(AM.entries[i][i] for i in range(n))
-        c = -tr / k
-        coeffs[n - k] = c
-        M = AM + RationalMatrix.identity(n).scale(c)
-    return coeffs
-
-
 def eval_poly_coeffs(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     acc = ZERO
     for c in reversed(coeffs):
@@ -261,16 +237,18 @@ def eval_poly_coeffs(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def rational_eigenvalues(A: RationalMatrix, hints: Sequence[Fraction] = ()) -> list[Fraction]:
-    """All eigenvalues, required to be rational; raises otherwise.
+def rational_roots(
+    coefficients: Sequence[Fraction], hints: Sequence[Fraction] = ()
+) -> list[Fraction]:
+    """All roots, with multiplicity, of the polynomial with ascending
+    ``coefficients`` (leading one nonzero), required to be rational; raises
+    otherwise.
 
     ``hints`` are candidate values tried first (cheap deflation); remaining
-    roots are searched via the rational root theorem on the characteristic
-    polynomial.
+    roots are searched via the rational root theorem.
     """
-    coeffs = char_poly(A)
     roots: list[Fraction] = []
-    cs = list(coeffs)
+    cs = [Fraction(c) for c in coefficients]
     hint_pool = list(dict.fromkeys(Fraction(h) for h in hints))
     progress = True
     while len(cs) > 1 and progress:

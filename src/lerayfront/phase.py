@@ -122,7 +122,7 @@ def jacobian_ideal_gens(F: MultiPoly) -> list[MultiPoly]:
     return [F] + [F.partial(v) for v in F.ring]
 
 
-def check_c3(F: MultiPoly, w: WeightSystem) -> int:
+def check_c3(F: MultiPoly) -> int:
     """Dimension of Q[x] / <F, dF/dx_1, ..., dF/dx_n>; must be finite."""
     gb = groebner(jacobian_ideal_gens(F), GREVLEX)
     sc = standard_monomials(gb)
@@ -386,14 +386,6 @@ class IcisMap:
                 out.append((l, e.index(1)))
         return out
 
-    def validate_homogeneity(self) -> None:
-        for f, p in zip(self.components, self.comp_weights):
-            parts = weighted_graded_parts(f, self.var_weights)
-            if len(parts) != 1 or parts[0][0] != p:
-                raise ValueError(
-                    f"component {f.pretty()} is not weighted-homogeneous of weight {p}"
-                )
-
 
 def build_mapping(exp: PhaseExpansion, power: int = 2) -> IcisMap:
     """Assemble the complete-intersection mapping carrying the phase deformation.
@@ -401,6 +393,8 @@ def build_mapping(exp: PhaseExpansion, power: int = 2) -> IcisMap:
     Case 1 sends the constant deformation monomial to the y_1 direction; all
     other monomials are coupled to fresh variables.  New-variable weights are
     m*w(F) - w(z^alpha) and m*w(F)/power, with one integral rescale.
+    ``make_icis`` reads off the component weights and checks isolation; the
+    phase bookkeeping is then set on the map it returns.
     """
     if exp.mu < 1:
         raise ValueError("empty deformation; nothing to build")
@@ -429,7 +423,7 @@ def build_mapping(exp: PhaseExpansion, power: int = 2) -> IcisMap:
 
     z_names = tuple(f"z{i + 1}" for i in range(n))
     F_u = exp.F.relabel(z_names).rename_ring(ring)
-    base_u = to_u(base_term(exp.F, m, phase_ring(n)))  # +<z, grad F>^m, no sign
+    base_u = to_u(exp.base.scale(exp.sign))  # +<z, grad F>^m, no sign
 
     f1 = MultiPoly.from_monomial(
         ring, tuple([0] * (n + mu - 1) + [power]), 1
@@ -462,37 +456,31 @@ def build_mapping(exp: PhaseExpansion, power: int = 2) -> IcisMap:
     for mono, _ in coupled:
         vw.append(Fraction(m * wF - weight(mono, exp.weights.weights)))
     vw.append(Fraction(m * wF, power))
-    var_weights = tuple(_coprime_integers(vw))
-    comp_weights = tuple(weight(next(iter(f.terms)), var_weights) for f in components)
-
-    icis = IcisMap(
-        K=mu + 1,
-        N=n - 1,
-        ring=ring,
-        components=components,
-        var_weights=var_weights,
-        comp_weights=comp_weights,
-        power=power,
-        n=n,
-        case=exp.case,
-        sign=exp.sign,
-        couplings=couplings,
-        y1_value=y1_value,
-        metadata={
-            "case1_bookkeeping": "constant monomial mapped to the y1 direction",
-            "power": power,
-            "sign_normalization": exp.sign,
-        },
-    )
-    icis.validate_homogeneity()
-    validate_isolated(icis)
+    icis = make_icis(components, _coprime_integers(vw), power)
+    icis.n = n
+    icis.case = exp.case
+    icis.sign = exp.sign
+    icis.couplings = couplings
+    icis.y1_value = y1_value
+    icis.metadata = {
+        "case1_bookkeeping": "constant monomial mapped to the y1 direction",
+        "power": power,
+        "sign_normalization": exp.sign,
+    }
     return icis
 
 
 def make_icis(
     components: Sequence[MultiPoly], var_weights: Sequence[int], power: int = 2
 ) -> IcisMap:
-    """Hand-built quasihomogeneous map (for tests and direct CLI use)."""
+    """The quasihomogeneous map with these components and variable weights.
+
+    The one constructor that checks a map: each component must be
+    weighted-homogeneous (its weight is read off) and the singularity
+    isolated (``validate_isolated``, which caches the critical staircase).
+    ``build_mapping`` builds through it; tests and direct CLI use call it
+    on hand-built components.
+    """
     components = list(components)
     ring = components[0].ring
     var_weights = tuple(var_weights)

@@ -59,7 +59,7 @@ def test_criterion_1_weight_gate(cusp_front):
     t0 = time.time()
     w = discover_weights(cusp_front)
     assert w.weights == (3, 2) and w.total == 6
-    assert check_c3(cusp_front, w) == 2
+    assert check_c3(cusp_front) == 2
     ring = cusp_front.ring
     x1 = MultiPoly.variable(ring, "x1")
     x2 = MultiPoly.variable(ring, "x2")

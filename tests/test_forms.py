@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from lerayfront.errors import RingMismatchError
 from lerayfront.forms import (
     DiffForm,
-    EulerField,
     contract_euler,
     d_of_poly,
     exterior_d,
@@ -18,7 +17,7 @@ from lerayfront.poly import MultiPoly
 from helpers import d_variable
 
 RING = ("u1", "u2")
-E32 = EulerField((3, 2))
+E32 = (3, 2)
 U1 = MultiPoly.variable(RING, "u1")
 U2 = MultiPoly.variable(RING, "u2")
 DU1 = d_variable(RING, "u1")
@@ -124,9 +123,3 @@ class TestContraction:
         out = contract_euler(d_of_poly(F), E32)
         assert out == DiffForm.function(F.scale(6))
 
-
-def test_euler_field_gcd_validation():
-    with pytest.raises(ValueError):
-        EulerField((2, 4))
-    ef = EulerField.unchecked((2, 4))
-    assert ef.weights == (2, 4)

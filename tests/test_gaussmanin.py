@@ -1,10 +1,13 @@
+import dataclasses
+import importlib.util
 import random
 from fractions import Fraction
 from math import lcm, prod
+from pathlib import Path
 
 import pytest
 
-from lerayfront.brieskorn import GMMatrices, PhiBasis, FBasis
+from lerayfront.brieskorn import GMMatrices, PhiBasis, FBasis, gm_matrices
 from lerayfront.detpoly import _IntegerEvaluator, _integer_entries
 from lerayfront.errors import (
     CurvatureNonzeroError,
@@ -20,6 +23,13 @@ from lerayfront.gaussmanin import (
 from lerayfront.poly import MultiPoly
 
 from helpers import det_interpolate, safe_bounds
+
+_spec = importlib.util.spec_from_file_location(
+    "classical_exponents",
+    Path(__file__).resolve().parent.parent / "scripts" / "classical_exponents.py",
+)
+classical_exponents = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(classical_exponents)
 
 
 class TestAssemble:
@@ -132,6 +142,30 @@ class TestExponents:
         _, data = quadric_system
         with pytest.raises(NotApplicableError):
             residue_exponents_K1(data)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_a_k_closed_form(self, k):
+        # the check of scripts/classical_exponents.py: j/(k+1) - 1/2 for j = 1..k
+        icis = classical_exponents.a_k(k)
+        data = assemble_system(gm_matrices(icis), icis)
+        assert data.mu == k
+        expected = sorted(Fraction(j, k + 1) - Fraction(1, 2) for j in range(1, k + 1))
+        assert residue_exponents_K1(data) == expected
+
+    def test_singular_p0(self, cusp_system):
+        _, data = cusp_system
+        (row0, row1), = data.matrices
+        zero = MultiPoly.zero(data.y_ring)
+        singular = dataclasses.replace(data, matrices=[[[zero] * len(row0), row1]])
+        with pytest.raises(NotApplicableError, match="singular"):
+            residue_exponents_K1(singular)
+
+    def test_irrational_exponents(self, cusp_system):
+        # B = (L P0 - 6 I)(6 P0)^-1 for P0 = [[1, 1], [1, 2]] has irrational eigenvalues
+        _, data = cusp_system
+        P0 = [[MultiPoly.constant(data.y_ring, c) for c in row] for row in ([1, 1], [1, 2])]
+        with pytest.raises(NotApplicableError, match="non-rational"):
+            residue_exponents_K1(dataclasses.replace(data, matrices=[P0]))
 
 
 class TestFlatness:

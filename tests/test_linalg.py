@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lerayfront.errors import NoSolutionError, ResourceLimitError
-from lerayfront.linalg import (
-    ColumnSpan,
-    RationalMatrix,
-    char_poly,
-    det_fraction,
-    rational_eigenvalues,
-)
+from lerayfront.errors import NoSolutionError, NotApplicableError, ResourceLimitError
+from lerayfront.linalg import ColumnSpan, RationalMatrix, det_fraction, rational_roots
 
 from helpers import matvec, rank_by_minors
 
@@ -114,23 +108,25 @@ def test_det_fraction_matches_cofactor():
     assert det_fraction(rows) == cof
 
 
-def test_char_poly_and_eigenvalues():
-    A = RationalMatrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]])
-    cp = char_poly(A)
-    # (x - 1/2)(x + 1/3) = x^2 - x/6 - 1/6
-    assert cp == [Fraction(-1, 6), Fraction(-1, 6), Fraction(1)]
-    assert rational_eigenvalues(A) == [Fraction(-1, 3), Fraction(1, 2)]
+def test_rational_roots_of_a_quadratic():
+    # (x - 1/2)(x + 1/3) = x^2 - x/6 - 1/6, and the same up to a factor 6
+    cp = [Fraction(-1, 6), Fraction(-1, 6), Fraction(1)]
+    assert rational_roots(cp) == [Fraction(-1, 3), Fraction(1, 2)]
+    assert rational_roots([-1, -1, 6]) == [Fraction(-1, 3), Fraction(1, 2)]
+    with pytest.raises(NotApplicableError, match="non-rational"):
+        rational_roots([-2, 0, 1])
 
 
 def test_eigenvalues_with_hints():
-    A = RationalMatrix.from_rows([[5, 1], [0, 5]])
-    assert rational_eigenvalues(A, hints=[Fraction(5)]) == [5, 5]
+    # det(x I - [[5, 1], [0, 5]]) = (x - 5)^2
+    assert rational_roots([25, -10, 1], hints=[Fraction(5)]) == [5, 5]
 
 
 def test_capped_root_search_is_a_resource_limit():
-    # det = 2 * (10^13 + 37) is past the divisor search, so neither integer
-    # eigenvalue is found; that must not read as "non-rational roots"
-    A = RationalMatrix.from_rows([[10**13 + 37, 0], [0, 2]])
+    # (x - (10^13 + 37))(x - 2): the constant 2 * (10^13 + 37) is past the
+    # divisor search, so neither integer root is found; that must not read as
+    # "non-rational roots"
+    a = 10**13 + 37
     with pytest.raises(ResourceLimitError) as err:
-        rational_eigenvalues(A)
+        rational_roots([2 * a, -(a + 2), 1])
     assert err.value.kind == "rational-roots" and err.value.exit_code == 14

@@ -68,17 +68,14 @@ class TestWeights:
 
 class TestC3:
     def test_cusp_dimension(self):
-        assert check_c3(CUSP, discover_weights(CUSP)) == 2
+        assert check_c3(CUSP) == 2
 
     def test_a4_dimension(self):
-        F = X1**2 + X2**5
-        assert check_c3(F, discover_weights(F)) == 4
+        assert check_c3(X1**2 + X2**5) == 4
 
     def test_infinite(self):
-        F = X1**2 * X2
-        w = discover_weights(X1**2 + X2**3)  # weights irrelevant to the failure
         with pytest.raises(InfiniteDimensionalError):
-            check_c3(F, w)
+            check_c3(X1**2 * X2)
 
 
 class TestHyperbolicity:
@@ -207,7 +204,10 @@ class TestBuildMapping:
         assert icis.components[0].pretty() in ("z1^2 + z2^3", "z2^3 + z1^2")
         # weight integrality without rescale: v(z10) = 12 / 2 = 6
         assert icis.var_weights[-1] == 6
-        icis.validate_homogeneity()
+        for f, p in zip(icis.components, icis.comp_weights):
+            assert weighted_graded_parts(f, icis.var_weights) == [(p, f)]
+        # make_icis's isolation check left the critical staircase on the map
+        assert icis._staircase is not None
 
     def test_case1_coupling_counts(self):
         F = X1 + X2**2
