@@ -85,6 +85,11 @@ COMMANDS = (
 DISCRIMINANT_MAX_MU = 6
 
 
+# every key a problem file's options block may hold; any other is exit 2
+OPTION_KEYS = frozenset(
+    ("irreducible", "powerP", "seed", "tol", "weight_cap", "max_pairs", "s", "weights")
+)
+
 _SPACE_VARIABLE = re.compile(r"xi?([1-9][0-9]*)")
 
 
@@ -129,6 +134,9 @@ class Problem:
             if overrides.get("weights") is not None:
                 overrides = dict(overrides, weights=[int(x) for x in overrides["weights"]])
             options.update({k: v for k, v in overrides.items() if v is not None})
+            unknown = sorted(map(repr, set(options) - OPTION_KEYS))
+            if unknown:
+                raise UsageError(f"unknown option {', '.join(unknown)}")
             irreducible = options.get("irreducible", False)
             if not isinstance(irreducible, bool):
                 raise ValueError(f"irreducible must be true or false, got {irreducible!r}")
@@ -165,11 +173,6 @@ class Problem:
                     raise ValueError(f"weights must have {n} entries, one per front variable")
                 if min(self.explicit_weights) <= 0:
                     raise ValueError("weights must be positive")
-            self.hyp_samples = _json_int(
-                "hyperbolicity_samples", options.get("hyperbolicity_samples", 25)
-            )
-            if self.hyp_samples < 1:
-                raise ValueError("hyperbolicity_samples must be at least 1")
         except (TypeError, ValueError, ZeroDivisionError) as err:
             raise UsageError(f"bad operator or option value: {err}") from None
 
@@ -205,12 +208,7 @@ class Pipeline:
         return self._get("c3", lambda: check_c3(self.pb.front))
 
     def hyperbolicity(self):
-        return self._get(
-            "hyp",
-            lambda: check_strict_hyperbolicity(
-                self.pb.symbol, self.pb.hyp_samples, self.pb.seed
-            ),
-        )
+        return self._get("hyp", lambda: check_strict_hyperbolicity(self.pb.symbol, self.pb.seed))
 
     def psi(self):
         return self._get("psi", lambda: build_phase(self.pb.symbol, self.pb.front))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import RingMismatchError
-from .poly import MultiPoly, weight
+from .poly import MultiPoly
 
 IndexSet = tuple[int, ...]
 
@@ -106,19 +106,6 @@ class DiffForm:
         else:
             out.components = {i: p * q for i, p in self.components.items()}
         return out
-
-    def weight(self, weights: Sequence[int]) -> int | None:
-        """Weight if weighted-homogeneous (coefficient weight + leg weights)."""
-        seen: set[int] = set()
-        for idx, p in self.components.items():
-            legs = sum(weights[i] for i in idx)
-            for e in p.terms:
-                seen.add(legs + weight(e, weights))
-            if len(seen) > 1:
-                return None
-        if not seen:
-            return None
-        return seen.pop()
 
     def __repr__(self):
         if not self.components:

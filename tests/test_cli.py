@@ -230,6 +230,9 @@ BAD_INPUTS = [
     ("weight_cap zero", write_spec, dict(M1_SPEC, options={"weight_cap": 0}), [], 2),
     ("--weight-cap zero", write_spec, M1_SPEC, ["--weight-cap", "0"], 2),
     ("irreducible not boolean", write_spec, dict(M1_SPEC, options={"irreducible": "no"}), [], 2),
+    ("misspelt option key", write_spec, dict(M1_SPEC, options={"max_pair": 3}), [], 2),
+    # hyperbolicity_samples is no option (the sample count is
+    # phase.HYPERBOLICITY_SAMPLES): an unknown key, whatever its value
     (
         "no hyperbolicity samples",
         write_spec,
@@ -256,6 +259,33 @@ def test_bad_input_exit_codes(tmp_path, make, content, flags, code):
     assert main(["check", "--spec", str(spec), "--out", str(out)] + flags) == code
     err = json.loads((out / "error.json").read_text())
     assert err["exit_code"] == code
+
+
+def test_unknown_option_keys_are_named(tmp_path):
+    options = dict(M1_SPEC["options"], max_pair=3, hyperbolicity_samples=25)
+    spec = write_spec(tmp_path, dict(M1_SPEC, options=options))
+    out = tmp_path / "out"
+    assert main(["check", "--spec", str(spec), "--out", str(out)]) == 2
+    message = json.loads((out / "error.json").read_text())["message"]
+    assert "'max_pair'" in message and "'hyperbolicity_samples'" in message
+    assert "seed" not in message
+
+
+@pytest.mark.parametrize(
+    "operator, failure",
+    [
+        ("tau^2 + xi1^2 + xi2^2", "complex characteristic roots"),
+        ("tau^2 - 2*tau*xi1 + xi1^2", "repeated characteristic roots"),
+    ],
+)
+def test_check_exits_7_when_not_strictly_hyperbolic(tmp_path, operator, failure):
+    spec = write_spec(tmp_path, dict(M1_SPEC, operator=operator))
+    out = tmp_path / "out"
+    assert main(["check", "--spec", str(spec), "--out", str(out)]) == 7
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "HyperbolicityError" and err["exit_code"] == 7
+    assert err["message"].startswith(f"{failure} at xi = ")
+    assert not (out / "check.json").exists()
 
 
 def test_constant_front_is_blamed_not_the_operator(tmp_path):
@@ -323,12 +353,12 @@ OPTION_KEYS = (
     "max_pairs",
     "s",
     "weights",
-    "hyperbolicity_samples",
     "irreducible",
     "front_strategy",
 )
-# Small integers keep the sampling options (hyperbolicity_samples, weights)
-# cheap; the fuzz is about exit codes, not about cost.
+# "det" and "front_strategy" are not options: such a file exits 2.
+# Small integers keep the weights option cheap; the fuzz is about exit
+# codes, not about cost.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=5),
     lambda inner: (

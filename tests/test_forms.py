@@ -12,7 +12,7 @@ from lerayfront.forms import (
     exterior_d,
     wedge,
 )
-from lerayfront.poly import MultiPoly
+from lerayfront.poly import MultiPoly, weight
 
 from helpers import d_variable
 
@@ -111,7 +111,8 @@ class TestContraction:
         mono = MultiPoly(RING, {(e1, e2): Fraction(1)})
         for idx, p in base.components.items():
             form = DiffForm(RING, 1, {idx: mono})
-            w = form.weight(E32)
+            # coefficient weight plus the weight of the leg du_i
+            w = weight((e1, e2), E32) + sum(E32[i] for i in idx)
             lhs = exterior_d(contract_euler(form, E32)) + contract_euler(
                 exterior_d(form), E32
             )

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lerayfront.detpoly import det_bareiss
 from lerayfront.errors import (
@@ -43,6 +45,11 @@ XI1 = MultiPoly.variable(SR, "xi1")
 XI2 = MultiPoly.variable(SR, "xi2")
 WAVE = TAU**2 - XI1**2 - XI2**2
 
+# symbols in one space variable
+TX = ("tau", "xi1")
+T = MultiPoly.variable(TX, "tau")
+X = MultiPoly.variable(TX, "xi1")
+
 
 class TestWeights:
     def test_cusp(self):
@@ -81,30 +88,71 @@ class TestC3:
 class TestHyperbolicity:
     def test_wave_passes(self):
         P = HyperbolicSymbol.from_poly(WAVE)
-        rep = check_strict_hyperbolicity(P, 10, seed=1)
+        rep = check_strict_hyperbolicity(P, seed=1)
         assert rep["verdict"] == "passed samples"
 
     def test_elliptic_fails(self):
         P = HyperbolicSymbol.from_poly(TAU**2 + XI1**2 + XI2**2)
         with pytest.raises(HyperbolicityError, match="complex characteristic roots") as ei:
-            check_strict_hyperbolicity(P, 10, seed=1)
+            check_strict_hyperbolicity(P, seed=1)
         assert ei.value.witness is not None
 
     def test_double_root_fails(self):
         # (tau - xi1)^2: one real root of multiplicity two at every xi
         P = HyperbolicSymbol.from_poly((TAU - XI1) ** 2)
         with pytest.raises(HyperbolicityError, match="repeated characteristic roots") as ei:
-            check_strict_hyperbolicity(P, 10, seed=1)
+            check_strict_hyperbolicity(P, seed=1)
         assert ei.value.witness is not None
 
     def test_cubic_passes(self):
         P = HyperbolicSymbol.from_poly(TAU**3 - TAU * (XI1**2 + XI2**2))
-        rep = check_strict_hyperbolicity(P, 10, seed=2)
+        rep = check_strict_hyperbolicity(P, seed=2)
         assert rep["verdict"] == "passed samples"
 
     def test_monic_required(self):
         with pytest.raises(ValueError):
             HyperbolicSymbol.from_poly(2 * TAU**2 - XI1**2 - XI2**2)
+
+    def test_real_root_counts(self):
+        # at xi1 = 1: tau^2 - 1 has two real roots, tau^2 + 1 none,
+        # tau^3 - tau three, (tau - 1)^2 (tau + 2) two distinct
+        for symbol, failure in (
+            (T**2 - X**2, None),
+            (T**2 + X**2, "complex"),
+            (T**3 - T * X**2, None),
+            ((T - X) ** 2 * (T + 2 * X), "repeated"),
+        ):
+            _assert_verdict(HyperbolicSymbol.from_poly(symbol), failure)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.fractions(-4, 4, max_denominator=3), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    def test_products_of_real_factors(self, cs, complex_factor):
+        # prod_j (tau - c_j xi1) has the distinct real roots c_j xi1 at every
+        # sampled xi1 != 0 exactly when the c_j are distinct; tau^2 + xi1^2
+        # adds the roots +-i xi1.  One space variable keeps xi1 off 0: in
+        # two, xi = (0, xi2) is a sample and makes every c_j xi1 equal.
+        symbol = T**2 + X**2 if complex_factor else MultiPoly.constant(TX, 1)
+        for c in cs:
+            symbol = symbol * (T - X.scale(c))
+        if len(set(cs)) < len(cs):
+            failure = "repeated"
+        else:
+            failure = "complex" if complex_factor else None
+        _assert_verdict(HyperbolicSymbol.from_poly(symbol), failure)
+
+
+def _assert_verdict(P: HyperbolicSymbol, failure: str | None) -> None:
+    """check_strict_hyperbolicity passes (failure None) or names the failure."""
+    if failure is None:
+        rep = check_strict_hyperbolicity(P, seed=1)
+        assert rep["verdict"] == "passed samples" and rep["samples"] == 25
+        return
+    with pytest.raises(HyperbolicityError, match=f"^{failure} characteristic roots at xi = ") as ei:
+        check_strict_hyperbolicity(P, seed=1)
+    assert len(ei.value.witness) == P.n and any(ei.value.witness)
 
 
 class TestBuildPhase:

@@ -1,3 +1,5 @@
+"""Tests of gcdtools: the multivariate PRS gcd and squarefree parts."""
+
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -12,21 +14,8 @@ from lerayfront.gcdtools import (
     squarefree_part,
 )
 from lerayfront.poly import MultiPoly
-from lerayfront.univariate import real_roots_of_chain, sturm_chain
 
 F = Fraction
-
-
-def test_real_root_counts():
-    # tau^2 - 1: two real roots; tau^2 + 1: none; tau^3 - tau: three;
-    # (tau - 1)^2 (tau + 2): two distinct
-    for p, count in (
-        ([F(-1), F(0), F(1)], 2),
-        ([F(1), F(0), F(1)], 0),
-        ([F(0), F(-1), F(0), F(1)], 3),
-        ([F(2), F(-3), F(0), F(1)], 2),
-    ):
-        assert real_roots_of_chain(sturm_chain(p)) == count
 
 
 RING = ("a", "b")
