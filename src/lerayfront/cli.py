@@ -130,7 +130,10 @@ class Problem:
         self.operator = parse_poly(spec["operator"], ring=op_ring)
         self.n = n
         try:
-            options = dict(spec.get("options", {}))
+            options = spec.get("options", {})
+            if not isinstance(options, dict):
+                raise UsageError(f"options must be a JSON object, got {options!r}")
+            options = dict(options)
             if overrides.get("weights") is not None:
                 overrides = dict(overrides, weights=[int(x) for x in overrides["weights"]])
             options.update({k: v for k, v in overrides.items() if v is not None})

@@ -5,16 +5,23 @@ caps (pair count, lcm degree) turn runaway eliminations into structured
 errors instead of hangs.
 
 Every reduction (normal forms, S-polynomials, the input generators and the
-final inter-reduction) runs one kernel, ``_reduce``: heap-ordered reduction,
-heads cached per basis element.  Each order has one key, under which the
-largest monomial sorts first: ``min`` finds a leading term, and the working
-terms sit in a min-heap under it, the key computed once per exponent as it
-enters (Monagan and Pearce, "Polynomial division using dynamic arrays,
-heaps, and packed exponent vectors", 2007).  Each basis element is held as
-the head of its primitive integer multiple (leading term, leading
-coefficient, tail), computed once, when it joins the basis; the working
-terms are integers over one running denominator, so a reduction step makes
-no Fraction.  Monomials are exponent tuples, staircases included.
+final inter-reduction) runs one kernel, ``_reduce``: heap-ordered reduction
+on packed monomials (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", 2007).  Each basis element is
+held as the head of its primitive integer multiple (leading term, leading
+coefficient, tail), computed once; the working terms are integers over one
+running denominator, so a reduction step makes no Fraction.
+
+A packed monomial (``_Packing``) is one int of ``width + 1``-bit fields,
+each topped by a guard bit: the order's linear fields, most significant
+first, then the plain exponents.  Every field is linear and non-negative in
+the exponents, so a product is one int add, the larger int is the larger
+monomial, and ``lt`` divides ``e`` exactly when ``e - lt`` has no guard bit
+set.  The width is the bit length of the largest degree a call starts from
+(for ``groebner`` the degree cap too, which bounds every grevlex working
+term); a new working term with a guard bit set overflowed, and the call
+re-runs at twice the width, so no result depends on it.  Pair bookkeeping
+and staircases read the exponent tuples back from the low fields.
 """
 
 from __future__ import annotations
@@ -22,25 +29,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import gcd
-from operator import add, le, neg
 from typing import Callable, Iterable, Sequence
 
 from .errors import ResourceLimitError, RingMismatchError
 from .poly import Exponents, MultiPoly, grevlex_descending
 
-# A cached head: leading exponent, leading coefficient and the remaining
-# terms of a primitive integer polynomial with positive leading coefficient.
-Head = tuple[Exponents, int, list[tuple[Exponents, int]]]
-
-
-def _lex_descending(e: Exponents):
-    return tuple(map(neg, e))
+# A cached head: packed leading monomial, leading coefficient and the other
+# packed terms of a primitive integer polynomial, leading coefficient > 0.
+Head = tuple[int, int, list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total multiplicative well-order on monomials, as a largest-first sort key.
+    """Total multiplicative well-order on monomials, given by linear fields.
 
     ``kind`` is one of ``lex``, ``grevlex``, ``block``; a block order compares
     the first ``split`` variables grevlex first (used for elimination).
@@ -49,24 +52,63 @@ class MonomialOrder:
     kind: str = "grevlex"
     split: int = 0
 
+    def fields(self, e: Exponents) -> list[int]:
+        """Non-negative linear fields of e, most significant first: larger list, larger monomial.
+
+        Lex is ``e_1, ..., e_n``; grevlex is ``deg, deg - e_n, ..., e_1``, one
+        such group per block of a block order.
+        """
+        if self.kind == "lex":
+            return list(e)
+        if self.kind == "grevlex":
+            blocks = (e,)
+        elif self.kind == "block":
+            blocks = (e[: self.split], e[self.split :])
+        else:
+            raise ValueError(f"unknown order kind {self.kind}")
+        return [x for b in blocks for x in reversed(list(accumulate(b)))]
+
     def descending_key(self) -> Callable[[Exponents], object]:
         """Sort key under which the largest monomial comes first (a min-heap key)."""
-        if self.kind == "grevlex":
-            return grevlex_descending
-        if self.kind == "lex":
-            return _lex_descending
-        if self.kind == "block":
-            s = self.split
-
-            def block_descending(e: Exponents):
-                return (grevlex_descending(e[:s]), grevlex_descending(e[s:]))
-
-            return block_descending
-        raise ValueError(f"unknown order kind {self.kind}")
+        return lambda e: [-x for x in self.fields(e)]
 
 
 LEX = MonomialOrder("lex")
 GREVLEX = MonomialOrder("grevlex")
+
+
+class _Overflow(Exception):
+    """A packed field reached 2^width: the call re-runs at twice the width."""
+
+
+class _Packing:
+    """Exponent tuples of n variables as ints under an order, fields width bits plus a guard bit."""
+
+    def __init__(self, order: MonomialOrder, n: int, width: int):
+        self.order, self.n, self.width, self.step = order, n, width, width + 1
+        self.mask = (1 << width) - 1
+        count = len(order.fields((0,) * n)) + n
+        self.guard = sum(1 << (self.step * i + width) for i in range(count))
+
+    def pack(self, e: Exponents) -> int:
+        key = 0
+        for x in self.order.fields(e) + list(e):
+            if x >> self.width:
+                raise _Overflow
+            key = (key << self.step) | x
+        return key
+
+    def unpack(self, key: int) -> Exponents:
+        """The plain exponents in the low fields: the inverse of ``pack``."""
+        return tuple(key >> (self.step * i) & self.mask for i in range(self.n - 1, -1, -1))
+
+    def pack_terms(self, terms: dict[Exponents, int]) -> dict[int, int]:
+        return {self.pack(e): c for e, c in terms.items()}
+
+
+def _width(degree: int) -> int:
+    """The starting field width of a call whose monomials start at degree <= degree."""
+    return max(1, degree.bit_length())
 
 
 def _lcm(a: Exponents, b: Exponents) -> Exponents:
@@ -75,10 +117,6 @@ def _lcm(a: Exponents, b: Exponents) -> Exponents:
 
 def _divides(a: Exponents, b: Exponents) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def _sub(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def _disjoint(a: Exponents, b: Exponents) -> bool:
@@ -90,6 +128,7 @@ class GroebnerBasis:
     generators: list[MultiPoly]
     order: MonomialOrder
     ring: tuple[str, ...] = field(default_factory=tuple)
+    _packed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.generators and not self.ring:
@@ -99,10 +138,18 @@ class GroebnerBasis:
         key = self.order.descending_key()
         return [g.leading(key)[0] for g in self.generators]
 
+    def packed_heads(self, width: int) -> tuple[_Packing, list[Head]]:
+        """The generators' heads at a field width, packed once per width."""
+        if width not in self._packed:
+            packing = _Packing(self.order, len(self.ring), width)
+            heads = [_head(packing.pack_terms(g.integer_terms()[0])) for g in self.generators]
+            self._packed[width] = packing, heads
+        return self._packed[width]
 
-def _head(terms: dict[Exponents, int], key) -> Head:
+
+def _head(terms: dict[int, int]) -> Head:
     """The head of the primitive integer multiple, positive leading coefficient, of terms."""
-    lt = min(terms, key=key)
+    lt = max(terms)
     g = gcd(*terms.values())
     if terms[lt] < 0:
         g = -g
@@ -110,42 +157,39 @@ def _head(terms: dict[Exponents, int], key) -> Head:
 
 
 def _reduce(
-    terms: dict[Exponents, int],
-    heads: Sequence[Head],
-    key,
-    max_terms: int | None = None,
-) -> tuple[dict[Exponents, int], int]:
-    """Full remainder of the terms modulo the heads, the largest term under ``key`` first.
+    terms: dict[int, int], heads: Sequence[Head], guard: int, max_terms: int | None = None
+) -> tuple[dict[int, int], int]:
+    """Full remainder of the packed terms modulo the heads, the largest term first.
 
     Returns ``(rem, m)``: ``rem / m`` is the remainder.  Each step pops the
     largest working term ``c x^e`` and cancels it with the first head ``L x^lt
-    + tail`` whose leading exponent divides it: the working and remainder
-    terms are multiplied by ``L / gcd(c, L)``, so that coefficients stay
-    integers.  A term that no head divides moves to the remainder.  ``work``
-    holds the live terms; an exponent whose coefficient cancelled stays in
-    the heap and is skipped when popped.  ``max_terms`` caps the working plus
-    remainder term count.
+    + tail`` whose leading monomial divides it (``e - lt`` clear of the
+    ``guard`` bits): the working and remainder terms are multiplied by
+    ``L / gcd(c, L)``, so that coefficients stay integers.  A term that no
+    head divides moves to the remainder.  ``work`` holds the live terms; a
+    monomial whose coefficient cancelled stays in the heap and is skipped
+    when popped.  ``max_terms`` caps the working plus remainder term count.
+    Raises ``_Overflow`` when a new working term has a guard bit set.
     """
     work = dict(terms)
     if not heads:
         return work, 1
-    heap = [(key(e), e) for e in work]
+    heap = [-e for e in work]
     heapify(heap)
-    rem: dict[Exponents, int] = {}
+    rem: dict[int, int] = {}
     scale = 1
     while heap:
         if max_terms is not None and len(work) + len(rem) > max_terms:
             raise ResourceLimitError(
-                f"normal form exceeded {max_terms} working terms",
-                kind="terms",
-                limit=max_terms,
+                f"normal form exceeded {max_terms} working terms", kind="terms", limit=max_terms
             )
-        e = heappop(heap)[1]
+        e = -heappop(heap)
         c = work.pop(e, None)
         if c is None:
             continue
         for lt, lc, tail in heads:
-            if all(map(le, lt, e)):
+            shift = e - lt
+            if not shift & guard:
                 break
         else:
             rem[e] = c
@@ -156,13 +200,14 @@ def _reduce(
             scale *= m
             work = {k: v * m for k, v in work.items()}
             rem = {k: v * m for k, v in rem.items()}
-        shift = _sub(e, lt)
         for ge, gc in tail:
-            te = tuple(map(add, ge, shift))
+            te = ge + shift
             old = work.get(te)
             if old is None:
+                if te & guard:
+                    raise _Overflow
                 work[te] = -q * gc
-                heappush(heap, (key(te), te))
+                heappush(heap, -te)
             else:
                 s = old - q * gc
                 if s:
@@ -178,11 +223,17 @@ def normal_form(p: MultiPoly, gb: GroebnerBasis, max_terms: int | None = None) -
     ``max_terms`` caps the working term count (used by Buchberger to abort
     explosive eliminations early).
     """
-    key = gb.order.descending_key()
-    heads = [_head(g.integer_terms()[0], key) for g in gb.generators]
+    if not gb.generators:
+        return p
     terms, d = p.integer_terms()
-    rem, m = _reduce(terms, heads, key, max_terms)
-    return MultiPoly(p.ring, {e: Fraction(c, d * m) for e, c in rem.items()})
+    width = _width(max(g.total_degree() for g in [p, *gb.generators]))
+    while True:
+        packing, heads = gb.packed_heads(width)
+        try:
+            rem, m = _reduce(packing.pack_terms(terms), heads, packing.guard, max_terms)
+            return MultiPoly(p.ring, {packing.unpack(e): Fraction(c, d * m) for e, c in rem.items()})
+        except _Overflow:
+            width *= 2
 
 
 def groebner(
@@ -198,51 +249,55 @@ def groebner(
     criterion).  Raises ResourceLimitError when caps are hit.  The basis is
     held as integer heads; each element is made monic over Q on output.
     """
-    key = order.descending_key()
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty generator list")
     ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise RingMismatchError("generators live in different rings")
+    if any(g.ring != ring for g in gens):
+        raise RingMismatchError("generators live in different rings")
+    width = _width(max(max_degree, *(g.total_degree() for g in gens)))
+    while True:
+        try:
+            packing = _Packing(order, len(ring), width)
+            return _buchberger(gens, packing, max_pairs, max_degree, max_poly_terms)
+        except _Overflow:
+            width *= 2
 
+
+def _buchberger(gens, packing: _Packing, max_pairs, max_degree, max_poly_terms) -> GroebnerBasis:
+    """``groebner`` at one field width; raises ``_Overflow`` past it."""
+    guard = packing.guard
     heads: list[Head] = []
     lts: list[Exponents] = []
     pairs: list[tuple[Exponents, int, int]] = []  # (lcm, i, j)
 
-    def add_poly(terms: dict[Exponents, int]):
+    def add_poly(terms: dict[int, int]):
         nonlocal pairs
-        head = _head(terms, key)
-        t = head[0]
+        head = _head(terms)
+        t = packing.unpack(head[0])
         k = len(heads)
         # Gebauer-Moeller update of the pair set
-        new_pairs: list[tuple[Exponents, int, int]] = []
-        for i in range(k):
-            new_pairs.append((_lcm(lts[i], t), i, k))
+        new_pairs = [(_lcm(lts[i], t), i, k) for i in range(k)]
         # drop old pairs whose lcm is a proper multiple of something involving t
-        kept = []
-        for (l, i, j) in pairs:
-            if _divides(t, l) and _lcm(lts[i], t) != l and _lcm(lts[j], t) != l:
-                continue
-            kept.append((l, i, j))
-        pairs = kept
+        pairs = [
+            (l, i, j)
+            for (l, i, j) in pairs
+            if not (_divides(t, l) and _lcm(lts[i], t) != l and _lcm(lts[j], t) != l)
+        ]
         # prune among the new pairs: keep minimal lcms, drop coprime ones
         pruned: list[tuple[Exponents, int, int]] = []
         for (l, i, j) in sorted(new_pairs, key=lambda t3: grevlex_descending(t3[0]), reverse=True):
             if _disjoint(lts[i], t):
                 continue
-            if any(_divides(l2, l) and l2 != l for (l2, _, _) in pruned):
-                continue
-            if any(l2 == l for (l2, _, _) in pruned):
+            if any(_divides(l2, l) for (l2, _, _) in pruned):  # a smaller or equal lcm
                 continue
             pruned.append((l, i, j))
         pairs.extend(pruned)
         heads.append(head)
         lts.append(t)
 
-    for g in sorted(gens, key=lambda p: key(p.leading(key)[0]), reverse=True):
-        r = _reduce(g.integer_terms()[0], heads, key)[0]
+    for terms in sorted((packing.pack_terms(g.integer_terms()[0]) for g in gens), key=max):
+        r = _reduce(terms, heads, guard)[0]
         if r:
             add_poly(r)
 
@@ -261,7 +316,8 @@ def groebner(
                 kind="degree",
                 limit=max_degree,
             )
-        s = _reduce(_spoly(heads[i], heads[j]), heads, key, max_poly_terms)[0]
+        s = _spoly(heads[i], heads[j], packing.pack(l), guard)
+        s = _reduce(s, heads, guard, max_poly_terms)[0]
         if s:
             add_poly(s)
 
@@ -271,34 +327,35 @@ def groebner(
         for i, t in enumerate(lts)
         if not any(_divides(lts[j], t) for j in range(len(lts)) if j != i and (lts[j] != t or j < i))
     ]
-    reduced: list[MultiPoly] = []
+    reduced = []
     for n, i in enumerate(kept):
         lt, lc, tail = heads[i]
         others = [heads[j] for j in kept[:n] + kept[n + 1 :]]
-        r = _reduce({lt: lc, **dict(tail)}, others, key)[0]
-        if r:
-            top = r[min(r, key=key)]
-            reduced.append(MultiPoly(ring, {e: Fraction(c, top) for e, c in r.items()}))
-    reduced.sort(key=lambda p: key(p.leading(key)[0]), reverse=True)
-    return GroebnerBasis(reduced, order, ring)
+        reduced.append(_reduce({lt: lc, **dict(tail)}, others, guard)[0])
+    ring, out = gens[0].ring, []
+    for r in sorted(filter(None, reduced), key=max):
+        top = r[max(r)]
+        out.append(MultiPoly(ring, {packing.unpack(e): Fraction(c, top) for e, c in r.items()}))
+    return GroebnerBasis(out, packing.order, ring)
 
 
-def _spoly(f: Head, g: Head) -> dict[Exponents, int]:
-    """An integer multiple of the S-polynomial of two heads."""
+def _spoly(f: Head, g: Head, l: int, guard: int) -> dict[int, int]:
+    """An integer multiple of the S-polynomial of two heads whose leading monomials have lcm l."""
     ef, cf, f_tail = f
     eg, cg, g_tail = g
-    l = _lcm(ef, eg)
     c = gcd(cf, cg)
     mf, mg = cg // c, cf // c
-    a, b = _sub(l, ef), _sub(l, eg)
-    out = {tuple(map(add, e, a)): mf * v for e, v in f_tail}
+    a, b = l - ef, l - eg
+    out = {e + a: mf * v for e, v in f_tail}
     for e, v in g_tail:
-        e = tuple(map(add, e, b))
+        e += b
         s = out.get(e, 0) - mg * v
         if s:
             out[e] = s
         else:
             out.pop(e, None)
+    if any(e & guard for e in out):
+        raise _Overflow
     return out
 
 

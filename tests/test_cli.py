@@ -231,6 +231,13 @@ BAD_INPUTS = [
     ("--weight-cap zero", write_spec, M1_SPEC, ["--weight-cap", "0"], 2),
     ("irreducible not boolean", write_spec, dict(M1_SPEC, options={"irreducible": "no"}), [], 2),
     ("misspelt option key", write_spec, dict(M1_SPEC, options={"max_pair": 3}), [], 2),
+    (
+        "options a list of pairs",
+        write_spec,
+        dict(M1_SPEC, options=[["seed", 3], ["irreducible", True]]),
+        [],
+        2,
+    ),
     # hyperbolicity_samples is no option (the sample count is
     # phase.HYPERBOLICITY_SAMPLES): an unknown key, whatever its value
     (

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -15,9 +16,15 @@ from lerayfront.groebner import (
     eliminate,
     groebner,
     normal_form,
+    _Overflow,
+    _Packing,
+    _spoly,
+    _width,
     standard_monomials,
 )
 from lerayfront.poly import MultiPoly, monomials_of_weight
+
+groebner_module = importlib.import_module("lerayfront.groebner")
 
 R = ("x1", "x2")
 R3 = ("x1", "x2", "x3")
@@ -316,3 +323,119 @@ class TestReductionKernel:
         assert len(normal_form(X2**3 + X2**2 + X1, gb, max_terms=4).terms) == 4
         with pytest.raises(ResourceLimitError):
             normal_form(X2**3 + X2**2 + X1, gb, max_terms=3)
+
+
+# ORDERS, and the block orders with an empty first or second block
+PACKED_ORDERS = ORDERS + [MonomialOrder("block", split=0), MonomialOrder("block", split=3)]
+
+
+class TestPacking:
+    """Packed monomials against the test's own order definitions, at the kernel's smallest width."""
+
+    BOX = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
+    # a call whose monomials start at degree <= 9 packs at width 4
+    WIDTH = _width(9)
+
+    @pytest.mark.parametrize("order", PACKED_ORDERS, ids=repr)
+    def test_packed_ints_order_divide_and_unpack(self, order):
+        packing = _Packing(order, 3, self.WIDTH)
+        packed = {e: packing.pack(e) for e in self.BOX}
+        assert sorted(self.BOX, key=packed.get) == sorted(self.BOX, key=ascending(order))
+        for a in self.BOX:
+            assert packing.unpack(packed[a]) == a
+            for b in self.BOX:
+                divisible = not (packed[b] - packed[a]) & packing.guard
+                assert divisible == _divides(a, b)
+
+    @pytest.mark.parametrize("order", PACKED_ORDERS, ids=repr)
+    def test_a_sum_is_the_packed_product_or_sets_a_guard_bit(self, order):
+        packing = _Packing(order, 3, self.WIDTH)
+        for a in self.BOX:
+            for b in self.BOX[::7]:
+                e = tuple(x + y for x, y in zip(a, b))
+                total = packing.pack(a) + packing.pack(b)
+                if max(order.fields(e) + list(e)) < 2**self.WIDTH:
+                    assert total == packing.pack(e)
+                else:
+                    assert total & packing.guard
+                    with pytest.raises(_Overflow):
+                        packing.pack(e)
+
+    def test_width_is_the_smallest_that_holds_the_degree(self):
+        with pytest.raises(_Overflow):
+            _Packing(GREVLEX, 3, self.WIDTH - 1).pack((3, 3, 3))
+
+
+def _s_polynomial(f, g, key):
+    """The S-polynomial of two polynomials in Fractions, their leading terms under key."""
+    ef, eg = max(f.terms, key=key), max(g.terms, key=key)
+    lcm = tuple(map(max, ef, eg))
+    a = tuple(x - y for x, y in zip(lcm, ef))
+    b = tuple(x - y for x, y in zip(lcm, eg))
+    return f.mul_term(a, 1 / f.terms[ef]) - g.mul_term(b, 1 / g.terms[eg])
+
+
+class TestReducedBasis:
+    """Properties that pin the unique reduced basis, checked without the kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(small_polys(3), min_size=1, max_size=3), st.sampled_from(PACKED_ORDERS))
+    def test_reduced_basis(self, gens, order):
+        try:
+            gb = groebner(gens, order, max_pairs=30, max_degree=8, max_poly_terms=300)
+        except (ValueError, ResourceLimitError):
+            return  # the zero ideal, or a basis past the small caps
+        key = ascending(order)
+        leads = [max(g.terms, key=key) for g in gb.generators]
+        for g, lt in zip(gb.generators, leads):
+            assert g.terms[lt] == 1
+        for i, g in enumerate(gb.generators):
+            for j, lt in enumerate(leads):
+                assert i == j or not any(_divides(lt, e) for e in g.terms)
+        for p in gens:
+            assert reference_normal_form(p, gb).is_zero()
+        for i, f in enumerate(gb.generators):
+            for g in gb.generators[i + 1 :]:
+                assert reference_normal_form(_s_polynomial(f, g, key), gb).is_zero()
+
+
+class TestOverflow:
+    """A reduction past the starting width re-runs wider and returns the same result."""
+
+    RING = ("x1", "x2")
+
+    def test_lex_reduction_past_the_starting_width(self, monkeypatch):
+        x1, x2 = (MultiPoly.variable(self.RING, v) for v in self.RING)
+        gens = [x1 - x2**300, x1**2]
+        # x1^2 reduces to x2^600, past the 2^9 that degree 300 starts from
+        assert _width(300) == 9
+        widths = []
+
+        class Recorded(_Packing):
+            def __init__(self, order, n, width):
+                widths.append(width)
+                super().__init__(order, n, width)
+
+        monkeypatch.setattr(groebner_module, "_Packing", Recorded)
+        gb = groebner(gens, LEX)
+        assert widths == [9, 18]
+        assert gb.generators == [x2**600, x1 - x2**300]
+        assert normal_form(x1**2, groebner([x1 - x2**300], LEX)) == x2**600
+        monkeypatch.setattr(groebner_module, "_width", lambda degree: 64)
+        widths.clear()
+        assert groebner(gens, LEX) == gb
+        assert widths == [64]
+
+    def test_s_polynomial_past_the_width(self):
+        # lex x1*x2^5 - x2^59 and x1^2*x2^2 - x2^62: the S-polynomial holds x2^65
+        for width, fits in ((6, False), (7, True)):
+            packing = _Packing(LEX, 2, width)
+            f = (packing.pack((1, 5)), 1, [(packing.pack((0, 59)), -1)])
+            g = (packing.pack((2, 2)), 1, [(packing.pack((0, 62)), -1)])
+            lcm = packing.pack((2, 5))
+            if fits:
+                s = _spoly(f, g, lcm, packing.guard)
+                assert {packing.unpack(e): c for e, c in s.items()} == {(1, 59): -1, (0, 65): 1}
+            else:
+                with pytest.raises(_Overflow):
+                    _spoly(f, g, lcm, packing.guard)
