@@ -36,13 +36,15 @@ interpolates once.  The axis probes, the total-degree curves and
 ``line_determinant`` (``oracle.line_check``) all go through it.
 
 ``_IntegerEvaluator`` is the one evaluator of polynomial matrices at exact
-points, and of their first partials, which it reads off its interned
-monomials (``partials``, for the flatness oracle).  ``at`` takes one
-rational point (the flatness oracle in ``gaussmanin`` and the check points
-of ``det_probed``, drawn from at least 2^32 values); ``grid`` walks a
-lower set of an integer grid axis by axis, so that neighbouring points
-share the work of their common prefix (the interpolation grid and the
-nodes of a curve).
+points, and of the first partials each matrix asks for (``partials``, one
+list of variables per matrix, for the flatness oracle), which it reads off
+its interned monomials, every matrix's derivative blocks in whole-array
+passes over that matrix's terms.  ``at`` takes one rational point (the
+flatness oracle in ``gaussmanin`` and the check points of ``det_probed``,
+drawn from at least 2^32 values) and makes one pass over the terms of
+all entries, summed entry by entry; ``grid`` walks a lower set of an
+integer grid axis by axis, so that neighbouring points share the work of
+their common prefix (the interpolation grid and the nodes of a curve).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, islice
+from itertools import accumulate, chain, compress, islice
 from math import gcd, lcm, prod
 from operator import floordiv, getitem, mul, sub
 from typing import Iterator, Sequence
@@ -429,12 +431,12 @@ def line_determinant(
 
 def _integer_entries(mats: list[list[list[MultiPoly]]]) -> list[list[list[dict]]]:
     """The matrices' entries as {exponents: int}, all over one common denominator."""
-    den = lcm(
-        *(c.denominator for mat in mats for row in mat for p in row for c in p.terms.values())
-    )
+    dens = {c.denominator for mat in mats for row in mat for p in row for c in p.terms.values()}
+    den = lcm(*dens)
+    factor = {q: den // q for q in dens}
     return [
         [
-            [{e: c.numerator * (den // c.denominator) for e, c in p.terms.items()} for p in row]
+            [{e: c.numerator * factor[c.denominator] for e, c in p.terms.items()} for p in row]
             for row in mat
         ]
         for mat in mats
@@ -445,56 +447,72 @@ class _IntegerEvaluator:
     """Integer polynomial matrices in one ring, evaluated together at exact points.
 
     ``at`` takes one rational point.  The distinct monomials of all entries
-    are collected once.  At a point with y_v = a_v / b_v (b_v > 0) each
-    monomial is scaled by prod_v b_v^maxdeg_v, which makes it an integer, so
-    every entry of every matrix is an integer dot product: its value times
-    that common scale.  At an integer point (plain ints work) the scale is 1.
+    are collected once, and the terms of all entries are kept one after the
+    other in flat arrays (``indices``, ``coefficients``, with each entry's
+    ``ends``).  At a point with y_v = a_v / b_v (b_v > 0) each monomial is
+    scaled by prod_v b_v^maxdeg_v, which makes it an integer, so every entry
+    of every matrix is an integer dot product: its value times that common
+    scale.  At an integer point (plain ints work) the scale is 1.
 
     ``grid`` takes one list of integers per variable and walks the grid they
     span.
 
-    ``partials`` lists variable numbers i; after ``mats`` come the
-    derivatives d_i of each matrix, matrix by matrix and in the order of
-    ``partials``.  They are read off the interned monomials, never built as
-    polynomials: each monomial e with e_i > 0 maps once to the number of
-    e - 1_i, and a derivative entry keeps its base entry's terms with
-    e_i > 0, each coefficient times e_i.
+    ``partials`` holds one list of variable numbers per matrix (by default
+    none at all).  After ``mats`` come the derivatives d_i of each matrix,
+    matrix by matrix, each in the order of its list.  They are read off the
+    interned monomials, never built as polynomials: each monomial e with
+    e_i > 0 maps once to the number of e - 1_i, and a derivative entry keeps
+    its base entry's terms with e_i > 0, each coefficient times e_i.  Each
+    derivative block is built by whole-array maps over its matrix's terms.
     """
 
     def __init__(
-        self, mats: list[list[list[dict]]], ring: tuple[str, ...], partials: Sequence[int] = ()
+        self,
+        mats: list[list[list[dict]]],
+        ring: tuple[str, ...],
+        partials: Sequence[Sequence[int]] = (),
     ):
         self.ring = ring
         self.shapes = [(len(mat), len(mat[0])) for mat in mats]
-        index: dict[tuple[int, ...], int] = {}
-        self.terms = [
-            (tuple(index.setdefault(e, len(index)) for e in p), tuple(p.values()))
-            for mat in mats
-            for row in mat
-            for p in row
-        ]
+        entries = [p for mat in mats for row in mat for p in row]
+        index = {e: k for k, e in enumerate(dict.fromkeys(chain.from_iterable(entries)))}
+        # every entry's terms, one after the other: monomial numbers and coefficients
+        self.indices = list(map(index.__getitem__, chain.from_iterable(entries)))
+        self.coefficients = list(chain.from_iterable(p.values() for p in entries))
+        self.ends = list(accumulate(map(len, entries), initial=0))
         base = list(index)
-        lowered = []  # per variable i: each base monomial's e_i, and the number of e - 1_i
-        for i in partials:
+        lowered = {}  # variable i: each base monomial's e_i, and the number of e - 1_i
+        for i in dict.fromkeys(chain.from_iterable(partials)):
             exps = [e[i] for e in base]
             shift = [
                 index.setdefault(e[:i] + (k - 1,) + e[i + 1 :], len(index)) if k else -1
                 for e, k in zip(base, exps)
             ]
-            lowered.append((exps, shift))
+            lowered[i] = (exps, shift)
         first = 0
-        for rows, cols in list(self.shapes):
-            block = self.terms[first : first + rows * cols]
+        for (rows, cols), variables in zip(list(self.shapes), partials):
+            lo, hi = self.ends[first], self.ends[first + rows * cols]
+            cuts = [end - lo for end in self.ends[first + 1 : first + rows * cols + 1]]
+            idx, cs = self.indices[lo:hi], self.coefficients[lo:hi]
             first += rows * cols
-            for exps, shift in lowered:
+            for i in variables:
+                exps, shift = lowered[i]
+                keep = list(map(exps.__getitem__, idx))  # e_i of each term
+                kept = list(accumulate(map(bool, keep), initial=self.ends[-1]))
+                self.indices.extend(map(shift.__getitem__, compress(idx, keep)))
+                self.coefficients.extend(map(mul, compress(cs, keep), compress(keep, keep)))
+                self.ends.extend(map(kept.__getitem__, cuts))
                 self.shapes.append((rows, cols))
-                for idx, cs in block:
-                    keep = list(map(exps.__getitem__, idx))  # e_i of each term
-                    lowered_idx = tuple(map(shift.__getitem__, compress(idx, keep)))
-                    scaled = tuple(map(mul, compress(cs, keep), compress(keep, keep)))
-                    self.terms.append((lowered_idx, scaled))
         self.monomials = list(index)
-        self.maxdeg = [max((e[v] for e in index), default=0) for v in range(len(ring))]
+        self.maxdeg = [max(column) for column in zip(*base)] if base else [0] * len(ring)
+
+    @cached_property
+    def terms(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Each entry's (monomial numbers, coefficients), entry by entry."""
+        return [
+            (tuple(self.indices[a:b]), tuple(self.coefficients[a:b]))
+            for a, b in zip(self.ends, self.ends[1:])
+        ]
 
     def _matrices(self, values: list[int], start: int = 0) -> list[list[list[int]]]:
         """The entry values from ``start`` on, cut back into the matrices (fresh lists)."""
@@ -511,8 +529,10 @@ class _IntegerEvaluator:
             a, b = point[v].numerator, point[v].denominator
             powers.append([a**k * b ** (top - k) for k in range(top + 1)])
         table = [prod(map(getitem, powers, e)) for e in self.monomials]
-        get = table.__getitem__
-        return self._matrices([sum(map(mul, cs, map(get, idx))) for idx, cs in self.terms])
+        # one pass over all terms, summed entry by entry
+        terms = map(mul, self.coefficients, map(table.__getitem__, self.indices))
+        ends = self.ends
+        return self._matrices([sum(islice(terms, b - a)) for a, b in zip(ends, ends[1:])])
 
     def grid(
         self, axes: Sequence[Sequence[int]], costs: Sequence[int] | None = None, budget: int = 0

@@ -7,10 +7,12 @@ heap-ordered ``poly.exact_div_int`` (``detpoly.det_poly_matrix``), and
 divided by the row scales once.  Flatness of the induced connection is
 verified exactly at random rational points off the discriminant: one
 ``detpoly._IntegerEvaluator`` holds M and the P^(l) as integer terms over
-one denominator and reads their first partials in y_0..y_{K-1} off its
-interned monomials (no derivative is built as a polynomial), so a point
-costs one table of scaled monomials, one integer dot product per entry, one
-inverse of M and K^2 integer matrix products.  K = 1 systems expose their
+one denominator and reads off its interned monomials the first partials
+that the test reads, d_k M for every k and d_k P^(l) for k != l (no
+derivative is built as a polynomial).  A point costs one table of scaled
+monomials, one pass over all terms, one fraction-free integer
+inverse of M (``linalg.inverse_int``), K dense products N R_k and K(K-1)
+products on the nonzero entries of the P^(l).  K = 1 systems expose their
 classical local exponents as a bridge to known special cases: the rational
 roots of the pencil determinant det(lam p0 P(0) - L_V P(0) + p0 I), taken on
 the line engine of ``detpoly.line_determinant``.
@@ -21,7 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .brieskorn import FBasis, GMMatrices, PhiBasis
@@ -32,7 +33,7 @@ from .errors import (
     NoSolutionError,
     NotApplicableError,
 )
-from .linalg import RationalMatrix, rational_roots
+from .linalg import inverse_int, rational_roots
 from .phase import IcisMap
 from .poly import MultiPoly, weighted_graded_parts
 
@@ -154,9 +155,9 @@ def residue_exponents_K1(data: GaussManinData) -> list[Fraction]:
     return rational_roots([q.terms.get((k,), ZERO) / lead for k in range(mu + 1)], hints=hints)
 
 
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+def _sparse_product(rows: list[tuple[list[int], list[int]]], columns: list[list[int]]):
+    """A x B for A given by its rows' (nonzero columns, values) and B by its columns."""
+    return [[sum(map(mul, ps, map(col.__getitem__, ms))) for col in columns] for ms, ps in rows]
 
 
 @dataclass
@@ -188,11 +189,15 @@ def flatness_check(
     Every accepted point has M invertible, so C_kl = 0 exactly when L_V B_kl
     = 0, that is when each row i of B_kl with l_i != 0 vanishes.  All
     matrices are evaluated as integers over one common positive scale, the
-    partials d_k by the same evaluator (``partials``), and M^{-1} is written
-    as N / d with N integer, so B_kl is checked as the integer matrix
-    d * scale * B_kl: one evaluation pass, K products for the X_l and two
-    products per pair.  Points are drawn, singular ones skipped and failures
-    reported as the direct formula would.
+    partials by the same evaluator (``partials``: d_k M for every k, d_k
+    P^(l) for k != l, the only ones B_kl reads), and M^{-1} is N / d from
+    fraction-free Gauss-Jordan on the integers (``linalg.inverse_int``), so
+    B_kl is checked as the integer matrix d * scale * B_kl.  A point costs
+    one evaluation pass, one integer inverse, the K dense products W_k =
+    N R_k, and the K(K-1) products d X_l R_k = P^(l) W_k (k != l) over the
+    nonzero entries of P^(l) in the rows where L_V is nonzero.  Points are
+    drawn, singular ones skipped and failures reported as the direct formula
+    would.
     """
     if sample_points < 1:
         raise ValueError(f"sample_points must be at least 1, got {sample_points}")
@@ -204,10 +209,12 @@ def flatness_check(
     sign = [1 if l % 2 == 0 else -1 for l in range(K)]
     weights = data.l_weights
     rows = [i for i in range(mu) if weights[i] != 0]
-    # M, P^(0..K-1), then d_k of each of them in that order
+    # M and P^(0..K-1), then d_k M for every k and d_k P^(l) for every k != l
     ys = [data.y_ring.index(f"y{k}") for k in range(K)]
     evaluator = _IntegerEvaluator(
-        _integer_entries([data.M, *data.matrices]), data.y_ring, partials=ys
+        _integer_entries([data.M, *data.matrices]),
+        data.y_ring,
+        partials=[ys, *([y for k, y in enumerate(ys) if k != l] for l in range(K))],
     )
     pairs = K * (K - 1) // 2
     points = []
@@ -221,14 +228,11 @@ def flatness_check(
         pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in data.y_ring}
         Mv, *vals = evaluator.at(pt)
         try:
-            Minv = RationalMatrix.from_rows(Mv).inverse().entries
+            N, d = inverse_int(Mv)
         except NoSolutionError:
             continue
-        d = lcm(*(x.denominator for row in Minv for x in row))
-        N = [[x.numerator * (d // x.denominator) for x in row] for row in Minv]
         Pv, dMv, dPv = vals[:K], vals[K : 2 * K], vals[2 * K :]
-        # d * X_l restricted to the rows where L_V is nonzero
-        Y = [_int_matmul([Pv[l][i] for i in rows], N) for l in range(K)]
+        # R_k = s_k L_V P^(k) - d_k M, and the columns of W_k = N R_k = d M^{-1} R_k
         R = [
             [
                 [sign[k] * weights[m] * p - q for p, q in zip(Pv[k][m], dMv[k][m])]
@@ -236,11 +240,19 @@ def flatness_check(
             ]
             for k in range(K)
         ]
+        W = [[[sum(map(mul, row, col)) for row in N] for col in zip(*R_k)] for R_k in R]
+        # the rows of each P^(l) where L_V is nonzero, as (nonzero columns, values)
+        nonzero = [
+            [([m for m, p in enumerate(Pv[l][i]) if p], [p for p in Pv[l][i] if p]) for i in rows]
+            for l in range(K)
+        ]
         for k in range(K):
             for l in range(k + 1, K):
-                XR_lk = _int_matmul(Y[l], R[k])
-                XR_kl = _int_matmul(Y[k], R[l])
-                dP_lk, dP_kl = dPv[l * K + k], dPv[k * K + l]
+                # d X_l R_k = P^(l) W_k and d X_k R_l, on the rows where L_V is nonzero
+                XR_lk = _sparse_product(nonzero[l], W[k])
+                XR_kl = _sparse_product(nonzero[k], W[l])
+                # d_k P^(l) sits at block l (K - 1) + k - (k > l) of dPv
+                dP_lk, dP_kl = dPv[l * (K - 1) + k], dPv[k * (K - 1) + l - 1]
                 for r, i in enumerate(rows):
                     if any(
                         d * (sign[l] * p - sign[k] * q) + sign[l] * x - sign[k] * y

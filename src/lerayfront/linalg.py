@@ -1,13 +1,15 @@
 """Exact rational linear algebra: solving, determinants, rational roots.
 
-Everything works over ``fractions.Fraction``.  ``SparseEchelon`` is the one
-sparse echelon, and ``ColumnSpan`` is the one exact solver on it: every
-solve, inverse and dependency search (the lattice pieces of ``brieskorn``,
-the weight system of ``phase``, the minimal polynomial of ``oracle``,
-``RationalMatrix.inverse``) tags its columns and reads the answer off the
-tags.  The f-basis search keeps independent forms in a bare
-``SparseEchelon``.  ``rational_roots`` finds the roots of a univariate
-polynomial given by its coefficients (the exponents of ``gaussmanin``).
+Everything works over ``fractions.Fraction`` except the integer kernels
+``det_int`` and ``inverse_int``.  ``SparseEchelon`` is the one sparse
+echelon, and ``ColumnSpan`` is the one exact solver on it: every solve and
+dependency search (the lattice pieces of ``brieskorn``, the weight system
+of ``phase``, the minimal polynomial of ``oracle``) tags its columns and
+reads the answer off the tags.  The f-basis search keeps independent
+forms in a bare ``SparseEchelon``.  ``inverse_int`` is fraction-free
+Gauss-Jordan over Z, the inverse of the flatness oracle.  ``rational_roots``
+finds the roots of a univariate polynomial given by its coefficients (the
+exponents of ``gaussmanin``).
 """
 
 from __future__ import annotations
@@ -93,19 +95,6 @@ class RationalMatrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
-
-    def inverse(self) -> "RationalMatrix":
-        """Column i of the inverse is ``ColumnSpan.solve(e_i)``; singular
-        exactly when a column depends on the earlier ones."""
-        assert self.rows == self.cols
-        n = self.rows
-        span = ColumnSpan(range(n))
-        for j in range(n):
-            column = {i: row[j] for i, row in enumerate(self.entries) if row[j]}
-            if span.add(column, j) is not None:
-                raise NoSolutionError("matrix is singular")
-        cols = [span.solve({i: ONE}) for i in range(n)]
-        return RationalMatrix(n, n, [[col.get(k, ZERO) for col in cols] for k in range(n)])
 
 
 class SparseEchelon:
@@ -228,6 +217,45 @@ def det_int(m: list[list[int]]) -> int:
             rowi[k] = 0
         prev = pkk
     return sign * m[n - 1][n - 1]
+
+
+def inverse_int(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """M^{-1} = N / d for a square integer matrix, with d > 0 and gcd(d, N) = 1.
+
+    Fraction-free Gauss-Jordan (Bareiss 1968) on [M | I]: step k takes
+    every row i != k to (p_k row_i - m_ik row_k) / p_{k-1}, exactly, with
+    p_k the k-th pivot, so [M | I] ends as p_{n-1} [I | M^{-1}].  Before
+    step k the right half of a row not yet pivoted is p_{k-1} at its own
+    column and zero outside the columns of the pivoted rows, so each step
+    works on n columns only.  Raises NoSolutionError when M is singular.
+    """
+    n = len(m)
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
+    order = list(range(n))  # order[p]: the row of M now at position p
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                raise NoSolutionError("matrix is singular")
+            a[k], a[piv] = a[piv], a[k]
+            order[k], order[piv] = order[piv], order[k]
+        rowk = a[k]
+        pkk = rowk[k]
+        cols = [*range(k + 1, n), *(n + r for r in order[: k + 1])]
+        for i, rowi in enumerate(a):
+            if i == k:
+                continue
+            mik = rowi[k]
+            for j in cols:
+                rowi[j] = (pkk * rowi[j] - mik * rowk[j]) // prev
+            if i > k:
+                rowi[n + order[i]] = pkk
+        prev = pkk
+    N = [row[n:] for row in a]
+    g = gcd(prev, *(x for row in N for x in row))
+    g = g if prev > 0 else -g
+    return [[x // g for x in row] for row in N], prev // g
 
 
 def eval_poly_coeffs(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:

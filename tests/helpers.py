@@ -1,8 +1,9 @@
 """Helpers that only the tests need: a matrix-vector product, a rank by
-minors, basis 1-forms, readers for the polynomial, matrix and form JSON that
-``jsonio`` writes, a phase expansion summed back up, a substitution built
-from MultiPoly arithmetic alone, a determinant by interpolation on given
-bounds, and the integer-row engines on MultiPoly matrices."""
+minors, an inverse by ``ColumnSpan`` solves, basis 1-forms, readers for
+the polynomial, matrix and form JSON that ``jsonio`` writes, a phase
+expansion summed back up, a substitution built from MultiPoly arithmetic
+alone, a determinant by interpolation on given bounds, and the
+integer-row engines on MultiPoly matrices."""
 
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from lerayfront.detpoly import (
     total_degree_bound,
 )
 from lerayfront.forms import DiffForm
-from lerayfront.linalg import RationalMatrix, det_fraction
+from lerayfront.errors import NoSolutionError
+from lerayfront.linalg import ColumnSpan, RationalMatrix, det_fraction
 from lerayfront.phase import PhaseExpansion
 from lerayfront.poly import MultiPoly
 
@@ -39,6 +41,20 @@ def rank_by_minors(rows: Sequence[Sequence[Fraction]]) -> int:
                 if det_fraction([[rows[i][j] for j in J] for i in I]):
                     return k
     return 0
+
+
+def column_span_inverse(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """The inverse of a square matrix over Q: column i is ``ColumnSpan.solve(e_i)``.
+
+    Raises NoSolutionError when a column depends on the earlier ones.
+    """
+    n = len(rows)
+    span = ColumnSpan(range(n))
+    for j in range(n):
+        if span.add({i: Fraction(row[j]) for i, row in enumerate(rows) if row[j]}, j) is not None:
+            raise NoSolutionError("matrix is singular")
+    cols = [span.solve({i: Fraction(1)}) for i in range(n)]
+    return [[col.get(k, Fraction(0)) for col in cols] for k in range(n)]
 
 
 def d_variable(ring: Sequence[str], name: str) -> DiffForm:

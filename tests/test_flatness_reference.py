@@ -26,6 +26,8 @@ from lerayfront.gaussmanin import assemble_system, flatness_check
 from lerayfront.linalg import RationalMatrix
 from lerayfront.poly import MultiPoly
 
+from helpers import column_span_inverse
+
 
 def _at(mat, point) -> RationalMatrix:
     return RationalMatrix.from_rows([[e.eval_exact(point) for e in row] for row in mat])
@@ -51,7 +53,7 @@ def reference_flatness_points(data, sample_points: int, seed: int) -> list[dict]
             raise DegenerateSystemError("could not sample points off the discriminant")
         pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in data.y_ring}
         try:
-            Minv = _at(data.M, pt).inverse()
+            Minv = RationalMatrix.from_rows(column_span_inverse(_at(data.M, pt).entries))
         except NoSolutionError:
             continue
         sign = [1 if l % 2 == 0 else -1 for l in range(K)]
@@ -97,15 +99,30 @@ def _perturbed(data, icis, rng: random.Random):
     return assemble_system(gm, icis)
 
 
-def test_random_perturbations_of_the_quadric_pair(quadric_icis, quadric_system):
-    _, data = quadric_system
-    outcomes = []
+def _perturbation_outcomes(data, icis) -> set[str]:
+    """The outcomes of 20 seeded one-term perturbations, each the same as the
+    reference's, message included."""
+    outcomes = set()
     for seed in range(20):
-        bad = _perturbed(data, quadric_icis, random.Random(seed))
+        bad = _perturbed(data, icis, random.Random(seed))
         expected = _outcome(reference_flatness_points, bad, 3, seed)
         assert _outcome(_new_points, bad, 3, seed) == expected
-        outcomes.append(expected[0])
-    assert {"flat", "CurvatureNonzeroError"} <= set(outcomes)
+        outcomes.add(expected[0])
+    return outcomes
+
+
+def test_random_perturbations_of_the_quadric_pair(quadric_icis, quadric_system):
+    assert _perturbation_outcomes(quadric_system[1], quadric_icis) == {
+        "flat",
+        "CurvatureNonzeroError",
+    }
+
+
+def test_random_perturbations_of_wave_parabola(wave_parabola_icis, wave_parabola_system):
+    """K = 2: every one of the 20 perturbations bends the connection."""
+    assert wave_parabola_system.K >= 2
+    outcomes = _perturbation_outcomes(wave_parabola_system, wave_parabola_icis)
+    assert outcomes == {"CurvatureNonzeroError"}
 
 
 def test_zero_entries_of_l_weights(quadric_icis, quadric_system):

@@ -32,6 +32,33 @@ classical_exponents = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(classical_exponents)
 
 
+# flatness_check(flagship, 3, seed) for seeds 1-3, each point as y0..y8;
+# taken from the implementation with a Fraction inverse of M
+FLAGSHIP_FLATNESS_POINTS = {
+    1: [
+        ["-5", "-1", "3/2", "3/2", "-3", "6", "3/4", "-9/4", "-1/2"],
+        ["9", "1", "-9", "8", "3/2", "4", "7/2", "5/4", "4"],
+        ["1", "-1/2", "0", "4", "-4/3", "-2", "7/4", "7/2", "0"],
+    ],
+    2: [
+        ["-8", "-7/3", "-4/3", "-1/2", "-4", "1", "7/3", "2", "7/3"],
+        ["-8", "1/2", "1/4", "2", "4", "-1", "-9/2", "1/2", "-5/3"],
+        ["7/2", "5/4", "7/3", "3", "1/2", "-1", "5/2", "2", "2"],
+    ],
+    3: [
+        ["-1", "1/2", "9", "-9/4", "-1/2", "-3/4", "2", "3/2", "-1"],
+        ["7/4", "-9", "-4", "0", "-1/4", "3/4", "3/4", "-5/3", "-6"],
+        ["-5/4", "-1", "4/3", "1", "3", "2", "9/2", "1", "-1/2"],
+    ],
+}
+FLAGSHIP_MUTATION_MESSAGE = (
+    "curvature nonzero at {'y0': Fraction(5, 4), 'y1': Fraction(5, 2), "
+    "'y2': Fraction(-1, 1), 'y3': Fraction(-4, 1), 'y4': Fraction(5, 3), "
+    "'y5': Fraction(-5, 1), 'y6': Fraction(8, 1), 'y7': Fraction(3, 4), "
+    "'y8': Fraction(-4, 1)} for pair (0,1)"
+)
+
+
 class TestAssemble:
     def test_cusp_m_matrix(self, cusp_system):
         _, data = cusp_system
@@ -223,19 +250,34 @@ class TestFlatness:
             ),
             wave_cusp_pipeline["icis"],
         )
-        with pytest.raises(CurvatureNonzeroError):
+        with pytest.raises(CurvatureNonzeroError) as err:
             flatness_check(data_bad, sample_points=1, seed=11)
+        assert str(err.value) == FLAGSHIP_MUTATION_MESSAGE
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_flagship_points_are_pinned(self, wave_cusp_pipeline, seed):
+        data = wave_cusp_pipeline["data"]
+        points = flatness_check(data, sample_points=3, seed=seed).points
+        assert [[str(pt[f"y{k}"]) for k in range(data.K)] for pt in points] == (
+            FLAGSHIP_FLATNESS_POINTS[seed]
+        )
+        assert all(list(pt) == list(data.y_ring) for pt in points)
 
 
 def _zero_partials_checked(mats, ring, partials, points):
     """Assert that ``_IntegerEvaluator`` with ``partials`` gives mats and then
-    d_i of each matrix (matrix by matrix) as MultiPoly.partial evaluated
-    exactly, times the evaluator's scale; return how many derivative entries
-    are the zero polynomial."""
+    d_i of each matrix for the i in its list (matrix by matrix) as
+    MultiPoly.partial evaluated exactly, times the evaluator's scale; return
+    how many derivative entries are the zero polynomial."""
     den = lcm(*(c.denominator for mat in mats for row in mat for p in row for c in p.terms.values()))
     evaluator = _IntegerEvaluator(_integer_entries(mats), ring, partials=partials)
-    derived = [[[p.partial(ring[i]) for p in row] for row in mat] for mat in mats for i in partials]
+    derived = [
+        [[p.partial(ring[i]) for p in row] for row in mat]
+        for mat, variables in zip(mats, partials)
+        for i in variables
+    ]
     expected = [*mats, *derived]
+    assert evaluator.shapes == [(len(mat), len(mat[0])) for mat in expected]
     for pt in points:
         scale = den * prod(pt[v].denominator ** top for v, top in zip(ring, evaluator.maxdeg))
         values = evaluator.at(pt)
@@ -245,26 +287,63 @@ def _zero_partials_checked(mats, ring, partials, points):
     return sum(p.is_zero() for mat in derived for row in mat for p in row)
 
 
+def _points(ring, seed, count):
+    rng = random.Random(seed)
+    return [
+        {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in ring} for _ in range(count)
+    ]
+
+
 class TestEvaluatorPartials:
     """The flatness oracle reads d_i of M and the P^(l) off the evaluator's
-    interned monomials; each must be MultiPoly.partial, evaluated exactly."""
+    interned monomials, one list of variables per matrix; each must be
+    MultiPoly.partial, evaluated exactly."""
 
     def test_quadric_system(self, quadric_system):
         _, data = quadric_system
-        rng = random.Random(5)
         ring = data.y_ring
-        points = [
-            {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in ring} for _ in range(5)
-        ]
+        mats = [data.M, *data.matrices]
+        points = _points(ring, 5, 5)
         # both orders of the variables, so the derivatives' order is checked
-        for partials in (range(len(ring)), range(len(ring))[::-1]):
-            zeros = _zero_partials_checked([data.M, *data.matrices], ring, list(partials), points)
+        for variables in (range(len(ring)), range(len(ring))[::-1]):
+            partials = [list(variables)] * len(mats)
+            zeros = _zero_partials_checked(mats, ring, partials, points)
             assert zeros > 0
+
+    def test_matrices_with_their_own_variables(self, quadric_system):
+        """A matrix that takes no partials, and two that take different ones."""
+        _, data = quadric_system
+        ring = data.y_ring
+        assert len(ring) == 2
+        mats = [data.M, *data.matrices]
+        points = _points(ring, 7, 3)
+        _zero_partials_checked(mats, ring, [[], [1], [0, 1]], points)
+        _zero_partials_checked(mats, ring, [[1, 0], [], [0]], points)
+        _zero_partials_checked(mats, ring, [], points)
 
     def test_flagship_matrices(self, wave_cusp_pipeline):
         data = wave_cusp_pipeline["data"]
-        rng = random.Random(6)
         ring = data.y_ring
-        point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in ring}
-        zeros = _zero_partials_checked(data.matrices, ring, list(range(len(ring))), [point])
+        variables = list(range(len(ring)))
+        partials = [variables] * len(data.matrices)
+        zeros = _zero_partials_checked(data.matrices, ring, partials, _points(ring, 6, 1))
         assert 0 < zeros < len(ring) * len(data.matrices) * data.mu**2
+
+    def test_flagship_flatness_takes_no_diagonal_blocks(self, wave_cusp_pipeline, monkeypatch):
+        """flatness_check derives M by every y_k and P^(l) by y_k for k != l:
+        K + K(K - 1) derivative blocks, not K(K + 1)."""
+        from lerayfront import gaussmanin
+
+        data = wave_cusp_pipeline["data"]
+        K = data.K
+        built = []
+
+        class Recording(_IntegerEvaluator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(gaussmanin, "_IntegerEvaluator", Recording)
+        flatness_check(data, sample_points=1, seed=1)
+        (evaluator,) = built
+        assert len(evaluator.shapes) - (K + 1) == K + K * (K - 1)

@@ -1,13 +1,22 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lerayfront.errors import NoSolutionError, NotApplicableError, ResourceLimitError
-from lerayfront.linalg import ColumnSpan, RationalMatrix, det_fraction, rational_roots
+from lerayfront.linalg import (
+    ColumnSpan,
+    RationalMatrix,
+    det_fraction,
+    det_int,
+    inverse_int,
+    rational_roots,
+)
 
-from helpers import matvec, rank_by_minors
+from helpers import column_span_inverse, matvec, rank_by_minors
 
 
 def _span(rows: list[list[Fraction]]) -> tuple[ColumnSpan, list]:
@@ -84,15 +93,70 @@ def test_add_returns_a_relation_exactly_on_a_dependent_column(columns):
 
 
 def test_det_and_inverse():
-    A = RationalMatrix.from_rows([[2, 1], [1, 1]])
-    assert det_fraction(A.entries) == 1
-    Ai = A.inverse()
-    assert A * Ai == RationalMatrix.identity(2)
+    A = [[2, 1], [1, 1]]
+    assert det_fraction(A) == 1
+    N, d = inverse_int(A)
+    assert d == 1
+    assert RationalMatrix.from_rows(A) * RationalMatrix.from_rows(N) == RationalMatrix.identity(2)
 
 
 def test_inverse_of_singular_matrix_raises():
     with pytest.raises(NoSolutionError):
-        RationalMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+        inverse_int([[1, 2], [2, 4]])
+
+
+def _check_inverse(m: list[list[int]]) -> None:
+    """inverse_int(m) is the ColumnSpan inverse as N / d in lowest terms, d > 0."""
+    N, d = inverse_int(m)
+    assert d > 0
+    assert gcd(d, *(x for row in N for x in row)) == 1
+    assert [[Fraction(x, d) for x in row] for row in N] == column_span_inverse(m)
+
+
+def _random_matrix(rng: random.Random, n: int) -> list[list[int]]:
+    return [
+        [rng.choice([0, rng.randint(-9, 9), rng.randint(-(10**6), 10**6)]) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integer_inverse_matches_column_span(n):
+    rng = random.Random(n)
+    checked = 0
+    while checked < 12:
+        m = _random_matrix(rng, n)
+        if checked % 3 == 0 and n > 1:
+            m[0][0] = 0  # the first pivot needs a row swap
+        if det_int([row[:] for row in m]) == 0:
+            continue
+        _check_inverse(m)
+        checked += 1
+
+
+def test_integer_inverse_swaps_at_every_step():
+    # every leading pivot is zero: the anti-diagonal and its neighbours
+    _check_inverse([[0, 0, 0, 3], [0, 0, 5, 1], [0, 7, 2, 0], [2, 1, 0, 0]])
+    _check_inverse([[0, 1], [1, 0]])
+    # a large determinant, so N / d is not reduced by chance
+    _check_inverse([[10**20 + 1, 3], [7, -(10**15)]])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integer_inverse_of_singular_matrices_raises(n):
+    rng = random.Random(100 + n)
+    for _ in range(6):
+        m = _random_matrix(rng, n)
+        # one row a combination of the others, or (n = 1) the zero matrix
+        i = rng.randrange(n)
+        others = [r for r in range(n) if r != i] or [i]
+        a, b = (rng.randint(-3, 3), rng.randint(-3, 3)) if n > 1 else (0, 0)
+        m[i] = [a * x + b * y for x, y in zip(m[others[0]], m[others[-1]])]
+        assert det_int([row[:] for row in m]) == 0
+        with pytest.raises(NoSolutionError):
+            inverse_int(m)
+        with pytest.raises(NoSolutionError):
+            column_span_inverse(m)
 
 
 def test_det_fraction_matches_cofactor():
