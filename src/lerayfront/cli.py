@@ -44,7 +44,6 @@ from .jsonio import (
     fraction_to_json,
     load_json,
     matrix_to_json,
-    poly_to_json,
 )
 from .oracle import (
     compare_discriminants,
@@ -247,6 +246,11 @@ class Pipeline:
             ),
         )
 
+    def flatness(self, sample_points: int) -> dict:
+        """The flatness record of the system; a nonzero curvature raises (exit 15)."""
+        rep = flatness_check(self.system(), sample_points=sample_points, seed=self.pb.seed)
+        return {"vacuous": rep.vacuous, "points": len(rep.points), "pairs": rep.checked_pairs}
+
     # -- command bodies --------------------------------------------------
 
     def cmd_check(self):
@@ -271,8 +275,8 @@ class Pipeline:
     def cmd_phase(self):
         exp = self.expansion()
         rec = {
-            "psi": poly_to_json(self.psi()),
-            "base": poly_to_json(exp.base),
+            "psi": self.psi(),
+            "base": exp.base,
             "sign": exp.sign,
             "case": exp.case,
             "mu_prime": exp.mu_prime,
@@ -282,7 +286,7 @@ class Pipeline:
                 {
                     "monomial": list(mono),
                     "weight": weight(mono, exp.weights.weights),
-                    "W": poly_to_json(W),
+                    "W": W,
                 }
                 for mono, W in exp.deformation
             ],
@@ -306,17 +310,17 @@ class Pipeline:
             "power": icis.power,
             "case": icis.case,
             "sign": icis.sign,
-            "components": [poly_to_json(f) for f in icis.components],
+            "components": icis.components,
             "couplings": [
                 {
                     "y_index": c.y_index,
                     "var": c.var,
                     "monomial": list(c.monomial),
-                    "W": poly_to_json(c.w_poly),
+                    "W": c.w_poly,
                 }
                 for c in icis.couplings
             ],
-            "y1_value": poly_to_json(icis.y1_value) if icis.y1_value is not None else None,
+            "y1_value": icis.y1_value,
             "metadata": icis.metadata,
         }
         dump_json(rec, self.out / "map.json")
@@ -345,7 +349,7 @@ class Pipeline:
                 f"P{l}": matrix_to_json(data.matrices[l]) for l in range(data.K)
             },
             "M": matrix_to_json(data.M),
-            "delta": poly_to_json(data.delta) if data.delta is not None else None,
+            "delta": data.delta,
         }
         dump_json(rec, self.out / "gm.json")
         return rec
@@ -359,15 +363,10 @@ class Pipeline:
                 fraction_to_json(e) for e in residue_exponents_K1(data)
             ]
         if data.K >= 2:
-            rep = flatness_check(data, sample_points=5, seed=self.pb.seed)
-            report["flatness"] = {
-                "vacuous": rep.vacuous,
-                "points": len(rep.points),
-                "pairs": rep.checked_pairs,
-            }
+            report["flatness"] = self.flatness(sample_points=5)
         rec = {
-            "delta": poly_to_json(delta),
-            "delta_raw": poly_to_json(data.delta_raw),
+            "delta": delta,
+            "delta_raw": data.delta_raw,
             "forced_weight": data.delta_forced_weight(),
             "strategy": "bareiss",
             "diagnostics": report,
@@ -378,21 +377,19 @@ class Pipeline:
     def cmd_wavefront(self):
         fr = self.front_result()
         rec = {
-            "phi": poly_to_json(fr.phi),
+            "phi": fr.phi,
             "phi_text": poly_to_text(fr.phi),
-            "raw": poly_to_json(fr.raw),
-            "squarefree": poly_to_json(fr.squarefree) if fr.squarefree is not None else None,
+            "raw": fr.raw,
+            "squarefree": fr.squarefree,
             "case": fr.case,
             "power": fr.power,
             "strategy": fr.strategy,
-            "substitution": {k: poly_to_json(v) for k, v in fr.substitution.items()},
+            "substitution": fr.substitution,
             "metadata": fr.metadata,
         }
         dump_json(rec, self.out / "front.json")
         if self.pb.s_value is not None:
-            rep = t_zero_check(
-                self.front_result(), self.pb.front, self.pb.s_value, seed=self.pb.seed
-            )
+            rep = t_zero_check(fr, self.pb.front, self.pb.s_value, seed=self.pb.seed)
             with open(self.out / "t_zero.csv", "w", newline="") as fh:
                 wr = csv.writer(fh)
                 wr.writerow(["samples", "max_scaled_residual", "no_real_points"])
@@ -412,7 +409,7 @@ class Pipeline:
                 discriminant(data)
             cmp = compare_discriminants(data.delta, el, seed=self.pb.seed)
             rec = {
-                "eliminant": [poly_to_json(p) for p in el],
+                "eliminant": el,
                 "verdict": cmp.verdict,
                 "detail": cmp.detail,
             }
@@ -471,6 +468,7 @@ class Pipeline:
         self.cmd_build_map()
         summary["milnor"] = self.cmd_milnor()["mu"]
         self.cmd_gm()
+        summary["flatness"] = self.flatness(sample_points=3)
         mu = self.system().mu
         if mu <= DISCRIMINANT_MAX_MU:
             summary["discriminant"] = "computed"
@@ -480,7 +478,7 @@ class Pipeline:
             skipped = f"skipped: mu {mu} > {DISCRIMINANT_MAX_MU}"
             summary["discriminant"] = summary["verify_discriminant"] = skipped
         front = self.cmd_wavefront()
-        summary["front_terms"] = len(front["phi"]["terms"])
+        summary["front_terms"] = len(front["phi"].terms)
         if self.pb.s_value is not None:
             summary["verify_rays"] = self.cmd_verify_rays()
         dump_json(summary, self.out / "summary.json")

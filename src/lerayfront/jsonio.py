@@ -3,21 +3,27 @@
 Schema: a polynomial is {"vars": [...], "terms": [{"c": "num/den", "e":
 [ints]}]} with terms in canonical (grevlex-descending) order and rational
 coefficients as strings, so arbitrary precision survives every consumer.
-Matrices are row-major lists of polynomial objects.  All emitters sort keys
-and avoid timestamps: identical inputs give byte-identical files.
+``poly_to_json`` is the one definition of that value.  Records carry
+``MultiPoly`` leaves (``matrix_to_json``'s entries, ``form_to_json``'s
+components and ``cli``'s records alike), and the writer renders each leaf
+as ``poly_to_json`` would.  All emitters sort keys and avoid timestamps:
+identical inputs give byte-identical files.
 
 Byte contract: ``dump_json(obj, path)`` writes exactly the bytes of
-``json.dump(obj, fh, sort_keys=True, indent=1, separators=(",", ": "))``
-followed by ``"\n"``.  ``json.dump`` with an ``indent`` always runs the
-pure-Python ``_iterencode``, one ``write`` per token; the writer here walks
-the value itself with the same rules (``encode_basestring_ascii`` for keys
-and strings, ``int.__repr__``, ``float.__repr__`` with ``NaN`` and
-``Infinity`` spelled as ``json`` spells them, keys sorted before they are
-converted) and writes a list whose items are all ``int`` in one join.
+``json.dump(obj, fh, sort_keys=True, indent=1, separators=(",", ": "),
+default=poly_to_json)`` followed by ``"\n"``.  ``json.dump`` with an
+``indent`` always runs the pure-Python ``_iterencode``, one ``write`` per
+token; the writer here walks the value itself with the same rules
+(``encode_basestring_ascii`` for keys and strings, ``int.__repr__``,
+``float.__repr__`` with ``NaN`` and ``Infinity`` spelled as ``json`` spells
+them, keys sorted before they are converted), writes a list whose items are
+all ``int`` in one join, and writes a polynomial one piece per term, with
+each exponent list rendered once per nesting depth.
 
 Streaming: the writer collects pieces in a list and hands them to the file in
 one ``write`` whenever the list reaches ``_FLUSH_PIECES``, so its memory stays
-bounded by that count and not by the size of the document.
+bounded by that count and the distinct exponent lists, not by the size of
+the document.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ def matrix_to_json(M: list[list[MultiPoly]]) -> dict:
     return {
         "rows": len(M),
         "cols": len(M[0]) if M else 0,
-        "entries": [[poly_to_json(p) for p in row] for row in M],
+        "entries": M,
     }
 
 
@@ -57,7 +63,7 @@ def form_to_json(f: DiffForm) -> dict:
         "degree": f.degree,
         "vars": list(f.ring),
         "components": [
-            {"idx": list(idx), "poly": poly_to_json(f.components[idx])}
+            {"idx": list(idx), "poly": f.components[idx]}
             for idx in sorted(f.components)
         ],
     }
@@ -103,14 +109,40 @@ def _write_json(obj: Any, fh) -> None:
     append = pieces.append
     encode = encode_basestring_ascii
     newlines = ["\n"]  # newlines[k] is a newline and the indent of depth k
+    exponent_blocks: dict[int, dict] = {}  # level -> exponent tuple -> its "e" text
 
     def flush() -> None:
         fh.write("".join(pieces))
         pieces.clear()
 
+    def emit_poly(p: MultiPoly, level: int) -> None:
+        """``poly_to_json(p)`` at depth ``level``, one piece per term."""
+        while len(newlines) <= level + 4:
+            newlines.append(newlines[-1] + " ")
+        n1, n2, n3, n4 = newlines[level + 1 : level + 5]
+        blocks = exponent_blocks.setdefault(level, {})
+        terms = p.sorted_terms()
+        append("{" + n1 + '"terms": ' + ("[" if terms else "[]"))
+        sep = n2 + "{" + n3 + '"c": "'
+        for e, c in terms:
+            block = blocks.get(e)
+            if block is None:
+                block = "[" + n4 + ("," + n4).join(map(int.__repr__, e)) + n3 + "]" if e else "[]"
+                blocks[e] = block
+            append(sep + fraction_to_json(c) + '",' + n3 + '"e": ' + block + n2 + "}")
+            sep = "," + n2 + "{" + n3 + '"c": "'
+            if len(pieces) >= _FLUSH_PIECES:
+                flush()
+        append((n1 + "]," if terms else ",") + n1 + '"vars": ')
+        emit(p.ring, level + 1)
+        append(newlines[level] + "}")
+
     def emit(o: Any, level: int) -> None:
         if isinstance(o, str):
             append(encode(o))
+            return
+        if isinstance(o, MultiPoly):
+            emit_poly(o, level)
             return
         if not isinstance(o, (list, tuple, dict)):
             append(_scalar_text(o))

@@ -160,7 +160,8 @@ def _gm_inputs(icis, ctx):
 
 
 def _digest(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    text = json.dumps(obj, sort_keys=True, default=poly_to_json)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestCollapse:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -79,7 +80,9 @@ class TestCommands:
         out2 = tmp_path / "o2"
         assert main(["all", "--spec", str(spec), "--out", str(out1)]) == 0
         assert main(["all", "--spec", str(spec), "--out", str(out2)]) == 0
-        for name in ("front.json", "gm.json", "summary.json", "map.json"):
+        names = sorted(path.name for path in out1.iterdir())
+        assert names == sorted(path.name for path in out2.iterdir())
+        for name in names:
             b1 = (out1 / name).read_bytes()
             b2 = (out2 / name).read_bytes()
             assert b1 == b2, f"{name} not byte-identical"
@@ -89,6 +92,33 @@ class TestCommands:
         summary = json.loads((out1 / "summary.json").read_text())
         assert summary["discriminant"] == summary["verify_discriminant"] == "skipped: mu 9 > 6"
         assert not (out1 / "verify_discriminant.json").exists()
+        # flatness runs at every mu: K = 4 gives 6 pairs k < l
+        assert summary["flatness"] == {"vacuous": False, "points": 3, "pairs": 6}
+
+    def test_all_exits_15_on_a_corrupted_system_above_the_discriminant_cap(
+        self, tmp_path, monkeypatch
+    ):
+        # m1/cusp: mu 9 > DISCRIMINANT_MAX_MU and K = 4, so only the flatness
+        # check of `all` itself reads the P^(l)
+        from lerayfront import cli
+        from lerayfront.poly import MultiPoly
+
+        gm_matrices = cli.gm_matrices
+
+        def corrupted(*args, **kwargs):
+            gm = gm_matrices(*args, **kwargs)
+            bad = [[row[:] for row in P] for P in gm.matrices]
+            bad[1][2][5] = bad[1][2][5] + MultiPoly.constant(bad[1][2][5].ring, 1)
+            return dataclasses.replace(gm, matrices=bad)
+
+        monkeypatch.setattr(cli, "gm_matrices", corrupted)
+        spec = write_spec(tmp_path, M1_SPEC)
+        out = tmp_path / "out"
+        assert main(["all", "--spec", str(spec), "--out", str(out)]) == 15
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "CurvatureNonzeroError" and err["exit_code"] == 15
+        assert (out / "gm.json").exists()
+        assert not (out / "front.json").exists() and not (out / "summary.json").exists()
 
     def test_verify_discriminant_capped_falls_back_to_sampling(self, tmp_path, monkeypatch):
         # three S-pairs stop the wave/parabola eliminant long before it ends;

@@ -1,10 +1,10 @@
 """The artifact writer: the bytes of ``json.dump``, written in bounded chunks.
 
-``jsonio.dump_json`` must write exactly what
-``json.dump(obj, fh, sort_keys=True, indent=1, separators=(",", ": "))``
-followed by a newline writes, on arbitrary nested values and on every
-artifact ``all`` records, and it must stream its output instead of joining
-the whole document first.
+``jsonio.dump_json`` must write exactly what ``json.dump(obj, fh,
+sort_keys=True, indent=1, separators=(",", ": "), default=poly_to_json)``
+followed by a newline writes, on arbitrary nested values, on values with
+``MultiPoly`` leaves and on every artifact ``all`` records, and it must
+stream its output instead of joining the whole document first.
 """
 
 import json
@@ -17,11 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lerayfront import cli
-from lerayfront.jsonio import _write_json, dump_json
+from lerayfront.jsonio import _write_json, dump_json, matrix_to_json, poly_to_json
+from lerayfront.poly import MultiPoly
 
 
 def reference(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=1, separators=(",", ": ")) + "\n").encode()
+    text = json.dumps(obj, sort_keys=True, indent=1, separators=(",", ": "), default=poly_to_json)
+    return (text + "\n").encode()
 
 
 def written(obj) -> bytes:
@@ -57,6 +59,59 @@ def test_writer_matches_json_dump(obj):
     assert written(obj) == reference(obj)
 
 
+RINGS = [(), ("x1",), ("y0", "y1", "y2"), ("tau", "xi1", "é")]
+coefficients = (
+    st.fractions()
+    | st.builds(Fraction, st.integers(-(2**400), 2**400), st.integers(1, 2**400))
+    | st.sampled_from([Fraction(-1), Fraction(-(2**400) - 1, 3), Fraction(1, 2**399 + 1)])
+)
+
+
+@st.composite
+def polys(draw):
+    """The zero polynomial, constants and sparse polynomials over RINGS, the empty ring too."""
+    ring = draw(st.sampled_from(RINGS))
+    exponents = st.tuples(*[st.integers(0, 7)] * len(ring))
+    return MultiPoly(ring, draw(st.dictionaries(exponents, coefficients, max_size=6)))
+
+
+@st.composite
+def poly_records(draw):
+    """A polynomial at nesting depth 0-4, each level a list or a dict with siblings."""
+    obj = draw(polys())
+    for _ in range(draw(st.integers(0, 4))):
+        siblings = draw(st.lists(polys() | leaves, max_size=3))
+        siblings.insert(draw(st.integers(0, len(siblings))), obj)
+        if draw(st.booleans()):
+            obj = siblings
+        else:
+            n = len(siblings)
+            obj = dict(zip(draw(st.lists(texts, min_size=n, max_size=n, unique=True)), siblings))
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_records())
+def test_poly_leaves_match_json_dump_with_poly_to_json(obj):
+    assert written(obj) == reference(obj)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        MultiPoly((), {}),
+        MultiPoly((), {(): Fraction(-3, 7)}),
+        MultiPoly(("x1", "x2"), {}),
+        MultiPoly(("x1", "x2"), {(0, 0): 5}),
+        MultiPoly(("x1", "x2"), {(2, 0): Fraction(-(2**400), 3**250), (0, 1): Fraction(1, 2**400)}),
+    ],
+    ids=["zero, empty ring", "constant, empty ring", "zero", "constant", "400-bit"],
+)
+def test_poly_unit_cases_match_json_dump(p):
+    for obj in (p, [p], {"p": p}, [[1, {"a": [p, p]}]], {"m": {"n": [{"o": p}]}}):
+        assert written(obj) == reference(obj)
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -85,7 +140,7 @@ def test_int_dict_keys_sort_as_numbers():
 @pytest.mark.parametrize("obj", [Fraction(1, 2), [1, Fraction(1, 2)], {"c": Fraction(1, 2)}])
 def test_fraction_raises_type_error(obj):
     with pytest.raises(TypeError):
-        reference(obj)
+        json.dumps(obj)
     with pytest.raises(TypeError, match="Fraction"):
         written(obj)
 
@@ -104,12 +159,29 @@ class CountingFile:
         return len(text)
 
 
-def test_writer_streams_in_bounded_chunks():
-    # 200 k leaves, in one long list and in one wide dict
-    obj = {
-        "terms": [{"c": f"{i}/7", "e": [i, 2 * i, 3]} for i in range(40_000)],
-        "index": {f"k{i}": i for i in range(40_000)},
-    }
+RING = ("y0", "y1", "y2")
+
+
+def _poly(n_terms: int, shift: int = 0) -> MultiPoly:
+    return MultiPoly(
+        RING, {(i % 200, i // 200, 3): Fraction(i + shift + 1, 7) for i in range(n_terms)}
+    )
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # 200 k leaves, in one long list and in one wide dict
+        {
+            "terms": [{"c": f"{i}/7", "e": [i, 2 * i, 3]} for i in range(40_000)],
+            "index": {f"k{i}": i for i in range(40_000)},
+        },
+        {"poly": _poly(40_000)},
+        {"M": matrix_to_json([[_poly(100, 15 * i + j) for j in range(15)] for i in range(15)])},
+    ],
+    ids=["dicts", "40,000-term polynomial", "15 x 15 polynomial matrix"],
+)
+def test_writer_streams_in_bounded_chunks(obj):
     fh = CountingFile()
     _write_json(obj, fh)
     document = "".join(fh.chunks)
