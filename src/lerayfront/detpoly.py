@@ -110,17 +110,12 @@ def det_bareiss(M: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
         for rowi in m[k + 1 :]:
             mik = rowi[k]
             for j in range(k + 1, n):
-                num = _mul_sub(pkk, rowi[j], mik, rowk[j])
+                num = _sum_of_products(((pkk, rowi[j], 1), (mik, rowk[j], -1)))
                 rowi[j] = num if prev is None else exact_div_int(num, prev)
             rowi[k] = {}
         prev = pkk
     scale = prod(scales)
     return MultiPoly(ring, {e: Fraction(sign * c, scale) for e, c in m[n - 1][n - 1].items()})
-
-
-def _mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
-    """a * b - c * d for integer polynomials as {exponents: int} dicts."""
-    return _sum_of_products(((a, b, 1), (c, d, -1)))
 
 
 def degree_bounds(M: Sequence[Sequence[dict]], nvars: int) -> list[int]:

@@ -4,12 +4,11 @@ Everything works over ``fractions.Fraction`` except the integer kernels
 ``det_int`` and ``inverse_int``.  ``SparseEchelon`` is the one sparse
 echelon, and ``ColumnSpan`` is the one exact solver on it: every solve and
 dependency search (the lattice pieces of ``brieskorn``, the weight system
-of ``phase``, the minimal polynomial of ``oracle``) tags its columns and
-reads the answer off the tags.  The f-basis search keeps independent
-forms in a bare ``SparseEchelon``.  ``inverse_int`` is fraction-free
-Gauss-Jordan over Z, the inverse of the flatness oracle.  ``rational_roots``
-finds the roots of a univariate polynomial given by its coefficients (the
-exponents of ``gaussmanin``).
+of ``phase``) tags its columns and reads the answer off the tags.  The
+f-basis search keeps independent forms in a bare ``SparseEchelon``.
+``inverse_int`` is fraction-free Gauss-Jordan over Z, the inverse of the
+flatness oracle.  ``rational_roots`` finds the roots of a univariate
+polynomial given by its coefficients (the exponents of ``gaussmanin``).
 """
 
 from __future__ import annotations

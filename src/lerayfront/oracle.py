@@ -5,12 +5,12 @@ from Groebner elimination on the graph-plus-minors ideal
 (``phase.critical_ideal`` with y_l left as variables) and is compared with
 det M exactly, by squarefree parts.  When a resource cap stops the
 eliminant or the gcd, both sides are restricted to seeded integer lines
-instead (``line_check``): det M on the line against the minimal polynomial
-of the line parameter on the zero-dimensional critical quotient, again
-compared exactly.  Front points come from numerically integrated
-characteristic rays (straight lines, constant coefficients).  Agreement of
-the two sides with the discriminant pipeline is the package's end-to-end
-correctness evidence.
+instead (``line_check``): det M on the line against the characteristic
+polynomial of the line parameter on the zero-dimensional critical quotient,
+a pencil determinant, again compared exactly.  Front points come from
+numerically integrated characteristic rays (straight lines, constant
+coefficients).  Agreement of the two sides with the discriminant pipeline
+is the package's end-to-end correctness evidence.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .groebner import (
     normal_form,
     standard_monomials,
 )
-from .linalg import ColumnSpan
 from .phase import HyperbolicSymbol, IcisMap, critical_ideal
 from .poly import MultiPoly, poly_substitute
 
@@ -82,10 +81,11 @@ def line_check(icis: IcisMap, M: list[list[MultiPoly]], seed: int) -> LineCheck:
 
     On each line y = a + b*tau (integer a, b drawn from [-LINE_RANGE,
     LINE_RANGE] by ``seed``) one side is det M(a + b*tau)
-    (``detpoly.line_determinant``).  The other is the minimal polynomial of
-    tau on the zero-dimensional quotient by the critical ideal with
-    y = a + b*tau: its roots are the critical values on the line, since f is
-    finite on the critical locus of an ICIS.  The two radicals must be equal
+    (``detpoly.line_determinant``).  The other is the characteristic
+    polynomial of tau on the zero-dimensional quotient by the critical ideal
+    with y = a + b*tau (``_characteristic_polynomial``): its roots are the
+    critical values on the line, since f is finite on the critical locus of
+    an ICIS.  The two radicals must be equal
     (``compare_discriminants``); a wrong det M agrees with the critical
     values on a random line only on a proper subvariety of lines.  Caps
     are groebner's defaults and raise ResourceLimitError.
@@ -103,35 +103,41 @@ def line_check(icis: IcisMap, M: list[list[MultiPoly]], seed: int) -> LineCheck:
         images = [tau.scale(bl) + MultiPoly.constant(tau.ring, al) for al, bl in zip(a, b)]
         det = line_determinant(M, y_names, a, b)
         gb = groebner(critical_ideal(icis, images)[0], GREVLEX)
-        minpoly, dimension = _minimal_polynomial(gb, "tau")
+        charpoly, dimension = _characteristic_polynomial(gb)
         try:
-            cmp = compare_discriminants(det, [minpoly], seed=seed)
+            cmp = compare_discriminants(det, [charpoly], seed=seed)
         except MismatchError as err:
             raise MismatchError(f"on the line y = {a} + {b}*tau: {err}", witness=err.witness)
         lines.append(LineResult(a, b, dimension, cmp.degree))
     return LineCheck(f"equal radicals on {LINE_COUNT} seeded lines (exact)", lines)
 
 
-def _minimal_polynomial(gb: GroebnerBasis, var: str) -> tuple[MultiPoly, int]:
-    """Minimal polynomial of var on a zero-dimensional quotient, and its dimension D.
+def _characteristic_polynomial(gb: GroebnerBasis) -> tuple[MultiPoly, int]:
+    """Characteristic polynomial of tau on a zero-dimensional quotient, and its dimension D.
 
-    The normal forms of 1, var, var^2, ... are columns on the staircase; the
-    first that depends on the earlier ones gives the first relation of a
-    ``linalg.ColumnSpan``, with coefficient 1 at the newest power: the monic
-    minimal polynomial.  It comes at degree D at the latest.
+    Row i of the D x D matrix m is the normal form of tau times staircase
+    monomial i; the polynomial is the pencil determinant det(lam I - m)
+    (``detpoly.line_determinant``).  By Stickelberger's theorem its roots
+    are tau's values at the quotient's points, so its squarefree part is the
+    minimal polynomial's.  A unit ideal (D = 0) gives 1.
     """
     staircase = standard_monomials(gb)
     if not staircase.finite:
         raise MismatchError(
             f"line ideal is not zero-dimensional (unbounded in {staircase.witness_variable})"
         )
-    rows = staircase.monomials
-    span = ColumnSpan(rows)
-    x = MultiPoly.variable(gb.ring, var)
-    power = normal_form(MultiPoly.constant(gb.ring, 1), gb)
-    while (relation := span.add(power.terms, len(span.labels))) is None:
-        power = normal_form(power * x, gb)
-    return MultiPoly((var,), {(k,): c for k, c in relation.items()}), len(rows)
+    D = len(staircase.monomials)
+    if not D:
+        return MultiPoly.constant(("tau",), 1), 0
+    index = {e: j for j, e in enumerate(staircase.monomials)}
+    k = gb.ring.index("tau")
+    ring = ("lam",)
+    pencil = []
+    for i, e in enumerate(staircase.monomials):
+        up = MultiPoly(gb.ring, {e[:k] + (e[k] + 1,) + e[k + 1 :]: 1})
+        row = {index[f]: c for f, c in normal_form(up, gb).terms.items()}
+        pencil.append([MultiPoly(ring, {(1,): i == j, (0,): -row.get(j, 0)}) for j in range(D)])
+    return line_determinant(pencil, ring, [0], [1]), D
 
 
 def scaled_residuals(p: MultiPoly, points: Sequence[dict[str, float]]) -> list[float]:

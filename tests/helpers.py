@@ -2,8 +2,9 @@
 minors, an inverse by ``ColumnSpan`` solves, basis 1-forms, readers for
 the polynomial, matrix and form JSON that ``jsonio`` writes, a phase
 expansion summed back up, a substitution built from MultiPoly arithmetic
-alone, a determinant by interpolation on given bounds, and the
-integer-row engines on MultiPoly matrices."""
+alone, a determinant by interpolation on given bounds, the
+integer-row engines on MultiPoly matrices, and a minimal polynomial by a
+``ColumnSpan`` dependency search."""
 
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from lerayfront.detpoly import (
     total_degree_bound,
 )
 from lerayfront.forms import DiffForm
-from lerayfront.errors import NoSolutionError
+from lerayfront.errors import MismatchError, NoSolutionError
+from lerayfront.groebner import GroebnerBasis, normal_form, standard_monomials
 from lerayfront.linalg import ColumnSpan, RationalMatrix, det_fraction
 from lerayfront.phase import PhaseExpansion
 from lerayfront.poly import MultiPoly
@@ -136,3 +138,26 @@ def safe_bounds(M: Sequence[Sequence[MultiPoly]]) -> tuple[list[int], int]:
 def probed(M: Sequence[Sequence[MultiPoly]], seed: int = 0) -> tuple[MultiPoly, dict]:
     """``det_probed`` of M."""
     return det_probed(*_row_scaled_entries(M), M[0][0].ring, seed=seed)
+
+
+def minimal_polynomial(gb: GroebnerBasis, var: str) -> tuple[MultiPoly, int]:
+    """Minimal polynomial of var on a zero-dimensional quotient, and its dimension D.
+
+    The normal forms of 1, var, var^2, ... are columns on the staircase; the
+    first that depends on the earlier ones gives the first relation of a
+    ``ColumnSpan``, with coefficient 1 at the newest power: the monic
+    minimal polynomial.  It comes at degree D at the latest.  The reference
+    for the oracle's characteristic polynomial, which has the same roots.
+    """
+    staircase = standard_monomials(gb)
+    if not staircase.finite:
+        raise MismatchError(
+            f"line ideal is not zero-dimensional (unbounded in {staircase.witness_variable})"
+        )
+    rows = staircase.monomials
+    span = ColumnSpan(rows)
+    x = MultiPoly.variable(gb.ring, var)
+    power = normal_form(MultiPoly.constant(gb.ring, 1), gb)
+    while (relation := span.add(power.terms, len(span.labels))) is None:
+        power = normal_form(power * x, gb)
+    return MultiPoly((var,), {(k,): c for k, c in relation.items()}), len(rows)

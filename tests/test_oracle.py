@@ -10,9 +10,10 @@ from lerayfront.detpoly import det_bareiss, det_poly_matrix, line_determinant
 from lerayfront import oracle
 from lerayfront.errors import MismatchError
 from lerayfront.gaussmanin import assemble_system, discriminant
-from lerayfront.groebner import groebner
+from lerayfront.gcdtools import squarefree_part
+from lerayfront.groebner import GREVLEX, groebner
 from lerayfront.oracle import (
-    _minimal_polynomial,
+    _characteristic_polynomial,
     _roots,
     compare_discriminants,
     critical_locus_eliminant,
@@ -26,12 +27,13 @@ from lerayfront.phase import (
     HyperbolicSymbol,
     build_mapping,
     build_phase,
+    critical_ideal,
     discover_weights,
     expand_phase,
 )
 from lerayfront.poly import MultiPoly
 
-from helpers import substitute
+from helpers import minimal_polynomial, substitute
 
 R = ("x1", "x2")
 X1 = MultiPoly.variable(R, "x1")
@@ -129,22 +131,38 @@ T1 = MultiPoly.constant(("tau",), 1)
 
 
 @pytest.mark.parametrize(
-    "gens, minpoly, dimension",
+    "gens, charpoly, minpoly, dimension",
     [
-        # tau^2 = 2 on a 4-dimensional quotient: the relation comes before D
-        ([QU**2 - Q1, QTAU**2 - Q1.scale(2)], T**2 - T1.scale(2), 4),
+        # tau^2 = 2 on a 4-dimensional quotient: each root twice
+        ([QU**2 - Q1, QTAU**2 - Q1.scale(2)], (T**2 - T1.scale(2)) ** 2, T**2 - T1.scale(2), 4),
         # tau = u + 1 with u^2 = 2: tau generates, so the degree is D
-        ([QU**2 - Q1.scale(2), QTAU - QU - Q1], T**2 - T.scale(2) - T1, 2),
-        # a nilpotent tau: the relation is a power of tau
-        ([QU, QTAU**3], T**3, 3),
+        (
+            [QU**2 - Q1.scale(2), QTAU - QU - Q1],
+            T**2 - T.scale(2) - T1,
+            T**2 - T.scale(2) - T1,
+            2,
+        ),
+        # a nilpotent tau: both are a power of tau
+        ([QU, QTAU**3], T**3, T**3, 3),
     ],
 )
-def test_minimal_polynomial_is_the_monic_first_relation(gens, minpoly, dimension):
-    got, D = _minimal_polynomial(groebner(gens), "tau")
-    assert D == dimension
-    assert got == minpoly
-    top = max(got.terms)
-    assert got.terms[top] == 1 and top == (minpoly.total_degree(),)
+def test_characteristic_polynomial_has_the_minimal_polynomials_roots(
+    gens, charpoly, minpoly, dimension
+):
+    gb = groebner(gens)
+    assert _characteristic_polynomial(gb) == (charpoly, dimension)
+    reference, D = minimal_polynomial(gb, "tau")
+    assert (reference, D) == (minpoly, dimension)
+    assert squarefree_part(charpoly) == squarefree_part(minpoly)
+
+
+def test_characteristic_polynomial_of_a_unit_ideal_is_one():
+    assert _characteristic_polynomial(groebner([QU, QU - Q1])) == (T1, 0)
+
+
+def test_characteristic_polynomial_needs_a_zero_dimensional_quotient():
+    with pytest.raises(MismatchError, match="not zero-dimensional.*tau"):
+        _characteristic_polynomial(groebner([QU**2 - Q1]))
 
 
 class TestLineCheck:
@@ -216,6 +234,7 @@ class TestLineCheck:
         ]
         m1_parabola_system = assemble_system(gm_matrices(m1_parabola), m1_parabola)
         cases.append(("m1/parabola", m1_parabola, m1_parabola_system, [2, 2]))
+        tau = MultiPoly.variable(("tau",), "tau")
         for case, icis, data, degrees in cases:
             rep = line_check(icis, data.M, seed=1)
             assert rep.verdict == self.EXACT, case
@@ -223,6 +242,16 @@ class TestLineCheck:
             for line in rep.lines:
                 assert line.quotient_dimension >= line.radical_degree, case
                 assert any(line.b), case
+                images = [
+                    tau.scale(bl) + MultiPoly.constant(tau.ring, al)
+                    for al, bl in zip(line.a, line.b)
+                ]
+                gb = groebner(critical_ideal(icis, images)[0], GREVLEX)
+                charpoly, D = _characteristic_polynomial(gb)
+                minpoly, _ = minimal_polynomial(gb, "tau")
+                assert D == line.quotient_dimension, case
+                assert charpoly.total_degree() == D, case
+                assert squarefree_part(charpoly) == squarefree_part(minpoly), case
 
 
 def _coefficients(roots, lead):

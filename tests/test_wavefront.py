@@ -547,6 +547,28 @@ class TestCheckPoints:
         for seed in (0, 5, 8, 10, 11, 24, 28, 37, 46, 50, 56, 63, 67, 86, 89, 97):
             assert not _agrees_at_random_points(evaluator, size, wrong, den, random.Random(seed))
 
+    @pytest.mark.parametrize(
+        "power, cofactor",
+        [
+            (2, 5),  # wrong valuation: t^5 instead of t^6
+            (1, 6),  # wrong step: odd powers of x1, prod (x1 - k) over the nodes
+        ],
+    )
+    def test_wrong_valuation_and_step_interpolants_are_rejected_on_the_flagship(
+        self, wave_cusp_probed, power, cofactor
+    ):
+        # both vanish on the grid's x1 = 0..14 like the interpolant above,
+        # with terms the grid's exponents never give: t^5 is below the
+        # probed t valuation 6, odd powers of x1 are off its probed step 2
+        front, (evaluator, size, terms, den) = wave_cusp_probed
+        assert front.strategy["probed_valuations"][2] == 6
+        assert front.strategy["probed_steps"][0] == 2
+        ring = evaluator.ring
+        t = MultiPoly.variable(ring, "t")
+        wrong = _plus(terms, _grid_vanishing(ring, den, "x1", range(15), power, t**cofactor))
+        for seed in (0, 5, 8, 10, 11, 24, 28, 37, 46, 50, 56, 63, 67, 86, 89, 97):
+            assert not _agrees_at_random_points(evaluator, size, wrong, den, random.Random(seed))
+
 
 class TestTZero:
     def test_no_real_points(self, m1_pipeline):
