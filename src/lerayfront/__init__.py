@@ -54,6 +54,7 @@ from .gaussmanin import (
 )
 from .wavefront import FrontResult, front_polynomial, t_zero_check
 from .oracle import (
+    LevelSet,
     RaySample,
     compare_discriminants,
     critical_locus_eliminant,

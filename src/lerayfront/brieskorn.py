@@ -457,10 +457,11 @@ class _Collapse:
     adds the reductions of u^gamma x^r, each x^r's shifted by gamma.  A
     restricted solve's eta terms lift with ``sign``, which relates D to the
     restricted D when the coordinate components or variables are not last.
+    The context is passed to each call, not kept, so the context that owns
+    the collapse and the collapse hold no reference cycle.
     """
 
     def __init__(self, ctx: LatticeContext, sub_icis: IcisMap, rest, coords, comp_indices):
-        self.ctx = ctx
         self.rest = rest
         self.coord_comps = [l for l, _ in coords]  # f_l = u_c for each pair (l, c)
         self.coord_vars = [c for _, c in coords]
@@ -486,29 +487,29 @@ class _Collapse:
             * (-1) ** (len(coords) * ctx.N)
         )
 
-    def split(self, key: int) -> tuple[int, int, int]:
+    def split(self, key: int, width: int) -> tuple[int, int, int]:
         """(phi shift, eta shift, x^r) for the packed monomial u^gamma x^r:
         u^gamma adds gamma to beta on the components f_l = u_c and to delta."""
-        width = self.ctx.packed.width
         mask = (1 << width) - 1
         gamma = [(key >> (width * c)) & mask for c in self.coord_vars]
         eta_shift = sum(g << (width * c) for g, c in zip(gamma, self.coord_vars))
         phi_shift = sum(g << (width * l) for g, l in zip(gamma, self.coord_comps))
         return phi_shift, eta_shift, key - eta_shift
 
-    def reduce(self, poly: MultiPoly) -> tuple[int, dict, dict]:
+    def reduce(self, poly: MultiPoly, ctx: LatticeContext) -> tuple[int, dict, dict]:
         """The reduction of ``poly``; the context's fields must hold its weight."""
-        width = self.ctx.packed.width
+        width = ctx.packed.width
         parts = []
         for e, c in poly.terms.items():
-            phi_shift, eta_shift, low = self.split(pack(e, width))
-            parts.append((c.numerator, c.denominator, phi_shift, eta_shift, self.monomial(low)))
+            phi_shift, eta_shift, low = self.split(pack(e, width), width)
+            parts.append(
+                (c.numerator, c.denominator, phi_shift, eta_shift, self.monomial(low, ctx))
+            )
         return _combine(parts)
 
-    def monomial(self, key: int) -> tuple[int, dict, dict]:
+    def monomial(self, key: int, ctx: LatticeContext) -> tuple[int, dict, dict]:
         """The reduction of x^r: its restricted solve, lifted, less the shifted
         reductions of what the solve's full-ring value adds to x^r."""
-        ctx = self.ctx
         memo = ctx.packed.memo
         if key in memo:
             return memo[key]
@@ -537,10 +538,10 @@ class _Collapse:
         parts = [(1, 1, 0, 0, (den, phi, eta))]
         for e, a in excess.items():
             if a:
-                phi_shift, eta_shift, low = self.split(e)
+                phi_shift, eta_shift, low = self.split(e, width)
                 if not eta_shift:
                     raise ReductionNoSolutionError("collapse reduction failed to make progress")
-                parts.append((-a, eden * den, phi_shift, eta_shift, self.monomial(low)))
+                parts.append((-a, eden * den, phi_shift, eta_shift, self.monomial(low, ctx)))
         den, phi, eta = _combine(parts)
         g = gcd(den, *phi.values(), *eta.values())
         memo[key] = (
@@ -591,7 +592,7 @@ def _reduce_poly(coeff: MultiPoly, ctx: LatticeContext) -> LatticeCertificate:
     if coeff.is_zero():
         parts = []
     elif ctx.collapse is not None:
-        parts = ctx.metas(*ctx.collapse.reduce(coeff))
+        parts = ctx.metas(*ctx.collapse.reduce(coeff, ctx))
     else:
         parts = _reduce_direct(coeff, ctx).items()
     coefficients: list[dict] = [{} for _ in range(ctx.phi.mu)]

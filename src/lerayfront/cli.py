@@ -46,6 +46,7 @@ from .jsonio import (
     matrix_to_json,
 )
 from .oracle import (
+    LevelSet,
     compare_discriminants,
     critical_locus_eliminant,
     eval_front_on_samples,
@@ -78,6 +79,9 @@ COMMANDS = (
     "verify-rays",
     "all",
 )
+# verify-rays follows the characteristic rays from this many level-set points
+# (the first ones of the run's stream, which the t = 0 check reads too)
+RAY_SAMPLES = 40
 # ``all`` runs the discriminant and the eliminant comparison only up to this
 # Milnor number; above it the symbolic det M and the elimination cost too
 # much, and summary.json records both stages as skipped.
@@ -246,6 +250,12 @@ class Pipeline:
             ),
         )
 
+    def level_set(self) -> LevelSet:
+        """The run's one stream of points on {F = s}, seeded by ``options.seed``."""
+        return self._get(
+            "level", lambda: LevelSet(self.pb.front, self.pb.s_value, self.pb.seed)
+        )
+
     def flatness(self, sample_points: int) -> dict:
         """The flatness record of the system; a nonzero curvature raises (exit 15)."""
         rep = flatness_check(self.system(), sample_points=sample_points, seed=self.pb.seed)
@@ -389,7 +399,7 @@ class Pipeline:
         }
         dump_json(rec, self.out / "front.json")
         if self.pb.s_value is not None:
-            rep = t_zero_check(fr, self.pb.front, self.pb.s_value, seed=self.pb.seed)
+            rep = t_zero_check(fr, self.level_set())
             with open(self.out / "t_zero.csv", "w", newline="") as fh:
                 wr = csv.writer(fh)
                 wr.writerow(["samples", "max_scaled_residual", "no_real_points"])
@@ -429,12 +439,7 @@ class Pipeline:
             raise LerayfrontError("verify-rays requires a numeric s (options.s)")
         fr = self.front_result()
         rays = sample_front(
-            self.pb.symbol,
-            self.pb.front,
-            self.pb.s_value,
-            t_values=[0.1, 0.5, 1.0],
-            count=40,
-            seed=self.pb.seed,
+            self.pb.symbol, self.level_set(), t_values=[0.1, 0.5, 1.0], count=RAY_SAMPLES
         )
         rep = eval_front_on_samples(fr.phi, rays.samples, self.pb.s_value)
         with open(self.out / "rays.csv", "w", newline="") as fh:

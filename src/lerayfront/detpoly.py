@@ -550,32 +550,40 @@ class _IntegerEvaluator:
         coefficients, plan = self._walk_plan
         *outer, last = axes
         kexp, ends = plan[-1]
-        m, n = len(kexp), len(self.terms)
+        m = len(kexp)
         powers = [x**k for x in last for k in kexp]
         his = [j * m + end for j in range(len(last)) for end in ends]
         los = [j * m + end for j in range(len(last)) for end in [0, *ends[:-1]]]
 
-        def walk(values: list[int], axis: int, left: int):
-            if axis == len(outer):
-                count = _allowed(len(last), costs[axis], left)
-                cums = list(accumulate(map(mul, values * count, powers), initial=0))
-                hi = map(cums.__getitem__, islice(his, count * n))
-                flat = list(map(sub, hi, map(cums.__getitem__, islice(los, count * n))))
-                for j in range(0, len(flat), n):
-                    yield self._matrices(flat, j)
-                return
-            kexp, ends = plan[axis]
-            starts = [0, *ends[:-1]]
-            for k in range(_allowed(len(outer[axis]), costs[axis], left)):
-                pw = [outer[axis][k] ** e for e in range(self.maxdeg[axis] + 1)]
-                cums = list(accumulate(map(mul, values, map(pw.__getitem__, kexp)), initial=0))
-                yield from walk(
-                    list(map(sub, map(cums.__getitem__, ends), map(cums.__getitem__, starts))),
-                    axis + 1,
-                    left - costs[axis] * k,
-                )
+        yield from self._walk(coefficients, 0, budget, outer, costs, (last, powers, his, los))
 
-        yield from walk(coefficients, 0, budget)
+    def _walk(self, values: list[int], axis: int, left: int, outer, costs, tail):
+        """``grid``'s matrices under one prefix: ``values`` are the walk-order
+        coefficients with the axes before ``axis`` evaluated, ``left`` the budget
+        the prefix leaves, ``tail`` the last axis and its powers and group bounds."""
+        if axis == len(outer):
+            last, powers, his, los = tail
+            n = len(self.terms)
+            count = _allowed(len(last), costs[axis], left)
+            cums = list(accumulate(map(mul, values * count, powers), initial=0))
+            hi = map(cums.__getitem__, islice(his, count * n))
+            flat = list(map(sub, hi, map(cums.__getitem__, islice(los, count * n))))
+            for j in range(0, len(flat), n):
+                yield self._matrices(flat, j)
+            return
+        kexp, ends = self._walk_plan[1][axis]
+        starts = [0, *ends[:-1]]
+        for k in range(_allowed(len(outer[axis]), costs[axis], left)):
+            pw = [outer[axis][k] ** e for e in range(self.maxdeg[axis] + 1)]
+            cums = list(accumulate(map(mul, values, map(pw.__getitem__, kexp)), initial=0))
+            yield from self._walk(
+                list(map(sub, map(cums.__getitem__, ends), map(cums.__getitem__, starts))),
+                axis + 1,
+                left - costs[axis] * k,
+                outer,
+                costs,
+                tail,
+            )
 
     @cached_property
     def _walk_plan(self) -> tuple[list[int], list[tuple[list[int], list[int]]]]:

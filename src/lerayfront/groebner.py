@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, product
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
@@ -395,21 +395,7 @@ def standard_monomials(gb: GroebnerBasis) -> Staircase:
     for i, b in enumerate(bounds):
         if b is None:
             return Staircase(finite=False, witness_variable=gb.ring[i])
-    out: list[Exponents] = []
-    e = [0] * n
-
-    def rec(i: int):
-        if i == n:
-            ee = tuple(e)
-            if not any(_divides(t, ee) for t in lts):
-                out.append(ee)
-            return
-        for k in range(bounds[i]):
-            e[i] = k
-            rec(i + 1)
-        e[i] = 0
-
-    rec(0)
+    out = [e for e in product(*map(range, bounds)) if not any(_divides(t, e) for t in lts)]
     out.sort(key=gb.order.descending_key(), reverse=True)
     return Staircase(finite=True, monomials=out)
 

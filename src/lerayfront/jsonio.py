@@ -103,24 +103,32 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _write_json(obj: Any, fh) -> None:
-    """Write ``obj`` to ``fh`` under the module's byte contract and streaming rule."""
-    pieces: list[str] = []
-    append = pieces.append
-    encode = encode_basestring_ascii
-    newlines = ["\n"]  # newlines[k] is a newline and the indent of depth k
-    exponent_blocks: dict[int, dict] = {}  # level -> exponent tuple -> its "e" text
+class _Writer:
+    """One document written to ``fh`` under the module's byte contract and streaming rule.
 
-    def flush() -> None:
-        fh.write("".join(pieces))
-        pieces.clear()
+    The state is the instance's and the methods reach each other through
+    ``self``: nested closures that call each other would form a reference
+    cycle and keep the file object alive until the cyclic collector ran.
+    """
 
-    def emit_poly(p: MultiPoly, level: int) -> None:
+    def __init__(self, fh):
+        self.fh = fh
+        self.pieces: list[str] = []
+        self.newlines = ["\n"]  # newlines[k] is a newline and the indent of depth k
+        self.exponent_blocks: dict[int, dict] = {}  # level -> exponent tuple -> its "e" text
+
+    def flush(self) -> None:
+        self.fh.write("".join(self.pieces))
+        self.pieces.clear()
+
+    def emit_poly(self, p: MultiPoly, level: int) -> None:
         """``poly_to_json(p)`` at depth ``level``, one piece per term."""
+        pieces, newlines = self.pieces, self.newlines
+        append = pieces.append
         while len(newlines) <= level + 4:
             newlines.append(newlines[-1] + " ")
         n1, n2, n3, n4 = newlines[level + 1 : level + 5]
-        blocks = exponent_blocks.setdefault(level, {})
+        blocks = self.exponent_blocks.setdefault(level, {})
         terms = p.sorted_terms()
         append("{" + n1 + '"terms": ' + ("[" if terms else "[]"))
         sep = n2 + "{" + n3 + '"c": "'
@@ -132,17 +140,20 @@ def _write_json(obj: Any, fh) -> None:
             append(sep + fraction_to_json(c) + '",' + n3 + '"e": ' + block + n2 + "}")
             sep = "," + n2 + "{" + n3 + '"c": "'
             if len(pieces) >= _FLUSH_PIECES:
-                flush()
+                self.flush()
         append((n1 + "]," if terms else ",") + n1 + '"vars": ')
-        emit(p.ring, level + 1)
+        self.emit(p.ring, level + 1)
         append(newlines[level] + "}")
 
-    def emit(o: Any, level: int) -> None:
+    def emit(self, o: Any, level: int) -> None:
+        pieces, newlines = self.pieces, self.newlines
+        append = pieces.append
+        encode = encode_basestring_ascii
         if isinstance(o, str):
             append(encode(o))
             return
         if isinstance(o, MultiPoly):
-            emit_poly(o, level)
+            self.emit_poly(o, level)
             return
         if not isinstance(o, (list, tuple, dict)):
             append(_scalar_text(o))
@@ -162,10 +173,10 @@ def _write_json(obj: Any, fh) -> None:
                     append(sep + head + encode(v))
                 else:
                     append(sep + head)
-                    emit(v, level + 1)
+                    self.emit(v, level + 1)
                 sep = comma
                 if len(pieces) >= _FLUSH_PIECES:
-                    flush()
+                    self.flush()
             append(newlines[level] + "}")
         elif set(map(type, o)) == _INT_ONLY:
             append("[" + inner + comma.join(map(int.__repr__, o)) + newlines[level] + "]")
@@ -176,15 +187,19 @@ def _write_json(obj: Any, fh) -> None:
                     append(sep + encode(v))
                 else:
                     append(sep)
-                    emit(v, level + 1)
+                    self.emit(v, level + 1)
                 sep = comma
                 if len(pieces) >= _FLUSH_PIECES:
-                    flush()
+                    self.flush()
             append(newlines[level] + "]")
 
-    emit(obj, 0)
-    append("\n")
-    flush()
+
+def _write_json(obj: Any, fh) -> None:
+    """Write ``obj`` to ``fh`` under the module's byte contract and streaming rule."""
+    writer = _Writer(fh)
+    writer.emit(obj, 0)
+    writer.pieces.append("\n")
+    writer.flush()
 
 
 def dump_json(obj: Any, path) -> None:

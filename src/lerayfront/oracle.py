@@ -11,6 +11,18 @@ a pencil determinant, again compared exactly.  Front points come from
 numerically integrated characteristic rays (straight lines, constant
 coefficients).  Agreement of the two sides with the discriminant pipeline
 is the package's end-to-end correctness evidence.
+
+The rays start on the initial variety {F = s}.  Its points are drawn once
+per run, as one seeded stream (``LevelSet``): the t = 0 check
+(``wavefront.t_zero_check``) reads its first 50 points and the ray oracle
+(``sample_front``) its first 40, the same points, drawn once.  Bit-identity
+contract: a take of ``count`` points is, to the last bit, the point list
+that one Fraction substitution per random line gave before the stream: the
+line's coefficients in tau are exact (``poly.pullback`` once, then
+``detpoly._IntegerEvaluator`` per line) and each is rounded once, and every
+float evaluation is ``poly.FloatPoly``'s, the one float formula.  So
+``t_zero.csv``, ``rays.csv`` and ``verify_rays.json`` do not depend on
+which command drew the points or in what order the takes came.
 """
 
 from __future__ import annotations
@@ -18,11 +30,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, prod
+from math import fsum
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .detpoly import line_determinant
+from .detpoly import _IntegerEvaluator, line_determinant
 from .errors import MismatchError
 from .gcdtools import squarefree_part
 from .groebner import (
@@ -34,17 +46,19 @@ from .groebner import (
     standard_monomials,
 )
 from .phase import HyperbolicSymbol, IcisMap, critical_ideal
-from .poly import MultiPoly, poly_substitute
+from .poly import FloatPoly, MultiPoly, pullback
 
 # line_check restricts to this many seeded lines y = a + b*tau, with the
 # integer entries of a and b drawn from [-LINE_RANGE, LINE_RANGE].
 LINE_COUNT = 2
 LINE_RANGE = 9
 # Level-set points are kept inside the box |z_i| <= LEVEL_BOX and polished
-# onto F = s by POLISH_STEPS Newton steps; characteristic roots closer than
-# ROOT_COLLISION make sample_front skip the point.
+# onto F = s by POLISH_STEPS Newton steps; a take of count points tries at
+# most LEVEL_ATTEMPTS * count random lines.  Characteristic roots closer
+# than ROOT_COLLISION make sample_front skip the point.
 LEVEL_BOX = 2.5
 POLISH_STEPS = 6
+LEVEL_ATTEMPTS = 80
 ROOT_COLLISION = 1e-8
 # The root finder ``_roots`` stops after ROOT_SWEEPS sweeps, or once no root
 # moved by more than ROOT_STEP of its modulus.
@@ -149,7 +163,8 @@ def scaled_residuals(p: MultiPoly, points: Sequence[dict[str, float]]) -> list[f
     multiplied out as c * x1^a * x2^b * ..., the order of
     ``prod(map(pow, vals, e), start=c)``, through one lazy map per variable;
     p(z) is their ``math.fsum``, which is exactly rounded, so every residual
-    is the one ``MultiPoly.eval_float`` gives, to the last bit.
+    is the one ``poly.FloatPoly`` (and so ``MultiPoly.eval_float``) gives, to
+    the last bit.
     """
     norm = float(sum(abs(c) for c in p.terms.values()))
     if norm == 0.0:
@@ -215,13 +230,17 @@ def _roots(coeffs: Sequence[float]) -> list[complex]:
     sweep moves each root z_k by p(z_k) / (coeffs[0] * prod_{j != k} (z_k - z_j)).
     """
     zs = [(0.4 + 0.9j) ** k for k in range(len(coeffs) - 1)]
+    lead = coeffs[0]
     for _ in range(ROOT_SWEEPS):
         done = True
         for k, z in enumerate(zs):
             value = 0j
             for c in coeffs:
                 value = value * z + c
-            den = prod((z - w for j, w in enumerate(zs) if j != k), start=coeffs[0])
+            den = lead
+            for j, w in enumerate(zs):
+                if j != k:
+                    den *= z - w
             step = value / den if den else 0j  # z_k met another root: stay
             zs[k] = z - step
             done = done and abs(step) <= ROOT_STEP * abs(z)
@@ -230,60 +249,110 @@ def _roots(coeffs: Sequence[float]) -> list[complex]:
     return zs
 
 
-def sample_level_set(
-    F: MultiPoly, s: Fraction, count: int, seed: int = 3
-) -> list[tuple[float, ...]]:
-    """Real points with F(z) = s, found on random lines, with |z_i| <= LEVEL_BOX."""
+class LevelSet:
+    """Real points of {F = s} in the box |z_i| <= LEVEL_BOX: one seeded stream.
+
+    Attempt k draws a random line z = b + tau*d (b_i in {-2, -1.9, ..., 2},
+    d_i in {-3, -8/3, ..., 3}, d != 0), takes the real roots of F - s on
+    it, keeps those whose point lies in the box and polishes each onto
+    F = s by POLISH_STEPS Newton steps; the stream is the points (attempt,
+    z) in that order.  ``take(count)`` returns the first ``count`` points
+    whose attempt is at most LEVEL_ATTEMPTS * count.  Points are drawn only
+    as far as a take needs and kept, so a take is the same list however
+    many takes came before it, and a second take of no more points draws
+    nothing.  A run holds one stream (``cli.Pipeline.level_set``): the
+    t = 0 check and the ray oracle share its points.
+
+    Bit-identity: the coefficients of F - s in tau on the line are exact,
+    and each is rounded once to a float (``_level_lines``); every float value
+    comes from ``poly.FloatPoly``.  So the points depend on F, s and the seed
+    alone, to the last bit.
+    """
+
+    def __init__(self, F: MultiPoly, s: Fraction, seed: int):
+        self.F = F
+        self.s = Fraction(s)
+        self.attempts = 0
+        self.points: list[tuple[int, tuple[float, ...]]] = []
+        self._lines = _level_lines(F, self.s, seed)
+
+    def take(self, count: int) -> list[tuple[float, ...]]:
+        cap = LEVEL_ATTEMPTS * count
+        while self.attempts < cap and len(self.points) < count:
+            self.attempts += 1
+            self.points.extend((self.attempts, z) for z in next(self._lines))
+        return [z for attempt, z in self.points[:count] if attempt <= cap]
+
+
+def _level_lines(F: MultiPoly, s: Fraction, seed: int) -> Iterator[list[tuple[float, ...]]]:
+    """The points of {F = s} in the box on each seeded random line, line by line.
+
+    The tau coefficients of F - s on the drawn line come exactly from
+    ``_generic_line``, each as n / D with integers n and D; the float n / D
+    is correctly rounded (int true division), as ``float(Fraction)`` is.
+    """
     rng = random.Random(seed)
-    ring = F.ring
-    n = len(ring)
-    out: list[tuple[float, ...]] = []
-    attempts = 0
-    grads = [F.partial(v) for v in ring]
-    while len(out) < count and attempts < 80 * count:
-        attempts += 1
+    n = len(F.ring)
+    line = _generic_line(F, s)
+    level = FloatPoly(F)
+    grads = [FloatPoly(F.partial(v)) for v in F.ring]
+    target = float(s)
+    while True:
         base = [Fraction(rng.randint(-20, 20), 10) for _ in range(n)]
         direction = [Fraction(rng.randint(-9, 9), 3) for _ in range(n)]
-        if all(d == 0 for d in direction):
+        if not any(direction):
+            yield []
             continue
-        tau_ring = ("tau",)
-        tau = MultiPoly.variable(tau_ring, "tau")
-        bindings = {
-            v: MultiPoly.constant(tau_ring, b) + tau.scale(d)
-            for v, b, d in zip(ring, base, direction)
-        }
-        uni = poly_substitute(F, bindings) - MultiPoly.constant(tau_ring, s)
-        coeffs = [0.0] * (uni.degree_in("tau") + 1)
-        for e, c in uni.terms.items():
-            coeffs[e[0]] = float(c)
+        *values, D = line.at(dict(zip(line.ring, base + direction)))[0][0]
+        while values and not values[-1]:
+            values.pop()
+        coeffs = [c / D for c in values]
         if len(coeffs) < 2 or all(abs(c) < 1e-14 for c in coeffs[1:]):
+            yield []
             continue
+        fb, fd = [float(b) for b in base], [float(d) for d in direction]
+        points = []
         for r in _roots(coeffs[::-1]):
             if abs(r.imag) > 1e-10 * max(1.0, abs(r.real)):
                 continue
-            z = [float(b) + r.real * float(d) for b, d in zip(base, direction)]
+            z = [b + r.real * d for b, d in zip(fb, fd)]
             if max(map(abs, z)) > LEVEL_BOX:
                 continue
-            z = _newton_polish_level(F, grads, z, float(s))
-            if z is None:
-                continue
-            out.append(tuple(z))
-            if len(out) >= count:
-                break
-    return out[:count]
+            z = _newton_polish_level(level, grads, z, target)
+            if z is not None:
+                points.append(tuple(z))
+        yield points
 
 
-def _newton_polish_level(F, grads, z, s):
+def _generic_line(F: MultiPoly, s: Fraction) -> _IntegerEvaluator:
+    """F - s on the generic line x_i = b_i + d_i * tau, evaluated exactly at given (b, d).
+
+    F - s is restricted once by ``poly.pullback`` into integer polynomials
+    c_k(b, d) times tau^k over one scale.  The evaluator's ring is (b0, ...,
+    d0, ...) and its one matrix is the row [c_0, ..., c_m, scale]: at a
+    rational point, ``at`` gives each entry times a common integer, so the
+    row's values are the tau coefficients times D and, last, D itself.
+    """
+    n = len(F.ring)
+    ring = tuple(f"b{i}" for i in range(n)) + tuple(f"d{i}" for i in range(n)) + ("tau",)
+    x = [MultiPoly.variable(ring, v) for v in ring]
+    images = [x[i] + x[n + i] * x[-1] for i in range(n)]  # x_i = b_i + d_i * tau
+    terms, den = (F - MultiPoly.constant(F.ring, s)).integer_terms()
+    [[pulled]], [scale] = pullback([[terms]], [den], images, ring)
+    top = max((e[-1] for e in pulled), default=0)
+    row = [{e[:-1]: c for e, c in pulled.items() if e[-1] == k} for k in range(top + 1)]
+    return _IntegerEvaluator([[row + [{(0,) * (2 * n): scale}]]], ring[:-1])
+
+
+def _newton_polish_level(F: FloatPoly, grads: list[FloatPoly], z: list[float], s: float):
     for _ in range(POLISH_STEPS):
-        vals = dict(zip(F.ring, z))
-        r = F.eval_float(vals) - s
-        g = [gp.eval_float(vals) for gp in grads]
+        r = F(z) - s
+        g = [gp(z) for gp in grads]
         gn = sum(map(mul, g, g))
         if gn < 1e-18:
             return None
         z = [zi - r * gi / gn for zi, gi in zip(z, g)]
-    vals = dict(zip(F.ring, z))
-    if abs(F.eval_float(vals) - s) > 1e-11 * max(1.0, abs(s)):
+    if abs(F(z) - s) > 1e-11 * max(1.0, abs(s)):
         return None
     return z
 
@@ -308,34 +377,31 @@ class RayReport:
 
 
 def sample_front(
-    P: HyperbolicSymbol,
-    F: MultiPoly,
-    s: Fraction,
-    t_values: Sequence[float],
-    count: int,
-    seed: int = 5,
+    P: HyperbolicSymbol, level: LevelSet, t_values: Sequence[float], count: int
 ) -> RayReport:
-    """Front points x = z + t * grad_xi(lambda_j)(grad F(z)) over all sheets.
+    """Front points x = z + t * grad_xi(lambda_j)(grad F(z)) over all sheets,
+    from the first ``count`` points z of the level set's stream.
 
     Characteristic roots come from ``_roots``; their xi-gradients from
     implicit differentiation (-P_xi / P_tau), with one Newton polish on the
-    root.  Near-collisions of roots are skipped and counted.
+    root.  Near-collisions of roots are skipped and counted.  Every float
+    value is a ``poly.FloatPoly``'s.
     """
-    zs = sample_level_set(F, s, count, seed=seed)
-    tau_polys = P.tau_coefficient_polys()
-    xi_ring = P.poly.ring[1:]
-    p_tau = P.poly.partial("tau")
-    p_xis = [P.poly.partial(v) for v in P.poly.ring[1:]]
-    grads = [F.partial(v) for v in F.ring]
+    zs = level.take(count)
+    F, s = level.F, float(level.s)
+    tau_polys = [FloatPoly(p) for p in P.tau_coefficient_polys()]
+    P_float = FloatPoly(P.poly)
+    p_tau = FloatPoly(P.poly.partial("tau"))
+    p_xis = [FloatPoly(P.poly.partial(v)) for v in P.poly.ring[1:]]
+    level_float = FloatPoly(F)
+    grads = [FloatPoly(F.partial(v)) for v in F.ring]
     samples: list[RaySample] = []
     skipped = 0
     for z in zs:
-        zvals = {v: z[i] for i, v in enumerate(F.ring)}
-        xi = [g.eval_float(zvals) for g in grads]
+        xi = [g(z) for g in grads]
         if sum(map(mul, xi, xi)) < 1e-16:
             continue
-        xi_vals = {name: xi[i] for i, name in enumerate(xi_ring)}
-        coeffs = [p.eval_float(xi_vals) for p in tau_polys]  # tau^m .. tau^0
+        coeffs = [p(xi) for p in tau_polys]  # tau^m .. tau^0
         roots = _roots(coeffs)
         lams = sorted(r.real for r in roots)
         if any(abs(r.imag) > 1e-7 * max(1.0, abs(r.real)) for r in roots):
@@ -344,20 +410,18 @@ def sample_front(
         if any(abs(a - b) < ROOT_COLLISION for a, b in zip(lams, lams[1:])):
             skipped += 1
             continue
-        level_res = abs(F.eval_float(zvals) - float(s))
+        level_res = abs(level_float(z) - s)
         for j, lam in enumerate(lams):
-            point = dict(xi_vals)
-            point["tau"] = lam
-            pt_val = p_tau.eval_float(point)
+            pt_val = p_tau([lam, *xi])
             if abs(pt_val) < 1e-14:
                 skipped += 1
                 continue
             # one Newton step on P(lam, xi) = 0
-            lam = lam - P.poly.eval_float(point) / pt_val
-            point["tau"] = lam
-            pt_val = p_tau.eval_float(point)
-            root_res = abs(P.poly.eval_float(point))
-            grad_lam = [-pxi.eval_float(point) / pt_val for pxi in p_xis]
+            lam = lam - P_float([lam, *xi]) / pt_val
+            point = [lam, *xi]
+            pt_val = p_tau(point)
+            root_res = abs(P_float(point))
+            grad_lam = [-pxi(point) / pt_val for pxi in p_xis]
             for t in t_values:
                 x = tuple(zi + float(t) * gi for zi, gi in zip(z, grad_lam))
                 samples.append(

@@ -19,6 +19,11 @@ scales; ``poly_substitute`` is its 1 x 1 case, and the front pullback
 (``wavefront``) and every curve restriction of a determinant
 (``detpoly._curve_determinant``) call it on whole matrices.
 
+``FloatPoly`` is the one float evaluation: a polynomial compiled once to
+float coefficients and nonzero exponents, summed with ``math.fsum``.
+``MultiPoly.eval_float`` and the level-set and ray sampling in ``oracle``
+run on it.
+
 ``pack``/``unpack`` turn an exponent tuple into one int of fixed-width bit
 fields and back, for kernels whose inner loops add exponents (the lattice
 reductions in ``brieskorn``); ``MultiPoly`` keeps tuple exponents.
@@ -177,11 +182,17 @@ def pullback(
     expanded = {(0,) * nvars: one}
 
     def expand(e: Exponents) -> dict:
-        """prod_l g_l^e_l: the last nonzero power times the expansion of the rest."""
-        if e not in expanded:
-            l = max(i for i, k in enumerate(e) if k)
-            rest = expand(e[:l] + (0,) * (nvars - l))
-            expanded[e] = _sum_of_products(((rest, powers[l][e[l]], 1),))
+        """prod_l g_l^e_l: the last nonzero power times the expansion of the rest,
+        each prefix expanded once, the shortest first."""
+        chain = []  # e and its prefixes not yet expanded, the longest first
+        prefix = e
+        while prefix not in expanded:
+            l = max(i for i, k in enumerate(prefix) if k)
+            chain.append((prefix, l))
+            prefix = prefix[:l] + (0,) * (nvars - l)
+        for f, l in reversed(chain):
+            rest = expanded[f[:l] + (0,) * (nvars - l)]
+            expanded[f] = _sum_of_products(((rest, powers[l][f[l]], 1),))
         return expanded[e]
 
     out_rows, out_scales = [], []
@@ -476,9 +487,8 @@ class MultiPoly:
         return total
 
     def eval_float(self, values: Mapping[str, float]) -> float:
-        """Float value at ``values``; ``math.fsum`` makes it independent of term order."""
-        vals = [float(values[v]) for v in self.ring]
-        return fsum(prod(map(pow, vals, e), start=float(c)) for e, c in self.terms.items())
+        """Float value at ``values``: ``FloatPoly``'s formula."""
+        return FloatPoly(self)([float(values[v]) for v in self.ring])
 
     def relabel(self, new_names: Sequence[str]) -> "MultiPoly":
         """Rename variables positionally (ring length unchanged)."""
@@ -557,6 +567,34 @@ class MultiPoly:
         return s.replace("+ -", "- ")
 
 
+class FloatPoly:
+    """A polynomial compiled once for float evaluation: the one float formula.
+
+    Each term keeps its float coefficient c and its nonzero (variable
+    number, exponent) pairs in ring order.  At a point (floats in ring
+    order) a term is c * v_i**k_i * ..., multiplied left to right, and the
+    value is the ``math.fsum`` of the terms, which is exactly rounded and so
+    independent of term order.  Leaving out a zero exponent is exact, since
+    v**0 is 1.0 and x * 1.0 is x: the value is
+    ``fsum(prod(map(pow, vals, e), start=float(c)))`` to the last bit.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, p: MultiPoly):
+        self.terms = [
+            (float(c), [(i, k) for i, k in enumerate(e) if k]) for e, c in p.terms.items()
+        ]
+
+    def __call__(self, vals: Sequence[float]) -> float:
+        values = []
+        for c, pairs in self.terms:
+            for i, k in pairs:
+                c *= vals[i] ** k
+            values.append(c)
+        return fsum(values)
+
+
 def poly_substitute(p: MultiPoly, bindings: Mapping[str, MultiPoly]) -> MultiPoly:
     """Ring homomorphism sending each bound variable to its image polynomial.
 
@@ -599,25 +637,11 @@ def weighted_graded_parts(p: MultiPoly, weights: Sequence[int]) -> list[tuple[in
 
 def monomials_of_weight(weights: Sequence[int], target: int) -> list[Exponents]:
     """All exponent tuples with given positive weights summing to ``target``."""
-    n = len(weights)
-    out: list[Exponents] = []
-    e = [0] * n
-
-    def rec(i: int, rem: int):
-        if i == n - 1:
-            w = weights[i]
-            if rem % w == 0:
-                e[i] = rem // w
-                out.append(tuple(e))
-                e[i] = 0
-            return
-        w = weights[i]
-        for k in range(rem // w + 1):
-            e[i] = k
-            rec(i + 1, rem - k * w)
-        e[i] = 0
-
     if target < 0:
         return []
-    rec(0, target)
+    *head, last = weights
+    partial = [((), target)]  # exponent prefixes and the weight they leave
+    for w in head:
+        partial = [(e + (k,), rem - k * w) for e, rem in partial for k in range(rem // w + 1)]
+    out = [e + (rem // last,) for e, rem in partial if rem % last == 0]
     return sorted(out, key=grevlex_descending, reverse=True)

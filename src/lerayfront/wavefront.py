@@ -23,6 +23,7 @@ from .detpoly import _row_scaled_entries, det_probed
 from .errors import ResourceLimitError, ZeroAfterSubstitutionError
 from .gcdtools import divide_monomial, monomial_content, squarefree_part
 from .gaussmanin import GaussManinData
+from .oracle import LevelSet, scaled_residuals
 from .phase import IcisMap
 from .poly import MultiPoly, pullback
 
@@ -121,6 +122,10 @@ def front_polynomial(
     )
 
 
+# level-set points of the t = 0 check
+T_ZERO_SAMPLES = 50
+
+
 @dataclass
 class TZeroReport:
     max_scaled_residual: float
@@ -128,23 +133,15 @@ class TZeroReport:
     no_real_points: bool = False
 
 
-def t_zero_check(
-    fr: FrontResult,
-    F: MultiPoly,
-    s_value: Fraction,
-    samples: int = 50,
-    seed: int = 3,
-) -> TZeroReport:
-    """Residual at t = 0 on numerically sampled points of {F = s}.
+def t_zero_check(fr: FrontResult, level: LevelSet, samples: int = T_ZERO_SAMPLES) -> TZeroReport:
+    """Residual at t = 0 on the first ``samples`` points of the level set's stream.
 
     phi = t^k * rest vanishes identically at t = 0 when k > 0, so the check
     evaluates phi divided by its t-power content.  Residuals are scaled by
     the coefficient norm and a point-magnitude factor, so float evaluation
     error stays orders below the tolerances.
     """
-    from .oracle import sample_level_set, scaled_residuals
-
-    pts = sample_level_set(F, Fraction(s_value), samples, seed=seed)
+    pts = level.take(samples)
     if not pts:
         return TZeroReport(max_scaled_residual=float("nan"), samples=0, no_real_points=True)
     ti = fr.phi.ring.index("t")
@@ -155,7 +152,7 @@ def t_zero_check(
         values = {f"x{i + 1}": z[i] for i in range(len(z))}
         values["t"] = 0.0
         if "s" in phi.ring:
-            values["s"] = float(s_value)
+            values["s"] = float(level.s)
         points.append(values)
     worst = max([0.0] + scaled_residuals(phi, points))
     return TZeroReport(max_scaled_residual=worst, samples=len(pts))

@@ -3,14 +3,18 @@ minors, an inverse by ``ColumnSpan`` solves, basis 1-forms, readers for
 the polynomial, matrix and form JSON that ``jsonio`` writes, a phase
 expansion summed back up, a substitution built from MultiPoly arithmetic
 alone, a determinant by interpolation on given bounds, the
-integer-row engines on MultiPoly matrices, and a minimal polynomial by a
-``ColumnSpan`` dependency search."""
+integer-row engines on MultiPoly matrices, a minimal polynomial by a
+``ColumnSpan`` dependency search, and the level-set sampler as it was before
+the shared stream (a Fraction ``poly_substitute`` per line, the per-term
+float formula)."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import fsum, prod
+from operator import mul
 from typing import Mapping, Sequence
 
 from lerayfront.detpoly import (
@@ -25,8 +29,9 @@ from lerayfront.forms import DiffForm
 from lerayfront.errors import MismatchError, NoSolutionError
 from lerayfront.groebner import GroebnerBasis, normal_form, standard_monomials
 from lerayfront.linalg import ColumnSpan, RationalMatrix, det_fraction
+from lerayfront.oracle import LEVEL_BOX, POLISH_STEPS, ROOT_STEP, ROOT_SWEEPS
 from lerayfront.phase import PhaseExpansion
-from lerayfront.poly import MultiPoly
+from lerayfront.poly import MultiPoly, poly_substitute
 
 
 def matvec(A: RationalMatrix, v: Sequence[Fraction]) -> list[Fraction]:
@@ -161,3 +166,86 @@ def minimal_polynomial(gb: GroebnerBasis, var: str) -> tuple[MultiPoly, int]:
     while (relation := span.add(power.terms, len(span.labels))) is None:
         power = normal_form(power * x, gb)
     return MultiPoly((var,), {(k,): c for k, c in relation.items()}), len(rows)
+
+
+def eval_float_reference(p: MultiPoly, values: Mapping[str, float]) -> float:
+    """The per-term float formula: fsum of prod(map(pow, vals, e), start=float(c))."""
+    vals = [float(values[v]) for v in p.ring]
+    return fsum(prod(map(pow, vals, e), start=float(c)) for e, c in p.terms.items())
+
+
+def roots_reference(coeffs: Sequence[float]) -> list[complex]:
+    """Durand-Kerner as ``oracle._roots`` ran it, with a generator for each product."""
+    zs = [(0.4 + 0.9j) ** k for k in range(len(coeffs) - 1)]
+    for _ in range(ROOT_SWEEPS):
+        done = True
+        for k, z in enumerate(zs):
+            value = 0j
+            for c in coeffs:
+                value = value * z + c
+            den = prod((z - w for j, w in enumerate(zs) if j != k), start=coeffs[0])
+            step = value / den if den else 0j  # z_k met another root: stay
+            zs[k] = z - step
+            done = done and abs(step) <= ROOT_STEP * abs(z)
+        if done:
+            break
+    return zs
+
+
+def level_set_reference(
+    F: MultiPoly, s: Fraction, count: int, seed: int = 3
+) -> list[tuple[float, ...]]:
+    """Real points with F(z) = s, found on random lines, with |z_i| <= LEVEL_BOX:
+    the sampler as it was, one Fraction ``poly_substitute`` per line."""
+    rng = random.Random(seed)
+    ring = F.ring
+    n = len(ring)
+    out: list[tuple[float, ...]] = []
+    attempts = 0
+    grads = [F.partial(v) for v in ring]
+    while len(out) < count and attempts < 80 * count:
+        attempts += 1
+        base = [Fraction(rng.randint(-20, 20), 10) for _ in range(n)]
+        direction = [Fraction(rng.randint(-9, 9), 3) for _ in range(n)]
+        if all(d == 0 for d in direction):
+            continue
+        tau_ring = ("tau",)
+        tau = MultiPoly.variable(tau_ring, "tau")
+        bindings = {
+            v: MultiPoly.constant(tau_ring, b) + tau.scale(d)
+            for v, b, d in zip(ring, base, direction)
+        }
+        uni = poly_substitute(F, bindings) - MultiPoly.constant(tau_ring, s)
+        coeffs = [0.0] * (uni.degree_in("tau") + 1)
+        for e, c in uni.terms.items():
+            coeffs[e[0]] = float(c)
+        if len(coeffs) < 2 or all(abs(c) < 1e-14 for c in coeffs[1:]):
+            continue
+        for r in roots_reference(coeffs[::-1]):
+            if abs(r.imag) > 1e-10 * max(1.0, abs(r.real)):
+                continue
+            z = [float(b) + r.real * float(d) for b, d in zip(base, direction)]
+            if max(map(abs, z)) > LEVEL_BOX:
+                continue
+            z = _newton_polish_level_reference(F, grads, z, float(s))
+            if z is None:
+                continue
+            out.append(tuple(z))
+            if len(out) >= count:
+                break
+    return out[:count]
+
+
+def _newton_polish_level_reference(F, grads, z, s):
+    for _ in range(POLISH_STEPS):
+        vals = dict(zip(F.ring, z))
+        r = eval_float_reference(F, vals) - s
+        g = [eval_float_reference(gp, vals) for gp in grads]
+        gn = sum(map(mul, g, g))
+        if gn < 1e-18:
+            return None
+        z = [zi - r * gi / gn for zi, gi in zip(z, g)]
+    vals = dict(zip(F.ring, z))
+    if abs(eval_float_reference(F, vals) - s) > 1e-11 * max(1.0, abs(s)):
+        return None
+    return z

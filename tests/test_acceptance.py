@@ -21,6 +21,7 @@ from lerayfront.gaussmanin import (
     residue_exponents_K1,
 )
 from lerayfront.oracle import (
+    LevelSet,
     compare_discriminants,
     critical_locus_eliminant,
     eval_front_on_samples,
@@ -235,12 +236,12 @@ def test_criterion_8_end_to_end(wave_cusp_pipeline, wave_cusp_front, cusp_front,
     assert fr.metadata["monomial_content"] == {"t": 12}
     assert fr.squarefree * t**11 == fr.phi
     # (a) phi / t^12 vanishes at t = 0 on 50 sampled points of the level set
-    rep_a = t_zero_check(fr, cusp_front, Fraction(1), samples=50, seed=3)
+    rep_a = t_zero_check(fr, LevelSet(cusp_front, Fraction(1), 3), samples=50)
     assert rep_a.samples == 50
     assert rep_a.max_scaled_residual < 1e-9
     # (b) phi on >= 100 ray samples across t in {0.1, 0.5, 1.0}
     rays = sample_front(
-        wave_symbol, cusp_front, Fraction(1), t_values=[0.1, 0.5, 1.0], count=20, seed=5
+        wave_symbol, LevelSet(cusp_front, Fraction(1), 5), t_values=[0.1, 0.5, 1.0], count=20
     )
     assert len(rays.samples) >= 100
     rep_b = eval_front_on_samples(fr.phi, rays.samples, Fraction(1))

@@ -1,15 +1,20 @@
 import dataclasses
+import gc
 import json
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lerayfront.cli import COMMANDS, Pipeline, main
+import lerayfront
+from lerayfront.cli import COMMANDS, RAY_SAMPLES, Pipeline, Problem, main
+from lerayfront.oracle import LevelSet
+from lerayfront.wavefront import T_ZERO_SAMPLES
 
 from helpers import poly_from_json
 
@@ -25,6 +30,12 @@ M1_SPEC = {
     "options": {"powerP": 2, "s": "1", "seed": 1, "irreducible": True},
 }
 
+WAVE_PARABOLA_SPEC = {
+    "operator": "tau^2 - xi1^2 - xi2^2",
+    "front": "x1 + x2^2",
+    "options": {"powerP": 2, "s": "1", "seed": 1, "irreducible": True},
+}
+
 BAD_FRONT_SPEC = {
     "operator": "tau^2 - xi1^2 - xi2^2",
     "front": "x1^2 + x2^2",
@@ -36,6 +47,70 @@ def write_spec(tmp_path, spec, name="prob.json"):
     p = tmp_path / name
     p.write_text(json.dumps(spec))
     return p
+
+
+class TestLevelSetStream:
+    @pytest.mark.parametrize("spec", [M1_SPEC, WAVE_PARABOLA_SPEC], ids=["m1/cusp", "wave/parabola"])
+    def test_verify_rays_alone_writes_the_bytes_of_all(self, tmp_path, spec):
+        path = write_spec(tmp_path, spec)
+        assert main(["all", "--spec", str(path), "--out", str(tmp_path / "all")]) == 0
+        assert main(["verify-rays", "--spec", str(path), "--out", str(tmp_path / "rays")]) == 0
+        for name in ("rays.csv", "verify_rays.json"):
+            assert (tmp_path / "rays" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+    def test_the_ray_oracle_reads_the_points_the_t_zero_check_drew(self, tmp_path):
+        pipe = Pipeline(Problem(M1_SPEC, {}), tmp_path)
+        pipe.cmd_wavefront()
+        level = pipe.level_set()
+        drawn = level.attempts
+        fresh = LevelSet(pipe.pb.front, pipe.pb.s_value, pipe.pb.seed)
+        assert len(fresh.take(T_ZERO_SAMPLES)) == T_ZERO_SAMPLES
+        assert fresh.attempts == drawn
+        pipe.cmd_verify_rays()
+        assert pipe.level_set() is level and level.attempts == drawn
+
+    def test_verify_rays_alone_draws_only_its_points(self, tmp_path):
+        pipe = Pipeline(Problem(M1_SPEC, {}), tmp_path)
+        pipe.cmd_verify_rays()
+        fresh = LevelSet(pipe.pb.front, pipe.pb.s_value, pipe.pb.seed)
+        fresh.take(RAY_SAMPLES)
+        assert pipe.level_set().attempts == fresh.attempts
+        fresh.take(T_ZERO_SAMPLES)
+        assert fresh.attempts > pipe.level_set().attempts
+
+
+def _lerayfront_object(o) -> bool:
+    """Whether o is an instance of a lerayfront class, or a function, generator or
+    frame of lerayfront's code."""
+    code = None
+    if isinstance(o, types.FunctionType):
+        code = o.__code__
+    elif isinstance(o, types.GeneratorType):
+        code = o.gi_code
+    elif isinstance(o, types.FrameType):
+        code = o.f_code
+    if code is not None:
+        return Path(code.co_filename).is_relative_to(Path(lerayfront.__file__).parent)
+    return type(o).__module__.split(".")[0] == "lerayfront"
+
+
+def test_all_leaves_no_lerayfront_object_to_the_cyclic_collector(tmp_path):
+    # with the collector off during the runs, every object of a reference
+    # cycle is still there for one DEBUG_SAVEALL collection to list
+    gc.collect()
+    gc.disable()
+    try:
+        for k, spec in enumerate([M1_SPEC, WAVE_PARABOLA_SPEC]):
+            path = write_spec(tmp_path, spec, f"prob{k}.json")
+            assert main(["all", "--spec", str(path), "--out", str(tmp_path / f"o{k}")]) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [o for o in gc.garbage if _lerayfront_object(o)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not leaked, sorted({type(o).__qualname__ for o in leaked})
 
 
 class TestCommands:

@@ -4,6 +4,8 @@ from itertools import product
 from math import fsum, hypot, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lerayfront.brieskorn import gm_matrices
 from lerayfront.detpoly import det_bareiss, det_poly_matrix, line_determinant
@@ -13,6 +15,8 @@ from lerayfront.gaussmanin import assemble_system, discriminant
 from lerayfront.gcdtools import squarefree_part
 from lerayfront.groebner import GREVLEX, groebner
 from lerayfront.oracle import (
+    LEVEL_ATTEMPTS,
+    LevelSet,
     _characteristic_polynomial,
     _roots,
     compare_discriminants,
@@ -20,7 +24,6 @@ from lerayfront.oracle import (
     eval_front_on_samples,
     line_check,
     sample_front,
-    sample_level_set,
     scaled_residuals,
 )
 from lerayfront.phase import (
@@ -31,9 +34,10 @@ from lerayfront.phase import (
     discover_weights,
     expand_phase,
 )
-from lerayfront.poly import MultiPoly
+from lerayfront.parser import parse_poly
+from lerayfront.poly import FloatPoly, MultiPoly, poly_substitute
 
-from helpers import minimal_polynomial, substitute
+from helpers import eval_float_reference, level_set_reference, minimal_polynomial, substitute
 
 R = ("x1", "x2")
 X1 = MultiPoly.variable(R, "x1")
@@ -306,26 +310,122 @@ class TestRoots:
             return roots
 
         monkeypatch.setattr(oracle, "_roots", recorded)
-        pts = sample_level_set(X1**2, Fraction(0), 20, seed=3)
+        pts = LevelSet(X1**2, Fraction(0), 3).take(20)
         dropped = [r for r in seen if abs(r.imag) > 1e-10 * max(1.0, abs(r.real))]
         assert dropped and len(dropped) < len(seen)
         assert len(pts) == 20
         assert all(z[0] ** 2 <= 1e-11 for z in pts)
 
 
+REFERENCE_FRONTS = ["x1^2 + x2^3", "x1 + x2^2", "x1^3 + x2^4", "x1^2 + 3/7*x2^5 - x1*x2", "x1^2"]
+# x1^2 + x2^2 = 1249/100 meets the box |z_i| <= 2.5 only near its corners, so
+# the attempts cap binds: a take of 40 points finds 34 with seed 3, 1 of 5 with seed 7
+CORNER_CIRCLE = (parse_poly("x1^2 + x2^2"), Fraction(1249, 100))
+
+
 class TestLevelSet:
     def test_points_on_level_set(self):
-        pts = sample_level_set(CUSP, Fraction(1), 20, seed=3)
+        pts = LevelSet(CUSP, Fraction(1), 3).take(20)
         assert len(pts) == 20
         for z in pts:
             val = z[0] ** 2 + z[1] ** 3
             assert abs(val - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    @pytest.mark.parametrize("s", [Fraction(1), Fraction(0), Fraction(-2, 3)], ids=str)
+    @pytest.mark.parametrize("front", REFERENCE_FRONTS)
+    def test_take_matches_the_reference_sampler(self, front, s, seed):
+        F = parse_poly(front)
+        assert LevelSet(F, s, seed).take(20) == level_set_reference(F, s, 20, seed)
+
+    @pytest.mark.parametrize(
+        "F, s, seed, count, found",
+        [
+            (parse_poly("x1^2 + x2^2"), Fraction(-1), 3, 10, 0),
+            (*CORNER_CIRCLE, 7, 5, 1),
+            (*CORNER_CIRCLE, 3, 40, 34),
+            # the one point of this take comes from attempt 160, the last one allowed
+            (*CORNER_CIRCLE, 29, 2, 1),
+        ],
+        ids=["no real points", "capped at 5", "capped at 40", "found by the last attempt"],
+    )
+    def test_take_matches_the_reference_when_the_cap_binds(self, F, s, seed, count, found):
+        level = LevelSet(F, s, seed)
+        pts = level.take(count)
+        assert len(pts) == found
+        assert level.attempts == LEVEL_ATTEMPTS * count
+        assert pts == level_set_reference(F, s, count, seed)
+
+    @pytest.mark.parametrize(
+        "F, s, seed", [(CUSP, Fraction(1), 1), (*CORNER_CIRCLE, 3)], ids=["cusp", "capped"]
+    )
+    @pytest.mark.parametrize("first, second", [(40, 50), (50, 40)])
+    def test_takes_from_one_stream_equal_fresh_takes(self, F, s, seed, first, second):
+        level = LevelSet(F, s, seed)
+        assert level.take(first) == LevelSet(F, s, seed).take(first)
+        attempts = level.attempts
+        assert level.take(second) == LevelSet(F, s, seed).take(second)
+        if second < first:  # served from memory: no line is drawn
+            assert level.attempts == attempts
+        assert level.take(second) == level_set_reference(F, s, second, seed)
+
+
+_SMALL = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+_WIDE = st.builds(Fraction, st.integers(-(2**400), 2**400), st.integers(1, 2**400))
+
+
+@st.composite
+def _polynomials(draw, ring):
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 5) for _ in ring]),
+            st.one_of(_SMALL, _WIDE),
+            max_size=8,
+        )
+    )
+    return MultiPoly(ring, terms)
+
+
+_RINGS = st.sampled_from([("x1",), ("x1", "x2"), ("x1", "x2", "x3")])
+_POINT_VALUES = st.one_of(
+    st.floats(-3, 3, allow_nan=False), st.sampled_from([0.0, -0.0, -1.0, -2.5])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_float_poly_is_the_per_term_formula_bit_for_bit(data):
+    ring = data.draw(_RINGS)
+    p = data.draw(_polynomials(ring))
+    values = {v: data.draw(_POINT_VALUES) for v in ring}
+    expected = eval_float_reference(p, values).hex()
+    assert FloatPoly(p)([values[v] for v in ring]).hex() == expected
+    assert p.eval_float(values).hex() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_generic_line_coefficients_are_the_substitution_exactly(data):
+    ring = data.draw(_RINGS)
+    F = data.draw(_polynomials(ring))
+    s = data.draw(st.one_of(_SMALL, _WIDE))
+    base = [Fraction(data.draw(st.integers(-20, 20)), 10) for _ in ring]
+    direction = [Fraction(data.draw(st.integers(-9, 9)), 3) for _ in ring]
+    line = oracle._generic_line(F, s)
+    *values, D = line.at(dict(zip(line.ring, base + direction)))[0][0]
+    tau = MultiPoly.variable(("tau",), "tau")
+    bindings = {
+        v: MultiPoly.constant(tau.ring, b) + tau.scale(d) for v, b, d in zip(ring, base, direction)
+    }
+    uni = poly_substitute(F, bindings) - MultiPoly.constant(tau.ring, s)
+    assert uni.degree_in("tau") < len(values)
+    assert [Fraction(v, D) for v in values] == [uni.terms.get((k,), 0) for k in range(len(values))]
+
 
 class TestRays:
     def test_hand_example(self):
         # z = (1, 0): grad F = (2, 0), lambda = +/-2, grad lambda = (+/-1, 0)
-        rep = sample_front(WAVE, CUSP, Fraction(1), [0.5], count=5, seed=5)
+        rep = sample_front(WAVE, LevelSet(CUSP, Fraction(1), 5), [0.5], count=5)
         # the sampler may not hit exactly z = (1, 0); verify the ray law instead
         for s in rep.samples:
             norm = hypot(2 * s.z[0], 3 * s.z[1] ** 2)
@@ -336,13 +436,13 @@ class TestRays:
             assert abs(hypot(*direction) - 1.0) < 1e-7
 
     def test_t_zero_is_start(self):
-        rep = sample_front(WAVE, CUSP, Fraction(1), [0.0], count=5, seed=5)
+        rep = sample_front(WAVE, LevelSet(CUSP, Fraction(1), 5), [0.0], count=5)
         for s in rep.samples:
             assert s.x == s.z
 
     def test_m1_rays_stay_put(self):
         P = HyperbolicSymbol.from_poly(TAU)
-        rep = sample_front(P, CUSP, Fraction(1), [0.0, 1.0], count=5, seed=5)
+        rep = sample_front(P, LevelSet(CUSP, Fraction(1), 5), [0.0, 1.0], count=5)
         assert rep.samples
         for s in rep.samples:
             assert abs(s.lam) < 1e-12
@@ -350,7 +450,7 @@ class TestRays:
                 assert abs(a - b) < 1e-12
 
     def test_residuals_small(self):
-        rep = sample_front(WAVE, CUSP, Fraction(1), [0.1, 0.5], count=10, seed=5)
+        rep = sample_front(WAVE, LevelSet(CUSP, Fraction(1), 5), [0.1, 0.5], count=10)
         for s in rep.samples:
             assert s.residual_root < 1e-10
             assert s.residual_level < 1e-10
@@ -365,7 +465,7 @@ class TestEvalFront:
     def test_corrupted_detected(self):
         ring = ("x1", "x2", "t")
         one = MultiPoly.constant(ring, 1)
-        rep_rays = sample_front(WAVE, CUSP, Fraction(1), [0.5], count=5, seed=5)
+        rep_rays = sample_front(WAVE, LevelSet(CUSP, Fraction(1), 5), [0.5], count=5)
         rep = eval_front_on_samples(one, rep_rays.samples, Fraction(1))
         assert rep.max_scaled_residual > 0.5
 
@@ -413,7 +513,8 @@ class TestEvalFront:
     def test_flagship_rays_match_the_per_term_formula(self, wave_cusp_front):
         # the 240 ray samples of ``lerayfront all`` on the flagship (seed 1)
         phi = wave_cusp_front.phi
-        rays = sample_front(WAVE, CUSP, Fraction(1), [0.1, 0.5, 1.0], count=40, seed=1)
+        level = LevelSet(CUSP, Fraction(1), 1)
+        rays = sample_front(WAVE, level, [0.1, 0.5, 1.0], count=40)
         assert len(rays.samples) == 240
         points = [{"x1": smp.x[0], "x2": smp.x[1], "t": smp.t} for smp in rays.samples]
         residuals = scaled_residuals(phi, points)

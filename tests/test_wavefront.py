@@ -28,6 +28,7 @@ from lerayfront.phase import (
     discover_weights,
     expand_phase,
 )
+from lerayfront.oracle import LevelSet
 from lerayfront.poly import MultiPoly, poly_substitute, pullback
 from lerayfront.wavefront import (
     FrontResult,
@@ -201,7 +202,7 @@ class TestFrontPolynomial:
         # m = 1: rays do not move, the front is the level set for every t
         F, icis, data = m1_pipeline
         fr = front_polynomial(data, icis, s_value=Fraction(1))
-        rep0 = t_zero_check(fr, F, Fraction(1), samples=25, seed=3)
+        rep0 = t_zero_check(fr, LevelSet(F, Fraction(1), 3), samples=25)
         assert rep0.samples > 0
         assert rep0.max_scaled_residual < 1e-9
 
@@ -574,7 +575,7 @@ class TestTZero:
     def test_no_real_points(self, m1_pipeline):
         F, icis, data = m1_pipeline
         fr = front_polynomial(data, icis, s_value=Fraction(-1))
-        rep = t_zero_check(fr, F, Fraction(-10**6), samples=10, seed=3)
+        rep = t_zero_check(fr, LevelSet(F, Fraction(-10**6), 3), samples=10)
         assert rep.no_real_points or rep.samples == 0
 
     def test_corrupted_front_fails(self, m1_pipeline):
@@ -588,7 +589,7 @@ class TestTZero:
             substitution={},
             power=2,
         )
-        rep = t_zero_check(bogus, F, Fraction(1), samples=10, seed=3)
+        rep = t_zero_check(bogus, LevelSet(F, Fraction(1), 3), samples=10)
         assert rep.max_scaled_residual > 0.5
 
     def test_t_power_does_not_hide_a_wrong_front(self, m1_pipeline):
@@ -606,9 +607,10 @@ class TestTZero:
             substitution={},
             power=2,
         )
-        rep = t_zero_check(bogus, F, Fraction(1), samples=25, seed=3)
+        rep = t_zero_check(bogus, LevelSet(F, Fraction(1), 3), samples=25)
         assert rep.samples == 25
         assert rep.max_scaled_residual > 1e-6
         # the true front times t^4 still passes
         fr.phi = t**4 * fr.phi
-        assert t_zero_check(fr, F, Fraction(1), samples=25, seed=3).max_scaled_residual < 1e-9
+        rep = t_zero_check(fr, LevelSet(F, Fraction(1), 3), samples=25)
+        assert rep.max_scaled_residual < 1e-9
