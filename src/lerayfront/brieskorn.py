@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, lcm
+from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -167,7 +168,7 @@ class _Packed:
 
     Packed metas: ("phi", j, beta) is ``pack(beta + (j,))`` and ("eta", J,
     delta) is ``pack(delta + (code of J,))``, so u^gamma shifts a meta by one
-    integer add.  Holds phi_j, D's components, the f powers and the lattice
+    integer add.  Holds phi_j, D's components, the f powers and the eta
     columns packed, the collapse's memo and the metas of its keys; widening
     the fields replaces it.
     """
@@ -177,7 +178,7 @@ class _Packed:
         self.phi = [pack(m, width) for m in ctx.phi.monomials]
         self.D = {I: (_pack_terms(t, width), den) for I, (t, den) in ctx.d_terms.items()}
         self.fpow: dict[tuple[int, ...], tuple[dict[int, int], int]] = {}
-        self.columns: dict[tuple, tuple[dict[int, int], int]] = {}
+        self.eta: dict[tuple, tuple[dict[int, int], int]] = {}
         self.memo: dict[int, tuple[int, dict[int, int], dict[int, int]]] = {}
         self.names: dict[str, dict[int, tuple]] = {"phi": {}, "eta": {}}  # key -> meta
 
@@ -217,13 +218,11 @@ class LatticeContext:
                 I = tuple(k for k in range(self.nvars) if k not in L)
                 if I in self.d_terms:
                     self._d_legs[i, J] = I, sign * _merge_indices(I, L)[1]
-        # f^beta multiplied out in integers over one denominator; _fpow holds the
-        # MultiPoly forms the solver's columns read
+        # f^beta multiplied out in integers over one denominator
         self._f_int = [f.integer_terms() for f in icis.components]
         self._fpow_int: dict[tuple[int, ...], tuple[dict[Exponents, int], int]] = {
             (0,) * self.K: ({(0,) * self.nvars: 1}, 1)
         }
-        self._fpow: dict[tuple[int, ...], MultiPoly] = {}
         self._solvers: dict[int, ColumnSpan] = {}
         # minors with signs: coefficient of D ^ du_r ^ du_J per (r, J)
         self._w_cache: dict[tuple[int, tuple[int, ...]], MultiPoly] = {}
@@ -275,12 +274,6 @@ class LatticeContext:
             self._fpow_int[high] = terms, den
         return terms, den
 
-    def f_power(self, beta: tuple[int, ...]) -> MultiPoly:
-        if beta not in self._fpow:
-            terms, den = self.f_power_int(beta)
-            self._fpow[beta] = MultiPoly(self.ring, {e: Fraction(c, den) for e, c in terms.items()})
-        return self._fpow[beta]
-
     def f_power_packed(self, beta: tuple[int, ...]) -> tuple[dict[int, int], int]:
         """``f_power_int`` in the fields of ``packed``."""
         got = self.packed.fpow.get(beta)
@@ -318,20 +311,12 @@ class LatticeContext:
             acc = acc + minor.mul_term(tuple(de), Fraction(delta[r]))
         return acc
 
-    def column(self, meta: tuple) -> MultiPoly:
-        """Top coefficient of a lattice generator: f^beta phi_j du for
-        ("phi", j, beta), D ^ d(u^delta du_J) for ("eta", J, delta)."""
-        kind, a, b = meta
-        if kind == "phi":
-            return self.f_power(b).mul_term(self.phi.monomials[a], ONE)
-        return self.modulus_vector_poly(b, a)
-
-    def column_packed(self, meta: tuple) -> tuple[dict[int, int], int]:
-        """``column(meta)`` as packed integer terms over one denominator."""
-        got = self.packed.columns.get(meta)
+    def eta_packed(self, J: tuple[int, ...], delta: tuple[int, ...]) -> tuple[dict[int, int], int]:
+        """``modulus_vector_poly(delta, J)`` as packed integer terms over one denominator."""
+        got = self.packed.eta.get((J, delta))
         if got is None:
-            terms, den = self.column(meta).integer_terms()
-            got = self.packed.columns[meta] = _pack_terms(terms, self.packed.width), den
+            terms, den = self.modulus_vector_poly(delta, J).integer_terms()
+            got = self.packed.eta[J, delta] = _pack_terms(terms, self.packed.width), den
         return got
 
     def expand_certificate(self, cert: LatticeCertificate) -> tuple[dict[int, int], int]:
@@ -401,7 +386,9 @@ def _piece_solver(ctx: LatticeContext, coeff_weight: int) -> ColumnSpan:
     """The solver for one graded piece of the lattice decomposition.
 
     Unknowns: coefficients of f^beta phi_j du (for all y-monomials beta of
-    matching weight) and of the modulus generators D ^ d(u^delta du_J).
+    matching weight) and of the modulus generators D ^ d(u^delta du_J).  A
+    phi column is ``f_power_int(beta)`` shifted by phi_j, an eta column
+    ``modulus_vector_poly``.
     """
     rows = monomials_of_weight(ctx.v, coeff_weight)
     if len(rows) > MAX_PIECE:
@@ -413,19 +400,16 @@ def _piece_solver(ctx: LatticeContext, coeff_weight: int) -> ColumnSpan:
     span = ColumnSpan(rows)
     form_weight = coeff_weight + ctx.sum_v
     eta_weight = form_weight - ctx.sum_p
-    metas = [
-        ("phi", j, beta)
-        for j, w in enumerate(ctx.phi.weights)
-        for beta in monomials_of_weight(ctx.p, form_weight - w)
-    ] + [
-        ("eta", J, delta)
-        for J in ctx.legs
-        for delta in monomials_of_weight(ctx.v, eta_weight - sum(ctx.v[i] for i in J))
-    ]
-    for meta in metas:
-        poly = ctx.column(meta)
-        if not poly.is_zero():
-            span.add(poly.terms, meta)
+    for j, (m, w) in enumerate(zip(ctx.phi.monomials, ctx.phi.weights)):
+        for beta in monomials_of_weight(ctx.p, form_weight - w):
+            terms, den = ctx.f_power_int(beta)
+            column = {tuple(map(add, e, m)): Fraction(c, den) for e, c in terms.items()}
+            span.add(column, ("phi", j, beta))
+    for J in ctx.legs:
+        for delta in monomials_of_weight(ctx.v, eta_weight - sum(ctx.v[i] for i in J)):
+            poly = ctx.modulus_vector_poly(delta, J)
+            if not poly.is_zero():
+                span.add(poly.terms, ("eta", J, delta))
     return span
 
 
@@ -451,8 +435,8 @@ class _Collapse:
     """The coordinate collapse: the restricted mapping and the memoised reductions.
 
     A reduction is (den, phi, eta): the input equals the sum of n / den
-    times ``LatticeContext.column(meta)`` over the packed metas {key: n} of
-    phi and eta.  ``monomial(key)`` reduces the coordinate-free monomial x^r
+    times the lattice generator of each packed meta {key: n} of phi and eta,
+    top(f^beta phi_j du) or top(D ^ d(u^delta du_J)).  ``monomial(key)`` reduces the coordinate-free monomial x^r
     (packed on the full ring) once per context and field width; ``reduce``
     adds the reductions of u^gamma x^r, each x^r's shifted by gamma.  A
     restricted solve's eta terms lift with ``sign``, which relates D to the
@@ -525,13 +509,14 @@ class _Collapse:
             if kind == "phi":
                 b = _place(ctx.K, self.comp_indices, b)
                 phi[pack(b + (a,), width)] = n
+                lifted.append((n, 1, ctx.packed.phi[a], ctx.f_power_packed(b)))
             else:
                 # rest is increasing, so the lifted legs stay sorted
                 a = tuple(self.rest[i] for i in a)
                 b = _place(ctx.nvars, self.rest, b)
                 n *= self.sign
                 eta[pack(b + (ctx.leg_code[a],), width)] = n
-            lifted.append((n, 1, 0, ctx.column_packed((kind, a, b))))
+                lifted.append((n, 1, 0, ctx.eta_packed(a, b)))
         # the lifted solve's value is excess / (den * eden) + x^r
         excess, eden = _sum_shifted(lifted)
         excess[key] = excess.get(key, 0) - eden * den

@@ -32,16 +32,12 @@ from .errors import (
     UnknownVariableError,
     UsageError,
 )
-from .gaussmanin import (
-    assemble_system,
-    discriminant,
-    flatness_check,
-    residue_exponents_K1,
-)
+from .gaussmanin import assemble_system, discriminant, flatness_check
 from .jsonio import (
     dump_json,
     form_to_json,
     fraction_to_json,
+    int_digits_error,
     load_json,
     matrix_to_json,
 )
@@ -367,28 +363,25 @@ class Pipeline:
     def cmd_discriminant(self):
         data = self.system()
         delta = discriminant(data)
-        report = {}
-        if data.K == 1:
-            report["exponents"] = [
-                fraction_to_json(e) for e in residue_exponents_K1(data)
-            ]
-        if data.K >= 2:
-            report["flatness"] = self.flatness(sample_points=5)
         rec = {
             "delta": delta,
             "delta_raw": data.delta_raw,
             "forced_weight": data.delta_forced_weight(),
             "strategy": "bareiss",
-            "diagnostics": report,
+            "diagnostics": {"flatness": self.flatness(sample_points=5)},
         }
         dump_json(rec, self.out / "discriminant.json")
         return rec
 
     def cmd_wavefront(self):
         fr = self.front_result()
+        try:
+            phi_text = poly_to_text(fr.phi)
+        except ValueError as err:
+            raise int_digits_error(err, self.out / "front.json") from None
         rec = {
             "phi": fr.phi,
-            "phi_text": poly_to_text(fr.phi),
+            "phi_text": phi_text,
             "raw": fr.raw,
             "squarefree": fr.squarefree,
             "case": fr.case,

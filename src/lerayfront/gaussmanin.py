@@ -13,9 +13,10 @@ derivative is built as a polynomial).  A point costs one table of scaled
 monomials, one pass over all terms, one fraction-free integer
 inverse of M (``linalg.inverse_int``), K dense products N R_k and K(K-1)
 products on the nonzero entries of the P^(l).  K = 1 systems expose their
-classical local exponents as a bridge to known special cases: the rational
-roots of the pencil determinant det(lam p0 P(0) - L_V P(0) + p0 I), taken on
-the line engine of ``detpoly.line_determinant``.
+classical local exponents as a bridge to known special cases: the roots of
+the pencil determinant det(lam p0 P(0) - L_V P(0) + p0 I), taken on the line
+engine of ``detpoly.line_determinant`` and read by exact deflation with the
+values (l_i - p0) / p0 that the weights predict.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ from .errors import (
     NoSolutionError,
     NotApplicableError,
 )
-from .linalg import inverse_int, rational_roots
+from .linalg import inverse_int
 from .phase import IcisMap
 from .poly import MultiPoly, weighted_graded_parts
-
-ZERO = Fraction(0)
 
 
 @dataclass
@@ -135,11 +134,13 @@ def residue_exponents_K1(data: GaussManinData) -> list[Fraction]:
     determinant q(lam) = det(lam p0 P(0) - L_V P(0) + p0 I) =
     det(p0 P(0)) det(lam I - B) (``detpoly.line_determinant``): its
     lam^mu coefficient vanishes exactly when P(0) is singular, and
-    otherwise its roots are B's eigenvalues with multiplicity.
+    otherwise its roots are B's eigenvalues with multiplicity.  For a
+    quasihomogeneous map these are the values (l_i - p0) / p0 (Steenbrink
+    1977), so q is divided by lam - e for each such e for as long as the
+    division is exact; a non-constant quotient left over raises.
     """
     if data.K != 1:
         raise NotApplicableError("exponents are defined only for K = 1")
-    mu = data.mu
     p0 = data.comp_weights[0]
     ring = ("lam",)
     P0 = [[e.constant_value() for e in row] for row in data.matrices[0]]
@@ -148,11 +149,23 @@ def residue_exponents_K1(data: GaussManinData) -> list[Fraction]:
         for i, (row, l) in enumerate(zip(P0, data.l_weights))
     ]
     q = line_determinant(pencil, ring, [0], [1])
-    lead = q.terms.get((mu,), ZERO)
-    if lead == 0:
+    if (data.mu,) not in q.terms:
         raise NotApplicableError("P^(0)(0) is singular; exponents undefined")
-    hints = [Fraction(l - p0, p0) for l in data.l_weights]
-    return rational_roots([q.terms.get((k,), ZERO) / lead for k in range(mu + 1)], hints=hints)
+    roots = []
+    for e in sorted({Fraction(l - p0, p0) for l in data.l_weights}):
+        factor = MultiPoly(q.ring, {(1,): 1, (0,): -e})
+        try:
+            while True:
+                q = q.exact_div(factor)
+                roots.append(e)
+        except ValueError:  # lam - e no longer divides q
+            pass
+    if not q.is_constant():
+        raise NotApplicableError(
+            "characteristic polynomial has non-rational roots or roots other than "
+            "(l_i - p0) / p0; exponents are not read for this input"
+        )
+    return roots
 
 
 def _sparse_product(rows: list[tuple[list[int], list[int]]], columns: list[list[int]]):

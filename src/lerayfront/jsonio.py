@@ -29,10 +29,13 @@ the document.
 from __future__ import annotations
 
 import json
+import os
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
+from .errors import ResourceLimitError
 from .forms import DiffForm
 from .poly import MultiPoly
 
@@ -202,9 +205,21 @@ def _write_json(obj: Any, fh) -> None:
     writer.flush()
 
 
+def int_digits_error(err: ValueError, what) -> ResourceLimitError:
+    """``what`` holds an int longer than ``sys.get_int_max_str_digits()``."""
+    limit = sys.get_int_max_str_digits()
+    return ResourceLimitError(f"{what} not written: {err}", kind="int-digits", limit=limit)
+
+
 def dump_json(obj: Any, path) -> None:
-    with open(path, "w") as fh:
-        _write_json(obj, fh)
+    """Write ``obj`` to ``path``; an integer too long to print removes the
+    partly written file and raises ``int_digits_error``."""
+    try:
+        with open(path, "w") as fh:
+            _write_json(obj, fh)
+    except ValueError as err:
+        os.remove(path)
+        raise int_digits_error(err, path) from None
 
 
 def load_json(path) -> Any:

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: solving, determinants, rational roots.
+"""Exact rational linear algebra: solving and determinants.
 
 Everything works over ``fractions.Fraction`` except the integer kernels
 ``det_int`` and ``inverse_int``.  ``SparseEchelon`` is the one sparse
@@ -7,8 +7,7 @@ dependency search (the lattice pieces of ``brieskorn``, the weight system
 of ``phase``) tags its columns and reads the answer off the tags.  The
 f-basis search keeps independent forms in a bare ``SparseEchelon``.
 ``inverse_int`` is fraction-free Gauss-Jordan over Z, the inverse of the
-flatness oracle.  ``rational_roots`` finds the roots of a univariate
-polynomial given by its coefficients (the exponents of ``gaussmanin``).
+flatness oracle.
 """
 
 from __future__ import annotations
@@ -18,13 +17,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .errors import NoSolutionError, NotApplicableError, ResourceLimitError
+from .errors import NoSolutionError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# The rational root search lists the divisors of numbers up to this size;
-# above it only 1 and the number itself are tried.
-DIVISOR_SEARCH_MAX = 10**12
 
 
 @dataclass
@@ -255,94 +251,3 @@ def inverse_int(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     g = gcd(prev, *(x for row in N for x in row))
     g = g if prev > 0 else -g
     return [[x // g for x in row] for row in N], prev // g
-
-
-def eval_poly_coeffs(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def rational_roots(
-    coefficients: Sequence[Fraction], hints: Sequence[Fraction] = ()
-) -> list[Fraction]:
-    """All roots, with multiplicity, of the polynomial with ascending
-    ``coefficients`` (leading one nonzero), required to be rational; raises
-    otherwise.
-
-    ``hints`` are candidate values tried first (cheap deflation); remaining
-    roots are searched via the rational root theorem.
-    """
-    roots: list[Fraction] = []
-    cs = [Fraction(c) for c in coefficients]
-    hint_pool = list(dict.fromkeys(Fraction(h) for h in hints))
-    progress = True
-    while len(cs) > 1 and progress:
-        progress = False
-        for h in hint_pool:
-            while len(cs) > 1 and eval_poly_coeffs(cs, h) == 0:
-                roots.append(h)
-                cs = _synthetic_div(cs, h)
-                progress = True
-    # rational root search on what is left
-    while len(cs) > 1:
-        found = None
-        lead = cs[-1]
-        const = cs[0]
-        if const == 0:
-            found = ZERO
-        else:
-            num0 = abs(const.numerator) * lead.denominator
-            den0 = abs(lead.numerator) * const.denominator
-            for p in _divisors(num0):
-                for q in _divisors(den0):
-                    for cand in (Fraction(p, q), Fraction(-p, q)):
-                        if eval_poly_coeffs(cs, cand) == 0:
-                            found = cand
-                            break
-                    if found is not None:
-                        break
-                if found is not None:
-                    break
-        if found is None:
-            if max(num0, den0) > DIVISOR_SEARCH_MAX:
-                raise ResourceLimitError(
-                    "rational root search capped: the divisors of a number above "
-                    f"{DIVISOR_SEARCH_MAX} were not all tried",
-                    kind="rational-roots",
-                    limit=DIVISOR_SEARCH_MAX,
-                )
-            raise NotApplicableError(
-                "characteristic polynomial has non-rational roots; "
-                "exponents are not rational for this input"
-            )
-        roots.append(found)
-        cs = _synthetic_div(cs, found)
-    return sorted(roots)
-
-
-def _synthetic_div(cs: list[Fraction], r: Fraction) -> list[Fraction]:
-    n = len(cs) - 1
-    out = [ZERO] * n
-    acc = ZERO
-    for i in range(n - 1, -1, -1):
-        acc = cs[i + 1] + acc * r
-        out[i] = acc
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [0]
-    if n > DIVISOR_SEARCH_MAX:
-        return [1, n]
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)

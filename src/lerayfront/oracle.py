@@ -35,7 +35,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .detpoly import _IntegerEvaluator, line_determinant
-from .errors import MismatchError
+from .errors import MismatchError, NotApplicableError
 from .gcdtools import squarefree_part
 from .groebner import (
     GREVLEX,
@@ -164,23 +164,27 @@ def scaled_residuals(p: MultiPoly, points: Sequence[dict[str, float]]) -> list[f
     ``prod(map(pow, vals, e), start=c)``, through one lazy map per variable;
     p(z) is their ``math.fsum``, which is exactly rounded, so every residual
     is the one ``poly.FloatPoly`` (and so ``MultiPoly.eval_float``) gives, to
-    the last bit.
+    the last bit.  A norm, coefficient or power past the float range raises
+    NotApplicableError.
     """
-    norm = float(sum(abs(c) for c in p.terms.values()))
-    if norm == 0.0:
-        return [0.0] * len(points)
-    degree = p.total_degree()
-    coefficients = [float(c) for c in p.terms.values()]
-    columns = [(v, column, max(column)) for v, column in zip(p.ring, zip(*p.terms))]
-    out = []
-    for values in points:
-        mag = max([1.0] + [abs(float(v)) for v in values.values()])
-        terms = coefficients
-        for v, column, top in columns:
-            x = float(values[v])
-            table = [x**k for k in range(top + 1)]
-            terms = map(mul, terms, map(table.__getitem__, column))
-        out.append(abs(fsum(terms)) / (norm * mag**degree))
+    try:
+        norm = float(sum(abs(c) for c in p.terms.values()))
+        if norm == 0.0:
+            return [0.0] * len(points)
+        degree = p.total_degree()
+        coefficients = [float(c) for c in p.terms.values()]
+        columns = [(v, column, max(column)) for v, column in zip(p.ring, zip(*p.terms))]
+        out = []
+        for values in points:
+            mag = max([1.0] + [abs(float(v)) for v in values.values()])
+            terms = coefficients
+            for v, column, top in columns:
+                x = float(values[v])
+                table = [x**k for k in range(top + 1)]
+                terms = map(mul, terms, map(table.__getitem__, column))
+            out.append(abs(fsum(terms)) / (norm * mag**degree))
+    except OverflowError as err:
+        raise NotApplicableError(f"scaled residuals leave the float range: {err}") from None
     return out
 
 

@@ -189,7 +189,7 @@ class TestCollapse:
                 assert a.verify(collapsed) and b.verify(direct)
                 count += 1
             assert count == icis.K * phi.mu
-            dens = {c.denominator for p in collapsed._fpow.values() for c in p.terms.values()}
+            dens = {den for _, den in collapsed._fpow_int.values()}
             assert (dens != {1}) == (icis is half_icis)
 
     def test_shift_identity_on_the_flagship(self, wave_cusp_pipeline):

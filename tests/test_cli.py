@@ -269,6 +269,40 @@ class TestCommands:
         assert code == 17
 
 
+# s = 10^300 is a finite float, but the front's coefficients (powers of s)
+# leave the float range; s = (10^2500 + 1) / 10^2500 is about 1, but its
+# square has more digits than Python prints in an int by default
+HUGE_S = "1e300"
+LONG_S = f"{10**2500 + 1}/{10**2500}"
+
+
+@pytest.mark.parametrize(
+    "command, s, code, front_written",
+    [
+        ("wavefront", HUGE_S, 19, True),
+        ("verify-rays", HUGE_S, 19, False),
+        ("all", HUGE_S, 19, True),
+        ("wavefront", LONG_S, 14, False),
+        ("all", LONG_S, 14, False),
+    ],
+    ids=["wavefront-1e300", "verify-rays-1e300", "all-1e300", "wavefront-long", "all-long"],
+)
+def test_large_s_exits_with_a_documented_code(tmp_path, capsys, command, s, code, front_written):
+    options = dict(WAVE_PARABOLA_SPEC["options"], s=s)
+    spec = write_spec(tmp_path, dict(WAVE_PARABOLA_SPEC, options=options))
+    out = tmp_path / "out"
+    assert main([command, "--spec", str(spec), "--out", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    err = json.loads((out / "error.json").read_text())
+    assert err["exit_code"] == code
+    assert err["error"] == {14: "ResourceLimitError", 19: "NotApplicableError"}[code]
+    # a front.json left behind is whole; the ray artifacts are never begun
+    assert (out / "front.json").exists() == front_written
+    if front_written:
+        json.loads((out / "front.json").read_text())
+    assert not (out / "rays.csv").exists() and not (out / "verify_rays.json").exists()
+
+
 def _text_file(tmp_path, text):
     p = tmp_path / "prob.json"
     p.write_text(text)

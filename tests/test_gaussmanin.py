@@ -20,6 +20,7 @@ from lerayfront.gaussmanin import (
     flatness_check,
     residue_exponents_K1,
 )
+from lerayfront.phase import make_icis
 from lerayfront.poly import MultiPoly
 
 from helpers import det_interpolate, safe_bounds
@@ -193,6 +194,35 @@ class TestExponents:
         P0 = [[MultiPoly.constant(data.y_ring, c) for c in row] for row in ([1, 1], [1, 2])]
         with pytest.raises(NotApplicableError, match="non-rational"):
             residue_exponents_K1(dataclasses.replace(data, matrices=[P0]))
+
+    def test_unpredicted_rational_root(self, cusp_system):
+        # P0 = diag(2, 1) makes B = diag(1/3, 1/6): 1/3 is rational but not a
+        # predicted (l_i - p0) / p0, which for l = (5, 7) and p0 = 6 are -1/6, 1/6
+        _, data = cusp_system
+        P0 = [[MultiPoly.constant(data.y_ring, c) for c in row] for row in ([2, 0], [0, 1])]
+        with pytest.raises(NotApplicableError, match="non-rational"):
+            residue_exponents_K1(dataclasses.replace(data, matrices=[P0]))
+
+    def test_double_root(self):
+        # u1^3 + u2^3 with weights (1, 1): l = (2, 3, 3, 4) over p0 = 3, and 0
+        # is a double root of the pencil determinant
+        u1, u2 = (MultiPoly.variable(("u1", "u2"), v) for v in ("u1", "u2"))
+        icis = make_icis([u1**3 + u2**3], (1, 1))
+        data = assemble_system(gm_matrices(icis), icis)
+        assert sorted(data.l_weights) == [2, 3, 3, 4]
+        assert residue_exponents_K1(data) == [Fraction(-1, 3), 0, 0, Fraction(1, 3)]
+
+    def test_script_reports_a_pencil_that_does_not_factor(self, monkeypatch, capsys):
+        # 2 P(0) moves every root of the pencil off the predicted exponents
+        def doubled(gm, icis):
+            data = assemble_system(gm, icis)
+            P0 = [[e.scale(2) for e in row] for row in data.matrices[0]]
+            return dataclasses.replace(data, matrices=[P0])
+
+        monkeypatch.setattr(classical_exponents, "assemble_system", doubled)
+        assert classical_exponents.main() == 1
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 6 and all(row.endswith("MISMATCH") for row in rows)
 
 
 class TestFlatness:

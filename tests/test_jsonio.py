@@ -8,6 +8,7 @@ stream its output instead of joining the whole document first.
 """
 
 import json
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lerayfront import cli
+from lerayfront.errors import ResourceLimitError
 from lerayfront.jsonio import _write_json, dump_json, matrix_to_json, poly_to_json
 from lerayfront.poly import MultiPoly
 
@@ -148,6 +150,16 @@ def test_fraction_raises_type_error(obj):
 def test_unsupported_keys_raise_type_error():
     with pytest.raises(TypeError, match="keys must be"):
         written({Fraction(1, 2): 1})
+
+
+def test_an_int_too_long_to_print_leaves_no_file(tmp_path):
+    # the strings fill several streamed chunks before the writer meets the int
+    path = tmp_path / "out.json"
+    with pytest.raises(ResourceLimitError) as err:
+        obj = {"a": [str(i) for i in range(5000)], "z": 10 ** sys.get_int_max_str_digits()}
+        dump_json(obj, path)
+    assert err.value.kind == "int-digits" and err.value.exit_code == 14
+    assert not path.exists()
 
 
 class CountingFile:

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lerayfront.errors import NoSolutionError, NotApplicableError, ResourceLimitError
+from lerayfront.errors import NoSolutionError
 from lerayfront.linalg import (
     ColumnSpan,
     RationalMatrix,
     det_fraction,
     det_int,
     inverse_int,
-    rational_roots,
 )
 
 from helpers import column_span_inverse, matvec, rank_by_minors
@@ -170,27 +169,3 @@ def test_det_fraction_matches_cofactor():
     g, h, i = rows[2]
     cof = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     assert det_fraction(rows) == cof
-
-
-def test_rational_roots_of_a_quadratic():
-    # (x - 1/2)(x + 1/3) = x^2 - x/6 - 1/6, and the same up to a factor 6
-    cp = [Fraction(-1, 6), Fraction(-1, 6), Fraction(1)]
-    assert rational_roots(cp) == [Fraction(-1, 3), Fraction(1, 2)]
-    assert rational_roots([-1, -1, 6]) == [Fraction(-1, 3), Fraction(1, 2)]
-    with pytest.raises(NotApplicableError, match="non-rational"):
-        rational_roots([-2, 0, 1])
-
-
-def test_eigenvalues_with_hints():
-    # det(x I - [[5, 1], [0, 5]]) = (x - 5)^2
-    assert rational_roots([25, -10, 1], hints=[Fraction(5)]) == [5, 5]
-
-
-def test_capped_root_search_is_a_resource_limit():
-    # (x - (10^13 + 37))(x - 2): the constant 2 * (10^13 + 37) is past the
-    # divisor search, so neither integer root is found; that must not read as
-    # "non-rational roots"
-    a = 10**13 + 37
-    with pytest.raises(ResourceLimitError) as err:
-        rational_roots([2 * a, -(a + 2), 1])
-    assert err.value.kind == "rational-roots" and err.value.exit_code == 14
