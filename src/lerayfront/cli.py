@@ -6,9 +6,11 @@ cover individual pipeline stages plus ``all`` for the end-to-end run; every
 structured error maps to a documented nonzero exit code.
 
 ``verify-discriminant`` compares det M with the eliminant of the critical
-locus.  When a resource cap stops the eliminant or the gcd, it compares
-them on two seeded lines instead (``oracle.line_check``); both verdicts are
-exact, and a cap hit on the lines is exit 14.
+locus by their squarefree parts.  When a resource cap stops the eliminant
+or the gcd, it compares det M on two seeded lines with the characteristic
+polynomial of the line parameter instead (``oracle.line_check``), up to a
+constant and with no gcd; both verdicts are exact, and a cap hit on the
+lines is exit 14.
 """
 
 from __future__ import annotations

@@ -54,7 +54,6 @@ class GaussManinData:
     fbasis: FBasis | None = None
     delta: MultiPoly | None = None
     delta_raw: MultiPoly | None = None
-    metadata: dict = field(default_factory=dict)
 
     def delta_forced_weight(self) -> int:
         sum_p = sum(self.comp_weights)
@@ -88,7 +87,7 @@ def assemble_system(
                     old = acc.get(e)
                     acc[e] = k * c if old is None else old + k * c
     M = [[MultiPoly(y_ring, terms) for terms in row] for row in M_terms]
-    data = GaussManinData(
+    return GaussManinData(
         K=K,
         mu=mu,
         matrices=gm.matrices,
@@ -99,9 +98,6 @@ def assemble_system(
         phi=gm.phi,
         fbasis=gm.fbasis,
     )
-    if all(all(e.is_zero() for e in row) for row in M):
-        data.metadata["degenerate"] = True
-    return data
 
 
 def discriminant(data: GaussManinData) -> MultiPoly:

@@ -217,12 +217,8 @@ def _reduce(
     return rem, scale
 
 
-def normal_form(p: MultiPoly, gb: GroebnerBasis, max_terms: int | None = None) -> MultiPoly:
-    """Full remainder of p modulo the basis: no term divisible by a leading term.
-
-    ``max_terms`` caps the working term count (used by Buchberger to abort
-    explosive eliminations early).
-    """
+def normal_form(p: MultiPoly, gb: GroebnerBasis) -> MultiPoly:
+    """Full remainder of p modulo the basis: no term divisible by a leading term."""
     if not gb.generators:
         return p
     terms, d = p.integer_terms()
@@ -230,7 +226,7 @@ def normal_form(p: MultiPoly, gb: GroebnerBasis, max_terms: int | None = None) -
     while True:
         packing, heads = gb.packed_heads(width)
         try:
-            rem, m = _reduce(packing.pack_terms(terms), heads, packing.guard, max_terms)
+            rem, m = _reduce(packing.pack_terms(terms), heads, packing.guard)
             return MultiPoly(p.ring, {packing.unpack(e): Fraction(c, d * m) for e, c in rem.items()})
         except _Overflow:
             width *= 2

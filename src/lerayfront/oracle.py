@@ -7,10 +7,11 @@ det M exactly, by squarefree parts.  When a resource cap stops the
 eliminant or the gcd, both sides are restricted to seeded integer lines
 instead (``line_check``): det M on the line against the characteristic
 polynomial of the line parameter on the zero-dimensional critical quotient,
-a pencil determinant, again compared exactly.  Front points come from
-numerically integrated characteristic rays (straight lines, constant
-coefficients).  Agreement of the two sides with the discriminant pipeline
-is the package's end-to-end correctness evidence.
+a pencil determinant.  Both generate the line's Fitting ideal, so they are
+compared exactly up to a constant, multiplicities included, with no gcd.
+Front points come from numerically integrated characteristic rays
+(straight lines, constant coefficients).  Agreement of the two sides with
+the discriminant pipeline is the package's end-to-end correctness evidence.
 
 The rays start on the initial variety {F = s}.  Its points are drawn once
 per run, as one seeded stream (``LevelSet``): the t = 0 check
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
 from operator import mul
+from sys import float_info
 from typing import Iterator, Sequence
 
 from .detpoly import _IntegerEvaluator, line_determinant
@@ -76,12 +78,11 @@ def critical_locus_eliminant(icis: IcisMap, max_pairs: int = 100_000) -> list[Mu
 
 @dataclass
 class LineResult:
-    """One seeded line y = a + b*tau: quotient dimension and radical degree."""
+    """One seeded line y = a + b*tau and the degree of both sides on it."""
 
     a: list[int]
     b: list[int]
     quotient_dimension: int
-    radical_degree: int
 
 
 @dataclass
@@ -97,12 +98,15 @@ def line_check(icis: IcisMap, M: list[list[MultiPoly]], seed: int) -> LineCheck:
     LINE_RANGE] by ``seed``) one side is det M(a + b*tau)
     (``detpoly.line_determinant``).  The other is the characteristic
     polynomial of tau on the zero-dimensional quotient by the critical ideal
-    with y = a + b*tau (``_characteristic_polynomial``): its roots are the
-    critical values on the line, since f is finite on the critical locus of
-    an ICIS.  The two radicals must be equal
-    (``compare_discriminants``); a wrong det M agrees with the critical
-    values on a random line only on a proper subvariety of lines.  Caps
-    are groebner's defaults and raise ResourceLimitError.
+    with y = a + b*tau (``_characteristic_polynomial``), of degree the
+    quotient's dimension D.  M presents H''/H', so det M generates the 0-th
+    Fitting ideal of the critical module f_*O_C; Fitting ideals commute with
+    base change (Eisenbud 1995, Cor. 20.5), and on the line that ideal is
+    generated by det(lam I - m_tau).  So the two sides must agree up to a
+    nonzero constant, multiplicities included: their primitive parts are
+    compared exactly.  A wrong det M agrees on a random line only on a
+    proper subvariety of lines.  Caps are groebner's defaults and raise
+    ResourceLimitError.
     """
     rng = random.Random(seed)
     K = icis.K
@@ -115,15 +119,16 @@ def line_check(icis: IcisMap, M: list[list[MultiPoly]], seed: int) -> LineCheck:
         while not any(b):
             b = [rng.randint(-LINE_RANGE, LINE_RANGE) for _ in range(K)]
         images = [tau.scale(bl) + MultiPoly.constant(tau.ring, al) for al, bl in zip(a, b)]
-        det = line_determinant(M, y_names, a, b)
+        det = line_determinant(M, y_names, a, b).primitive_part()
         gb = groebner(critical_ideal(icis, images)[0], GREVLEX)
         charpoly, dimension = _characteristic_polynomial(gb)
-        try:
-            cmp = compare_discriminants(det, [charpoly], seed=seed)
-        except MismatchError as err:
-            raise MismatchError(f"on the line y = {a} + {b}*tau: {err}", witness=err.witness)
-        lines.append(LineResult(a, b, dimension, cmp.degree))
-    return LineCheck(f"equal radicals on {LINE_COUNT} seeded lines (exact)", lines)
+        if det != charpoly.primitive_part():
+            raise MismatchError(
+                f"on the line y = {a} + {b}*tau: det M is not a constant times {charpoly.pretty()}"
+            )
+        lines.append(LineResult(a, b, dimension))
+    verdict = f"det M equals the characteristic polynomial on {LINE_COUNT} seeded lines (exact)"
+    return LineCheck(verdict, lines)
 
 
 def _characteristic_polynomial(gb: GroebnerBasis) -> tuple[MultiPoly, int]:
@@ -164,15 +169,19 @@ def scaled_residuals(p: MultiPoly, points: Sequence[dict[str, float]]) -> list[f
     ``prod(map(pow, vals, e), start=c)``, through one lazy map per variable;
     p(z) is their ``math.fsum``, which is exactly rounded, so every residual
     is the one ``poly.FloatPoly`` (and so ``MultiPoly.eval_float``) gives, to
-    the last bit.  A norm, coefficient or power past the float range raises
-    NotApplicableError.
+    the last bit.  A norm past the float range is first divided, with every
+    coefficient n / d, by one power of two 2^e, exactly, which leaves the
+    residuals as they are; otherwise e = 0, and n / (d << 0) is the float of
+    n / d.  A power past the float range raises NotApplicableError.
     """
+    norm = sum(abs(c) for c in p.terms.values())
+    e = norm.numerator.bit_length() - norm.denominator.bit_length() if norm > float_info.max else 0
     try:
-        norm = float(sum(abs(c) for c in p.terms.values()))
+        norm = float(norm / (1 << e))
         if norm == 0.0:
             return [0.0] * len(points)
         degree = p.total_degree()
-        coefficients = [float(c) for c in p.terms.values()]
+        coefficients = [c.numerator / (c.denominator << e) for c in p.terms.values()]
         columns = [(v, column, max(column)) for v, column in zip(p.ring, zip(*p.terms))]
         out = []
         for values in points:
@@ -192,7 +201,6 @@ def scaled_residuals(p: MultiPoly, points: Sequence[dict[str, float]]) -> list[f
 class DiscriminantComparison:
     verdict: str
     detail: str
-    degree: int
 
 
 def compare_discriminants(
@@ -204,9 +212,8 @@ def compare_discriminants(
     ideal of a polynomial ring, hence principal: one generator g.  The two
     hypersurfaces agree iff the squarefree parts of delta and g are equal
     (``squarefree_part`` normalises both, ``seed`` drives its modular proof);
-    ``detail`` then gives the radical's term count and total degree
-    (``degree``).  A gcd past its step or term budget raises
-    ResourceLimitError.
+    ``detail`` then gives the radical's term count and total degree.  A gcd
+    past its step or term budget raises ResourceLimitError.
     """
     eliminant = [p for p in eliminant if not p.is_zero()]
     if not eliminant:
@@ -219,7 +226,6 @@ def compare_discriminants(
         return DiscriminantComparison(
             verdict="equal radicals (exact)",
             detail=f"radical has {len(d_sf.terms)} terms, total degree {d_sf.total_degree()}",
-            degree=d_sf.total_degree(),
         )
     raise MismatchError(
         f"radical mismatch: {d_sf.pretty()} vs {e_sf.pretty()}",
@@ -356,7 +362,7 @@ def _newton_polish_level(F: FloatPoly, grads: list[FloatPoly], z: list[float], s
         if gn < 1e-18:
             return None
         z = [zi - r * gi / gn for zi, gi in zip(z, g)]
-    if abs(F(z) - s) > 1e-11 * max(1.0, abs(s)):
+    if not abs(F(z) - s) <= 1e-11 * max(1.0, abs(s)):  # a NaN point fails too
         return None
     return z
 

@@ -214,15 +214,27 @@ class TestCommands:
         assert runs[0] == runs[1]
         rec = json.loads(runs[0])
         assert rec["eliminant"] is None
-        assert rec["verdict"] == "capped: pairs/3; equal radicals on 2 seeded lines (exact)"
+        assert rec["verdict"] == (
+            "capped: pairs/3; det M equals the characteristic polynomial on 2 seeded lines (exact)"
+        )
         assert len(rec["lines"]) == 2
         for line in rec["lines"]:
-            assert sorted(line) == ["a", "b", "quotient_dimension", "radical_degree"]
+            assert sorted(line) == ["a", "b", "quotient_dimension"]
             assert len(line["a"]) == len(line["b"]) == 7
-            assert line["quotient_dimension"] == line["radical_degree"] == 9
-        # a cap hit on a line is a resource limit too, not a verdict
+            assert line["quotient_dimension"] == 9
+        # the lines need no gcd: the same record with squarefree parts refused
         from lerayfront import oracle
         from lerayfront.errors import ResourceLimitError
+
+        def no_squarefree_part(*args, **kwargs):
+            raise AssertionError("line_check took a squarefree part")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "squarefree_part", no_squarefree_part)
+            out = tmp_path / "no_gcd"
+            assert main(["verify-discriminant", "--spec", str(spec), "--out", str(out)]) == 0
+            assert (out / "verify_discriminant.json").read_bytes() == runs[0]
+        # a cap hit on a line is a resource limit too, not a verdict
 
         def capped_groebner(*args, **kwargs):
             raise ResourceLimitError("Buchberger exceeded 1 S-pairs", kind="pairs", limit=1)
@@ -269,38 +281,52 @@ class TestCommands:
         assert code == 17
 
 
-# s = 10^300 is a finite float, but the front's coefficients (powers of s)
+# s = 10^300 is a finite float, and the front's coefficients (powers of s)
 # leave the float range; s = (10^2500 + 1) / 10^2500 is about 1, but its
 # square has more digits than Python prints in an int by default
 HUGE_S = "1e300"
 LONG_S = f"{10**2500 + 1}/{10**2500}"
 
 
-@pytest.mark.parametrize(
-    "command, s, code, front_written",
-    [
-        ("wavefront", HUGE_S, 19, True),
-        ("verify-rays", HUGE_S, 19, False),
-        ("all", HUGE_S, 19, True),
-        ("wavefront", LONG_S, 14, False),
-        ("all", LONG_S, 14, False),
-    ],
-    ids=["wavefront-1e300", "verify-rays-1e300", "all-1e300", "wavefront-long", "all-long"],
-)
-def test_large_s_exits_with_a_documented_code(tmp_path, capsys, command, s, code, front_written):
-    options = dict(WAVE_PARABOLA_SPEC["options"], s=s)
+def test_a_huge_s_has_no_level_set_points_in_the_box(tmp_path):
+    # {x1 + x2^2 = 10^300} misses the box |z_i| <= LEVEL_BOX, so the t = 0
+    # check and the rays are vacuous; a NaN point from an overflowed root or
+    # Newton step is not taken for a point of the level set
+    options = dict(WAVE_PARABOLA_SPEC["options"], s=HUGE_S)
     spec = write_spec(tmp_path, dict(WAVE_PARABOLA_SPEC, options=options))
     out = tmp_path / "out"
-    assert main([command, "--spec", str(spec), "--out", str(out)]) == code
+    assert main(["all", "--spec", str(spec), "--out", str(out)]) == 0
+    rows = (out / "t_zero.csv").read_text().splitlines()
+    assert rows == ["samples,max_scaled_residual,no_real_points", "0,nan,True"]
+    rec = json.loads((out / "verify_rays.json").read_text())
+    assert (rec["samples"], rec["pass"]) == (0, None)
+    assert (out / "rays.csv").read_text().splitlines()[1:] == []
+
+
+@pytest.mark.parametrize("command", ["wavefront", "all"], ids=["wavefront-long", "all-long"])
+def test_large_s_exits_with_a_documented_code(tmp_path, capsys, command):
+    options = dict(WAVE_PARABOLA_SPEC["options"], s=LONG_S)
+    spec = write_spec(tmp_path, dict(WAVE_PARABOLA_SPEC, options=options))
+    out = tmp_path / "out"
+    assert main([command, "--spec", str(spec), "--out", str(out)]) == 14
     assert "Traceback" not in capsys.readouterr().err
     err = json.loads((out / "error.json").read_text())
-    assert err["exit_code"] == code
-    assert err["error"] == {14: "ResourceLimitError", 19: "NotApplicableError"}[code]
-    # a front.json left behind is whole; the ray artifacts are never begun
-    assert (out / "front.json").exists() == front_written
-    if front_written:
-        json.loads((out / "front.json").read_text())
+    assert (err["exit_code"], err["error"]) == (14, "ResourceLimitError")
+    # no front.json is left behind, and the ray artifacts are never begun
+    assert not (out / "front.json").exists()
     assert not (out / "rays.csv").exists() and not (out / "verify_rays.json").exists()
+
+
+def test_verify_rays_scales_a_norm_past_the_float_range(tmp_path):
+    # with s = LONG_S the front's coefficients, primitive over Z, are about
+    # 10^10000, but its residuals on the rays are of order 1e-17
+    options = dict(WAVE_PARABOLA_SPEC["options"], s=LONG_S)
+    spec = write_spec(tmp_path, dict(WAVE_PARABOLA_SPEC, options=options))
+    out = tmp_path / "out"
+    assert main(["verify-rays", "--spec", str(spec), "--out", str(out)]) == 0
+    rec = json.loads((out / "verify_rays.json").read_text())
+    assert rec["pass"] is True
+    assert 0 < rec["max_scaled_residual"] < 1e-12
 
 
 def _text_file(tmp_path, text):

@@ -111,7 +111,6 @@ class TestAssemble:
             fbasis=FBasis(forms=[], weights=[5, 7]),
         )
         data = assemble_system(gm, cusp_icis)
-        assert data.metadata.get("degenerate")
         with pytest.raises(DegenerateSystemError):
             discriminant(data)
 

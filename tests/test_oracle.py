@@ -170,13 +170,13 @@ def test_characteristic_polynomial_needs_a_zero_dimensional_quotient():
 
 
 class TestLineCheck:
-    EXACT = "equal radicals on 2 seeded lines (exact)"
+    EXACT = "det M equals the characteristic polynomial on 2 seeded lines (exact)"
 
     def test_quadric_passes_and_perturbed_systems_fail(self, quadric_icis, quadric_system):
         _, data = quadric_system
         rep = line_check(quadric_icis, data.M, seed=1)
         assert rep.verdict == self.EXACT
-        assert [line.radical_degree for line in rep.lines] == [3, 3]
+        assert [line.quotient_dimension for line in rep.lines] == [6, 6]
         # M + y0 I, and each +1 change of one entry of M that changes det M;
         # the other 19 of the 25 leave det M as it is, so no discriminant
         # oracle can see them
@@ -193,8 +193,22 @@ class TestLineCheck:
                 perturbed.append(M)
         assert len(perturbed) == 1 + 6
         for M in perturbed:
-            with pytest.raises(MismatchError, match="radical mismatch"):
+            with pytest.raises(MismatchError, match=r"on the line .* not a constant times"):
                 line_check(quadric_icis, M, seed=1)
+
+    def test_a_wrong_multiplicity_fails(self, quadric_icis, quadric_system):
+        # row 0 times y0 - y1, a factor of the radical
+        # (y0 - y1)(2y0 - y1)(3y0 - y1): the radical stays, one multiplicity
+        # grows by one, so a comparison of radicals passes and this one fails
+        _, data = quadric_system
+        y0, y1 = (MultiPoly.variable(data.y_ring, v) for v in ("y0", "y1"))
+        M = [[e * (y0 - y1) for e in data.M[0]]] + data.M[1:]
+        delta, wrong = det_poly_matrix(data.M), det_poly_matrix(M)
+        assert wrong == delta * (y0 - y1)
+        assert squarefree_part(wrong) == squarefree_part(delta)
+        line = r"on the line y = \[-5, 9\] \+ \[-7, -1\]\*tau: det M .* not a constant times"
+        with pytest.raises(MismatchError, match=line):
+            line_check(quadric_icis, M, seed=1)
 
     def test_line_determinant_is_the_substituted_bareiss_determinant(
         self, cusp_system, a1_system, a4_system, quadric_system, m1_cusp_system
@@ -225,26 +239,28 @@ class TestLineCheck:
         wave_parabola_system,
         m1_cusp_icis,
         m1_cusp_system,
+        quadric_icis,
+        quadric_system,
     ):
         front = X1 + X2**2
         psi = build_phase(HyperbolicSymbol.from_poly(TAU), front)
         m1_parabola = build_mapping(expand_phase(psi, front, discover_weights(front)), 2)
         cases = [
-            ("cusp", cusp_icis, cusp_system[1], [1, 1]),
+            ("cusp", cusp_icis, cusp_system[1], [2, 2]),
             ("A1", a1_icis, a1_system[1], [1, 1]),
-            ("A4", a4_icis, a4_system[1], [1, 1]),
+            ("A4", a4_icis, a4_system[1], [4, 4]),
+            ("quadric", quadric_icis, quadric_system[1], [6, 6]),
             ("wave/parabola", wave_parabola_icis, wave_parabola_system, [9, 9]),
-            ("m1/cusp", m1_cusp_icis, m1_cusp_system[1], [15, 15]),
+            ("m1/cusp", m1_cusp_icis, m1_cusp_system[1], [18, 18]),
         ]
         m1_parabola_system = assemble_system(gm_matrices(m1_parabola), m1_parabola)
         cases.append(("m1/parabola", m1_parabola, m1_parabola_system, [2, 2]))
         tau = MultiPoly.variable(("tau",), "tau")
-        for case, icis, data, degrees in cases:
+        for case, icis, data, dimensions in cases:
             rep = line_check(icis, data.M, seed=1)
             assert rep.verdict == self.EXACT, case
-            assert [line.radical_degree for line in rep.lines] == degrees, case
+            assert [line.quotient_dimension for line in rep.lines] == dimensions, case
             for line in rep.lines:
-                assert line.quotient_dimension >= line.radical_degree, case
                 assert any(line.b), case
                 images = [
                     tau.scale(bl) + MultiPoly.constant(tau.ring, al)
@@ -256,6 +272,11 @@ class TestLineCheck:
                 assert D == line.quotient_dimension, case
                 assert charpoly.total_degree() == D, case
                 assert squarefree_part(charpoly) == squarefree_part(minpoly), case
+                # det M on the line is a constant times the characteristic
+                # polynomial, which is monic: the constant is det's leading
+                # coefficient
+                det = line_determinant(data.M, icis.y_names(), line.a, line.b)
+                assert det == charpoly.scale(det.terms.get((D,), 0)), case
 
 
 def _coefficients(roots, lead):
@@ -509,6 +530,24 @@ class TestEvalFront:
         ]
         assert scaled_residuals(p, points) == _per_term_residuals(p, points)
         assert scaled_residuals(MultiPoly.zero(ring), points) == [0.0] * len(points)
+
+    def test_a_norm_past_the_float_range_is_scaled_exactly(self):
+        # p times 2^3000 has a norm past the float range; one exact power of
+        # two brings it back, so the residuals are p's to the last bit, and
+        # p times 10^400 gives them to rounding
+        ring = ("x1", "x2", "t")
+        rng = random.Random(6)
+        terms = {}
+        for _ in range(30):
+            e = tuple(rng.randint(0, 4) for _ in ring)
+            terms[e] = Fraction(rng.randint(-99, 99), rng.randint(1, 7))
+        p = MultiPoly(ring, terms)
+        points = [{v: rng.uniform(-3, 3) for v in ring} for _ in range(20)]
+        residuals = scaled_residuals(p, points)
+        assert min(residuals) > 0
+        assert scaled_residuals(p.scale(2**3000), points) == residuals
+        for big, small in zip(scaled_residuals(p.scale(10**400), points), residuals):
+            assert big == pytest.approx(small, rel=1e-12)
 
     def test_flagship_rays_match_the_per_term_formula(self, wave_cusp_front):
         # the 240 ray samples of ``lerayfront all`` on the flagship (seed 1)
