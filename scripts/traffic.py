@@ -91,6 +91,8 @@ ALLOWED = {
     "has one, tests/test_jsonio.py writes int keys",
     "jsonio.int_digits_error": "raised only for an integer too long to print "
     "(tests/test_cli.py's large-s exits)",
+    "oracle.compare_discriminants.mismatch": "builds the error of a radical mismatch, "
+    "which no run's det M has; tests/test_oracle.py reaches each case",
     "parser._Parser.expect_op": "reached by a parenthesised expression, which no "
     "run's problem file holds (tests/test_parser.py)",
     "poly.MultiPoly.__hash__": "defined with __eq__ so that a MultiPoly stays hashable",

@@ -6,11 +6,11 @@ cover individual pipeline stages plus ``all`` for the end-to-end run; every
 structured error maps to a documented nonzero exit code.
 
 ``verify-discriminant`` compares det M with the eliminant of the critical
-locus by their squarefree parts.  When a resource cap stops the eliminant
-or the gcd, it compares det M on two seeded lines with the characteristic
-polynomial of the line parameter instead (``oracle.line_check``), up to a
-constant and with no gcd; both verdicts are exact, and a cap hit on the
-lines is exit 14.
+locus by exact divisibility (``oracle.compare_discriminants``).  When a
+resource cap stops the eliminant, it compares det M on two seeded lines
+with the characteristic polynomial of the line parameter instead
+(``oracle.line_check``), up to a constant; both verdicts are exact, neither
+takes a gcd, and a cap hit on the lines is exit 14.
 """
 
 from __future__ import annotations
@@ -412,7 +412,7 @@ class Pipeline:
             el = critical_locus_eliminant(icis, max_pairs=self.pb.max_pairs)
             if data.delta is None:
                 discriminant(data)
-            cmp = compare_discriminants(data.delta, el, seed=self.pb.seed)
+            cmp = compare_discriminants(data.delta, el)
             rec = {
                 "eliminant": el,
                 "verdict": cmp.verdict,

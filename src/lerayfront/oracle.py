@@ -3,12 +3,13 @@
 Nothing here touches the lattice machinery.  The critical-value locus comes
 from Groebner elimination on the graph-plus-minors ideal
 (``phase.critical_ideal`` with y_l left as variables) and is compared with
-det M exactly, by squarefree parts.  When a resource cap stops the
-eliminant or the gcd, both sides are restricted to seeded integer lines
-instead (``line_check``): det M on the line against the characteristic
-polynomial of the line parameter on the zero-dimensional critical quotient,
-a pencil determinant.  Both generate the line's Fitting ideal, so they are
-compared exactly up to a constant, multiplicities included, with no gcd.
+det M exactly, by divisibility: the eliminant divides det M, which divides
+a power of it (``compare_discriminants``).  When a resource cap stops the
+eliminant, both sides are restricted to seeded integer lines instead
+(``line_check``): det M on the line against the characteristic polynomial
+of the line parameter on the zero-dimensional critical quotient, a pencil
+determinant.  Both generate the line's Fitting ideal, so they are compared
+exactly up to a constant, multiplicities included.  Neither takes a gcd.
 Front points come from numerically integrated characteristic rays
 (straight lines, constant coefficients).  Agreement of the two sides with
 the discriminant pipeline is the package's end-to-end correctness evidence.
@@ -31,14 +32,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum
+from math import fsum, isnan
 from operator import mul
 from sys import float_info
 from typing import Iterator, Sequence
 
 from .detpoly import _IntegerEvaluator, line_determinant
 from .errors import MismatchError, NotApplicableError
-from .gcdtools import squarefree_part
+from .gcdtools import divide_monomial, monomial_content
 from .groebner import (
     GREVLEX,
     GroebnerBasis,
@@ -206,31 +207,58 @@ class DiscriminantComparison:
 def compare_discriminants(
     delta: MultiPoly, eliminant: Sequence[MultiPoly], seed: int = 17
 ) -> DiscriminantComparison:
-    """Exact zero-set agreement of det M with the critical-value eliminant.
+    """Exact zero-set agreement of det M with the critical-value eliminant, by division.
 
     The elimination ideal of an ICIS discriminant is an unmixed height-one
-    ideal of a polynomial ring, hence principal: one generator g.  The two
-    hypersurfaces agree iff the squarefree parts of delta and g are equal
-    (``squarefree_part`` normalises both, ``seed`` drives its modular proof);
-    ``detail`` then gives the radical's term count and total degree.  A gcd
-    past its step or term budget raises ResourceLimitError.
+    ideal of a polynomial ring, hence principal: one generator g, of the
+    annihilator of the critical module f_*O_C, whose 0-th Fitting ideal det
+    M generates.  The module has mu generators, so Ann^mu is in Fitt_0 is in
+    Ann (Eisenbud 1995, Prop. 20.7): g | delta | g^mu.  With the monomial
+    contents split off, delta = y^a * d and g = y^b * r, the radicals are
+    equal iff g | delta, a and b have the same positive entries, and d | r^k
+    for some k, that is q = d / r | r^(k - 1), for k up to deg q + 1 (deg q
+    bounds every multiplicity in q).  Each test is an exact division; no
+    gcd runs.  ``detail`` records deg q and the first such k.  ``seed``
+    does not enter the verdict; it stays for callers that pass it.
     """
     eliminant = [p for p in eliminant if not p.is_zero()]
     if not eliminant:
         raise MismatchError("empty eliminant; nothing to compare")
     if len(eliminant) > 1:
         raise MismatchError(f"eliminant is not principal: {len(eliminant)} generators")
-    d_sf = squarefree_part(delta, seed=seed)
-    e_sf = squarefree_part(eliminant[0].rename_ring(delta.ring), seed=seed)
-    if d_sf == e_sf:
-        return DiscriminantComparison(
-            verdict="equal radicals (exact)",
-            detail=f"radical has {len(d_sf.terms)} terms, total degree {d_sf.total_degree()}",
-        )
-    raise MismatchError(
-        f"radical mismatch: {d_sf.pretty()} vs {e_sf.pretty()}",
-        witness=(d_sf.pretty(), e_sf.pretty()),
-    )
+    if delta.is_zero():
+        raise MismatchError("det M is zero; nothing to compare")
+    g = eliminant[0].rename_ring(delta.ring)
+
+    def mismatch(why: str) -> MismatchError:
+        return MismatchError(f"radical mismatch: {why}", witness=(delta.pretty(), g.pretty()))
+
+    quotient = _exact_quotient(delta, g)
+    if quotient is None:
+        raise mismatch("the eliminant does not divide det M")
+    b = monomial_content(g)
+    if [k > 0 for k in monomial_content(delta)] != [k > 0 for k in b]:
+        raise mismatch("det M and the eliminant have different variable factors")
+    q = divide_monomial(quotient, monomial_content(quotient))
+    r = divide_monomial(g, b)
+    power = MultiPoly.constant(delta.ring, 1)
+    for k in range(1, q.total_degree() + 2):
+        if _exact_quotient(power, q) is not None:
+            return DiscriminantComparison(
+                verdict="equal radicals (exact)",
+                detail=f"monomials aside, det M / eliminant has total degree "
+                f"{q.total_degree()} and det M divides eliminant^{k}",
+            )
+        power = power * r
+    raise mismatch("det M divides no power of the eliminant")
+
+
+def _exact_quotient(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
+    """p / d when d divides p, else None."""
+    try:
+        return p.exact_div(d)
+    except ValueError:
+        return None
 
 
 def _roots(coeffs: Sequence[float]) -> list[complex]:
@@ -276,15 +304,20 @@ class LevelSet:
     Bit-identity: the coefficients of F - s in tau on the line are exact,
     and each is rounded once to a float (``_level_lines``); every float value
     comes from ``poly.FloatPoly``.  So the points depend on F, s and the seed
-    alone, to the last bit.
+    alone, to the last bit.  An s past the float range raises
+    NotApplicableError when the stream is built, before any point is drawn.
     """
 
     def __init__(self, F: MultiPoly, s: Fraction, seed: int):
         self.F = F
         self.s = Fraction(s)
+        try:
+            target = float(self.s)
+        except OverflowError:
+            raise NotApplicableError("s is past the float range: no level-set point") from None
         self.attempts = 0
         self.points: list[tuple[int, tuple[float, ...]]] = []
-        self._lines = _level_lines(F, self.s, seed)
+        self._lines = _level_lines(F, self.s, target, seed)
 
     def take(self, count: int) -> list[tuple[float, ...]]:
         cap = LEVEL_ATTEMPTS * count
@@ -294,19 +327,21 @@ class LevelSet:
         return [z for attempt, z in self.points[:count] if attempt <= cap]
 
 
-def _level_lines(F: MultiPoly, s: Fraction, seed: int) -> Iterator[list[tuple[float, ...]]]:
+def _level_lines(
+    F: MultiPoly, s: Fraction, target: float, seed: int
+) -> Iterator[list[tuple[float, ...]]]:
     """The points of {F = s} in the box on each seeded random line, line by line.
 
     The tau coefficients of F - s on the drawn line come exactly from
     ``_generic_line``, each as n / D with integers n and D; the float n / D
-    is correctly rounded (int true division), as ``float(Fraction)`` is.
+    is correctly rounded (int true division), as ``float(Fraction)`` is;
+    ``target``, the float of s, is the level the Newton polish aims at.
     """
     rng = random.Random(seed)
     n = len(F.ring)
     line = _generic_line(F, s)
     level = FloatPoly(F)
     grads = [FloatPoly(F.partial(v)) for v in F.ring]
-    target = float(s)
     while True:
         base = [Fraction(rng.randint(-20, 20), 10) for _ in range(n)]
         direction = [Fraction(rng.randint(-9, 9), 3) for _ in range(n)]
@@ -469,7 +504,19 @@ def eval_front_on_samples(
         if "s" in phi.ring:
             values["s"] = float(s)
         points.append(values)
-    residuals = scaled_residuals(phi, points)
-    worst = max([0.0] + residuals)
-    worst_s = samples[residuals.index(worst)] if worst > 0.0 else None
+    worst, at = worst_residual(scaled_residuals(phi, points))
+    worst_s = samples[at] if at is not None else None
     return FrontEvalReport(max_scaled_residual=worst, count=len(samples), worst=worst_s)
+
+
+def worst_residual(residuals: Sequence[float]) -> tuple[float, int | None]:
+    """The largest residual (0.0 for none) and its first index (None for 0.0).
+
+    A NaN fails every tolerance, so the first NaN is the worst; ``max``
+    alone would pass over it.
+    """
+    for i, r in enumerate(residuals):
+        if isnan(r):
+            return r, i
+    worst = max([0.0, *residuals])
+    return worst, (residuals.index(worst) if worst > 0.0 else None)

@@ -10,7 +10,8 @@ matrix as integer rows over row scales.  One engine,
 the parity compression, the degree probes, the integer grid, its exact
 check at random rational points and the safe-bounds fallback all live
 there.  This module keeps the substitution map, the normalizations
-(primitive and squarefree parts) and the metadata;
+(the primitive part, and the squarefree part when
+``gcdtools.squarefree_part`` proves one; None otherwise) and the metadata;
 ``FrontResult.strategy`` records the path taken (``front.json``).
 """
 
@@ -20,10 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .detpoly import _row_scaled_entries, det_probed
-from .errors import ResourceLimitError, ZeroAfterSubstitutionError
+from .errors import ZeroAfterSubstitutionError
 from .gcdtools import divide_monomial, monomial_content, squarefree_part
 from .gaussmanin import GaussManinData
-from .oracle import LevelSet, scaled_residuals
+from .oracle import LevelSet, scaled_residuals, worst_residual
 from .phase import IcisMap
 from .poly import MultiPoly, pullback
 
@@ -98,12 +99,7 @@ def front_polynomial(
             "discriminant pullback vanishes identically; raw system kept for diagnosis"
         )
     phi = raw.primitive_part()
-    try:
-        sf = squarefree_part(phi)
-        sf_note = "computed"
-    except ResourceLimitError:
-        sf = None
-        sf_note = "skipped: gcd resource cap"
+    sf = squarefree_part(phi)
     return FrontResult(
         phi=phi,
         raw=raw,
@@ -114,7 +110,7 @@ def front_polynomial(
         metadata={
             "s": "symbolic" if s_value is None else str(Fraction(s_value)),
             "monomial_content": {v: k for v, k in zip(ring, monomial_content(phi)) if k},
-            "squarefree": sf_note,
+            "squarefree": "computed" if sf is not None else "skipped: not proven squarefree",
             "sign_normalization": icis.sign,
             "case1_bookkeeping": "constant monomial mapped to the y1 direction",
         },
@@ -154,5 +150,5 @@ def t_zero_check(fr: FrontResult, level: LevelSet, samples: int = T_ZERO_SAMPLES
         if "s" in phi.ring:
             values["s"] = float(level.s)
         points.append(values)
-    worst = max([0.0] + scaled_residuals(phi, points))
+    worst, _ = worst_residual(scaled_residuals(phi, points))
     return TZeroReport(max_scaled_residual=worst, samples=len(pts))

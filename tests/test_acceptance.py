@@ -173,7 +173,9 @@ def test_criterion_6_wave_parabola_eliminant(wave_parabola_icis, wave_parabola_s
         discriminant(data)
     cmp = compare_discriminants(data.delta, el)
     assert cmp.verdict == "equal radicals (exact)"
-    assert cmp.detail == "radical has 288 terms, total degree 9"
+    assert cmp.detail == (
+        "monomials aside, det M / eliminant has total degree 0 and det M divides eliminant^1"
+    )
     elapsed = time.time() - t0
     report(
         6,

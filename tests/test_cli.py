@@ -223,14 +223,14 @@ class TestCommands:
             assert len(line["a"]) == len(line["b"]) == 7
             assert line["quotient_dimension"] == 9
         # the lines need no gcd: the same record with squarefree parts refused
-        from lerayfront import oracle
+        from lerayfront import gcdtools, oracle
         from lerayfront.errors import ResourceLimitError
 
         def no_squarefree_part(*args, **kwargs):
             raise AssertionError("line_check took a squarefree part")
 
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "squarefree_part", no_squarefree_part)
+            patch.setattr(gcdtools, "squarefree_part", no_squarefree_part)
             out = tmp_path / "no_gcd"
             assert main(["verify-discriminant", "--spec", str(spec), "--out", str(out)]) == 0
             assert (out / "verify_discriminant.json").read_bytes() == runs[0]
@@ -315,6 +315,21 @@ def test_large_s_exits_with_a_documented_code(tmp_path, capsys, command):
     # no front.json is left behind, and the ray artifacts are never begun
     assert not (out / "front.json").exists()
     assert not (out / "rays.csv").exists() and not (out / "verify_rays.json").exists()
+
+
+@pytest.mark.parametrize("command", ["wavefront", "verify-rays", "all"])
+def test_an_s_past_the_float_range_has_no_level_set(tmp_path, capsys, command):
+    # 10^400 has no float: the level set is refused where it is built,
+    # before any point is drawn, with exit 19 and error.json
+    options = dict(WAVE_PARABOLA_SPEC["options"], s="1e400")
+    spec = write_spec(tmp_path, dict(WAVE_PARABOLA_SPEC, options=options))
+    out = tmp_path / "out"
+    assert main([command, "--spec", str(spec), "--out", str(out)]) == 19
+    assert "Traceback" not in capsys.readouterr().err
+    err = json.loads((out / "error.json").read_text())
+    assert (err["exit_code"], err["error"]) == (19, "NotApplicableError")
+    assert "float range" in err["message"]
+    assert not (out / "t_zero.csv").exists() and not (out / "rays.csv").exists()
 
 
 def test_verify_rays_scales_a_norm_past_the_float_range(tmp_path):

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import fsum, hypot, prod
+from math import fsum, hypot, isnan, nan, prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +12,12 @@ from lerayfront.detpoly import det_bareiss, det_poly_matrix, line_determinant
 from lerayfront import oracle
 from lerayfront.errors import MismatchError
 from lerayfront.gaussmanin import assemble_system, discriminant
-from lerayfront.gcdtools import squarefree_part
+from lerayfront.gcdtools import monomial_content
 from lerayfront.groebner import GREVLEX, groebner
 from lerayfront.oracle import (
     LEVEL_ATTEMPTS,
     LevelSet,
+    RaySample,
     _characteristic_polynomial,
     _roots,
     compare_discriminants,
@@ -89,6 +90,8 @@ class TestEliminant:
             discriminant(data)
         cmp = compare_discriminants(data.delta, el, seed=17)
         assert cmp.verdict == "equal radicals (exact)"
+        # det M is the square of the three lines: it divides the eliminant^2
+        assert cmp.detail.endswith("total degree 3 and det M divides eliminant^2")
 
     def test_mismatch_witness(
         self, quadric_icis, quadric_system, m1_cusp_icis, m1_cusp_system
@@ -107,13 +110,23 @@ class TestEliminant:
         top = max(delta.terms)
         flipped = MultiPoly(delta.ring, {**delta.terms, top: -delta.terms[top]})
         exact = "equal radicals (exact)"
+        y0q = MultiPoly.variable(delta.ring, "y0")
+        seven = MultiPoly.constant(delta.ring, 7)
+        (m1_g,) = critical_locus_eliminant(m1_cusp_icis)
+        # m1/cusp compares y0^4 * rest with y0 * rest
+        k = m1_g.ring.index("y0")
+        assert (monomial_content(m1_cusp.delta)[k], monomial_content(m1_g)[k]) == (4, 1)
         # (case, delta, eliminant, verdict or MismatchError message)
         table = [
-            ("univariate shift", y0, [y0 - one], "radical mismatch"),
+            ("univariate shift", y0, [y0 - one], "radical mismatch: the eliminant does not"),
             ("quadric, one coefficient flipped", flipped, [g], "radical mismatch"),
             ("quadric times y1^2, eliminant times y1", delta * y1**2, [g * y1], exact),
             ("two generators", delta, [g, g * y1], "eliminant is not principal: 2 generators"),
-            ("m1/cusp", m1_cusp.delta, critical_locus_eliminant(m1_cusp_icis), exact),
+            ("m1/cusp", m1_cusp.delta, [m1_g], exact),
+            ("a repeated factor of the eliminant", delta * g, [g], exact),
+            ("a dropped factor", g.exact_div(y1 - y0q), [g], "the eliminant does not divide"),
+            ("an extra factor", delta * (y1 + seven), [g], "det M divides no power"),
+            ("y0 * delta, no y0 content in g", delta * y0q, [g], "different variable factors"),
         ]
         for case, d, el, expected in table:
             if expected == exact:
@@ -121,9 +134,10 @@ class TestEliminant:
                 continue
             with pytest.raises(MismatchError, match=expected) as err:
                 compare_discriminants(d, el)
-            if expected == "radical mismatch":
-                d_sf, e_sf = err.value.witness
-                assert d_sf != e_sf, case
+            if len(el) == 1:
+                assert str(err.value).startswith("radical mismatch: "), case
+                assert err.value.witness == (d.pretty(), el[0].pretty()), case
+
 
 
 QR = ("u", "tau")
@@ -157,7 +171,7 @@ def test_characteristic_polynomial_has_the_minimal_polynomials_roots(
     assert _characteristic_polynomial(gb) == (charpoly, dimension)
     reference, D = minimal_polynomial(gb, "tau")
     assert (reference, D) == (minpoly, dimension)
-    assert squarefree_part(charpoly) == squarefree_part(minpoly)
+    assert compare_discriminants(charpoly, [minpoly]).verdict == "equal radicals (exact)"
 
 
 def test_characteristic_polynomial_of_a_unit_ideal_is_one():
@@ -205,7 +219,7 @@ class TestLineCheck:
         M = [[e * (y0 - y1) for e in data.M[0]]] + data.M[1:]
         delta, wrong = det_poly_matrix(data.M), det_poly_matrix(M)
         assert wrong == delta * (y0 - y1)
-        assert squarefree_part(wrong) == squarefree_part(delta)
+        assert compare_discriminants(wrong, [delta]).verdict == "equal radicals (exact)"
         line = r"on the line y = \[-5, 9\] \+ \[-7, -1\]\*tau: det M .* not a constant times"
         with pytest.raises(MismatchError, match=line):
             line_check(quadric_icis, M, seed=1)
@@ -271,7 +285,8 @@ class TestLineCheck:
                 minpoly, _ = minimal_polynomial(gb, "tau")
                 assert D == line.quotient_dimension, case
                 assert charpoly.total_degree() == D, case
-                assert squarefree_part(charpoly) == squarefree_part(minpoly), case
+                verdict = compare_discriminants(charpoly, [minpoly]).verdict
+                assert verdict == "equal radicals (exact)", case
                 # det M on the line is a constant times the characteristic
                 # polynomial, which is monic: the constant is det's leading
                 # coefficient
@@ -489,6 +504,20 @@ class TestEvalFront:
         rep_rays = sample_front(WAVE, LevelSet(CUSP, Fraction(1), 5), [0.5], count=5)
         rep = eval_front_on_samples(one, rep_rays.samples, Fraction(1))
         assert rep.max_scaled_residual > 0.5
+
+    def test_a_nan_residual_is_the_worst(self):
+        # max() passes over a NaN that does not come first; the NaN sample
+        # must make the maximum NaN, so no tolerance passes it
+        ring = ("x1", "x2", "t")
+        phi = MultiPoly.variable(ring, "x1") - MultiPoly.constant(ring, 2)
+        samples = [
+            RaySample((0.0, 0.0), 0, 0.5, (x, 0.0), 0.0, 0.0, 0.0) for x in (1.0, nan, 5.0)
+        ]
+        rep = eval_front_on_samples(phi, samples, Fraction(1))
+        assert isnan(rep.max_scaled_residual)
+        assert rep.worst is samples[1]
+        rep = eval_front_on_samples(phi, samples[::2], Fraction(1))
+        assert rep.max_scaled_residual == 1 / 3 and rep.worst is samples[0]
 
     def test_residuals_match_eval_float_bit_for_bit(self):
         # the coefficients are converted once; each residual must still be

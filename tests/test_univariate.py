@@ -1,18 +1,12 @@
-"""Tests of gcdtools: the multivariate PRS gcd and squarefree parts."""
+"""Tests of gcdtools: squarefree parts by proof, or None."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lerayfront.gcdtools import (
-    GCD_STEP_BUDGET,
-    MODULUS,
-    _Budget,
-    _gcd,
-    probably_squarefree,
-    squarefree_part,
-)
+from lerayfront.gcdtools import MODULUS, probably_squarefree, squarefree_part
 from lerayfront.poly import MultiPoly
 
 F = Fraction
@@ -23,60 +17,17 @@ A = MultiPoly.variable(RING, "a")
 B = MultiPoly.variable(RING, "b")
 
 
-def test_multivariate_gcd():
-    p = (A + B) ** 2 * (A - B)
-    q = (A + B) * (A * B + MultiPoly.constant(RING, 1))
-    g = _gcd(p, q, _Budget(max_terms=200_000))
-    assert g == (A + B) or g == -(A + B)
-
-
-def test_gcd_of_monomials_takes_no_steps():
-    ring = ("y0", "y3")
-    y0 = MultiPoly.variable(ring, "y0")
-    y3 = MultiPoly.variable(ring, "y3")
-    assert _gcd(y3**30, y3**27, _Budget(max_terms=200_000)) == y3**27
-    budget = _Budget(max_terms=10)
-    assert _gcd((3 * y0**2 * y3**30), (-2 * y0 * y3**27), budget) == y0 * y3**27
-    assert budget.left == GCD_STEP_BUDGET
-
-
 def test_squarefree_part_multivariate():
-    p = (A + B) ** 3 * (A - 2 * B)
-    sf = squarefree_part(p)
-    expected = ((A + B) * (A - 2 * B)).primitive_part()
-    assert sf == expected
+    p = (A + B) * (A - B.scale(2))
+    assert squarefree_part(p.scale(F(-3, 2))) == p.primitive_part()
+    # a repeated factor is not proven squarefree: no squarefree part
+    assert squarefree_part((A + B) ** 3 * (A - B.scale(2))) is None
 
 
 def test_probably_squarefree_proof_direction():
     p = (A + B) * (A - B) * (A * B - MultiPoly.constant(RING, 2))
     assert probably_squarefree(p)
     assert not probably_squarefree((A + B) ** 2 * (A - B))
-
-
-@settings(max_examples=25)
-@given(
-    st.lists(
-        st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-4, 4)),
-        min_size=1,
-        max_size=3,
-    )
-)
-def test_squarefree_of_square_drops_multiplicity(terms):
-    p = MultiPoly(RING, {e: F(c) for e, c in terms})
-    if p.is_zero() or p.is_constant():
-        return
-    sf = squarefree_part(p * p)
-    # sf divides p*p and has no square factors: its square divides (p*p) too
-    assert (p * p).exact_div(sf) is not None
-
-
-def _prs_squarefree(p: MultiPoly) -> MultiPoly:
-    """Reference route: p / gcd(p, all partials) by the PRS gcd alone."""
-    p = p.primitive_part()
-    g = p
-    for v in p.variables_used():
-        g = _gcd(g, p.partial(v), _Budget(max_terms=200_000))
-    return p.exact_div(g).primitive_part()
 
 
 SMALL_POLY = st.lists(
@@ -86,13 +37,30 @@ SMALL_POLY = st.lists(
 ).map(lambda terms: MultiPoly(RING, {e: F(c) for e, c in terms}))
 
 
-@settings(max_examples=40, deadline=None)
-@given(SMALL_POLY, SMALL_POLY, st.integers(0, 3), st.integers(0, 3))
-def test_squarefree_part_matches_prs_route(q, r, a, b):
-    p = A**a * B**b * q * q * r
-    if p.is_zero():
+@settings(max_examples=25)
+@given(SMALL_POLY)
+def test_square_has_no_squarefree_part_unless_a_monomial(p):
+    if p.is_zero() or p.is_constant():
         return
-    assert squarefree_part(p) == _prs_squarefree(p)
+    sf = squarefree_part(p * p)
+    if len(p.terms) == 1:
+        # a monomial's square: its variables, each once
+        (e,) = p.terms
+        assert sf == MultiPoly(RING, {tuple(min(k, 1) for k in e): F(1)})
+    else:
+        assert sf is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.tuples(st.integers(1, 3), st.integers(-3, 3), st.integers(1, 3)), max_size=3))
+def test_distinct_linear_factors_are_proven_squarefree(forms):
+    # a*A + b*B + c with a, c > 0 has no monomial factor, and two such forms
+    # with coprime coefficients are proportional only when equal
+    p = MultiPoly.constant(RING, 1)
+    for a, b, c in forms:
+        if gcd(a, b, c) == 1:
+            p = p * (A.scale(a) + B.scale(b) + MultiPoly.constant(RING, c))
+    assert squarefree_part(A * A * B * p) == (A * B * p).primitive_part()
 
 
 def test_prime_dividing_leading_coefficient_is_no_proof():
@@ -101,10 +69,10 @@ def test_prime_dividing_leading_coefficient_is_no_proof():
     # stops that from passing as a proof
     f = A.scale(MODULUS) + MultiPoly.constant(RING, 1)
     assert not probably_squarefree(f * f)
-    assert squarefree_part(f * f) == f
+    assert squarefree_part(f * f) is None
     g = (A * B).scale(MODULUS) + MultiPoly.constant(RING, 1)
     assert not probably_squarefree(g * g)
-    assert squarefree_part(g * g) == g.primitive_part()
+    assert squarefree_part(g * g) is None
 
 
 def test_monomial_content_is_split_off():
