@@ -22,6 +22,15 @@ set.  The width is the bit length of the largest degree a call starts from
 term); a new working term with a guard bit set overflowed, and the call
 re-runs at twice the width, so no result depends on it.  Pair bookkeeping
 and staircases read the exponent tuples back from the low fields.
+
+``eliminate`` first substitutes away every dropped variable z that a
+generator gives as c*z + r, c a nonzero constant and z not in r: z becomes
+-r/c in the other generators (``poly.pullback``) and leaves the ring.  The
+quotient algebras over the kept variables are isomorphic, so the
+elimination ideal is the same; its reduced basis in the keep block's
+grevlex, which the substitution leaves alone, is unique (Cox, Little and
+O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 §7 and ch. 3 §1), so the
+output is too.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import ResourceLimitError, RingMismatchError
-from .poly import Exponents, MultiPoly, grevlex_descending
+from .poly import Exponents, MultiPoly, grevlex_descending, pullback
 
 # A cached head: packed leading monomial, leading coefficient and the other
 # packed terms of a primitive integer polynomial, leading coefficient > 0.
@@ -396,15 +405,52 @@ def standard_monomials(gb: GroebnerBasis) -> Staircase:
     return Staircase(finite=True, monomials=out)
 
 
+def _isolated(g: MultiPoly, i: int) -> bool:
+    """Whether g = c*x_i + r, with c a nonzero constant and x_i absent from r."""
+    unit = tuple(int(j == i) for j in range(len(g.ring)))
+    return [e for e in g.terms if e[i]] == [unit]
+
+
+def _substitute(gens: list[MultiPoly], n: int, i: int) -> list[MultiPoly]:
+    """The generators but gens[n] = c*x_i + r, with x_i replaced by -r/c, in the ring without x_i.
+
+    A zero image drops the terms that hold x_i; a nonzero one goes through
+    ``pullback``, each image kept as an integer multiple of itself, which
+    generates the same ideal.  Generators that become zero are left out.
+    """
+    g, others = gens[n], gens[:n] + gens[n + 1 :]
+    ring = g.ring[:i] + g.ring[i + 1 :]
+    c = next(v for e, v in g.terms.items() if e[i])
+    rest = {e[:i] + e[i + 1 :]: -v / c for e, v in g.terms.items() if not e[i]}
+    if not rest:
+        out = [{e[:i] + e[i + 1 :]: v for e, v in h.terms.items() if not e[i]} for h in others]
+    else:
+        images = [MultiPoly.variable(ring, v) for v in ring]
+        images.insert(i, MultiPoly(ring, rest))
+        split = [h.integer_terms() for h in others]
+        rows, _ = pullback([[t] for t, _ in split], [d for _, d in split], images, ring)
+        out = [row[0] for row in rows]
+    return [MultiPoly(ring, t) for t in out if t]
+
+
 def eliminate(
     gens: Sequence[MultiPoly],
     drop: Sequence[str],
     max_pairs: int = 100_000,
 ) -> list[MultiPoly]:
-    """Generators of the elimination ideal in the kept variables.
+    """The reduced grevlex basis of the elimination ideal in the kept variables.
 
-    Uses a block order with the dropped variables in the front block; the
-    result is re-rung to keep-variables only.
+    First, while a generator is c*z + r with z a dropped variable, c a
+    nonzero constant and z absent from r, that generator goes, z becomes
+    -r/c in the others (``_substitute``) and leaves the ring.  This is an
+    isomorphism of k[keep]-algebras k[z, rest]/I = k[rest]/I', so I and I'
+    meet k[keep] in the same ideal.  Then Buchberger runs on what is left,
+    in a block order with the remaining dropped variables in the front
+    block; its elements free of them are the reduced basis of that ideal
+    in the keep block's grevlex (the Elimination Theorem).  The keep block
+    is untouched and a reduced basis is unique, so the output, re-rung to
+    the kept variables, is the one the unsubstituted ideal gives.
+    ``max_pairs`` counts the S-pairs of the substituted ideal.
     """
     if not gens:
         return []
@@ -413,14 +459,15 @@ def eliminate(
     for v in drop:
         if v not in ring:
             raise RingMismatchError(f"cannot drop unknown variable {v}")
-    keep = [v for v in ring if v not in drop]
-    perm_ring = tuple(drop + keep)
-    permuted = [g.rename_ring(perm_ring) for g in gens]
-    order = MonomialOrder("block", split=len(drop))
-    gb = groebner(permuted, order, max_pairs=max_pairs)
+    keep = tuple(v for v in ring if v not in drop)
+    gens = [g.rename_ring(drop + list(keep)) for g in gens if not g.is_zero()]
+    while hit := next(
+        ((n, i) for n, g in enumerate(gens) for i in range(len(drop)) if _isolated(g, i)), None
+    ):
+        gens = _substitute(gens, *hit)
+        del drop[hit[1]]
+    if not gens:
+        return []
     k = len(drop)
-    out = []
-    for g in gb.generators:
-        if all(all(e[i] == 0 for i in range(k)) for e in g.terms):
-            out.append(g.rename_ring(tuple(keep)))
-    return out
+    gb = groebner(gens, MonomialOrder("block", split=k), max_pairs=max_pairs)
+    return [g.rename_ring(keep) for g in gb.generators if not any(any(e[:k]) for e in g.terms)]

@@ -2,7 +2,8 @@
 
 Nothing here touches the lattice machinery.  The critical-value locus comes
 from Groebner elimination on the graph-plus-minors ideal
-(``phase.critical_ideal`` with y_l left as variables) and is compared with
+(``phase.critical_ideal`` with y_l left as variables), whose generators
+c*u + r first give away their u (``groebner.eliminate``), and is compared with
 det M exactly, by divisibility: the eliminant divides det M, which divides
 a power of it (``compare_discriminants``).  When a resource cap stops the
 eliminant, both sides are restricted to seeded integer lines instead

@@ -23,6 +23,7 @@ from lerayfront.groebner import (
     _width,
     standard_monomials,
 )
+from lerayfront.parser import parse_poly
 from lerayfront.poly import MultiPoly, monomials_of_weight
 
 groebner_module = importlib.import_module("lerayfront.groebner")
@@ -145,6 +146,83 @@ class TestEliminate:
         y = MultiPoly.variable(ring, "y")
         out = eliminate([u1**2 + u2**3 - y, 2 * u1, 3 * u2**2], ["u1", "u2"])
         assert [p.pretty() for p in out] == ["y"]
+
+
+UY = ("u1", "u2", "y1", "y2")
+
+
+def block_eliminant(gens, k):
+    """The old path of ``eliminate``, from public functions: the elements of the
+    block-order basis free of the first k variables.  Small caps, since some
+    random block-order ideals run away; None when one is hit."""
+    try:
+        gb = groebner(
+            gens, MonomialOrder("block", split=k), max_pairs=40, max_degree=10, max_poly_terms=400
+        )
+    except ResourceLimitError:
+        return None
+    keep = gens[0].ring[k:]
+    return [g.rename_ring(keep) for g in gb.generators if not any(any(e[:k]) for e in g.terms)]
+
+
+def uy_polys(max_size, free=None):
+    """Small polynomials in (u1, u2, y1, y2); with ``free`` set, u_free does not occur."""
+    exponent = st.integers(0, 2)
+    term = st.tuples(
+        st.tuples(*(st.just(0) if j == free else exponent for j in range(4))),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    )
+    return st.lists(term, min_size=0 if free is not None else 1, max_size=max_size).map(
+        lambda ts: MultiPoly(UY, {e: Fraction(c) for e, c in ts})
+    )
+
+
+class TestLinearSubstitution:
+    """Dropped variables given linearly by a generator are substituted away
+    before Buchberger; the eliminant is the one the block order gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(uy_polys(3), min_size=1, max_size=3),
+        st.integers(0, 1),
+        st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool),
+        st.data(),
+    )
+    def test_planted_linear_generator(self, gens, i, c, data):
+        rest = data.draw(uy_polys(3, free=i))
+        planted = MultiPoly.variable(UY, UY[i]).scale(c) + rest
+        gens = [planted, *gens]
+        expected = block_eliminant([g for g in gens if not g.is_zero()], 2)
+        if expected is None:
+            return  # past the reference's small caps
+        assert eliminate(gens, ["u1", "u2"]) == expected
+
+    @pytest.mark.parametrize("text", ["y*u + 1", "u + u*y", "u^2 + y", "u*y - 1"])
+    def test_rule_does_not_fire(self, text, monkeypatch):
+        ring = ("u", "y")
+        u, y = (MultiPoly.variable(ring, v) for v in ring)
+        g = parse_poly(text, ring=ring)
+        gens = [g, u**3 - y**2 + u * y]
+        expected = block_eliminant(gens, 1)
+
+        def fired(*args):
+            raise AssertionError("substituted")
+
+        monkeypatch.setattr(groebner_module, "_substitute", fired)
+        assert eliminate(gens, ["u"]) == expected
+
+    def test_unit_ideal(self):
+        ring = ("u", "y")
+        u = MultiPoly.variable(ring, "u")
+        out = eliminate([2 * u, u + MultiPoly.constant(ring, 1)], ["u"])
+        assert out == [MultiPoly.constant(("y",), 1)]
+
+    def test_no_dropped_variable_left(self):
+        ring = ("u", "y")
+        u, y = (MultiPoly.variable(ring, v) for v in ring)
+        out = eliminate([u - y, u**2 - y], ["u"])
+        assert [p.pretty() for p in out] == ["y^2 - y"]
+        assert out[0].ring == ("y",)
 
 
 def _sign(x):
