@@ -74,7 +74,8 @@ from .linalg import ColumnSpan, SparseEchelon
 from .phase import IcisMap, bind_coordinates, critical_staircase
 # unused here, but perfbench's tracer test looks the name up on this module
 from .phase import critical_ideal_gens  # noqa: F401
-from .poly import Exponents, MultiPoly, _sum_of_products, monomials_of_weight, pack, unpack, weight
+from .poly import Exponents, MultiPoly, _sum_of_products, monomials_of_weight, pack, product
+from .poly import unpack, weight
 
 ONE = Fraction(1)
 # The most row monomials one graded piece of the lattice may have; a larger
@@ -168,16 +169,17 @@ class _Packed:
 
     Packed metas: ("phi", j, beta) is ``pack(beta + (j,))`` and ("eta", J,
     delta) is ``pack(delta + (code of J,))``, so u^gamma shifts a meta by one
-    integer add.  Holds phi_j, D's components, the f powers and the eta
-    columns packed, the collapse's memo and the metas of its keys; widening
-    the fields replaces it.
+    integer add.  Holds phi_j, D's components, the f_l and their powers and
+    the eta columns packed, the collapse's memo and the metas of its keys;
+    widening the fields replaces it.
     """
 
     def __init__(self, ctx: "LatticeContext", width: int):
         self.width = width
         self.phi = [pack(m, width) for m in ctx.phi.monomials]
         self.D = {I: (_pack_terms(t, width), den) for I, (t, den) in ctx.d_terms.items()}
-        self.fpow: dict[tuple[int, ...], tuple[dict[int, int], int]] = {}
+        self.f = [(_pack_terms(g, width), den) for g, den in ctx._f_int]
+        self.fpow: dict[tuple[int, ...], tuple[dict[int, int], int]] = {(0,) * ctx.K: ({0: 1}, 1)}
         self.eta: dict[tuple, tuple[dict[int, int], int]] = {}
         self.memo: dict[int, tuple[int, dict[int, int], dict[int, int]]] = {}
         self.names: dict[str, dict[int, tuple]] = {"phi": {}, "eta": {}}  # key -> meta
@@ -256,31 +258,14 @@ class LatticeContext:
             self.packed = _Packed(self, width)
 
     def f_power_int(self, beta: tuple[int, ...]) -> tuple[dict[Exponents, int], int]:
-        """f^beta as integer terms over one denominator (the components may be rational).
-
-        Steps down one factor at a time to a power already taken, then
-        multiplies back up, so a large exponent costs no recursion depth.
-        """
-        path = []
-        low = beta
-        while low not in self._fpow_int:
-            l = next(i for i, b in enumerate(low) if b)
-            path.append((low, l))
-            low = low[:l] + (low[l] - 1,) + low[l + 1 :]
-        terms, den = self._fpow_int[low]
-        for high, l in reversed(path):
-            g, gden = self._f_int[l]
-            terms, den = _sum_of_products(((terms, g, 1),)), den * gden
-            self._fpow_int[high] = terms, den
-        return terms, den
+        """f^beta as integer terms over one denominator, one ``poly.product`` per factor."""
+        return _power(self._fpow_int, beta, self._f_int, lambda a, g: product([a, g], self.nvars))
 
     def f_power_packed(self, beta: tuple[int, ...]) -> tuple[dict[int, int], int]:
-        """``f_power_int`` in the fields of ``packed``."""
-        got = self.packed.fpow.get(beta)
-        if got is None:
-            terms, den = self.f_power_int(beta)
-            got = self.packed.fpow[beta] = _pack_terms(terms, self.packed.width), den
-        return got
+        """``f_power_int`` in the fields of ``packed`` (no guard bits: their weight bound
+        holds f^beta and every power below it)."""
+        pk = self.packed
+        return _power(pk.fpow, beta, pk.f, lambda a, g: _sum_of_products(((a, g, 1),), 0))
 
     def w_minor(self, r: int, J: tuple[int, ...]) -> MultiPoly:
         """Top coefficient of D ^ du_r ^ du_J (zero when indices collide)."""
@@ -411,6 +396,21 @@ def _piece_solver(ctx: LatticeContext, coeff_weight: int) -> ColumnSpan:
             if not poly.is_zero():
                 span.add(poly.terms, ("eta", J, delta))
     return span
+
+
+def _power(cache: dict, beta: tuple[int, ...], factors: list, times) -> tuple[dict, int]:
+    """f^beta over one denominator: steps down one factor at a time to a power in ``cache``,
+    then multiplies back up by factors[l] with ``times`` (no recursion depth), caching each."""
+    path, low = [], beta
+    while low not in cache:
+        l = next(i for i, b in enumerate(low) if b)
+        path.append((low, l))
+        low = low[:l] + (low[l] - 1,) + low[l + 1 :]
+    terms, den = cache[low]
+    for high, l in reversed(path):
+        g, gden = factors[l]
+        terms, den = cache[high] = times(terms, g), den * gden
+    return terms, den
 
 
 def _pack_terms(terms: dict[Exponents, int], width: int) -> dict[int, int]:

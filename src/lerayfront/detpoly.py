@@ -2,17 +2,18 @@
 
 ``det_poly_matrix`` (``det_bareiss``) is fraction-free Bareiss elimination
 over Z[y]: each row of M is scaled to integer coefficients, the elimination
-runs on ``{exponents: int}`` dicts, and the product of the row scales is
-divided out once, at the end.  By the Sylvester identity each step's
-division by the previous pivot is exact in Z[y]; the one heap-ordered
-exact division ``poly.exact_div_int`` takes it.  The symbolic discriminant
-and the Jacobian minors (``phase``) use it.
+runs on packed monomials, one int each, whose fields hold twice the
+row/column bound of the entries' exponents below the guard bits, and the
+product of the row scales is divided out once, at the end.  By the
+Sylvester identity each step's division by the previous pivot is exact in
+Z[y]; the one heap-ordered exact division ``poly.exact_div_int`` takes it.
+The symbolic discriminant and the Jacobian minors (``phase``) use it.
 
 ``det_probed`` is the front pullback's determinant.  It takes M(y)
 pulled back by ``poly.pullback``, the one substitution, as integer rows,
 {exponents: int} dicts over one scale per row (``wavefront``).  It peels
-single-entry rows and columns (the peeled entries multiply as integer
-terms over the product of their rows' scales), divides out common
+single-entry rows and columns (the peeled entries multiply, packed, as
+integer terms over the product of their rows' scales), divides out common
 exponent factors, probes each variable's degree, valuation v and
 exponent step g (and the total degree, when that costs fewer
 determinants than it can save), interpolates on the lower set those
@@ -60,7 +61,8 @@ from typing import Iterator, Sequence
 
 from .errors import MismatchError, ResourceLimitError
 from .linalg import det_int
-from .poly import MultiPoly, _reduced, _sum_of_products, exact_div_int, pullback
+from .poly import MultiPoly, _reduced, _sum_of_products, exact_div_int, guarded_fields
+from .poly import pack_terms, product, pullback, unpack
 
 # Most integer determinants one interpolation grid (a lower set) may take;
 # the flagship front's grid has 1,487 points at s = 1 and 14,599 with
@@ -87,14 +89,19 @@ def det_bareiss(M: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     """Exact det M by fraction-free Bareiss elimination over Z[y].
 
     Each row is scaled to integer coefficients by the lcm of its
-    denominators, elimination runs on ``{exponents: int}`` dicts, and the
-    result is divided by the product of the row scales once, at the end.
-    By the Sylvester identity every step's division by the previous pivot is
-    exact in Z[y]; the heap-ordered ``poly.exact_div_int`` takes it, so no
-    step makes a Fraction or rescans a remainder.
+    denominators and packed once; det is unpacked and divided by the product
+    of the row scales once, at the end.  Every Bareiss entry is a minor, of
+    degree at most the row/column bound B of the entries' largest exponents
+    in each variable, and every numerator a sum of products of two, so the
+    fields take the bound 2B.  By the Sylvester identity every step's
+    division by the previous pivot is exact in Z[y]; ``poly.exact_div_int``
+    takes it, so no step makes a Fraction or rescans a remainder.
     """
     ring = M[0][0].ring
-    m, scales = _row_scaled_entries(M)
+    entries, scales = _row_scaled_entries(M)
+    bound = _row_col_bound(entries, lambda p: max(chain.from_iterable(p), default=0))
+    width, guard = guarded_fields(2 * bound, len(ring))
+    m = [[pack_terms(p, width) for p in row] for row in entries]
     n = len(m)
     sign = 1
     prev = None
@@ -110,12 +117,13 @@ def det_bareiss(M: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
         for rowi in m[k + 1 :]:
             mik = rowi[k]
             for j in range(k + 1, n):
-                num = _sum_of_products(((pkk, rowi[j], 1), (mik, rowk[j], -1)))
-                rowi[j] = num if prev is None else exact_div_int(num, prev)
+                num = _sum_of_products(((pkk, rowi[j], 1), (mik, rowk[j], -1)), guard)
+                rowi[j] = num if prev is None else exact_div_int(num, prev, guard)
             rowi[k] = {}
         prev = pkk
     scale = prod(scales)
-    return MultiPoly(ring, {e: Fraction(sign * c, scale) for e, c in m[n - 1][n - 1].items()})
+    det = m[n - 1][n - 1].items()
+    return MultiPoly(ring, {unpack(e, width, len(ring)): Fraction(sign * c, scale) for e, c in det})
 
 
 def degree_bounds(M: Sequence[Sequence[dict]], nvars: int) -> list[int]:
@@ -228,7 +236,7 @@ def det_probed(
     if compressed:
         terms = _map_exponents(terms, mul, parity)
     den *= prod(core_scales) * factor_scale
-    terms = _sum_of_products(((factor, terms, 1),))
+    terms = product([factor, terms], len(ring))
     return MultiPoly(ring, {e: Fraction(c, den) for e, c in terms.items()}), record
 
 
@@ -269,13 +277,13 @@ def _peel_single_entries(M: list[list[dict]], scales: list[int], ring: tuple[str
 
     Returns (factor, its scale, reduced integer rows, their scales);
     repeated until no such row or column remains.  The factor is the
-    signed product of the peeled entries as integer terms, over the product
-    of their rows' scales, and each row left is divided by the gcd of its
-    scale and its content (``_reduced``), since a peeled column may have
-    held a row's only denominator.  Exact, and it shrinks both the matrix
-    and the interpolation grid.
+    product of the peeled entries as integer terms (``poly.product``), over
+    the product of their rows' scales and Laplace signs, and each row left
+    is divided by the gcd of its scale and its content (``_reduced``), since
+    a peeled column may have held a row's only denominator.  Exact, and it
+    shrinks both the matrix and the interpolation grid.
     """
-    factor, factor_scale = {(0,) * len(ring): 1}, 1
+    peeled, factor_scale = [], 1
     m = [list(row) for row in M]
     scales = list(scales)
     while m:
@@ -289,11 +297,12 @@ def _peel_single_entries(M: list[list[dict]], scales: list[int], ring: tuple[str
         if not single:
             break
         i, j = single[0]
-        factor = _sum_of_products(((factor, m[i][j], (-1) ** (i + j)),))
-        factor_scale *= scales[i]
+        peeled.append(m[i][j])
+        factor_scale *= (-1) ** (i + j) * scales[i]
         m = [[m[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
         del scales[i]
     reduced = [_reduced(row, scale) for row, scale in zip(m, scales)]
+    factor = product(peeled, len(ring))
     return factor, factor_scale, [row for row, _ in reduced], [scale for _, scale in reduced]
 
 

@@ -2,21 +2,21 @@
 
 The system data is the matrix M(y) = sum_l (-1)^l p_l y_l P^(l)(y) together
 with L_V = diag(l_1..l_mu); the discriminant is det M, taken by Bareiss
-over Z[y] on the row-scaled matrix, with each exact division one
-heap-ordered ``poly.exact_div_int`` (``detpoly.det_poly_matrix``), and
-divided by the row scales once.  Flatness of the induced connection is
-verified exactly at random rational points off the discriminant: one
-``detpoly._IntegerEvaluator`` holds M and the P^(l) as integer terms over
-one denominator and reads off its interned monomials the first partials
-that the test reads, d_k M for every k and d_k P^(l) for k != l (no
-derivative is built as a polynomial).  A point costs one table of scaled
-monomials, one pass over all terms, one fraction-free integer
-inverse of M (``linalg.inverse_int``), K dense products N R_k and K(K-1)
-products on the nonzero entries of the P^(l).  K = 1 systems expose their
-classical local exponents as a bridge to known special cases: the roots of
-the pencil determinant det(lam p0 P(0) - L_V P(0) + p0 I), taken on the line
-engine of ``detpoly.line_determinant`` and read by exact deflation with the
-values (l_i - p0) / p0 that the weights predict.
+over Z[y] on the row-scaled matrix, packed once into one int per monomial,
+with each exact division one heap-ordered ``poly.exact_div_int`` on those
+ints (``detpoly.det_poly_matrix``), and divided by the row scales once.
+Flatness of the induced connection is verified exactly at random rational
+points off the discriminant: one ``detpoly._IntegerEvaluator`` holds M and
+the P^(l) as integer terms over one denominator and reads off its interned
+monomials the first partials that the test reads, d_k M for every k and
+d_k P^(l) for k != l (no derivative is built as a polynomial).  A point
+costs one table of scaled monomials, one pass over all terms, one
+fraction-free integer inverse of M (``linalg.inverse_int``), K dense
+products N R_k and K(K-1) products on the nonzero entries of the P^(l).
+K = 1 systems expose their classical local exponents as a bridge to known
+special cases: the roots of the pencil determinant det(lam p0 P(0) - L_V
+P(0) + p0 I), taken on the line engine of ``detpoly.line_determinant`` and
+read by exact deflation with the values (l_i - p0) / p0 that they predict.
 """
 
 from __future__ import annotations

@@ -10,9 +10,15 @@ the key finds a leading term, and a plain sort lists terms from the largest
 down.  ``grevlex_descending`` is the default order, used for canonical
 printing and for Groebner bases.
 
-``exact_div_int`` is the one exact division: heap-ordered, on integer
-polynomials as ``{exponents: int}`` dicts.  ``MultiPoly.exact_div`` and the
-Bareiss determinant (``detpoly.det_bareiss``) both run on it.
+The integer kernels run on packed monomials: ``pack``/``unpack`` turn an
+exponent tuple into one int of fixed-width bit fields and back, so a
+monomial product is one int add.  ``guarded_fields`` is the one width rule:
+a proven exponent bound's bit length plus a guard bit that a field past the
+bound sets.  ``_sum_of_products`` is the one product and ``exact_div_int``
+the one exact division, heap-ordered; each caller packs once at entry and
+unpacks once at exit: the Bareiss determinant (``detpoly.det_bareiss``),
+``MultiPoly.exact_div``, ``product`` and ``pullback``.  The lattice
+reductions in ``brieskorn`` pack too; ``MultiPoly`` keeps tuple exponents.
 
 ``pullback`` is the one substitution, a ring map on integer rows over row
 scales; ``poly_substitute`` is its 1 x 1 case, and the front pullback
@@ -23,18 +29,16 @@ scales; ``poly_substitute`` is its 1 x 1 case, and the front pullback
 float coefficients and nonzero exponents, summed with ``math.fsum``.
 ``MultiPoly.eval_float`` and the level-set and ray sampling in ``oracle``
 run on it.
-
-``pack``/``unpack`` turn an exponent tuple into one int of fixed-width bit
-fields and back, for kernels whose inner loops add exponents (the lattice
-reductions in ``brieskorn``); ``MultiPoly`` keeps tuple exponents.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import fsum, gcd, lcm, prod
-from operator import add, le, mul, sub
+from operator import gt, mul, or_
 from typing import Callable, Mapping, Sequence
 
 from .errors import RingMismatchError
@@ -72,6 +76,8 @@ def pack(e: Exponents, width: int) -> int:
 
 def unpack(key: int, width: int, n: int) -> Exponents:
     """The n fields of a packed key, the last one open: the inverse of ``pack``."""
+    if not n:
+        return ()
     mask = (1 << width) - 1
     out = []
     for _ in range(n - 1):
@@ -81,45 +87,63 @@ def unpack(key: int, width: int, n: int) -> Exponents:
     return tuple(out)
 
 
-def exact_div_int(a: Mapping[Exponents, int], d: Mapping[Exponents, int]) -> dict[Exponents, int]:
-    """Exact quotient a / d of integer polynomials ({exponents: int} dicts).
+def guarded_fields(bound: int, n: int) -> tuple[int, int]:
+    """The width of n packed fields for exponents up to a proven ``bound`` (its bit length
+    and a guard bit on top: two fields below their guard bits add without a carry) and
+    the mask of the n guard bits, one of which a field past the bound sets."""
+    width = bound.bit_length() + 1
+    return width, pack((1 << (width - 1),) * n, width)
 
-    Heap-ordered division (Monagan and Pearce, 2007): the remainder's
-    exponents sit in a min-heap under ``grevlex_descending``, each key
-    computed once as its exponent enters, and each step pops the largest
-    remainder term and cancels it with one quotient term times d.  The
-    popped exponents strictly decrease, so the remainder is never rescanned.
-    An exponent whose coefficient cancelled stays in the heap and is skipped
-    when popped.  Raises ValueError as soon as the leading exponent or
-    coefficient of d does not divide the largest remainder term.
+
+def pack_terms(terms: Mapping[Exponents, int], width: int) -> dict[int, int]:
+    """Terms on packed keys; OverflowError if an exponent reaches its field's guard bit."""
+    if max(chain.from_iterable(terms), default=0) >> (width - 1):
+        raise OverflowError(f"an exponent reaches the guard bit of {width}-bit fields")
+    return {pack(e, width): c for e, c in terms.items()}
+
+
+def exact_div_int(a: Mapping[int, int], d: Mapping[int, int], guard: int) -> dict[int, int]:
+    """Exact quotient a / d of integer polynomials on packed keys ({key: int} dicts).
+
+    Heap-ordered division (Monagan and Pearce, 2007) in the int order of the
+    keys, a lex order (an exact quotient does not depend on it): each step
+    pops the largest remainder key (negated in a min-heap; the popped keys
+    strictly decrease, and a cancelled one is skipped) and cancels it with
+    one quotient term times d.  The terms of a and d lie below the guard bits
+    ``guard``; every quotient and remainder term of an exact division lies in
+    the Newton polytope of a, so a popped key with a set guard bit raises
+    ValueError, as does a leading exponent (e - lt sets a guard bit) or
+    coefficient of d that does not divide the largest remainder term.
     """
     if not d:
         raise ZeroDivisionError("division by zero polynomial")
-    lt = min(d, key=grevlex_descending)
+    lt = max(d)
     lc = d[lt]
     tail = [(e, c) for e, c in d.items() if e != lt]
     work = dict(a)
-    heap = [(grevlex_descending(e), e) for e in work]
+    heap = [-e for e in work]
     heapify(heap)
-    q: dict[Exponents, int] = {}
+    q: dict[int, int] = {}
     while heap:
-        e = heappop(heap)[1]
+        e = -heappop(heap)
         c = work.pop(e, None)
         if c is None:
             continue
-        if not all(map(le, lt, e)):
+        if e & guard:
+            raise ValueError("not exactly divisible: a remainder exponent leaves the degree box")
+        shift = e - lt
+        if shift & guard:
             raise ValueError("not exactly divisible: leading exponent does not divide")
         qc, r = divmod(c, lc)
         if r:
             raise ValueError("not exactly divisible: leading coefficient does not divide")
-        shift = tuple(map(sub, e, lt))
         q[shift] = qc
         for ge, gc in tail:
-            te = tuple(map(add, ge, shift))
+            te = ge + shift
             old = work.get(te)
             if old is None:
                 work[te] = -qc * gc
-                heappush(heap, (grevlex_descending(te), te))
+                heappush(heap, -te)
             else:
                 s = old - qc * gc
                 if s:
@@ -129,17 +153,30 @@ def exact_div_int(a: Mapping[Exponents, int], d: Mapping[Exponents, int]) -> dic
     return q
 
 
-def _sum_of_products(triples) -> dict[Exponents, int]:
-    """The sum of sign * x * y over (x, y, sign) triples of {exponents: int} dicts."""
+def _sum_of_products(triples, guard: int) -> dict[int, int]:
+    """The sum of sign * x * y over (x, y, sign) triples of packed {key: int} dicts, one int
+    add per monomial product; OverflowError if a term's guard bit (``guard``) is set."""
     out: dict = {}
     get = out.get
     for x, y, sign in triples:
         for e1, c1 in x.items():
             c1 *= sign
             for e2, c2 in y.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
-    return {e: v for e, v in out.items() if v}
+    out = {e: v for e, v in out.items() if v}
+    if reduce(or_, out, 0) & guard:
+        raise OverflowError("a packed exponent reached its guard bit: its bound is wrong")
+    return out
+
+
+def product(factors: Sequence[Mapping[Exponents, int]], n: int) -> dict[Exponents, int]:
+    """The product of {exponents: int} polynomials in n variables, on packed keys."""
+    width, guard = guarded_fields(sum(max(chain.from_iterable(p), default=0) for p in factors), n)
+    out = {0: 1}
+    for p in factors:
+        out = _sum_of_products(((out, pack_terms(p, width), 1),), guard)
+    return {unpack(key, width, n): c for key, c in out.items()}
 
 
 def _reduced(row: list[dict], scale: int) -> tuple[list[dict], int]:
@@ -171,28 +208,34 @@ def pullback(
     content.
     """
     images = [g.integer_terms() for g in images]
-    nvars = len(images)
-    one = {(0,) * len(ring): 1}
-    powers = []  # powers[l][k] = g_l^k
-    for l, (g, _) in enumerate(images):
+    nvars, n = len(images), len(ring)
+    highest = [max((e[l] for row in rows for p in row for e in p), default=0) for l in range(nvars)]
+    # y^e has degree at most sum_l e_l * (largest exponent of g_l) in each variable of ring
+    bound = sum(t * max(chain.from_iterable(g), default=0) for t, (g, _) in zip(highest, images))
+    width, guard = guarded_fields(bound, n)
+    one = {0: 1}
+    powers = []  # powers[l][k] = g_l^k, packed
+    for (g, _), top in zip(images, highest):
         table = [one]
-        for _ in range(max((e[l] for row in rows for p in row for e in p), default=0)):
-            table.append(_sum_of_products(((table[-1], g, 1),)))
+        if top:  # g_l is within the bound only where y_l occurs
+            g = pack_terms(g, width)
+        for _ in range(top):
+            table.append(_sum_of_products(((table[-1], g, 1),), guard))
         powers.append(table)
     expanded = {(0,) * nvars: one}
 
     def expand(e: Exponents) -> dict:
-        """prod_l g_l^e_l: the last nonzero power times the expansion of the rest,
-        each prefix expanded once, the shortest first."""
-        chain = []  # e and its prefixes not yet expanded, the longest first
+        """prod_l g_l^e_l, packed: the last nonzero power times the expansion of the
+        rest, each prefix expanded once, the shortest first."""
+        path = []  # e and its prefixes not yet expanded, the longest first
         prefix = e
         while prefix not in expanded:
             l = max(i for i, k in enumerate(prefix) if k)
-            chain.append((prefix, l))
+            path.append((prefix, l))
             prefix = prefix[:l] + (0,) * (nvars - l)
-        for f, l in reversed(chain):
+        for f, l in reversed(path):
             rest = expanded[f[:l] + (0,) * (nvars - l)]
-            expanded[f] = _sum_of_products(((rest, powers[l][f[l]], 1),))
+            expanded[f] = _sum_of_products(((rest, powers[l][f[l]], 1),), guard)
         return expanded[e]
 
     out_rows, out_scales = [], []
@@ -208,7 +251,7 @@ def pullback(
                 k = c * prod(map(list.__getitem__, cofactors, e))
                 for e2, c2 in expand(e).items():
                     out[e2] = get(e2, 0) + k * c2
-            entries.append({e: c for e, c in out.items() if c})
+            entries.append({unpack(e, width, n): c for e, c in out.items() if c})
         entries, scale = _reduced(entries, scale * prod(table[0] for table in cofactors))
         out_rows.append(entries)
         out_scales.append(scale)
@@ -524,17 +567,24 @@ class MultiPoly:
         With self = a / m and d = g * b / n, where a and b are integer
         polynomials and b is primitive, self/d = (a / b) * n / (m * g).  By
         Gauss's lemma a / b lies in Z[y] whenever it lies in Q[y], so the one
-        integer kernel ``exact_div_int`` takes it, and a division that is not
-        exact over Q fails there too.
+        kernel ``exact_div_int`` takes it, packed in fields for a's largest
+        exponent: a b outside a's degree box, or any inexact division, fails.
         """
         self._check(d)
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         a, m = self.integer_terms()
         b, n = d.integer_terms()
+        if not a:
+            return MultiPoly.zero(self.ring)
+        tops, r = [max(column) for column in zip(*a)], len(self.ring)
+        if any(any(map(gt, e, tops)) for e in b):
+            raise ValueError("not exactly divisible: the divisor leaves the degree box")
+        width, guard = guarded_fields(max(tops, default=0), r)
         g = gcd(*b.values())
-        q = exact_div_int(a, {e: c // g for e, c in b.items()})
-        return MultiPoly(self.ring, {e: Fraction(c * n, m * g) for e, c in q.items()})
+        b = pack_terms({e: c // g for e, c in b.items()}, width)
+        q = exact_div_int(pack_terms(a, width), b, guard).items()
+        return MultiPoly(self.ring, {unpack(e, width, r): Fraction(c * n, m * g) for e, c in q})
 
     # -- printing --------------------------------------------------------
 

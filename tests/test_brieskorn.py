@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import pytest
@@ -189,7 +190,8 @@ class TestCollapse:
                 assert a.verify(collapsed) and b.verify(direct)
                 count += 1
             assert count == icis.K * phi.mu
-            dens = {den for _, den in collapsed._fpow_int.values()}
+            powers = chain(collapsed._fpow_int.values(), collapsed.packed.fpow.values())
+            dens = {den for _, den in powers}
             assert (dens != {1}) == (icis is half_icis)
 
     def test_shift_identity_on_the_flagship(self, wave_cusp_pipeline):

@@ -283,6 +283,54 @@ def test_bareiss_matches_leibniz_on_row_scaled_matrices():
     M = [[one, one, zero], [one, one, a], [zero, one.scale(2), a]]
     assert det_bareiss(M) == _leibniz(M) == a.scale(Fraction(-2, 9))
     assert swapped >= 5 and zero_rows >= 10
+    # exponents 2^k - 1 and 2^k on both sides of a field width boundary, so
+    # the packed fields are at the smallest width their degree bound allows
+    for trial in range(60):
+        n, k = 1 + trial % 3, 1 + trial % 4
+        M = [
+            [
+                MultiPoly(
+                    ring,
+                    {
+                        tuple(rng.choice((0, 1, 2**k - 1, 2**k)) for _ in ring): rng.randint(-5, 5)
+                        for _ in range(rng.randint(0, 3))
+                    },
+                )
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        assert det_bareiss(M) == _leibniz(M), M
+
+
+def test_bareiss_in_the_empty_ring():
+    M = [[MultiPoly.constant((), c) for c in row] for row in ([2, 1], [3, 5])]
+    assert det_bareiss(M) == MultiPoly.constant((), 7)
+
+
+def test_bareiss_guard_bit_raises_on_too_narrow_fields(monkeypatch):
+    # a degree bound cut to a third makes the fields too narrow for some
+    # products: a set guard bit raises and never yields a wrong determinant
+    y = MultiPoly.variable(("y",), "y")
+    one = MultiPoly.constant(("y",), 1)
+    bound = detpoly._row_col_bound
+    monkeypatch.setattr(detpoly, "_row_col_bound", lambda M, degree: bound(M, degree) // 3)
+    # the bound 8 becomes 2: 4-bit fields hold y^4, and y^4 * y^4 sets the guard bit
+    with pytest.raises(OverflowError, match="guard bit"):
+        det_bareiss([[y**4, one], [one, y**4]])
+    rng = random.Random(38)
+    ring = ("a", "b")
+    raised = 0
+    for trial in range(60):
+        n = 2 + trial % 2
+        M = [[_random_poly(rng, 3, ring) for _ in range(n)] for _ in range(n)]
+        try:
+            det = det_bareiss(M)
+        except OverflowError:
+            raised += 1
+            continue
+        assert det == _leibniz(M), M
+    assert 20 <= raised <= 50
 
 
 def test_zero_column():

@@ -1,16 +1,21 @@
 from fractions import Fraction
+from itertools import chain
 from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lerayfront import poly
 from lerayfront.errors import RingMismatchError
 from lerayfront.poly import (
     MultiPoly,
+    _sum_of_products,
     exact_div_int,
+    guarded_fields,
     monomials_of_weight,
     pack,
+    pack_terms,
     poly_substitute,
     unpack,
     weight,
@@ -106,10 +111,24 @@ class TestBasics:
         # a coefficient that does not divide: x1 + 1 over 2*x1 + 1
         with pytest.raises(ValueError):
             (X1 + one).exact_div(2 * X1 + one)
+        # the kernel on packed keys: 2-bit fields hold exponents up to 1
+        width, guard = guarded_fields(1, 2)
+        a = pack_terms({(1, 0): 1, (0, 0): 1}, width)
         with pytest.raises(ValueError, match="coefficient"):
-            exact_div_int({(1, 0): 1, (0, 0): 1}, {(1, 0): 2, (0, 0): 1})
+            exact_div_int(a, pack_terms({(1, 0): 2, (0, 0): 1}, width), guard)
         with pytest.raises(ValueError, match="exponent"):
-            exact_div_int({(1, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 2})
+            exact_div_int(a, pack_terms({(1, 0): 1, (0, 0): 2}, width), guard)
+
+    def test_exact_div_raises_outside_the_degree_box(self):
+        # a divisor of larger degree than the dividend
+        with pytest.raises(ValueError, match="box"):
+            X1.exact_div(X1**2)
+        with pytest.raises(ValueError, match="box"):
+            (X1**3 * X2).exact_div(X1 * X2**2 + X2)
+        # x1^3 x2 / (x2 + x1^2): the first quotient term x1^3 leaves the remainder
+        # -x1^5, past the dividend's x1-degree 3 and its 3-bit fields' guard bit
+        with pytest.raises(ValueError, match="box"):
+            (X1**3 * X2).exact_div(X2 + X1**2)
 
     @settings(max_examples=150, deadline=None)
     @given(rational_polys(), rational_polys())
@@ -120,8 +139,10 @@ class TestBasics:
         # the integer kernel on integer multiples of a and d, d not primitive
         A = a.integer_terms()[0]
         B = {e: 2 * c for e, c in d.integer_terms()[0].items()}
-        AB = (MultiPoly(R2, A) * MultiPoly(R2, B)).terms
-        assert exact_div_int({e: int(c) for e, c in AB.items()}, B) == A
+        AB = {e: int(c) for e, c in (MultiPoly(R2, A) * MultiPoly(R2, B)).terms.items()}
+        width, guard = guarded_fields(max(chain.from_iterable([*AB, *B])), 2)
+        q = exact_div_int(pack_terms(AB, width), pack_terms(B, width), guard)
+        assert _unpack_terms(q, width) == A
 
     @settings(max_examples=150, deadline=None)
     @given(rational_polys(), rational_polys())
@@ -248,6 +269,48 @@ def test_pack_round_trips_and_adds_like_tuples(data):
     tag = data.draw(st.integers(0, 10**9))
     assert unpack(pack(a + (tag,), width), width, n + 1) == a + (tag,)
     assert pack(a + (tag,), width) + pack(b + (0,), width) == pack(tuple(map(add, a, b)) + (tag,), width)
+
+
+def _unpack_terms(terms, width, n=2):
+    return {unpack(key, width, n): c for key, c in terms.items()}
+
+
+def test_unpack_in_the_empty_ring():
+    for bound in (0, 1, 100):
+        width, guard = guarded_fields(bound, 0)
+        assert pack((), width) == guard == 0
+        assert unpack(pack((), width), width, 0) == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_polys(max_exp=5), rational_polys(max_exp=5))
+def test_packed_kernels_at_the_smallest_width(a, d):
+    # the fields take the product's largest exponent plus the guard bit and
+    # no more; product and quotient agree with MultiPoly's tuple arithmetic
+    if a.is_zero() or d.is_zero():
+        return
+    A, B = a.integer_terms()[0], d.integer_terms()[0]
+    AB = {e: int(c) for e, c in (MultiPoly(R2, A) * MultiPoly(R2, B)).terms.items()}
+    bound = max(chain.from_iterable(AB))
+    width, guard = guarded_fields(bound, 2)
+    packed = _sum_of_products(((pack_terms(A, width), pack_terms(B, width), 1),), guard)
+    assert _unpack_terms(packed, width) == AB
+    assert _unpack_terms(exact_div_int(packed, pack_terms(B, width), guard), width) == A
+    if bound:
+        # one bit narrower, the largest exponent reaches the guard bit: a
+        # factor does not pack, or the product raises
+        narrow, guard = guarded_fields(bound >> 1, 2)
+        with pytest.raises(OverflowError, match="guard bit"):
+            _sum_of_products(((pack_terms(A, narrow), pack_terms(B, narrow), 1),), guard)
+
+
+def test_exact_div_never_returns_a_quotient_past_its_fields(monkeypatch):
+    # fields one bit too narrow: (x1 + x2)^2 does not fit, and the division
+    # raises instead of dividing wrapped exponents
+    narrow = poly.guarded_fields
+    monkeypatch.setattr(poly, "guarded_fields", lambda bound, n: narrow(bound >> 1, n))
+    with pytest.raises(OverflowError, match="guard bit"):
+        ((X1 + X2) ** 2).exact_div(X1 + X2)
 
 
 class TestGradedParts:
