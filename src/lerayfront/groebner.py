@@ -1,8 +1,12 @@
 """Groebner bases over the rationals: Buchberger with Gebauer-Moeller pruning.
 
-Desk-scale by design: ideals in at most a dozen variables.  Hard resource
-caps (pair count, lcm degree) turn runaway eliminations into structured
-errors instead of hangs.
+Desk-scale by design: ideals in at most a dozen variables.  Three caps
+raise ResourceLimitError: ``max_pairs`` bounds the number of S-pairs
+reduced, ``max_degree`` the total degree of each S-pair's lcm, and
+``max_poly_terms`` the working plus remainder terms of one S-polynomial's
+reduction.  None of them bounds time: a reduction within all three can
+still run for minutes (a three-generator ideal in 3 variables under a block
+order runs past 120 s with ``max_pairs=200, max_degree=12``).
 
 Every reduction (normal forms, S-polynomials, the input generators and the
 final inter-reduction) runs one kernel, ``_reduce``: heap-ordered reduction
@@ -30,7 +34,13 @@ quotient algebras over the kept variables are isomorphic, so the
 elimination ideal is the same; its reduced basis in the keep block's
 grevlex, which the substitution leaves alone, is unique (Cox, Little and
 O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 §7 and ch. 3 §1), so the
-output is too.
+output is too.  Buchberger's main loop then runs as for ``groebner``, but
+the final phase (drop the non-minimal leading terms, inter-reduce, make
+monic) finishes only the elements whose leading monomial is free of the
+dropped block: the block order puts that block first, so those elements are
+free of it in every term, and a head holding a dropped variable divides no
+such monomial.  They reduce to the remainders the full basis gives them,
+and the rest would be thrown away (on wave/parabola 1 of 19 is finished).
 """
 
 from __future__ import annotations
@@ -48,6 +58,10 @@ from .poly import Exponents, MultiPoly, grevlex_descending, pullback
 # A cached head: packed leading monomial, leading coefficient and the other
 # packed terms of a primitive integer polynomial, leading coefficient > 0.
 Head = tuple[int, int, list[tuple[int, int]]]
+
+# groebner's default caps on the S-pair lcm degree and the working terms
+MAX_DEGREE = 60
+MAX_POLY_TERMS = 30_000
 
 
 @dataclass(frozen=True)
@@ -245,8 +259,8 @@ def groebner(
     gens: Iterable[MultiPoly],
     order: MonomialOrder = GREVLEX,
     max_pairs: int = 100_000,
-    max_degree: int = 60,
-    max_poly_terms: int = 30_000,
+    max_degree: int = MAX_DEGREE,
+    max_poly_terms: int = MAX_POLY_TERMS,
 ) -> GroebnerBasis:
     """Reduced Groebner basis by Buchberger's algorithm.
 
@@ -254,6 +268,12 @@ def groebner(
     criterion).  Raises ResourceLimitError when caps are hit.  The basis is
     held as integer heads; each element is made monic over Q on output.
     """
+    return _groebner(gens, order, 0, max_pairs, max_degree, max_poly_terms)
+
+
+def _groebner(gens, order, drop, max_pairs, max_degree, max_poly_terms) -> GroebnerBasis:
+    """``groebner``, finishing only the elements whose leading monomial is free
+    of the first ``drop`` variables: all of them when ``drop`` is 0."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty generator list")
@@ -264,13 +284,15 @@ def groebner(
     while True:
         try:
             packing = _Packing(order, len(ring), width)
-            return _buchberger(gens, packing, max_pairs, max_degree, max_poly_terms)
+            return _buchberger(gens, packing, drop, max_pairs, max_degree, max_poly_terms)
         except _Overflow:
             width *= 2
 
 
-def _buchberger(gens, packing: _Packing, max_pairs, max_degree, max_poly_terms) -> GroebnerBasis:
-    """``groebner`` at one field width; raises ``_Overflow`` past it."""
+def _buchberger(
+    gens, packing: _Packing, drop, max_pairs, max_degree, max_poly_terms
+) -> GroebnerBasis:
+    """``_groebner`` at one field width; raises ``_Overflow`` past it."""
     guard = packing.guard
     heads: list[Head] = []
     lts: list[Exponents] = []
@@ -326,11 +348,13 @@ def _buchberger(gens, packing: _Packing, max_pairs, max_degree, max_poly_terms) 
         if s:
             add_poly(s)
 
-    # reduce: drop redundant generators, then fully inter-reduce
+    # finish the elements whose leading monomial is free of the first `drop`
+    # variables: discard the redundant ones, then fully inter-reduce the rest
+    free = [i for i, t in enumerate(lts) if not any(t[:drop])]
     kept = [
         i
-        for i, t in enumerate(lts)
-        if not any(_divides(lts[j], t) for j in range(len(lts)) if j != i and (lts[j] != t or j < i))
+        for i in free
+        if not any(_divides(lts[j], lts[i]) for j in free if j != i and (lts[j] != lts[i] or j < i))
     ]
     reduced = []
     for n, i in enumerate(kept):
@@ -447,9 +471,12 @@ def eliminate(
     meet k[keep] in the same ideal.  Then Buchberger runs on what is left,
     in a block order with the remaining dropped variables in the front
     block; its elements free of them are the reduced basis of that ideal
-    in the keep block's grevlex (the Elimination Theorem).  The keep block
-    is untouched and a reduced basis is unique, so the output, re-rung to
-    the kept variables, is the one the unsubstituted ideal gives.
+    in the keep block's grevlex (the Elimination Theorem).  Only those are
+    finished: an element whose leading monomial is free of the block is
+    free of it in every term, and no head holding a dropped variable
+    divides it, so each is the element the full reduced basis holds.  The
+    keep block is untouched and a reduced basis is unique, so the output,
+    re-rung to the kept variables, is the one the unsubstituted ideal gives.
     ``max_pairs`` counts the S-pairs of the substituted ideal.
     """
     if not gens:
@@ -469,5 +496,5 @@ def eliminate(
     if not gens:
         return []
     k = len(drop)
-    gb = groebner(gens, MonomialOrder("block", split=k), max_pairs=max_pairs)
-    return [g.rename_ring(keep) for g in gb.generators if not any(any(e[:k]) for e in g.terms)]
+    gb = _groebner(gens, MonomialOrder("block", split=k), k, max_pairs, MAX_DEGREE, MAX_POLY_TERMS)
+    return [g.rename_ring(keep) for g in gb.generators]

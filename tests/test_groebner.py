@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lerayfront.errors import ResourceLimitError
@@ -17,12 +17,14 @@ from lerayfront.groebner import (
     groebner,
     normal_form,
     _Overflow,
+    _isolated,
     _Packing,
     _reduce,
     _spoly,
     _width,
     standard_monomials,
 )
+from lerayfront.oracle import critical_locus_eliminant
 from lerayfront.parser import parse_poly
 from lerayfront.poly import MultiPoly, monomials_of_weight
 
@@ -223,6 +225,64 @@ class TestLinearSubstitution:
         out = eliminate([u - y, u**2 - y], ["u"])
         assert [p.pretty() for p in out] == ["y^2 - y"]
         assert out[0].ring == ("y",)
+
+
+def _finished_count(calls):
+    """The final phase's ``_reduce`` calls: those after the last S-pair
+    reduction, the only calls that pass a term cap."""
+    n = 0
+    for max_terms in reversed(calls):
+        if max_terms is not None:
+            break
+        n += 1
+    return n
+
+
+class TestEliminationBlock:
+    """Buchberger under ``eliminate`` finishes only the basis elements whose
+    leading monomial is free of the drop block; the eliminant is the one the
+    full reduced basis gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(uy_polys(3), min_size=1, max_size=3))
+    def test_drop_block_survives(self, gens):
+        gens = [g for g in gens if not g.is_zero()]
+        assume(gens and not any(_isolated(g, i) for g in gens for i in range(2)))
+        expected = block_eliminant(gens, 2)
+        if expected is None:
+            return  # past the reference's small caps
+        assert eliminate(gens, ["u1", "u2"]) == expected
+
+    def test_wave_parabola_finishes_one_element(self, wave_parabola_icis, monkeypatch):
+        calls, runs = [], []
+        reduce, run = groebner_module._reduce, groebner_module._groebner
+
+        def counting(terms, heads, guard, max_terms=None):
+            calls.append(max_terms)
+            return reduce(terms, heads, guard, max_terms)
+
+        def recording(gens, order, drop, *caps):
+            runs.append((gens, order, drop))
+            return run(gens, order, drop, *caps)
+
+        monkeypatch.setattr(groebner_module, "_reduce", counting)
+        monkeypatch.setattr(groebner_module, "_groebner", recording)
+        out = critical_locus_eliminant(wave_parabola_icis)
+        assert [len(p.terms) for p in out] == [288]
+        assert _finished_count(calls) == 1
+        [(gens, order, drop)] = runs
+        assert (order, drop) == (MonomialOrder("block", split=1), 1)
+        calls.clear()
+        gb = groebner(gens, order)
+        assert len(gb.generators) == 19
+        assert _finished_count(calls) == 19
+        free = [g for g in gb.generators if not any(e[0] for e in g.terms)]
+        assert [g.rename_ring(wave_parabola_icis.y_names()) for g in free] == out
+
+    def test_pair_cap(self, wave_parabola_icis):
+        with pytest.raises(ResourceLimitError) as info:
+            critical_locus_eliminant(wave_parabola_icis, max_pairs=3)
+        assert (info.value.kind, info.value.limit) == ("pairs", 3)
 
 
 def _sign(x):
