@@ -700,9 +700,7 @@ def _fbasis_graded(icis: IcisMap, mu: int, weight_cap: int):
                     weights.append(d)
     if len(found) < mu:
         raise CapExceededError(
-            f"found {len(found)} of {mu} basis forms below weight cap {weight_cap}",
-            found=len(found),
-            needed=mu,
+            f"found {len(found)} of {mu} basis forms below weight cap {weight_cap}"
         )
     # closed representatives: correct by i_E(d omega)/weight
     closed = []

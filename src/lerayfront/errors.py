@@ -87,11 +87,6 @@ class NotIsolatedError(LerayfrontError):
 class CapExceededError(LerayfrontError):
     exit_code = 10
 
-    def __init__(self, message, found=None, needed=None):
-        super().__init__(message)
-        self.found = found
-        self.needed = needed
-
 
 class ReductionNoSolutionError(LerayfrontError):
     exit_code = 11
@@ -116,10 +111,6 @@ class ResourceLimitError(LerayfrontError):
 
 class CurvatureNonzeroError(LerayfrontError):
     exit_code = 15
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
 
 
 class MismatchError(LerayfrontError):

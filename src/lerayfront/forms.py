@@ -5,6 +5,14 @@ strictly increasing k-index-subsets to polynomial coefficients.  The three
 operations needed downstream are the wedge product, the exterior derivative,
 and contraction with the Euler vector field sum(v_i u_i d/du_i), given by
 its weight tuple v.
+
+A ``DiffForm`` is built one of two ways, as a ``MultiPoly`` is.  The
+checked constructor, ``DiffForm(ring, degree, components)``, takes input
+from outside the class: it checks each index set and component ring and
+merges repeated index sets.  ``DiffForm._raw`` wraps a result that the
+operations here have already built clean, with no check.  Every sum of
+two components, in the constructor and in the operations, goes through
+``_merge``, which drops a zero sum.
 """
 
 from __future__ import annotations
@@ -44,9 +52,16 @@ class DiffForm:
                     raise ValueError(f"index {idx} out of range for {n} variables")
                 if p.ring != self.ring:
                     raise RingMismatchError("component ring mismatch")
-                if not p.is_zero():
-                    comps[idx] = comps[idx] + p if idx in comps else p
-        self.components = {k: v for k, v in comps.items() if not v.is_zero()}
+                _merge(comps, idx, p)
+        self.components = comps
+
+    @classmethod
+    def _raw(cls, ring: tuple[str, ...], degree: int, components: dict) -> "DiffForm":
+        """A result, unchecked: ``components`` maps increasing index sets of size
+        ``degree`` to nonzero polynomials in ``ring``, owned by the new form."""
+        out = cls.__new__(cls)
+        out.ring, out.degree, out.components = ring, degree, components
+        return out
 
     @classmethod
     def zero(cls, ring: Sequence[str], degree: int) -> "DiffForm":
@@ -72,14 +87,8 @@ class DiffForm:
             raise RingMismatchError("cannot add forms of different type")
         comps = dict(self.components)
         for idx, p in other.components.items():
-            s = comps[idx] + p if idx in comps else p
-            if s.is_zero():
-                comps.pop(idx, None)
-            else:
-                comps[idx] = s
-        out = DiffForm.__new__(DiffForm)
-        out.ring, out.degree, out.components = self.ring, self.degree, comps
-        return out
+            _merge(comps, idx, p)
+        return DiffForm._raw(self.ring, self.degree, comps)
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
         return self + other.scale(Fraction(-1))
@@ -88,24 +97,14 @@ class DiffForm:
         return self.scale(Fraction(-1))
 
     def scale(self, c) -> "DiffForm":
-        out = DiffForm.__new__(DiffForm)
-        out.ring, out.degree = self.ring, self.degree
-        if c == 0:
-            out.components = {}
-        else:
-            out.components = {i: p.scale(c) for i, p in self.components.items()}
-        return out
+        comps = {i: p.scale(c) for i, p in self.components.items()} if c != 0 else {}
+        return DiffForm._raw(self.ring, self.degree, comps)
 
     def mul_poly(self, q: MultiPoly) -> "DiffForm":
         if q.ring != self.ring:
             raise RingMismatchError("coefficient ring mismatch")
-        out = DiffForm.__new__(DiffForm)
-        out.ring, out.degree = self.ring, self.degree
-        if q.is_zero():
-            out.components = {}
-        else:
-            out.components = {i: p * q for i, p in self.components.items()}
-        return out
+        comps = {i: p * q for i, p in self.components.items()} if not q.is_zero() else {}
+        return DiffForm._raw(self.ring, self.degree, comps)
 
     def __repr__(self):
         if not self.components:
@@ -115,6 +114,15 @@ class DiffForm:
             legs = "^".join(f"d{self.ring[i]}" for i in idx) or "1"
             bits.append(f"({self.components[idx].pretty()}) {legs}")
         return "DiffForm[" + " + ".join(bits) + "]"
+
+
+def _merge(comps: dict[IndexSet, MultiPoly], idx: IndexSet, q: MultiPoly) -> None:
+    """Add q into comps[idx], dropping the entry when the sum is zero."""
+    s = comps[idx] + q if idx in comps else q
+    if s.is_zero():
+        comps.pop(idx, None)
+    else:
+        comps[idx] = s
 
 
 def _merge_indices(a: IndexSet, b: IndexSet) -> tuple[IndexSet, int] | None:
@@ -152,16 +160,8 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
                 continue
             idx, sign = m
             q = pa * pb
-            if sign < 0:
-                q = -q
-            s = comps[idx] + q if idx in comps else q
-            if s.is_zero():
-                comps.pop(idx, None)
-            else:
-                comps[idx] = s
-    out = DiffForm.__new__(DiffForm)
-    out.ring, out.degree, out.components = a.ring, deg, comps
-    return out
+            _merge(comps, idx, q if sign > 0 else -q)
+    return DiffForm._raw(a.ring, deg, comps)
 
 
 def wedge_all(forms: Sequence[DiffForm]) -> DiffForm:
@@ -187,15 +187,8 @@ def exterior_d(a: DiffForm) -> DiffForm:
             if m is None:
                 continue
             midx, sign = m
-            q = dp if sign > 0 else -dp
-            s = comps[midx] + q if midx in comps else q
-            if s.is_zero():
-                comps.pop(midx, None)
-            else:
-                comps[midx] = s
-    out = DiffForm.__new__(DiffForm)
-    out.ring, out.degree, out.components = a.ring, a.degree + 1, comps
-    return out
+            _merge(comps, midx, dp if sign > 0 else -dp)
+    return DiffForm._raw(a.ring, a.degree + 1, comps)
 
 
 def d_of_poly(p: MultiPoly) -> DiffForm:
@@ -214,16 +207,8 @@ def contract_euler(a: DiffForm, weights: Sequence[int]) -> DiffForm:
         for k, i in enumerate(idx):
             rest = idx[:k] + idx[k + 1 :]
             coeff = p.mul_term(_unit_exp(len(a.ring), i), Fraction(weights[i]))
-            if k % 2 == 1:
-                coeff = -coeff
-            s = comps[rest] + coeff if rest in comps else coeff
-            if s.is_zero():
-                comps.pop(rest, None)
-            else:
-                comps[rest] = s
-    out = DiffForm.__new__(DiffForm)
-    out.ring, out.degree, out.components = a.ring, a.degree - 1, comps
-    return out
+            _merge(comps, rest, -coeff if k % 2 else coeff)
+    return DiffForm._raw(a.ring, a.degree - 1, comps)
 
 
 def _unit_exp(n: int, i: int) -> tuple[int, ...]:

@@ -267,8 +267,6 @@ def flatness_check(
                         d * (sign[l] * p - sign[k] * q) + sign[l] * x - sign[k] * y
                         for p, q, x, y in zip(dP_lk[i], dP_kl[i], XR_lk[r], XR_kl[r])
                     ):
-                        raise CurvatureNonzeroError(
-                            f"curvature nonzero at {pt} for pair ({k},{l})", point=pt
-                        )
+                        raise CurvatureNonzeroError(f"curvature nonzero at {pt} for pair ({k},{l})")
         points.append(pt)
     return FlatnessReport(vacuous=False, points=points, checked_pairs=pairs)

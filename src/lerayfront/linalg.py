@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import NoSolutionError
@@ -174,20 +174,12 @@ class ColumnSpan:
 
 def det_fraction(entries: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of a rational matrix via integer-scaled Bareiss."""
-    n = len(entries)
-    if n == 0:
+    if not entries:
         return ONE
-    scale = ONE
-    m: list[list[int]] = []
-    for row in entries:
-        den = 1
-        for x in row:
-            x = Fraction(x)
-            den = den * x.denominator // gcd(den, x.denominator)
-        scale /= den
-        m.append([int(Fraction(x) * den) for x in row])
-    d = det_int(m)
-    return scale * d
+    rows = [[Fraction(x) for x in row] for row in entries]
+    dens = [lcm(*(x.denominator for x in row)) for row in rows]
+    m = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, dens)]
+    return Fraction(det_int(m), prod(dens))
 
 
 def det_int(m: list[list[int]]) -> int:

@@ -1,8 +1,10 @@
 """Recursive-descent parser for polynomial expressions.
 
 Grammar: integer and rational literals (``3``, ``3/4``), identifiers,
-``+ - * ^``, parentheses.  Exponents must be non-negative integers.  Errors
-carry line and column positions.
+``+ - * ^``, parentheses.  Exponents must be non-negative integers.  Digits
+are the decimal digits that ``int`` reads (``str.isdecimal``).  Errors carry
+line and column positions; an expression nested past Python's recursion
+limit is a syntax error at the token where the descent stopped.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             toks.append(_Token("int", text[i:j], line, col))
             col += j - i
@@ -181,7 +183,12 @@ def parse_poly(text: str, ring: tuple[str, ...] | None = None) -> MultiPoly:
             if t.kind == "name" and t.text not in seen:
                 seen.append(t.text)
         ring = tuple(seen)
-    return _Parser(tokens, tuple(ring)).parse()
+    parser = _Parser(tokens, tuple(ring))
+    try:
+        return parser.parse()
+    except RecursionError:
+        t = parser.peek()
+        raise ExpressionSyntaxError("expression nested too deeply", t.line, t.col) from None
 
 
 def poly_to_text(p: MultiPoly) -> str:

@@ -10,6 +10,12 @@ the key finds a leading term, and a plain sort lists terms from the largest
 down.  ``grevlex_descending`` is the default order, used for canonical
 printing and for Groebner bases.
 
+A ``MultiPoly`` is built one of two ways.  The checked constructor,
+``MultiPoly(ring, terms)``, takes input from outside the class (the parser,
+the JSON readers, a caller's dict): it coerces coefficients, drops zeros
+and checks each exponent tuple.  ``MultiPoly._raw`` wraps a result that the
+class's own arithmetic has already built clean, with no check.
+
 The integer kernels run on packed monomials: ``pack``/``unpack`` turn an
 exponent tuple into one int of fixed-width bit fields and back, so a
 monomial product is one int add.  ``guarded_fields`` is the one width rule:
@@ -271,7 +277,7 @@ class MultiPoly:
     nonzero Fractions.  Equality is structural (same ring, same terms).
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Sequence[str], terms: Mapping[Exponents, Fraction] | None = None):
         self.ring = tuple(ring)
@@ -296,7 +302,14 @@ class MultiPoly:
                 else:
                     del clean[e]
         self.terms = clean
-        self._hash = None
+
+    @classmethod
+    def _raw(cls, ring: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "MultiPoly":
+        """A result, unchecked: ``ring`` a tuple, ``terms`` nonzero Fractions on
+        exponent tuples of its length, owned by the new polynomial."""
+        out = cls.__new__(cls)
+        out.ring, out.terms = ring, terms
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -350,9 +363,7 @@ class MultiPoly:
                 res.pop(e, None)
             else:
                 res[e] = s
-        out = MultiPoly.__new__(MultiPoly)
-        out.ring, out.terms, out._hash = self.ring, res, None
-        return out
+        return MultiPoly._raw(self.ring, res)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
@@ -363,16 +374,10 @@ class MultiPoly:
                 res.pop(e, None)
             else:
                 res[e] = s
-        out = MultiPoly.__new__(MultiPoly)
-        out.ring, out.terms, out._hash = self.ring, res, None
-        return out
+        return MultiPoly._raw(self.ring, res)
 
     def __neg__(self) -> "MultiPoly":
-        out = MultiPoly.__new__(MultiPoly)
-        out.ring = self.ring
-        out.terms = {e: -c for e, c in self.terms.items()}
-        out._hash = None
-        return out
+        return MultiPoly._raw(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
@@ -390,9 +395,7 @@ class MultiPoly:
                     res.pop(e, None)
                 else:
                     res[e] = s
-        out = MultiPoly.__new__(MultiPoly)
-        out.ring, out.terms, out._hash = self.ring, res, None
-        return out
+        return MultiPoly._raw(self.ring, res)
 
     __rmul__ = __mul__
 
@@ -400,21 +403,15 @@ class MultiPoly:
         c = _coerce(c)
         if c == 0:
             return MultiPoly.zero(self.ring)
-        out = MultiPoly.__new__(MultiPoly)
-        out.ring = self.ring
-        out.terms = {e: c * v for e, v in self.terms.items()}
-        out._hash = None
-        return out
+        return MultiPoly._raw(self.ring, {e: c * v for e, v in self.terms.items()})
 
     def mul_term(self, e0: Exponents, c) -> "MultiPoly":
         c = _coerce(c)
         if c == 0:
             return MultiPoly.zero(self.ring)
-        out = MultiPoly.__new__(MultiPoly)
-        out.ring = self.ring
-        out.terms = {tuple(x + y for x, y in zip(e, e0)): c * v for e, v in self.terms.items()}
-        out._hash = None
-        return out
+        return MultiPoly._raw(
+            self.ring, {tuple(x + y for x, y in zip(e, e0)): c * v for e, v in self.terms.items()}
+        )
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
@@ -436,9 +433,7 @@ class MultiPoly:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.ring, frozenset(self.terms.items())))
 
     # -- structure -----------------------------------------------------
 
@@ -484,20 +479,12 @@ class MultiPoly:
                 res.pop(e2, None)
             else:
                 res[e2] = s
-        out = MultiPoly.__new__(MultiPoly)
-        out.ring, out.terms, out._hash = self.ring, res, None
-        return out
+        return MultiPoly._raw(self.ring, res)
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer-primitive; 0 for the zero poly."""
-        if not self.terms:
-            return ZERO
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        terms, den = self.integer_terms()
+        return Fraction(gcd(*terms.values()), den)
 
     def integer_terms(self) -> tuple[dict[Exponents, int], int]:
         """Integer terms and the denominator d with self = terms / d."""

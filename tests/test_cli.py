@@ -365,6 +365,10 @@ BAD_INPUTS = [
     ("front cancels to zero", write_spec, dict(M1_SPEC, front="x1 - x1"), [], 5),
     ("operator not monic", write_spec, dict(M1_SPEC, operator="2*tau"), [], 2),
     ("zero denominator", write_spec, dict(M1_SPEC, front="x1^2 + x2^3 + 1/0"), [], 3),
+    # past Python's recursion limit, and a digit that int() does not read
+    ("deep nesting", write_spec, dict(M1_SPEC, front="(" * 1000 + "x1" + ")" * 1000), [], 3),
+    ("2000 minus signs", write_spec, dict(M1_SPEC, operator="-" * 2000 + "tau"), [], 3),
+    ("superscript exponent", write_spec, dict(M1_SPEC, front="x1^\u00b2 + x2^3"), [], 3),
     ("weights not positive", write_spec, dict(M1_SPEC, options={"weights": [0, 2]}), [], 2),
     (
         "--weights, constant term",

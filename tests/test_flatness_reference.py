@@ -68,9 +68,7 @@ def reference_flatness_points(data, sample_points: int, seed: int) -> list[dict]
             for l in range(k + 1, K):
                 C = dA(l, f"y{k}") - dA(k, f"y{l}") + A[l] * A[k] - A[k] * A[l]
                 if not C.is_zero():
-                    raise CurvatureNonzeroError(
-                        f"curvature nonzero at {pt} for pair ({k},{l})", point=pt
-                    )
+                    raise CurvatureNonzeroError(f"curvature nonzero at {pt} for pair ({k},{l})")
         points.append(pt)
     return points
 

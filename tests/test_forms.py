@@ -42,6 +42,38 @@ def small_forms(ring=RING, degree=1):
     return st.lists(st.tuples(exps, st.integers(-5, 5)), max_size=4).map(build)
 
 
+RING3 = ("u1", "u2", "u3")
+
+
+def _assert_clean(f):
+    """f equals its copy through the checked constructor and stores no zero component."""
+    assert type(f.ring) is tuple and f == DiffForm(f.ring, f.degree, f.components)
+    assert not any(p.is_zero() for p in f.components.values())
+
+
+class TestResultsAreClean:
+    @settings(max_examples=60)
+    @given(
+        st.data(),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * 3),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            max_size=3,
+        ),
+    )
+    def test_each_result_is_its_checked_copy(self, data, k, l, c, terms):
+        f, g = data.draw(small_forms(RING3, k)), data.draw(small_forms(RING3, k))
+        h = data.draw(small_forms(RING3, l))
+        results = [f + g, f - g, f - f, f + f.scale(-1), f.scale(c), f.scale(0)]
+        results += [f.mul_poly(MultiPoly(RING3, terms)), wedge(f, h), wedge(f, f)]
+        results += [exterior_d(f), exterior_d(exterior_d(f)), contract_euler(f, (3, 2, 1))]
+        for r in results:
+            _assert_clean(r)
+
+
 class TestWedge:
     def test_square_is_zero(self):
         assert wedge(DU1, DU1).is_zero()

@@ -56,6 +56,20 @@ class TestParse:
             parse_poly("x1 + + ^")
         assert ei.value.line == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 1000 + "x1" + ")" * 1000, "-" * 2000 + "x1", "x1^\u00b2", "\u00b2"],
+        ids=["deep parentheses", "many minus signs", "superscript exponent", "superscript"],
+    )
+    def test_bad_text_is_a_syntax_error(self, text):
+        with pytest.raises(ExpressionSyntaxError):
+            parse_poly(text)
+
+    def test_fifty_deep_parentheses_parse(self):
+        x = MultiPoly.variable(("x1",), "x1")
+        assert parse_poly("(" * 50 + "x1 + 1" + ")" * 50) == x + MultiPoly.constant(("x1",), 1)
+        assert parse_poly("-" * 50 + "x1") == x
+
     def test_round_trip(self):
         texts = ["x1^2 + x2^3", "2*x1*x2 - 7", "1/3*x1^4 - x2 + 5/2"]
         for t in texts:

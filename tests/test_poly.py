@@ -346,6 +346,36 @@ class TestRingAxioms:
         assert (p + q) + r == p + (q + r)
 
 
+def _assert_clean(p):
+    """p equals its copy through the checked constructor and stores no zero coefficient."""
+    assert type(p.ring) is tuple and p == MultiPoly(p.ring, p.terms)
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+
+
+class TestResultsAreClean:
+    @settings(max_examples=60)
+    @given(
+        rational_polys(),
+        rational_polys(),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.integers(0, 3),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    )
+    def test_each_result_is_its_checked_copy(self, p, q, c, k, e):
+        results = [p + q, p - q, -p, p * q, p**k, p.scale(c), p.mul_term(e, c), p * 2]
+        results += [p - p, p + -p, p.partial("x1"), p.partial("x2")]
+        for r in results:
+            _assert_clean(r)
+
+    @settings(max_examples=60)
+    @given(rational_polys(), rational_polys())
+    def test_equal_polynomials_hash_alike(self, p, q):
+        assert p * q == q * p and hash(p * q) == hash(q * p)
+        assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+        reordered = MultiPoly(R2, dict(reversed(p.terms.items())))
+        assert reordered == p and hash(reordered) == hash(p)
+
+
 def test_monomials_of_weight():
     out = monomials_of_weight((3, 2), 6)
     assert set(out) == {(2, 0), (0, 3)}
