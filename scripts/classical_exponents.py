@@ -6,18 +6,23 @@ on the critical-value line has exponents (l_j - p0) / p0; classically these
 are j/(k+1) - 1/2 for j = 1..k.  The table below is computed from scratch
 and compared against that closed form; the script prints MISMATCH and exits 1
 when they differ or the pencil determinant does not factor over the
-predicted exponents.
+predicted exponents.  The package is imported from the checkout's src:
+
+    python scripts/classical_exponents.py
 """
 
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
-from lerayfront.brieskorn import gm_matrices
-from lerayfront.errors import NotApplicableError
-from lerayfront.gaussmanin import assemble_system, residue_exponents_K1
-from lerayfront.phase import make_icis
-from lerayfront.poly import MultiPoly
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from lerayfront.brieskorn import gm_matrices  # noqa: E402
+from lerayfront.errors import NotApplicableError  # noqa: E402
+from lerayfront.gaussmanin import assemble_system, residue_exponents_K1  # noqa: E402
+from lerayfront.phase import make_icis  # noqa: E402
+from lerayfront.poly import MultiPoly  # noqa: E402
 
 
 def a_k(k: int):

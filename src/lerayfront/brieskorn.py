@@ -31,16 +31,17 @@ lattice is free, so a piece that has no solution fails with
 ReductionNoSolutionError.
 
 The collapse and the certificate check run in Python ints on packed keys
-(``poly.pack``).  A column meta ("phi", j, beta) or ("eta", J, delta) is one
-int, one bit field per exponent with j or J's index above them, so u^gamma
-shifts a memoised reduction by one integer add per term; metas and
-Fractions come back once, where the certificate is built.  Every weight is
-a positive integer and the data are weighted-homogeneous, so an exponent in
-a reduction of coefficient weight w is at most (w + sum_v) / min weight:
-the fields take that bound's bit length, and past MAX_FIELD_BITS the
-reduction ends with ResourceLimitError (kind "exponent-field").  The check
-expands sum_j P_j(f) phi_j + top(D ^ d(eta)) from f^beta, D's integer
-components and eta's integer partials, never from the solver's columns.
+(``poly.pack``, ``poly.pack_terms``).  A column meta ("phi", j, beta) or
+("eta", J, delta) is one int, one bit field per exponent with j or J's index
+above them, so u^gamma shifts a memoised reduction by one integer add per
+term; metas and Fractions come back once, where the certificate is built.
+Every weight is a positive integer and the data are weighted-homogeneous,
+so an exponent in a reduction of coefficient weight w is at most
+(w + sum_v) / min weight: the fields are ``poly.guarded_fields`` of that
+bound, and a bound longer than MAX_FIELD_BITS bits ends the reduction with
+ResourceLimitError (kind "exponent-field").  The check expands
+sum_j P_j(f) phi_j + top(D ^ d(eta)) from f^beta, D's integer components
+and eta's integer partials, never from the solver's columns.
 On the flagship ``gm_matrices`` takes 0.25 reference s under
 ``perfbench/run.py --trace 1`` and ``reduce_in_lattice`` 0.22 of it (0.59
 and 0.56 with tuple keys and a Fraction re-expansion; BENCH_25.json).
@@ -55,12 +56,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Sequence
 
-from .errors import (
-    CapExceededError,
-    NotIsolatedError,
-    ReductionNoSolutionError,
-    ResourceLimitError,
-)
+from .errors import CapExceededError, ReductionNoSolutionError, ResourceLimitError
 from .forms import (
     DiffForm,
     _merge_indices,
@@ -71,20 +67,20 @@ from .forms import (
     wedge_all,
 )
 from .linalg import ColumnSpan, SparseEchelon
-from .phase import IcisMap, bind_coordinates, critical_staircase
+from .phase import IcisMap, bind_coordinates, critical_staircase, validate_isolated
 # unused here, but perfbench's tracer test looks the name up on this module
 from .phase import critical_ideal_gens  # noqa: F401
-from .poly import Exponents, MultiPoly, _sum_of_products, monomials_of_weight, pack, product
-from .poly import unpack, weight
+from .poly import Exponents, MultiPoly, _sum_of_products, guarded_fields, monomials_of_weight
+from .poly import pack, pack_terms, product, unpack, weight
 
 ONE = Fraction(1)
 # The most row monomials one graded piece of the lattice may have; a larger
 # piece ends the reduction with ResourceLimitError (kind "graded-piece").
 MAX_PIECE = 40_000
-# The widest bit field of a packed exponent; a reduction that needs more ends
-# with ResourceLimitError (kind "exponent-field").  Wider fields would still
-# be exact in Python ints: the cap bounds the size of the keys.  The
-# flagship's reductions need 5 bits.
+# The most bits of a packed exponent, guard bit aside; a reduction that needs
+# more ends with ResourceLimitError (kind "exponent-field").  Wider fields
+# would still be exact in Python ints: the cap bounds the size of the keys.
+# The flagship's reductions need 5 bits.
 MAX_FIELD_BITS = 32
 
 
@@ -117,17 +113,13 @@ class LatticeCertificate:
         """The re-expansion equals the input's top coefficient, compared in integers."""
         acc, den = ctx.expand_certificate(self)
         terms, tden = ctx.top_coefficient(self.input_form).integer_terms()
-        expected = _pack_terms({e: c * den for e, c in terms.items()}, ctx.packed.width)
+        expected = pack_terms({e: c * den for e, c in terms.items()}, ctx.packed.width)
         return {key: a * tden for key, a in acc.items() if a} == expected
 
 
 def phi_basis(icis: IcisMap) -> PhiBasis:
+    validate_isolated(icis)
     sc = critical_staircase(icis)
-    if not sc.finite:
-        raise NotIsolatedError(
-            f"staircase unbounded along {sc.witness_variable}",
-            witness_variable=sc.witness_variable,
-        )
     sv = sum(icis.var_weights)
     weights = [weight(m, icis.var_weights) + sv for m in sc.monomials]
     return PhiBasis(monomials=sc.monomials, mu=len(sc.monomials), weights=weights)
@@ -174,11 +166,11 @@ class _Packed:
     widening the fields replaces it.
     """
 
-    def __init__(self, ctx: "LatticeContext", width: int):
-        self.width = width
+    def __init__(self, ctx: "LatticeContext", width: int, guard: int):
+        self.width, self.guard = width, guard
         self.phi = [pack(m, width) for m in ctx.phi.monomials]
-        self.D = {I: (_pack_terms(t, width), den) for I, (t, den) in ctx.d_terms.items()}
-        self.f = [(_pack_terms(g, width), den) for g, den in ctx._f_int]
+        self.D = {I: (pack_terms(t, width), den) for I, (t, den) in ctx.d_terms.items()}
+        self.f = [(pack_terms(g, width), den) for g, den in ctx._f_int]
         self.fpow: dict[tuple[int, ...], tuple[dict[int, int], int]] = {(0,) * ctx.K: ({0: 1}, 1)}
         self.eta: dict[tuple, tuple[dict[int, int], int]] = {}
         self.memo: dict[int, tuple[int, dict[int, int], dict[int, int]]] = {}
@@ -244,28 +236,30 @@ class LatticeContext:
         return max((weight(e, self.v) for e in poly.terms), default=0)
 
     def fit(self, w: int) -> None:
-        """Widen the packed fields to the bit length of (w + sum_v) // min weight,
+        """Widen the packed fields to ``guarded_fields`` of (w + sum_v) // min weight,
         which bounds every exponent of u, beta and delta in a reduction of
         coefficient weight w."""
-        width = ((max(w, 0) + self.sum_v) // self.min_weight).bit_length()
-        if width > MAX_FIELD_BITS:
+        bound = (max(w, 0) + self.sum_v) // self.min_weight
+        if bound.bit_length() > MAX_FIELD_BITS:
             raise ResourceLimitError(
-                f"exponents of weight {w} need {width}-bit fields; the cap is {MAX_FIELD_BITS}",
+                f"exponents of weight {w} need {bound.bit_length()}-bit fields; "
+                f"the cap is {MAX_FIELD_BITS}",
                 kind="exponent-field",
                 limit=MAX_FIELD_BITS,
             )
+        width, guard = guarded_fields(bound, self.nvars)
         if self.packed is None or width > self.packed.width:
-            self.packed = _Packed(self, width)
+            self.packed = _Packed(self, width, guard)
 
     def f_power_int(self, beta: tuple[int, ...]) -> tuple[dict[Exponents, int], int]:
         """f^beta as integer terms over one denominator, one ``poly.product`` per factor."""
         return _power(self._fpow_int, beta, self._f_int, lambda a, g: product([a, g], self.nvars))
 
     def f_power_packed(self, beta: tuple[int, ...]) -> tuple[dict[int, int], int]:
-        """``f_power_int`` in the fields of ``packed`` (no guard bits: their weight bound
-        holds f^beta and every power below it)."""
+        """``f_power_int`` in the fields of ``packed``: their weight bound holds f^beta
+        and every power below it, so no product sets a guard bit."""
         pk = self.packed
-        return _power(pk.fpow, beta, pk.f, lambda a, g: _sum_of_products(((a, g, 1),), 0))
+        return _power(pk.fpow, beta, pk.f, lambda a, g: _sum_of_products(((a, g, 1),), pk.guard))
 
     def w_minor(self, r: int, J: tuple[int, ...]) -> MultiPoly:
         """Top coefficient of D ^ du_r ^ du_J (zero when indices collide)."""
@@ -301,7 +295,7 @@ class LatticeContext:
         got = self.packed.eta.get((J, delta))
         if got is None:
             terms, den = self.modulus_vector_poly(delta, J).integer_terms()
-            got = self.packed.eta[J, delta] = _pack_terms(terms, self.packed.width), den
+            got = self.packed.eta[J, delta] = pack_terms(terms, self.packed.width), den
         return got
 
     def expand_certificate(self, cert: LatticeCertificate) -> tuple[dict[int, int], int]:
@@ -411,10 +405,6 @@ def _power(cache: dict, beta: tuple[int, ...], factors: list, times) -> tuple[di
         g, gden = factors[l]
         terms, den = cache[high] = times(terms, g), den * gden
     return terms, den
-
-
-def _pack_terms(terms: dict[Exponents, int], width: int) -> dict[int, int]:
-    return {pack(e, width): c for e, c in terms.items()}
 
 
 def _sum_shifted(parts) -> tuple[dict[int, int], int]:

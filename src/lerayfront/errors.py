@@ -24,8 +24,6 @@ class ExpressionSyntaxError(LerayfrontError):
 
     def __init__(self, message, line, column):
         super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
 
 
 class UnknownVariableError(LerayfrontError):
@@ -78,10 +76,6 @@ class BoundViolationError(LerayfrontError):
 
 class NotIsolatedError(LerayfrontError):
     exit_code = 9
-
-    def __init__(self, message, witness_variable=None):
-        super().__init__(message)
-        self.witness_variable = witness_variable
 
 
 class CapExceededError(LerayfrontError):

@@ -22,14 +22,16 @@ from .poly import MultiPoly
 
 # The prime of the specialisation proof: the Mersenne prime 2^61 - 1.
 MODULUS = (1 << 61) - 1
+# The seed of the proof's points: the same points, so the same answer, on every run.
+SEED = 7
 
 
-def probably_squarefree(p: MultiPoly, seed: int = 7) -> bool:
+def probably_squarefree(p: MultiPoly) -> bool:
     """Prove p squarefree by specialising all but one variable, modulo a prime.
 
     p is scaled to integer coefficients.  For each used variable v the
-    others are set to seeded points drawn uniformly from [0, MODULUS) and
-    the result q is reduced modulo MODULUS.  The direction passes when the
+    others are set to points drawn uniformly from [0, MODULUS) by
+    ``random.Random(SEED)``, and the result q is reduced modulo MODULUS.  The direction passes when the
     prime does not divide the coefficient of v^deg_v(p) in q and gcd(q, q')
     modulo the prime is constant.  That proves q squarefree over Q: a
     nonconstant gcd there has a primitive integer form g with lc(g) | lc(q),
@@ -50,7 +52,7 @@ def probably_squarefree(p: MultiPoly, seed: int = 7) -> bool:
         return True
     ring = p.ring
     integer_terms = {e: c.numerator for e, c in p.scale(1 / p.content()).terms.items()}
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     for v in sorted(used, key=lambda v: -p.degree_in(v)):
         i = ring.index(v)
         d = p.degree_in(v)
@@ -116,7 +118,7 @@ def divide_monomial(p: MultiPoly, m: tuple[int, ...]) -> MultiPoly:
     return MultiPoly(p.ring, {tuple(a - b for a, b in zip(e, m)): c for e, c in p.terms.items()})
 
 
-def squarefree_part(p: MultiPoly, seed: int = 7) -> MultiPoly | None:
+def squarefree_part(p: MultiPoly) -> MultiPoly | None:
     """The squarefree part of p, primitive with positive leading coefficient, or None.
 
     The monomial content is split off first; the squarefree part is the
@@ -125,7 +127,7 @@ def squarefree_part(p: MultiPoly, seed: int = 7) -> MultiPoly | None:
     """
     m = monomial_content(p)
     rest = divide_monomial(p, m)
-    if not probably_squarefree(rest, seed=seed):
+    if not probably_squarefree(rest):
         return None
     variables = MultiPoly(p.ring, {tuple(min(k, 1) for k in m): Fraction(1)})
     return (variables * rest).primitive_part()

@@ -16,16 +16,19 @@ held as the head of its primitive integer multiple (leading term, leading
 coefficient, tail), computed once; the working terms are integers over one
 running denominator, so a reduction step makes no Fraction.
 
-A packed monomial (``_Packing``) is one int of ``width + 1``-bit fields,
-each topped by a guard bit: the order's linear fields, most significant
-first, then the plain exponents.  Every field is linear and non-negative in
-the exponents, so a product is one int add, the larger int is the larger
-monomial, and ``lt`` divides ``e`` exactly when ``e - lt`` has no guard bit
-set.  The width is the bit length of the largest degree a call starts from
-(for ``groebner`` the degree cap too, which bounds every grevlex working
-term); a new working term with a guard bit set overflowed, and the call
-re-runs at twice the width, so no result depends on it.  Pair bookkeeping
-and staircases read the exponent tuples back from the low fields.
+A packed monomial is one ``poly.pack`` key holding the order's linear
+fields (``MonomialOrder.fields``) and then the exponents, most significant
+first, so the exponents lie in the low fields, in fields from
+``poly.guarded_fields`` of the largest degree a call starts from (for
+``groebner`` the degree cap too).  Every field is linear, so the key is one
+dot product with the keys of the unit vectors (``_Packing``); every field
+is at most the total degree, so the inputs and the S-pair lcms pack with no
+check.  A product is one int add, the larger int is the larger monomial,
+and ``lt`` divides ``e`` exactly when ``e - lt`` has no guard bit set.  A
+working term of a reduction with a guard bit set raises OverflowError and
+the call re-runs with fields twice as wide, so no result depends on the
+width: lex and block orders bound no degree.  Pair bookkeeping and
+staircases read the exponent tuples back with ``poly.unpack``.
 
 ``eliminate`` first substitutes away every dropped variable z that a
 generator gives as c*z + r, c a nonzero constant and z not in r: z becomes
@@ -53,7 +56,8 @@ from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import ResourceLimitError, RingMismatchError
-from .poly import Exponents, MultiPoly, grevlex_descending, pullback
+from .poly import Exponents, MultiPoly, grevlex_descending, guarded_fields, pack, pullback
+from .poly import unpack, weight
 
 # A cached head: packed leading monomial, leading coefficient and the other
 # packed terms of a primitive integer polynomial, leading coefficient > 0.
@@ -100,38 +104,20 @@ LEX = MonomialOrder("lex")
 GREVLEX = MonomialOrder("grevlex")
 
 
-class _Overflow(Exception):
-    """A packed field reached 2^width: the call re-runs at twice the width."""
-
-
 class _Packing:
-    """Exponent tuples of n variables as ints under an order, fields width bits plus a guard bit."""
+    """The packed keys of an order on n variables, in ``guarded_fields`` of ``bound``.
 
-    def __init__(self, order: MonomialOrder, n: int, width: int):
-        self.order, self.n, self.width, self.step = order, n, width, width + 1
-        self.mask = (1 << width) - 1
-        count = len(order.fields((0,) * n)) + n
-        self.guard = sum(1 << (self.step * i + width) for i in range(count))
+    The key of e holds the order's fields of e and then e, most significant
+    first (``pack`` of that list reversed): it is ``weight(e, steps)``,
+    steps[i] the key of the i-th unit vector, and
+    ``unpack(key, width, n + 1)[-2::-1]`` is e.
+    """
 
-    def pack(self, e: Exponents) -> int:
-        key = 0
-        for x in self.order.fields(e) + list(e):
-            if x >> self.width:
-                raise _Overflow
-            key = (key << self.step) | x
-        return key
-
-    def unpack(self, key: int) -> Exponents:
-        """The plain exponents in the low fields: the inverse of ``pack``."""
-        return tuple(key >> (self.step * i) & self.mask for i in range(self.n - 1, -1, -1))
-
-    def pack_terms(self, terms: dict[Exponents, int]) -> dict[int, int]:
-        return {self.pack(e): c for e, c in terms.items()}
-
-
-def _width(degree: int) -> int:
-    """The starting field width of a call whose monomials start at degree <= degree."""
-    return max(1, degree.bit_length())
+    def __init__(self, order: MonomialOrder, n: int, bound: int):
+        self.order, self.n = order, n
+        self.width, self.guard = guarded_fields(bound, n + len(order.fields((0,) * n)))
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        self.steps = [pack((order.fields(u) + list(u))[::-1], self.width) for u in units]
 
 
 def _lcm(a: Exponents, b: Exponents) -> Exponents:
@@ -161,13 +147,17 @@ class GroebnerBasis:
         key = self.order.descending_key()
         return [g.leading(key)[0] for g in self.generators]
 
-    def packed_heads(self, width: int) -> tuple[_Packing, list[Head]]:
-        """The generators' heads at a field width, packed once per width."""
-        if width not in self._packed:
-            packing = _Packing(self.order, len(self.ring), width)
-            heads = [_head(packing.pack_terms(g.integer_terms()[0])) for g in self.generators]
-            self._packed[width] = packing, heads
-        return self._packed[width]
+    def packed_heads(self, bound: int) -> tuple[_Packing, list[Head]]:
+        """The generators' heads in the fields of a degree bound, packed once per bound."""
+        if bound not in self._packed:
+            packing = _Packing(self.order, len(self.ring), bound)
+            steps = packing.steps
+            heads = [
+                _head({weight(e, steps): c for e, c in g.integer_terms()[0].items()})
+                for g in self.generators
+            ]
+            self._packed[bound] = packing, heads
+        return self._packed[bound]
 
 
 def _head(terms: dict[int, int]) -> Head:
@@ -192,7 +182,7 @@ def _reduce(
     head divides moves to the remainder.  ``work`` holds the live terms; a
     monomial whose coefficient cancelled stays in the heap and is skipped
     when popped.  ``max_terms`` caps the working plus remainder term count.
-    Raises ``_Overflow`` when a new working term has a guard bit set.
+    Raises OverflowError when a new working term has a guard bit set.
     """
     work = dict(terms)
     if not heads:
@@ -228,7 +218,7 @@ def _reduce(
             old = work.get(te)
             if old is None:
                 if te & guard:
-                    raise _Overflow
+                    raise OverflowError("a working term reached its guard bit")
                 work[te] = -q * gc
                 heappush(heap, -te)
             else:
@@ -245,14 +235,16 @@ def normal_form(p: MultiPoly, gb: GroebnerBasis) -> MultiPoly:
     if not gb.generators:
         return p
     terms, d = p.integer_terms()
-    width = _width(max(g.total_degree() for g in [p, *gb.generators]))
+    bound = max(g.total_degree() for g in [p, *gb.generators])
     while True:
-        packing, heads = gb.packed_heads(width)
+        pk, heads = gb.packed_heads(bound)
         try:
-            rem, m = _reduce(packing.pack_terms(terms), heads, packing.guard)
-            return MultiPoly(p.ring, {packing.unpack(e): Fraction(c, d * m) for e, c in rem.items()})
-        except _Overflow:
-            width *= 2
+            rem, m = _reduce({weight(e, pk.steps): c for e, c in terms.items()}, heads, pk.guard)
+        except OverflowError:
+            bound = 4 ** bound.bit_length()  # fields twice as wide
+            continue
+        out = {unpack(e, pk.width, pk.n + 1)[-2::-1]: Fraction(c, d * m) for e, c in rem.items()}
+        return MultiPoly(p.ring, out)
 
 
 def groebner(
@@ -280,20 +272,20 @@ def _groebner(gens, order, drop, max_pairs, max_degree, max_poly_terms) -> Groeb
     ring = gens[0].ring
     if any(g.ring != ring for g in gens):
         raise RingMismatchError("generators live in different rings")
-    width = _width(max(max_degree, *(g.total_degree() for g in gens)))
+    bound = max(max_degree, *(g.total_degree() for g in gens))
     while True:
         try:
-            packing = _Packing(order, len(ring), width)
+            packing = _Packing(order, len(ring), bound)
             return _buchberger(gens, packing, drop, max_pairs, max_degree, max_poly_terms)
-        except _Overflow:
-            width *= 2
+        except OverflowError:
+            bound = 4 ** bound.bit_length()  # fields twice as wide
 
 
 def _buchberger(
     gens, packing: _Packing, drop, max_pairs, max_degree, max_poly_terms
 ) -> GroebnerBasis:
-    """``_groebner`` at one field width; raises ``_Overflow`` past it."""
-    guard = packing.guard
+    """``_groebner`` in the fields of one packing; raises OverflowError past them."""
+    guard, steps, width, nvars = packing.guard, packing.steps, packing.width, packing.n
     heads: list[Head] = []
     lts: list[Exponents] = []
     pairs: list[tuple[Exponents, int, int]] = []  # (lcm, i, j)
@@ -301,7 +293,7 @@ def _buchberger(
     def add_poly(terms: dict[int, int]):
         nonlocal pairs
         head = _head(terms)
-        t = packing.unpack(head[0])
+        t = unpack(head[0], width, nvars + 1)[-2::-1]
         k = len(heads)
         # Gebauer-Moeller update of the pair set
         new_pairs = [(_lcm(lts[i], t), i, k) for i in range(k)]
@@ -323,7 +315,8 @@ def _buchberger(
         heads.append(head)
         lts.append(t)
 
-    for terms in sorted((packing.pack_terms(g.integer_terms()[0]) for g in gens), key=max):
+    inputs = ({weight(e, steps): c for e, c in g.integer_terms()[0].items()} for g in gens)
+    for terms in sorted(inputs, key=max):
         r = _reduce(terms, heads, guard)[0]
         if r:
             add_poly(r)
@@ -343,7 +336,7 @@ def _buchberger(
                 kind="degree",
                 limit=max_degree,
             )
-        s = _spoly(heads[i], heads[j], packing.pack(l), guard)
+        s = _spoly(heads[i], heads[j], weight(l, steps), guard)
         s = _reduce(s, heads, guard, max_poly_terms)[0]
         if s:
             add_poly(s)
@@ -364,7 +357,8 @@ def _buchberger(
     ring, out = gens[0].ring, []
     for r in sorted(filter(None, reduced), key=max):
         top = r[max(r)]
-        out.append(MultiPoly(ring, {packing.unpack(e): Fraction(c, top) for e, c in r.items()}))
+        terms = {unpack(e, width, nvars + 1)[-2::-1]: Fraction(c, top) for e, c in r.items()}
+        out.append(MultiPoly(ring, terms))
     return GroebnerBasis(out, packing.order, ring)
 
 
@@ -384,7 +378,7 @@ def _spoly(f: Head, g: Head, l: int, guard: int) -> dict[int, int]:
         else:
             out.pop(e, None)
     if any(e & guard for e in out):
-        raise _Overflow
+        raise OverflowError("an S-polynomial term reached its guard bit")
     return out
 
 

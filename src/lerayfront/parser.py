@@ -2,13 +2,16 @@
 
 Grammar: integer and rational literals (``3``, ``3/4``), identifiers,
 ``+ - * ^``, parentheses.  Exponents must be non-negative integers.  Digits
-are the decimal digits that ``int`` reads (``str.isdecimal``).  Errors carry
-line and column positions; an expression nested past Python's recursion
-limit is a syntax error at the token where the descent stopped.
+are the decimal digits that ``int`` reads (``str.isdecimal``), and a literal
+longer than ``sys.get_int_max_str_digits()`` digits, which ``int`` refuses,
+is a syntax error.  Errors carry line and column positions in their
+messages; an expression nested past Python's recursion limit is a syntax
+error at the token where the descent stopped.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +46,11 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < len(text) and text[j].isdecimal():
                 j += 1
+            limit = sys.get_int_max_str_digits()
+            if limit and j - i > limit:
+                raise ExpressionSyntaxError(
+                    f"integer literal of {j - i} digits exceeds the limit of {limit}", line, col
+                )
             toks.append(_Token("int", text[i:j], line, col))
             col += j - i
             i = j

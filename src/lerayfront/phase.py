@@ -595,7 +595,6 @@ def validate_isolated(icis: IcisMap) -> int:
     sc = critical_staircase(icis)
     if not sc.finite:
         raise NotIsolatedError(
-            f"singularity is not isolated: staircase unbounded along {sc.witness_variable}",
-            witness_variable=sc.witness_variable,
+            f"singularity is not isolated: staircase unbounded along {sc.witness_variable}"
         )
     return sc.dimension

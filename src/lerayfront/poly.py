@@ -20,11 +20,15 @@ The integer kernels run on packed monomials: ``pack``/``unpack`` turn an
 exponent tuple into one int of fixed-width bit fields and back, so a
 monomial product is one int add.  ``guarded_fields`` is the one width rule:
 a proven exponent bound's bit length plus a guard bit that a field past the
-bound sets.  ``_sum_of_products`` is the one product and ``exact_div_int``
-the one exact division, heap-ordered; each caller packs once at entry and
-unpacks once at exit: the Bareiss determinant (``detpoly.det_bareiss``),
-``MultiPoly.exact_div``, ``product`` and ``pullback``.  The lattice
-reductions in ``brieskorn`` pack too; ``MultiPoly`` keeps tuple exponents.
+bound sets.  A product or reduction term that sets a guard bit raises
+OverflowError (in ``exact_div_int`` it proves the division inexact: ValueError).
+``_sum_of_products`` is the one product and ``exact_div_int`` the one exact
+division, heap-ordered; each caller packs once at entry and unpacks once at
+exit: the Bareiss determinant (``detpoly.det_bareiss``),
+``MultiPoly.exact_div``, ``product`` and ``pullback``.  The Groebner
+reductions (``groebner``, which packs the order's fields above the
+exponents) and the lattice reductions (``brieskorn``) pack in this layout
+and width too; ``MultiPoly`` keeps tuple exponents.
 
 ``pullback`` is the one substitution, a ring map on integer rows over row
 scales; ``poly_substitute`` is its 1 x 1 case, and the front pullback

@@ -21,10 +21,11 @@ from lerayfront.brieskorn import (
     phi_basis,
     reduce_in_lattice,
 )
-from lerayfront.errors import ReductionNoSolutionError, ResourceLimitError
+from lerayfront.errors import NotIsolatedError, ReductionNoSolutionError, ResourceLimitError
 from lerayfront.forms import DiffForm, exterior_d, wedge
 from lerayfront.phase import (
     HyperbolicSymbol,
+    IcisMap,
     build_mapping,
     build_phase,
     discover_weights,
@@ -60,6 +61,16 @@ class TestPhiBasis:
         assert phi.mu == 2
         assert phi.monomials == [(0, 0), (0, 1)]
         assert phi.weights == [5, 7]
+
+    def test_not_isolated(self):
+        # the check of phase.validate_isolated, which make_icis runs too
+        ring = ("u1", "u2")
+        u1, u2 = (MultiPoly.variable(ring, v) for v in ring)
+        icis = IcisMap(
+            K=1, N=1, ring=ring, components=[u1**2 * u2**3], var_weights=(1, 1), comp_weights=(5,)
+        )
+        with pytest.raises(NotIsolatedError, match="^singularity is not isolated: staircase"):
+            phi_basis(icis)
 
     def test_a1(self, a1_icis):
         phi = phi_basis(a1_icis)
@@ -338,9 +349,9 @@ class TestPackedKernel:
 
     def test_reductions_at_the_smallest_field_width(self, m1_cusp_icis):
         # m1/cusp: min weight 2 and sum_v 13, so weight w needs the bit
-        # length of (w + 13) // 2 per field; the gm inputs (weights 3..12)
-        # need 4 bits, weight 17 is the heaviest that 4 bits hold, and weight
-        # 19 needs 5, which replaces the memo
+        # length of (w + 13) // 2 and a guard bit per field; the gm inputs
+        # (weights 3..12) need 4 + 1 bits, weight 17 is the heaviest that
+        # 4 + 1 bits hold, and weight 19 needs 5 + 1, which replaces the memo
         icis = m1_cusp_icis
         phi = phi_basis(icis)
         ctx, direct = LatticeContext(icis, phi), LatticeContext(icis, phi)
@@ -352,7 +363,7 @@ class TestPackedKernel:
         # z1 * z3^4 * z4 of weight 17 (bound 15), z1 * z3^4 * z4^2 of weight 19 (bound 16)
         heavy = [_top_form(ctx, {(1, 0, 4, 1, 0): 1}), _top_form(ctx, {(1, 0, 4, 2, 0): 1})]
         assert [ctx.coefficient_weight(ctx.top_coefficient(g)) for g in heavy] == [17, 19]
-        for g, width in [(g, 4) for g in inputs] + list(zip(heavy, (4, 5))):
+        for g, width in [(g, 5) for g in inputs] + list(zip(heavy, (5, 6))):
             a = reduce_in_lattice(g, phi, icis, ctx)
             b = reduce_in_lattice(g, phi, icis, direct)
             assert ctx.packed.width == width
@@ -361,17 +372,27 @@ class TestPackedKernel:
 
     def test_a_coordinate_shift_of_thousands(self, m1_cusp_icis):
         # z3 = f_2 on m1/cusp: z1 * z3^3000 reduces to z1's reduction shifted
-        # by y2^3000, in 13-bit fields ((9003 + 13) // 2 = 4508), and its check
+        # by y2^3000, in 14-bit fields ((9003 + 13) // 2 = 4508 and a guard bit), and its check
         # multiplies out f_2^3000
         icis = m1_cusp_icis
         phi = phi_basis(icis)
         ctx = LatticeContext(icis, phi)
         base = reduce_in_lattice(_top_form(ctx, {(1, 0, 0, 0, 0): 1}), phi, icis, ctx)
         shifted = reduce_in_lattice(_top_form(ctx, {(1, 0, 3000, 0, 0): 1}), phi, icis, ctx)
-        assert ctx.packed.width == 13
+        assert ctx.packed.width == 14
         y_shift = MultiPoly(ctx.y_ring, {(0, 0, 3000, 0): 1})
         assert shifted.coefficients == [P * y_shift for P in base.coefficients]
         assert shifted.eta == base.eta.mul_poly(MultiPoly(ctx.ring, {(0, 0, 3000, 0, 0): 1}))
+
+    def test_a_power_past_the_fields_sets_a_guard_bit(self, m1_cusp_icis):
+        # z3 = f_2 on m1/cusp: weight 0 bounds the exponents by 13 // 2 = 6, in
+        # 3-bit fields and a guard bit, which z3^8 sets
+        ctx = LatticeContext(m1_cusp_icis, phi_basis(m1_cusp_icis))
+        ctx.fit(0)
+        assert ctx.packed.width == 4
+        assert ctx.f_power_packed((0, 0, 7, 0))[0] == {7 << (4 * 2): 1}
+        with pytest.raises(OverflowError, match="guard bit"):
+            ctx.f_power_packed((0, 0, 8, 0))
 
     @pytest.mark.parametrize("collapse", [True, False])
     def test_an_input_past_the_field_cap_ends_in_exit_14(self, m1_cusp_icis, cusp_icis, collapse):

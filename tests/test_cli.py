@@ -369,6 +369,8 @@ BAD_INPUTS = [
     ("deep nesting", write_spec, dict(M1_SPEC, front="(" * 1000 + "x1" + ")" * 1000), [], 3),
     ("2000 minus signs", write_spec, dict(M1_SPEC, operator="-" * 2000 + "tau"), [], 3),
     ("superscript exponent", write_spec, dict(M1_SPEC, front="x1^\u00b2 + x2^3"), [], 3),
+    # a literal past sys.get_int_max_str_digits(), which int() refuses
+    ("5000-digit literal", write_spec, dict(M1_SPEC, front="x1^2 + x2^3 + " + "1" * 5000), [], 3),
     ("weights not positive", write_spec, dict(M1_SPEC, options={"weights": [0, 2]}), [], 2),
     (
         "--weights, constant term",

@@ -16,17 +16,15 @@ from lerayfront.groebner import (
     eliminate,
     groebner,
     normal_form,
-    _Overflow,
     _isolated,
     _Packing,
     _reduce,
     _spoly,
-    _width,
     standard_monomials,
 )
 from lerayfront.oracle import critical_locus_eliminant
 from lerayfront.parser import parse_poly
-from lerayfront.poly import MultiPoly, monomials_of_weight
+from lerayfront.poly import MultiPoly, monomials_of_weight, unpack, weight
 
 groebner_module = importlib.import_module("lerayfront.groebner")
 
@@ -362,15 +360,25 @@ def capped_normal_form(p, gb, cap):
     """``normal_form`` through the kernel with its term cap, as Buchberger's
     ``max_poly_terms`` reaches it."""
     terms, d = p.integer_terms()
-    width = _width(max(g.total_degree() for g in [p, *gb.generators]))
+    bound = max(g.total_degree() for g in [p, *gb.generators])
     while True:
-        packing, heads = gb.packed_heads(width)
+        pk, heads = gb.packed_heads(bound)
         try:
-            rem, m = _reduce(packing.pack_terms(terms), heads, packing.guard, cap)
-        except _Overflow:
-            width *= 2
+            rem, m = _reduce({key(pk, e): c for e, c in terms.items()}, heads, pk.guard, cap)
+        except OverflowError:
+            bound = 4 ** bound.bit_length()
             continue
-        return MultiPoly(p.ring, {packing.unpack(e): Fraction(c, d * m) for e, c in rem.items()})
+        return MultiPoly(p.ring, {exponents(pk, e): Fraction(c, d * m) for e, c in rem.items()})
+
+
+def key(packing, e):
+    """The packed key of the exponent tuple e."""
+    return weight(e, packing.steps)
+
+
+def exponents(packing, key):
+    """The exponent tuple of a packed key."""
+    return unpack(key, packing.width, packing.n + 1)[-2::-1]
 
 
 def small_polys(max_size):
@@ -484,40 +492,38 @@ PACKED_ORDERS = ORDERS + [MonomialOrder("block", split=0), MonomialOrder("block"
 
 
 class TestPacking:
-    """Packed monomials against the test's own order definitions, at the kernel's smallest width."""
+    """Packed monomials against the test's own order definitions, in the fields of the
+    box's largest degree."""
 
     BOX = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
-    # a call whose monomials start at degree <= 9 packs at width 4
-    WIDTH = _width(9)
 
     @pytest.mark.parametrize("order", PACKED_ORDERS, ids=repr)
-    def test_packed_ints_order_divide_and_unpack(self, order):
-        packing = _Packing(order, 3, self.WIDTH)
-        packed = {e: packing.pack(e) for e in self.BOX}
+    def test_packed_ints_order_divide_unpack_and_add(self, order):
+        packing = _Packing(order, 3, 9)
+        top = 2 ** (packing.width - 1)  # the guard bit of a field
+        packed = {e: key(packing, e) for e in self.BOX}
         assert sorted(self.BOX, key=packed.get) == sorted(self.BOX, key=ascending(order))
         for a in self.BOX:
-            assert packing.unpack(packed[a]) == a
+            assert exponents(packing, packed[a]) == a
+            assert not packed[a] & packing.guard
             for b in self.BOX:
                 divisible = not (packed[b] - packed[a]) & packing.guard
                 assert divisible == _divides(a, b)
-
-    @pytest.mark.parametrize("order", PACKED_ORDERS, ids=repr)
-    def test_a_sum_is_the_packed_product_or_sets_a_guard_bit(self, order):
-        packing = _Packing(order, 3, self.WIDTH)
-        for a in self.BOX:
             for b in self.BOX[::7]:
                 e = tuple(x + y for x, y in zip(a, b))
-                total = packing.pack(a) + packing.pack(b)
-                if max(order.fields(e) + list(e)) < 2**self.WIDTH:
-                    assert total == packing.pack(e)
-                else:
-                    assert total & packing.guard
-                    with pytest.raises(_Overflow):
-                        packing.pack(e)
+                total = packed[a] + packed[b]
+                passes = max(order.fields(e) + list(e)) >= top
+                assert bool(total & packing.guard) == passes
+                if not passes:
+                    assert total == key(packing, e)
+                    assert exponents(packing, total) == e
 
-    def test_width_is_the_smallest_that_holds_the_degree(self):
-        with pytest.raises(_Overflow):
-            _Packing(GREVLEX, 3, self.WIDTH - 1).pack((3, 3, 3))
+    def test_the_fields_hold_the_bound(self):
+        # grevlex (3, 3, 3) has degree 9: below the guard bits in the fields of
+        # bound 9 (4 bits), past them in those of bound 7 (3 bits)
+        for bound, fits in ((9, True), (7, False)):
+            packing = _Packing(GREVLEX, 3, bound)
+            assert bool(key(packing, (3, 3, 3)) & packing.guard) != fits
 
 
 def _s_polynomial(f, g, key):
@@ -554,42 +560,45 @@ class TestReducedBasis:
 
 
 class TestOverflow:
-    """A reduction past the starting width re-runs wider and returns the same result."""
+    """A reduction past the starting width re-runs wider and returns the basis of a run
+    that starts wide."""
 
-    RING = ("x1", "x2")
-
-    def test_lex_reduction_past_the_starting_width(self, monkeypatch):
-        x1, x2 = (MultiPoly.variable(self.RING, v) for v in self.RING)
-        gens = [x1 - x2**300, x1**2]
-        # x1^2 reduces to x2^600, past the 2^9 that degree 300 starts from
-        assert _width(300) == 9
+    def run(self, monkeypatch, gens, order, **caps):
+        """The basis and the field width of each packing the call made."""
         widths = []
 
         class Recorded(_Packing):
-            def __init__(self, order, n, width):
-                widths.append(width)
-                super().__init__(order, n, width)
+            def __init__(self, order, n, bound):
+                super().__init__(order, n, bound)
+                widths.append(self.width)
 
         monkeypatch.setattr(groebner_module, "_Packing", Recorded)
-        gb = groebner(gens, LEX)
-        assert widths == [9, 18]
-        assert gb.generators == [x2**600, x1 - x2**300]
-        assert normal_form(x1**2, groebner([x1 - x2**300], LEX)) == x2**600
-        monkeypatch.setattr(groebner_module, "_width", lambda degree: 64)
-        widths.clear()
-        assert groebner(gens, LEX) == gb
-        assert widths == [64]
+        return groebner(gens, order, **caps), widths
+
+    @pytest.mark.parametrize("order", [LEX, MonomialOrder("block", split=1)], ids=repr)
+    def test_reduction_past_the_starting_width(self, monkeypatch, order):
+        ring = ("x1", "x2", "x3")
+        x1, x2, x3 = (MultiPoly.variable(ring, v) for v in ring)
+        gens = [x1 - x2**300, x1**2 - x3]
+        # x1^2 reduces to x2^600, past the fields of degree 300 (9 bits and a guard bit)
+        gb, widths = self.run(monkeypatch, gens, order)
+        assert widths == [10, 20]
+        assert gb.generators == [x2**600 - x3, x1 - x2**300]
+        assert normal_form(x1**2, groebner([x1 - x2**300], order)) == x2**600
+        wide, widths = self.run(monkeypatch, gens, order, max_degree=10**6)
+        assert widths == [21]
+        assert wide == gb
 
     def test_s_polynomial_past_the_width(self):
         # lex x1*x2^5 - x2^59 and x1^2*x2^2 - x2^62: the S-polynomial holds x2^65
-        for width, fits in ((6, False), (7, True)):
-            packing = _Packing(LEX, 2, width)
-            f = (packing.pack((1, 5)), 1, [(packing.pack((0, 59)), -1)])
-            g = (packing.pack((2, 2)), 1, [(packing.pack((0, 62)), -1)])
-            lcm = packing.pack((2, 5))
+        for bound, fits in ((63, False), (127, True)):
+            packing = _Packing(LEX, 2, bound)
+            f = (key(packing, (1, 5)), 1, [(key(packing, (0, 59)), -1)])
+            g = (key(packing, (2, 2)), 1, [(key(packing, (0, 62)), -1)])
+            lcm = key(packing, (2, 5))
             if fits:
                 s = _spoly(f, g, lcm, packing.guard)
-                assert {packing.unpack(e): c for e, c in s.items()} == {(1, 59): -1, (0, 65): 1}
+                assert {exponents(packing, e): c for e, c in s.items()} == {(1, 59): -1, (0, 65): 1}
             else:
-                with pytest.raises(_Overflow):
+                with pytest.raises(OverflowError, match="guard bit"):
                     _spoly(f, g, lcm, packing.guard)

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -52,9 +53,24 @@ class TestParse:
             parse_poly("x + q", ring=("x",))
 
     def test_syntax_error_position(self):
-        with pytest.raises(ExpressionSyntaxError) as ei:
+        with pytest.raises(ExpressionSyntaxError, match=r"\(line 1, column 6\)$"):
             parse_poly("x1 + + ^")
-        assert ei.value.line == 1
+        with pytest.raises(ExpressionSyntaxError, match=r"\(line 2, column 3\)$"):
+            parse_poly("x1 +\n  )")
+
+    @pytest.mark.parametrize(
+        "before, column",
+        [("x1 + ", 6), ("x1 + 1/", 8), ("x1^", 4)],
+        ids=["numerator", "denominator", "exponent"],
+    )
+    def test_too_long_integer_is_a_syntax_error(self, before, column):
+        # int() refuses a digit run past sys.get_int_max_str_digits() (4300 by default)
+        limit = sys.get_int_max_str_digits()
+        message = rf"{limit + 1} digits exceeds the limit of {limit} \(line 1, column {column}\)$"
+        with pytest.raises(ExpressionSyntaxError, match=message):
+            parse_poly(before + "1" * (limit + 1))
+        if before != "x1^":  # x1 to a power of limit digits would not fit in memory
+            assert not parse_poly(before + "1" * limit).is_zero()
 
     @pytest.mark.parametrize(
         "text",
