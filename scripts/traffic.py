@@ -71,12 +71,7 @@ RATIONAL_MATRIX = (
 PROTOCOL = "part of the value protocol of a public class; the tests use it"
 ERROR = "an error's constructor runs only on the failure it reports; tests reach each exit code"
 ALLOWED = {
-    **{
-        f"errors.{name}.__init__": ERROR
-        for name in (
-            "ExpressionSyntaxError", "HyperbolicityError", "MismatchError",
-        )
-    },
+    "errors.ExpressionSyntaxError.__init__": ERROR,
     **{
         f"linalg.RationalMatrix.{name}": RATIONAL_MATRIX
         for name in (
@@ -90,8 +85,6 @@ ALLOWED = {
     "has one, tests/test_jsonio.py writes int keys",
     "jsonio.int_digits_error": "raised only for an integer too long to print "
     "(tests/test_cli.py's large-s exits)",
-    "oracle.compare_discriminants.mismatch": "builds the error of a radical mismatch, "
-    "which no run's det M has; tests/test_oracle.py reaches each case",
     "parser._Parser.expect_op": "reached by a parenthesised expression, which no "
     "run's problem file holds (tests/test_parser.py)",
     "poly.MultiPoly.__hash__": "defined with __eq__ and computed on demand, so that a "

@@ -11,6 +11,10 @@ resource cap stops the eliminant, it compares det M on two seeded lines
 with the characteristic polynomial of the line parameter instead
 (``oracle.line_check``), up to a constant; both verdicts are exact, neither
 takes a gcd, and a cap hit on the lines is exit 14.
+
+``verify-rays`` writes ``rays.csv`` and ``verify_rays.json`` and then exits
+16 when the worst ray residual is not below the tolerance, a NaN included;
+with no ray point (``"pass": null``) it exits 0.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .brieskorn import f_basis, gm_matrices, phi_basis
 from .errors import (
     ConstantFrontError,
     LerayfrontError,
+    MismatchError,
     ProblemFileError,
     ResourceLimitError,
     UnknownVariableError,
@@ -398,9 +403,9 @@ class Pipeline:
             with open(self.out / "t_zero.csv", "w", newline="") as fh:
                 wr = csv.writer(fh)
                 wr.writerow(["samples", "max_scaled_residual", "no_real_points"])
-                wr.writerow([rep.samples, rep.max_scaled_residual, rep.no_real_points])
+                wr.writerow([rep.count, rep.max_scaled_residual, rep.count == 0])
             rec["t_zero"] = {
-                "samples": rep.samples,
+                "samples": rep.count,
                 "max_scaled_residual": rep.max_scaled_residual,
             }
         return rec
@@ -450,14 +455,17 @@ class Pipeline:
                 wr.writerow(
                     list(s.z) + [s.sheet, s.t] + list(s.x) + [s.residual_root, s.residual_level]
                 )
+        tol = self.pb.tol
         rec = {
             "samples": rep.count,
             "skipped_collisions": rays.skipped_collisions,
             "max_scaled_residual": rep.max_scaled_residual,
-            "tolerance": self.pb.tol,
-            "pass": bool(rep.max_scaled_residual < self.pb.tol) if rep.count else None,
+            "tolerance": tol,
+            "pass": bool(rep.max_scaled_residual < tol) if rep.count else None,
         }
         dump_json(rec, self.out / "verify_rays.json")
+        if rec["pass"] is False:
+            raise MismatchError(f"ray residual {rec['max_scaled_residual']} is not below {tol}")
         return rec
 
     def cmd_all(self):

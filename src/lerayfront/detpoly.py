@@ -46,6 +46,9 @@ drawn from at least 2^32 values) and makes one pass over the terms of
 all entries, summed entry by entry; ``grid`` walks a lower set of an
 integer grid axis by axis, so that neighbouring points share the work of
 their common prefix (the interpolation grid and the nodes of a curve).
+``_row_scaled_entries`` is the one integer form of a polynomial matrix,
+each row over its own scale: Bareiss, the pullback and the flatness
+oracle (on the rows of [M | P^(0) | ... | P^(K-1)]) all start from it.
 """
 
 from __future__ import annotations
@@ -431,20 +434,6 @@ def line_determinant(
         *_row_scaled_entries(M), [on_line[v] for v in M[0][0].ring]
     )
     return MultiPoly(line, {(j,): Fraction(c, den) for j, c in enumerate(coefficients) if c})
-
-
-def _integer_entries(mats: list[list[list[MultiPoly]]]) -> list[list[list[dict]]]:
-    """The matrices' entries as {exponents: int}, all over one common denominator."""
-    dens = {c.denominator for mat in mats for row in mat for p in row for c in p.terms.values()}
-    den = lcm(*dens)
-    factor = {q: den // q for q in dens}
-    return [
-        [
-            [{e: c.numerator * factor[c.denominator] for e, c in p.terms.items()} for p in row]
-            for row in mat
-        ]
-        for mat in mats
-    ]
 
 
 class _IntegerEvaluator:

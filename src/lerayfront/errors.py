@@ -65,10 +65,6 @@ class InfiniteDimensionalError(LerayfrontError):
 class HyperbolicityError(LerayfrontError):
     exit_code = 7
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class BoundViolationError(LerayfrontError):
     exit_code = 8
@@ -109,10 +105,6 @@ class CurvatureNonzeroError(LerayfrontError):
 
 class MismatchError(LerayfrontError):
     exit_code = 16
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class ProblemFileError(LerayfrontError):

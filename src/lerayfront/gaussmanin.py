@@ -7,12 +7,14 @@ with each exact division one heap-ordered ``poly.exact_div_int`` on those
 ints (``detpoly.det_poly_matrix``), and divided by the row scales once.
 Flatness of the induced connection is verified exactly at random rational
 points off the discriminant: one ``detpoly._IntegerEvaluator`` holds M and
-the P^(l) as integer terms over one denominator and reads off its interned
-monomials the first partials that the test reads, d_k M for every k and
-d_k P^(l) for k != l (no derivative is built as a polynomial).  A point
-costs one table of scaled monomials, one pass over all terms, one
-fraction-free integer inverse of M (``linalg.inverse_int``), K dense
-products N R_k and K(K-1) products on the nonzero entries of the P^(l).
+the P^(l) as integer terms, each row of [M | P^(0) | ... | P^(K-1)] over
+its own scale (``detpoly._row_scaled_entries``), and reads off its
+interned monomials the first partials that the test reads, d_k M for
+every k and d_k P^(l) for k != l (no derivative is built as a
+polynomial).  A point costs one table of scaled monomials, one pass over
+all terms, one fraction-free integer inverse of M (``linalg.inverse_int``),
+K dense products N R_k and K(K-1) products on the nonzero entries of the
+P^(l).
 K = 1 systems expose their classical local exponents as a bridge to known
 special cases: the roots of the pencil determinant det(lam p0 P(0) - L_V
 P(0) + p0 I), taken on the line engine of ``detpoly.line_determinant`` and
@@ -27,7 +29,7 @@ from fractions import Fraction
 from operator import mul
 
 from .brieskorn import FBasis, GMMatrices, PhiBasis
-from .detpoly import _IntegerEvaluator, _integer_entries, det_poly_matrix, line_determinant
+from .detpoly import _IntegerEvaluator, _row_scaled_entries, det_poly_matrix, line_determinant
 from .errors import (
     CurvatureNonzeroError,
     DegenerateSystemError,
@@ -196,12 +198,15 @@ def flatness_check(
         R_k = s_k L_V P^(k) - d_k M.
 
     Every accepted point has M invertible, so C_kl = 0 exactly when L_V B_kl
-    = 0, that is when each row i of B_kl with l_i != 0 vanishes.  All
-    matrices are evaluated as integers over one common positive scale, the
-    partials by the same evaluator (``partials``: d_k M for every k, d_k
-    P^(l) for k != l, the only ones B_kl reads), and M^{-1} is N / d from
-    fraction-free Gauss-Jordan on the integers (``linalg.inverse_int``), so
-    B_kl is checked as the integer matrix d * scale * B_kl.  A point costs
+    = 0, that is when each row i of B_kl with l_i != 0 vanishes.  Row i of
+    [M | P^(0) | ... | P^(K-1)] is scaled to integers by one r_i > 0
+    (``detpoly._row_scaled_entries``), which multiplies row i of every B_kl
+    by r_i and leaves M singular at the same points.  The matrices are
+    evaluated as integers over the evaluator's positive scale c at the
+    point, the partials by the same evaluator (``partials``: d_k M for every
+    k, d_k P^(l) for k != l, the only ones B_kl reads), and M^{-1} is N / d
+    from fraction-free Gauss-Jordan on the integers (``linalg.inverse_int``),
+    so row i of B_kl is checked as d * c * r_i times its value.  A point costs
     one evaluation pass, one integer inverse, the K dense products W_k =
     N R_k, and the K(K-1) products d X_l R_k = P^(l) W_k (k != l) over the
     nonzero entries of P^(l) in the rows where L_V is nonzero.  Points are
@@ -218,10 +223,12 @@ def flatness_check(
     sign = [1 if l % 2 == 0 else -1 for l in range(K)]
     weights = data.l_weights
     rows = [i for i in range(mu) if weights[i] != 0]
+    # row i of [M | P^(0) | ... | P^(K-1)] over its one integer scale r_i
+    joined, _ = _row_scaled_entries([sum(parts, []) for parts in zip(data.M, *data.matrices)])
     # M and P^(0..K-1), then d_k M for every k and d_k P^(l) for every k != l
     ys = [data.y_ring.index(f"y{k}") for k in range(K)]
     evaluator = _IntegerEvaluator(
-        _integer_entries([data.M, *data.matrices]),
+        [[row[j * mu : (j + 1) * mu] for row in joined] for j in range(K + 1)],
         data.y_ring,
         partials=[ys, *([y for k, y in enumerate(ys) if k != l] for l in range(K))],
     )

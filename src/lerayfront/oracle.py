@@ -25,7 +25,11 @@ line's coefficients in tau are exact (``poly.pullback`` once, then
 ``detpoly._IntegerEvaluator`` per line) and each is rounded once, and every
 float evaluation is ``poly.FloatPoly``'s, the one float formula.  So
 ``t_zero.csv``, ``rays.csv`` and ``verify_rays.json`` do not depend on
-which command drew the points or in what order the takes came.
+which command drew the points or in what order the takes came.  One
+function scores phi at points: ``front_residual`` gives the worst scaled
+residual at (x, t) points, for the t = 0 check (phi over its t-power at
+the level-set points, t = 0) and for the ray oracle
+(``eval_front_on_samples``, at the ray points).
 """
 
 from __future__ import annotations
@@ -230,16 +234,14 @@ def compare_discriminants(
     if delta.is_zero():
         raise MismatchError("det M is zero; nothing to compare")
     g = eliminant[0].rename_ring(delta.ring)
-
-    def mismatch(why: str) -> MismatchError:
-        return MismatchError(f"radical mismatch: {why}", witness=(delta.pretty(), g.pretty()))
-
     quotient = _exact_quotient(delta, g)
     if quotient is None:
-        raise mismatch("the eliminant does not divide det M")
+        raise MismatchError("radical mismatch: the eliminant does not divide det M")
     b = monomial_content(g)
     if [k > 0 for k in monomial_content(delta)] != [k > 0 for k in b]:
-        raise mismatch("det M and the eliminant have different variable factors")
+        raise MismatchError(
+            "radical mismatch: det M and the eliminant have different variable factors"
+        )
     q = divide_monomial(quotient, monomial_content(quotient))
     r = divide_monomial(g, b)
     power = MultiPoly.constant(delta.ring, 1)
@@ -251,7 +253,7 @@ def compare_discriminants(
                 f"{q.total_degree()} and det M divides eliminant^{k}",
             )
         power = power * r
-    raise mismatch("det M divides no power of the eliminant")
+    raise MismatchError("radical mismatch: det M divides no power of the eliminant")
 
 
 def _exact_quotient(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
@@ -300,7 +302,9 @@ class LevelSet:
     as far as a take needs and kept, so a take is the same list however
     many takes came before it, and a second take of no more points draws
     nothing.  A run holds one stream (``cli.Pipeline.level_set``): the
-    t = 0 check and the ray oracle share its points.
+    t = 0 check and the ray oracle share its points.  F and grad F are
+    compiled to ``poly.FloatPoly`` once (``F_float``, ``grads``), for the
+    Newton polish and for ``sample_front``.
 
     Bit-identity: the coefficients of F - s in tau on the line are exact,
     and each is rounded once to a float (``_level_lines``); every float value
@@ -316,9 +320,11 @@ class LevelSet:
             target = float(self.s)
         except OverflowError:
             raise NotApplicableError("s is past the float range: no level-set point") from None
+        self.F_float = FloatPoly(F)
+        self.grads = [FloatPoly(F.partial(v)) for v in F.ring]
         self.attempts = 0
         self.points: list[tuple[int, tuple[float, ...]]] = []
-        self._lines = _level_lines(F, self.s, target, seed)
+        self._lines = _level_lines(F, self.s, target, seed, self.F_float, self.grads)
 
     def take(self, count: int) -> list[tuple[float, ...]]:
         cap = LEVEL_ATTEMPTS * count
@@ -329,20 +335,19 @@ class LevelSet:
 
 
 def _level_lines(
-    F: MultiPoly, s: Fraction, target: float, seed: int
+    F: MultiPoly, s: Fraction, target: float, seed: int, F_float: FloatPoly, grads: list[FloatPoly]
 ) -> Iterator[list[tuple[float, ...]]]:
     """The points of {F = s} in the box on each seeded random line, line by line.
 
     The tau coefficients of F - s on the drawn line come exactly from
     ``_generic_line``, each as n / D with integers n and D; the float n / D
     is correctly rounded (int true division), as ``float(Fraction)`` is;
-    ``target``, the float of s, is the level the Newton polish aims at.
+    ``target``, the float of s, is the level the Newton polish aims at on
+    ``F_float`` and ``grads``, the stream's compiled F and grad F.
     """
     rng = random.Random(seed)
     n = len(F.ring)
     line = _generic_line(F, s)
-    level = FloatPoly(F)
-    grads = [FloatPoly(F.partial(v)) for v in F.ring]
     while True:
         base = [Fraction(rng.randint(-20, 20), 10) for _ in range(n)]
         direction = [Fraction(rng.randint(-9, 9), 3) for _ in range(n)]
@@ -364,7 +369,7 @@ def _level_lines(
             z = [b + r.real * d for b, d in zip(fb, fd)]
             if max(map(abs, z)) > LEVEL_BOX:
                 continue
-            z = _newton_polish_level(level, grads, z, target)
+            z = _newton_polish_level(F_float, grads, z, target)
             if z is not None:
                 points.append(tuple(z))
         yield points
@@ -434,17 +439,15 @@ def sample_front(
     value is a ``poly.FloatPoly``'s.
     """
     zs = level.take(count)
-    F, s = level.F, float(level.s)
+    s = float(level.s)
     tau_polys = [FloatPoly(p) for p in P.tau_coefficient_polys()]
     P_float = FloatPoly(P.poly)
     p_tau = FloatPoly(P.poly.partial("tau"))
     p_xis = [FloatPoly(P.poly.partial(v)) for v in P.poly.ring[1:]]
-    level_float = FloatPoly(F)
-    grads = [FloatPoly(F.partial(v)) for v in F.ring]
     samples: list[RaySample] = []
     skipped = 0
     for z in zs:
-        xi = [g(z) for g in grads]
+        xi = [g(z) for g in level.grads]
         if sum(map(mul, xi, xi)) < 1e-16:
             continue
         coeffs = [p(xi) for p in tau_polys]  # tau^m .. tau^0
@@ -456,7 +459,7 @@ def sample_front(
         if any(abs(a - b) < ROOT_COLLISION for a, b in zip(lams, lams[1:])):
             skipped += 1
             continue
-        level_res = abs(level_float(z) - s)
+        level_res = abs(level.F_float(z) - s)
         for j, lam in enumerate(lams):
             pt_val = p_tau([lam, *xi])
             if abs(pt_val) < 1e-14:
@@ -488,36 +491,25 @@ def sample_front(
 class FrontEvalReport:
     max_scaled_residual: float
     count: int
-    vacuous: bool = False
-    worst: RaySample | None = None
+
+
+def front_residual(
+    phi: MultiPoly, points: Sequence[tuple[Sequence[float], float]], s: Fraction
+) -> FrontEvalReport:
+    """The worst ``scaled_residuals`` of phi at the (x, t) points, s bound when phi holds it.
+
+    A NaN fails every tolerance, so the first NaN is the worst; ``max``
+    alone would pass over it.  No points give 0.0.
+    """
+    bound = {"s": float(s)} if "s" in phi.ring else {}
+    values = [{**{f"x{i + 1}": xi for i, xi in enumerate(x)}, "t": t, **bound} for x, t in points]
+    residuals = scaled_residuals(phi, values)
+    worst = next(filter(isnan, residuals), max([0.0, *residuals]))
+    return FrontEvalReport(max_scaled_residual=worst, count=len(values))
 
 
 def eval_front_on_samples(
     phi: MultiPoly, samples: Sequence[RaySample], s: Fraction
 ) -> FrontEvalReport:
-    """Max scaled |phi| over ray samples, and the first sample that reaches it."""
-    if not samples:
-        return FrontEvalReport(max_scaled_residual=0.0, count=0, vacuous=True)
-    points = []
-    for smp in samples:
-        values = {f"x{i + 1}": smp.x[i] for i in range(len(smp.x))}
-        values["t"] = smp.t
-        if "s" in phi.ring:
-            values["s"] = float(s)
-        points.append(values)
-    worst, at = worst_residual(scaled_residuals(phi, points))
-    worst_s = samples[at] if at is not None else None
-    return FrontEvalReport(max_scaled_residual=worst, count=len(samples), worst=worst_s)
-
-
-def worst_residual(residuals: Sequence[float]) -> tuple[float, int | None]:
-    """The largest residual (0.0 for none) and its first index (None for 0.0).
-
-    A NaN fails every tolerance, so the first NaN is the worst; ``max``
-    alone would pass over it.
-    """
-    for i, r in enumerate(residuals):
-        if isnan(r):
-            return r, i
-    worst = max([0.0, *residuals])
-    return worst, (residuals.index(worst) if worst > 0.0 else None)
+    """Max scaled |phi| over ray samples (``front_residual`` at their x and t)."""
+    return front_residual(phi, [(smp.x, smp.t) for smp in samples], s)

@@ -211,13 +211,9 @@ def check_strict_hyperbolicity(P: HyperbolicSymbol, seed: int = 1) -> dict:
             det_fraction([s[i : i + k] for i in range(k)]) for k in range(1, P.m + 1)
         ]
         if minors[-1] == 0:
-            raise HyperbolicityError(
-                f"repeated characteristic roots at xi = {xi}", witness=xi
-            )
+            raise HyperbolicityError(f"repeated characteristic roots at xi = {xi}")
         if any(d <= 0 for d in minors):
-            raise HyperbolicityError(
-                f"complex characteristic roots at xi = {xi}", witness=xi
-            )
+            raise HyperbolicityError(f"complex characteristic roots at xi = {xi}")
         checked += 1
     return {"verdict": "passed samples", "samples": checked, "seed": seed}
 

@@ -12,7 +12,9 @@ check at random rational points and the safe-bounds fallback all live
 there.  This module keeps the substitution map, the normalizations
 (the primitive part, and the squarefree part when
 ``gcdtools.squarefree_part`` proves one; None otherwise) and the metadata;
-``FrontResult.strategy`` records the path taken (``front.json``).
+``FrontResult.strategy`` records the path taken (``front.json``).  The
+t = 0 check (``t_zero_check``) scores phi on the run's level-set points
+with ``oracle.front_residual``, the ray oracle's one residual function.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .detpoly import _row_scaled_entries, det_probed
 from .errors import ZeroAfterSubstitutionError
 from .gcdtools import divide_monomial, monomial_content, squarefree_part
 from .gaussmanin import GaussManinData
-from .oracle import LevelSet, scaled_residuals, worst_residual
+from .oracle import FrontEvalReport, LevelSet, front_residual
 from .phase import IcisMap
 from .poly import MultiPoly, pullback
 
@@ -122,33 +124,21 @@ def front_polynomial(
 T_ZERO_SAMPLES = 50
 
 
-@dataclass
-class TZeroReport:
-    max_scaled_residual: float
-    samples: int
-    no_real_points: bool = False
-
-
-def t_zero_check(fr: FrontResult, level: LevelSet, samples: int = T_ZERO_SAMPLES) -> TZeroReport:
+def t_zero_check(
+    fr: FrontResult, level: LevelSet, samples: int = T_ZERO_SAMPLES
+) -> FrontEvalReport:
     """Residual at t = 0 on the first ``samples`` points of the level set's stream.
 
     phi = t^k * rest vanishes identically at t = 0 when k > 0, so the check
-    evaluates phi divided by its t-power content.  Residuals are scaled by
-    the coefficient norm and a point-magnitude factor, so float evaluation
-    error stays orders below the tolerances.
+    evaluates phi divided by its t-power content (``oracle.front_residual``,
+    the ray oracle's residual).  Residuals are scaled by the coefficient
+    norm and a point-magnitude factor, so float evaluation error stays
+    orders below the tolerances.  With no level-set point the residual is
+    NaN: there is nothing to check.
     """
     pts = level.take(samples)
     if not pts:
-        return TZeroReport(max_scaled_residual=float("nan"), samples=0, no_real_points=True)
+        return FrontEvalReport(max_scaled_residual=float("nan"), count=0)
     ti = fr.phi.ring.index("t")
     t_power = tuple(k if i == ti else 0 for i, k in enumerate(monomial_content(fr.phi)))
-    phi = divide_monomial(fr.phi, t_power)
-    points = []
-    for z in pts:
-        values = {f"x{i + 1}": z[i] for i in range(len(z))}
-        values["t"] = 0.0
-        if "s" in phi.ring:
-            values["s"] = float(level.s)
-        points.append(values)
-    worst, _ = worst_residual(scaled_residuals(phi, points))
-    return TZeroReport(max_scaled_residual=worst, samples=len(pts))
+    return front_residual(divide_monomial(fr.phi, t_power), [(z, 0.0) for z in pts], level.s)

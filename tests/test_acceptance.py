@@ -239,7 +239,7 @@ def test_criterion_8_end_to_end(wave_cusp_pipeline, wave_cusp_front, cusp_front,
     assert fr.squarefree * t**11 == fr.phi
     # (a) phi / t^12 vanishes at t = 0 on 50 sampled points of the level set
     rep_a = t_zero_check(fr, LevelSet(cusp_front, Fraction(1), 3), samples=50)
-    assert rep_a.samples == 50
+    assert rep_a.count == 50
     assert rep_a.max_scaled_residual < 1e-9
     # (b) phi on >= 100 ray samples across t in {0.1, 0.5, 1.0}
     rays = sample_front(

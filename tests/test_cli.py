@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import types
+from math import nan
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lerayfront
+from lerayfront import cli
 from lerayfront.cli import COMMANDS, RAY_SAMPLES, Pipeline, Problem, main
-from lerayfront.oracle import LevelSet
+from lerayfront.oracle import FrontEvalReport, LevelSet
 from lerayfront.wavefront import T_ZERO_SAMPLES
 
 from helpers import poly_from_json
@@ -342,6 +344,33 @@ def test_verify_rays_scales_a_norm_past_the_float_range(tmp_path):
     rec = json.loads((out / "verify_rays.json").read_text())
     assert rec["pass"] is True
     assert 0 < rec["max_scaled_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("command", ["verify-rays", "all"])
+def test_a_failed_ray_check_exits_16(tmp_path, capsys, command):
+    # the wave/parabola ray residual, about 1e-17, is not below --tol 1e-30:
+    # the command writes the ray artifacts, then fails with exit 16
+    spec = write_spec(tmp_path, WAVE_PARABOLA_SPEC)
+    out = tmp_path / "out"
+    assert main([command, "--spec", str(spec), "--out", str(out), "--tol", "1e-30"]) == 16
+    assert "Traceback" not in capsys.readouterr().err
+    err = json.loads((out / "error.json").read_text())
+    assert (err["exit_code"], err["error"]) == (16, "MismatchError")
+    rec = json.loads((out / "verify_rays.json").read_text())
+    assert rec["pass"] is False and rec["max_scaled_residual"] >= 1e-30
+    assert (out / "rays.csv").read_text().splitlines()[1:]
+
+
+def test_a_nan_ray_residual_exits_16(tmp_path, monkeypatch):
+    # a NaN residual passes no tolerance
+    monkeypatch.setattr(
+        cli, "eval_front_on_samples", lambda phi, samples, s: FrontEvalReport(nan, len(samples))
+    )
+    spec = write_spec(tmp_path, WAVE_PARABOLA_SPEC)
+    out = tmp_path / "out"
+    assert main(["verify-rays", "--spec", str(spec), "--out", str(out)]) == 16
+    assert json.loads((out / "error.json").read_text())["exit_code"] == 16
+    assert json.loads((out / "verify_rays.json").read_text())["pass"] is False
 
 
 def _text_file(tmp_path, text):

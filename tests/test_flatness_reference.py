@@ -84,25 +84,33 @@ def _new_points(data, sample_points, seed):
     return flatness_check(data, sample_points=sample_points, seed=seed).points
 
 
-def _perturbed(data, icis, rng: random.Random):
-    """The system with one entry of one P^(l) changed by one random term."""
+def _with_term(data, icis, l: int, i: int, j: int, term: MultiPoly):
+    """The system with ``term`` added to entry (i, j) of P^(l)."""
     matrices = [[row[:] for row in mat] for mat in data.matrices]
-    l, i, j = rng.randrange(data.K), rng.randrange(data.mu), rng.randrange(data.mu)
-    exps = tuple(rng.randint(0, 1) for _ in data.y_ring)
-    c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-    matrices[l][i][j] = matrices[l][i][j] + MultiPoly.from_monomial(data.y_ring, exps, c)
+    matrices[l][i][j] = matrices[l][i][j] + term
     gm = GMMatrices(
         matrices=matrices, l_weights=data.l_weights, phi=data.phi, fbasis=data.fbasis
     )
     return assemble_system(gm, icis)
 
 
+def _perturbed(data, icis, rng: random.Random):
+    """The system with one entry of one P^(l) changed by one random term."""
+    l, i, j = rng.randrange(data.K), rng.randrange(data.mu), rng.randrange(data.mu)
+    exps = tuple(rng.randint(0, 1) for _ in data.y_ring)
+    c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return _with_term(data, icis, l, i, j, MultiPoly.from_monomial(data.y_ring, exps, c))
+
+
 def _perturbation_outcomes(data, icis) -> set[str]:
-    """The outcomes of 20 seeded one-term perturbations, each the same as the
-    reference's, message included."""
+    """The outcomes of 20 seeded one-term perturbations and of a +1/3 in each
+    row of one P^(l), each the same as the reference's, message included."""
     outcomes = set()
-    for seed in range(20):
-        bad = _perturbed(data, icis, random.Random(seed))
+    inputs = [(_perturbed(data, icis, random.Random(seed)), seed) for seed in range(20)]
+    # 1/3 in entry (i, i) of the last P^(l) gives row i of [M | P^(0) | ...] a scale of its own
+    third = MultiPoly.constant(data.y_ring, Fraction(1, 3))
+    inputs += [(_with_term(data, icis, data.K - 1, i, i, third), i) for i in range(data.mu)]
+    for bad, seed in inputs:
         expected = _outcome(reference_flatness_points, bad, 3, seed)
         assert _outcome(_new_points, bad, 3, seed) == expected
         outcomes.add(expected[0])

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from lerayfront.brieskorn import GMMatrices, PhiBasis, FBasis, gm_matrices
-from lerayfront.detpoly import _IntegerEvaluator, _integer_entries
+from lerayfront.detpoly import _IntegerEvaluator
 from lerayfront.errors import (
     CurvatureNonzeroError,
     DegenerateSystemError,
@@ -299,7 +299,12 @@ def _zero_partials_checked(mats, ring, partials, points):
     MultiPoly.partial evaluated exactly, times the evaluator's scale; return
     how many derivative entries are the zero polynomial."""
     den = lcm(*(c.denominator for mat in mats for row in mat for p in row for c in p.terms.values()))
-    evaluator = _IntegerEvaluator(_integer_entries(mats), ring, partials=partials)
+    entries = [
+        [[{e: c.numerator * den // c.denominator for e, c in p.terms.items()} for p in row]
+         for row in mat]
+        for mat in mats
+    ]
+    evaluator = _IntegerEvaluator(entries, ring, partials=partials)
     derived = [
         [[p.partial(ring[i]) for p in row] for row in mat]
         for mat, variables in zip(mats, partials)

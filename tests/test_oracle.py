@@ -52,6 +52,14 @@ XI2 = MultiPoly.variable(SR, "xi2")
 WAVE = HyperbolicSymbol.from_poly(TAU**2 - XI1**2 - XI2**2)
 
 
+# the whole message of each radical mismatch (error.json prints only the message)
+RADICAL_MISMATCHES = {
+    "radical mismatch: the eliminant does not divide det M",
+    "radical mismatch: det M and the eliminant have different variable factors",
+    "radical mismatch: det M divides no power of the eliminant",
+}
+
+
 class TestEliminant:
     def test_cusp(self, cusp_icis, cusp_system):
         el = critical_locus_eliminant(cusp_icis)
@@ -135,8 +143,7 @@ class TestEliminant:
             with pytest.raises(MismatchError, match=expected) as err:
                 compare_discriminants(d, el)
             if len(el) == 1:
-                assert str(err.value).startswith("radical mismatch: "), case
-                assert err.value.witness == (d.pretty(), el[0].pretty()), case
+                assert str(err.value) in RADICAL_MISMATCHES, case
 
 
 
@@ -496,7 +503,7 @@ class TestEvalFront:
     def test_vacuous(self):
         ring = ("x1", "x2", "t")
         rep = eval_front_on_samples(MultiPoly.constant(ring, 1), [], Fraction(1))
-        assert rep.vacuous
+        assert (rep.max_scaled_residual, rep.count) == (0.0, 0)
 
     def test_corrupted_detected(self):
         ring = ("x1", "x2", "t")
@@ -513,11 +520,11 @@ class TestEvalFront:
         samples = [
             RaySample((0.0, 0.0), 0, 0.5, (x, 0.0), 0.0, 0.0, 0.0) for x in (1.0, nan, 5.0)
         ]
-        rep = eval_front_on_samples(phi, samples, Fraction(1))
-        assert isnan(rep.max_scaled_residual)
-        assert rep.worst is samples[1]
+        for order in (samples, samples[::-1]):
+            rep = eval_front_on_samples(phi, order, Fraction(1))
+            assert isnan(rep.max_scaled_residual) and rep.count == 3
         rep = eval_front_on_samples(phi, samples[::2], Fraction(1))
-        assert rep.max_scaled_residual == 1 / 3 and rep.worst is samples[0]
+        assert (rep.max_scaled_residual, rep.count) == (1 / 3, 2)
 
     def test_residuals_match_eval_float_bit_for_bit(self):
         # the coefficients are converted once; each residual must still be

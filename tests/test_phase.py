@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -95,14 +96,14 @@ class TestHyperbolicity:
         P = HyperbolicSymbol.from_poly(TAU**2 + XI1**2 + XI2**2)
         with pytest.raises(HyperbolicityError, match="complex characteristic roots") as ei:
             check_strict_hyperbolicity(P, seed=1)
-        assert ei.value.witness is not None
+        assert str(ei.value).endswith(" at xi = (Fraction(-5, 1), Fraction(9, 1))")
 
     def test_double_root_fails(self):
         # (tau - xi1)^2: one real root of multiplicity two at every xi
         P = HyperbolicSymbol.from_poly((TAU - XI1) ** 2)
         with pytest.raises(HyperbolicityError, match="repeated characteristic roots") as ei:
             check_strict_hyperbolicity(P, seed=1)
-        assert ei.value.witness is not None
+        assert str(ei.value).endswith(" at xi = (Fraction(-5, 1), Fraction(9, 1))")
 
     def test_cubic_passes(self):
         P = HyperbolicSymbol.from_poly(TAU**3 - TAU * (XI1**2 + XI2**2))
@@ -152,7 +153,9 @@ def _assert_verdict(P: HyperbolicSymbol, failure: str | None) -> None:
         return
     with pytest.raises(HyperbolicityError, match=f"^{failure} characteristic roots at xi = ") as ei:
         check_strict_hyperbolicity(P, seed=1)
-    assert len(ei.value.witness) == P.n and any(ei.value.witness)
+    # the message names the sampled xi: P.n integers, not all zero
+    xi = re.findall(r"Fraction\((-?\d+), 1\)", str(ei.value))
+    assert len(xi) == P.n and any(x != "0" for x in xi)
 
 
 class TestBuildPhase:
