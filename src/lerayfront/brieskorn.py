@@ -577,14 +577,15 @@ def _reduce_poly(coeff: MultiPoly, ctx: LatticeContext) -> LatticeCertificate:
             coefficients[a][b] = c
         else:
             eta_terms.setdefault(a, {})[b] = c
-    eta = DiffForm(
+    # each (kind, a, b) comes once, with a nonzero value
+    eta = DiffForm._raw(
         ctx.ring,
         max(ctx.N - 1, 0),
-        {J: MultiPoly(ctx.ring, terms) for J, terms in eta_terms.items()},
+        {J: MultiPoly._raw(ctx.ring, terms) for J, terms in eta_terms.items()},
     )
     return LatticeCertificate(
         input_form=DiffForm.zero(ctx.ring, ctx.nvars),
-        coefficients=[MultiPoly(ctx.y_ring, terms) for terms in coefficients],
+        coefficients=[MultiPoly._raw(ctx.y_ring, terms) for terms in coefficients],
         eta=eta,
     )
 

@@ -36,6 +36,19 @@ their integer determinants at tau = 0..their row/column degree bound and
 interpolates once.  The axis probes, the total-degree curves and
 ``line_determinant`` (``oracle.line_check``) all go through it.
 
+The grid's determinants and those of the probe lines and curves are taken
+in shares (``_in_shares``), one per CPU the process may run on
+(``os.sched_getaffinity``), each share a run of consecutive first-axis
+indices of the grid, or of consecutive curves, with about equal numbers of
+determinants.  This process takes the first share and a forked child each
+other one (``_run_shares``); the values join in the serial order, so the
+result is the same on any number of CPUs.  Each share must bring
+SHARE_MIN_WORK (determinants times their size cubed), the measured cost
+of one fork round trip: smaller work, one CPU, or another running thread
+leaves one share, run here with no fork.  The flagship's 1,487-point grid
+and its 6 lines and 2 curves take two shares on two CPUs; the check
+points and ``line_determinant`` always run here.
+
 ``_IntegerEvaluator`` is the one evaluator of polynomial matrices at exact
 points, and of the first partials each matrix asks for (``partials``, one
 list of variables per matrix, for the flatness oracle), which it reads off
@@ -53,14 +66,18 @@ oracle (on the rows of [M | P^(0) | ... | P^(K-1)]) all start from it.
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import signal
+import threading
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, compress, islice
 from math import gcd, lcm, prod
 from operator import floordiv, getitem, mul, sub
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import MismatchError, ResourceLimitError
 from .linalg import det_int
@@ -71,6 +88,12 @@ from .poly import pack_terms, product, pullback, unpack
 # the flagship front's grid has 1,487 points at s = 1 and 14,599 with
 # symbolic s, and its safe fallback 24,031 and 660,130.
 GRID_MAX_POINTS = 400_000
+
+# Least work, in determinants times the cube of their size, that one more
+# share must bring: a fork round trip (fork, the result back through a pipe,
+# waitpid) took a median 3.1 ms with the flagship loaded (29 MB RSS, 2-vCPU
+# VM), the time of about 26 of its 11 x 11 core determinants at 0.12 ms.
+SHARE_MIN_WORK = 26 * 11**3
 
 
 def det_poly_matrix(M: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -321,19 +344,25 @@ def _probe_degrees(
 
     On each of two random axis-parallel lines per variable, that variable
     goes to tau and every other one to a random integer in [2, 19], and
-    ``_curve_determinant`` gives the determinant as a univariate.  Over the
-    two lines of a variable, the largest exponent with a nonzero
-    coefficient is its degree, the smallest is its valuation v, and the gcd
-    of their differences from v is its step (1 when that gcd is 0).
+    ``_curve_determinant`` gives the determinant as a univariate.  All
+    lines are drawn first, then their determinants are taken in shares
+    (``_curve_determinants``).  Over the two lines of a variable, the
+    largest exponent with a nonzero coefficient is its degree, the smallest
+    is its valuation v, and the gcd of their differences from v is its step
+    (1 when that gcd is 0).
     """
     line = ("tau",)
-    degrees, valuations, steps = [], [], []
+    curves = []
     for k in range(nvars):
-        found = set()
         for _ in range(2):
             images = [MultiPoly.constant(line, rng.randint(2, 19)) for _ in range(nvars - 1)]
             images.insert(k, MultiPoly.variable(line, "tau"))
-            found.update(j for j, c in enumerate(_curve_determinant(core, scales, images)[0]) if c)
+            curves.append(images)
+    bounds = [b for b in degree_bounds(core, nvars) for _ in range(2)]
+    dets = _curve_determinants(core, scales, curves, bounds)
+    degrees, valuations, steps = [], [], []
+    for k in range(nvars):
+        found = {j for coeffs, _ in dets[2 * k : 2 * k + 2] for j, c in enumerate(coeffs) if c}
         v = min(found, default=0)
         degrees.append(max(found, default=0))
         valuations.append(v)
@@ -348,18 +377,31 @@ def _probe_total_degree(
 
     On y_i = p_i + q_i * tau^parity_i a term prod y_i^e_i has degree
     sum_i parity_i * e_i in tau, and the coefficient at the top degree is
-    a nonzero polynomial in q, so random q keep it.  Each curve is one
-    ``_curve_determinant``.
+    a nonzero polynomial in q, so random q keep it.  Both curves are drawn
+    first, then their determinants are taken in shares
+    (``_curve_determinants``).
     """
     line = ("tau",)
-    top = 0
-    for _ in range(2):
-        images = [
-            MultiPoly(line, {(0,): rng.randint(-9, 9), (e,): rng.randint(1, 9)}) for e in parity
-        ]
-        coefficients = _curve_determinant(core, scales, images)[0]
-        top = max(top, max((j for j, c in enumerate(coefficients) if c), default=0))
-    return top
+    curves = [
+        [MultiPoly(line, {(0,): rng.randint(-9, 9), (e,): rng.randint(1, 9)}) for e in parity]
+        for _ in range(2)
+    ]
+    # the row/column bound of the degrees sum_i parity_i * e_i bounds both curves'
+    bound = _row_col_bound(core, lambda p: max((sum(map(mul, parity, e)) for e in p), default=0))
+    dets = _curve_determinants(core, scales, curves, [bound, bound])
+    return max((j for coefficients, _ in dets for j, c in enumerate(coefficients) if c), default=0)
+
+
+def _curve_determinants(
+    rows: list[list[dict]], scales: list[int], curves: list[list[MultiPoly]], bounds: list[int]
+) -> list[tuple[list[int], int]]:
+    """``_curve_determinant`` on each curve, in order, in shares (``_in_shares``);
+    bounds[k] bounds the degree of curve k, which takes bounds[k] + 1 determinants."""
+    return _in_shares(
+        lambda a, b: [_curve_determinant(rows, scales, images) for images in curves[a:b]],
+        [b + 1 for b in bounds],
+        len(rows),
+    )
 
 
 def _curve_determinant(
@@ -395,7 +437,9 @@ def _interpolate_grid(
     from 0 otherwise; each value on the lower set is divided exactly by
     prod node_i^v_i and interpolated in u_i = y_i^g; the terms and the
     denominator are divided by their gcd.  None when a value is not
-    divisible, which shows the exponents wrong.
+    divisible, which shows the exponents wrong.  The values are taken in
+    shares (``_in_shares``) of consecutive first-axis indices, each share
+    about as many points as the next (``_grid_block``).
     """
     lengths = [len(e) for e in exponents]
     npts = _lower_set_size(lengths, costs, budget)
@@ -407,13 +451,13 @@ def _interpolate_grid(
         )
     points = _lower_set(lengths, costs, budget)
     nodes = [range(1, len(e) + 1) if e.start else range(len(e)) for e in exponents]
-    values = []
-    for mats, j in zip(evaluator.grid(nodes, costs, budget), points):
-        divisor = prod(axis[k] ** e.start for axis, k, e in zip(nodes, j, exponents))
-        value, rest = divmod(det_int(mats[0]), divisor)
-        if rest:
-            return None
-        values.append(value)
+    divisors = [prod(axis[k] ** e.start for axis, k, e in zip(nodes, j, exponents)) for j in points]
+    # the points at each first-axis index, in order (all of them in the ring ())
+    counts = list(Counter(j[:1] for j in points).values())
+    block = partial(_grid_block, evaluator, nodes, costs, budget, divisors, counts)
+    values = _in_shares(block, counts, evaluator.shapes[0][0])
+    if values is None:
+        return None
     us = [[x**e.step for x in axis] for axis, e in zip(nodes, exponents)]
     coefficients, den = _interpolate(values, us, points)
     terms = {
@@ -421,6 +465,124 @@ def _interpolate_grid(
     }
     [terms], den = _reduced([terms], den)
     return terms, den
+
+
+def _grid_block(
+    evaluator: _IntegerEvaluator,
+    nodes: list[range],
+    costs: Sequence[int],
+    budget: int,
+    divisors: list[int],
+    counts: list[int],
+    a: int,
+    b: int,
+) -> list[int] | None:
+    """det_int of the evaluator's matrix divided by each point's divisor on the points
+    of ``_interpolate_grid``'s lower set whose first-axis index lies in [a, b); None at
+    the first value that does not divide.
+
+    Those points are the lower set of nodes[0][a:b] x nodes[1:] at budget -
+    costs[0] * a, in the same order; counts[k] of them have first index k.
+    """
+    if nodes:
+        nodes = [nodes[0][a:b], *nodes[1:]]
+        budget -= costs[0] * a
+    first = sum(counts[:a])
+    values = []
+    for mats, divisor in zip(evaluator.grid(nodes, costs, budget), divisors[first:]):
+        value, rest = divmod(det_int(mats[0]), divisor)
+        if rest:
+            return None
+        values.append(value)
+    return values
+
+
+def _in_shares(block: Callable[[int, int], list | None], weights: list[int], size: int):
+    """block(0, n) for n = len(weights), taken in shares of consecutive [a, b): None
+    when a share gives None, else the shares' lists joined in order.
+
+    weights[k] is the number of size x size determinants item k takes.  The
+    work, their sum times size^3, makes min(``_cpus()``, work //
+    SHARE_MIN_WORK) shares, at least one; each share gets about the same
+    weight, and the shares run at once (``_run_shares``).
+    """
+    total = sum(weights)
+    shares = max(1, min(_cpus(), total * size**3 // SHARE_MIN_WORK))
+    # each item goes to the share that holds the middle of its weight
+    owners = [
+        min(shares - 1, (2 * before + w) * shares // (2 * total or 1))
+        for before, w in zip(accumulate(weights, initial=0), weights)
+    ]
+    starts = [0] + [k for k in range(1, len(owners)) if owners[k] != owners[k - 1]]
+    parts = _run_shares([partial(block, a, b) for a, b in zip(starts, [*starts[1:], len(owners)])])
+    return None if None in parts else list(chain.from_iterable(parts))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, or where another thread runs (a
+    fork copies only the calling thread)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return 1 if threading.active_count() > 1 else len(os.sched_getaffinity(0))
+
+
+def _run_shares(jobs: list[Callable[[], object]]) -> list:
+    """[job() for job in jobs]: jobs[0] in this process, each other job in a child.
+
+    Each child is made by ``os.fork`` before jobs[0] starts.  It sends its
+    result back through a pipe with ``marshal`` (ints, and lists, tuples and
+    None of them) and leaves by ``os._exit``, so it flushes no buffer of
+    this process and writes nothing.  A job whose child exits nonzero (the
+    job raised) or could not be made runs here in its turn, so every result
+    and every exception is that of the serial run.  Every child is reaped
+    before the return; when a job here raises, the children still running
+    are killed first.
+    """
+    children: dict[int, int | None] = {}  # pid: read end (None once read), until reaped
+    try:
+        pids = [_fork(job, children) for job in jobs[1:]]
+        results = [jobs[0]()]
+        for job, pid in zip(jobs[1:], pids):
+            status = None
+            if pid is not None:
+                with os.fdopen(children[pid], "rb") as pipe:
+                    children[pid] = None
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[pid]
+            results.append(marshal.loads(data) if status == 0 else job())
+        return results
+    finally:
+        for pid, fd in children.items():
+            if fd is not None:
+                os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork(job: Callable[[], object], children: dict[int, int | None]) -> int | None:
+    """A child that runs ``job`` and writes its result, marshalled, to a pipe: its pid,
+    entered in ``children`` with the pipe's read end; None when it cannot be made."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                marshal.dump(job(), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    children[pid] = read
+    return pid
 
 
 def line_determinant(

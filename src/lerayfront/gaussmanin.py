@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .brieskorn import FBasis, GMMatrices, PhiBasis
@@ -67,7 +68,11 @@ class GaussManinData:
 def assemble_system(
     gm: GMMatrices, icis: IcisMap
 ) -> GaussManinData:
-    """Build M(y) = sum_l (-1)^l p_l y_l P^(l)(y) with the alternating signs."""
+    """Build M(y) = sum_l (-1)^l p_l y_l P^(l)(y) with the alternating signs.
+
+    Each entry sums its K contributions as integers over one denominator,
+    the lcm of theirs, and makes one Fraction per term that does not cancel.
+    """
     mu = gm.phi.mu
     K = icis.K
     y_ring = icis.y_names()
@@ -77,18 +82,19 @@ def assemble_system(
     for mat in gm.matrices:
         if len(mat) != mu or any(len(row) != mu for row in mat):
             raise ValueError("matrix size mismatch")
-    # each entry's terms in one dict: sign * p_l times the P^(l) entry, shifted by y_l
-    M_terms = [[{} for _ in range(mu)] for _ in range(mu)]
-    for l in range(K):
-        k = (1 if l % 2 == 0 else -1) * icis.comp_weights[l]
-        y = y_ring.index(f"y{l}")
-        for row, acc_row in zip(gm.matrices[l], M_terms):
-            for entry, acc in zip(row, acc_row):
+    # (sign * p_l, position of y_l) per component
+    factors = [((-1) ** l * icis.comp_weights[l], y_ring.index(f"y{l}")) for l in range(K)]
+    M = []
+    for rows in zip(*gm.matrices):
+        M.append([])
+        for entries in zip(*rows):
+            den = lcm(*(c.denominator for p in entries for c in p.terms.values()))
+            acc: dict[tuple[int, ...], int] = {}
+            for (k, y), entry in zip(factors, entries):
                 for e, c in entry.terms.items():
                     e = e[:y] + (e[y] + 1,) + e[y + 1 :]
-                    old = acc.get(e)
-                    acc[e] = k * c if old is None else old + k * c
-    M = [[MultiPoly(y_ring, terms) for terms in row] for row in M_terms]
+                    acc[e] = acc.get(e, 0) + k * c.numerator * (den // c.denominator)
+            M[-1].append(MultiPoly._raw(y_ring, {e: Fraction(n, den) for e, n in acc.items() if n}))
     return GaussManinData(
         K=K,
         mu=mu,

@@ -202,10 +202,10 @@ def check_strict_hyperbolicity(P: HyperbolicSymbol, seed: int = 1) -> dict:
     rng = random.Random(seed)
     checked = 0
     while checked < HYPERBOLICITY_SAMPLES:
-        xi = tuple(Fraction(rng.randint(-9, 9)) for _ in range(P.n))
+        xi = tuple(rng.randint(-9, 9) for _ in range(P.n))
         if all(x == 0 for x in xi):
             continue
-        point = dict(zip(coefficients[0].ring, xi))
+        point = {v: Fraction(x) for v, x in zip(coefficients[0].ring, xi)}
         s = _power_sums([c.eval_exact(point) for c in coefficients])
         minors = [
             det_fraction([s[i : i + k] for i in range(k)]) for k in range(1, P.m + 1)

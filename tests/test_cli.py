@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import types
+import weakref
 from math import nan
 from pathlib import Path
 
@@ -113,6 +114,24 @@ def test_all_leaves_no_lerayfront_object_to_the_cyclic_collector(tmp_path):
         gc.garbage.clear()
         gc.enable()
     assert not leaked, sorted({type(o).__qualname__ for o in leaked})
+
+
+@pytest.mark.parametrize("spec", [M1_SPEC, WAVE_PARABOLA_SPEC], ids=["m1/cusp", "wave/parabola"])
+def test_all_frees_its_pipeline_by_reference_counts_alone(tmp_path, spec):
+    # a cycle through a started generator (such as the level set's stream of
+    # lines) may not show in the DEBUG_SAVEALL list above; a weak reference
+    # to each object that could hold one sees it
+    gc.collect()
+    gc.disable()
+    try:
+        pipe = Pipeline(Problem(spec, {}), tmp_path)
+        pipe.cmd_all()
+        refs = [weakref.ref(o) for o in (pipe, pipe.level_set(), pipe.front_result())]
+        del pipe
+        alive = [type(r()).__qualname__ for r in refs if r() is not None]
+    finally:
+        gc.enable()
+    assert not alive
 
 
 class TestCommands:

@@ -1,5 +1,8 @@
+import os
 import random
+import time
 from fractions import Fraction
+from functools import partial
 from itertools import permutations, product
 from math import lcm, prod
 from operator import mul
@@ -21,11 +24,11 @@ from lerayfront.detpoly import (
     det_poly_matrix,
     det_probed,
 )
-from lerayfront.errors import ResourceLimitError
+from lerayfront.errors import MismatchError, ResourceLimitError
 from lerayfront.linalg import det_fraction, det_int
 from lerayfront.poly import MultiPoly, pullback
 
-from helpers import det_interpolate, integer_evaluator, safe_bounds, substitute
+from helpers import det_interpolate, integer_evaluator, probed, safe_bounds, substitute
 
 RING = ("y1", "y2")
 Y1 = MultiPoly.variable(RING, "y1")
@@ -425,3 +428,166 @@ def test_curve_determinant_is_the_substituted_bareiss_determinant(data):
     on_curve = [[substitute(p, dict(zip(ring, images)), line) for p in r] for r in M]
     det = MultiPoly(line, {(j,): Fraction(c, den) for j, c in enumerate(coefficients)})
     assert det == det_bareiss(on_curve)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _abc_matrix(seed):
+    rng = random.Random(seed)
+    return [[_random_poly(rng, 2, ("a", "b", "c"), max_den=4) for _ in range(4)] for _ in range(4)]
+
+
+def _overstate_valuations(monkeypatch):
+    """Make the probes report each variable of nonzero degree with valuation one
+    too high: grid values that prod node^v does not divide send det_probed to
+    the safe grid."""
+    probe = detpoly._probe_degrees
+
+    def overstated(*args):
+        degrees, valuations, steps = probe(*args)
+        return degrees, [v + 1 if b else v for v, b in zip(valuations, degrees)], steps
+
+    monkeypatch.setattr(detpoly, "_probe_degrees", overstated)
+
+
+class TestShares:
+    """The grid's and the curves' determinants taken in forked shares give the
+    values, the determinant and the record of one share in this process."""
+
+    @pytest.fixture
+    def shares(self, monkeypatch):
+        """Each call runs first with one share, then with three CPUs and no least
+        work, so that every list of two or more items splits; the share counts
+        ``_run_shares`` got in the second run are kept in ``shares.taken``."""
+        monkeypatch.setattr(detpoly, "SHARE_MIN_WORK", 1)
+        run = detpoly._run_shares
+        taken = []
+
+        def counting(jobs):
+            taken.append(len(jobs))
+            return run(jobs)
+
+        monkeypatch.setattr(detpoly, "_run_shares", counting)
+
+        def both(f, *args):
+            monkeypatch.setattr(detpoly, "_cpus", lambda: 1)
+            taken.clear()
+            one = f(*args)
+            assert set(taken) == {1}
+            taken.clear()
+            monkeypatch.setattr(detpoly, "_cpus", lambda: 3)
+            return one, f(*args)
+
+        both.taken = taken
+        return both
+
+    @pytest.mark.parametrize("ring", [(), ("y",), ("a", "b"), ("a", "b", "c")], ids=len)
+    def test_grid_values(self, shares, ring):
+        rng = random.Random(len(ring) + 20)
+        M = [[_random_poly(rng, 2, ring, max_den=4) for _ in range(4)] for _ in range(4)]
+        evaluator, _ = integer_evaluator(M)
+        bounds, top = safe_bounds(M)
+        exponents = [range(b + 1) for b in bounds]
+        for costs, budget in (([0] * len(ring), 0), ([1] * len(ring), top)):
+            one, split = shares(detpoly._interpolate_grid, evaluator, exponents, costs, budget)
+            assert split == one
+        if ring:
+            assert max(shares.taken) == 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_det_probed_and_its_record(self, shares, seed):
+        M = _abc_matrix(seed)
+        one, split = shares(probed, M, seed)
+        assert split == one
+        assert split[0] == det_bareiss(M)
+        assert shares.taken.count(3) >= 2  # the grid and at least the probe lines
+        _no_child_left()
+
+    def test_indivisible_value_falls_back(self, shares, monkeypatch):
+        _overstate_valuations(monkeypatch)
+        M = _abc_matrix(11)
+        one, split = shares(probed, M, 2)
+        assert split == one
+        assert split[1]["fallback"] is True
+        assert split[0] == det_bareiss(M)
+
+    def test_none_in_any_share_is_none(self, shares):
+        for bad in range(3):
+            block = lambda a, b: None if a <= bad < b else list(range(a, b))  # noqa: E731
+            assert shares(detpoly._in_shares, block, [1] * 6, 1) == (None, None)
+        block = lambda a, b: list(range(a, b))  # noqa: E731
+        assert shares(detpoly._in_shares, block, [1] * 6, 1) == (list(range(6)),) * 2
+        assert shares.taken == [3]
+
+    def test_flagship_front(self, shares, wave_cusp_pipeline):
+        # the pinned digest of phi, on one share and on three
+        from test_acceptance import WAVE_CUSP_DIGEST, digest
+
+        from lerayfront.wavefront import front_polynomial
+
+        data, icis = wave_cusp_pipeline["data"], wave_cusp_pipeline["icis"]
+        one, split = shares(
+            lambda: front_polynomial(data, icis, s_value=Fraction(1), seed=0)
+        )
+        assert digest(one.phi) == digest(split.phi) == WAVE_CUSP_DIGEST
+        assert split.strategy == one.strategy
+        assert shares.taken == [3, 2, 3]  # probe lines, the two curves, the grid
+        _no_child_left()
+
+
+class TestRunShares:
+    def test_a_failed_child_share_runs_here(self):
+        parent = os.getpid()
+
+        def job(k):
+            if os.getpid() != parent:
+                os._exit(3)
+            return [k, parent]
+
+        assert detpoly._run_shares([partial(job, k) for k in range(3)]) == [
+            [k, parent] for k in range(3)
+        ]
+        _no_child_left()
+
+    def test_failed_child_shares_of_det_probed_give_its_result(self, monkeypatch):
+        # every determinant taken in a child ends it with exit code 5, so
+        # every child's share runs again here
+        M = _abc_matrix(3)
+        serial = probed(M, 1)
+        parent = os.getpid()
+        monkeypatch.setattr(detpoly, "_cpus", lambda: 2)
+        monkeypatch.setattr(detpoly, "SHARE_MIN_WORK", 1)
+        monkeypatch.setattr(
+            detpoly, "det_int", lambda m: det_int(m) if os.getpid() == parent else os._exit(5)
+        )
+        assert probed(M, 1) == serial
+        _no_child_left()
+
+    def test_the_serial_exception_is_raised(self):
+        jobs = [lambda: 1, lambda: 1 / 0, lambda: [][0]]
+        with pytest.raises(ZeroDivisionError):
+            detpoly._run_shares(jobs)
+        _no_child_left()
+
+    def test_children_are_reaped_when_this_share_raises(self):
+        # the children still running are killed, not waited for
+        start = time.monotonic()
+        with pytest.raises(ZeroDivisionError):
+            detpoly._run_shares([lambda: 1 / 0, lambda: time.sleep(60)])
+        assert time.monotonic() - start < 30
+        _no_child_left()
+
+    def test_det_probed_leaves_no_child_when_it_raises(self, monkeypatch):
+        # the safe grid, which the cap refuses, runs after the probes and the
+        # probed grid ran in shares
+        _overstate_valuations(monkeypatch)
+        M = _abc_matrix(11)
+        monkeypatch.setattr(detpoly, "_cpus", lambda: 2)
+        monkeypatch.setattr(detpoly, "SHARE_MIN_WORK", 1)
+        monkeypatch.setattr(detpoly, "GRID_MAX_POINTS", probed(M, 2)[1]["grid_points"])
+        with pytest.raises(MismatchError, match="safe bounds exceed the grid cap"):
+            probed(M, 2)
+        _no_child_left()

@@ -1,4 +1,4 @@
-import re
+import ast
 from fractions import Fraction
 from itertools import combinations
 
@@ -96,14 +96,14 @@ class TestHyperbolicity:
         P = HyperbolicSymbol.from_poly(TAU**2 + XI1**2 + XI2**2)
         with pytest.raises(HyperbolicityError, match="complex characteristic roots") as ei:
             check_strict_hyperbolicity(P, seed=1)
-        assert str(ei.value).endswith(" at xi = (Fraction(-5, 1), Fraction(9, 1))")
+        assert str(ei.value).endswith(" at xi = (-5, 9)")
 
     def test_double_root_fails(self):
         # (tau - xi1)^2: one real root of multiplicity two at every xi
         P = HyperbolicSymbol.from_poly((TAU - XI1) ** 2)
         with pytest.raises(HyperbolicityError, match="repeated characteristic roots") as ei:
             check_strict_hyperbolicity(P, seed=1)
-        assert str(ei.value).endswith(" at xi = (Fraction(-5, 1), Fraction(9, 1))")
+        assert str(ei.value).endswith(" at xi = (-5, 9)")
 
     def test_cubic_passes(self):
         P = HyperbolicSymbol.from_poly(TAU**3 - TAU * (XI1**2 + XI2**2))
@@ -153,9 +153,9 @@ def _assert_verdict(P: HyperbolicSymbol, failure: str | None) -> None:
         return
     with pytest.raises(HyperbolicityError, match=f"^{failure} characteristic roots at xi = ") as ei:
         check_strict_hyperbolicity(P, seed=1)
-    # the message names the sampled xi: P.n integers, not all zero
-    xi = re.findall(r"Fraction\((-?\d+), 1\)", str(ei.value))
-    assert len(xi) == P.n and any(x != "0" for x in xi)
+    # the message names the sampled xi: a tuple of P.n integers, not all zero
+    xi = ast.literal_eval(str(ei.value).split(" at xi = ")[1])
+    assert len(xi) == P.n and all(isinstance(x, int) for x in xi) and any(xi)
 
 
 class TestBuildPhase:
