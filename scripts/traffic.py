@@ -81,8 +81,6 @@ ALLOWED = {
     },
     "jsonio.poly_to_json": "the one definition of a polynomial's JSON value; the "
     "writer's byte contract and tests/test_jsonio.py compare against it",
-    "jsonio._key_text": "the writer's path for a key that is not a str; no artifact "
-    "has one, tests/test_jsonio.py writes int keys",
     "jsonio.int_digits_error": "raised only for an integer too long to print "
     "(tests/test_cli.py's large-s exits)",
     "parser._Parser.expect_op": "reached by a parenthesised expression, which no "

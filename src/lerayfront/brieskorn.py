@@ -82,6 +82,12 @@ MAX_PIECE = 40_000
 # would still be exact in Python ints: the cap bounds the size of the keys.
 # The flagship's reductions need 5 bits.
 MAX_FIELD_BITS = 32
+# The f-basis search stops with CapExceededError past this many times the sum
+# of the full map's component weights, on the collapse path too.  The largest
+# basis weight is 0.28-0.59 of that sum on wave over the parabola, the cusp,
+# x1 + x2^3, x1 + x2^4, x1^2 + x2^4, x1^2 + x2^5 and E6, tau over the cusp and
+# the parabola, and the m = 3 symbol over the cusp.
+F_BASIS_WEIGHT_FACTOR = 4
 
 
 @dataclass
@@ -605,22 +611,21 @@ def _reduce_direct(coeff: MultiPoly, ctx: LatticeContext) -> dict[tuple, Fractio
     return res
 
 
-def f_basis(icis: IcisMap, weight_cap: int | None = None) -> FBasis:
+def f_basis(icis: IcisMap) -> FBasis:
     """Greedy weighted basis of the (N+1)-form quotient, closed representatives.
 
     Works on the coordinate-collapsed mapping when the map has coordinate
     components (the quotient is isomorphic, component by component, and
-    representatives embed); stops with CapExceededError if the cap is hit
-    first.
+    representatives embed); stops with CapExceededError if the weight cap
+    (``F_BASIS_WEIGHT_FACTOR``) is hit first.
     """
     mu = phi_basis(icis).mu
-    if weight_cap is None:
-        weight_cap = 4 * sum(icis.comp_weights)
+    cap = F_BASIS_WEIGHT_FACTOR * sum(icis.comp_weights)
     rest = _restricted_map(icis)
     if rest is None:
-        return FBasis(*_fbasis_graded(icis, mu, weight_cap))
+        return FBasis(*_fbasis_graded(icis, mu, cap))
     sub_icis, rest_idx = rest[:2]
-    forms, weights = _fbasis_graded(sub_icis, mu, weight_cap)
+    forms, weights = _fbasis_graded(sub_icis, mu, cap)
     # rest_idx is increasing, so the lifted legs stay sorted
     lifted = []
     for form in forms:
@@ -632,7 +637,7 @@ def f_basis(icis: IcisMap, weight_cap: int | None = None) -> FBasis:
     return FBasis(forms=lifted, weights=weights)
 
 
-def _fbasis_graded(icis: IcisMap, mu: int, weight_cap: int):
+def _fbasis_graded(icis: IcisMap, mu: int, cap: int):
     ring, vweights, N, pweights = icis.ring, icis.var_weights, icis.N, icis.comp_weights
     nvars = len(ring)
     deg = N + 1
@@ -643,7 +648,7 @@ def _fbasis_graded(icis: IcisMap, mu: int, weight_cap: int):
     found: list[DiffForm] = []
     weights: list[int] = []
     min_w = min(sum(vweights[i] for i in J) for J in subsets)
-    for d in range(min_w, weight_cap + 1):
+    for d in range(min_w, cap + 1):
         if len(found) == mu:
             break
         index: dict[tuple, int] = {}
@@ -691,7 +696,7 @@ def _fbasis_graded(icis: IcisMap, mu: int, weight_cap: int):
                     weights.append(d)
     if len(found) < mu:
         raise CapExceededError(
-            f"found {len(found)} of {mu} basis forms below weight cap {weight_cap}"
+            f"found {len(found)} of {mu} basis forms below weight cap {cap}"
         )
     # closed representatives: correct by i_E(d omega)/weight
     closed = []

@@ -40,6 +40,7 @@ from .errors import (
     UsageError,
 )
 from .gaussmanin import assemble_system, discriminant, flatness_check
+from .groebner import MAX_PAIRS
 from .jsonio import (
     dump_json,
     form_to_json,
@@ -93,7 +94,7 @@ DISCRIMINANT_MAX_MU = 6
 
 # every key a problem file's options block may hold; any other is exit 2
 OPTION_KEYS = frozenset(
-    ("irreducible", "powerP", "seed", "tol", "weight_cap", "max_pairs", "s", "weights")
+    ("irreducible", "powerP", "seed", "tol", "max_pairs", "s", "weights")
 )
 
 _SPACE_VARIABLE = re.compile(r"xi?([1-9][0-9]*)")
@@ -162,10 +163,7 @@ class Problem:
             self.tol = float(tol)
             if not 0 < self.tol < inf:
                 raise ValueError(f"tol must be a finite positive number, got {self.tol}")
-            self.weight_cap = options.get("weight_cap")
-            if self.weight_cap is not None and _json_int("weight_cap", self.weight_cap) < 1:
-                raise ValueError(f"weight_cap must be positive, got {self.weight_cap}")
-            self.max_pairs = _json_int("max_pairs", options.get("max_pairs", 100_000))
+            self.max_pairs = _json_int("max_pairs", options.get("max_pairs", MAX_PAIRS))
             if self.max_pairs < 1:
                 raise ValueError(f"max_pairs must be at least 1, got {self.max_pairs}")
             self.s_value = options.get("s")
@@ -234,7 +232,7 @@ class Pipeline:
         return self._get("phi", lambda: phi_basis(self.icis()))
 
     def f_basis(self):
-        return self._get("fb", lambda: f_basis(self.icis(), self.pb.weight_cap))
+        return self._get("fb", lambda: f_basis(self.icis()))
 
     def gm(self):
         return self._get(
@@ -514,7 +512,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--s", default=None, help="rational level value, e.g. 1 or 3/2")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--tol", type=float, default=None)
-    ap.add_argument("--weight-cap", type=int, dest="weight_cap", default=None)
     ap.add_argument("--max-pairs", type=int, dest="max_pairs", default=None)
     ap.add_argument("--version", action="version", version=__version__)
     return ap
@@ -528,7 +525,6 @@ def main(argv=None) -> int:
         "s": args.s,
         "seed": args.seed,
         "tol": args.tol,
-        "weight_cap": args.weight_cap,
         "max_pairs": args.max_pairs,
         "weights": args.weights.split(",") if args.weights else None,
     }

@@ -74,7 +74,7 @@ import threading
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, chain, compress, islice, repeat
 from math import gcd, lcm, prod
 from operator import floordiv, getitem, mul, sub
 from typing import Callable, Iterator, Sequence
@@ -226,14 +226,14 @@ def det_probed(
         core = [[_map_exponents(p, floordiv, parity) for p in row] for row in core]
     safe = degree_bounds(core, len(ring))
     evaluator = _IntegerEvaluator([core], ring)
-    bounds, valuations, steps = _probe_degrees(core, core_scales, rng, len(ring))
+    bounds, valuations, steps = _probe_degrees(core, core_scales, rng, safe)
     exponents = [range(v, b + 1, g) for b, v, g in zip(bounds, valuations, steps)]
     lengths = list(map(len, exponents))
     costs = list(map(mul, parity, steps))
     floor = sum(map(mul, parity, valuations))
     probed_top = None
     if 2 * (safe_top + 1) < _lower_set_size(lengths, costs, safe_top - floor):
-        probed_top = _probe_total_degree(core, core_scales, rng, parity)
+        probed_top = _probe_total_degree(core, core_scales, rng, parity, safe_top)
     budget = (safe_top if probed_top is None else probed_top) - floor
     record.update(
         parity=parity,
@@ -338,9 +338,10 @@ def _map_exponents(p: dict, op, parity: list[int]) -> dict:
 
 
 def _probe_degrees(
-    core: list[list[dict]], scales: list[int], rng: random.Random, nvars: int
+    core: list[list[dict]], scales: list[int], rng: random.Random, safe: list[int]
 ) -> tuple[list[int], list[int], list[int]]:
-    """Per-variable degree, valuation and exponent step of det of core[i][j] / scales[i].
+    """Per-variable degree, valuation and exponent step of det of core[i][j] / scales[i],
+    whose safe per-variable degree bounds (``degree_bounds``) are ``safe``.
 
     On each of two random axis-parallel lines per variable, that variable
     goes to tau and every other one to a random integer in [2, 19], and
@@ -352,14 +353,14 @@ def _probe_degrees(
     (1 when that gcd is 0).
     """
     line = ("tau",)
+    nvars = len(safe)
     curves = []
     for k in range(nvars):
         for _ in range(2):
             images = [MultiPoly.constant(line, rng.randint(2, 19)) for _ in range(nvars - 1)]
             images.insert(k, MultiPoly.variable(line, "tau"))
             curves.append(images)
-    bounds = [b for b in degree_bounds(core, nvars) for _ in range(2)]
-    dets = _curve_determinants(core, scales, curves, bounds)
+    dets = _curve_determinants(core, scales, curves, [b for b in safe for _ in range(2)])
     degrees, valuations, steps = [], [], []
     for k in range(nvars):
         found = {j for coeffs, _ in dets[2 * k : 2 * k + 2] for j, c in enumerate(coeffs) if c}
@@ -371,13 +372,14 @@ def _probe_degrees(
 
 
 def _probe_total_degree(
-    core: list[list[dict]], scales: list[int], rng: random.Random, parity: list[int]
+    core: list[list[dict]], scales: list[int], rng: random.Random, parity: list[int], top: int
 ) -> int:
     """The degree sum_i parity_i * e_i of det of core[i][j] / scales[i], read on two random curves.
 
     On y_i = p_i + q_i * tau^parity_i a term prod y_i^e_i has degree
     sum_i parity_i * e_i in tau, and the coefficient at the top degree is
-    a nonzero polynomial in q, so random q keep it.  Both curves are drawn
+    a nonzero polynomial in q, so random q keep it.  ``top``, the row/column
+    bound of those degrees, bounds both curves'.  Both curves are drawn
     first, then their determinants are taken in shares
     (``_curve_determinants``).
     """
@@ -386,9 +388,7 @@ def _probe_total_degree(
         [MultiPoly(line, {(0,): rng.randint(-9, 9), (e,): rng.randint(1, 9)}) for e in parity]
         for _ in range(2)
     ]
-    # the row/column bound of the degrees sum_i parity_i * e_i bounds both curves'
-    bound = _row_col_bound(core, lambda p: max((sum(map(mul, parity, e)) for e in p), default=0))
-    dets = _curve_determinants(core, scales, curves, [bound, bound])
+    dets = _curve_determinants(core, scales, curves, [top, top])
     return max((j for coefficients, _ in dets for j, c in enumerate(coefficients) if c), default=0)
 
 
@@ -661,14 +661,6 @@ class _IntegerEvaluator:
         self.monomials = list(index)
         self.maxdeg = [max(column) for column in zip(*base)] if base else [0] * len(ring)
 
-    @cached_property
-    def terms(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Each entry's (monomial numbers, coefficients), entry by entry."""
-        return [
-            (tuple(self.indices[a:b]), tuple(self.coefficients[a:b]))
-            for a, b in zip(self.ends, self.ends[1:])
-        ]
-
     def _matrices(self, values: list[int], start: int = 0) -> list[list[list[int]]]:
         """The entry values from ``start`` on, cut back into the matrices (fresh lists)."""
         out = []
@@ -723,7 +715,7 @@ class _IntegerEvaluator:
         the prefix leaves, ``tail`` the last axis and its powers and group bounds."""
         if axis == len(outer):
             last, powers, his, los = tail
-            n = len(self.terms)
+            n = len(self.ends) - 1
             count = _allowed(len(last), costs[axis], left)
             cums = list(accumulate(map(mul, values * count, powers), initial=0))
             hi = map(cums.__getitem__, islice(his, count * n))
@@ -756,12 +748,11 @@ class _IntegerEvaluator:
         same order for the next axis.  A step holds each value's exponent at
         its axis and the end of each group; the last axis groups by entry.
         """
+        ends = self.ends
+        # each term's entry number
+        entries = chain.from_iterable(map(repeat, range(len(ends) - 1), map(sub, ends[1:], ends)))
         terms = sorted(
-            (
-                (i, self.monomials[j], c)
-                for i, (idx, cs) in enumerate(self.terms)
-                for j, c in zip(idx, cs)
-            ),
+            zip(entries, map(self.monomials.__getitem__, self.indices), self.coefficients),
             key=lambda term: (term[0], term[1][::-1]),
         )
         items = [(i, e) for i, e, _ in terms]
@@ -774,7 +765,7 @@ class _IntegerEvaluator:
             if axis < nvars - 1:
                 items = list(dict.fromkeys(groups))
             else:
-                items = [(i, ()) for i in range(len(self.terms))]
+                items = [(i, ()) for i in range(len(ends) - 1)]
             sizes = Counter(groups)
             plan.append((kexp, list(accumulate(sizes[g] for g in items))))
         return coefficients, plan

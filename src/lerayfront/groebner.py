@@ -1,12 +1,13 @@
 """Groebner bases over the rationals: Buchberger with Gebauer-Moeller pruning.
 
 Desk-scale by design: ideals in at most a dozen variables.  Three caps
-raise ResourceLimitError: ``max_pairs`` bounds the number of S-pairs
-reduced, ``max_degree`` the total degree of each S-pair's lcm, and
-``max_poly_terms`` the working plus remainder terms of one S-polynomial's
-reduction.  None of them bounds time: a reduction within all three can
-still run for minutes (a three-generator ideal in 3 variables under a block
-order runs past 120 s with ``max_pairs=200, max_degree=12``).
+raise ResourceLimitError: ``MAX_PAIRS`` bounds the number of S-pairs
+reduced (``eliminate`` takes its own count), ``MAX_DEGREE`` the total
+degree of each S-pair's lcm, and ``MAX_POLY_TERMS`` the working plus
+remainder terms of one S-polynomial's reduction.  None of them bounds time:
+a reduction within all three can still run for minutes (a three-generator
+ideal in 3 variables under a block order runs past 120 s with 200 pairs and
+degree 12).
 
 Every reduction (normal forms, S-polynomials, the input generators and the
 final inter-reduction) runs one kernel, ``_reduce``: heap-ordered reduction
@@ -63,7 +64,9 @@ from .poly import unpack, weight
 # packed terms of a primitive integer polynomial, leading coefficient > 0.
 Head = tuple[int, int, list[tuple[int, int]]]
 
-# groebner's default caps on the S-pair lcm degree and the working terms
+# Buchberger's caps: S-pairs reduced (eliminate's default), S-pair lcm
+# degree and working terms of one reduction
+MAX_PAIRS = 100_000
 MAX_DEGREE = 60
 MAX_POLY_TERMS = 30_000
 
@@ -247,43 +250,36 @@ def normal_form(p: MultiPoly, gb: GroebnerBasis) -> MultiPoly:
         return MultiPoly(p.ring, out)
 
 
-def groebner(
-    gens: Iterable[MultiPoly],
-    order: MonomialOrder = GREVLEX,
-    max_pairs: int = 100_000,
-    max_degree: int = MAX_DEGREE,
-    max_poly_terms: int = MAX_POLY_TERMS,
-) -> GroebnerBasis:
+def groebner(gens: Iterable[MultiPoly], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis by Buchberger's algorithm.
 
     Pair pruning follows Gebauer-Moeller (lcm criteria and the coprime
-    criterion).  Raises ResourceLimitError when caps are hit.  The basis is
-    held as integer heads; each element is made monic over Q on output.
+    criterion).  Raises ResourceLimitError past ``MAX_PAIRS``, ``MAX_DEGREE``
+    or ``MAX_POLY_TERMS``.  The basis is held as integer heads; each element
+    is made monic over Q on output.
     """
-    return _groebner(gens, order, 0, max_pairs, max_degree, max_poly_terms)
+    return _groebner(gens, order, 0, MAX_PAIRS)
 
 
-def _groebner(gens, order, drop, max_pairs, max_degree, max_poly_terms) -> GroebnerBasis:
-    """``groebner``, finishing only the elements whose leading monomial is free
-    of the first ``drop`` variables: all of them when ``drop`` is 0."""
+def _groebner(gens, order, drop, max_pairs) -> GroebnerBasis:
+    """``groebner`` with ``max_pairs`` S-pairs, finishing only the elements whose
+    leading monomial is free of the first ``drop`` variables: all of them when
+    ``drop`` is 0."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty generator list")
     ring = gens[0].ring
     if any(g.ring != ring for g in gens):
         raise RingMismatchError("generators live in different rings")
-    bound = max(max_degree, *(g.total_degree() for g in gens))
+    bound = max(MAX_DEGREE, *(g.total_degree() for g in gens))
     while True:
         try:
-            packing = _Packing(order, len(ring), bound)
-            return _buchberger(gens, packing, drop, max_pairs, max_degree, max_poly_terms)
+            return _buchberger(gens, _Packing(order, len(ring), bound), drop, max_pairs)
         except OverflowError:
             bound = 4 ** bound.bit_length()  # fields twice as wide
 
 
-def _buchberger(
-    gens, packing: _Packing, drop, max_pairs, max_degree, max_poly_terms
-) -> GroebnerBasis:
+def _buchberger(gens, packing: _Packing, drop, max_pairs) -> GroebnerBasis:
     """``_groebner`` in the fields of one packing; raises OverflowError past them."""
     guard, steps, width, nvars = packing.guard, packing.steps, packing.width, packing.n
     heads: list[Head] = []
@@ -330,14 +326,14 @@ def _buchberger(
             raise ResourceLimitError(
                 f"Buchberger exceeded {max_pairs} S-pairs", kind="pairs", limit=max_pairs
             )
-        if sum(l) > max_degree:
+        if sum(l) > MAX_DEGREE:
             raise ResourceLimitError(
-                f"S-pair lcm degree {sum(l)} exceeds cap {max_degree}",
+                f"S-pair lcm degree {sum(l)} exceeds cap {MAX_DEGREE}",
                 kind="degree",
-                limit=max_degree,
+                limit=MAX_DEGREE,
             )
         s = _spoly(heads[i], heads[j], weight(l, steps), guard)
-        s = _reduce(s, heads, guard, max_poly_terms)[0]
+        s = _reduce(s, heads, guard, MAX_POLY_TERMS)[0]
         if s:
             add_poly(s)
 
@@ -454,7 +450,7 @@ def _substitute(gens: list[MultiPoly], n: int, i: int) -> list[MultiPoly]:
 def eliminate(
     gens: Sequence[MultiPoly],
     drop: Sequence[str],
-    max_pairs: int = 100_000,
+    max_pairs: int = MAX_PAIRS,
 ) -> list[MultiPoly]:
     """The reduced grevlex basis of the elimination ideal in the kept variables.
 
@@ -490,5 +486,5 @@ def eliminate(
     if not gens:
         return []
     k = len(drop)
-    gb = _groebner(gens, MonomialOrder("block", split=k), k, max_pairs, MAX_DEGREE, MAX_POLY_TERMS)
+    gb = _groebner(gens, MonomialOrder("block", split=k), k, max_pairs)
     return [g.rename_ring(keep) for g in gb.generators]

@@ -9,16 +9,17 @@ components and ``cli``'s records alike), and the writer renders each leaf
 as ``poly_to_json`` would.  All emitters sort keys and avoid timestamps:
 identical inputs give byte-identical files.
 
-Byte contract: ``dump_json(obj, path)`` writes exactly the bytes of
-``json.dump(obj, fh, sort_keys=True, indent=1, separators=(",", ": "),
-default=poly_to_json)`` followed by ``"\n"``.  ``json.dump`` with an
+Byte contract: for a value whose dict keys are all ``str``,
+``dump_json(obj, path)`` writes exactly the bytes of ``json.dump(obj, fh,
+sort_keys=True, indent=1, separators=(",", ": "), default=poly_to_json)``
+followed by ``"\n"``; any other key raises TypeError.  ``json.dump`` with an
 ``indent`` always runs the pure-Python ``_iterencode``, one ``write`` per
 token; the writer here walks the value itself with the same rules
 (``encode_basestring_ascii`` for keys and strings, ``int.__repr__``,
 ``float.__repr__`` with ``NaN`` and ``Infinity`` spelled as ``json`` spells
-them, keys sorted before they are converted), writes a list whose items are
-all ``int`` in one join, and writes a polynomial one piece per term, with
-each exponent list rendered once per nesting depth.
+them, keys sorted), writes a list whose items are all ``int`` in one join,
+and writes a polynomial one piece per term, with each exponent list
+rendered once per nesting depth.
 
 Streaming: the writer collects pieces in a list and hands them to the file in
 one ``write`` whenever the list reaches ``_FLUSH_PIECES``, so its memory stays
@@ -98,14 +99,6 @@ def _scalar_text(o: Any) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _scalar_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 class _Writer:
     """One document written to ``fh`` under the module's byte contract and streaming rule.
 
@@ -171,7 +164,7 @@ class _Writer:
         if isinstance(o, dict):
             sep = "{" + inner
             for key, v in sorted(o.items()):
-                head = encode(key if type(key) is str else _key_text(key)) + ": "
+                head = encode(key) + ": "
                 if isinstance(v, str):
                     append(sep + head + encode(v))
                 else:

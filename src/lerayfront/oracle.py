@@ -47,6 +47,7 @@ from .errors import MismatchError, NotApplicableError
 from .gcdtools import divide_monomial, monomial_content
 from .groebner import (
     GREVLEX,
+    MAX_PAIRS,
     GroebnerBasis,
     eliminate,
     groebner,
@@ -74,12 +75,11 @@ ROOT_SWEEPS = 500
 ROOT_STEP = 1e-14
 
 
-def critical_locus_eliminant(icis: IcisMap, max_pairs: int = 100_000) -> list[MultiPoly]:
+def critical_locus_eliminant(icis: IcisMap, max_pairs: int = MAX_PAIRS) -> list[MultiPoly]:
     """Eliminate u from the critical ideal with y_l left as variables."""
     y_names = icis.y_names()
     gens, drop = critical_ideal(icis, [MultiPoly.variable(y_names, y) for y in y_names])
-    out = eliminate(gens, drop, max_pairs=max_pairs)
-    return [p.rename_ring(y_names) for p in out]
+    return [p.rename_ring(y_names) for p in eliminate(gens, drop, max_pairs)]
 
 
 @dataclass

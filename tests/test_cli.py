@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lerayfront
-from lerayfront import cli
+from lerayfront import brieskorn, cli
 from lerayfront.cli import COMMANDS, RAY_SAMPLES, Pipeline, Problem, main
 from lerayfront.oracle import FrontEvalReport, LevelSet
 from lerayfront.wavefront import T_ZERO_SAMPLES
@@ -460,9 +460,15 @@ BAD_INPUTS = [
     ("--tol nan", write_spec, M1_SPEC, ["--tol", "nan"], 2),
     ("--tol inf", write_spec, M1_SPEC, ["--tol", "inf"], 2),
     ("--tol negative", write_spec, M1_SPEC, ["--tol", "-1"], 2),
-    ("weight_cap not a number", write_spec, dict(M1_SPEC, options={"weight_cap": "abc"}), [], 2),
-    ("weight_cap zero", write_spec, dict(M1_SPEC, options={"weight_cap": 0}), [], 2),
-    ("--weight-cap zero", write_spec, M1_SPEC, ["--weight-cap", "0"], 2),
+    # the f-basis weight cap is brieskorn.F_BASIS_WEIGHT_FACTOR: an unknown key
+    ("weight_cap an unknown key", write_spec, dict(M1_SPEC, options={"weight_cap": 80}), [], 2),
+    (
+        "weight_cap beside valid options",
+        write_spec,
+        dict(M1_SPEC, options=dict(M1_SPEC["options"], weight_cap=80)),
+        [],
+        2,
+    ),
     ("irreducible not boolean", write_spec, dict(M1_SPEC, options={"irreducible": "no"}), [], 2),
     ("misspelt option key", write_spec, dict(M1_SPEC, options={"max_pair": 3}), [], 2),
     (
@@ -559,6 +565,23 @@ def test_det_flag_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+def test_weight_cap_flag_is_gone(tmp_path):
+    spec = write_spec(tmp_path, M1_SPEC)
+    with pytest.raises(SystemExit) as exc:
+        main(["gm", "--spec", str(spec), "--out", str(tmp_path), "--weight-cap", "80"])
+    assert exc.value.code == 2
+
+
+def test_gm_exits_10_past_the_f_basis_weight_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(brieskorn, "F_BASIS_WEIGHT_FACTOR", 0)
+    spec = write_spec(tmp_path, M1_SPEC)
+    out = tmp_path / "out"
+    assert main(["gm", "--spec", str(spec), "--out", str(out)]) == 10
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "CapExceededError" and err["exit_code"] == 10
+    assert not (out / "gm.json").exists()
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "lerayfront.cli", "--help"],
@@ -589,15 +612,15 @@ OPTION_KEYS = (
     "powerP",
     "seed",
     "tol",
-    "det",
-    "weight_cap",
     "max_pairs",
     "s",
     "weights",
     "irreducible",
+    "det",
+    "weight_cap",
     "front_strategy",
 )
-# "det" and "front_strategy" are not options: such a file exits 2.
+# "det", "weight_cap" and "front_strategy" are not options: such a file exits 2.
 # Small integers keep the weights option cheap; the fuzz is about exit
 # codes, not about cost.
 JSON_VALUES = st.recursive(

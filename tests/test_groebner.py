@@ -28,6 +28,17 @@ from lerayfront.poly import MultiPoly, monomials_of_weight, unpack, weight
 
 groebner_module = importlib.import_module("lerayfront.groebner")
 
+
+def capped_groebner(gens, order, pairs, degree, terms):
+    """``groebner`` under caps below the module's (in a MonkeyPatch context, so
+    that hypothesis tests can use it)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner_module, "MAX_PAIRS", pairs)
+        mp.setattr(groebner_module, "MAX_DEGREE", degree)
+        mp.setattr(groebner_module, "MAX_POLY_TERMS", terms)
+        return groebner(gens, order)
+
+
 R = ("x1", "x2")
 R3 = ("x1", "x2", "x3")
 X1 = MultiPoly.variable(R, "x1")
@@ -59,9 +70,11 @@ class TestGroebner:
         for g in gens:
             assert normal_form(g, gb).is_zero()
 
-    def test_pair_cap(self):
-        with pytest.raises(ResourceLimitError):
-            groebner([X1**2 + X2**3, X1 * X2**2 - X1], max_pairs=1)
+    def test_pair_cap(self, monkeypatch):
+        monkeypatch.setattr(groebner_module, "MAX_PAIRS", 1)
+        with pytest.raises(ResourceLimitError) as info:
+            groebner([X1**2 + X2**3, X1 * X2**2 - X1])
+        assert (info.value.kind, info.value.limit) == ("pairs", 1)
 
 
 class TestStaircase:
@@ -156,9 +169,7 @@ def block_eliminant(gens, k):
     block-order basis free of the first k variables.  Small caps, since some
     random block-order ideals run away; None when one is hit."""
     try:
-        gb = groebner(
-            gens, MonomialOrder("block", split=k), max_pairs=40, max_degree=10, max_poly_terms=400
-        )
+        gb = capped_groebner(gens, MonomialOrder("block", split=k), 40, 10, 400)
     except ResourceLimitError:
         return None
     keep = gens[0].ring[k:]
@@ -440,7 +451,7 @@ class TestReductionKernel:
         # Small caps: a few random ideals run for minutes under the defaults
         # as their coefficients grow.
         try:
-            gb = groebner(gens, order, max_pairs=30, max_degree=8, max_poly_terms=300)
+            gb = capped_groebner(gens, order, 30, 8, 300)
         except (ValueError, ResourceLimitError):
             return  # the zero ideal, or a basis past the small caps
         for p in ps + gens:
@@ -542,7 +553,7 @@ class TestReducedBasis:
     @given(st.lists(small_polys(3), min_size=1, max_size=3), st.sampled_from(PACKED_ORDERS))
     def test_reduced_basis(self, gens, order):
         try:
-            gb = groebner(gens, order, max_pairs=30, max_degree=8, max_poly_terms=300)
+            gb = capped_groebner(gens, order, 30, 8, 300)
         except (ValueError, ResourceLimitError):
             return  # the zero ideal, or a basis past the small caps
         key = ascending(order)
@@ -563,7 +574,7 @@ class TestOverflow:
     """A reduction past the starting width re-runs wider and returns the basis of a run
     that starts wide."""
 
-    def run(self, monkeypatch, gens, order, **caps):
+    def run(self, monkeypatch, gens, order):
         """The basis and the field width of each packing the call made."""
         widths = []
 
@@ -573,7 +584,7 @@ class TestOverflow:
                 widths.append(self.width)
 
         monkeypatch.setattr(groebner_module, "_Packing", Recorded)
-        return groebner(gens, order, **caps), widths
+        return groebner(gens, order), widths
 
     @pytest.mark.parametrize("order", [LEX, MonomialOrder("block", split=1)], ids=repr)
     def test_reduction_past_the_starting_width(self, monkeypatch, order):
@@ -585,7 +596,8 @@ class TestOverflow:
         assert widths == [10, 20]
         assert gb.generators == [x2**600 - x3, x1 - x2**300]
         assert normal_form(x1**2, groebner([x1 - x2**300], order)) == x2**600
-        wide, widths = self.run(monkeypatch, gens, order, max_degree=10**6)
+        monkeypatch.setattr(groebner_module, "MAX_DEGREE", 10**6)
+        wide, widths = self.run(monkeypatch, gens, order)
         assert widths == [21]
         assert wide == gb
 

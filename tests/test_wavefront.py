@@ -18,6 +18,8 @@ from lerayfront.detpoly import (
     _row_scaled_entries,
     det_bareiss,
     det_probed,
+    degree_bounds,
+    total_degree_bound,
 )
 from lerayfront.errors import MismatchError
 from lerayfront.gcdtools import squarefree_part
@@ -308,9 +310,11 @@ class TestProbedInterpolation:
         ring = ("a", "b", "c")
         M = _random_matrix(random.Random(9), ring, 4)
         rows, scales = _row_scaled_entries(M)
-        found = _probe_degrees(rows, scales, random.Random(0), len(ring))
+        found = _probe_degrees(rows, scales, random.Random(0), degree_bounds(rows, len(ring)))
         assert found == _exponent_structure(det_bareiss(M))
-        top = _probe_total_degree(rows, scales, random.Random(0), [1, 1, 1])
+        top = _probe_total_degree(
+            rows, scales, random.Random(0), [1, 1, 1], total_degree_bound(rows)
+        )
         assert top == det_bareiss(M).total_degree()
 
     def test_probes_find_the_valuation_and_the_step(self):
